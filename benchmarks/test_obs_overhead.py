@@ -277,7 +277,7 @@ PIPELINE_CEILING = 0.05  # the CI gate for the full pipeline
 
 
 def _loadtest_wall(pipeline: bool) -> float:
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     result = run_loadtest(
         worker_counts=(2,), requests=12, pool="thread", backend="wasm",
@@ -338,7 +338,7 @@ TRACE_CEILING = 0.05  # the CI gate for tracing + backhaul + stitching
 
 
 def _traced_loadtest(trace_out: str | None) -> dict:
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     # preemption in both arms: every checkpoint re-dispatch is an extra hop
     # whose capture must ship home, so the traced arm pays the backhaul at
@@ -412,7 +412,7 @@ def test_pipeline_off_keeps_signed_totals_byte_identical(benchmark):
     perturb them either: events narrate the billing path, they do not touch
     it.
     """
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     for pipeline in (False, True):
         result = run_loadtest(

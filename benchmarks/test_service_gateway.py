@@ -1,6 +1,6 @@
 """Metering-gateway loadtest: throughput/latency scaling across worker counts.
 
-Drives :func:`repro.service.gateway.run_loadtest` over the PolyBench tenant
+Drives :func:`repro.service.load.run_loadtest` over the PolyBench tenant
 mix on both execution backends and emits the scaling table referenced by
 EXPERIMENTS.md.  The ``modeled`` backend paces requests with the Fig. 9
 service-time model, so its worker scaling is honest even on a single-core
@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit_table, record
-from repro.service.gateway import run_loadtest
+from repro.service.load import run_loadtest
 
 WORKER_COUNTS = (1, 2, 4)
 REQUESTS = 12

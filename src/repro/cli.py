@@ -47,12 +47,21 @@ import sys
 
 from repro.instrument import instrument_module
 from repro.instrument.weights import UNIT_WEIGHTS, cycle_weight_table
+from repro.minic.compiler import CompileError
+from repro.minic.lexer import LexError
+from repro.minic.parser import ParseError
 from repro.perf.model import Deployment, PerformanceModel, WorkloadRun
-from repro.wasm.binary import encode_module
-from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance
-from repro.wasm.validate import validate
-from repro.wasm.wat_parser import parse_wat
+from repro.wasm.binary import BinaryFormatError, encode_module
+from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, LinkError, Trap
+from repro.wasm.snapshot import SnapshotError
+from repro.wasm.validate import ValidationError, validate
+from repro.wasm.wat_parser import WatParseError, parse_wat
 from repro.wasm.wat_printer import print_wat
+
+#: Bad input rather than a bug: an unreadable file, a module that does not
+#: parse, validate or link, or a corrupt snapshot.
+_INPUT_ERRORS = (OSError, LinkError, WatParseError, ValidationError, BinaryFormatError,
+                 LexError, ParseError, CompileError, SnapshotError)
 
 
 def _load_module(path: str):
@@ -283,9 +292,9 @@ def cmd_verify_log(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Drive the metering gateway over a synthetic multi-tenant mix."""
     from repro.core.sandbox import SandboxConfig
-    from repro.service import AdmissionError, MeteringGateway, TenantQuota
+    from repro.service import MeteringGateway, TenantQuota
     from repro.service.backends import SimulatedFaaSBackend
-    from repro.service.gateway import polybench_tenant_mix
+    from repro.service.load import _request_schedule, drive, polybench_tenant_mix
 
     kernels = tuple(args.kernels.split(",")) if args.kernels else ()
     mix = polybench_tenant_mix(kernels)
@@ -305,20 +314,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             gw.register_tenant(tenant_id, module=module, quota=quota)
         print(f"serving {args.requests} requests across {len(mix)} tenants "
               f"on backend {gw.backend.kind}")
-        futures = []
-        rejected = 0
-        for i in range(args.requests):
-            tenant_id, _module, (export, fn_args) = mix[i % len(mix)]
-            try:
-                futures.append(gw.submit(tenant_id, export, *fn_args))
-            except AdmissionError as exc:
-                rejected += 1
-                hint = f" retry after {exc.retry_after_s:.3f}s" if exc.retry_after_s else ""
-                print(f"  rejected [{exc.code}] {tenant_id}:{hint}")
-        responses = [f.result() for f in futures]
+        responses, failures = drive(gw, _request_schedule(mix, args.requests))
         seal = gw.seal_epoch()
         verdict = gw.verify_epoch(seal)
-        print(f"served {len(responses)} requests, rejected {rejected}")
+        print(f"served {len(responses)} requests, failed {sum(failures.values())}")
+        for code, n in sorted(failures.items()):
+            print(f"  {code}: {n}")
         for tenant_id, _module, _run in mix:
             totals = gw.totals(tenant_id)
             print(f"  {tenant_id:<20} {len(gw.ledger.receipts(tenant_id)):>4} receipts  "
@@ -336,7 +337,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     """Sweep gateway worker counts; write BENCH_service.json."""
     import json
 
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     worker_counts = tuple(int(w) for w in args.workers.split(","))
     kernels = tuple(args.kernels.split(",")) if args.kernels else ()
@@ -686,6 +687,7 @@ def _render_top_frame(
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Live rolling-window dashboard while driving a gateway mix."""
+    import itertools
     import threading
     import time
 
@@ -693,7 +695,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.events import EventLog, disable_events, enable_events
     from repro.obs.rollup import RollingAggregator
     from repro.service import MeteringGateway
-    from repro.service.gateway import polybench_tenant_mix
+    from repro.service.load import _request_schedule, drive, polybench_tenant_mix
 
     agg = RollingAggregator(slice_s=0.5, slices=240)
     log = enable_events(EventLog())
@@ -711,12 +713,11 @@ def cmd_top(args: argparse.Namespace) -> int:
     failures: dict[str, int] = {}
     failures_lock = threading.Lock()
 
-    def note_failure(exc: BaseException) -> None:
-        code = getattr(exc, "code", None) or type(exc).__name__
+    def note_failure(code: str) -> None:
         with failures_lock:
             failures[code] = failures.get(code, 0) + 1
 
-    def drive() -> None:
+    def serve() -> None:
         backend = None
         if args.backend == "modeled":
             from repro.service.backends import SimulatedFaaSBackend
@@ -730,30 +731,15 @@ def cmd_top(args: argparse.Namespace) -> int:
         ) as gw:
             for tenant_id, module, _run in mix:
                 gw.register_tenant(tenant_id, module=module)
-            outstanding: list = []
-            i = 0
-            while not stop.is_set():
-                tenant_id, _module, (export, fn_args) = mix[i % len(mix)]
-                try:
-                    outstanding.append(gw.submit(tenant_id, export, *fn_args))
-                except Exception as exc:  # over quota, unknown tenant, ...
-                    note_failure(exc)
-                i += 1
-                while len(outstanding) >= max(2, args.workers * 4):
-                    done = outstanding.pop(0)
-                    try:
-                        done.result()
-                    except Exception as exc:
-                        note_failure(exc)
-            for future in outstanding:
-                try:
-                    future.result(timeout=30)
-                except Exception as exc:
-                    note_failure(exc)
+            schedule = itertools.takewhile(
+                lambda _request: not stop.is_set(), _request_schedule(mix, None)
+            )
+            drive(gw, schedule, max_outstanding=max(2, args.workers * 4),
+                  on_failure=note_failure)
             gw.seal_epoch()
             gw.verify_epoch()
 
-    driver = threading.Thread(target=drive, daemon=True)
+    driver = threading.Thread(target=serve, daemon=True)
     driver.start()
     deadline = time.monotonic() + args.duration
     try:
@@ -893,7 +879,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         print("metric-name contract OK")
         return 0
 
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     kernels = tuple(args.kernels.split(",")) if args.kernels else ("trisolv", "atax")
     registry = get_registry()
@@ -1197,7 +1183,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Trap as exc:
+        print(f"trap: {exc}", file=sys.stderr)
+        return 1
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

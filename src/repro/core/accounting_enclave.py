@@ -82,7 +82,7 @@ class RawExecution:
     Produced wherever the Wasm actually ran — inside this AE's
     :meth:`~AccountingEnclave.invoke`, or in a metering-gateway worker
     process — and turned into a signed log entry by
-    :meth:`AccountingEnclave.account`.  It carries exactly the quantities
+    :meth:`AccountingEnclave.account_span`.  It carries exactly the quantities
     accounting needs, so the execution site and the signing site can live in
     different processes while producing byte-identical resource vectors.
     """
@@ -282,21 +282,9 @@ class AccountingEnclave(Enclave):
                 trap_message=trap_message,
                 output=bytes(channel.output),
             )
-            result = self.account(raw, label=label or export)
+            result = self.account_span(raw, label=label or export)
             self.lkl.request_io_cycles(len(input_data), len(channel.output))
             return result
-
-    def account(
-        self, raw: RawExecution, label: str = "", trace_id: str | None = None
-    ) -> WorkloadResult:
-        """Turn raw measurements into a signed log entry (the receipt).
-
-        This is the AE's accounting half, split out so a metering gateway
-        can execute workloads in worker processes and still have *this*
-        enclave — the one the tenant attested — sign every receipt.  The
-        raw measurements must be for the workload this AE admitted.
-        """
-        return self.account_span(raw, label=label, trace_id=trace_id)
 
     def account_span(
         self,
@@ -307,6 +295,11 @@ class AccountingEnclave(Enclave):
         trace_id: str | None = None,
     ) -> WorkloadResult:
         """Sign a receipt for the span since ``baseline``.
+
+        This is the AE's accounting half, split out so a metering gateway
+        can execute workloads in worker processes and still have *this*
+        enclave — the one the tenant attested — sign every receipt.  The
+        raw measurements must be for the workload this AE admitted.
 
         ``baseline`` is the (weighted instructions, io_in, io_out) already
         billed by earlier checkpoint receipts for this job; the vector

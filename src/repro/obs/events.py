@@ -3,7 +3,8 @@
 Where metrics aggregate and spans time, *events* narrate: one schema-versioned
 record per interesting state change on the serving path (admission, retry,
 fault injection, deadline, receipt, epoch seal, pool rebuild).  The emitting
-sites live in :mod:`repro.service.gateway`, :mod:`repro.service.ledger`,
+sites live in :mod:`repro.service.lifecycle` (every gateway request
+transition), :mod:`repro.service.gateway`, :mod:`repro.service.ledger`,
 :mod:`repro.service.faults` and :mod:`repro.service.worker`; the consumers are
 the rolling-window aggregator (:mod:`repro.obs.rollup`), the SLO rules engine
 (:mod:`repro.obs.slo`) and the billing-drift auditor (:mod:`repro.obs.audit`).

@@ -12,7 +12,8 @@ the gateway uses — a sharded :class:`~repro.service.quota.AdmissionController`
 with lazy default-quota tenants, the governed metrics registry, a bounded
 :class:`~repro.obs.events.EventLog` feeding a cardinality-governed
 :class:`~repro.obs.rollup.RollingAggregator`, and a live SLO engine — with
-a **modeled request loop**: per request, admit → telemetry → deterministic
+a **modeled request loop**: per request, admit → the gateway's own
+lifecycle transitions (:mod:`repro.service.lifecycle`) with a deterministic
 modeled latency → settle.  No Wasm executes; what is measured is exactly
 the per-request control-plane overhead the gateway adds around execution.
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import instruments
 from repro.obs.events import EventLog, disable_events, enable_events, get_event_log
 from repro.obs.metrics import (
     disable_metrics,
@@ -45,6 +45,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.rollup import RollingAggregator
 from repro.obs.slo import Rule, SLOEngine
+from repro.service.lifecycle import LifecycleRecorder
 from repro.service.quota import AdmissionController, AdmissionError, TenantQuota
 
 #: Default sweep: one point per tenant-count decade.
@@ -207,8 +208,8 @@ def run_scale_point(
     enable_metrics()
     engine = SLOEngine(list(_SOAK_RULES))
 
-    requests_metric = instruments.GATEWAY_REQUESTS
-    latency_metric = instruments.GATEWAY_REQUEST_LATENCY
+    # the gateway's own transition table: same metrics, same event shapes
+    recorder = LifecycleRecorder("soak")
     palette = _MODELED_LATENCY_S
     rejected = 0
 
@@ -231,13 +232,16 @@ def run_scale_point(
                 admission.admit(tenant)
             except AdmissionError as exc:
                 rejected += 1
-                log.emit("reject", tenant=tenant, code=exc.code)
+                recorder.record("reject", tenant, None, {"code": exc.code})
                 continue
             latency = palette[rank % len(palette)]
-            log.emit("admit", tenant=tenant)
-            requests_metric.inc(tenant=tenant, outcome="ok")
-            latency_metric.observe(latency, tenant=tenant)
-            log.emit("settled", tenant=tenant, outcome="ok", latency_s=latency)
+            recorder.record(
+                "admit", tenant, None, {"request_id": i, "trace_id": None, "sampled": None}
+            )
+            recorder.record(
+                "settled", tenant, None,
+                {"request_id": i, "trace_id": None, "outcome": "ok", "latency_s": latency},
+            )
             admission.settle(tenant, weighted_instructions=1_000)
             if i % 2048 == 2047:
                 engine.evaluate(aggregator)

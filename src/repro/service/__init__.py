@@ -22,8 +22,11 @@ Layers (each usable on its own):
 * :mod:`repro.service.faults`  — failure semantics: typed request failures,
   deadline/retry/backoff policy, worker-result sanity validation, and the
   deterministic fault-injection plans behind ``repro loadtest --faults``;
-* :mod:`repro.service.gateway` — the façade tying it all together, plus the
-  load-test driver behind ``repro loadtest``.
+* :mod:`repro.service.lifecycle` — the request-lifecycle transition table:
+  what each transition records in metrics, events, spans and counts;
+* :mod:`repro.service.gateway` — the façade tying it all together;
+* :mod:`repro.service.load`    — the load driver behind ``repro loadtest``,
+  ``repro serve`` and ``repro top``.
 """
 
 from repro.service.backends import ExecutionBackend, WasmBackend
@@ -37,7 +40,7 @@ from repro.service.faults import (
     WorkerCrashed,
     validate_raw,
 )
-from repro.service.gateway import GatewayResponse, MeteringGateway, run_loadtest
+from repro.service.gateway import GatewayResponse, MeteringGateway
 from repro.service.ledger import (
     BillingLedger,
     DuplicateReceipt,
@@ -56,6 +59,7 @@ from repro.service.quota import (
     TenantQuota,
     UnknownTenant,
 )
+from repro.service.load import run_loadtest
 from repro.service.sharding import DEFAULT_SHARDS, shard_index_for, shard_of_request
 from repro.service.worker import ExecutionTask, WorkerPool
 

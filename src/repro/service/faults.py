@@ -139,8 +139,8 @@ def validate_raw(raw, max_instructions: int | None = None) -> list[str]:
     """Sanity-check worker-reported meter readings before accounting.
 
     Returns human-readable problems (empty = plausible).  A reading that
-    fails here must never reach :meth:`AccountingEnclave.account` — signing
-    it would turn a worker's lie into a cryptographic receipt.  Checks are
+    fails here must never reach :meth:`AccountingEnclave.account_span` —
+    signing it would turn a worker's lie into a cryptographic receipt.  Checks are
     necessarily one-sided (a worker under-reporting a counter is caught by
     attestation + instrumentation, not here): the counter must be a
     non-negative number the configured limit allows, and the memory story

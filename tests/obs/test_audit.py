@@ -8,7 +8,7 @@ import pytest
 from repro.core.resource_log import ResourceUsageLog, ResourceVector
 from repro.obs.audit import ERROR_CODES, FINDING_CODES, audit_billing
 from repro.obs.events import Event, disable_events
-from repro.service.gateway import run_loadtest
+from repro.service.load import run_loadtest
 from repro.service.ledger import BillingLedger
 
 RULES = str(pathlib.Path(__file__).parents[2] / "examples" / "slo_rules.json")

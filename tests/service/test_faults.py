@@ -26,7 +26,7 @@ from repro.service import (
     validate_raw,
 )
 from repro.service.faults import corrupt_raw
-from repro.service.gateway import (
+from repro.service.load import (
     polybench_tenant_mix,
     serial_baseline_totals,
     _request_schedule,
@@ -322,7 +322,7 @@ def test_process_pool_survives_real_worker_crash():
 
 
 def test_run_loadtest_chaos_mode():
-    from repro.service.gateway import run_loadtest
+    from repro.service.load import run_loadtest
 
     result = run_loadtest(
         worker_counts=(2,),

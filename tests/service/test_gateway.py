@@ -18,7 +18,7 @@ from repro.service import (
     UnknownTenant,
 )
 from repro.service.backends import SimulatedFaaSBackend
-from repro.service.gateway import (
+from repro.service.load import (
     polybench_tenant_mix,
     run_loadtest,
     serial_baseline_totals,

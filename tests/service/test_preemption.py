@@ -13,7 +13,7 @@ import pytest
 from repro.core.accounting_enclave import WorkloadCheckpoint
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
 from repro.service import MeteringGateway
-from repro.service.gateway import run_loadtest
+from repro.service.load import run_loadtest
 from repro.service.ledger import DuplicateReceipt
 from repro.service.worker import ExecutionTask, execute_task
 from repro.wasm.binary import encode_module

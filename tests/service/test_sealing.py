@@ -22,7 +22,7 @@ from repro.core.resource_log import (
 from repro.core.sandbox import SandboxConfig
 from repro.service import MeteringGateway
 from repro.service.backends import SimulatedFaaSBackend
-from repro.service.gateway import run_loadtest
+from repro.service.load import run_loadtest
 from repro.tcrypto.rsa import rsa_generate
 
 MINIC_SQUARE = "int square(int x) { return x * x; }"

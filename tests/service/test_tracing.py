@@ -26,7 +26,7 @@ from repro.obs.events import EventLog, disable_events, enable_events
 from repro.obs.metrics import disable_metrics, enable_metrics, get_registry
 from repro.obs.trace import Tracer, disable_tracing, enable_tracing
 from repro.service import MeteringGateway
-from repro.service.gateway import (
+from repro.service.load import (
     _request_schedule,
     _stitch_report,
     polybench_tenant_mix,

@@ -95,6 +95,51 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+TRAP_WAT = '(module (func (export "main") (result i32) unreachable))'
+
+
+def test_run_trap_is_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "trap.wat"
+    path.write_text(TRAP_WAT)
+    assert main(["run", str(path), "--invoke", "main"]) == 1
+    err = capsys.readouterr().err
+    assert err == "trap: unreachable executed\n"
+
+
+def test_snapshot_trap_is_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "trap.wat"
+    path.write_text(TRAP_WAT)
+    assert main([
+        "snapshot", str(path), "--invoke", "main", "--at", "1000",
+        "--out", str(tmp_path / "trap.snap"),
+    ]) == 1
+    assert capsys.readouterr().err == "trap: unreachable executed\n"
+    assert not (tmp_path / "trap.snap").exists()
+
+
+@pytest.mark.parametrize(
+    "name, source, message",
+    [
+        ("missing.wat", None, "No such file or directory"),
+        ("unparsable.wat", "(module (func", "unbalanced"),
+        ("invalid.wat", '(module (func (export "m") (result i32) (i32.add)))',
+         "stack underflow"),
+        ("unlinked.wat",
+         '(module (import "env" "f" (func)) (func (export "m") (result i32) i32.const 1))',
+         "unresolved import env.f"),
+        ("broken.mc", "int f( { return 1; }", "expected"),
+    ],
+)
+def test_bad_module_is_one_error_line(tmp_path, capsys, name, source, message):
+    path = tmp_path / name
+    if source is not None:
+        path.write_text(source)
+    assert main(["run", str(path), "--invoke", "m"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_sandbox_export_and_verify_log(minic_file, tmp_path, capsys):
     log_path = tmp_path / "log.json"
     assert main([
