@@ -1,4 +1,5 @@
-"""Warm-start pools vs. cold instantiation, and snapshot round-trip cost.
+"""Warm-start pools vs. cold instantiation, snapshot round-trip cost, and
+what arming a snapshot costs execution.
 
 Per-request setup for an instrumented module is instantiation-dominated:
 the predecode engine translates every function body, the compile engine
@@ -8,9 +9,18 @@ image in place.  The acceptance bar: warm per-request setup must be at
 least **5x** cheaper than cold setup (instantiate + bind) on the PolyBench
 kernels, per engine.
 
+The ``armed`` section measures execution speed (instructions per second)
+of each kernel's run call three ways, per engine: unarmed; armed with a
+``snapshot_at`` it never reaches; and preempted every 5000 instructions,
+each hop encoded, decoded, restored and resumed until the job completes.
+Armed ``predecode`` and ``compile`` instances run on the predecode
+engine's frames, so the bar is that armed-but-never-reached ``predecode``
+stays within **1.3x** of unarmed.
+
 Artefacts:
 
-* ``benchmarks/results/snapshot_warm_start.txt`` — human-readable table;
+* ``benchmarks/results/snapshot_warm_start.txt`` and
+  ``benchmarks/results/snapshot_armed.txt`` — human-readable tables;
 * ``BENCH_snapshot.json`` (repo root) — machine-readable numbers plus a
   capped timestamped ``trajectory`` (via :mod:`repro.obs.bench`).
 
@@ -37,6 +47,8 @@ from repro.wasm.snapshot import (
     capture_instance,
     decode_snapshot,
     encode_snapshot,
+    restore_instance,
+    resume_invoke,
 )
 from repro.workloads import POLYBENCH_KERNELS
 
@@ -46,6 +58,10 @@ KERNELS = ["trisolv", "atax", "jacobi-1d"]
 ENGINES = ["predecode", "compile"]
 ROUNDS = 30
 REQUIRED_SPEEDUP = 5.0
+ARMED_KERNELS = ["atax", "mvt", "jacobi-1d", "gemm"]
+ARMED_ROUNDS = 7
+PREEMPT_SLICE = 5000
+ARMED_MAX_SLOWDOWN = 1.3
 
 
 def _instrumented(name: str):
@@ -195,4 +211,133 @@ def test_warm_clone_runs_match_cold_runs(warm_rows, benchmark):
     cold = Instance(module, limits=ExecutionLimits())
     handle = pool.acquire()
     assert run(handle.instance) == run(cold)
+    record(benchmark)
+
+
+# -- armed execution ------------------------------------------------------------
+
+
+def _started(module, spec, engine: str) -> Instance:
+    inst = Instance(module, limits=ExecutionLimits(), engine=engine)
+    for fn, args in spec.setup:
+        inst.invoke(fn, *args)
+    return inst
+
+
+def _run_s(module, spec, engine: str) -> tuple[float, float, int]:
+    """Best-of wall times of the run call unarmed and armed-but-never-reached
+    (rounds alternate, so host noise hits both alike), and the instructions
+    it executes."""
+    best = {None: math.inf, 10**12: math.inf}
+    for _ in range(ARMED_ROUNDS):
+        for snapshot_at in best:
+            inst = _started(module, spec, engine)
+            first = inst.stats.executed
+            inst.limits = ExecutionLimits(snapshot_at=snapshot_at)
+            start = time.perf_counter()
+            inst.invoke(spec.run[0], *spec.run[1])
+            best[snapshot_at] = min(best[snapshot_at], time.perf_counter() - start)
+    return best[None], best[10**12], inst.stats.executed - first
+
+
+def _preempted_s(module, spec, engine: str) -> tuple[float, int]:
+    """Best-of wall time of the run call preempted every ``PREEMPT_SLICE``
+    instructions, each hop through the wire format and a fresh instance."""
+    best = math.inf
+    for _ in range(ARMED_ROUNDS):
+        inst = _started(module, spec, engine)
+        inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
+        hops = 0
+        start = time.perf_counter()
+        try:
+            inst.invoke(spec.run[0], *spec.run[1])
+            blob = None
+        except SnapshotCaptured as exc:
+            blob = encode_snapshot(exc.snapshot)
+        while blob is not None:
+            snap = decode_snapshot(blob)
+            hops += 1
+            inst = restore_instance(
+                snap,
+                module,
+                limits=ExecutionLimits(snapshot_at=snap.executed + PREEMPT_SLICE),
+                engine=engine,
+            )
+            try:
+                resume_invoke(inst, snap)
+                blob = None
+            except SnapshotCaptured as exc:
+                blob = encode_snapshot(exc.snapshot)
+        best = min(best, time.perf_counter() - start)
+    assert hops >= 1
+    return best, hops
+
+
+@pytest.fixture(scope="module")
+def armed_rows():
+    rows = []
+    results: dict = {}
+    for name in ARMED_KERNELS:
+        module = _instrumented(name)
+        spec = POLYBENCH_KERNELS[name]
+        per_engine = {}
+        for engine in ENGINES:
+            unarmed_s, armed_s, executed = _run_s(module, spec, engine)
+            preempted_s, hops = _preempted_s(module, spec, engine)
+            cell = {
+                "executed": executed,
+                "unarmed_minstr_per_s": round(executed / unarmed_s / 1e6, 3),
+                "armed_minstr_per_s": round(executed / armed_s / 1e6, 3),
+                "preempted_minstr_per_s": round(executed / preempted_s / 1e6, 3),
+                "preempted_hops": hops,
+                "armed_slowdown": round(armed_s / unarmed_s, 2),
+                "preempted_slowdown": round(preempted_s / unarmed_s, 2),
+            }
+            per_engine[engine] = cell
+            rows.append(
+                [
+                    name,
+                    engine,
+                    f"{cell['unarmed_minstr_per_s']:.2f}",
+                    f"{cell['armed_minstr_per_s']:.2f}",
+                    f"{cell['preempted_minstr_per_s']:.2f}",
+                    hops,
+                    f"{cell['armed_slowdown']:.2f}x",
+                ]
+            )
+        results[name] = per_engine
+
+    worst = max(results[name]["predecode"]["armed_slowdown"] for name in ARMED_KERNELS)
+    armed = {
+        "kernels": results,
+        "preempt_slice": PREEMPT_SLICE,
+        "rounds": ARMED_ROUNDS,
+        "max_predecode_armed_slowdown": worst,
+        "allowed_predecode_armed_slowdown": ARMED_MAX_SLOWDOWN,
+    }
+    path = REPO_ROOT / "BENCH_snapshot.json"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc["armed"] = armed
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return rows, armed
+
+
+def test_armed_table(armed_rows, benchmark):
+    rows, _armed = armed_rows
+    emit_table(
+        "snapshot_armed",
+        "Run-call speed unarmed, armed but never reached, and preempted every "
+        f"{PREEMPT_SLICE} instructions (M instr/s)",
+        ["kernel", "engine", "unarmed", "armed", "preempted", "hops", "armed slowdown"],
+        rows,
+    )
+    record(benchmark)
+
+
+def test_armed_predecode_within_bound(armed_rows, benchmark):
+    """Arming a snapshot keeps predecode on its own frames: within 1.3x."""
+    _rows, armed = armed_rows
+    assert armed["max_predecode_armed_slowdown"] <= ARMED_MAX_SLOWDOWN, (
+        f"armed predecode slower than {ARMED_MAX_SLOWDOWN}x unarmed: {armed}"
+    )
     record(benchmark)

@@ -339,6 +339,10 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     from repro.service.load import run_loadtest
 
+    if args.preempt < 0:
+        print(f"error: --preempt must be >= 1 (0 disables preemption), "
+              f"got {args.preempt}", file=sys.stderr)
+        return 2
     worker_counts = tuple(int(w) for w in args.workers.split(","))
     kernels = tuple(args.kernels.split(",")) if args.kernels else ()
     seal_window = args.seal_window if args.seal_window > 0 else None

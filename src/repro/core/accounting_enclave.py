@@ -242,7 +242,12 @@ class AccountingEnclave(Enclave):
             module_hash=self._workload_hash,
             engine=self.engine or "default",
         ):
-            instance = env.instantiate(self._module, limits=limits, engine=self.engine)
+            instance = env.instantiate(
+                self._module,
+                limits=limits,
+                engine=self.engine,
+                module_hash=self._workload_hash,
+            )
 
             trapped = False
             trap_message = ""
@@ -461,6 +466,7 @@ class AccountingEnclave(Enclave):
                 imports=env.imports(),
                 limits=limits,
                 engine=self.engine,
+                module_hash=self._workload_hash,
             )
             env.bind(instance)
             trapped = False

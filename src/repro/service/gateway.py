@@ -291,6 +291,10 @@ class MeteringGateway:
     ):
         if seal_window is not None and seal_window < 1:
             raise ValueError("seal_window must be >= 1")
+        if preempt_after is not None and preempt_after < 1:
+            # a slice that executes nothing re-captures at the same point
+            # forever, signing zero-usage checkpoints without progress
+            raise ValueError("preempt_after must be >= 1")
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.config = config or SandboxConfig()

@@ -9,8 +9,8 @@ instance, captures its pristine post-instantiation state as a warm-image
 request by resetting a pooled live instance back to that image with
 :func:`~repro.wasm.snapshot.apply_state` — an in-place memory/globals/
 stats overwrite that is orders of magnitude cheaper than instantiating.
-Requests then run at full engine speed; nothing about the warm path touches
-the capture interpreter.
+Requests then run at full engine speed: the warm path itself captures
+nothing but the frameless warm image.
 
 When constructed with an :class:`~repro.core.cache.InstrumentationCache`
 and a *source* (uninstrumented) module, every slot build fetches the

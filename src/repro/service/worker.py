@@ -61,7 +61,8 @@ from repro.obs.instruments import (
 )
 from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
 from repro.service.warmpool import WarmPool
-from repro.wasm.binary import decode_module
+from repro.tcrypto.hashing import sha256
+from repro.wasm.binary import decode_module, encode_module
 from repro.wasm.interpreter import ExecutionLimits, SnapshotCaptured, Trap
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOChannel
@@ -74,12 +75,36 @@ from repro.wasm.snapshot import (
     with_io,
 )
 
+
+class _Decoded:
+    """One decoded module and its digest, ``sha256(encode_module(module))``.
+
+    The digest is computed from this very module the first time a dispatch
+    needs it (the compiled-code cache key, snapshot capture, the restore
+    check) and then reused by every later dispatch of the module, instead
+    of re-encoding it up to three times per dispatch.  Decoded modules are
+    never mutated, so the digest cannot go stale.
+    """
+
+    __slots__ = ("module", "_digest")
+
+    def __init__(self, module: Module):
+        self.module = module
+        self._digest: bytes | None = None
+
+    @property
+    def digest(self) -> bytes:
+        if self._digest is None:
+            self._digest = sha256(encode_module(self.module))
+        return self._digest
+
+
 #: Worker-side decoded-module cache (per process; in the threaded pool all
 #: workers share it, so every access goes through ``_MODULE_CACHE_LOCK`` —
 #: decoded modules themselves are never mutated by instantiation, but the
 #: dict bookkeeping is a classic check-then-act race without the lock).
 #: Ordered, so eviction is true LRU: hits move the entry to the MRU end.
-_MODULE_CACHE: "OrderedDict[bytes, Module]" = OrderedDict()
+_MODULE_CACHE: "OrderedDict[bytes, _Decoded]" = OrderedDict()
 _MODULE_CACHE_MAX = 64
 _MODULE_CACHE_LOCK = threading.Lock()
 
@@ -140,25 +165,29 @@ class WorkerResult:
     telemetry: dict | None = None
 
 
-def _cached_module(task: ExecutionTask) -> Module:
+def _cached_decoded(task: ExecutionTask) -> _Decoded:
     with _MODULE_CACHE_LOCK:
-        module = _MODULE_CACHE.get(task.module_hash)
-        if module is not None:
+        decoded = _MODULE_CACHE.get(task.module_hash)
+        if decoded is not None:
             _MODULE_CACHE.move_to_end(task.module_hash)
             worker_event("module_cache", outcome="hit")
-            return module
+            return decoded
     # decode outside the lock — it is the expensive part, and two threads
     # decoding the same module concurrently is wasteful but harmless
     worker_event("module_cache", outcome="decode")
-    module = decode_module(task.module_bytes)
+    decoded = _Decoded(decode_module(task.module_bytes))
     with _MODULE_CACHE_LOCK:
         if task.module_hash not in _MODULE_CACHE:
             while len(_MODULE_CACHE) >= _MODULE_CACHE_MAX:
                 _MODULE_CACHE.popitem(last=False)
-            _MODULE_CACHE[task.module_hash] = module
+            _MODULE_CACHE[task.module_hash] = decoded
         else:
             _MODULE_CACHE.move_to_end(task.module_hash)
         return _MODULE_CACHE[task.module_hash]
+
+
+def _cached_module(task: ExecutionTask) -> Module:
+    return _cached_decoded(task).module
 
 
 #: Per-process warm pools keyed by (module hash, engine) — in the threaded
@@ -250,7 +279,8 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
         perform_pre_fault(task.fault, task.fault_arg)
     if task.snapshot is not None:
         return _execute_resume(task, started)
-    module = _cached_module(task)
+    decoded = _cached_decoded(task)
+    module = decoded.module
     limits = ExecutionLimits(
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
@@ -263,13 +293,17 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
         else:
             channel = IOChannel(input_data=task.input_data)
             env = HostEnvironment(channel=channel, account_io=True)
-            instance = env.instantiate(module, limits=limits, engine=task.engine)
+            instance = env.instantiate(
+                module, limits=limits, engine=task.engine, module_hash=decoded.digest
+            )
 
     trapped = False
     trap_message = ""
     value: object = None
     snapshot_blob: bytes | None = None
-    with worker_span("worker.invoke", export=task.export) as invoke_span:
+    with worker_span(
+        "worker.invoke", export=task.export, exec_engine=instance.exec_engine
+    ) as invoke_span:
         try:
             value = instance.invoke(task.export, *task.args)
         except SnapshotCaptured as exc:
@@ -300,7 +334,8 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     with worker_span(
         "worker.restore", snapshot_bytes=len(task.snapshot), engine=task.engine or ""
     ):
-        module = _cached_module(task)
+        decoded = _cached_decoded(task)
+        module = decoded.module
         snap = decode_snapshot(task.snapshot)
         io = snap.io or IOState()
         channel = IOChannel(input_data=task.input_data)
@@ -319,7 +354,12 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
             ),
         )
         instance = restore_instance(
-            snap, module, imports=env.imports(), limits=limits, engine=task.engine
+            snap,
+            module,
+            imports=env.imports(),
+            limits=limits,
+            engine=task.engine,
+            module_hash=decoded.digest,
         )
         env.bind(instance)
 
@@ -327,7 +367,11 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     trap_message = ""
     value: object = None
     snapshot_blob: bytes | None = None
-    with worker_span("worker.resume_invoke", export=task.export) as invoke_span:
+    with worker_span(
+        "worker.resume_invoke",
+        export=task.export,
+        exec_engine=instance.suspendable_engine,
+    ) as invoke_span:
         try:
             value = resume_invoke(instance, snap)
         except SnapshotCaptured as exc:

@@ -163,12 +163,9 @@ def _cost_signature(cost_model):
     return tuple(sorted(cost_model.cycle_weights.items()))
 
 
-def _module_key(module, cost_model):
+def _module_key(instance):
     try:
-        from repro.tcrypto.hashing import sha256
-        from repro.wasm.binary import encode_module
-
-        return (sha256(encode_module(module)), _cost_signature(cost_model))
+        return (instance.module_hash, _cost_signature(instance.cost_model))
     except Exception:
         return None  # unencodable module: compile uncached
 
@@ -1357,8 +1354,9 @@ def _translate_module(module, cost_model) -> _ModuleCode:
     return _ModuleCode(funcs)
 
 
-def _module_code(module, cost_model) -> _ModuleCode:
-    key = _module_key(module, cost_model)
+def _module_code(instance) -> _ModuleCode:
+    module, cost_model = instance.module, instance.cost_model
+    key = _module_key(instance)
     if key is None:
         return _translate_module(module, cost_model)
     cached = _CODE_CACHE.get(key)
@@ -1383,7 +1381,7 @@ class CompiledEngine:
         #: per-function fallback: compiles lazily, only for functions the
         #: translator declined (PredecodedEngine without compile_all)
         self._fallback = PredecodedEngine(instance)
-        mc = _module_code(instance.module, instance.cost_model)
+        mc = _module_code(instance)
         self._module_code = mc
         ns = self._make_namespace()
         self._namespace = ns

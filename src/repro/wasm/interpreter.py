@@ -121,10 +121,9 @@ class ExecutionLimits:
     #: arm state capture: suspend at the first observation point where
     #: ``stats.executed >= snapshot_at`` and raise :class:`SnapshotCaptured`
     #: from ``invoke`` carrying a :class:`repro.wasm.snapshot.Snapshot`.
-    #: Armed runs execute on the capture interpreter regardless of engine —
-    #: one canonical capture path keeps the serialized state (and therefore
-    #: the snapshot format) engine-independent by construction, while the
-    #: engine-differential contract keeps the metered stats byte-identical.
+    #: Armed ``predecode`` and ``compile`` instances run on the predecode
+    #: engine's explicit frames, armed ``legacy`` ones on the legacy loop;
+    #: both capture the same engine-independent frames at the same point.
     snapshot_at: int | None = None
 
 
@@ -369,8 +368,12 @@ class Instance:
         cost_model: CostModel | None = None,
         limits: ExecutionLimits | None = None,
         engine: str | None = None,
+        module_hash: bytes | None = None,
     ):
         self.module = module
+        #: sha256 of ``encode_module(module)`` when the caller already holds
+        #: it (see :attr:`module_hash`)
+        self._module_hash = module_hash
         self.cost_model = cost_model
         self.limits = limits or ExecutionLimits()
         self.stats = ExecutionStats()
@@ -457,7 +460,8 @@ class Instance:
         self._profiler = None
         self._func_labels: tuple[str, ...] | None = None
 
-        # -- execution engine
+        # -- execution engine; ``_suspendable`` runs snapshot-armed and
+        # resumed frames (None: the legacy loop)
         engine = resolve_engine(engine)
         self.engine = engine
         if engine == "predecode":
@@ -465,12 +469,15 @@ class Instance:
 
             self._engine = PredecodedEngine(self)
             self._engine.compile_all()
+            self._suspendable = self._engine
         elif engine == "compile":
             from repro.wasm.compile_engine import CompiledEngine
 
             self._engine = CompiledEngine(self)
+            self._suspendable = self._engine._fallback
         else:
             self._engine = None
+            self._suspendable = None
 
         if module.start is not None:
             self.call_function(module.start, [])
@@ -493,6 +500,30 @@ class Instance:
         if instr.name == "global.get":
             return self.globals[instr.args[0]].value
         raise Trap(f"unsupported constant expression {instr.name}")
+
+    @property
+    def module_hash(self) -> bytes:
+        """sha256 of the module's canonical encoding, computed at most once
+        per instance (snapshots and the compiled-code cache key on it)."""
+        if self._module_hash is None:
+            from repro.tcrypto.hashing import sha256
+            from repro.wasm.binary import encode_module
+
+            self._module_hash = sha256(encode_module(self.module))
+        return self._module_hash
+
+    @property
+    def exec_engine(self) -> str:
+        """The engine whose frames run calls under the current limits: the
+        configured one, or the suspendable one while a snapshot is armed."""
+        if self.limits.snapshot_at is None:
+            return self.engine
+        return self.suspendable_engine
+
+    @property
+    def suspendable_engine(self) -> str:
+        """The engine that runs snapshot-armed and resumed frames."""
+        return "legacy" if self._suspendable is None else "predecode"
 
     # -- public API ------------------------------------------------------------
 
@@ -561,24 +592,25 @@ class Instance:
         self._call_depth += 1
         try:
             defined = func_index - n_imported
+            # snapshot-armed runs execute on an engine that can suspend with
+            # engine-independent frame state: compiled code cannot, so an
+            # armed ``compile`` instance runs its predecode fallback
+            engine = (
+                self._engine if self.limits.snapshot_at is None else self._suspendable
+            )
             prof = self._profiler
             if prof is not None:
                 prof.enter_function(
                     self._func_labels[defined], self.stats.executed, self.stats.cycles
                 )
                 try:
-                    if self._engine is not None and self.limits.snapshot_at is None:
-                        return self._engine.exec_function(defined, args)
+                    if engine is not None:
+                        return engine.exec_function(defined, args)
                     return self._exec_function(defined, args)
                 finally:
                     prof.exit_function(self.stats.executed, self.stats.cycles)
-            # snapshot-armed runs always execute on the capture interpreter —
-            # the single code path that can suspend with engine-independent
-            # frame state (stats stay byte-identical per the differential
-            # contract, so capture position and contents do not depend on
-            # which engine the instance was configured with)
-            if self._engine is not None and self.limits.snapshot_at is None:
-                return self._engine.exec_function(defined, args)
+            if engine is not None:
+                return engine.exec_function(defined, args)
             return self._exec_function(defined, args)
         finally:
             self._call_depth -= 1
@@ -604,7 +636,8 @@ class Instance:
 
         if resume is not None:
             # re-enter a suspended frame exactly where its snapshot left it
-            pc, stack, locals_, control = resume
+            pc, stack, locals_, frames = resume
+            control = [_ControlEntry(*entry) for entry in frames]
         else:
             locals_ = list(args)
             for vt in func.locals:

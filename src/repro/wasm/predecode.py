@@ -33,13 +33,23 @@ segments never span a control instruction, and every branch target is either
 a control instruction or the instruction right after one, so no jump can
 land in a segment interior.
 
-Three mechanisms keep per-instruction observability intact despite batching:
+Four mechanisms keep per-instruction observability intact despite batching:
 
-* **budget/progress fallback** — if charging a whole segment would cross the
-  ``max_instructions`` budget or a ``progress_interval`` multiple, that
-  segment is executed in per-instruction *step mode* with legacy-identical
-  checks, so the budget trap fires at exactly ``executed ==
-  max_instructions + 1`` and the callback at every exact multiple;
+* **budget/capture/progress fallback** — if charging a whole segment would
+  cross the ``max_instructions`` budget, the ``snapshot_at`` capture point
+  or a ``progress_interval`` multiple, that segment is executed in
+  per-instruction *step mode* with legacy-identical checks (capture,
+  charge, budget trap, progress), so the budget trap fires at exactly
+  ``executed == max_instructions + 1``, the callback at every exact
+  multiple, and a capture exactly at ``executed == snapshot_at``;
+
+* **suspendable frames** — the engine runs on explicit frame state (``pc``,
+  value stack, locals, control tuples), so a capture raises
+  :class:`~repro.wasm.interpreter.CaptureUnwind` carrying the same
+  engine-independent :class:`~repro.wasm.interpreter.CapturedFrame` the
+  legacy loop would (calls append their ``at_call`` frame as it passes),
+  and ``exec_function(resume=...)`` re-enters such a frame, stepping the
+  rest of a segment when the capture fell inside one;
 
 * **trap attribution** — closures for instructions that can trap (memory
   accesses, division, truncation) record their in-segment position in a
@@ -53,7 +63,8 @@ Three mechanisms keep per-instruction observability intact despite batching:
 
 The engine is selected with ``Instance(module, engine="predecode")`` (the
 default; ``engine="legacy"`` keeps the original loop, and the
-``REPRO_WASM_ENGINE`` environment variable overrides the default).  A
+``REPRO_WASM_ENGINE`` environment variable overrides the default).  It also
+runs every snapshot-armed or resumed frame of a ``compile`` instance.  A
 differential test pins both engines to identical :class:`ExecutionStats`
 across every workload in :mod:`repro.workloads`.
 """
@@ -68,6 +79,8 @@ from typing import Callable
 
 from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
 from repro.wasm.interpreter import (
+    CapturedFrame,
+    CaptureUnwind,
     Trap,
     _MASK32,
     _MASK64,
@@ -981,7 +994,14 @@ class PredecodedEngine:
             if self._compiled[index] is None:
                 self._compiled[index] = compile_function(self.instance, index, self.cell)
 
-    def exec_function(self, defined_index: int, args: list) -> list:
+    def exec_function(
+        self, defined_index: int, args: list, resume: tuple | None = None
+    ) -> list:
+        """Run one defined function; ``resume=(pc, stack, locals, control)``
+        re-enters a suspended frame (``control`` in the snapshot's
+        ``(opcode, start, end, height, arity)`` form) instead of starting
+        fresh.  With ``limits.snapshot_at`` set, the first observation point
+        at or past it raises :class:`CaptureUnwind` carrying this frame."""
         cf = self._compiled[defined_index]
         if cf is None:  # start functions may run before compile_all finishes
             cf = self._compiled[defined_index] = compile_function(
@@ -997,13 +1017,30 @@ class PredecodedEngine:
         n = cf.n
         prof = inst._profiler
         prof_label = inst._func_labels[defined_index] if prof is not None else ""
+        snapshot_at = limits.snapshot_at
 
-        locals_: list = list(args)
-        locals_.extend(cf.local_init)
-        stack: list = []
         # control frames: (is_loop, start, end, stack_height, arity)
-        control: list[tuple] = []
-        pc = 0
+        if resume is None:
+            locals_: list = list(args)
+            locals_.extend(cf.local_init)
+            stack: list = []
+            control: list[tuple] = []
+            pc = 0
+        else:
+            pc, stack, locals_, frames = resume
+            control = [
+                (op == "loop", start, end, height, arity)
+                for op, start, end, height, arity in frames
+            ]
+            if pc < n and code[pc] is None:
+                # suspended inside a segment: step the rest of it
+                seg_pc = pc
+                while code[seg_pc] is None:
+                    seg_pc -= 1
+                pc = self._step_segment(
+                    code[seg_pc][1], stack, locals_, cost_on, pc - seg_pc,
+                    (defined_index, seg_pc, control),
+                )
 
         while pc < n:
             entry = code[pc]
@@ -1017,14 +1054,20 @@ class PredecodedEngine:
                 executed = stats.executed
                 mi = limits.max_instructions
                 pi = limits.progress_interval
-                if (mi is not None and executed + count > mi) or (
-                    pi is not None
-                    and limits.progress_callback is not None
-                    and (executed + count) // pi != executed // pi
+                if (
+                    (mi is not None and executed + count > mi)
+                    or (snapshot_at is not None and executed + count > snapshot_at)
+                    or (
+                        pi is not None
+                        and limits.progress_callback is not None
+                        and (executed + count) // pi != executed // pi
+                    )
                 ):
-                    # a budget or progress boundary falls inside this
-                    # segment: step it per-instruction, legacy-style
-                    pc = self._step_segment(seg, stack, locals_, cost_on)
+                    # a budget, capture or progress boundary falls inside
+                    # this segment: step it per-instruction, legacy-style
+                    pc = self._step_segment(
+                        seg, stack, locals_, cost_on, 0, (defined_index, pc, control)
+                    )
                     continue
                 stats.executed = executed + count
                 for vname, vcount in seg.visit_items:
@@ -1046,6 +1089,10 @@ class PredecodedEngine:
                 continue
 
             # -- individually charged control instruction ----------------------
+            if snapshot_at is not None and stats.executed >= snapshot_at:
+                raise self._capture(
+                    defined_index, pc, stack, locals_, control, CaptureUnwind()
+                )
             visits[entry[1]] += 1
             stats.executed += 1
             if cost_on:
@@ -1090,7 +1137,13 @@ class PredecodedEngine:
                     del stack[-n_params:]
                 else:
                     call_args = []
-                stack.extend(inst.call_function(entry[3], call_args))
+                try:
+                    results = inst.call_function(entry[3], call_args)
+                except CaptureUnwind as unwind:
+                    raise self._capture(
+                        defined_index, pc, stack, locals_, control, unwind, "at_call"
+                    )
+                stack.extend(results)
                 stats.calls += 1
                 pc += 1
             elif kind == K_ELSE:
@@ -1116,7 +1169,13 @@ class PredecodedEngine:
                 if target_type != expected_type:
                     raise Trap("indirect call type mismatch")
                 call_args = [stack.pop() for _ in target_type.params][::-1]
-                stack.extend(inst.call_function(target, call_args))
+                try:
+                    results = inst.call_function(target, call_args)
+                except CaptureUnwind as unwind:
+                    raise self._capture(
+                        defined_index, pc, stack, locals_, control, unwind, "at_call"
+                    )
+                stack.extend(results)
                 stats.calls += 1
                 pc += 1
             elif kind == K_GROW:
@@ -1141,18 +1200,34 @@ class PredecodedEngine:
 
     # -- slow paths -------------------------------------------------------------
 
-    def _step_segment(self, seg: _Segment, stack, locals_, cost_on: bool) -> int:
-        """Per-instruction execution of one segment, with legacy-identical
-        budget traps and progress callbacks at every instruction boundary."""
+    def _step_segment(
+        self, seg: _Segment, stack, locals_, cost_on: bool, first: int = 0,
+        frame: tuple | None = None,
+    ) -> int:
+        """Per-instruction execution of one segment from its ``first``
+        instruction, in the legacy order at every instruction boundary:
+        capture, charge, budget trap, progress callback.
+
+        ``frame`` is ``(defined_index, segment_pc, control)``; it locates a
+        capture when ``limits.snapshot_at`` is set (callers without frame
+        state run unarmed)."""
         inst = self.instance
         stats = inst.stats
         visits = stats.visits
         limits = inst.limits
-        for name, op, cyc in zip(seg.names, seg.ops, seg.op_cycles):
+        snapshot_at = limits.snapshot_at if frame is not None else None
+        names, ops, op_cycles = seg.names, seg.ops, seg.op_cycles
+        for j in range(first, seg.count):
+            if snapshot_at is not None and stats.executed >= snapshot_at:
+                defined_index, seg_pc, control = frame
+                raise self._capture(
+                    defined_index, seg_pc + j, stack, locals_, control, CaptureUnwind()
+                )
+            name = names[j]
             visits[name] += 1
             stats.executed += 1
             if cost_on:
-                stats.cycles += cyc
+                stats.cycles += op_cycles[j]
             if (
                 limits.max_instructions is not None
                 and stats.executed > limits.max_instructions
@@ -1164,8 +1239,30 @@ class PredecodedEngine:
                 and stats.executed % limits.progress_interval == 0
             ):
                 limits.progress_callback(stats)
-            op(stack, locals_)
+            ops[j](stack, locals_)
         return seg.next_pc
+
+    def _capture(
+        self, defined_index: int, pc: int, stack, locals_, control,
+        unwind: CaptureUnwind, kind: str = "at_current",
+    ) -> CaptureUnwind:
+        """Append this frame to ``unwind`` in the engine-independent form the
+        legacy loop captures (control opcodes recovered from the body)."""
+        body = self.instance.module.funcs[defined_index].body
+        unwind.frames.append(
+            CapturedFrame(
+                func_index=self.instance.module.num_imported_funcs + defined_index,
+                pc=pc,
+                stack=tuple(stack),
+                locals=tuple(locals_),
+                control=tuple(
+                    (body[start].name, start, end, height, arity)
+                    for _is_loop, start, end, height, arity in control
+                ),
+                kind=kind,
+            )
+        )
+        return unwind
 
     def _unwind_segment(self, seg: _Segment, failed_index: int, cost_on: bool) -> None:
         """Un-charge the suffix of a pre-charged segment that never ran.

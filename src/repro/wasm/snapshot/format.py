@@ -9,15 +9,16 @@ segments applied), so warm-pool images and early-execution snapshots stay
 small — plus one :class:`~repro.wasm.interpreter.CapturedFrame` per
 suspended interpreter frame and, optionally, the host I/O channel position.
 
-Capture happens at *observation points* only — the per-instruction
-boundary where the capture interpreter checks budgets and progress — and
-always **before** the pending instruction is charged, so a resumed run
-re-charges and re-executes it and finishes with byte-identical stats.
-Snapshots are engine-independent by construction: every snapshot-armed run
-executes on the single capture interpreter, and the engine-differential
-contract pins that interpreter's stats byte-identical to ``predecode`` and
-``compile``, so a snapshot taken under any configured engine restores into
-any other.
+Capture happens at *observation points* only — an instruction boundary
+where ``stats.executed >= snapshot_at``, checked in the same order as the
+budget and progress checks — and always **before** the pending instruction
+is charged, so a resumed run re-charges and re-executes it and finishes
+with byte-identical stats.  Armed ``predecode`` and ``compile`` instances
+capture from the predecode engine's explicit frames, armed ``legacy`` ones
+from the legacy loop.  Both emit the same :class:`CapturedFrame` at the
+same point (``tests/wasm/test_snapshot_differential.py`` compares the
+encoded bytes), so a snapshot taken under any configured engine restores
+into any other.
 
 The wire encoding is ``b"RWSN"`` + a little-endian ``u32`` format version +
 a canonical JSON document (sorted keys, floats carried as bit-exact hex of
@@ -37,7 +38,6 @@ from dataclasses import dataclass, replace
 from repro.obs.context import record_metric
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
 from repro.tcrypto.hashing import sha256
-from repro.wasm.binary import encode_module
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
 from repro.wasm.memory import PAGE_SIZE
 from repro.wasm.module import Module
@@ -201,7 +201,7 @@ def capture_instance(
     pages, delta, grow_events = _memory_state(instance)
     snapshot = Snapshot(
         version=FORMAT_VERSION,
-        module_hash=sha256(encode_module(instance.module)),
+        module_hash=instance.module_hash,
         engine=instance.engine,
         stats=_stats_state(instance),
         globals=tuple(g.value for g in instance.globals),

@@ -4,11 +4,12 @@
 for *any* engine and overwrites its state in place from a snapshot —
 memory (base image + page delta), globals, table, and the exact meter
 counters.  ``resume_instance`` then re-enters the suspended call stack:
-frames are replayed innermost-first as direct capture-interpreter entries,
-and each ancestor frame — suspended inside ``call``/``call_indirect`` —
-receives its callee's results, charges the deferred ``calls`` counter
-(the legacy loop charges it *after* the callee returns) and continues at
-``pc + 1``.  A resumed run therefore finishes with stats byte-identical
+frames are replayed innermost-first as direct entries into the instance's
+suspendable engine (predecode for ``predecode`` and ``compile`` instances,
+the legacy loop for ``legacy``), and each ancestor frame — suspended
+inside ``call``/``call_indirect`` — receives its callee's results, charges
+the deferred ``calls`` counter (every engine charges it *after* the callee
+returns) and continues at ``pc + 1``.  A resumed run therefore finishes with stats byte-identical
 to the uninterrupted one.
 """
 
@@ -23,7 +24,6 @@ from repro.wasm.interpreter import (
     ExecutionLimits,
     Instance,
     SnapshotCaptured,
-    _ControlEntry,
     _signed,
 )
 from repro.wasm.memory import PAGE_SIZE
@@ -44,19 +44,30 @@ def restore_instance(
     cost_model=None,
     limits: ExecutionLimits | None = None,
     engine: str | None = None,
+    module_hash: bytes | None = None,
 ) -> Instance:
     """Instantiate ``module`` under any engine and load ``snapshot`` into it.
 
     The module must be byte-identical to the one the snapshot was taken
     from (same instrumented encoding — the hash pins weight-table-relevant
-    structure, not just source).
+    structure, not just source).  ``module_hash`` is
+    ``sha256(encode_module(module))`` when the caller computed it already
+    (a worker does so once per module it decodes); otherwise it is
+    computed here.
     """
-    if sha256(encode_module(module)) != snapshot.module_hash:
+    if module_hash is None:
+        module_hash = sha256(encode_module(module))
+    if module_hash != snapshot.module_hash:
         raise SnapshotError(
             "module hash mismatch: snapshot was taken from a different module"
         )
     instance = Instance(
-        module, imports=imports, cost_model=cost_model, limits=limits, engine=engine
+        module,
+        imports=imports,
+        cost_model=cost_model,
+        limits=limits,
+        engine=engine,
+        module_hash=module_hash,
     )
     apply_state(instance, snapshot)
     return instance
@@ -122,6 +133,8 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
     RESUMES_TOTAL.inc()
     record_metric("acctee_resumes_total", 1)
     n_imported = instance.module.num_imported_funcs
+    engine = instance._suspendable
+    run = instance._exec_function if engine is None else engine.exec_function
     saved_depth = instance._call_depth
     results: list = []
     try:
@@ -129,7 +142,6 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
             frame = frames[depth]
             stack = list(frame.stack)
             locals_ = list(frame.locals)
-            control = [_ControlEntry(*entry) for entry in frame.control]
             pc = frame.pc
             if frame.kind == "at_call":
                 # the frame suspended inside call/call_indirect with args
@@ -140,10 +152,10 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
                 pc += 1
             instance._call_depth = depth + 1
             try:
-                results = instance._exec_function(
+                results = run(
                     frame.func_index - n_imported,
                     [],
-                    resume=(pc, stack, locals_, control),
+                    resume=(pc, stack, locals_, frame.control),
                 )
             except CaptureUnwind as unwind:
                 for outer in reversed(frames[:depth]):

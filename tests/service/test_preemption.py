@@ -8,6 +8,9 @@ unpreempted gateway, the sealed epoch verifies, the drift auditor stays
 clean, and checkpoint-id replay trips :class:`DuplicateReceipt`.
 """
 
+from collections import OrderedDict
+from dataclasses import replace
+
 import pytest
 
 from repro.core.accounting_enclave import WorkloadCheckpoint
@@ -17,7 +20,9 @@ from repro.service.load import run_loadtest
 from repro.service.ledger import DuplicateReceipt
 from repro.service.worker import ExecutionTask, execute_task
 from repro.wasm.binary import encode_module
-from repro.wasm.snapshot import decode_snapshot
+from repro.obs.context import trace_id_for
+from repro.wasm.snapshot import SnapshotError, decode_snapshot
+from repro.wasm.wat_parser import parse_wat
 from repro.tcrypto.hashing import sha256
 
 MINIC_SUM = (
@@ -88,6 +93,36 @@ class TestGatewayPreemption:
         assert totals1 == totals0
 
 
+    @pytest.mark.parametrize("preempt_after", (0, -5))
+    def test_slice_below_one_is_rejected(self, preempt_after):
+        # a slice that executes nothing would re-capture at the same point
+        # forever, signing zero-usage checkpoints without progress
+        with pytest.raises(ValueError, match="preempt_after"):
+            MeteringGateway(workers=1, pool="thread", preempt_after=preempt_after)
+
+
+def sum_task(**fields) -> ExecutionTask:
+    sandbox = TwoWaySandbox.deploy(SandboxConfig())
+    workload = sandbox.submit_minic(MINIC_SUM)
+    module_bytes = encode_module(workload.module)
+    return ExecutionTask(
+        module_bytes=module_bytes,
+        module_hash=sha256(module_bytes),
+        counter_global_index=workload.evidence.counter_global_index,
+        export="total",
+        args=(40,),
+        **fields,
+    )
+
+
+def run_preempted(task: ExecutionTask) -> list:
+    """Dispatch ``task`` and its resumes until the job finishes."""
+    results = [execute_task(task)]
+    while results[-1].snapshot is not None:
+        results.append(execute_task(replace(task, snapshot=results[-1].snapshot)))
+    return results
+
+
 class TestWorkerResume:
     def test_resume_slices_are_relative(self):
         # each dispatched slice runs the same budget of further instructions
@@ -118,6 +153,65 @@ class TestWorkerResume:
         ))
         assert result.snapshot is not None
         assert decode_snapshot(result.snapshot).executed == 200
+
+    @pytest.mark.parametrize("engine", ("predecode", "compile"))
+    def test_module_encoded_once_per_decode(self, engine, monkeypatch):
+        # the digest behind the compiled-code key, capture and the restore
+        # check is computed once per decoded module, not once per dispatch
+        import repro.service.worker as worker
+        import repro.wasm.binary as binary
+        import repro.wasm.snapshot.restore as restore
+
+        task = sum_task(engine=engine, snapshot_at=100)
+        monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
+        encodes = []
+        real = binary.encode_module
+
+        def counting(module):
+            encodes.append(module)
+            return real(module)
+
+        for target in (binary, worker, restore):
+            monkeypatch.setattr(target, "encode_module", counting)
+        results = run_preempted(task)
+        assert len(results) > 3
+        assert results[-1].raw.value == sum(range(40))
+        assert len(encodes) == 1
+
+    def test_resume_into_another_module_is_refused(self):
+        snapshot = execute_task(sum_task(snapshot_at=100)).snapshot
+        other = encode_module(
+            parse_wat('(module (global (mut i64) (i64.const 0)) '
+                      '(func (export "total") (param i32) (result i32) (i32.const 1)))')
+        )
+        task = replace(
+            sum_task(), module_bytes=other, module_hash=sha256(other),
+            counter_global_index=0, snapshot=snapshot,
+        )
+        with pytest.raises(SnapshotError, match="module hash mismatch"):
+            execute_task(task)
+
+    @pytest.mark.parametrize(
+        "engine,armed,expected",
+        [
+            ("compile", False, "compile"),
+            ("compile", True, "predecode"),
+            ("predecode", True, "predecode"),
+            ("legacy", True, "legacy"),
+        ],
+    )
+    def test_invoke_spans_name_the_engine_that_ran(self, engine, armed, expected):
+        trace = (trace_id_for("gw-t", 1), 7, True, 1)
+        task = sum_task(engine=engine, snapshot_at=100 if armed else None, trace=trace)
+        results = run_preempted(task)
+        spans = [
+            span
+            for result in results
+            for span in result.telemetry["spans"]
+            if span["name"] in ("worker.invoke", "worker.resume_invoke")
+        ]
+        assert len(spans) == len(results)
+        assert {span["attrs"]["exec_engine"] for span in spans} == {expected}
 
     def test_loadtest_serial_gate_holds_under_preemption(self):
         report = run_loadtest(

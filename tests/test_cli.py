@@ -206,6 +206,19 @@ def test_serve_command(capsys):
     assert "receipts" in out
 
 
+@pytest.mark.parametrize("preempt", ("-3", "-1"))
+def test_loadtest_rejects_negative_preempt(tmp_path, capsys, preempt):
+    out_path = tmp_path / "bench.json"
+    assert main([
+        "loadtest", "--preempt", preempt, "--requests", "2", "--pool", "thread",
+        "--out", str(out_path),
+    ]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--preempt" in err[0]
+    assert not out_path.exists()
+
+
 def test_loadtest_command_writes_report(tmp_path, capsys):
     import json
 

@@ -6,20 +6,32 @@ identical result, ``ExecutionStats``, linear memory and globals of the
 same run left alone.  The accounting layer inherits the guarantee: the
 componentwise sum of a preempted workload's checkpoint + final vectors
 equals the uninterrupted signed vector.
+
+Armed ``predecode`` and ``compile`` instances capture from the predecode
+engine's own frames, armed ``legacy`` ones from the legacy loop; the
+capture-equivalence tests below pin the encoded snapshots of the first two
+byte-identical to the legacy reference.  CI runs this file with
+``REPRO_WASM_FUSION=0`` as well, so both predecode segment forms are gated.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
-from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance
+from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
 from repro.wasm.snapshot import (
     SnapshotCaptured,
+    capture_instance,
     decode_snapshot,
     encode_snapshot,
     restore_instance,
     resume_invoke,
 )
 from repro.wasm.wat_parser import parse_wat
+from repro.workloads import POLYBENCH_KERNELS
 
 # nested calls, loads/stores, memory.grow — every meter moves
 WORK = """
@@ -183,3 +195,203 @@ def test_checkpoint_receipts_sum_to_uninterrupted_vector():
     assert summed == vector_tuple(expected.vector)
     assert sandbox.verify_log()
     assert plain.verify_log()
+
+
+# -- capture equivalence: the predecode engine's frames vs the legacy loop ----
+
+FAST_ENGINES = ("predecode", "compile")
+PROGRAMS = ("WORK", "atax", "mvt", "jacobi-1d", "trisolv", "gemm")
+SEEDED_POINTS = 40
+
+
+def program(name: str):
+    """``(module, setup calls, run call)``; PolyBench kernels instrumented."""
+    if name == "WORK":
+        return parse_wat(WORK), (), ("work", (ARG,))
+    spec = POLYBENCH_KERNELS[name]
+    result, _evidence = InstrumentationEnclave().instrument(spec.compile().clone())
+    return result.module, spec.setup, spec.run
+
+
+def started(module, setup, engine: str, **limits) -> Instance:
+    inst = Instance(module, engine=engine)
+    for fn, args in setup:
+        inst.invoke(fn, *args)
+    inst.limits = ExecutionLimits(**limits)
+    return inst
+
+
+def encoded(snapshot) -> bytes:
+    # the engine tag names the capturing configuration; every other byte
+    # must match (bytes, not tuples: trisolv's NaNs defeat ``==``)
+    return encode_snapshot(replace(snapshot, engine="-"), _observe=False)
+
+
+def capture_fresh(module, setup, run, engine: str, at: int) -> bytes | None:
+    inst = started(module, setup, engine, snapshot_at=at)
+    try:
+        inst.invoke(run[0], *run[1])
+    except SnapshotCaptured as exc:
+        return encoded(exc.snapshot)
+    return None
+
+
+def legacy_reference(module, setup, run, points: list) -> dict:
+    """Legacy captures at every point (ascending) from one suspended and
+    resumed pass — the same states a fresh legacy run per point reaches."""
+    inst = started(module, setup, "legacy", snapshot_at=points[0])
+    snap = None
+    try:
+        inst.invoke(run[0], *run[1])
+    except SnapshotCaptured as exc:
+        snap = exc.snapshot
+    reference = {}
+    for at, following in zip(points, points[1:] + [None]):
+        reference[at] = None if snap is None else encoded(snap)
+        if snap is None or following is None:
+            continue
+        resumed = restore_instance(
+            snap, module, limits=ExecutionLimits(snapshot_at=following),
+            engine="legacy",
+        )
+        try:
+            resume_invoke(resumed, snap)
+            snap = None
+        except SnapshotCaptured as exc:
+            snap = exc.snapshot
+    return reference
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_capture_is_byte_identical_to_legacy(name):
+    module, setup, run = program(name)
+    inst = started(module, setup, "compile")
+    first = inst.stats.executed
+    inst.invoke(run[0], *run[1])
+    total = inst.stats.executed
+    rng = random.Random(f"capture:{name}")
+    points = {first, total - 1, total + 1}
+    points.update(rng.randrange(first, total) for _ in range(SEEDED_POINTS))
+    points = sorted(points)
+    assert len(points) >= SEEDED_POINTS
+
+    reference = legacy_reference(module, setup, run, points)
+    assert reference[total + 1] is None and reference[total - 1] is not None
+    for engine in FAST_ENGINES:
+        for at in points:
+            assert capture_fresh(module, setup, run, engine, at) == reference[at], (
+                f"{engine} capture at {at} differs from legacy"
+            )
+
+
+@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize("name", ("WORK", "atax"))
+def test_armed_but_never_reached_leaves_stats_identical(engine, name):
+    module, setup, run = program(name)
+    plain = started(module, setup, engine)
+    armed = started(module, setup, engine, snapshot_at=10**12)
+    assert armed.invoke(run[0], *run[1]) == plain.invoke(run[0], *run[1])
+    assert encoded(capture_instance(armed)) == encoded(capture_instance(plain))
+
+
+def predecode_segment(module, func_index: int, pc: int):
+    """``(segment start, segment)`` of the predecode segment holding ``pc``."""
+    inst = Instance(module, engine="predecode")
+    code = inst._engine._compiled[func_index - module.num_imported_funcs].code
+    start = pc
+    while code[start] is None:
+        start -= 1
+    return start, code[start][1]
+
+
+def capture_snapshot(module, engine: str, at: int):
+    inst = Instance(module, limits=ExecutionLimits(snapshot_at=at), engine=engine)
+    with pytest.raises(SnapshotCaptured) as captured:
+        inst.invoke("work", ARG)
+    return captured.value.snapshot
+
+
+def mid_segment_point(min_left: int) -> int:
+    """The first WORK capture point whose innermost frame sits inside a
+    predecode segment with at least ``min_left`` instructions still to run."""
+    module = parse_wat(WORK)
+    for at in range(1, 400):
+        frame = capture_snapshot(module, "legacy", at).frames[-1]
+        start, seg = predecode_segment(module, frame.func_index, frame.pc)
+        if start < frame.pc and seg.count - (frame.pc - start) >= min_left:
+            return at
+    raise AssertionError("WORK has no mid-segment capture point")
+
+
+@pytest.mark.parametrize("resume_engine", ENGINES)
+def test_resume_lands_mid_segment(resume_engine):
+    at = mid_segment_point(min_left=2)
+    snap = decode_snapshot(encode_snapshot(capture_snapshot(parse_wat(WORK), "legacy", at)))
+    resumed = restore_instance(snap, parse_wat(WORK), engine=resume_engine)
+    value = resume_invoke(resumed, snap)
+    base_value, base_stats = baseline(resume_engine)
+    assert value == base_value
+    assert stats_tuple(resumed) == base_stats
+
+
+def limits_outcome(engine: str, snapshot_at: int, max_instructions: int):
+    inst = Instance(
+        parse_wat(WORK),
+        limits=ExecutionLimits(
+            snapshot_at=snapshot_at, max_instructions=max_instructions
+        ),
+        engine=engine,
+    )
+    try:
+        inst.invoke("work", ARG)
+    except SnapshotCaptured as exc:
+        return "captured", encoded(exc.snapshot)
+    except Trap as exc:
+        return "trap", str(exc), encoded(capture_instance(inst))
+    return "completed", encoded(capture_instance(inst))
+
+
+@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize(
+    "capture_offset,budget_offset", [(0, 0), (0, 1), (1, 0), (2, 0), (1, 2)]
+)
+def test_capture_and_budget_in_one_segment(engine, capture_offset, budget_offset):
+    # both boundaries inside one predecode segment: capture precedes the
+    # charge and the budget trap follows it, exactly as in the legacy loop
+    at = mid_segment_point(min_left=3)
+    expected = limits_outcome("legacy", at + capture_offset, at + budget_offset)
+    assert limits_outcome(engine, at + capture_offset, at + budget_offset) == expected
+
+
+@pytest.mark.parametrize("engine", FAST_ENGINES)
+def test_armed_fast_engines_never_enter_the_legacy_loop(engine, monkeypatch):
+    def legacy_loop(*_args, **_kwargs):
+        raise AssertionError("armed run entered Instance._exec_function")
+
+    monkeypatch.setattr(Instance, "_exec_function", legacy_loop)
+    hop = 97
+    inst = Instance(
+        parse_wat(WORK), limits=ExecutionLimits(snapshot_at=hop), engine=engine
+    )
+    snap = None
+    try:
+        value = inst.invoke("work", ARG)
+    except SnapshotCaptured as exc:
+        snap = exc.snapshot
+    hops = 0
+    while snap is not None:
+        inst = restore_instance(
+            snap, parse_wat(WORK),
+            limits=ExecutionLimits(snapshot_at=snap.executed + hop), engine=engine,
+        )
+        try:
+            value = resume_invoke(inst, snap)
+            snap = None
+        except SnapshotCaptured as exc:
+            snap = exc.snapshot
+            hops += 1
+    assert hops > 3
+    monkeypatch.undo()
+    base_value, base_stats = baseline(engine)
+    assert value == base_value
+    assert stats_tuple(inst) == base_stats
