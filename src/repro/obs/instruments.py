@@ -90,7 +90,8 @@ POOL_UTILISATION = REGISTRY.gauge(
 )
 POOL_EXEC_WALL = REGISTRY.histogram(
     "acctee_worker_pool_exec_wall_seconds",
-    "Worker-side wall time per executed task (instantiate + run).",
+    "Worker-side wall time per executed task (instantiate + run), by the "
+    "engine that ran it.",
     buckets=LATENCY_BUCKETS,
 )
 POOL_REBUILDS = REGISTRY.counter(

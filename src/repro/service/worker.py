@@ -159,6 +159,9 @@ class WorkerResult:
     raw: RawExecution
     exec_wall_s: float
     snapshot: bytes | None = None
+    #: the engine whose frames ran the task (``Instance.exec_engine``);
+    #: empty when nothing executed (the modeled backend)
+    exec_engine: str = ""
     #: backhauled worker telemetry (``TelemetryCapture.to_wire()`` dict):
     #: spans, events and metric deltas recorded while the task's trace
     #: context was active, merged by the gateway with origin-pid tagging
@@ -320,7 +323,10 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
     if handle is not None:
         pool.release(handle)
     return WorkerResult(
-        raw=raw, exec_wall_s=time.perf_counter() - started, snapshot=snapshot_blob
+        raw=raw,
+        exec_wall_s=time.perf_counter() - started,
+        snapshot=snapshot_blob,
+        exec_engine=instance.exec_engine,
     )
 
 
@@ -370,7 +376,7 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     with worker_span(
         "worker.resume_invoke",
         export=task.export,
-        exec_engine=instance.suspendable_engine,
+        exec_engine=instance.exec_engine,
     ) as invoke_span:
         try:
             value = resume_invoke(instance, snap)
@@ -386,7 +392,10 @@ def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
     if task.fault == "corrupt":
         raw = corrupt_raw(raw)
     return WorkerResult(
-        raw=raw, exec_wall_s=time.perf_counter() - started, snapshot=snapshot_blob
+        raw=raw,
+        exec_wall_s=time.perf_counter() - started,
+        snapshot=snapshot_blob,
+        exec_engine=instance.exec_engine,
     )
 
 
@@ -576,7 +585,8 @@ class WorkerPool:
             self._in_flight = max(0, self._in_flight - 1)
             self._publish_load()
         if not future.cancelled() and future.exception() is None:
-            POOL_EXEC_WALL.observe(future.result().exec_wall_s)
+            result = future.result()
+            POOL_EXEC_WALL.observe(result.exec_wall_s, engine=result.exec_engine)
 
     def _publish_load(self) -> None:
         # caller holds _in_flight_lock

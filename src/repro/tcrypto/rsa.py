@@ -40,10 +40,20 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAKeyPair:
-    """An RSA key pair; ``public`` may be shared, ``d`` must not be."""
+    """An RSA key pair; ``public`` may be shared, nothing else may be.
+
+    Besides ``d`` it keeps the primes and the Chinese Remainder Theorem
+    (CRT) exponents, so signing does two half-size exponentiations instead
+    of one full-size one (RFC 8017 §5.1.2).
+    """
 
     public: RSAPublicKey
     d: int
+    p: int
+    q: int
+    dp: int  # d mod (p - 1)
+    dq: int  # d mod (q - 1)
+    qinv: int  # q^-1 mod p
 
     @property
     def n(self) -> int:
@@ -66,7 +76,10 @@ def rsa_generate(bits: int = 2048, seed: int | None = None) -> RSAKeyPair:
             continue
         n = p * q
         d = pow(e, -1, phi)
-        return RSAKeyPair(public=RSAPublicKey(n=n, e=e), d=d)
+        return RSAKeyPair(
+            public=RSAPublicKey(n=n, e=e), d=d, p=p, q=q,
+            dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+        )
 
 
 def _emsa_pkcs1_encode(message: bytes, em_len: int) -> int:
@@ -83,7 +96,10 @@ def rsa_sign(key: RSAKeyPair, message: bytes) -> bytes:
     """Sign ``message`` (PKCS#1 v1.5 with SHA-256)."""
     k = key.public.byte_length
     m = _emsa_pkcs1_encode(message, k)
-    s = pow(m, key.d, key.n)
+    # CRT: equal to pow(m, d, n) for every m < n, about 3x cheaper
+    s1 = pow(m, key.dp, key.p)
+    s2 = pow(m, key.dq, key.q)
+    s = s2 + (key.qinv * (s1 - s2) % key.p) * key.q
     return s.to_bytes(k, "big")
 
 

@@ -17,11 +17,24 @@ function body is translated once into Python **source** —
   valid wasm structured control;
 * the per-basic-block meter increments (``visits``/``executed``/``cycles``)
   are folded into the generated code as constant-amount updates, with the
-  same budget/progress boundary check as the predecode engine and the same
-  per-instruction step-mode fallback when a boundary lands inside a block;
+  same budget/progress boundary check as the predecode engine.  When a
+  boundary lands inside a batch of charges, the slow path hands the frame
+  to the engine, which runs the batch per instruction from a static step
+  table (instructions through generated per-instruction step functions);
 * trap attribution mirrors predecode exactly: blocks that may trap run under
   ``try``, record the trapping position in ``_tp``, and roll back the
-  not-executed suffix so :class:`ExecutionStats` stay byte-identical.
+  not-executed suffix so :class:`ExecutionStats` stay byte-identical;
+* ``executed >= snapshot_at`` is one more observation point: the capture
+  point is folded into the batch threshold (unarmed code does no extra
+  work), the slow path captures before the instruction it falls on, with
+  the control stack from the step table, and calls add their ``at_call``
+  frame to a passing
+  :class:`~repro.wasm.interpreter.CaptureUnwind` — the same frames the
+  legacy loop captures.  A suspended frame re-enters compiled code through
+  a lazily built *resumable form* of its function: the same structured
+  code with every behaviour guarded by an entry id, so a resume skips
+  forward to the batch the capture fell in (the engine finishes that batch
+  per instruction) and runs on at compiled speed.
 
 Generated code objects are cached per ``(module fingerprint, cost
 signature)`` — the same keying discipline as
@@ -40,10 +53,13 @@ import math
 import re
 import struct
 import threading
+import types
 from collections import OrderedDict
 
 from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
 from repro.wasm.interpreter import (
+    CapturedFrame,
+    CaptureUnwind,
     Trap,
     _clz,
     _ctz,
@@ -60,7 +76,7 @@ from repro.wasm.interpreter import (
     build_structure_map,
 )
 from repro.wasm.memory import MemoryAccessError
-from repro.wasm.predecode import PredecodedEngine, _compile_simple, _Segment
+from repro.wasm.predecode import PredecodedEngine, uncharge_suffix
 
 #: Python's tokenizer rejects indentation deeper than 100 levels; leave slack.
 _MAX_INDENT = 90
@@ -78,13 +94,39 @@ class CompileError(Exception):
 class _FuncCode:
     """Translation result for one defined function (or a fallback marker)."""
 
-    __slots__ = ("code", "consts", "segs", "error")
+    __slots__ = (
+        "code", "consts", "segs", "batch_steps", "error", "resume", "step_code",
+    )
 
-    def __init__(self, code, consts, segs, error=None):
+    def __init__(self, code, consts, segs, batch_steps=(), error=None):
         self.code = code        # code object, or None -> predecode fallback
         self.consts = consts    # tuple referenced as _K{i}[j] in generated code
-        self.segs = segs        # tuple of (start_pc, count) per basic block
+        #: per basic block: (start_pc, count, names, op_cycles, entry depth)
+        self.segs = segs
+        #: per charge batch, its instructions in execution order:
+        #: ``("charge", pc, name, cycles, control)`` or ``("seg", seg_index,
+        #: start, control)`` (both forms emit the same batches)
+        self.batch_steps = batch_steps
         self.error = error      # why translation fell back, for diagnostics
+        #: the resumable form (:class:`_ResumeCode`), built on first resume;
+        #: ``False`` when the translator declined it
+        self.resume = None
+        #: per basic block, its step functions' code (see
+        #: :meth:`_Translator.step_source`)
+        self.step_code: dict[int, tuple] = {}
+
+
+class _ResumeCode:
+    """The resumable form of one function: the same structured code with an
+    entry after every charge batch (see :meth:`CompiledEngine._resume`)."""
+
+    __slots__ = ("code", "consts", "entry_at")
+
+    def __init__(self, code, consts, entry_at):
+        self.code = code          # defines _r{i}(_e, _stk, _loc)
+        self.consts = consts      # referenced as _Q{i}[j]
+        #: pc -> (batch id, step index, first instruction within the step)
+        self.entry_at = entry_at
 
 
 class _ModuleCode:
@@ -232,10 +274,10 @@ def _flush_visits(S, V, vp, sv) -> None:
 class _Frame:
     __slots__ = (
         "kind", "h", "arity", "results", "wrapped", "escapes",
-        "in_else", "end_reachable", "marker", "has_else",
+        "in_else", "end_reachable", "marker", "has_else", "ctl", "cond_line",
     )
 
-    def __init__(self, kind, h, arity, results, wrapped, escapes, has_else):
+    def __init__(self, kind, h, arity, results, wrapped, escapes, has_else, start, end):
         self.kind = kind
         self.h = h                  # operand depth at entry (after if-cond pop)
         self.arity = arity          # branch label arity (0 for loop)
@@ -246,12 +288,18 @@ class _Frame:
         self.in_else = False
         self.end_reachable = False
         self.marker = 0             # start-of-suite line index (for `pass`)
+        #: the snapshot control tuple the legacy loop keeps for this construct
+        self.ctl = (kind, start, end, h, arity)
+        self.cond_line = None       # resumable form: the `if` line to patch
 
 
 class _Translator:
     """Translates one function body; raises :class:`CompileError` to decline."""
 
-    def __init__(self, module, defined_index: int, cost_model, has_memory: bool):
+    def __init__(
+        self, module, defined_index: int, cost_model, has_memory: bool,
+        resumable: bool = False,
+    ):
         self.module = module
         self.fidx = defined_index
         self.func = module.funcs[defined_index]
@@ -260,18 +308,28 @@ class _Translator:
         self.cost = cost_model
         self.cost_on = cost_model is not None
         self.has_memory = has_memory
+        #: emit the resumable form: behaviour guarded by the entry id ``_e``
+        self.resumable = resumable
+        self.kname = f"{'_Q' if resumable else '_K'}{defined_index}"
+        self.func_index = module.num_imported_funcs + defined_index
+        self.n_locals = len(self.functype.params) + len(self.func.locals)
         self.lines: list[str] = []
         self.ind = 0
         # consts[0] is reserved for the per-batch accounting-delta tuple
         # (filled in at the end of translate(); referenced as _SV)
         self.consts: list = [None]
         self.batches: list = []
-        self.segs: list[tuple[int, int]] = []
+        #: per batch, its instructions in execution order (resume entries)
+        self.steps: list[tuple] = []
+        self.segs: list[tuple] = []
+        self.frames: list[_Frame] = []
+        self.max_d = 0
         # pending charge batch: control charges and at most one basic block
-        # whose meter updates are folded into a single boundary check
-        self.lead: list[tuple[str, float]] = []
+        # whose meter updates are folded into a single boundary check;
+        # charges are (name, cycles, pc, operand depth, control tuple)
+        self.lead: list[tuple] = []
         self.seg: dict | None = None
-        self.trail: list[tuple[str, float]] = []
+        self.trail: list[tuple] = []
         # symbolic operand stack for the block under translation
         self.tctr = 0
         self._sym: list[str] = []
@@ -289,7 +347,28 @@ class _Translator:
 
     def const(self, value) -> str:
         self.consts.append(value)
-        return f"_K{self.fidx}[{len(self.consts) - 1}]"
+        return f"{self.kname}[{len(self.consts) - 1}]"
+
+    def _control(self) -> tuple:
+        """The legacy loop's control stack here, in snapshot tuple form."""
+        return tuple(f.ctl for f in self.frames)
+
+    def _lists(self, d: int) -> str:
+        """``[stack registers], [locals]`` — a frame's state as lists."""
+        stack = ", ".join(f"s{i}" for i in range(d))
+        locals_ = ", ".join(f"l{i}" for i in range(self.n_locals))
+        return f"[{stack}], [{locals_}]"
+
+    def _guard(self) -> None:
+        """Open a behaviour suite: the resumable form skips it while ``_e``
+        still names an entry further on (closed by :meth:`_unguard`)."""
+        if self.resumable:
+            self.emit("if not _e:")
+            self.ind += 1
+
+    def _unguard(self) -> None:
+        if self.resumable:
+            self.ind -= 1
 
     def _float_literal(self, value: float) -> str:
         if value != value:
@@ -300,7 +379,7 @@ class _Translator:
             return "-_INF"
         return repr(value)
 
-    def emit_charge(self, name: str) -> None:
+    def emit_charge(self, name: str, pc: int, d: int, control: tuple | None = None) -> None:
         """Queue the meter charge for one control instruction.
 
         Charges are not emitted where they occur: between two observation
@@ -310,34 +389,19 @@ class _Translator:
         equivalent of AccTEE folding per-block counter increments into the
         instrumented code.  ``flush()`` materialises the batch; callers
         flush before emitting anything the meter state can influence.
+
+        ``pc``, the operand depth ``d`` and the control stack (default: the
+        open constructs) locate a capture at this instruction.
         """
-        entry = (name, self._cycles_of(name))
+        if control is None:
+            control = self._control()
+        entry = (name, self._cycles_of(name), pc, d, control)
         (self.trail if self.seg is not None else self.lead).append(entry)
-
-    def _emit_charge_now(self, name: str, cyc: float) -> None:
-        """The exact legacy-order charge (batch slow path / single charges).
-
-        ``executed`` lives in the local ``_ex`` (the folded meter register);
-        it is flushed to ``S.executed`` at every point the stats become
-        observable — budget traps, progress callbacks, calls, returns.
-        """
-        line = f'V["{name}"] += 1; _ex += 1'
-        if self.cost_on and cyc != 0.0:
-            line += f"; S.cycles += {cyc!r}"
-        self.emit(line)
-        self.emit(
-            "if _ex > mi: S.executed = _ex; _fv(S, V, _vp, _SV); "
-            'raise Trap("instruction budget exhausted")'
-        )
-        self.emit(
-            "if _pb and _ex % pi == 0: "
-            "S.executed = _ex; _fv(S, V, _vp, _SV); cb(S); _ex = S.executed"
-        )
 
     def _emit_visit_updates(self, charges, seg_names) -> None:
         """Merged ``V[...] += c`` lines for a whole batch."""
         delta: dict[str, int] = {}
-        for name, _cyc in charges:
+        for name, *_rest in charges:
             delta[name] = delta.get(name, 0) + 1
         for name in seg_names:
             delta[name] = delta.get(name, 0) + 1
@@ -347,40 +411,75 @@ class _Translator:
     def _register_batch(self, charges, seg) -> int:
         """Record a fast-path batch's constant accounting delta; returns id."""
         delta: dict[str, int] = {}
-        for name, _cyc in charges:
+        for name, *_rest in charges:
             delta[name] = delta.get(name, 0) + 1
         for name in seg["names"] if seg else ():
             delta[name] = delta.get(name, 0) + 1
         cyc = 0.0
         if self.cost_on:
-            cyc = sum(c for _nm, c in charges)
+            cyc = sum(entry[1] for entry in charges)
             if seg:
                 cyc += sum(seg["op_cycles"])
         ld, st, bl, bs = seg["mem"] if seg else (0, 0, 0, 0)
         self.batches.append((cyc, tuple(delta.items()), ld, st, bl, bs))
         return len(self.batches) - 1
 
+    def _emit_batch_head(self, lead, seg, trail) -> None:
+        """Open the batch's boundary check, and emit its slow path.
+
+        ``mi`` folds the budget and the capture point into one threshold,
+        so unarmed code pays nothing for being capturable.  When a budget,
+        capture or progress boundary falls inside the batch, the slow path
+        hands the frame to the engine, which runs the batch's recorded
+        steps per instruction in the legacy order: capture, charge, budget
+        trap, progress callback.  The resumable form first skips the
+        batch while still seeking its entry, and clears ``_e`` at the entry
+        itself: the engine finishes the batch a capture fell inside before
+        re-entering.
+        """
+        steps = [("charge", pc, name, cyc, ctl) for name, cyc, pc, _d, ctl in lead]
+        if seg is not None:
+            steps.append(("seg", seg["index"], seg["start"], seg["control"]))
+        steps += [("charge", pc, name, cyc, ctl) for name, cyc, pc, _d, ctl in trail]
+        self.steps.append(tuple(steps))
+        batch = len(self.steps)
+        total = len(lead) + len(trail) + (seg["count"] if seg is not None else 0)
+        cond = f"_ex + {total} > mi or (_pb and (_ex + {total}) // pi != _ex // pi)"
+        if self.resumable:
+            self.emit("if _e:")
+            self.emit(f"    if _e == {batch}: _e = 0")
+            self.emit(f"elif {cond}:")
+        else:
+            self.emit(f"if {cond}:")
+        self.ind += 1
+        # every charge of a batch sees the operand stack it starts with:
+        # control charges move no values, and the block's come first
+        depth = lead[0][3] if lead else seg["d0"]
+        self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+        self.emit(f"_stk, _loc = {self._lists(depth)}")
+        self.emit(f"_E._run_batch({self.fidx}, {batch}, _stk, _loc)")
+        self.emit("_ex = S.executed")
+        if seg is not None:
+            for i in seg["written_locals"]:
+                self.emit(f"l{i} = _loc[{i}]")
+            if seg["d1"]:
+                regs = ", ".join(f"s{i}" for i in range(seg["d1"]))
+                self.emit(f"{regs}, = _stk")
+        self.ind -= 1
+        self.emit("else:")
+
     def flush(self) -> None:
-        """Emit the pending charge batch under one budget/progress check."""
+        """Emit the pending charge batch under one budget/capture/progress
+        check."""
         lead, seg, trail = self.lead, self.seg, self.trail
         if seg is None and not lead:
             return
         self.lead, self.seg, self.trail = [], None, []
         if seg is None:
-            total = len(lead)
-            cycles_sum = sum(cyc for _nm, cyc in lead)
-            self.emit(
-                f"if _ex + {total} > mi or "
-                f"(_pb and (_ex + {total}) // pi != _ex // pi):"
-            )
-            self.ind += 1
-            for name, cyc in lead:
-                self._emit_charge_now(name, cyc)
-            self.ind -= 1
-            self.emit("else:")
+            self._emit_batch_head(lead, None, ())
             self.ind += 1
             bid = self._register_batch(lead, None)
-            self.emit(f"_ex += {total}")
+            self.emit(f"_ex += {len(lead)}")
             self.emit(f"_vp[{bid}] += 1")
             self.ind -= 1
             return
@@ -389,38 +488,9 @@ class _Translator:
     def _flush_with_segment(self, lead, seg, trail) -> None:
         start, count = seg["start"], seg["count"]
         total = len(lead) + count + len(trail)
-        cycles_sum = (
-            sum(cyc for _nm, cyc in lead)
-            + sum(seg["op_cycles"])
-            + sum(cyc for _nm, cyc in trail)
-        )
-        n_locals = len(self.functype.params) + len(self.func.locals)
-        self.emit(f"if P is not None: P.record_segment(_lbl, {start}, {count})")
-        self.emit(
-            f"if _ex + {total} > mi or "
-            f"(_pb and (_ex + {total}) // pi != _ex // pi):"
-        )
-        self.ind += 1
-        for name, cyc in lead:
-            self._emit_charge_now(name, cyc)
-        self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
-        loc = ", ".join(f"l{i}" for i in range(n_locals))
-        self.emit(f"_loc = [{loc}]" if n_locals else "_loc = []")
-        stk = ", ".join(f"s{i}" for i in range(seg["d0"]))
-        self.emit(f"_stk = [{stk}]" if seg["d0"] else "_stk = []")
-        self.emit(f"_E._step({self.fidx}, {seg['index']}, _stk, _loc)")
-        self.emit("_ex = S.executed")
-        for i in seg["written_locals"]:
-            self.emit(f"l{i} = _loc[{i}]")
-        d1 = seg["d1"]
-        if d1 == 1:
-            self.emit("s0, = _stk")
-        elif d1 > 1:
-            self.emit(", ".join(f"s{i}" for i in range(d1)) + " = _stk")
-        for name, cyc in trail:
-            self._emit_charge_now(name, cyc)
-        self.ind -= 1
-        self.emit("else:")
+        skip = " and not _e" if self.resumable else ""
+        self.emit(f"if P is not None{skip}: P.record_segment(_lbl, {start}, {count})")
+        self._emit_batch_head(lead, seg, trail)
         self.ind += 1
         bid = self._register_batch(lead + trail, seg)
         self.emit(f"_ex += {total}")
@@ -435,7 +505,7 @@ class _Translator:
             if not buf:
                 self.emit("pass")
             self.ind -= 1
-            self.emit("except BaseException as _e:")
+            self.emit("except BaseException as _xc:")
             self.ind += 1
             # a mid-block trap: retract this batch's pending delta, settle
             # everything else, then re-apply the lead + block charges exactly
@@ -446,7 +516,7 @@ class _Translator:
             self.emit(f"_vp[{bid}] -= 1")
             self.emit("_fv(S, V, _vp, _SV)")
             self._emit_visit_updates(lead, seg["names"])
-            leadseg_cycles = sum(cyc for _nm, cyc in lead) + sum(seg["op_cycles"])
+            leadseg_cycles = sum(entry[1] for entry in lead) + sum(seg["op_cycles"])
             if self.cost_on and leadseg_cycles != 0.0:
                 self.emit(f"S.cycles += {leadseg_cycles!r}")
             if any(seg["mem"]):
@@ -458,7 +528,7 @@ class _Translator:
                 self.emit(f"_ex -= {len(trail)}")
             self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
             self.emit(f"_E._unwind({self.fidx}, {seg['index']}, _tp)")
-            self.emit("if isinstance(_e, MemoryAccessError): raise Trap(str(_e)) from _e")
+            self.emit("if isinstance(_xc, MemoryAccessError): raise Trap(str(_xc)) from _xc")
             self.emit("raise")
             self.ind -= 1
         else:
@@ -470,6 +540,11 @@ class _Translator:
 
     def emit_return(self, d: int) -> None:
         self.flush()
+        self._guard()
+        self._return_values(d)
+        self._unguard()
+
+    def _return_values(self, d: int) -> None:
         nres = len(self.functype.results)
         self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
         if nres == 0:
@@ -483,7 +558,7 @@ class _Translator:
     def emit_branch(self, depth: int, d: int, frames: list) -> None:
         """Emit the code for a taken branch of ``depth`` labels."""
         if depth >= len(frames):
-            self.emit_return(d)
+            self._return_values(d)  # callers flushed and guarded already
             return
         target = frames[-1 - depth]
         a = target.arity
@@ -588,7 +663,7 @@ class _Translator:
                 buf.append(f"s{k} = {self._sym[k]}")
 
         seg_index = len(self.segs)
-        self.segs.append((start, stop - start))
+        self.segs.append((start, stop - start, names, tuple(op_cycles), d0))
         self.seg = {
             "start": start,
             "count": stop - start,
@@ -604,7 +679,9 @@ class _Translator:
             "d1": d1,
             "mem": tuple(self._seg_mem),
             "mp": dict(self._seg_mp),
+            "control": self._control(),
         }
+        self.max_d = max(self.max_d, d0, d1)
         return d1
 
     # -- symbolic-stack helpers ------------------------------------------------
@@ -1032,35 +1109,38 @@ class _Translator:
         raise CompileError(f"no translation for {name}")
 
 
-    def translate(self) -> tuple[str, tuple, tuple]:
-        module = self.module
-        body = self.body
-        n = len(body)
-        if len(self.functype.results) > 1:
-            raise CompileError("multi-result function")
+    def _prologue(self) -> None:
+        """Function header: bind locals and registers, load the limits."""
         n_params = len(self.functype.params)
-        n_locals = n_params + len(self.func.locals)
-        structs = build_structure_map(body)
-        targeted, escaped = self._scan_targets()
-
-        self.emit(f"def _f{self.fidx}(_args):")
-        self.ind += 1
-        if n_params == 1:
-            self.emit("l0, = _args")
-        elif n_params > 1:
-            self.emit(", ".join(f"l{i}" for i in range(n_params)) + " = _args")
-        for i, vt in enumerate(self.func.locals):
-            self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
+        if self.resumable:
+            # re-entry: the frame's locals and operand stack come in as lists
+            self.emit(f"def _r{self.fidx}(_e, _stk, _loc):")
+            self.ind += 1
+            if self.n_locals:
+                self.emit(", ".join(f"l{i}" for i in range(self.n_locals)) + ", = _loc")
+            self.emit("@STACK@")  # register unpack, patched once depth is known
+        else:
+            self.emit(f"def _f{self.fidx}(_args):")
+            self.ind += 1
+            if n_params:
+                self.emit(", ".join(f"l{i}" for i in range(n_params)) + ", = _args")
+            for i, vt in enumerate(self.func.locals):
+                self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
         self.emit("S = _I.stats; V = S.visits; L = _I.limits")
-        self.emit("mi = L.max_instructions")
-        self.emit("if mi is None: mi = _BIG")
+        # mb: instruction budget, sa: capture point, mi: the nearer of both
+        # (the fast path's one threshold)
+        self.emit("mb = L.max_instructions")
+        self.emit("if mb is None: mb = _BIG")
+        self.emit("sa = L.snapshot_at")
+        self.emit("if sa is None: sa = _BIG")
+        self.emit("mi = sa if sa < mb else mb")
         self.emit("pi = L.progress_interval; cb = L.progress_callback")
         self.emit("_pb = pi is not None and cb is not None")
         self.emit("P = _I._profiler")
         self.emit(f'_lbl = _I._func_labels[{self.fidx}] if P is not None else ""')
         self.emit("_ex = S.executed")
         self.emit("_br = 0")
-        self.emit(f"_SV = _K{self.fidx}[0]")
+        self.emit(f"_SV = {self.kname}[0]")
         self.emit("_vp = [0] * len(_SV)")
         if self.has_memory:
             self.emit("M = _M")
@@ -1068,12 +1148,94 @@ class _Translator:
             if self.cost_on:
                 self.emit("C = _C")
 
-        frames: list[_Frame] = []
+    def _emit_call(self, pc: int, callee: str, np_: int, nres: int, base: int) -> None:
+        """``_CALL`` with the popped arguments ``s{base}..``; a capture
+        unwinding through it gets this frame as ``at_call`` (stack below
+        the arguments)."""
+        site = self.const((self.func_index, pc, self._control()))
+        args = ", ".join(f"s{base + k}" for k in range(np_))
+        call = f"_CALL({callee}, [{args}])"
+        self.emit(f"try: {'_r = ' if nres else ''}{call}")
+        self.emit(f"except _CU as _u: raise _CAPC(_u, {site}, {self._lists(base)})")
+        if nres:
+            self.emit(f"s{base} = _r[0]")
+        self.emit("S.calls += 1")
+        self.emit("_ex = S.executed")
+
+    def _patch_cond(self, frame: _Frame) -> None:
+        """Resumable ``if``: once the true arm is emitted, the entries it
+        holds are known — seeking one of them takes the true arm."""
+        if frame.cond_line is not None:
+            line = self.lines[frame.cond_line]
+            self.lines[frame.cond_line] = line.replace("@HT@", str(len(self.steps)))
+            frame.cond_line = None
+
+    def step_source(self, seg_index: int, seg) -> str:
+        """One function per instruction of a basic block, over the list-form
+        stack and locals: ``_st{i}_{k}_{j}(stack, locals)`` runs instruction
+        ``j`` exactly as the compiled block would, memory statistics included.
+        The per-instruction slow paths (a budget, capture or progress boundary
+        inside a block, a resume inside one) step through these."""
+        start, count, _names, _cycles, depth = seg
+        lines: list[str] = []
+        for j, instr in enumerate(self.body[start : start + count]):
+            name = instr.name
+            self._sym = [f"x{i}" for i in range(depth)]
+            self._deps = [set() for _ in range(depth)]
+            self._seg_mem = [0, 0, 0, 0]
+            self._seg_mp = {}
+            out: list[str] = []
+            self._emit_op(instr, j, out)
+            new = self._sym
+            kept = 0  # leading slots the instruction left untouched
+            while kept < min(depth, len(new)) and new[kept] == f"x{kept}":
+                kept += 1
+            lines.append(f"def _st{self.fidx}_{seg_index}_{j}(_stk, _loc):")
+            body = [f"x{i} = _stk[{i}]" for i in range(kept, depth)]
+            if name == "local.get":
+                body.append(f"l{instr.args[0]} = _loc[{instr.args[0]}]")
+            is_access = "load" in name or "store" in name
+            if is_access or name == "memory.size":
+                body.append("S = _I.stats; M = _M; C = _C")
+                body.append("_mb = M._data if M is not None else None")
+            if is_access and self.has_memory:
+                body.append("try:")
+                body += ["    " + line for line in out]
+                body.append(
+                    "except MemoryAccessError as _xc: raise Trap(str(_xc)) from _xc"
+                )
+            else:
+                body += out
+            if kept < depth or len(new) > kept:
+                body.append(f"_stk[{kept}:] = [{', '.join(new[kept:])}]")
+            if name in ("local.set", "local.tee"):
+                body.append(f"_loc[{instr.args[0]}] = l{instr.args[0]}")
+            loads, stores, bytes_loaded, bytes_stored = self._seg_mem
+            if loads:
+                body.append(f"S.loads += {loads}; S.bytes_loaded += {bytes_loaded}")
+            if stores:
+                body.append(f"S.stores += {stores}; S.bytes_stored += {bytes_stored}")
+            lines += ["    " + line for line in body or ["pass"]]
+            depth = len(new)
+        return "\n".join(lines) + "\n"
+
+    def translate(self) -> tuple[str, tuple, tuple]:
+        module = self.module
+        body = self.body
+        n = len(body)
+        if len(self.functype.results) > 1:
+            raise CompileError("multi-result function")
+        structs = build_structure_map(body)
+        targeted, escaped = self._scan_targets()
+        self._prologue()
+
+        frames = self.frames
         reachable = True
         dead_depth = 0
         d = 0
         i = 0
         while i < n:
+            self.max_d = max(self.max_d, d)
             instr = body[i]
             name = instr.name
 
@@ -1084,6 +1246,7 @@ class _Translator:
                     continue
                 if name == "else" and dead_depth == 0:
                     frame = frames[-1]
+                    self._patch_cond(frame)
                     self._close_suite(frame.marker)
                     self.emit("else:")
                     self.ind += 1
@@ -1113,11 +1276,14 @@ class _Translator:
                 continue
 
             if name == "block":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 wrapped = i in targeted
                 results = len(instr.args[0])
                 frames.append(
-                    _Frame("block", d, results, results, wrapped, i in escaped, False)
+                    _Frame(
+                        "block", d, results, results, wrapped, i in escaped, False,
+                        i, structs[i].end,
+                    )
                 )
                 if wrapped:
                     self.flush()
@@ -1130,33 +1296,42 @@ class _Translator:
                     self.flush()
                     self.emit("while True:")
                     self.ind += 1
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 frames.append(
-                    _Frame("loop", d, 0, results, wrapped, i in escaped, False)
+                    _Frame(
+                        "loop", d, 0, results, wrapped, i in escaped, False,
+                        i, structs[i].end,
+                    )
                 )
             elif name == "if":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 d -= 1
                 wrapped = i in targeted
                 results = len(instr.args[0])
                 info = structs[i]
                 frame = _Frame(
                     "if", d, results, results, wrapped, i in escaped,
-                    info.else_ is not None,
+                    info.else_ is not None, i, info.end,
                 )
                 self.flush()
                 if wrapped:
                     self.emit("while True:")
                     self.ind += 1
-                self.emit(f"if s{d}:")
+                if self.resumable:
+                    # the condition was popped before any capture inside
+                    frame.cond_line = len(self.lines)
+                    self.emit(f"if (_e <= @HT@ if _e else s{d}):")
+                else:
+                    self.emit(f"if s{d}:")
                 self.ind += 1
                 frame.marker = len(self.lines)
                 frames.append(frame)
             elif name == "else":
                 frame = frames[-1]
-                self.emit_charge(name)  # charged when the true arm falls through
+                self.emit_charge(name, i, d)  # charged when the true arm falls through
                 frame.end_reachable = True
                 self.flush()
+                self._patch_cond(frame)
                 self._close_suite(frame.marker)
                 self.emit("else:")
                 self.ind += 1
@@ -1170,24 +1345,29 @@ class _Translator:
                     reachable, d = self._close_frame(frames, reachable=reachable)
                 else:
                     # function-level end (binary-decoded bodies keep it)
-                    self.emit_charge(name)
+                    self.emit_charge(name, i, d)
             elif name == "br":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
+                self._guard()
                 self.emit_branch(instr.args[0], d, frames)
+                self._unguard()
                 reachable = False
             elif name == "br_if":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
                 d -= 1
+                self._guard()
                 self.emit(f"if s{d}:")
                 self.ind += 1
                 self.emit_branch(instr.args[0], d, frames)
                 self.ind -= 1
+                self._unguard()
             elif name == "br_table":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
                 d -= 1
+                self._guard()
                 depths, default = instr.args
                 if depths:
                     tbl = self.const(tuple(depths))
@@ -1210,16 +1390,19 @@ class _Translator:
                         self.ind += 1
                         self.emit_branch(depth, d, frames)
                         self.ind -= 1
+                self._unguard()
                 reachable = False
             elif name == "return":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.emit_return(d)
                 reachable = False
             elif name == "unreachable":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
+                self._guard()
                 self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
                 self.emit('raise Trap("unreachable executed")')
+                self._unguard()
                 reachable = False
             elif name == "call":
                 target = instr.args[0]
@@ -1227,25 +1410,21 @@ class _Translator:
                 np_, nres = len(ftype.params), len(ftype.results)
                 if nres > 1:
                     raise CompileError("multi-result callee")
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
+                self._guard()
                 self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
-                args = ", ".join(f"s{d - np_ + k}" for k in range(np_))
-                if nres:
-                    self.emit(f"_r = _CALL({target}, [{args}])")
-                    self.emit(f"s{d - np_} = _r[0]")
-                else:
-                    self.emit(f"_CALL({target}, [{args}])")
-                self.emit("S.calls += 1")
-                self.emit("_ex = S.executed")
+                self._emit_call(i, str(target), np_, nres, d - np_)
+                self._unguard()
                 d = d - np_ + nres
             elif name == "call_indirect":
                 expected = module.types[instr.args[0]]
                 np_, nres = len(expected.params), len(expected.results)
                 if nres > 1:
                     raise CompileError("multi-result callee")
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
+                self._guard()
                 self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
                 tk = self.const(expected)
                 self.emit(f"_x = s{d - 1}")
@@ -1259,18 +1438,13 @@ class _Translator:
                     f"if _FT(_g) != {tk}: "
                     'raise Trap("indirect call type mismatch")'
                 )
-                args = ", ".join(f"s{d - 1 - np_ + k}" for k in range(np_))
-                if nres:
-                    self.emit(f"_r = _CALL(_g, [{args}])")
-                    self.emit(f"s{d - 1 - np_} = _r[0]")
-                else:
-                    self.emit(f"_CALL(_g, [{args}])")
-                self.emit("S.calls += 1")
-                self.emit("_ex = S.executed")
+                self._emit_call(i, "_g", np_, nres, d - 1 - np_)
+                self._unguard()
                 d = d - 1 - np_ + nres
             elif name == "memory.grow":
-                self.emit_charge(name)
+                self.emit_charge(name, i, d)
                 self.flush()
+                self._guard()
                 if not self.has_memory:
                     self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
                     self.emit('raise Trap("no memory")')
@@ -1280,15 +1454,24 @@ class _Translator:
                         "if _r >= 0: S.grow_history.append((_ex, M.pages))"
                     )
                     self.emit(f"s{d - 1} = _r & 0xffffffff")
+                self._unguard()
             else:  # pragma: no cover - barrier set is closed
                 raise CompileError(f"unhandled control instruction {name}")
             i += 1
 
+        self.max_d = max(self.max_d, d)
         if reachable:
             self.emit_return(d)
         if frames:
             raise CompileError("unbalanced control structure")
 
+        if self.resumable:
+            regs = ", ".join(f"s{k}" for k in range(self.max_d))
+            unpack = (
+                f"    {regs}, = _stk + [0] * ({self.max_d} - len(_stk))"
+                if self.max_d else "    pass"
+            )
+            self.lines = [unpack if ln == "    @STACK@" else ln for ln in self.lines]
         self.consts[0] = tuple(self.batches)
         return "\n".join(self.lines) + "\n", tuple(self.consts), tuple(self.segs)
 
@@ -1300,6 +1483,7 @@ class _Translator:
                 # the false path jumps straight to end: end is always live
                 frame.end_reachable = True
             self.flush()  # pending batch belongs inside the open arm
+            self._patch_cond(frame)
             self._close_suite(frame.marker)  # close the open arm
             if frame.wrapped:
                 self.emit("break")
@@ -1318,12 +1502,16 @@ class _Translator:
                 self.flush()  # pending batch belongs inside the while body
                 if frame.end_reachable:
                     self.emit("break")
+                elif self.resumable:
+                    # only reached while seeking an entry past the loop
+                    self.emit("if _e: break")
                 self.ind -= 1
                 self._cascade(frame, frames)
             end_live = frame.end_reachable
+        d = frame.h + frame.results
         if end_live:
-            self.emit_charge("end")
-        return end_live, frame.h + frame.results
+            self.emit_charge("end", frame.ctl[2], d, self._control() + (frame.ctl,))
+        return end_live, d
 
 
 # ---------------------------------------------------------------------------
@@ -1350,8 +1538,30 @@ def _translate_module(module, cost_model) -> _ModuleCode:
         except (SyntaxError, RecursionError, MemoryError) as exc:
             funcs.append(_FuncCode(None, (), (), error=repr(exc)))
         else:
-            funcs.append(_FuncCode(code, consts, segs))
+            funcs.append(_FuncCode(code, consts, segs, tuple(translator.steps)))
     return _ModuleCode(funcs)
+
+
+def _translate_resume(module, index: int, cost_model, segs) -> _ResumeCode | bool:
+    """The resumable form of one translated function (``False``: declined)."""
+    translator = _Translator(
+        module, index, cost_model, _module_has_memory(module), resumable=True
+    )
+    try:
+        source, consts, _segs = translator.translate()
+        code = compile(source, f"<wasm-resume:{index}>", "exec")
+    except (CompileError, SyntaxError, RecursionError, MemoryError):
+        return False
+    entry_at: dict[int, tuple[int, int, int]] = {}
+    for batch, items in enumerate(translator.steps, 1):
+        for j, item in enumerate(items):
+            if item[0] == "charge":
+                entry_at[item[1]] = (batch, j, 0)
+            else:
+                start, count = segs[item[1]][:2]
+                for offset in range(count):
+                    entry_at[start + offset] = (batch, j, offset)
+    return _ResumeCode(code, consts, entry_at)
 
 
 def _module_code(instance) -> _ModuleCode:
@@ -1370,6 +1580,58 @@ def _module_code(instance) -> _ModuleCode:
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
+
+
+#: The instance-independent names generated code reads (each instance's
+#: namespace copies this and adds its own state).
+_SHARED_NAMESPACE = {
+    "__builtins__": __builtins__,
+    "_CU": CaptureUnwind,
+    "Trap": Trap,
+    "MemoryAccessError": MemoryAccessError,
+    "_f32": _f32,
+    "_signed": _signed,
+    "_sg32": _sg32,
+    "_sg64": _sg64,
+    "_fv": _flush_visits,
+    "_trunc_div": _trunc_div,
+    "_trunc_rem": _trunc_rem,
+    "_trunc_to_int": _trunc_to_int,
+    "_clz": _clz,
+    "_ctz": _ctz,
+    "_rotl": _rotl,
+    "_rotr": _rotr,
+    "_fmin": _float_min,
+    "_fmax": _float_max,
+    "_nearest": _nearest,
+    "_cps": math.copysign,
+    "_sqrt": math.sqrt,
+    "_isinf": math.isinf,
+    "_mceil": math.ceil,
+    "_mfloor": math.floor,
+    "_mtrunc": math.trunc,
+    "_pk": struct.pack,
+    "_up": struct.unpack,
+    "_INF": math.inf,
+    "_NAN": math.nan,
+    "_BIG": float("inf"),
+    # prebound Struct methods for inline linear-memory access
+    "_L1s": struct.Struct("<b").unpack_from,
+    "_L1u": struct.Struct("<B").unpack_from,
+    "_L2s": struct.Struct("<h").unpack_from,
+    "_L2u": struct.Struct("<H").unpack_from,
+    "_L4s": struct.Struct("<i").unpack_from,
+    "_L4u": struct.Struct("<I").unpack_from,
+    "_L8u": struct.Struct("<Q").unpack_from,
+    "_S1": struct.Struct("<B").pack_into,
+    "_S2": struct.Struct("<H").pack_into,
+    "_S4": struct.Struct("<I").pack_into,
+    "_S8": struct.Struct("<Q").pack_into,
+    "_Lf4": struct.Struct("<f").unpack_from,
+    "_Lf8": struct.Struct("<d").unpack_from,
+    "_Sf4": struct.Struct("<f").pack_into,
+    "_Sf8": struct.Struct("<d").pack_into,
+}
 
 
 class CompiledEngine:
@@ -1394,8 +1656,11 @@ class CompiledEngine:
                 exec(fc.code, ns)
                 fns.append(ns[f"_f{index}"])
         self._fns = fns
-        #: lazily built predecode segments for the step/unwind slow paths
-        self._step_segs: dict[tuple[int, int], _Segment] = {}
+        #: resumable forms entered so far: index -> (_ResumeCode, function),
+        #: or ``False`` where the translator declined the resumable form
+        self._rfns: dict = {}
+        #: step functions bound so far, per (function, basic block)
+        self._step_fns: dict[tuple[int, int], list] = {}
         #: defined-function indices running on the predecode fallback
         self.fallback_functions = tuple(
             index for index, fc in enumerate(mc.funcs) if fc.code is None
@@ -1403,104 +1668,206 @@ class CompiledEngine:
 
     def _make_namespace(self) -> dict:
         instance = self.instance
-        return {
-            "__builtins__": __builtins__,
-            "_I": instance,
-            "_E": self,
-            "_M": instance.memory,
-            "_G": instance.globals,
-            "_T": instance.table,
-            "_C": instance.cost_model,
-            "_CALL": instance.call_function,
-            "_FT": instance.module.func_type,
-            "Trap": Trap,
-            "MemoryAccessError": MemoryAccessError,
-            "_f32": _f32,
-            "_signed": _signed,
-            "_sg32": _sg32,
-            "_sg64": _sg64,
-            "_fv": _flush_visits,
-            "_trunc_div": _trunc_div,
-            "_trunc_rem": _trunc_rem,
-            "_trunc_to_int": _trunc_to_int,
-            "_clz": _clz,
-            "_ctz": _ctz,
-            "_rotl": _rotl,
-            "_rotr": _rotr,
-            "_fmin": _float_min,
-            "_fmax": _float_max,
-            "_nearest": _nearest,
-            "_cps": math.copysign,
-            "_sqrt": math.sqrt,
-            "_isinf": math.isinf,
-            "_mceil": math.ceil,
-            "_mfloor": math.floor,
-            "_mtrunc": math.trunc,
-            "_pk": struct.pack,
-            "_up": struct.unpack,
-            "_INF": math.inf,
-            "_NAN": math.nan,
-            "_BIG": float("inf"),
-            # prebound Struct methods for inline linear-memory access
-            "_L1s": struct.Struct("<b").unpack_from,
-            "_L1u": struct.Struct("<B").unpack_from,
-            "_L2s": struct.Struct("<h").unpack_from,
-            "_L2u": struct.Struct("<H").unpack_from,
-            "_L4s": struct.Struct("<i").unpack_from,
-            "_L4u": struct.Struct("<I").unpack_from,
-            "_L8u": struct.Struct("<Q").unpack_from,
-            "_S1": struct.Struct("<B").pack_into,
-            "_S2": struct.Struct("<H").pack_into,
-            "_S4": struct.Struct("<I").pack_into,
-            "_S8": struct.Struct("<Q").pack_into,
-            "_Lf4": struct.Struct("<f").unpack_from,
-            "_Lf8": struct.Struct("<d").unpack_from,
-            "_Sf4": struct.Struct("<f").pack_into,
-            "_Sf8": struct.Struct("<d").pack_into,
-        }
+        ns = dict(_SHARED_NAMESPACE)
+        ns.update(
+            _I=instance,
+            _E=self,
+            _M=instance.memory,
+            _G=instance.globals,
+            _T=instance.table,
+            _C=instance.cost_model,
+            _CALL=instance.call_function,
+            _CAP=self._capture_at,
+            _CAPC=self._append_frame,
+            _FT=instance.module.func_type,
+        )
+        return ns
 
-    def exec_function(self, defined_index: int, args: list) -> list:
+    def exec_function(
+        self, defined_index: int, args: list, resume: tuple | None = None
+    ) -> list:
+        """Run one defined function; ``resume=(pc, stack, locals, control)``
+        re-enters a suspended frame through its resumable form instead.
+        With ``limits.snapshot_at`` set, the first observation point at or
+        past it raises :class:`CaptureUnwind` carrying this frame."""
         fn = self._fns[defined_index]
         if fn is None:
-            return self._fallback.exec_function(defined_index, args)
-        return fn(args)
+            return self._fallback.exec_function(defined_index, args, resume)
+        if resume is None:
+            return fn(args)
+        return self._resume(defined_index, *resume)
 
-    # -- slow paths shared with predecode ---------------------------------------
+    # -- suspend / resume -----------------------------------------------------------
 
-    def _segment(self, defined_index: int, seg_index: int) -> _Segment:
-        key = (defined_index, seg_index)
-        seg = self._step_segs.get(key)
-        if seg is not None:
-            return seg
-        start, count = self._module_code.funcs[defined_index].segs[seg_index]
-        members = self.instance.module.funcs[defined_index].body[start : start + count]
-        cost = self.instance.cost_model
-        cycles_of = cost.instruction_cycles if cost is not None else (lambda name: 0.0)
-        names = tuple(m.name for m in members)
-        ops = tuple(
-            _compile_simple(m, self.instance, self._fallback.cell, j)
-            for j, m in enumerate(members)
+    @classmethod
+    def _capture_at(cls, site: tuple, stack: list, locals_: list) -> CaptureUnwind:
+        """A capture at ``site = (func_index, pc, control)``, before ``pc``."""
+        return cls._append_frame(CaptureUnwind(), site, stack, locals_, "at_current")
+
+    @staticmethod
+    def _append_frame(
+        unwind: CaptureUnwind, site: tuple, stack: list, locals_: list,
+        kind: str = "at_call",
+    ) -> CaptureUnwind:
+        """Append this frame to ``unwind`` (by default: one passing through
+        the call at ``site``)."""
+        func_index, pc, control = site
+        unwind.frames.append(
+            CapturedFrame(func_index, pc, tuple(stack), tuple(locals_), control, kind)
         )
-        op_cycles = tuple(cycles_of(nm) for nm in names)
-        visit_delta: dict[str, int] = {}
-        for nm in names:
-            visit_delta[nm] = visit_delta.get(nm, 0) + 1
-        can_trap = any(nm in TRAPPING_INSTRUCTIONS for nm in names)
-        seg = _Segment(ops, names, op_cycles, visit_delta, can_trap, start + count)
-        self._step_segs[key] = seg
-        return seg
+        return unwind
 
-    def _step(self, defined_index: int, seg_index: int, stack: list, locals_: list) -> None:
-        """Per-instruction execution of one basic block (budget/progress
-        boundary inside the block) — identical to predecode step mode."""
-        seg = self._segment(defined_index, seg_index)
-        self._fallback._step_segment(
-            seg, stack, locals_, self.instance.cost_model is not None
+    def _resume_form(self, defined_index: int):
+        """``(_ResumeCode, function)`` for one translated function, built on
+        its first resume (once per module) and bound once per instance."""
+        form = self._rfns.get(defined_index)
+        if form is not None:
+            return form
+        fc = self._module_code.funcs[defined_index]
+        if fc.resume is None:
+            fc.resume = _translate_resume(
+                self.instance.module, defined_index, self.instance.cost_model, fc.segs
+            )
+        if fc.resume is False:
+            form = False
+        else:
+            self._namespace[f"_Q{defined_index}"] = fc.resume.consts
+            exec(fc.resume.code, self._namespace)
+            form = (fc.resume, self._namespace[f"_r{defined_index}"])
+        self._rfns[defined_index] = form
+        return form
+
+    def _resume(self, defined_index: int, pc: int, stack: list, locals_: list, control) -> list:
+        """Re-enter a suspended frame: finish the charge batch the capture
+        fell inside per instruction, as the slow path does, then enter the
+        resumable form right after that batch."""
+        form = self._resume_form(defined_index)
+        if form is False:
+            return self._fallback.exec_function(
+                defined_index, [], (pc, stack, locals_, control)
+            )
+        rc, fn = form
+        entry = rc.entry_at.get(pc)
+        if entry is None:  # suspended past the last instruction
+            module = self.instance.module
+            n_results = len(
+                module.func_type(module.num_imported_funcs + defined_index).results
+            )
+            if len(stack) < n_results:
+                raise Trap("function returned with empty stack")
+            return stack[len(stack) - n_results:]
+        batch, item, first = entry
+        self._run_batch(defined_index, batch, stack, locals_, item, first)
+        return fn(batch, stack, locals_)
+
+    # -- per-instruction slow paths ---------------------------------------------
+
+    def _run_batch(
+        self, defined_index: int, batch: int, stack: list, locals_: list,
+        item: int = 0, first: int = 0,
+    ) -> None:
+        """Run a charge batch per instruction from its ``item``-th step
+        (``first`` instruction within it): the slow path of a batch a
+        budget, capture or progress boundary falls inside, and the rest of
+        the batch a resumed capture fell inside."""
+        func_index = self.instance.module.num_imported_funcs + defined_index
+        steps = self._module_code.funcs[defined_index].batch_steps[batch - 1]
+        for step in steps[item:]:
+            if step[0] == "seg":
+                _kind, seg_index, _start, control = step
+                self._step_from(defined_index, seg_index, first, stack, locals_, control)
+                first = 0
+            else:
+                _kind, pc, name, cycles, control = step
+                self._charge_one((func_index, pc, control), name, cycles, stack, locals_)
+
+    def _charge_one(
+        self, site: tuple, name: str, cycles: float, stack: list, locals_: list
+    ) -> None:
+        """One instruction's charge in the legacy order: capture, charge,
+        budget trap, progress callback."""
+        inst = self.instance
+        stats, limits = inst.stats, inst.limits
+        if limits.snapshot_at is not None and stats.executed >= limits.snapshot_at:
+            raise self._capture_at(site, stack, locals_)
+        stats.visits[name] += 1
+        stats.executed += 1
+        if inst.cost_model is not None:
+            stats.cycles += cycles
+        if limits.max_instructions is not None and stats.executed > limits.max_instructions:
+            raise Trap("instruction budget exhausted")
+        if (
+            limits.progress_interval is not None
+            and limits.progress_callback is not None
+            and stats.executed % limits.progress_interval == 0
+        ):
+            limits.progress_callback(stats)
+
+    def _step_from(
+        self, defined_index: int, seg_index: int, first: int, stack: list,
+        locals_: list, control: tuple,
+    ) -> None:
+        """Charge and run one basic block per instruction from its ``first``
+        instruction, with the checks of :meth:`_charge_one` inlined
+        (``control`` locates a capture)."""
+        start, count, names, op_cycles, _depth = (
+            self._module_code.funcs[defined_index].segs[seg_index]
         )
+        fns = self._step_fns.get((defined_index, seg_index))
+        if fns is None:
+            fns = self._step_fns[(defined_index, seg_index)] = [None] * count
+        inst = self.instance
+        stats, limits = inst.stats, inst.limits
+        visits = stats.visits
+        cost_on = inst.cost_model is not None
+        sa, mb = limits.snapshot_at, limits.max_instructions
+        pi, cb = limits.progress_interval, limits.progress_callback
+        for j in range(first, count):
+            if sa is not None and stats.executed >= sa:
+                func_index = inst.module.num_imported_funcs + defined_index
+                raise self._capture_at((func_index, start + j, control), stack, locals_)
+            visits[names[j]] += 1
+            stats.executed += 1
+            if cost_on:
+                stats.cycles += op_cycles[j]
+            if mb is not None and stats.executed > mb:
+                raise Trap("instruction budget exhausted")
+            if pi is not None and cb is not None and stats.executed % pi == 0:
+                cb(stats)
+                sa, mb = limits.snapshot_at, limits.max_instructions
+                pi, cb = limits.progress_interval, limits.progress_callback
+            fn = fns[j]
+            if fn is None:
+                fn = fns[j] = self._bind_step(defined_index, seg_index, j)
+            fn(stack, locals_)
+
+    def _bind_step(self, defined_index: int, seg_index: int, j: int):
+        """Instruction ``j``'s step function: generated once per module for
+        the whole block, bound into this instance's namespace on first use
+        (a hop steps part of a block on a fresh instance)."""
+        fc = self._module_code.funcs[defined_index]
+        codes = fc.step_code.get(seg_index)
+        if codes is None:
+            module = self.instance.module
+            translator = _Translator(
+                module, defined_index, self.instance.cost_model,
+                _module_has_memory(module),
+            )
+            source = translator.step_source(seg_index, fc.segs[seg_index])
+            module_code = compile(
+                source, f"<wasm-step:{defined_index}:{seg_index}>", "exec"
+            )
+            codes = fc.step_code[seg_index] = tuple(
+                c for c in module_code.co_consts if isinstance(c, types.CodeType)
+            )
+        return types.FunctionType(codes[j], self._namespace)
 
     def _unwind(self, defined_index: int, seg_index: int, failed_index: int) -> None:
         """Roll back the uncharged suffix after a mid-block trap."""
-        seg = self._segment(defined_index, seg_index)
-        self._fallback._unwind_segment(
-            seg, failed_index, self.instance.cost_model is not None
+        _start, _count, names, op_cycles, _depth = (
+            self._module_code.funcs[defined_index].segs[seg_index]
+        )
+        uncharge_suffix(
+            self.instance.stats, names, op_cycles, failed_index,
+            self.instance.cost_model is not None,
         )

@@ -25,6 +25,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from repro.obs.profiler import active_profiler
@@ -121,9 +122,8 @@ class ExecutionLimits:
     #: arm state capture: suspend at the first observation point where
     #: ``stats.executed >= snapshot_at`` and raise :class:`SnapshotCaptured`
     #: from ``invoke`` carrying a :class:`repro.wasm.snapshot.Snapshot`.
-    #: Armed ``predecode`` and ``compile`` instances run on the predecode
-    #: engine's explicit frames, armed ``legacy`` ones on the legacy loop;
-    #: both capture the same engine-independent frames at the same point.
+    #: Every engine captures on its own frames (``compile`` from compiled
+    #: code), the same engine-independent frames at the same point.
     snapshot_at: int | None = None
 
 
@@ -449,10 +449,6 @@ class Instance:
             for i, func_index in enumerate(elem.func_indices):
                 self.table.elements[offset + i] = func_index
 
-        # -- precomputed structure maps per defined function
-        self._structs: list[dict[int, _StructInfo]] = [
-            build_structure_map(f.body) for f in module.funcs
-        ]
         self._call_depth = 0
         #: hot-path profiler (repro.obs): snapshotted from the process-wide
         #: active profiler at each top-level invoke; None keeps the engines'
@@ -460,8 +456,8 @@ class Instance:
         self._profiler = None
         self._func_labels: tuple[str, ...] | None = None
 
-        # -- execution engine; ``_suspendable`` runs snapshot-armed and
-        # resumed frames (None: the legacy loop)
+        # -- execution engine (None: the legacy loop); every engine runs
+        # snapshot-armed and resumed frames on its own frames
         engine = resolve_engine(engine)
         self.engine = engine
         if engine == "predecode":
@@ -469,15 +465,12 @@ class Instance:
 
             self._engine = PredecodedEngine(self)
             self._engine.compile_all()
-            self._suspendable = self._engine
         elif engine == "compile":
             from repro.wasm.compile_engine import CompiledEngine
 
             self._engine = CompiledEngine(self)
-            self._suspendable = self._engine._fallback
         else:
             self._engine = None
-            self._suspendable = None
 
         if module.start is not None:
             self.call_function(module.start, [])
@@ -501,6 +494,12 @@ class Instance:
             return self.globals[instr.args[0]].value
         raise Trap(f"unsupported constant expression {instr.name}")
 
+    @cached_property
+    def _structs(self) -> list[dict[int, _StructInfo]]:
+        """Structure maps per defined function, for the engines that jump by
+        them (predecode, legacy); compiled code has its structure built in."""
+        return [build_structure_map(f.body) for f in self.module.funcs]
+
     @property
     def module_hash(self) -> bytes:
         """sha256 of the module's canonical encoding, computed at most once
@@ -514,16 +513,10 @@ class Instance:
 
     @property
     def exec_engine(self) -> str:
-        """The engine whose frames run calls under the current limits: the
-        configured one, or the suspendable one while a snapshot is armed."""
-        if self.limits.snapshot_at is None:
-            return self.engine
-        return self.suspendable_engine
-
-    @property
-    def suspendable_engine(self) -> str:
-        """The engine that runs snapshot-armed and resumed frames."""
-        return "legacy" if self._suspendable is None else "predecode"
+        """The engine whose frames run this instance's calls, armed, resumed
+        or not (a ``compile`` instance's declined functions, listed in its
+        engine's ``fallback_functions``, run on ``predecode``)."""
+        return self.engine
 
     # -- public API ------------------------------------------------------------
 
@@ -592,12 +585,7 @@ class Instance:
         self._call_depth += 1
         try:
             defined = func_index - n_imported
-            # snapshot-armed runs execute on an engine that can suspend with
-            # engine-independent frame state: compiled code cannot, so an
-            # armed ``compile`` instance runs its predecode fallback
-            engine = (
-                self._engine if self.limits.snapshot_at is None else self._suspendable
-            )
+            engine = self._engine
             prof = self._profiler
             if prof is not None:
                 prof.enter_function(

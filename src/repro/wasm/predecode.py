@@ -64,7 +64,8 @@ Four mechanisms keep per-instruction observability intact despite batching:
 The engine is selected with ``Instance(module, engine="predecode")`` (the
 default; ``engine="legacy"`` keeps the original loop, and the
 ``REPRO_WASM_ENGINE`` environment variable overrides the default).  It also
-runs every snapshot-armed or resumed frame of a ``compile`` instance.  A
+runs the functions a ``compile`` instance's translator declines, and its
+step mode serves the compiled code's per-instruction slow paths.  A
 differential test pins both engines to identical :class:`ExecutionStats`
 across every workload in :mod:`repro.workloads`.
 """
@@ -1265,29 +1266,34 @@ class PredecodedEngine:
         return unwind
 
     def _unwind_segment(self, seg: _Segment, failed_index: int, cost_on: bool) -> None:
-        """Un-charge the suffix of a pre-charged segment that never ran.
+        uncharge_suffix(
+            self.instance.stats, seg.names, seg.op_cycles, failed_index, cost_on
+        )
 
-        ``failed_index`` is the in-segment position of the trapping
-        instruction (which the legacy loop *does* charge — visits precede
-        execution).  A negative index means an instruction we classified as
-        non-trapping raised (invalid module); nothing is rolled back then.
-        """
-        if failed_index < 0:
-            return
-        extra = seg.count - (failed_index + 1)
-        if extra <= 0:
-            return
-        stats = self.instance.stats
-        visits = stats.visits
-        stats.executed -= extra
-        for name in seg.names[failed_index + 1 :]:
-            remaining = visits[name] - 1
-            if remaining:
-                visits[name] = remaining
-            else:
-                del visits[name]
-        if cost_on:
-            stats.cycles -= sum(seg.op_cycles[failed_index + 1 :])
+
+def uncharge_suffix(stats, names, op_cycles, failed_index: int, cost_on: bool) -> None:
+    """Un-charge the suffix of a pre-charged segment that never ran.
+
+    ``failed_index`` is the in-segment position of the trapping
+    instruction (which the legacy loop *does* charge — visits precede
+    execution).  A negative index means an instruction we classified as
+    non-trapping raised (invalid module); nothing is rolled back then.
+    """
+    if failed_index < 0:
+        return
+    extra = len(names) - (failed_index + 1)
+    if extra <= 0:
+        return
+    visits = stats.visits
+    stats.executed -= extra
+    for name in names[failed_index + 1 :]:
+        remaining = visits[name] - 1
+        if remaining:
+            visits[name] = remaining
+        else:
+            del visits[name]
+    if cost_on:
+        stats.cycles -= sum(op_cycles[failed_index + 1 :])
 
 
 def _branch(depth: int, stack: list, control: list, n: int) -> int:

@@ -13,10 +13,10 @@ Capture happens at *observation points* only — an instruction boundary
 where ``stats.executed >= snapshot_at``, checked in the same order as the
 budget and progress checks — and always **before** the pending instruction
 is charged, so a resumed run re-charges and re-executes it and finishes
-with byte-identical stats.  Armed ``predecode`` and ``compile`` instances
-capture from the predecode engine's explicit frames, armed ``legacy`` ones
-from the legacy loop.  Both emit the same :class:`CapturedFrame` at the
-same point (``tests/wasm/test_snapshot_differential.py`` compares the
+with byte-identical stats.  Every engine captures on its own frames —
+``predecode`` from its explicit frames, ``compile`` from compiled code,
+``legacy`` from the legacy loop — and all emit the same
+:class:`CapturedFrame` at the same point (``tests/wasm/test_snapshot_differential.py`` compares the
 encoded bytes), so a snapshot taken under any configured engine restores
 into any other.
 

@@ -195,7 +195,7 @@ class TestWorkerResume:
         "engine,armed,expected",
         [
             ("compile", False, "compile"),
-            ("compile", True, "predecode"),
+            ("compile", True, "compile"),
             ("predecode", True, "predecode"),
             ("legacy", True, "legacy"),
         ],
@@ -204,6 +204,8 @@ class TestWorkerResume:
         trace = (trace_id_for("gw-t", 1), 7, True, 1)
         task = sum_task(engine=engine, snapshot_at=100 if armed else None, trace=trace)
         results = run_preempted(task)
+        if armed:
+            assert len(results) > 1
         spans = [
             span
             for result in results
@@ -212,6 +214,28 @@ class TestWorkerResume:
         ]
         assert len(spans) == len(results)
         assert {span["attrs"]["exec_engine"] for span in spans} == {expected}
+        # always on, tracing or not: every result names the engine
+        assert {result.exec_engine for result in results} == {expected}
+
+    def test_pool_exec_wall_is_labelled_by_the_engine_that_ran(self):
+        from repro.obs.instruments import POOL_EXEC_WALL
+        from repro.obs.metrics import disable_metrics, enable_metrics, metrics_enabled
+        from repro.service.worker import WorkerPool
+
+        was_enabled = metrics_enabled()
+        enable_metrics()
+        try:
+            before = POOL_EXEC_WALL.count(engine="compile")
+            with WorkerPool(workers=1, kind="thread") as pool:
+                result = pool.submit(sum_task(engine="compile", snapshot_at=100)).result()
+                assert result.exec_engine == "compile"
+                resume = replace(sum_task(engine="compile"), snapshot=result.snapshot)
+                pool.submit(resume).result()
+            # shutdown joined the pool threads, so both done-callbacks ran
+            assert POOL_EXEC_WALL.count(engine="compile") == before + 2
+        finally:
+            if not was_enabled:
+                disable_metrics()
 
     def test_loadtest_serial_gate_holds_under_preemption(self):
         report = run_loadtest(

@@ -7,11 +7,13 @@ same run left alone.  The accounting layer inherits the guarantee: the
 componentwise sum of a preempted workload's checkpoint + final vectors
 equals the uninterrupted signed vector.
 
-Armed ``predecode`` and ``compile`` instances capture from the predecode
-engine's own frames, armed ``legacy`` ones from the legacy loop; the
-capture-equivalence tests below pin the encoded snapshots of the first two
-byte-identical to the legacy reference.  CI runs this file with
-``REPRO_WASM_FUSION=0`` as well, so both predecode segment forms are gated.
+Each engine captures on its own frames: ``predecode`` on its explicit
+frames, ``compile`` inside compiled code, ``legacy`` on the legacy loop;
+the capture-equivalence tests below pin the encoded snapshots of the first
+two byte-identical to the legacy reference, and resumed ``compile`` frames
+re-enter compiled code without predecoding a translated function.  CI runs
+this file with ``REPRO_WASM_FUSION=0`` as well, so both predecode segment
+forms are gated.
 """
 
 import random
@@ -197,7 +199,7 @@ def test_checkpoint_receipts_sum_to_uninterrupted_vector():
     assert plain.verify_log()
 
 
-# -- capture equivalence: the predecode engine's frames vs the legacy loop ----
+# -- capture equivalence: the fast engines' frames vs the legacy loop ---------
 
 FAST_ENGINES = ("predecode", "compile")
 PROGRAMS = ("WORK", "atax", "mvt", "jacobi-1d", "trisolv", "gemm")
@@ -395,3 +397,92 @@ def test_armed_fast_engines_never_enter_the_legacy_loop(engine, monkeypatch):
     base_value, base_stats = baseline(engine)
     assert value == base_value
     assert stats_tuple(inst) == base_stats
+
+
+@pytest.mark.parametrize("name", ("WORK", "atax"))
+def test_armed_and_resumed_compile_never_predecode_a_translated_function(
+    name, monkeypatch
+):
+    import repro.wasm.predecode as predecode
+
+    whole_function = predecode.compile_function
+
+    def guarded(instance, defined_index, cell):
+        engine = instance._engine
+        if instance.engine == "compile" and engine._fns[defined_index] is not None:
+            raise AssertionError(f"predecoded translated function {defined_index}")
+        return whole_function(instance, defined_index, cell)
+
+    module, setup, run = program(name)
+    plain = started(module, setup, "compile")
+    expected = plain.invoke(run[0], *run[1])
+    monkeypatch.setattr(predecode, "compile_function", guarded)
+    hop = 397
+    inst = started(module, setup, "compile")
+    inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + hop)
+    snap, hops = None, 0
+    try:
+        value = inst.invoke(run[0], *run[1])
+    except SnapshotCaptured as exc:
+        snap = exc.snapshot
+    while snap is not None:
+        hops += 1
+        inst = restore_instance(
+            snap, module, engine="compile",
+            limits=ExecutionLimits(snapshot_at=snap.executed + hop),
+        )
+        try:
+            value = resume_invoke(inst, snap)
+            snap = None
+        except SnapshotCaptured as exc:
+            snap = exc.snapshot
+    assert hops > 3
+    assert value == expected
+    assert encoded(capture_instance(inst)) == encoded(capture_instance(plain))
+
+
+# then- and else-arms, a result-carrying if, br_if/br_table out of nested
+# blocks and calls inside a loop: every construct a resume can land in
+BRANCHY = """
+(module
+  (func $sq (param i32) (result i32) (i32.mul (local.get 0) (local.get 0)))
+  (func (export "branchy") (param i32) (result i32)
+    (local i32 i32)
+    (block $done
+      (loop $top
+        (br_if $done (i32.ge_u (local.get 1) (local.get 0)))
+        (if (i32.and (local.get 1) (i32.const 1))
+          (then (local.set 2 (i32.add (local.get 2) (call $sq (local.get 1)))))
+          (else
+            (block $skip
+              (br_if $skip (i32.eqz (i32.rem_u (local.get 1) (i32.const 4))))
+              (local.set 2 (i32.sub (local.get 2) (local.get 1))))))
+        (block $b2 (block $b1 (block $b0
+          (br_table $b0 $b1 $b2 (i32.rem_u (local.get 1) (i32.const 3))))
+          (local.set 2 (i32.add (local.get 2) (i32.const 7))))
+          (local.set 2 (i32.xor (local.get 2) (i32.const 5))))
+        (local.set 2
+          (i32.add (local.get 2)
+            (if (result i32) (i32.gt_u (local.get 1) (i32.const 5))
+              (then (i32.const 3)) (else (i32.const 11)))))
+        (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+        (br $top)))
+    (local.get 2)))
+"""
+
+
+@pytest.mark.parametrize("capture_engine", ("compile", "legacy"))
+def test_compile_resumes_at_every_point_of_branchy_code(capture_engine):
+    plain = Instance(parse_wat(BRANCHY), engine="compile")
+    expected = plain.invoke("branchy", 12)
+    for at in range(plain.stats.executed):
+        inst = Instance(
+            parse_wat(BRANCHY), engine=capture_engine,
+            limits=ExecutionLimits(snapshot_at=at),
+        )
+        with pytest.raises(SnapshotCaptured) as captured:
+            inst.invoke("branchy", 12)
+        snap = captured.value.snapshot
+        resumed = restore_instance(snap, parse_wat(BRANCHY), engine="compile")
+        assert resume_invoke(resumed, snap) == expected, f"resumed at {at}"
+        assert encoded(capture_instance(resumed)) == encoded(capture_instance(plain))
