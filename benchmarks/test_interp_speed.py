@@ -1,11 +1,10 @@
-"""Interpreter throughput — legacy loop vs. pre-decoded vs. compiled engine.
+"""Interpreter throughput — pre-decoded vs. compiled engine.
 
-Times all three engines on a set of PolyBench kernels and reports wall-clock
-instructions/second plus the speedup ratios.  The pre-decoded threaded
-dispatcher (``repro.wasm.predecode``) must deliver >= 3x over the legacy
-loop on at least two kernels, and the Wasm→Python compilation engine
-(``repro.wasm.compile_engine``) must deliver >= 3x geomean over predecode —
-those are the acceptance bars for shipping each as a selectable engine.
+Times both engines on a set of PolyBench kernels and reports wall-clock
+instructions/second plus the speedup ratio.  The Wasm→Python compilation
+engine (``repro.wasm.compile_engine``) must deliver >= 3x geomean over the
+pre-decoded reference engine (``repro.wasm.predecode``) — the acceptance
+bar for shipping it as a selectable engine.
 
 Artefacts:
 
@@ -38,7 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 #: jacobi-2d), triangular solve (trisolv) and a reduction-heavy one (atax).
 KERNELS = ["gemm", "2mm", "jacobi-1d", "jacobi-2d", "trisolv", "atax"]
 
-ENGINES = ["legacy", "predecode", "compile"]
+ENGINES = ["predecode", "compile"]
 
 
 def _time_engine(name: str, engine: str) -> tuple[float, int]:
@@ -72,28 +71,22 @@ def speed_rows():
             else:
                 assert count == executed, "engines disagree on instruction count"
         ips = {engine: executed / seconds[engine] for engine in ENGINES}
-        speedup = ips["predecode"] / ips["legacy"]
         compile_speedup = ips["compile"] / ips["predecode"]
         rows.append(
             [
                 name,
                 executed,
-                f"{ips['legacy'] / 1e6:.2f}",
                 f"{ips['predecode'] / 1e6:.2f}",
                 f"{ips['compile'] / 1e6:.2f}",
-                f"{speedup:.2f}x",
                 f"{compile_speedup:.2f}x",
             ]
         )
         results[name] = {
             "executed": executed,
-            "legacy_seconds": round(seconds["legacy"], 6),
             "predecode_seconds": round(seconds["predecode"], 6),
             "compile_seconds": round(seconds["compile"], 6),
-            "legacy_ips": round(ips["legacy"]),
             "predecode_ips": round(ips["predecode"]),
             "compile_ips": round(ips["compile"]),
-            "speedup": round(speedup, 3),
             "compile_speedup": round(compile_speedup, 3),
         }
 
@@ -107,15 +100,11 @@ def speed_rows():
     # and preserves the full per-kernel snapshot written above
     point = {
         "ts_s": time.time(),
-        "geomean_predecode_over_legacy": round(
-            _geomean([r["speedup"] for r in results.values()]), 3
-        ),
         "geomean_compile_over_predecode": round(
             _geomean([r["compile_speedup"] for r in results.values()]), 3
         ),
         "by_kernel": {
             name: {
-                "legacy_ips": r["legacy_ips"],
                 "predecode_ips": r["predecode_ips"],
                 "compile_ips": r["compile_ips"],
             }
@@ -129,15 +118,13 @@ def speed_rows():
 def test_interp_speed_table(speed_rows, benchmark):
     emit_table(
         "interp_speed",
-        "Interpreter throughput: legacy loop vs. pre-decoded vs. compiled "
-        "engine (Minstr/s, wall clock)",
+        "Interpreter throughput: pre-decoded vs. compiled engine "
+        "(Minstr/s, wall clock)",
         [
             "kernel",
             "instructions",
-            "legacy Mi/s",
             "predecode Mi/s",
             "compile Mi/s",
-            "pre/legacy",
             "cmp/pre",
         ],
         speed_rows,
@@ -145,16 +132,9 @@ def test_interp_speed_table(speed_rows, benchmark):
     record(benchmark)
 
 
-def test_predecode_speedup_at_least_3x_on_two_kernels(speed_rows, benchmark):
-    speedups = {row[0]: float(row[5].rstrip("x")) for row in speed_rows}
-    fast_enough = [k for k, s in speedups.items() if s >= 3.0]
-    assert len(fast_enough) >= 2, f"speedups too low: {speedups}"
-    record(benchmark)
-
-
 def test_compile_speedup_geomean_at_least_3x(speed_rows, benchmark):
     """The compile engine's acceptance bar: >= 3x geomean over predecode."""
-    speedups = [float(row[6].rstrip("x")) for row in speed_rows]
+    speedups = [float(row[4].rstrip("x")) for row in speed_rows]
     geomean = _geomean(speedups)
     assert geomean >= 3.0, f"compile/predecode geomean too low: {geomean:.2f}"
     record(benchmark)
@@ -164,7 +144,7 @@ def test_bench_json_written(speed_rows, benchmark):
     data = json.loads((REPO_ROOT / "BENCH_interp.json").read_text())
     assert set(data["kernels"]) == set(KERNELS)
     for entry in data["kernels"].values():
-        for column in ("legacy_ips", "predecode_ips", "compile_ips"):
+        for column in ("predecode_ips", "compile_ips"):
             assert entry[column] > 0
     record(benchmark)
 

@@ -9,13 +9,12 @@ Two layers of measurement:
   vs. on.  Three configurations: everything off, tracing + metrics enabled
   (the production observability path — spans and counters sit at invoke /
   account granularity, never inside the dispatch loop), and additionally the
-  attribution profiler (an opt-in diagnostic that hooks every call and, on
-  the legacy engine, every instruction).  Gates: repeated obs-off runs must
+  attribution profiler (an opt-in diagnostic that hooks every call and
+  every basic-block segment entry).  Gates: repeated obs-off runs must
   agree within 2% (the "no-op when off" claim), and tracing + metrics must
   cost under 5% — the CI gate, because CI runs the traced/metered workloads.
-  Profiler cost is reported but not gated: per-instruction attribution on
-  the legacy engine is inherently paid for only when ``--profile`` is asked
-  for.
+  Profiler cost is reported but not gated: attribution is paid for only
+  when ``--profile`` is asked for.
 
 Artefacts:
 
@@ -182,7 +181,7 @@ def overhead_numbers():
         ["event emit (enabled)", f"{micro['emit_enabled_ns']:.0f} ns", "-"],
     ]
 
-    for engine in ("predecode", "legacy"):
+    for engine in ("predecode", "compile"):
         disable_all()
         _kernel_run_seconds(engine)  # warm parse/compile caches
         paired = _paired_rounds(engine, RUNS)
@@ -266,7 +265,7 @@ def test_enabled_overhead_under_ci_gate(overhead_numbers, benchmark):
 def test_bench_artifact_written(overhead_numbers, benchmark):
     doc = json.loads(BENCH_PATH.read_text())
     assert "obs_overhead" in doc
-    assert set(doc["obs_overhead"]["end_to_end"]) == {"predecode", "legacy"}
+    assert set(doc["obs_overhead"]["end_to_end"]) == {"predecode", "compile"}
     record(benchmark)
 
 

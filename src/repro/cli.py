@@ -52,6 +52,7 @@ from repro.minic.lexer import LexError
 from repro.minic.parser import ParseError
 from repro.perf.model import Deployment, PerformanceModel, WorkloadRun
 from repro.wasm.binary import BinaryFormatError, encode_module
+from repro.wasm.engines import UnknownEngineError
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, LinkError, Trap
 from repro.wasm.snapshot import SnapshotError
 from repro.wasm.validate import ValidationError, validate
@@ -61,7 +62,7 @@ from repro.wasm.wat_printer import print_wat
 #: Bad input rather than a bug: an unreadable file, a module that does not
 #: parse, validate or link, or a corrupt snapshot.
 _INPUT_ERRORS = (OSError, LinkError, WatParseError, ValidationError, BinaryFormatError,
-                 LexError, ParseError, CompileError, SnapshotError)
+                 LexError, ParseError, CompileError, SnapshotError, UnknownEngineError)
 
 
 def _load_module(path: str):

@@ -132,7 +132,7 @@ class AccountingEnclave(Enclave):
         self.memory_policy = memory_policy
         self.limits = limits or ExecutionLimits()
         #: Wasm execution engine used for workload invocations ("predecode"
-        #: or "legacy"; None picks the interpreter default).  The injected
+        #: or "compile"; None picks the interpreter default).  The injected
         #: counter verification is engine-independent — the differential
         #: tests pin both engines to identical ExecutionStats.
         self.engine = engine

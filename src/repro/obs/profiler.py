@@ -11,11 +11,9 @@ otherwise, so the disabled cost is a local ``None`` check):
   cycles into *inclusive* (with callees) and *exclusive* (self) shares, and
   accumulates exclusive wall time per call stack for flamegraphs;
 
-* **basic-block segments** — the pre-decoded engine reports each segment
-  entry (:meth:`record_segment`: function, start pc, instruction count);
-  the legacy engine, which has no segment structure, falls back to
-  per-instruction reporting (:meth:`record_point`), i.e. segments of
-  length one.
+* **basic-block segments** — both engines report each entry into a
+  straight-line run of instructions (:meth:`record_segment`: function,
+  start pc, instruction count).
 
 Outputs: :meth:`top_functions` / :meth:`top_segments` (data),
 :meth:`report` (a text table naming real Wasm functions), and
@@ -95,7 +93,7 @@ class Profiler:
             self.collapsed[path] = self.collapsed.get(path, 0) + excl_wall
 
     def record_segment(self, label: str, start_pc: int, instructions: int) -> None:
-        """One entry into a pre-decoded basic-block segment."""
+        """One entry into a basic-block segment."""
         key = (label, start_pc)
         seg = self.segments.get(key)
         if seg is None:
@@ -103,16 +101,6 @@ class Profiler:
                 seg = self.segments.setdefault(key, [0, 0])
         seg[0] += 1
         seg[1] += instructions
-
-    def record_point(self, label: str, pc: int) -> None:
-        """Legacy-engine fallback: one executed instruction at (label, pc)."""
-        key = (label, pc)
-        seg = self.segments.get(key)
-        if seg is None:
-            with self._lock:
-                seg = self.segments.setdefault(key, [0, 0])
-        seg[0] += 1
-        seg[1] += 1
 
     # -- reports -----------------------------------------------------------------
 

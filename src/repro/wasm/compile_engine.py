@@ -30,7 +30,7 @@ function body is translated once into Python **source** —
   the control stack from the step table, and calls add their ``at_call``
   frame to a passing
   :class:`~repro.wasm.interpreter.CaptureUnwind` — the same frames the
-  legacy loop captures.  A suspended frame re-enters compiled code through
+  predecode reference captures.  A suspended frame re-enters compiled code through
   a lazily built *resumable form* of its function: the same structured
   code with every behaviour guarded by an entry id, so a resume skips
   forward to the batch the capture fell in (the engine finishes that batch
@@ -219,7 +219,7 @@ def _module_key(instance):
 _I_CMP_U = {"eq": "==", "ne": "!=", "lt_u": "<", "gt_u": ">", "le_u": "<=", "ge_u": ">="}
 _I_CMP_S = {"lt_s": "<", "gt_s": ">", "le_s": "<=", "ge_s": ">="}
 _F_CMP = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
-# masked wrap-around arithmetic vs. bitwise ops the legacy engine leaves
+# masked wrap-around arithmetic vs. bitwise ops, which stay
 # unmasked (operand values are already canonical, results stay canonical)
 _I_BIN = {"add": "+", "sub": "-", "mul": "*"}
 _I_BIT = {"and": "&", "or": "|", "xor": "^"}
@@ -288,7 +288,7 @@ class _Frame:
         self.in_else = False
         self.end_reachable = False
         self.marker = 0             # start-of-suite line index (for `pass`)
-        #: the snapshot control tuple the legacy loop keeps for this construct
+        #: the snapshot control tuple for this construct
         self.ctl = (kind, start, end, h, arity)
         self.cond_line = None       # resumable form: the `if` line to patch
 
@@ -350,7 +350,7 @@ class _Translator:
         return f"{self.kname}[{len(self.consts) - 1}]"
 
     def _control(self) -> tuple:
-        """The legacy loop's control stack here, in snapshot tuple form."""
+        """The control stack here, in snapshot tuple form."""
         return tuple(f.ctl for f in self.frames)
 
     def _lists(self, d: int) -> str:
@@ -431,11 +431,11 @@ class _Translator:
         so unarmed code pays nothing for being capturable.  When a budget,
         capture or progress boundary falls inside the batch, the slow path
         hands the frame to the engine, which runs the batch's recorded
-        steps per instruction in the legacy order: capture, charge, budget
-        trap, progress callback.  The resumable form first skips the
-        batch while still seeking its entry, and clears ``_e`` at the entry
-        itself: the engine finishes the batch a capture fell inside before
-        re-entering.
+        steps per instruction in the reference order of
+        :mod:`repro.wasm.predecode`: capture, charge, budget trap, progress
+        callback.  The resumable form first skips the batch while still
+        seeking its entry, and clears ``_e`` at the entry itself: the engine
+        finishes the batch a capture fell inside before re-entering.
         """
         steps = [("charge", pc, name, cyc, ctl) for name, cyc, pc, _d, ctl in lead]
         if seg is not None:
@@ -1784,8 +1784,9 @@ class CompiledEngine:
     def _charge_one(
         self, site: tuple, name: str, cycles: float, stack: list, locals_: list
     ) -> None:
-        """One instruction's charge in the legacy order: capture, charge,
-        budget trap, progress callback."""
+        """One instruction's charge in the reference order (see
+        :mod:`repro.wasm.predecode`): capture, charge, budget trap, progress
+        callback."""
         inst = self.instance
         stats, limits = inst.stats, inst.limits
         if limits.snapshot_at is not None and stats.executed >= limits.snapshot_at:

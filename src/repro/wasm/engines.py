@@ -1,18 +1,20 @@
 """Execution-engine registry: one place that knows every engine's name.
 
-Three engines execute validated modules, all producing byte-identical
+Two engines execute validated modules, both producing byte-identical
 :class:`~repro.wasm.interpreter.ExecutionStats` (the differential suite in
 ``tests/wasm/test_engine_differential.py`` is the contract):
 
-* ``predecode`` — the default: pre-decoded threaded dispatch with
-  per-basic-block visit batching and superinstruction fusion
-  (:mod:`repro.wasm.predecode`);
+* ``predecode`` — the default and the semantics reference: pre-decoded
+  threaded dispatch with per-basic-block visit batching
+  (:mod:`repro.wasm.predecode`), whose step mode defines the reference
+  order of capture, charge, budget trap and progress callback;
 * ``compile`` — translates validated function bodies to Python source with
   folded meter counters, compiled once with :func:`compile` and cached per
-  (module fingerprint, cost signature) (:mod:`repro.wasm.compile_engine`);
-* ``legacy`` — the original per-instruction string-dispatch loop
-  (:meth:`repro.wasm.interpreter.Instance._exec_function`), kept as the
-  semantics reference.
+  (module fingerprint, cost signature) (:mod:`repro.wasm.compile_engine`).
+
+The predecode closures and the translator's emitted code are two
+independently written semantics, so the differential suites compare one
+against the other.
 
 Engine selection precedence: the explicit ``Instance(engine=...)`` argument,
 then the ``REPRO_WASM_ENGINE`` environment variable (consulted at
@@ -29,7 +31,7 @@ import os
 ENGINE_ENV_VAR = "REPRO_WASM_ENGINE"
 
 #: Recognised engine names, in preference/documentation order.
-ENGINE_NAMES: tuple[str, ...] = ("predecode", "compile", "legacy")
+ENGINE_NAMES: tuple[str, ...] = ("predecode", "compile")
 
 #: Engine used when neither ``engine=`` nor the environment variable is set.
 FALLBACK_ENGINE = "predecode"

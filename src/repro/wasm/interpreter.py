@@ -1,10 +1,12 @@
-"""WebAssembly stack-machine interpreter.
+"""WebAssembly module instances, execution limits and visit statistics.
 
-Executes validated modules with precise MVP semantics and, crucially for
-AccTEE, *counts every instruction it visits*.  These visit counts are the
-ground truth against which the instrumentation passes are verified: an
-instrumented module's injected counter must equal the weighted visit count of
-the original module on the same inputs.
+An :class:`Instance` holds a validated module's runtime state and runs its
+functions on one of the engines in :mod:`repro.wasm.engines`, with precise
+MVP semantics and, crucially for AccTEE, *counting every instruction it
+visits*.  These visit counts are the ground truth against which the
+instrumentation passes are verified: an instrumented module's injected
+counter must equal the weighted visit count of the original module on the
+same inputs.  The numeric helpers below are shared by both engines.
 
 Visit semantics are chosen so that control-flow joins are observable:
 
@@ -336,15 +338,6 @@ def build_structure_map(body: Sequence[Instr]) -> dict[int, _StructInfo]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ControlEntry:
-    opcode: str  # "block" | "loop" | "if"
-    start: int
-    end: int
-    stack_height: int
-    arity: int
-
-
 class Instance:
     """An instantiated module, ready to invoke exported functions.
 
@@ -353,12 +346,12 @@ class Instance:
     or :class:`TableInstance`.
 
     ``engine`` selects the execution engine (see :mod:`repro.wasm.engines`):
-    ``"predecode"`` (the default) compiles every function body once at
-    instantiation into a flat handler array with per-basic-block visit
-    batching, ``"compile"`` translates function bodies to Python source with
-    folded meter counters (:mod:`repro.wasm.compile_engine`), and
-    ``"legacy"`` keeps the original per-instruction string-dispatch loop.
-    All three produce identical :class:`ExecutionStats`.
+    ``"predecode"`` (the default and the semantics reference) compiles every
+    function body once at instantiation into a flat handler array with
+    per-basic-block visit batching, and ``"compile"`` translates function
+    bodies to Python source with folded meter counters
+    (:mod:`repro.wasm.compile_engine`).  Both produce identical
+    :class:`ExecutionStats`.
     """
 
     def __init__(
@@ -456,8 +449,8 @@ class Instance:
         self._profiler = None
         self._func_labels: tuple[str, ...] | None = None
 
-        # -- execution engine (None: the legacy loop); every engine runs
-        # snapshot-armed and resumed frames on its own frames
+        # -- execution engine; every engine runs snapshot-armed and resumed
+        # frames on its own frames
         engine = resolve_engine(engine)
         self.engine = engine
         if engine == "predecode":
@@ -465,12 +458,10 @@ class Instance:
 
             self._engine = PredecodedEngine(self)
             self._engine.compile_all()
-        elif engine == "compile":
+        else:
             from repro.wasm.compile_engine import CompiledEngine
 
             self._engine = CompiledEngine(self)
-        else:
-            self._engine = None
 
         if module.start is not None:
             self.call_function(module.start, [])
@@ -496,8 +487,8 @@ class Instance:
 
     @cached_property
     def _structs(self) -> list[dict[int, _StructInfo]]:
-        """Structure maps per defined function, for the engines that jump by
-        them (predecode, legacy); compiled code has its structure built in."""
+        """Structure maps per defined function, for predecode, which jumps by
+        them; compiled code has its structure built in."""
         return [build_structure_map(f.body) for f in self.module.funcs]
 
     @property
@@ -585,527 +576,15 @@ class Instance:
         self._call_depth += 1
         try:
             defined = func_index - n_imported
-            engine = self._engine
             prof = self._profiler
             if prof is not None:
                 prof.enter_function(
                     self._func_labels[defined], self.stats.executed, self.stats.cycles
                 )
                 try:
-                    if engine is not None:
-                        return engine.exec_function(defined, args)
-                    return self._exec_function(defined, args)
+                    return self._engine.exec_function(defined, args)
                 finally:
                     prof.exit_function(self.stats.executed, self.stats.cycles)
-            if engine is not None:
-                return engine.exec_function(defined, args)
-            return self._exec_function(defined, args)
+            return self._engine.exec_function(defined, args)
         finally:
             self._call_depth -= 1
-
-    # -- the main loop -----------------------------------------------------------
-
-    def _exec_function(
-        self, defined_index: int, args: list, resume: tuple | None = None
-    ) -> list:
-        module = self.module
-        func = module.funcs[defined_index]
-        functype = module.types[func.type_index]
-        structs = self._structs[defined_index]
-        body = func.body
-        stats = self.stats
-        cost = self.cost_model
-        limits = self.limits
-        snapshot_at = limits.snapshot_at
-        prof = self._profiler
-        prof_label = (
-            self._func_labels[defined_index] if prof is not None else ""
-        )
-
-        if resume is not None:
-            # re-enter a suspended frame exactly where its snapshot left it
-            pc, stack, locals_, frames = resume
-            control = [_ControlEntry(*entry) for entry in frames]
-        else:
-            locals_ = list(args)
-            for vt in func.locals:
-                locals_.append(0 if vt.is_int else 0.0)
-            stack = []
-            control = []
-            pc = 0
-        n = len(body)
-
-        while pc < n:
-            instr = body[pc]
-            name = instr.name
-
-            # capture BEFORE charging: the pc instruction has not executed,
-            # so a resumed run re-charges and re-runs it — final stats are
-            # byte-identical to the uninterrupted run
-            if snapshot_at is not None and stats.executed >= snapshot_at:
-                unwind = CaptureUnwind()
-                unwind.frames.append(
-                    self._captured_frame(
-                        defined_index, pc, stack, locals_, control, "at_current"
-                    )
-                )
-                raise unwind
-
-            stats.visits[name] += 1
-            stats.executed += 1
-            if prof is not None:
-                prof.record_point(prof_label, pc)
-            if cost is not None:
-                stats.cycles += cost.instruction_cycles(name)
-            if limits.max_instructions is not None and stats.executed > limits.max_instructions:
-                raise Trap("instruction budget exhausted")
-            if (
-                limits.progress_interval is not None
-                and limits.progress_callback is not None
-                and stats.executed % limits.progress_interval == 0
-            ):
-                limits.progress_callback(stats)
-
-            # ---- control flow -------------------------------------------------
-            if name == "end":
-                if control:
-                    control.pop()
-                pc += 1
-                continue
-            if name in ("block", "loop"):
-                info = structs[pc]
-                # label arity: values a branch transports — results for a
-                # block, none for a loop (MVP loops take no parameters)
-                arity = 0 if name == "loop" else len(instr.args[0])
-                control.append(_ControlEntry(name, pc, info.end, len(stack), arity))
-                pc += 1
-                continue
-            if name == "if":
-                info = structs[pc]
-                cond = stack.pop()
-                control.append(
-                    _ControlEntry("if", pc, info.end, len(stack), len(instr.args[0]))
-                )
-                if cond:
-                    pc += 1
-                elif info.else_ is not None:
-                    pc = info.else_ + 1
-                else:
-                    pc = info.end  # visit the end marker, which pops the frame
-                continue
-            if name == "else":
-                # reached only by falling out of the true arm: jump to end
-                entry = control[-1]
-                pc = entry.end  # end pops the frame when visited
-                continue
-            if name == "br":
-                pc = self._branch(instr.args[0], stack, control, pc)
-                continue
-            if name == "br_if":
-                cond = stack.pop()
-                if cond:
-                    pc = self._branch(instr.args[0], stack, control, pc)
-                else:
-                    pc += 1
-                continue
-            if name == "br_table":
-                depths, default = instr.args
-                index = stack.pop()
-                depth = depths[index] if index < len(depths) else default
-                pc = self._branch(depth, stack, control, pc)
-                continue
-            if name == "return":
-                break
-            if name == "call":
-                call_args = self._pop_args(stack, instr.args[0])
-                try:
-                    results = self.call_function(instr.args[0], call_args)
-                except CaptureUnwind as unwind:
-                    unwind.frames.append(
-                        self._captured_frame(
-                            defined_index, pc, stack, locals_, control, "at_call"
-                        )
-                    )
-                    raise
-                stack.extend(results)
-                stats.calls += 1
-                pc += 1
-                continue
-            if name == "call_indirect":
-                type_index = instr.args[0]
-                table_index = stack.pop()
-                if self.table is None or table_index >= len(self.table.elements):
-                    raise Trap("undefined table element")
-                target = self.table.elements[table_index]
-                if target is None:
-                    raise Trap("uninitialized table element")
-                target_type = module.func_type(target)
-                if target_type != module.types[type_index]:
-                    raise Trap("indirect call type mismatch")
-                call_args = [stack.pop() for _ in target_type.params][::-1]
-                try:
-                    results = self.call_function(target, call_args)
-                except CaptureUnwind as unwind:
-                    unwind.frames.append(
-                        self._captured_frame(
-                            defined_index, pc, stack, locals_, control, "at_call"
-                        )
-                    )
-                    raise
-                stack.extend(results)
-                stats.calls += 1
-                pc += 1
-                continue
-            if name == "unreachable":
-                raise Trap("unreachable executed")
-            if name == "nop":
-                pc += 1
-                continue
-
-            # ---- everything else ----------------------------------------------
-            self._exec_simple(instr, name, stack, locals_)
-            pc += 1
-
-        # function exit: top |results| values
-        n_results = len(functype.results)
-        if n_results == 0:
-            return []
-        if len(stack) < n_results:
-            raise Trap("function returned with empty stack")
-        return stack[-n_results:]
-
-    def _captured_frame(
-        self,
-        defined_index: int,
-        pc: int,
-        stack: list,
-        locals_: list,
-        control: list[_ControlEntry],
-        kind: str,
-    ) -> CapturedFrame:
-        return CapturedFrame(
-            func_index=self.module.num_imported_funcs + defined_index,
-            pc=pc,
-            stack=tuple(stack),
-            locals=tuple(locals_),
-            control=tuple(
-                (c.opcode, c.start, c.end, c.stack_height, c.arity) for c in control
-            ),
-            kind=kind,
-        )
-
-    def _pop_args(self, stack: list, func_index: int) -> list:
-        functype = self.module.func_type(func_index)
-        count = len(functype.params)
-        if count == 0:
-            return []
-        args = stack[-count:]
-        del stack[-count:]
-        return args
-
-    @staticmethod
-    def _branch(depth: int, stack: list, control: list[_ControlEntry], pc: int) -> int:
-        if depth >= len(control):
-            # branch out of the function body: treated as return; caller's
-            # while loop ends because we jump past the end.
-            del control[:]
-            return 1 << 60
-        entry = control[-1 - depth]
-        # keep label-arity values, truncate the rest
-        kept = stack[len(stack) - entry.arity :] if entry.arity else []
-        del stack[entry.stack_height :]
-        stack.extend(kept)
-        if entry.opcode == "loop":
-            # pop all frames above and including the target; re-visiting the
-            # loop header re-pushes its frame
-            del control[len(control) - 1 - depth :]
-            return entry.start
-        # pop frames *above* the target only; the visited end marker pops it
-        del control[len(control) - depth :]
-        return entry.end
-
-    # -- non-control instructions -------------------------------------------------
-
-    def _exec_simple(self, instr: Instr, name: str, stack: list, locals_: list) -> None:
-        stats = self.stats
-        if name == "local.get":
-            stack.append(locals_[instr.args[0]])
-            return
-        if name == "local.set":
-            locals_[instr.args[0]] = stack.pop()
-            return
-        if name == "local.tee":
-            locals_[instr.args[0]] = stack[-1]
-            return
-        if name == "global.get":
-            stack.append(self.globals[instr.args[0]].value)
-            return
-        if name == "global.set":
-            self.globals[instr.args[0]].value = stack.pop()
-            return
-        if name == "drop":
-            stack.pop()
-            return
-        if name == "select":
-            cond = stack.pop()
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(a if cond else b)
-            return
-
-        dot = name.find(".")
-        if dot == -1:
-            if name == "memory.size":  # unreachable: no dot — handled below
-                pass
-        prefix = name[:dot] if dot != -1 else name
-        suffix = name[dot + 1 :] if dot != -1 else ""
-
-        if name.startswith("memory."):
-            self._exec_memory_admin(name, stack)
-            return
-        if "load" in suffix or "store" in suffix:
-            self._exec_memory_access(instr, name, prefix, suffix, stack)
-            return
-        if suffix == "const":
-            stack.append(instr.args[0])
-            return
-
-        if prefix in ("i32", "i64"):
-            bits = 32 if prefix == "i32" else 64
-            self._exec_int(name, suffix, bits, stack)
-        else:
-            self._exec_float(name, prefix, suffix, stack)
-
-    def _exec_memory_admin(self, name: str, stack: list) -> None:
-        if self.memory is None:
-            raise Trap("no memory")
-        if name == "memory.size":
-            stack.append(self.memory.pages)
-        else:  # memory.grow
-            delta = stack.pop()
-            result = self.memory.grow(delta)
-            if result >= 0:
-                self.stats.grow_history.append((self.stats.total_visits, self.memory.pages))
-            stack.append(result & _MASK32)
-
-    def _exec_memory_access(self, instr: Instr, name: str, prefix: str, suffix: str, stack: list) -> None:
-        if self.memory is None:
-            raise Trap("no memory")
-        _align, offset = instr.args
-        is_store = "store" in suffix
-        vt_bits = 32 if prefix in ("i32", "f32") else 64
-        # partial-width accesses
-        width = vt_bits // 8
-        for marker, w in (("8", 1), ("16", 2), ("32", 4)):
-            if suffix.endswith((f"load{marker}_s", f"load{marker}_u", f"store{marker}")):
-                width = w
-                break
-        try:
-            if is_store:
-                value = stack.pop()
-                address = (stack.pop() + offset) & _MASK64
-                if prefix == "f32":
-                    self.memory.store_f32(address, value)
-                elif prefix == "f64":
-                    self.memory.store_f64(address, value)
-                else:
-                    self.memory.store_int(address, value, width)
-                self.stats.stores += 1
-                self.stats.bytes_stored += width
-            else:
-                address = (stack.pop() + offset) & _MASK64
-                if prefix == "f32":
-                    result = self.memory.load_f32(address)
-                elif prefix == "f64":
-                    result = self.memory.load_f64(address)
-                else:
-                    signed = suffix.endswith("_s")
-                    raw = self.memory.load_int(address, width, signed=signed)
-                    result = raw & ((1 << vt_bits) - 1)
-                stack.append(result)
-                self.stats.loads += 1
-                self.stats.bytes_loaded += width
-        except MemoryAccessError as exc:
-            raise Trap(str(exc)) from exc
-        if self.cost_model is not None:
-            self.stats.cycles += self.cost_model.memory_access_cycles(address, width, is_store)
-
-    def _exec_int(self, name: str, suffix: str, bits: int, stack: list) -> None:
-        mask = (1 << bits) - 1
-        if suffix == "eqz":
-            stack.append(1 if stack.pop() == 0 else 0)
-            return
-        if suffix in ("clz", "ctz", "popcnt"):
-            v = stack.pop()
-            if suffix == "clz":
-                stack.append(_clz(v, bits))
-            elif suffix == "ctz":
-                stack.append(_ctz(v, bits))
-            else:
-                stack.append(bin(v).count("1"))
-            return
-        if suffix in ("wrap_i64",):
-            stack.append(stack.pop() & _MASK32)
-            return
-        if suffix in ("extend_i32_s", "extend_i32_u"):
-            v = stack.pop()
-            if suffix.endswith("_s"):
-                stack.append(_signed(v, 32) & _MASK64)
-            else:
-                stack.append(v & _MASK32)
-            return
-        if suffix.startswith("trunc_f"):
-            v = stack.pop()
-            stack.append(_trunc_to_int(v, bits, suffix.endswith("_s")))
-            return
-        if suffix.startswith("reinterpret"):
-            v = stack.pop()
-            fmt = "<f" if bits == 32 else "<d"
-            ifmt = "<I" if bits == 32 else "<Q"
-            if bits == 32:
-                v = _f32(v)
-            stack.append(struct.unpack(ifmt, struct.pack(fmt, v))[0])
-            return
-
-        b = stack.pop()
-        a = stack.pop()
-        sa, sb = _signed(a, bits), _signed(b, bits)
-        if suffix == "add":
-            stack.append((a + b) & mask)
-        elif suffix == "sub":
-            stack.append((a - b) & mask)
-        elif suffix == "mul":
-            stack.append((a * b) & mask)
-        elif suffix == "div_s":
-            if b == 0:
-                raise Trap("integer divide by zero")
-            if sa == -(1 << (bits - 1)) and sb == -1:
-                raise Trap("integer overflow")
-            stack.append(_trunc_div(sa, sb) & mask)
-        elif suffix == "div_u":
-            if b == 0:
-                raise Trap("integer divide by zero")
-            stack.append((a // b) & mask)
-        elif suffix == "rem_s":
-            if b == 0:
-                raise Trap("integer divide by zero")
-            stack.append(_trunc_rem(sa, sb) & mask)
-        elif suffix == "rem_u":
-            if b == 0:
-                raise Trap("integer divide by zero")
-            stack.append((a % b) & mask)
-        elif suffix == "and":
-            stack.append(a & b)
-        elif suffix == "or":
-            stack.append(a | b)
-        elif suffix == "xor":
-            stack.append(a ^ b)
-        elif suffix == "shl":
-            stack.append((a << (b % bits)) & mask)
-        elif suffix == "shr_u":
-            stack.append(a >> (b % bits))
-        elif suffix == "shr_s":
-            stack.append((sa >> (b % bits)) & mask)
-        elif suffix == "rotl":
-            stack.append(_rotl(a, b, bits))
-        elif suffix == "rotr":
-            stack.append(_rotr(a, b, bits))
-        elif suffix == "eq":
-            stack.append(1 if a == b else 0)
-        elif suffix == "ne":
-            stack.append(1 if a != b else 0)
-        elif suffix == "lt_s":
-            stack.append(1 if sa < sb else 0)
-        elif suffix == "lt_u":
-            stack.append(1 if a < b else 0)
-        elif suffix == "gt_s":
-            stack.append(1 if sa > sb else 0)
-        elif suffix == "gt_u":
-            stack.append(1 if a > b else 0)
-        elif suffix == "le_s":
-            stack.append(1 if sa <= sb else 0)
-        elif suffix == "le_u":
-            stack.append(1 if a <= b else 0)
-        elif suffix == "ge_s":
-            stack.append(1 if sa >= sb else 0)
-        elif suffix == "ge_u":
-            stack.append(1 if a >= b else 0)
-        else:  # pragma: no cover - validator rejects unknown ops earlier
-            raise Trap(f"unhandled instruction {name}")
-
-    def _exec_float(self, name: str, prefix: str, suffix: str, stack: list) -> None:
-        narrow = prefix == "f32"
-
-        def out(value: float) -> None:
-            stack.append(_f32(value) if narrow else value)
-
-        if suffix.startswith("convert_i"):
-            v = stack.pop()
-            bits = 32 if "i32" in suffix else 64
-            if suffix.endswith("_s"):
-                v = _signed(v, bits)
-            out(float(v))
-            return
-        if suffix == "demote_f64":
-            out(stack.pop())
-            return
-        if suffix == "promote_f32":
-            stack.append(float(stack.pop()))
-            return
-        if suffix.startswith("reinterpret"):
-            v = stack.pop()
-            if narrow:
-                stack.append(struct.unpack("<f", struct.pack("<I", v & _MASK32))[0])
-            else:
-                stack.append(struct.unpack("<d", struct.pack("<Q", v & _MASK64))[0])
-            return
-
-        unary = {
-            "abs": abs,
-            "neg": lambda v: -v,
-            "sqrt": lambda v: math.sqrt(v) if v >= 0 else math.nan,
-            "ceil": lambda v: v if math.isnan(v) or math.isinf(v) else float(math.ceil(v)),
-            "floor": lambda v: v if math.isnan(v) or math.isinf(v) else float(math.floor(v)),
-            "trunc": lambda v: v if math.isnan(v) or math.isinf(v) else float(math.trunc(v)),
-            "nearest": _nearest,
-        }
-        if suffix in unary:
-            out(unary[suffix](stack.pop()))
-            return
-
-        b = stack.pop()
-        a = stack.pop()
-        if suffix == "add":
-            out(a + b)
-        elif suffix == "sub":
-            out(a - b)
-        elif suffix == "mul":
-            out(a * b)
-        elif suffix == "div":
-            if b == 0.0:
-                if a == 0.0 or math.isnan(a):
-                    out(math.nan)
-                else:
-                    out(math.copysign(math.inf, a) * math.copysign(1.0, b))
-            else:
-                out(a / b)
-        elif suffix == "min":
-            out(_float_min(a, b))
-        elif suffix == "max":
-            out(_float_max(a, b))
-        elif suffix == "copysign":
-            out(math.copysign(a, b))
-        elif suffix == "eq":
-            stack.append(1 if a == b else 0)
-        elif suffix == "ne":
-            stack.append(1 if a != b else 0)
-        elif suffix == "lt":
-            stack.append(1 if a < b else 0)
-        elif suffix == "gt":
-            stack.append(1 if a > b else 0)
-        elif suffix == "le":
-            stack.append(1 if a <= b else 0)
-        elif suffix == "ge":
-            stack.append(1 if a >= b else 0)
-        else:  # pragma: no cover
-            raise Trap(f"unhandled instruction {name}")

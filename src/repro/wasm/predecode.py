@@ -1,12 +1,13 @@
 """Pre-decoded threaded-dispatch execution engine with basic-block batching.
 
-The legacy interpreter loop (:meth:`repro.wasm.interpreter.Instance._exec_function`)
-re-discovers every instruction on every visit: a chain of string comparisons
-picks the handler, immediates are unpacked from the :class:`Instr` tuple, the
-cost table is consulted per instruction and ``ExecutionStats.visits`` is
-bumped one ``Counter`` increment at a time.  This module removes all of that
-from the hot path the same way AccTEE makes *accounting* cheap (paper §3.4):
-precompute per basic block, pay per basic block.
+This is the default engine and the semantics reference every other engine
+is pinned against.  A naive interpreter re-discovers every instruction on
+every visit: a chain of string comparisons picks the handler, immediates
+are unpacked from the :class:`Instr` tuple, the cost table is consulted per
+instruction and ``ExecutionStats.visits`` is bumped one ``Counter``
+increment at a time.  This module removes all of that from the hot path the
+same way AccTEE makes *accounting* cheap (paper §3.4): precompute per basic
+block, pay per basic block.
 
 At instantiation each function body is compiled once into a flat code array,
 indexed by pc, holding two kinds of entries:
@@ -22,7 +23,7 @@ indexed by pc, holding two kinds of entries:
   for block/loop/if/else/end/br/br_if/br_table/return/call/call_indirect/
   unreachable/memory.grow, with structure offsets from
   :func:`~repro.wasm.interpreter.build_structure_map` baked in.  These are
-  charged individually, exactly like the legacy loop, because they are jump
+  charged individually, one instruction at a time, because they are jump
   sources/targets (``memory.grow`` is included so ``grow_history`` records
   the precise instruction count at grow time, and calls so the callee's
   stats interleave at the correct boundary).
@@ -33,48 +34,55 @@ segments never span a control instruction, and every branch target is either
 a control instruction or the instruction right after one, so no jump can
 land in a segment interior.
 
+**The reference order.**  At every instruction boundary the observable
+effects happen in this order: (1) *capture* — if ``snapshot_at`` is set and
+``executed >= snapshot_at``, suspend before the instruction is charged, so
+a resumed run re-charges and re-runs it; (2) *charge* — bump its visit,
+``executed`` and cycles; (3) *budget trap* — raise once ``executed >
+max_instructions``; (4) *progress* — call ``progress_callback`` when
+``executed`` is a multiple of ``progress_interval``.  Then the instruction
+runs.  Control entries and step mode follow this order literally; a batched
+segment is charged whole only when no boundary can fall inside it.  The
+``compile`` engine's slow paths follow the same order ("the reference
+order" in :mod:`repro.wasm.compile_engine`).
+
 Four mechanisms keep per-instruction observability intact despite batching:
 
 * **budget/capture/progress fallback** — if charging a whole segment would
   cross the ``max_instructions`` budget, the ``snapshot_at`` capture point
   or a ``progress_interval`` multiple, that segment is executed in
-  per-instruction *step mode* with legacy-identical checks (capture,
-  charge, budget trap, progress), so the budget trap fires at exactly
-  ``executed == max_instructions + 1``, the callback at every exact
-  multiple, and a capture exactly at ``executed == snapshot_at``;
+  per-instruction *step mode* in the reference order, so the budget trap
+  fires at exactly ``executed == max_instructions + 1``, the callback at
+  every exact multiple, and a capture exactly at ``executed == snapshot_at``;
 
 * **suspendable frames** — the engine runs on explicit frame state (``pc``,
   value stack, locals, control tuples), so a capture raises
-  :class:`~repro.wasm.interpreter.CaptureUnwind` carrying the same
-  engine-independent :class:`~repro.wasm.interpreter.CapturedFrame` the
-  legacy loop would (calls append their ``at_call`` frame as it passes),
-  and ``exec_function(resume=...)`` re-enters such a frame, stepping the
-  rest of a segment when the capture fell inside one;
+  :class:`~repro.wasm.interpreter.CaptureUnwind` carrying engine-independent
+  :class:`~repro.wasm.interpreter.CapturedFrame` records (calls append their
+  ``at_call`` frame as it passes), and ``exec_function(resume=...)``
+  re-enters such a frame, stepping the rest of a segment when the capture
+  fell inside one;
 
 * **trap attribution** — closures for instructions that can trap (memory
   accesses, division, truncation) record their in-segment position in a
   shared cell before attempting the risky operation; when a trap aborts a
   pre-charged segment the engine rolls back the visits/cycles of the
-  not-executed suffix, leaving byte-identical stats to the legacy loop;
+  not-executed suffix, leaving the stats of per-instruction charging;
 
 * **call boundaries** — calls terminate segments, so a callee (and any
   ``memory.grow`` or progress report inside it) observes the same
   ``executed`` count it would under per-instruction accounting.
 
 The engine is selected with ``Instance(module, engine="predecode")`` (the
-default; ``engine="legacy"`` keeps the original loop, and the
-``REPRO_WASM_ENGINE`` environment variable overrides the default).  It also
-runs the functions a ``compile`` instance's translator declines, and its
-step mode serves the compiled code's per-instruction slow paths.  A
-differential test pins both engines to identical :class:`ExecutionStats`
-across every workload in :mod:`repro.workloads`.
+default; the ``REPRO_WASM_ENGINE`` environment variable overrides it).  It
+also runs the functions a ``compile`` instance's translator declines.  A
+differential test pins it and ``compile`` to identical
+:class:`ExecutionStats` across every workload in :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
 
 import math
-import operator as _operator
-import os
 import struct
 from typing import Callable
 
@@ -134,12 +142,9 @@ class _Segment:
         "cycles",       # sum(op_cycles)
         "can_trap",     # any op may raise a Trap mid-segment
         "next_pc",      # pc of the instruction after the segment
-        "run_ops",      # fast-path closures: ops with superinstruction fusion
     )
 
-    def __init__(
-        self, ops, names, op_cycles, visit_delta, can_trap, next_pc, run_ops=None
-    ):
+    def __init__(self, ops, names, op_cycles, visit_delta, can_trap, next_pc):
         self.ops = ops
         self.names = names
         self.op_cycles = op_cycles
@@ -148,7 +153,6 @@ class _Segment:
         self.cycles = sum(op_cycles)
         self.can_trap = can_trap
         self.next_pc = next_pc
-        self.run_ops = ops if run_ops is None else run_ops
 
 
 class CompiledFunction:
@@ -738,155 +742,6 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
 # ---------------------------------------------------------------------------
 
 
-#: Environment variable gating superinstruction fusion (default: enabled).
-FUSION_ENV_VAR = "REPRO_WASM_FUSION"
-
-#: comparison suffix -> (python operator, signed?)
-_FUSE_CMP = {
-    "eq": ("==", False),
-    "ne": ("!=", False),
-    "lt_u": ("<", False),
-    "gt_u": (">", False),
-    "le_u": ("<=", False),
-    "ge_u": (">=", False),
-    "lt_s": ("<", True),
-    "gt_s": (">", True),
-    "le_s": ("<=", True),
-    "ge_s": (">=", True),
-}
-
-_FUSE_CMP_FN = {
-    "==": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    ">": _operator.gt,
-    "<=": _operator.le,
-    ">=": _operator.ge,
-}
-
-
-def fusion_enabled() -> bool:
-    """Whether predecode superinstruction fusion is on (consulted at
-    function-compile time, so tests can flip it per case)."""
-    value = os.environ.get(FUSION_ENV_VAR)
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "off", "false", "no")
-
-
-def _match_superinstruction(members, j):
-    """Try to fuse a run of non-trapping instructions starting at ``j``.
-
-    Returns ``(closure, run_length)`` or ``None``.  Fused closures replicate
-    the exact composed value semantics of the individual legacy closures
-    (masking for wrap-around arithmetic, raw bitwise results, signed
-    comparison views), so per-segment accounting — which is driven by the
-    instruction *names*, not the closures — is unchanged and the
-    differential suite gates every pattern.
-    """
-    n = len(members)
-    if members[j].name != "local.get" or j + 1 >= n:
-        return None
-    i = members[j].args[0]
-    nxt = members[j + 1]
-
-    # local.get i; local.set/tee x  ->  register move
-    if nxt.name == "local.set":
-        def move_local(stack, locals_, i=i, x=nxt.args[0]):
-            locals_[x] = locals_[i]
-        return move_local, 2
-
-    # local.get i; <iNN>.const k; <op> [; local.set x] / [; i32.eqz]
-    if nxt.name in ("i32.const", "i64.const") and j + 2 < n:
-        prefix = nxt.name[:3]
-        bits = 32 if prefix == "i32" else 64
-        mask = (1 << bits) - 1
-        k = nxt.args[0]
-        op = members[j + 2].name
-        if not op.startswith(prefix + "."):
-            return None
-        suffix = op[4:]
-        if suffix in ("add", "sub"):
-            delta = k if suffix == "add" else -k
-            if j + 3 < n and members[j + 3].name == "local.set":
-                def arith_imm_set(stack, locals_, i=i, d=delta, x=members[j + 3].args[0], m=mask):
-                    locals_[x] = (locals_[i] + d) & m
-                return arith_imm_set, 4
-            def arith_imm(stack, locals_, i=i, d=delta, m=mask):
-                stack.append((locals_[i] + d) & m)
-            return arith_imm, 3
-        if suffix == "mul":
-            if j + 3 < n and members[j + 3].name == "local.set":
-                def mul_imm_set(stack, locals_, i=i, k=k, x=members[j + 3].args[0], m=mask):
-                    locals_[x] = (locals_[i] * k) & m
-                return mul_imm_set, 4
-            def mul_imm(stack, locals_, i=i, k=k, m=mask):
-                stack.append((locals_[i] * k) & m)
-            return mul_imm, 3
-        if suffix in ("and", "or", "xor"):
-            # legacy leaves bitwise results unmasked
-            fn = {"and": _operator.and_, "or": _operator.or_, "xor": _operator.xor}[suffix]
-            def bit_imm(stack, locals_, i=i, k=k, fn=fn):
-                stack.append(fn(locals_[i], k))
-            return bit_imm, 3
-        if suffix in _FUSE_CMP:
-            sym, is_signed = _FUSE_CMP[suffix]
-            cmp_fn = _FUSE_CMP_FN[sym]
-            rhs = _signed(k, bits) if is_signed else k
-            # an immediately following eqz folds into an inverted compare
-            inv = j + 3 < n and members[j + 3].name == f"{prefix}.eqz"
-            if is_signed:
-                def cmp_imm_s(stack, locals_, i=i, rhs=rhs, fn=cmp_fn, b=bits, inv=inv):
-                    hit = fn(_signed(locals_[i], b), rhs)
-                    stack.append((0 if hit else 1) if inv else (1 if hit else 0))
-                return cmp_imm_s, 4 if inv else 3
-            def cmp_imm_u(stack, locals_, i=i, rhs=rhs, fn=cmp_fn, inv=inv):
-                hit = fn(locals_[i], rhs)
-                stack.append((0 if hit else 1) if inv else (1 if hit else 0))
-            return cmp_imm_u, 4 if inv else 3
-        return None
-
-    # local.get a; local.get b [; <iNN binop>]  ->  paired push / local binop
-    if nxt.name == "local.get":
-        b = nxt.args[0]
-        if j + 2 < n:
-            op = members[j + 2].name
-            pfx = op[:3]
-            if pfx in ("i32", "i64") and op[4:] in ("add", "sub", "mul"):
-                bits = 32 if pfx == "i32" else 64
-                mask = (1 << bits) - 1
-                fn = {"add": _operator.add, "sub": _operator.sub, "mul": _operator.mul}[op[4:]]
-                if j + 3 < n and members[j + 3].name == "local.set":
-                    def binop_ll_set(stack, locals_, a=i, b=b, fn=fn, x=members[j + 3].args[0], m=mask):
-                        locals_[x] = fn(locals_[a], locals_[b]) & m
-                    return binop_ll_set, 4
-                def binop_ll(stack, locals_, a=i, b=b, fn=fn, m=mask):
-                    stack.append(fn(locals_[a], locals_[b]) & m)
-                return binop_ll, 3
-        def get_get(stack, locals_, a=i, b=b):
-            stack.append(locals_[a])
-            stack.append(locals_[b])
-        return get_get, 2
-    return None
-
-
-def _fuse_segment_ops(members, ops):
-    """Peephole superinstruction pass over one segment's closure tuple."""
-    fused = []
-    j = 0
-    n = len(members)
-    while j < n:
-        match = _match_superinstruction(members, j)
-        if match is not None:
-            closure, length = match
-            fused.append(closure)
-            j += length
-        else:
-            fused.append(ops[j])
-            j += 1
-    return tuple(fused)
-
-
 def compile_function(instance, defined_index: int, cell: list) -> CompiledFunction:
     """Pre-decode one defined function into a flat code array."""
     module = instance.module
@@ -896,7 +751,6 @@ def compile_function(instance, defined_index: int, cell: list) -> CompiledFuncti
     structs = instance._structs[defined_index]
     cost = instance.cost_model
     cycles_of = cost.instruction_cycles if cost is not None else (lambda name: 0.0)
-    fuse = fusion_enabled()
 
     # end index -> owning if's end (for the static `else` jump target)
     else_end: dict[int, int] = {
@@ -917,7 +771,6 @@ def compile_function(instance, defined_index: int, cell: list) -> CompiledFuncti
             ops = tuple(
                 _compile_simple(m, instance, cell, j) for j, m in enumerate(members)
             )
-            run_ops = _fuse_segment_ops(members, ops) if fuse else None
             op_cycles = tuple(cycles_of(m) for m in names)
             visit_delta: dict[str, int] = {}
             for m in names:
@@ -925,7 +778,7 @@ def compile_function(instance, defined_index: int, cell: list) -> CompiledFuncti
             can_trap = any(m in TRAPPING_INSTRUCTIONS for m in names)
             code[start] = (
                 K_SEG,
-                _Segment(ops, names, op_cycles, visit_delta, can_trap, i, run_ops),
+                _Segment(ops, names, op_cycles, visit_delta, can_trap, i),
             )
             continue
 
@@ -1065,7 +918,7 @@ class PredecodedEngine:
                     )
                 ):
                     # a budget, capture or progress boundary falls inside
-                    # this segment: step it per-instruction, legacy-style
+                    # this segment: step it per-instruction
                     pc = self._step_segment(
                         seg, stack, locals_, cost_on, 0, (defined_index, pc, control)
                     )
@@ -1078,13 +931,13 @@ class PredecodedEngine:
                 if seg.can_trap:
                     cell[0] = -1
                     try:
-                        for op in seg.run_ops:
+                        for op in seg.ops:
                             op(stack, locals_)
                     except BaseException:
                         self._unwind_segment(seg, cell[0], cost_on)
                         raise
                 else:
-                    for op in seg.run_ops:
+                    for op in seg.ops:
                         op(stack, locals_)
                 pc = seg.next_pc
                 continue
@@ -1206,7 +1059,7 @@ class PredecodedEngine:
         frame: tuple | None = None,
     ) -> int:
         """Per-instruction execution of one segment from its ``first``
-        instruction, in the legacy order at every instruction boundary:
+        instruction, in the reference order at every instruction boundary:
         capture, charge, budget trap, progress callback.
 
         ``frame`` is ``(defined_index, segment_pc, control)``; it locates a
@@ -1247,8 +1100,8 @@ class PredecodedEngine:
         self, defined_index: int, pc: int, stack, locals_, control,
         unwind: CaptureUnwind, kind: str = "at_current",
     ) -> CaptureUnwind:
-        """Append this frame to ``unwind`` in the engine-independent form the
-        legacy loop captures (control opcodes recovered from the body)."""
+        """Append this frame to ``unwind`` in the engine-independent snapshot
+        form (control opcodes recovered from the body)."""
         body = self.instance.module.funcs[defined_index].body
         unwind.frames.append(
             CapturedFrame(
@@ -1275,8 +1128,8 @@ def uncharge_suffix(stats, names, op_cycles, failed_index: int, cost_on: bool) -
     """Un-charge the suffix of a pre-charged segment that never ran.
 
     ``failed_index`` is the in-segment position of the trapping
-    instruction (which the legacy loop *does* charge — visits precede
-    execution).  A negative index means an instruction we classified as
+    instruction (which stays charged — in the reference order visits
+    precede execution).  A negative index means an instruction we classified as
     non-trapping raised (invalid module); nothing is rolled back then.
     """
     if failed_index < 0:
@@ -1297,9 +1150,8 @@ def uncharge_suffix(stats, names, op_cycles, failed_index: int, cost_on: bool) -
 
 
 def _branch(depth: int, stack: list, control: list, n: int) -> int:
-    """Take a branch of ``depth`` labels; returns the new pc.
-
-    Mirrors :meth:`Instance._branch` exactly, over tuple control frames."""
+    """Take a branch of ``depth`` labels over tuple control frames; returns
+    the new pc (``n`` for a branch out of the function body)."""
     if depth >= len(control):
         # branch out of the function body: treated as return
         del control[:]

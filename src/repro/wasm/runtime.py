@@ -139,7 +139,7 @@ class HostEnvironment:
         """Instantiate ``module`` against this environment's imports.
 
         ``engine`` selects the execution engine (``"predecode"`` or
-        ``"legacy"``, defaulting to the interpreter-wide default) — the FaaS
+        ``"compile"``, defaulting to the interpreter-wide default) — the FaaS
         and volunteer scenarios thread it through so throughput experiments
         can compare both engines.
         """

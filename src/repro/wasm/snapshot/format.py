@@ -14,11 +14,10 @@ where ``stats.executed >= snapshot_at``, checked in the same order as the
 budget and progress checks — and always **before** the pending instruction
 is charged, so a resumed run re-charges and re-executes it and finishes
 with byte-identical stats.  Every engine captures on its own frames —
-``predecode`` from its explicit frames, ``compile`` from compiled code,
-``legacy`` from the legacy loop — and all emit the same
-:class:`CapturedFrame` at the same point (``tests/wasm/test_snapshot_differential.py`` compares the
-encoded bytes), so a snapshot taken under any configured engine restores
-into any other.
+``predecode`` from its explicit frames, ``compile`` from compiled code —
+and both emit the same :class:`CapturedFrame` at the same point
+(``tests/wasm/test_snapshot_differential.py`` compares the encoded bytes),
+so a snapshot taken under either engine restores into the other.
 
 The wire encoding is ``b"RWSN"`` + a little-endian ``u32`` format version +
 a canonical JSON document (sorted keys, floats carried as bit-exact hex of

@@ -5,12 +5,12 @@ for *any* engine and overwrites its state in place from a snapshot —
 memory (base image + page delta), globals, table, and the exact meter
 counters.  ``resume_instance`` then re-enters the suspended call stack:
 frames are replayed innermost-first as direct entries into the instance's
-own engine (compiled code re-enters through its resumable form, the legacy
-loop serves ``legacy``), and each ancestor frame — suspended
-inside ``call``/``call_indirect`` — receives its callee's results, charges
-the deferred ``calls`` counter (every engine charges it *after* the callee
-returns) and continues at ``pc + 1``.  A resumed run therefore finishes with stats byte-identical
-to the uninterrupted one.
+own engine (compiled code re-enters through its resumable form), and each
+ancestor frame — suspended inside ``call``/``call_indirect`` — receives its
+callee's results, charges the deferred ``calls`` counter (every engine
+charges it *after* the callee returns) and continues at ``pc + 1``.  A
+resumed run therefore finishes with stats byte-identical to the
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
     RESUMES_TOTAL.inc()
     record_metric("acctee_resumes_total", 1)
     n_imported = instance.module.num_imported_funcs
-    engine = instance._engine
-    run = instance._exec_function if engine is None else engine.exec_function
+    run = instance._engine.exec_function
     saved_depth = instance._call_depth
     results: list = []
     try:

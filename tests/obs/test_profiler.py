@@ -100,16 +100,6 @@ def test_segment_attribution_predecode_batches():
     assert any(row["instructions"] > row["entries"] for row in segs)
 
 
-def test_segment_attribution_legacy_per_instruction():
-    module = parse_wat(FIB_WAT)
-    with profile() as prof:
-        Instance(module, engine="legacy").invoke("fib", 6)
-    segs = prof.top_segments(1000)
-    assert segs
-    # legacy fallback reports single instructions: entries == instructions
-    assert all(row["instructions"] == row["entries"] for row in segs)
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engines_agree_on_instruction_attribution(engine):
     """Per-function instruction totals match the engine-neutral stats."""

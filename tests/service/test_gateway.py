@@ -181,13 +181,13 @@ def test_parallel_totals_match_serial_sandbox_process_pool():
 
 
 def test_gateway_totals_engine_invariant():
-    """Signed aggregates are engine-invariant: a gateway on the compile,
-    pre-decoded or legacy engine settles to byte-identical ResourceVector
-    totals, each also matching its own serial single-sandbox baseline."""
+    """Signed aggregates are engine-invariant: a gateway on the compile or
+    pre-decoded engine settles to byte-identical ResourceVector totals, each
+    also matching its own serial single-sandbox baseline."""
     mix = polybench_tenant_mix(("atax", "trisolv"))
     schedule = _request_schedule(mix, 6)
     totals = {}
-    for engine in ("predecode", "compile", "legacy"):
+    for engine in ("predecode", "compile"):
         config = SandboxConfig(engine=engine)
         with MeteringGateway(workers=2, pool="thread", config=config) as gw:
             for tenant_id, module, _run in mix:
@@ -198,7 +198,7 @@ def test_gateway_totals_engine_invariant():
             assert gw.verify_epoch(gw.seal_epoch()).ok
         serial = serial_baseline_totals(mix, schedule, engine=engine)
         assert totals[engine] == serial.to_json()
-    assert totals["compile"] == totals["predecode"] == totals["legacy"]
+    assert totals["compile"] == totals["predecode"]
 
 
 def test_integral_memory_policy_matches_serial():

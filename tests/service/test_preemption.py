@@ -197,7 +197,6 @@ class TestWorkerResume:
             ("compile", False, "compile"),
             ("compile", True, "compile"),
             ("predecode", True, "predecode"),
-            ("legacy", True, "legacy"),
         ],
     )
     def test_invoke_spans_name_the_engine_that_ran(self, engine, armed, expected):

@@ -273,7 +273,7 @@ class TestWorkerTaskGating:
 class TestDifferentialAcrossEngines:
     """Propagation enabled vs everything off: billing must not move."""
 
-    @pytest.mark.parametrize("engine", ("legacy", "predecode", "compile"))
+    @pytest.mark.parametrize("engine", ("predecode", "compile"))
     def test_totals_byte_identical_with_tracing_on(self, engine):
         mix = polybench_tenant_mix(("trisolv",))
         schedule = _request_schedule(mix, 3)

@@ -140,6 +140,14 @@ def test_bad_module_is_one_error_line(tmp_path, capsys, name, source, message):
     assert message in err
 
 
+def test_unknown_engine_from_env_is_one_error_line(wat_file, monkeypatch, capsys):
+    # "legacy" was a valid engine once; a leftover setting is bad input
+    monkeypatch.setenv("REPRO_WASM_ENGINE", "legacy")
+    assert main(["run", wat_file, "--invoke", "fib", "--args", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown engine 'legacy'") and err.count("\n") == 1
+
+
 def test_sandbox_export_and_verify_log(minic_file, tmp_path, capsys):
     log_path = tmp_path / "log.json"
     assert main([

@@ -103,8 +103,7 @@ class TestGrowInCompiledLoops:
             inst = Instance(parse_wat(GROW_LOOP), engine=engine)
             assert inst.invoke("grow_n", pages) == 1 + pages
             records[engine] = _stats_record(inst.stats)
-        assert records["compile"] == records["legacy"]
-        assert records["predecode"] == records["legacy"]
+        assert records["compile"] == records["predecode"]
         assert len(records["compile"]["grow_history"]) == pages
 
     def test_grow_with_cost_model_identical(self):
@@ -115,8 +114,7 @@ class TestGrowInCompiledLoops:
             )
             inst.invoke("grow_n", 4)
             records[engine] = _stats_record(inst.stats)
-        assert records["compile"] == records["legacy"]
-        assert records["predecode"] == records["legacy"]
+        assert records["compile"] == records["predecode"]
 
 
 class TestMidSegmentMemoryTrap:
@@ -124,7 +122,7 @@ class TestMidSegmentMemoryTrap:
     def test_budget_trap_on_memory_ops_identical(self, budget):
         """Sweep the trap position across the whole loop body so it lands on
         every store/load at least once; deferred counters must roll back to
-        the legacy loop's exact prefix."""
+        the predecode reference's exact prefix."""
         records = {}
         for engine in ENGINES:
             inst = Instance(
@@ -135,8 +133,8 @@ class TestMidSegmentMemoryTrap:
             with pytest.raises(Trap, match="instruction budget exhausted"):
                 inst.invoke("churn", 1_000_000)
             records[engine] = _stats_record(inst.stats)
-        assert records["compile"] == records["legacy"]
-        assert records["predecode"] == records["legacy"]
+        assert records["compile"] == records["predecode"]
+        assert records["predecode"]["executed"] == budget + 1
 
     def test_progress_callback_sees_flushed_memory_stats(self):
         """At every callback the deferred load/store batches must already be
@@ -156,8 +154,9 @@ class TestMidSegmentMemoryTrap:
             )
             inst.invoke("churn", 30)
             snapshots[engine] = seen
-        assert snapshots["compile"] == snapshots["legacy"]
-        assert snapshots["predecode"] == snapshots["legacy"]
+        assert snapshots["compile"] == snapshots["predecode"]
+        executed = [seen[0] for seen in snapshots["predecode"]]
+        assert executed == list(range(5, 5 * len(executed) + 1, 5))
 
 
 class TestFallback:
@@ -177,8 +176,7 @@ class TestFallback:
             assert inst.invoke("deep", 5) == 5
             assert inst.invoke("shallow") == 7
             records[engine] = _stats_record(inst.stats)
-        assert records["compile"] == records["legacy"]
-        assert records["predecode"] == records["legacy"]
+        assert records["compile"] == records["predecode"]
 
     def test_fallback_respects_budget(self):
         inst = Instance(

@@ -1,13 +1,14 @@
-"""Differential pinning: the pre-decoded engine vs. the legacy loop.
+"""Differential pinning: the compiled engine vs. the predecode reference.
 
-The pre-decoded threaded-dispatch engine (:mod:`repro.wasm.predecode`) must
-be an *observationally identical* replacement for the legacy per-instruction
-loop: same return values, same traps, and byte-identical
-:class:`~repro.wasm.interpreter.ExecutionStats` — the stats are AccTEE's
-accounting ground truth, so any divergence is a billing bug, not just a perf
-bug.  This suite runs every workload entry point in :mod:`repro.workloads`
-under both engines (raw and at every instrumentation level) and compares the
-full stats record.
+The Wasm->Python compilation engine (:mod:`repro.wasm.compile_engine`) must
+be an *observationally identical* replacement for the pre-decoded reference
+engine (:mod:`repro.wasm.predecode`): same return values, same traps, and
+byte-identical :class:`~repro.wasm.interpreter.ExecutionStats` — the stats
+are AccTEE's accounting ground truth, so any divergence is a billing bug,
+not just a perf bug.  The predecode closures and the translator's emitted
+code are two independently written semantics.  This suite runs every
+workload entry point in :mod:`repro.workloads` under both engines (raw and
+at every instrumentation level) and compares the full stats record.
 
 Cycle totals are compared exactly: all per-instruction cycle weights are
 dyadic rationals (x.0 / x.5), so floating-point accumulation is exact and
@@ -23,6 +24,7 @@ import pytest
 
 from repro.instrument import instrument_module
 from repro.wasm.costmodel import CostModel, MemoryHierarchy
+from repro.wasm.engines import ENGINE_NAMES
 from repro.wasm.interpreter import ExecutionStats, Instance
 from repro.wasm.runtime import HostEnvironment, IOChannel
 from repro.workloads import (
@@ -46,7 +48,13 @@ ALL_WORKLOADS = {
     RESIZE.name: RESIZE,
 }
 
-#: Representative subset for the (3 levels x 2 engines) instrumented sweep
+#: The semantics reference every other engine is pinned against.
+REFERENCE = "predecode"
+
+#: Engines checked against :data:`REFERENCE`.
+CHECKED = [engine for engine in ENGINE_NAMES if engine != REFERENCE]
+
+#: Representative subset for the (3 levels x engines) instrumented sweep
 #: and the cost-model sweep — one linalg kernel, one stencil, one solver,
 #: one branchy domain workload and one I/O workload.
 REPRESENTATIVE = ["gemm", "jacobi-1d", "trisolv", "subset-sum", "echo"]
@@ -86,59 +94,59 @@ def _run(spec, engine: str, level: str | None = None, cost_model=None):
     return value, instance
 
 
-@pytest.mark.parametrize("engine", ["predecode", "compile"])
+@pytest.mark.parametrize("engine", CHECKED)
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
 def test_raw_stats_identical(name, engine):
     spec = ALL_WORKLOADS[name]
-    value_legacy, inst_legacy = _run(spec, "legacy")
+    value_ref, inst_ref = _run(spec, REFERENCE)
     value_eng, inst_eng = _run(spec, engine)
-    assert value_eng == value_legacy
-    assert _stats_record(inst_eng.stats) == _stats_record(inst_legacy.stats)
+    assert value_eng == value_ref
+    assert _stats_record(inst_eng.stats) == _stats_record(inst_ref.stats)
 
 
-@pytest.mark.parametrize("engine", ["predecode", "compile"])
+@pytest.mark.parametrize("engine", CHECKED)
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("name", REPRESENTATIVE)
 def test_instrumented_stats_identical(name, level, engine):
     """All engines agree on every instrumentation level's injected counters
     *and* on the visit counts of the instrumented module itself."""
     spec = ALL_WORKLOADS[name]
-    value_legacy, inst_legacy = _run(spec, "legacy", level=level)
+    value_ref, inst_ref = _run(spec, REFERENCE, level=level)
     value_eng, inst_eng = _run(spec, engine, level=level)
-    assert value_eng == value_legacy
-    assert _stats_record(inst_eng.stats) == _stats_record(inst_legacy.stats)
+    assert value_eng == value_ref
+    assert _stats_record(inst_eng.stats) == _stats_record(inst_ref.stats)
     # the injected counter (an exported global) must also agree
-    counters_legacy = [g.value for g in inst_legacy.globals]
+    counters_ref = [g.value for g in inst_ref.globals]
     counters_eng = [g.value for g in inst_eng.globals]
-    assert counters_eng == counters_legacy
+    assert counters_eng == counters_ref
 
 
-@pytest.mark.parametrize("engine", ["predecode", "compile"])
+@pytest.mark.parametrize("engine", CHECKED)
 @pytest.mark.parametrize("name", REPRESENTATIVE)
 def test_cycle_accounting_identical(name, engine):
     """With the (dyadic) cycle table charged, cycles are byte-identical."""
     spec = ALL_WORKLOADS[name]
-    _, inst_legacy = _run(spec, "legacy", cost_model=CostModel())
+    _, inst_ref = _run(spec, REFERENCE, cost_model=CostModel())
     _, inst_eng = _run(spec, engine, cost_model=CostModel())
-    assert _stats_record(inst_eng.stats) == _stats_record(inst_legacy.stats)
+    assert _stats_record(inst_eng.stats) == _stats_record(inst_ref.stats)
     assert inst_eng.stats.cycles > 0
 
 
-@pytest.mark.parametrize("engine", ["predecode", "compile"])
+@pytest.mark.parametrize("engine", CHECKED)
 def test_cache_hierarchy_accounting_agrees(engine):
     """With the full memory hierarchy, per-level hit/miss counts are exact
     and cycle totals agree to float-accumulation tolerance."""
     spec = ALL_WORKLOADS["gemm"]
-    _, inst_legacy = _run(spec, "legacy", cost_model=CostModel(hierarchy=MemoryHierarchy()))
-    _, inst_pre = _run(spec, engine, cost_model=CostModel(hierarchy=MemoryHierarchy()))
-    legacy_record = _stats_record(inst_legacy.stats)
-    pre_record = _stats_record(inst_pre.stats)
-    legacy_cycles = legacy_record.pop("cycles")
-    pre_cycles = pre_record.pop("cycles")
-    assert pre_record == legacy_record
-    assert math.isclose(pre_cycles, legacy_cycles, rel_tol=1e-12)
+    _, inst_ref = _run(spec, REFERENCE, cost_model=CostModel(hierarchy=MemoryHierarchy()))
+    _, inst_eng = _run(spec, engine, cost_model=CostModel(hierarchy=MemoryHierarchy()))
+    ref_record = _stats_record(inst_ref.stats)
+    eng_record = _stats_record(inst_eng.stats)
+    ref_cycles = ref_record.pop("cycles")
+    eng_cycles = eng_record.pop("cycles")
+    assert eng_record == ref_record
+    assert math.isclose(eng_cycles, ref_cycles, rel_tol=1e-12)
     assert (
-        inst_pre.cost_model.hierarchy.stats == inst_legacy.cost_model.hierarchy.stats
+        inst_eng.cost_model.hierarchy.stats == inst_ref.cost_model.hierarchy.stats
     )
 
 
@@ -157,12 +165,13 @@ def test_mid_segment_trap_stats_identical():
       (local.get 1)))
     """
     records = {}
-    for engine in ("legacy", "predecode", "compile"):
+    for engine in ENGINE_NAMES:
         inst = Instance(parse_wat(wat), engine=engine)
         with pytest.raises(Trap, match="divide by zero"):
             inst.invoke("boom", 0)
         records[engine] = _stats_record(inst.stats)
-    assert records["predecode"] == records["legacy"]
-    assert records["compile"] == records["legacy"]
-    # the instructions after the division were never visited
-    assert "i32.mul" not in records["predecode"]["visits"]
+    for engine in CHECKED:
+        assert records[engine] == records[REFERENCE]
+    # the trapping division was charged, the instructions after it never
+    assert records[REFERENCE]["visits"]["i32.div_u"] == 1
+    assert "i32.mul" not in records[REFERENCE]["visits"]

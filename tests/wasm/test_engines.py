@@ -20,7 +20,6 @@ from repro.wasm.engines import (
     resolve_engine,
 )
 from repro.wasm.interpreter import Instance
-from repro.wasm.predecode import FUSION_ENV_VAR, fusion_enabled
 from repro.wasm.wat_parser import parse_wat
 
 TINY = """
@@ -30,8 +29,8 @@ TINY = """
 
 
 class TestRegistry:
-    def test_engine_names_cover_all_three(self):
-        assert ENGINE_NAMES == ("predecode", "compile", "legacy")
+    def test_engine_names_cover_both_engines(self):
+        assert ENGINE_NAMES == ("predecode", "compile")
         assert FALLBACK_ENGINE in ENGINE_NAMES
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -50,7 +49,7 @@ class TestRegistry:
         assert resolve_engine(None) == name
 
     def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "legacy")
+        monkeypatch.setenv(ENGINE_ENV_VAR, "predecode")
         assert resolve_engine("compile") == "compile"
 
     def test_empty_env_var_means_fallback(self, monkeypatch):
@@ -58,8 +57,8 @@ class TestRegistry:
         assert default_engine() == FALLBACK_ENGINE
 
     def test_env_is_read_at_call_time_not_import_time(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "legacy")
-        assert default_engine() == "legacy"
+        monkeypatch.setenv(ENGINE_ENV_VAR, "predecode")
+        assert default_engine() == "predecode"
         monkeypatch.setenv(ENGINE_ENV_VAR, "compile")
         assert default_engine() == "compile"
 
@@ -112,20 +111,3 @@ class TestInstanceWiring:
         assert inst.engine == "compile"
         assert inst.invoke("answer") == 42
 
-
-class TestFusionGate:
-    """``REPRO_WASM_FUSION`` gates predecode superinstruction fusion."""
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        assert fusion_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "OFF", "No"])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(FUSION_ENV_VAR, value)
-        assert fusion_enabled() is False
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_other_values_leave_fusion_on(self, monkeypatch, value):
-        monkeypatch.setenv(FUSION_ENV_VAR, value)
-        assert fusion_enabled() is True

@@ -184,12 +184,12 @@ class TestSnapshotEdges:
 
         base_seen: list[int] = []
         base = make(
-            "legacy",
+            resume_engine,
             progress_interval=interval,
             progress_callback=lambda stats: base_seen.append(stats.executed),
         )
         base_value = base.invoke("spin", 40)
         assert value == base_value
-        assert seen == base_seen
+        assert seen == base_seen == list(range(interval, base.stats.executed + 1, interval))
         assert resumed.stats.executed == base.stats.executed
         assert resumed.stats.visits == base.stats.visits

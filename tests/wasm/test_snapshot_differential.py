@@ -1,6 +1,6 @@
 """Differential gate: snapshot -> restore -> run == uninterrupted, always.
 
-For every (capture engine, resume engine) pair — nine combinations — a
+For every (capture engine, resume engine) pair — four combinations — a
 run suspended mid-flight and resumed elsewhere must finish with the byte-
 identical result, ``ExecutionStats``, linear memory and globals of the
 same run left alone.  The accounting layer inherits the guarantee: the
@@ -8,12 +8,11 @@ componentwise sum of a preempted workload's checkpoint + final vectors
 equals the uninterrupted signed vector.
 
 Each engine captures on its own frames: ``predecode`` on its explicit
-frames, ``compile`` inside compiled code, ``legacy`` on the legacy loop;
-the capture-equivalence tests below pin the encoded snapshots of the first
-two byte-identical to the legacy reference, and resumed ``compile`` frames
-re-enter compiled code without predecoding a translated function.  CI runs
-this file with ``REPRO_WASM_FUSION=0`` as well, so both predecode segment
-forms are gated.
+frames, ``compile`` inside compiled code.  The capture-equivalence tests
+below pin ``compile``'s encoded snapshots byte-identical to the
+``predecode`` reference, boundary tests pin the reference itself to the
+:class:`ExecutionLimits` contract, and resumed ``compile`` frames re-enter
+compiled code without predecoding a translated function.
 """
 
 import random
@@ -114,7 +113,7 @@ def test_chained_hops_rotate_all_engines():
     # many hops, one final answer, stats identical to one straight run
     hop = 373
     inst = Instance(
-        parse_wat(WORK), limits=ExecutionLimits(snapshot_at=hop), engine="legacy"
+        parse_wat(WORK), limits=ExecutionLimits(snapshot_at=hop), engine="predecode"
     )
     blob = None
     try:
@@ -141,7 +140,7 @@ def test_chained_hops_rotate_all_engines():
             hops += 1
 
     assert hops > 3
-    base_value, base_stats = baseline("legacy")
+    base_value, base_stats = baseline("predecode")
     assert value == base_value
     assert stats_tuple(inst) == base_stats
 
@@ -179,7 +178,7 @@ def test_checkpoint_receipts_sum_to_uninterrupted_vector():
     sandbox.submit_minic(MINIC)
     outcome = sandbox.snapshot("work", 40, snapshot_at=150, label="work")
     hops = 0
-    engines = ("compile", "legacy", "predecode")
+    engines = ("compile", "predecode")
     from repro.core.accounting_enclave import WorkloadCheckpoint
 
     while isinstance(outcome, WorkloadCheckpoint):
@@ -199,9 +198,9 @@ def test_checkpoint_receipts_sum_to_uninterrupted_vector():
     assert plain.verify_log()
 
 
-# -- capture equivalence: the fast engines' frames vs the legacy loop ---------
+# -- capture equivalence: compiled frames vs the predecode reference ----------
 
-FAST_ENGINES = ("predecode", "compile")
+REFERENCE = "predecode"
 PROGRAMS = ("WORK", "atax", "mvt", "jacobi-1d", "trisolv", "gemm")
 SEEDED_POINTS = 40
 
@@ -238,10 +237,10 @@ def capture_fresh(module, setup, run, engine: str, at: int) -> bytes | None:
     return None
 
 
-def legacy_reference(module, setup, run, points: list) -> dict:
-    """Legacy captures at every point (ascending) from one suspended and
-    resumed pass — the same states a fresh legacy run per point reaches."""
-    inst = started(module, setup, "legacy", snapshot_at=points[0])
+def reference_captures(module, setup, run, points: list) -> dict:
+    """Reference captures at every point (ascending) from one suspended and
+    resumed pass — the same states a fresh run per point reaches."""
+    inst = started(module, setup, REFERENCE, snapshot_at=points[0])
     snap = None
     try:
         inst.invoke(run[0], *run[1])
@@ -254,7 +253,7 @@ def legacy_reference(module, setup, run, points: list) -> dict:
             continue
         resumed = restore_instance(
             snap, module, limits=ExecutionLimits(snapshot_at=following),
-            engine="legacy",
+            engine=REFERENCE,
         )
         try:
             resume_invoke(resumed, snap)
@@ -265,7 +264,7 @@ def legacy_reference(module, setup, run, points: list) -> dict:
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_capture_is_byte_identical_to_legacy(name):
+def test_compile_capture_is_byte_identical_to_predecode(name):
     module, setup, run = program(name)
     inst = started(module, setup, "compile")
     first = inst.stats.executed
@@ -277,16 +276,15 @@ def test_capture_is_byte_identical_to_legacy(name):
     points = sorted(points)
     assert len(points) >= SEEDED_POINTS
 
-    reference = legacy_reference(module, setup, run, points)
+    reference = reference_captures(module, setup, run, points)
     assert reference[total + 1] is None and reference[total - 1] is not None
-    for engine in FAST_ENGINES:
-        for at in points:
-            assert capture_fresh(module, setup, run, engine, at) == reference[at], (
-                f"{engine} capture at {at} differs from legacy"
-            )
+    for at in points:
+        assert capture_fresh(module, setup, run, "compile", at) == reference[at], (
+            f"compile capture at {at} differs from {REFERENCE}"
+        )
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", ("WORK", "atax"))
 def test_armed_but_never_reached_leaves_stats_identical(engine, name):
     module, setup, run = program(name)
@@ -318,7 +316,7 @@ def mid_segment_point(min_left: int) -> int:
     predecode segment with at least ``min_left`` instructions still to run."""
     module = parse_wat(WORK)
     for at in range(1, 400):
-        frame = capture_snapshot(module, "legacy", at).frames[-1]
+        frame = capture_snapshot(module, REFERENCE, at).frames[-1]
         start, seg = predecode_segment(module, frame.func_index, frame.pc)
         if start < frame.pc and seg.count - (frame.pc - start) >= min_left:
             return at
@@ -328,7 +326,7 @@ def mid_segment_point(min_left: int) -> int:
 @pytest.mark.parametrize("resume_engine", ENGINES)
 def test_resume_lands_mid_segment(resume_engine):
     at = mid_segment_point(min_left=2)
-    snap = decode_snapshot(encode_snapshot(capture_snapshot(parse_wat(WORK), "legacy", at)))
+    snap = decode_snapshot(encode_snapshot(capture_snapshot(parse_wat(WORK), REFERENCE, at)))
     resumed = restore_instance(snap, parse_wat(WORK), engine=resume_engine)
     value = resume_invoke(resumed, snap)
     base_value, base_stats = baseline(resume_engine)
@@ -347,56 +345,29 @@ def limits_outcome(engine: str, snapshot_at: int, max_instructions: int):
     try:
         inst.invoke("work", ARG)
     except SnapshotCaptured as exc:
-        return "captured", encoded(exc.snapshot)
+        return "captured", exc.snapshot.executed, encoded(exc.snapshot)
     except Trap as exc:
-        return "trap", str(exc), encoded(capture_instance(inst))
-    return "completed", encoded(capture_instance(inst))
+        return "trap", inst.stats.executed, str(exc), encoded(capture_instance(inst))
+    return "completed", inst.stats.executed, encoded(capture_instance(inst))
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "capture_offset,budget_offset", [(0, 0), (0, 1), (1, 0), (2, 0), (1, 2)]
 )
 def test_capture_and_budget_in_one_segment(engine, capture_offset, budget_offset):
     # both boundaries inside one predecode segment: capture precedes the
-    # charge and the budget trap follows it, exactly as in the legacy loop
+    # charge and the budget trap follows it, so a capture lands at exactly
+    # executed == snapshot_at and a trap at exactly max_instructions + 1
     at = mid_segment_point(min_left=3)
-    expected = limits_outcome("legacy", at + capture_offset, at + budget_offset)
-    assert limits_outcome(engine, at + capture_offset, at + budget_offset) == expected
-
-
-@pytest.mark.parametrize("engine", FAST_ENGINES)
-def test_armed_fast_engines_never_enter_the_legacy_loop(engine, monkeypatch):
-    def legacy_loop(*_args, **_kwargs):
-        raise AssertionError("armed run entered Instance._exec_function")
-
-    monkeypatch.setattr(Instance, "_exec_function", legacy_loop)
-    hop = 97
-    inst = Instance(
-        parse_wat(WORK), limits=ExecutionLimits(snapshot_at=hop), engine=engine
-    )
-    snap = None
-    try:
-        value = inst.invoke("work", ARG)
-    except SnapshotCaptured as exc:
-        snap = exc.snapshot
-    hops = 0
-    while snap is not None:
-        inst = restore_instance(
-            snap, parse_wat(WORK),
-            limits=ExecutionLimits(snapshot_at=snap.executed + hop), engine=engine,
-        )
-        try:
-            value = resume_invoke(inst, snap)
-            snap = None
-        except SnapshotCaptured as exc:
-            snap = exc.snapshot
-            hops += 1
-    assert hops > 3
-    monkeypatch.undo()
-    base_value, base_stats = baseline(engine)
-    assert value == base_value
-    assert stats_tuple(inst) == base_stats
+    snapshot_at, budget = at + capture_offset, at + budget_offset
+    outcome = limits_outcome(engine, snapshot_at, budget)
+    if snapshot_at <= budget:
+        assert outcome[:2] == ("captured", snapshot_at)
+    else:
+        assert outcome[:3] == ("trap", budget + 1, "instruction budget exhausted")
+    if engine != REFERENCE:
+        assert outcome == limits_outcome(REFERENCE, snapshot_at, budget)
 
 
 @pytest.mark.parametrize("name", ("WORK", "atax"))
@@ -471,7 +442,7 @@ BRANCHY = """
 """
 
 
-@pytest.mark.parametrize("capture_engine", ("compile", "legacy"))
+@pytest.mark.parametrize("capture_engine", ENGINES)
 def test_compile_resumes_at_every_point_of_branchy_code(capture_engine):
     plain = Instance(parse_wat(BRANCHY), engine="compile")
     expected = plain.invoke("branchy", 12)

@@ -2,8 +2,9 @@
 
 For a random MiniC program (optionally instrumented) and a random capture
 point, a capture taken from compiled code must encode byte-identically to
-the legacy loop's capture, and resuming it under a random engine must
-finish with the uninterrupted value and byte-identical ``ExecutionStats``.
+the predecode reference's capture, and resuming it under a random engine
+must finish with the uninterrupted value and byte-identical
+``ExecutionStats``.
 """
 
 from __future__ import annotations
@@ -56,18 +57,18 @@ def capture(module, engine: str, at: int, args) -> bytes | None:
     st.sampled_from(ENGINES),
     st.data(),
 )
-def test_compiled_capture_matches_legacy_and_resumes_anywhere(
+def test_compiled_capture_matches_predecode_and_resumes_anywhere(
     source, level, a, b, resume_engine, data
 ):
     module = compile_source(source)
     if level is not None:
         module = instrument_module(module, level, UNIT_WEIGHTS).module
-    plain = Instance(module, cost_model=CostModel(), engine="legacy")
+    plain = Instance(module, cost_model=CostModel(), engine="predecode")
     expected = plain.invoke("f", a, b)
     at = data.draw(st.integers(0, plain.stats.executed + 1), label="capture point")
 
     blob = capture(module, "compile", at, (a, b))
-    assert blob == capture(module, "legacy", at, (a, b))
+    assert blob == capture(module, "predecode", at, (a, b))
     if blob is None:
         assert at > plain.stats.executed - 1
         return
