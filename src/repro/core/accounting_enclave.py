@@ -2,8 +2,9 @@
 
 The AE is the runtime half of Fig. 3: it verifies instrumentation evidence,
 instantiates the workload in the Wasm runtime under (simulated) SGX, reads
-the injected counter plus the runtime's memory and I/O meters, and appends
-signed entries to the resource usage log.  Its signing key is generated
+the injected counter plus the runtime's memory and I/O meters (one slice:
+:func:`run_slice`, which gateway workers run too), and appends signed
+entries to the resource usage log.  Its signing key is generated
 inside the enclave per run and bound to the enclave identity by embedding
 the public key's fingerprint in the remote-attestation report data, so a
 workload provider who attested the AE can trust every log entry it signs.
@@ -11,12 +12,13 @@ workload provider who attested the AE can trust every log entry it signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.instrumentation_enclave import InstrumentationEvidence, verify_evidence
 from repro.core.policy import MemoryPolicy, memory_integral
 from repro.core.resource_log import ResourceUsageLog, ResourceVector
 from repro.instrument.weights import WeightTable
+from repro.obs.context import worker_span
 from repro.obs.instruments import (
     CHECKPOINT_RECEIPTS,
     SANDBOX_INSTRUCTIONS,
@@ -26,14 +28,13 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import span
 from repro.sgx.enclave import Enclave
-from repro.sgx.lkl import SGXLKL
 from repro.tcrypto.hashing import sha256
 from repro.tcrypto.rsa import RSAKeyPair, RSAPublicKey, rsa_generate
 from repro.wasm.binary import encode_module
 from repro.wasm.interpreter import ExecutionLimits, Instance, SnapshotCaptured, Trap
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOChannel
-from repro.wasm.snapshot import IOState, Snapshot, restore_instance, resume_invoke, with_io
+from repro.wasm.snapshot import Snapshot, restore_instance, resume_invoke, rewind_io, with_io
 from repro.wasm.validate import validate
 
 
@@ -63,28 +64,31 @@ class WorkloadCheckpoint:
     the (counter, io_in, io_out) totals billed so far, so the eventual final
     receipt bills only the remaining delta — summed receipt vectors equal the
     uninterrupted run's single vector, component for component.
+
+    A job starts as the checkpoint with no ``snapshot`` and nothing billed;
+    each slice that suspends advances it to the next.
     """
 
-    snapshot: Snapshot
+    snapshot: Snapshot | None
     export: str
     args: tuple
     input_data: bytes
     label: str
-    baseline: tuple[int, int, int]
-    vector: ResourceVector
-    checkpoints: int
+    baseline: tuple[int, int, int] = (0, 0, 0)
+    vector: ResourceVector | None = None
+    checkpoints: int = 0
 
 
 @dataclass(frozen=True)
 class RawExecution:
     """The raw, unsigned measurements of one workload invocation.
 
-    Produced wherever the Wasm actually ran — inside this AE's
-    :meth:`~AccountingEnclave.invoke`, or in a metering-gateway worker
-    process — and turned into a signed log entry by
-    :meth:`AccountingEnclave.account_span`.  It carries exactly the quantities
-    accounting needs, so the execution site and the signing site can live in
-    different processes while producing byte-identical resource vectors.
+    Produced by :func:`run_slice` wherever the Wasm actually ran — inside
+    this AE, or in a metering-gateway worker process — and turned into a
+    signed log entry by :meth:`AccountingEnclave.account_span`.  It carries
+    exactly the quantities accounting needs, so the execution site and the
+    signing site can live in different processes while producing
+    byte-identical resource vectors.
     """
 
     workload_hash: bytes
@@ -98,6 +102,109 @@ class RawExecution:
     trapped: bool = False
     trap_message: str = ""
     output: bytes = b""
+
+    @property
+    def billed(self) -> tuple[int, int, int]:
+        """The ``(counter, io_in, io_out)`` a checkpoint receipt of this
+        reading leaves billed: the next receipt's ``baseline``."""
+        return (self.counter_value, self.io_bytes_in, self.io_bytes_out)
+
+
+def run_slice(
+    module: Module,
+    module_hash: bytes,
+    counter_index: int,
+    export: str,
+    args: tuple,
+    input_data: bytes,
+    limits: ExecutionLimits,
+    engine: str | None,
+    *,
+    snapshot: Snapshot | None = None,
+    lease: tuple[Instance, HostEnvironment] | None = None,
+    snapshot_bytes: int = 0,
+) -> tuple[RawExecution, Snapshot | None, str]:
+    """Run one slice of a workload; return ``(raw, capture, exec_engine)``.
+
+    The one execution path of the AE (:meth:`AccountingEnclave.invoke`,
+    :meth:`~AccountingEnclave.resume`) and of gateway workers
+    (:func:`repro.service.worker.execute_task`).  A slice is a fresh call
+    of ``export(*args)`` or, with ``snapshot``, the continuation of a
+    suspended one; ``lease`` is a warm-pool ``(instance, env)`` pair already
+    reset for this request under ``limits``.  ``limits.snapshot_at`` counts
+    the instructions executed *in this slice*: when it is reached,
+    ``capture`` is the snapshot (I/O position attached) and ``raw`` the
+    meters as of it; otherwise ``capture`` is None (a trap finishes the
+    slice too, recorded in ``raw``).  ``exec_engine`` names the engine
+    whose frames ran it.
+
+    Both phases are worker spans on the active telemetry capture (no-ops
+    outside a traced worker task): ``worker.instantiate`` or
+    ``worker.restore`` (with the snapshot's wire size, ``snapshot_bytes``),
+    then ``worker.invoke`` or ``worker.resume_invoke``.
+    """
+    if snapshot is None:
+        setup = worker_span("worker.instantiate", warm=lease is not None, engine=engine or "")
+    else:
+        setup = worker_span("worker.restore", snapshot_bytes=snapshot_bytes, engine=engine or "")
+        if limits.snapshot_at is not None:
+            limits = replace(limits, snapshot_at=snapshot.executed + limits.snapshot_at)
+    with setup:
+        if lease is not None:
+            instance, env = lease
+        elif snapshot is None:
+            env = HostEnvironment(IOChannel(input_data=input_data))
+            instance = env.instantiate(
+                module, limits=limits, engine=engine, module_hash=module_hash
+            )
+        else:
+            env = HostEnvironment()
+            rewind_io(env, input_data, snapshot.io)
+            instance = restore_instance(
+                snapshot,
+                module,
+                imports=env.imports(),
+                limits=limits,
+                engine=engine,
+                module_hash=module_hash,
+            )
+            env.bind(instance)
+
+    value: object = None
+    trapped, trap_message = False, ""
+    captured: Snapshot | None = None
+    with worker_span(
+        "worker.invoke" if snapshot is None else "worker.resume_invoke",
+        export=export,
+        exec_engine=instance.exec_engine,
+    ) as run:
+        try:
+            if snapshot is None:
+                value = instance.invoke(export, *args)
+            else:
+                value = resume_invoke(instance, snapshot)
+        except SnapshotCaptured as exc:
+            captured = with_io(exc.snapshot, env)
+            run.set_attribute("preempted", True)
+        except Trap as exc:
+            trapped, trap_message = True, str(exc)
+            run.set_attribute("trapped", True)
+
+    memory = instance.memory
+    raw = RawExecution(
+        workload_hash=module_hash,
+        counter_value=int(instance.globals[counter_index].value),
+        peak_memory_bytes=memory.peak_bytes if memory is not None else 0,
+        initial_pages=module.memories[0].limits.minimum if module.memories else 0,
+        grow_history=tuple(instance.stats.grow_history),
+        io_bytes_in=env.account.bytes_in,
+        io_bytes_out=env.account.bytes_out,
+        value=value,
+        trapped=trapped,
+        trap_message=trap_message,
+        output=bytes(env.channel.output),
+    )
+    return raw, captured, instance.exec_engine
 
 
 class AccountingEnclave(Enclave):
@@ -136,7 +243,6 @@ class AccountingEnclave(Enclave):
         #: counter verification is engine-independent — the differential
         #: tests pin both engines to identical ExecutionStats.
         self.engine = engine
-        self.lkl = SGXLKL()
         self._signing_key: RSAKeyPair = rsa_generate(key_bits, seed=key_seed)
         #: ``batch_window=N`` puts the receipt log in batched-sealing mode:
         #: one signature over a Merkle root of N entry bodies per flush
@@ -146,7 +252,6 @@ class AccountingEnclave(Enclave):
         self._module: Module | None = None
         self._counter_global: int | None = None
         self._workload_hash: bytes = b""
-        self._last_counter = 0
 
     @property
     def log_public_key(self) -> RSAPublicKey:
@@ -174,7 +279,6 @@ class AccountingEnclave(Enclave):
         self._module = module
         self._counter_global = counter
         self._workload_hash = sha256(encode_module(module))
-        self._last_counter = 0
 
     # -- execution -----------------------------------------------------------------
 
@@ -205,17 +309,11 @@ class AccountingEnclave(Enclave):
         :class:`WorkloadCheckpoint` is returned instead of a result — hand it
         to :meth:`resume` (on this AE, under any engine) to continue.
         """
-        if self._module is None or self._counter_global is None:
-            raise WorkloadRejected("no workload loaded")
-        channel = IOChannel(input_data=input_data)
-        env = HostEnvironment(channel=channel, account_io=True)
+        label = label or export
         limits = self.limits
         if snapshot_at is not None:
-            from dataclasses import replace as _replace
-
-            limits = _replace(limits, snapshot_at=snapshot_at)
+            limits = replace(limits, snapshot_at=snapshot_at)
         if progress_interval is not None:
-            from dataclasses import replace as _replace
 
             def report_progress(stats) -> None:
                 self.log.append(
@@ -225,71 +323,25 @@ class AccountingEnclave(Enclave):
                         memory_integral_page_instructions=0,
                         io_bytes_in=0,
                         io_bytes_out=0,
-                        label=f"progress:{label or export}@{stats.executed}",
+                        label=f"progress:{label}@{stats.executed}",
                     ),
                     self._workload_hash,
                     self.weight_table.digest(),
                 )
 
-            limits = _replace(
+            limits = replace(
                 limits,
                 progress_interval=progress_interval,
                 progress_callback=report_progress,
             )
-        with span(
-            "invoke",
+        start = WorkloadCheckpoint(
+            snapshot=None,
             export=export,
-            module_hash=self._workload_hash,
-            engine=self.engine or "default",
-        ):
-            instance = env.instantiate(
-                self._module,
-                limits=limits,
-                engine=self.engine,
-                module_hash=self._workload_hash,
-            )
-
-            trapped = False
-            trap_message = ""
-            value: object = None
-            with span("execute", export=export):
-                try:
-                    value = instance.invoke(export, *args)
-                except SnapshotCaptured as exc:
-                    return self._checkpoint(
-                        with_io(exc.snapshot, env, channel),
-                        export=export,
-                        args=args,
-                        input_data=input_data,
-                        label=label or export,
-                        baseline=(0, 0, 0),
-                        checkpoints=0,
-                    )
-                except Trap as exc:
-                    trapped = True
-                    trap_message = str(exc)
-
-            memory = instance.memory
-            raw = RawExecution(
-                workload_hash=self._workload_hash,
-                counter_value=int(instance.globals[self._counter_global].value),
-                peak_memory_bytes=memory.peak_bytes if memory is not None else 0,
-                initial_pages=(
-                    self._module.memories[0].limits.minimum
-                    if self._module.memories
-                    else 0
-                ),
-                grow_history=tuple(instance.stats.grow_history),
-                io_bytes_in=env.account.bytes_in,
-                io_bytes_out=env.account.bytes_out,
-                value=value,
-                trapped=trapped,
-                trap_message=trap_message,
-                output=bytes(channel.output),
-            )
-            result = self.account_span(raw, label=label or export)
-            self.lkl.request_io_cycles(len(input_data), len(channel.output))
-            return result
+            args=tuple(args),
+            input_data=input_data,
+            label=label,
+        )
+        return self._run(start, limits)
 
     def account_span(
         self,
@@ -363,7 +415,6 @@ class AccountingEnclave(Enclave):
                     label=f"checkpoint:{label}@{raw.counter_value}",
                 )
             self.log.append(vector, self._workload_hash, self.weight_table.digest())
-            self._last_counter = raw.counter_value
         if final:
             SANDBOX_RUNS.inc(outcome="trapped" if raw.trapped else "ok")
             SANDBOX_PEAK_MEMORY.observe(float(raw.peak_memory_bytes))
@@ -382,43 +433,6 @@ class AccountingEnclave(Enclave):
 
     # -- snapshot / resume ---------------------------------------------------------
 
-    def _checkpoint(
-        self,
-        snapshot: Snapshot,
-        export: str,
-        args: tuple,
-        input_data: bytes,
-        label: str,
-        baseline: tuple[int, int, int],
-        checkpoints: int,
-    ) -> WorkloadCheckpoint:
-        """Bill a capture's consumed-so-far delta and wrap it for resumption."""
-        if self._module is None or self._counter_global is None:
-            raise WorkloadRejected("no workload loaded")
-        io = snapshot.io or IOState()
-        raw = RawExecution(
-            workload_hash=self._workload_hash,
-            counter_value=int(snapshot.globals[self._counter_global]),
-            peak_memory_bytes=0,  # whole-job quantity, billed on the final receipt
-            initial_pages=(
-                self._module.memories[0].limits.minimum if self._module.memories else 0
-            ),
-            grow_history=(),
-            io_bytes_in=io.bytes_in,
-            io_bytes_out=io.bytes_out,
-        )
-        result = self.account_span(raw, label=label, baseline=baseline, final=False)
-        return WorkloadCheckpoint(
-            snapshot=snapshot,
-            export=export,
-            args=tuple(args),
-            input_data=input_data,
-            label=label,
-            baseline=(raw.counter_value, raw.io_bytes_in, raw.io_bytes_out),
-            vector=result.vector,
-            checkpoints=checkpoints + 1,
-        )
-
     def resume(
         self,
         checkpoint: WorkloadCheckpoint,
@@ -435,80 +449,43 @@ class AccountingEnclave(Enclave):
         budget, same semantics as a worker task) the run may instead
         suspend again, yielding the next :class:`WorkloadCheckpoint`.
         """
+        return self._run(checkpoint, replace(self.limits, snapshot_at=snapshot_at))
+
+    def _run(
+        self, job: WorkloadCheckpoint, limits: ExecutionLimits
+    ) -> WorkloadResult | WorkloadCheckpoint:
+        """Run the job's next slice and sign its receipt: the final one, or
+        a checkpoint receipt for the span since ``job.baseline`` when the
+        slice suspended, returning the job's next checkpoint."""
         if self._module is None or self._counter_global is None:
             raise WorkloadRejected("no workload loaded")
-        snap = checkpoint.snapshot
-        io = snap.io or IOState()
-        channel = IOChannel(input_data=checkpoint.input_data)
-        channel._read_pos = io.read_pos
-        channel.output[:] = io.output
-        env = HostEnvironment(channel=channel, account_io=True)
-        env.account.bytes_in = io.bytes_in
-        env.account.bytes_out = io.bytes_out
-        env.account.calls = io.calls
-        from dataclasses import replace as _replace
-
-        limits = _replace(
-            self.limits,
-            snapshot_at=(
-                snap.executed + snapshot_at if snapshot_at is not None else None
-            ),
-        )
         with span(
-            "resume",
-            export=checkpoint.export,
+            "invoke" if job.snapshot is None else "resume",
+            export=job.export,
             module_hash=self._workload_hash,
             engine=self.engine or "default",
         ):
-            instance = restore_instance(
-                snap,
-                self._module,
-                imports=env.imports(),
-                limits=limits,
-                engine=self.engine,
-                module_hash=self._workload_hash,
-            )
-            env.bind(instance)
-            trapped = False
-            trap_message = ""
-            value: object = None
-            with span("execute", export=checkpoint.export):
-                try:
-                    value = resume_invoke(instance, snap)
-                except SnapshotCaptured as exc:
-                    return self._checkpoint(
-                        with_io(exc.snapshot, env, channel),
-                        export=checkpoint.export,
-                        args=checkpoint.args,
-                        input_data=checkpoint.input_data,
-                        label=checkpoint.label,
-                        baseline=checkpoint.baseline,
-                        checkpoints=checkpoint.checkpoints,
-                    )
-                except Trap as exc:
-                    trapped = True
-                    trap_message = str(exc)
-
-            memory = instance.memory
-            raw = RawExecution(
-                workload_hash=self._workload_hash,
-                counter_value=int(instance.globals[self._counter_global].value),
-                peak_memory_bytes=memory.peak_bytes if memory is not None else 0,
-                initial_pages=(
-                    self._module.memories[0].limits.minimum
-                    if self._module.memories
-                    else 0
-                ),
-                grow_history=tuple(instance.stats.grow_history),
-                io_bytes_in=env.account.bytes_in,
-                io_bytes_out=env.account.bytes_out,
-                value=value,
-                trapped=trapped,
-                trap_message=trap_message,
-                output=bytes(channel.output),
-            )
+            with span("execute", export=job.export):
+                raw, captured, _engine = run_slice(
+                    self._module,
+                    self._workload_hash,
+                    self._counter_global,
+                    job.export,
+                    job.args,
+                    job.input_data,
+                    limits,
+                    self.engine,
+                    snapshot=job.snapshot,
+                )
+            if captured is None:
+                return self.account_span(raw, label=job.label, baseline=job.baseline)
             result = self.account_span(
-                raw, label=checkpoint.label, baseline=checkpoint.baseline, final=True
+                raw, label=job.label, baseline=job.baseline, final=False
             )
-            self.lkl.request_io_cycles(len(checkpoint.input_data), len(channel.output))
-            return result
+            return replace(
+                job,
+                snapshot=captured,
+                baseline=raw.billed,
+                vector=result.vector,
+                checkpoints=job.checkpoints + 1,
+            )

@@ -79,23 +79,6 @@ class Workload:
     def invoke(self, export: str, *args, input_data: bytes = b"", label: str = "") -> WorkloadResult:
         return self.sandbox.ae.invoke(export, *args, input_data=input_data, label=label)
 
-    def snapshot(
-        self, export: str, *args, snapshot_at: int, input_data: bytes = b"", label: str = ""
-    ) -> WorkloadResult | WorkloadCheckpoint:
-        """Invoke, suspending at the first observation point >= ``snapshot_at``.
-
-        Returns a :class:`WorkloadCheckpoint` (consumed resources already
-        checkpoint-billed into the log) if the run was captured, or a plain
-        :class:`WorkloadResult` if it finished first.
-        """
-        return self.sandbox.ae.invoke(
-            export,
-            *args,
-            input_data=input_data,
-            label=label,
-            snapshot_at=snapshot_at,
-        )
-
 
 class TwoWaySandbox:
     """An attested deployment of IE + AE on one simulated SGX platform."""

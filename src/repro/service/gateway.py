@@ -779,11 +779,7 @@ class MeteringGateway:
                         self.ledger.record_batch(tenant.tenant_id, batch)
                     if not final:
                         state.checkpoints = checkpoint
-                        state.billed = (
-                            raw.counter_value,
-                            raw.io_bytes_in,
-                            raw.io_bytes_out,
-                        )
+                        state.billed = raw.billed
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
             if final:
                 self._fail_finalized(state, exc)

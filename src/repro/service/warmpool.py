@@ -23,22 +23,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs.context import record_metric, worker_event, worker_span
 from repro.obs.instruments import WARM_POOL_HITS
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.module import Module
-from repro.wasm.runtime import HostEnvironment, IOAccount, IOChannel
-from repro.wasm.snapshot import Snapshot, apply_state, capture_instance
+from repro.wasm.runtime import HostEnvironment
+from repro.wasm.snapshot import Snapshot, apply_state, capture_instance, rewind_io
 
 
-@dataclass
-class WarmHandle:
-    """One pooled live instance, leased to exactly one request at a time."""
+class WarmHandle(NamedTuple):
+    """One pooled live instance, leased to exactly one request at a time
+    (the ``lease`` pair :func:`~repro.core.accounting_enclave.run_slice` takes)."""
 
     instance: Instance
     env: HostEnvironment
-    channel: IOChannel
 
 
 @dataclass
@@ -77,8 +77,7 @@ class WarmPool:
         return self.module
 
     def _build(self) -> WarmHandle:
-        channel = IOChannel()
-        env = HostEnvironment(channel=channel, account_io=True)
+        env = HostEnvironment(account_io=True)
         instance = env.instantiate(
             self._fetch_module(),
             limits=ExecutionLimits(),
@@ -91,7 +90,7 @@ class WarmPool:
                 # the pristine post-instantiation state (start function
                 # included) — every acquire resets a pooled instance to this
                 self._image = capture_instance(instance)
-        return WarmHandle(instance=instance, env=env, channel=channel)
+        return WarmHandle(instance=instance, env=env)
 
     # -- leasing -----------------------------------------------------------------
 
@@ -113,8 +112,7 @@ class WarmPool:
             record_metric("acctee_warm_pool_hits", 1)
             worker_event("warm_acquire", outcome="hit")
         apply_state(handle.instance, self._image)
-        handle.channel.reset(input_data)
-        handle.env.account = IOAccount()
+        rewind_io(handle.env, input_data, None)
         handle.instance.limits = limits or ExecutionLimits()
         return handle
 

@@ -7,7 +7,11 @@ FaaS deployment — execute the *already instrumented* module and return raw
 meter readings; the tenant's accounting enclave back in the gateway process
 turns those into signed receipts.  Workers therefore never hold signing
 keys, and a compromised worker can at worst mis-execute its own tenant's
-request — exactly the blast radius the two-way sandbox promises.
+request — exactly the blast radius the two-way sandbox promises.  The
+execution itself is the accounting enclave's own
+:func:`~repro.core.accounting_enclave.run_slice`; a worker adds only its
+wire concerns — the module cache, snapshot encoding, warm-pool leases and
+fault act-out.
 
 The default pool is a :class:`~concurrent.futures.ProcessPoolExecutor`
 (real parallelism for the pure-Python interpreter); ``kind="thread"`` gives
@@ -43,14 +47,8 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, replace
 
-from repro.core.accounting_enclave import RawExecution
-from repro.obs.context import (
-    TelemetryCapture,
-    TraceContext,
-    activate,
-    worker_event,
-    worker_span,
-)
+from repro.core.accounting_enclave import RawExecution, run_slice
+from repro.obs.context import TelemetryCapture, TraceContext, activate, worker_event
 from repro.obs.events import emit as emit_event
 from repro.obs.instruments import (
     POOL_EXEC_WALL,
@@ -63,17 +61,9 @@ from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
 from repro.service.warmpool import WarmPool
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import decode_module, encode_module
-from repro.wasm.interpreter import ExecutionLimits, SnapshotCaptured, Trap
+from repro.wasm.interpreter import ExecutionLimits
 from repro.wasm.module import Module
-from repro.wasm.runtime import HostEnvironment, IOChannel
-from repro.wasm.snapshot import (
-    IOState,
-    decode_snapshot,
-    encode_snapshot,
-    restore_instance,
-    resume_invoke,
-    with_io,
-)
+from repro.wasm.snapshot import decode_snapshot, encode_snapshot
 
 
 class _Decoded:
@@ -81,9 +71,10 @@ class _Decoded:
 
     The digest is computed from this very module the first time a dispatch
     needs it (the compiled-code cache key, snapshot capture, the restore
-    check) and then reused by every later dispatch of the module, instead
-    of re-encoding it up to three times per dispatch.  Decoded modules are
-    never mutated, so the digest cannot go stale.
+    check, the reading's workload hash) and then reused by every later
+    dispatch of the module, instead of re-encoding it up to three times per
+    dispatch.  Decoded modules are never mutated, so the digest cannot go
+    stale.
     """
 
     __slots__ = ("module", "_digest")
@@ -211,43 +202,17 @@ def _warm_pool(task: ExecutionTask) -> WarmPool:
     return pool
 
 
-def _raw_reading(
-    task: ExecutionTask,
-    module: Module,
-    instance,
-    env: HostEnvironment,
-    channel: IOChannel,
-    value,
-    trapped: bool,
-    trap_message: str,
-) -> RawExecution:
-    memory = instance.memory
-    return RawExecution(
-        workload_hash=task.module_hash,
-        counter_value=int(instance.globals[task.counter_global_index].value),
-        peak_memory_bytes=memory.peak_bytes if memory is not None else 0,
-        initial_pages=module.memories[0].limits.minimum if module.memories else 0,
-        grow_history=tuple(instance.stats.grow_history),
-        io_bytes_in=env.account.bytes_in,
-        io_bytes_out=env.account.bytes_out,
-        value=value,
-        trapped=trapped,
-        trap_message=trap_message,
-        output=bytes(channel.output),
-    )
-
-
 def execute_task(task: ExecutionTask) -> WorkerResult:
     """Run one request in this process and return its raw meter readings.
 
-    Mirrors :meth:`AccountingEnclave.invoke`'s execution half exactly — a
-    fresh instance per request, counter starting at zero — so that a
-    gateway run and a serial in-enclave run of the same requests produce
-    byte-identical resource vectors.
+    The run is :func:`~repro.core.accounting_enclave.run_slice`, the code
+    :meth:`AccountingEnclave.invoke` and :meth:`~AccountingEnclave.resume`
+    run, so a gateway run and a serial in-enclave run of the same requests
+    produce byte-identical resource vectors.
 
     Three variants share this entry point: a fresh invocation (the default),
-    a warm-pool invocation (``task.warm`` — reset a pooled instance instead
-    of instantiating), and a resume (``task.snapshot`` — restore a snapshot
+    a warm-pool invocation (``task.warm`` — lease a pooled instance instead
+    of instantiating), and a resume (``task.snapshot`` — decode a snapshot
     and continue the suspended call stack).  With ``task.snapshot_at`` set,
     any variant may *preempt* instead of completing: the result then carries
     the encoded snapshot and meters-as-of-capture for checkpoint billing.
@@ -277,47 +242,31 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
 
 
 def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
-    """Dispatch one task to its variant (fault act-out happens first)."""
+    """Run one task's slice (fault act-out happens first)."""
     if task.fault is not None:
         perform_pre_fault(task.fault, task.fault_arg)
-    if task.snapshot is not None:
-        return _execute_resume(task, started)
     decoded = _cached_decoded(task)
-    module = decoded.module
+    snapshot = decode_snapshot(task.snapshot) if task.snapshot is not None else None
     limits = ExecutionLimits(
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
     handle = None
-    with worker_span("worker.instantiate", warm=task.warm, engine=task.engine or ""):
-        if task.warm:
-            pool = _warm_pool(task)
-            handle = pool.acquire(task.input_data, limits=limits)
-            instance, env, channel = handle.instance, handle.env, handle.channel
-        else:
-            channel = IOChannel(input_data=task.input_data)
-            env = HostEnvironment(channel=channel, account_io=True)
-            instance = env.instantiate(
-                module, limits=limits, engine=task.engine, module_hash=decoded.digest
-            )
-
-    trapped = False
-    trap_message = ""
-    value: object = None
-    snapshot_blob: bytes | None = None
-    with worker_span(
-        "worker.invoke", export=task.export, exec_engine=instance.exec_engine
-    ) as invoke_span:
-        try:
-            value = instance.invoke(task.export, *task.args)
-        except SnapshotCaptured as exc:
-            snapshot_blob = encode_snapshot(with_io(exc.snapshot, env, channel))
-            invoke_span.set_attribute("preempted", True)
-        except Trap as exc:
-            trapped = True
-            trap_message = str(exc)
-            invoke_span.set_attribute("trapped", True)
-
-    raw = _raw_reading(task, module, instance, env, channel, value, trapped, trap_message)
+    if task.warm and snapshot is None:
+        pool = _warm_pool(task)
+        handle = pool.acquire(task.input_data, limits=limits)
+    raw, captured, exec_engine = run_slice(
+        decoded.module,
+        decoded.digest,
+        task.counter_global_index,
+        task.export,
+        task.args,
+        task.input_data,
+        limits,
+        task.engine,
+        snapshot=snapshot,
+        lease=handle,
+        snapshot_bytes=len(task.snapshot) if snapshot is not None else 0,
+    )
     if task.fault == "corrupt":
         raw = corrupt_raw(raw)
     if handle is not None:
@@ -325,77 +274,8 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
     return WorkerResult(
         raw=raw,
         exec_wall_s=time.perf_counter() - started,
-        snapshot=snapshot_blob,
-        exec_engine=instance.exec_engine,
-    )
-
-
-def _execute_resume(task: ExecutionTask, started: float) -> WorkerResult:
-    """Restore ``task.snapshot`` and continue where the capture left off.
-
-    ``task.snapshot_at`` is interpreted *relative* to the snapshot's
-    position, so a preempting gateway dispatches the same slice size on
-    every hop of a job.
-    """
-    with worker_span(
-        "worker.restore", snapshot_bytes=len(task.snapshot), engine=task.engine or ""
-    ):
-        decoded = _cached_decoded(task)
-        module = decoded.module
-        snap = decode_snapshot(task.snapshot)
-        io = snap.io or IOState()
-        channel = IOChannel(input_data=task.input_data)
-        channel._read_pos = io.read_pos
-        channel.output[:] = io.output
-        env = HostEnvironment(channel=channel, account_io=True)
-        env.account.bytes_in = io.bytes_in
-        env.account.bytes_out = io.bytes_out
-        env.account.calls = io.calls
-        limits = ExecutionLimits(
-            max_instructions=task.max_instructions,
-            snapshot_at=(
-                snap.executed + task.snapshot_at
-                if task.snapshot_at is not None
-                else None
-            ),
-        )
-        instance = restore_instance(
-            snap,
-            module,
-            imports=env.imports(),
-            limits=limits,
-            engine=task.engine,
-            module_hash=decoded.digest,
-        )
-        env.bind(instance)
-
-    trapped = False
-    trap_message = ""
-    value: object = None
-    snapshot_blob: bytes | None = None
-    with worker_span(
-        "worker.resume_invoke",
-        export=task.export,
-        exec_engine=instance.exec_engine,
-    ) as invoke_span:
-        try:
-            value = resume_invoke(instance, snap)
-        except SnapshotCaptured as exc:
-            snapshot_blob = encode_snapshot(with_io(exc.snapshot, env, channel))
-            invoke_span.set_attribute("preempted", True)
-        except Trap as exc:
-            trapped = True
-            trap_message = str(exc)
-            invoke_span.set_attribute("trapped", True)
-
-    raw = _raw_reading(task, module, instance, env, channel, value, trapped, trap_message)
-    if task.fault == "corrupt":
-        raw = corrupt_raw(raw)
-    return WorkerResult(
-        raw=raw,
-        exec_wall_s=time.perf_counter() - started,
-        snapshot=snapshot_blob,
-        exec_engine=instance.exec_engine,
+        snapshot=encode_snapshot(captured) if captured is not None else None,
+        exec_engine=exec_engine,
     )
 
 

@@ -56,11 +56,6 @@ class IOChannel:
     def remaining(self) -> int:
         return len(self.input_data) - self._read_pos
 
-    def reset(self, input_data: bytes = b"") -> None:
-        self.input_data = input_data
-        self.output = bytearray()
-        self._read_pos = 0
-
 
 class HostEnvironment:
     """Builds the import object for a module and tracks I/O usage.

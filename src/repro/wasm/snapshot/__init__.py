@@ -19,6 +19,7 @@ from repro.wasm.snapshot.format import (
     capture_instance,
     decode_snapshot,
     encode_snapshot,
+    rewind_io,
     snapshot_from_unwind,
     with_io,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "restore_instance",
     "resume_instance",
     "resume_invoke",
+    "rewind_io",
     "snapshot_from_unwind",
     "with_io",
 ]

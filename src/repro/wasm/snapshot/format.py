@@ -40,6 +40,7 @@ from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
 from repro.wasm.memory import PAGE_SIZE
 from repro.wasm.module import Module
+from repro.wasm.runtime import HostEnvironment, IOAccount
 
 MAGIC = b"RWSN"
 FORMAT_VERSION = 1
@@ -193,9 +194,7 @@ def _stats_state(instance: Instance) -> dict:
     }
 
 
-def capture_instance(
-    instance: Instance, frames=(), io: IOState | None = None
-) -> Snapshot:
+def capture_instance(instance: Instance, frames=()) -> Snapshot:
     """Snapshot an instance's full state (with ``frames=()``: a warm image)."""
     pages, delta, grow_events = _memory_state(instance)
     snapshot = Snapshot(
@@ -209,7 +208,6 @@ def capture_instance(
         grow_events=grow_events,
         table=tuple(instance.table.elements) if instance.table is not None else None,
         frames=tuple(frames),
-        io=io,
     )
     kind = "warm" if not frames else "suspend"
     SNAPSHOTS_TAKEN.inc(kind=kind)
@@ -217,25 +215,37 @@ def capture_instance(
     return snapshot
 
 
-def snapshot_from_unwind(
-    instance: Instance, unwind: CaptureUnwind, io: IOState | None = None
-) -> Snapshot:
+def snapshot_from_unwind(instance: Instance, unwind: CaptureUnwind) -> Snapshot:
     """Finish a capture: unwound frames arrive innermost-first."""
-    return capture_instance(instance, frames=tuple(reversed(unwind.frames)), io=io)
+    return capture_instance(instance, frames=tuple(reversed(unwind.frames)))
 
 
-def with_io(snapshot: Snapshot, env, channel) -> Snapshot:
-    """Attach a :class:`~repro.wasm.runtime.HostEnvironment`'s I/O position."""
+def with_io(snapshot: Snapshot, env: HostEnvironment) -> Snapshot:
+    """Attach ``env``'s I/O position; :func:`rewind_io` is the inverse."""
     return replace(
         snapshot,
         io=IOState(
-            read_pos=channel._read_pos,
-            output=bytes(channel.output),
+            read_pos=env.channel._read_pos,
+            output=bytes(env.channel.output),
             bytes_in=env.account.bytes_in,
             bytes_out=env.account.bytes_out,
             calls=env.account.calls,
         ),
     )
+
+
+def rewind_io(env: HostEnvironment, input_data: bytes, io: IOState | None) -> None:
+    """Point ``env``'s channel at ``input_data`` and its meters at ``io``.
+
+    The input bytes travel with the request, not the snapshot; ``io=None``
+    rewinds to the start (a fresh request on a reused environment).
+    """
+    io = io or IOState()
+    channel = env.channel
+    channel.input_data = input_data
+    channel.output = bytearray(io.output)
+    channel._read_pos = io.read_pos
+    env.account = IOAccount(io.bytes_in, io.bytes_out, io.calls)
 
 
 # -- wire encoding -------------------------------------------------------------

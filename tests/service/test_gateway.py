@@ -18,6 +18,7 @@ from repro.service import (
     UnknownTenant,
 )
 from repro.service.backends import SimulatedFaaSBackend
+from repro.service.faults import FaultPlan, FaultRule
 from repro.service.load import (
     polybench_tenant_mix,
     run_loadtest,
@@ -91,17 +92,21 @@ def test_instruction_budget_rejection_is_typed(gateway):
     gateway.execute("cheap", "total", 100)
 
 
-def test_queue_depth_rejection(gateway):
-    gateway.register_tenant(
-        "queued", minic=MINIC_SUM, quota=TenantQuota(max_queue_depth=1)
-    )
-    slow = gateway.submit("queued", "total", 5000)
-    try:
-        with pytest.raises(QueueFull):
-            for _ in range(20):  # at least one submit must land while busy
-                gateway.submit("queued", "total", 5000).result()
-    finally:
-        slow.result()
+def test_queue_depth_rejection():
+    # every dispatched request hangs in its worker before executing, so the
+    # first is still in flight when the second is submitted, however fast
+    # the engine runs the workload
+    plan = FaultPlan((FaultRule("hang", every=1, phase=0),), hang_s=1.0)
+    with MeteringGateway(workers=2, pool="thread", fault_plan=plan) as gateway:
+        gateway.register_tenant(
+            "queued", minic=MINIC_SUM, quota=TenantQuota(max_queue_depth=1)
+        )
+        held = gateway.submit("queued", "total", 50)
+        try:
+            with pytest.raises(QueueFull):
+                gateway.submit("queued", "total", 50)
+        finally:
+            assert held.result().result.value == sum(range(50))
 
 
 def test_cache_shared_across_tenants(gateway):

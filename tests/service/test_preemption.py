@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.accounting_enclave import WorkloadCheckpoint
+from repro.core.policy import MemoryPolicy
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
 from repro.service import MeteringGateway
 from repro.service.load import run_loadtest
@@ -267,6 +268,52 @@ class TestWorkerResume:
         assert billing["final_receipts"] == billing["ok_responses"]
         assert billing["receipts"] > billing["final_receipts"]
         assert point["drift"]["ok"] is True
+
+
+MINIC_ARRAY = """
+int a[64];
+int work(int n) {
+  int i; int acc;
+  acc = 0;
+  for (i = 0; i < n; i = i + 1) {
+    a[i - (i / 64) * 64] = a[i - (i / 64) * 64] + i;
+    acc = acc + a[i - (i / 64) * 64];
+  }
+  return acc;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ("predecode", "compile"))
+def test_ae_and_gateway_sign_the_same_receipt_sequence(engine):
+    # one workload preempted at the same slice size in the AE itself and
+    # through gateway workers: both run run_slice, so the signed vectors
+    # agree entry by entry, checkpoint labels included.  The workload has
+    # linear memory, so the capture-time readings carry real peak memory;
+    # flow-based counting moves the counter (and the label) every slice.
+    config = SandboxConfig(
+        engine=engine, level="flow-based", memory_policy=MemoryPolicy.INTEGRAL
+    )
+    sandbox = TwoWaySandbox.deploy(config)
+    sandbox.submit_minic(MINIC_ARRAY)
+    outcome = sandbox.snapshot("work", 100, snapshot_at=150)
+    while isinstance(outcome, WorkloadCheckpoint):
+        outcome = sandbox.resume(outcome, snapshot_at=150)
+    serial = sandbox.log.entries
+
+    with MeteringGateway(
+        workers=2, pool="thread", preempt_after=150, config=config
+    ) as gw:
+        gw.register_tenant("alice", minic=MINIC_ARRAY)
+        response = gw.execute("alice", "work", 100)
+        gateway = [r.entry for r in gw.ledger.receipts("alice")]
+
+    labels = [e.vector.label for e in serial]
+    assert len(set(labels)) == len(labels) > 3
+    assert serial[-1].vector.memory_integral_page_instructions > 0
+    assert response.result.value == outcome.value
+    # the signed bodies (vector, hashes, sequence, chain link), byte for byte
+    assert [e.body() for e in gateway] == [e.body() for e in serial]
 
 
 class TestSandboxResume:
