@@ -54,7 +54,8 @@ EVENT_KINDS = (
     #             weighted_instructions, entry_hash
     "seal",  # billing epoch sealed: epoch, spans, receipts, duration_s
     "epoch_audit",  # offline epoch verification: epoch, outcome, errors
-    "pool_rebuild",  # worker pool replaced a broken executor: rebuilds, pool_kind
+    "pool_rebuild",  # a worker process died and was respawned, or the pool
+    #                  degraded to threads: rebuilds, pool_kind
     "alert",  # SLO rule fired: rule, severity, value
 )
 

@@ -96,7 +96,7 @@ POOL_EXEC_WALL = REGISTRY.histogram(
 )
 POOL_REBUILDS = REGISTRY.counter(
     "acctee_worker_pool_rebuilds",
-    "In-place rebuilds of a broken worker pool (crashed worker process).",
+    "Crashed worker processes replaced, by a respawn or by degrading to threads.",
 )
 
 # -- instrumentation cache -----------------------------------------------------

@@ -61,8 +61,8 @@ class DeadlineExceeded(GatewayFailure):
 
 
 class WorkerCrashed(GatewayFailure):
-    """A worker died (process killed, pool broken) while the request was
-    queued or running.  Transient: the gateway retries these."""
+    """A worker process died while it may have been running the request.
+    Transient: the gateway retries these."""
 
     code = "worker-crashed"
 
@@ -87,11 +87,8 @@ class InjectedCrash(RuntimeError):
 
 
 #: Exception types the retry layer treats as transient worker failures.
-#: ``BrokenExecutor`` covers the stdlib's broken-process-pool error.
 def is_transient(exc: BaseException) -> bool:
-    from concurrent.futures import BrokenExecutor
-
-    return isinstance(exc, (BrokenExecutor, InjectedCrash, WorkerCrashed))
+    return isinstance(exc, (InjectedCrash, WorkerCrashed))
 
 
 # -- resilience policy ---------------------------------------------------------
@@ -283,18 +280,20 @@ def perform_pre_fault(kind: str | None, arg: float) -> None:
     """Act out a pre-execution fault inside the worker.
 
     ``crash`` kills the worker process outright when it really is a child
-    process (breaking the pool, as a segfaulting worker would) and raises
+    process (as a segfaulting worker would) and raises
     :class:`InjectedCrash` when the worker is a thread of the gateway
-    process.  ``hang`` and ``slow`` sleep for the shipped duration —
-    distinguished only by whether the gateway's deadline outlasts them.
+    process; a positive ``arg`` first runs the task that long, so the
+    worker dies mid-task.  ``hang`` and ``slow`` sleep for the shipped
+    duration — distinguished only by whether the gateway's deadline
+    outlasts them.
     """
     worker_event("fault_performed", fault=kind, arg=arg)
+    if arg > 0:
+        time.sleep(arg)
     if kind == "crash":
         if multiprocessing.parent_process() is not None:
             os._exit(13)
         raise InjectedCrash("injected worker crash")
-    if kind in ("hang", "slow") and arg > 0:
-        time.sleep(arg)
 
 
 def corrupt_raw(raw):

@@ -200,14 +200,6 @@ class _AsyncFrontend:
         self._loop.call_soon(self._started.set)
         self._loop.run_forever()
 
-    def spawn(self, coro) -> None:
-        """Schedule one request-serving coroutine from any thread."""
-        self._enqueue(coro)
-
-    def post(self, fn) -> None:
-        """Run a plain callable on the loop, sharing the batched wake-up."""
-        self._enqueue(fn)
-
     def bridge(self, inner: Future) -> "asyncio.Future":
         """An asyncio future (on this loop) resolved when ``inner`` completes.
 
@@ -228,7 +220,9 @@ class _AsyncFrontend:
         inner.add_done_callback(lambda _f: self.post(_resolve))
         return fut
 
-    def _enqueue(self, item) -> None:
+    def post(self, item) -> None:
+        """From any thread, run a plain callable on the loop or schedule a
+        coroutine there; bursts share one wake-up."""
         if self.closed:  # pragma: no cover - late completion after shutdown
             return
         with self._pending_lock:
@@ -552,7 +546,7 @@ class MeteringGateway:
         )
         if fault is not None:
             self._transition(state, "fault_injected", fault=fault)
-        self._frontend.spawn(self._serve(state, task))
+        self._frontend.post(self._serve(state, task))
         return state.response
 
     def _transition(self, state: _RequestState, kind: str, **fields) -> None:

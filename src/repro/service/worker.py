@@ -13,39 +13,47 @@ execution itself is the accounting enclave's own
 wire concerns — the module cache, snapshot encoding, warm-pool leases and
 fault act-out.
 
-The default pool is a :class:`~concurrent.futures.ProcessPoolExecutor`
-(real parallelism for the pure-Python interpreter); ``kind="thread"`` gives
-a threaded fallback for platforms where subprocesses are unavailable, and is
-also what the test suite uses for speed.  Each worker process keeps a small
-module cache keyed by module hash, so per-request work is instantiate +
-execute, matching the paper's cached-side-module FaaS setup (§4.3).
+The default pool runs one long-lived worker process per slot (real
+parallelism for the pure-Python interpreter), each fed over its own duplex
+``multiprocessing`` pipe; ``kind="thread"`` gives a threaded fallback for
+platforms where subprocesses are unavailable, and is also what the test
+suite uses for speed.  Each worker process keeps a small module cache keyed
+by module hash, so per-request work is instantiate + execute, matching the
+paper's cached-side-module FaaS setup (§4.3).
 
-Workers are assumed to fail: a crashed worker process poisons the whole
-``ProcessPoolExecutor`` (every later submit raises ``BrokenProcessPool``),
-so :class:`WorkerPool` detects the break and rebuilds the executor in
-place.  The pool never hands the executor more than ``workers`` tasks at a
-time — the surplus waits in the pool's own backlog, outside the executor —
-so on a break the backlog (provably never started) re-dispatches
-transparently onto the replacement, while the few tasks that may have been
-in flight surface as typed :class:`~repro.service.faults.WorkerCrashed`
-errors for the gateway's bounded retry layer.  After ``max_rebuilds``
-process-pool rebuilds the pool falls back to threads for the rest of its
-life rather than fork-looping.
+Each worker holds a window of two tasks: the one it runs and the next,
+already waiting in its pipe.  A worker's loop is receive, execute, send, so
+it starts the next hop the moment it has sent the last result, while the
+gateway is still accounting that one.  Empty slots fill first; a second
+task enters a pipe only when every worker already holds one, and the
+surplus waits in the pool's own backlog.  One pump thread in the gateway
+waits on every pipe and process sentinel, resolves the pool's futures and
+refills slots from the backlog.
+
+Workers are assumed to fail.  A worker reads its next task only after it
+has sent the last result in full, so when one dies the pump first takes
+the results still buffered in its pipe; after that, only the worker's
+oldest unanswered task can have been running.  That one fails as a typed
+:class:`~repro.service.faults.WorkerCrashed` for the gateway's bounded
+retry layer; every later task in its pipe provably never started and goes
+back to the front of the backlog, to run on the respawned worker without
+the caller noticing.  Each respawn counts in :attr:`WorkerPool.rebuilds`;
+after ``max_rebuilds`` of them the pool falls back to threads for the rest
+of its life rather than fork-looping.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 
 from repro.core.accounting_enclave import RawExecution, run_slice
 from repro.obs.context import TelemetryCapture, TraceContext, activate, worker_event
@@ -289,26 +297,102 @@ def cores_available() -> int:
         return os.cpu_count() or 1
 
 
+
+
+#: Tasks one worker process holds at once: the one it runs and the next,
+#: waiting in its pipe.
+_WINDOW = 2
+#: Largest pickled task that may wait in a busy worker's pipe.  A busy
+#: worker has read all of its running task, so the waiting one is alone in
+#: the pipe and, this small, fits the pipe's buffer on every platform.  A
+#: larger task waits in the backlog until a worker is idle, and so reading:
+#: a send blocked on a busy worker would hold the pool lock, and stall the
+#: pump, until that worker finished — for good, if the worker's own result
+#: then filled the pipe the pump no longer read.
+_WINDOW_BYTES = 8192
+
+
+def _serve_pipe(conn) -> None:
+    """A worker process's loop: receive a task, run it, send its outcome.
+
+    The next task is read only after the last outcome has been sent in
+    full, which is what makes a crash exact: of the tasks in this worker's
+    pipe, only the oldest unanswered one can have started.  ``None`` asks
+    the worker to exit.
+    """
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the gateway is gone
+            return
+        if task is None:
+            return
+        try:
+            outcome = (True, execute_task(task))
+        except Exception as exc:
+            outcome = (False, exc)
+        try:
+            conn.send(outcome)
+        except OSError:  # the gateway is gone
+            return
+        except Exception as exc:  # pickling failed, so nothing was written
+            conn.send((False, RuntimeError(f"task outcome does not pickle: {exc!r}")))
+
+
+class _Worker:
+    """One worker process, the gateway's end of its pipe, and the tasks sent
+    down that pipe without an answer yet, oldest first."""
+
+    __slots__ = ("process", "conn", "sent", "accepting", "retired")
+
+    def __init__(self, ctx):
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve_pipe, args=(child,), name="metering-worker", daemon=True
+        )
+        self.process.start()
+        child.close()
+        self.sent: "deque[tuple[ExecutionTask, Future, memoryview]]" = deque()
+        self.accepting = True  # False once retired or found dead
+        self.retired = False  # told to exit: its exit is no crash
+
+
+def _resolve(future: Future, ok: bool, value) -> None:
+    if ok:
+        future.set_result(value)
+    else:
+        future.set_exception(value)
+
+
+#: Pools whose worker processes may be running, closed at interpreter exit
+#: so that a worker ``multiprocessing`` terminates there is not respawned.
+_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
+
+
+@atexit.register
+def _close_pools() -> None:
+    for pool in list(_POOLS):
+        pool.shutdown(wait=False)
+
+
 class WorkerPool:
     """A bounded, self-healing pool of execution workers.
 
-    ``kind="process"`` (the default) runs tasks in subprocesses;
-    ``kind="thread"`` in threads.  If the process pool cannot be created
-    (no ``fork``/``spawn`` support, restricted environments) the pool
-    silently falls back to threads and records that in :attr:`kind`.
+    ``kind="process"`` (the default) runs tasks in long-lived worker
+    processes, started with the default ``multiprocessing`` context at the
+    first submit; ``kind="thread"`` runs them in threads.  If worker
+    processes cannot be started (no ``fork``/``spawn`` support, restricted
+    environments) the pool silently falls back to threads and records that
+    in :attr:`kind`.
 
-    A crashed worker process permanently breaks a
-    ``ProcessPoolExecutor``; this pool survives it.  At most ``workers``
-    tasks are ever inside the executor — the surplus waits in the pool's
-    own backlog, which the executor never sees.  When the executor breaks
-    it is replaced in place (counted in :attr:`rebuilds`), the backlog —
-    provably queued, never started — drains transparently onto the
-    replacement, and only the ≤ ``workers`` tasks that may have been
-    mid-execution fail, with a typed
+    A process worker holds at most two tasks (see the module docstring);
+    the surplus waits in the pool's own backlog.  When a worker dies, only
+    its oldest unanswered task fails, with a typed
     :class:`~repro.service.faults.WorkerCrashed`, so the caller can apply
-    its own retry policy without ever double-executing work.  After
-    ``max_rebuilds`` process-pool rebuilds the pool degrades to threads
-    permanently.
+    its own retry policy without ever double-executing work; the tasks
+    queued behind it never started and run on a respawned worker (counted
+    in :attr:`rebuilds`).  After ``max_rebuilds`` respawns the pool degrades
+    to threads permanently.
 
     ``adaptive=True`` probes the cores actually available to this process
     (cgroup/affinity aware) and shrinks a *process* pool to that count:
@@ -335,128 +419,216 @@ class WorkerPool:
         self.workers = workers
         self.max_rebuilds = max_rebuilds
         self.rebuilds = 0
+        self.kind = kind
         self._in_flight = 0
         self._in_flight_lock = threading.Lock()
-        # guards _executor, _active, _backlog, rebuilds, _shutdown; never
-        # held across executor calls or callbacks
+        # guards everything below, and every send down a worker's pipe
         self._lock = threading.Lock()
-        self._active = 0  # tasks currently inside the executor (≤ workers)
-        self._backlog: "deque[tuple[ExecutionTask, Future]]" = deque()
-        self._shutdown = False
-        self._executor: Executor
-        if kind == "process":
-            try:
-                self._executor = ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ValueError, NotImplementedError):
-                kind = "thread"
+        self._backlog: "deque[tuple[ExecutionTask, Future, memoryview | None]]" = deque()
+        self._closed = False
+        self._procs: list[_Worker] = []  # worker processes the pump watches
+        self._pump: threading.Thread | None = None
+        self._threads: ThreadPoolExecutor | None = None
+        self._active = 0  # tasks running on threads (≤ workers)
         if kind == "thread":
-            self._executor = ThreadPoolExecutor(
+            self._threads = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="metering-worker"
             )
-        self.kind = kind
 
     def submit(self, task: ExecutionTask) -> Future:
-        """Schedule one task; the future resolves to a :class:`WorkerResult`.
-
-        The returned future is the pool's own, not the executor's: tasks
-        beyond the worker count wait in the pool's backlog, so a pool
-        rebuild can transparently re-dispatch them without the caller (or
-        the broken executor) ever noticing.
-        """
+        """Schedule one task; the future resolves to a :class:`WorkerResult`."""
         POOL_TASKS.inc()
         with self._in_flight_lock:
             self._in_flight += 1
             self._publish_load()
-        outer: Future = Future()
-        outer.add_done_callback(self._task_done)
+        future: Future = Future()
+        future.add_done_callback(self._task_done)
+        payload = ForkingPickler.dumps(task) if self.kind == "process" else None
         with self._lock:
-            if self._shutdown:
-                closed = True
-                dispatch_now = False
-            elif self._active < self.workers:
-                closed = False
-                self._active += 1
-                dispatch_now = True
-            else:
-                closed = False
-                self._backlog.append((task, outer))
-                dispatch_now = False
+            closed = self._closed
+            if not closed:
+                self._backlog.append((task, future, payload))
+                self._fill()
         if closed:
-            outer.set_exception(RuntimeError("worker pool shut down"))
-        elif dispatch_now:
-            self._dispatch(task, outer)
-        return outer
+            future.set_exception(RuntimeError("worker pool shut down"))
+        return future
 
-    # -- dispatch & recovery -----------------------------------------------------
+    # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, task: ExecutionTask, outer: Future) -> None:
-        """Hand one task to the executor (the caller holds an active slot)."""
-        for attempt in (0, 1):
-            with self._lock:
-                executor = self._executor
-            try:
-                inner = executor.submit(execute_task, task)
-            except BrokenExecutor:
-                # the submit itself failed, so the task never reached the
-                # broken executor — rebuild and try once on the replacement
-                self._rebuild(executor)
-                if attempt == 0:
-                    continue
-                self._release_slot()
-                outer.set_exception(
-                    WorkerCrashed("worker pool broke repeatedly while dispatching")
-                )
-                return
-            except RuntimeError as exc:  # executor shut down
-                self._release_slot()
-                outer.set_exception(exc)
-                return
-            inner.add_done_callback(lambda f: self._relay(f, executor, outer))
+    def _fill(self) -> None:
+        """Move backlog tasks, oldest first, to workers with room (the
+        caller holds the lock)."""
+        backlog = self._backlog
+        if self.kind == "thread":
+            while backlog and self._active < self.workers:
+                task, future, _payload = backlog.popleft()
+                self._active += 1
+                self._threads.submit(self._run_threaded, task, future)
             return
-
-    def _relay(self, inner: Future, executor: Executor, outer: Future) -> None:
-        exc = inner.exception()
-        if isinstance(exc, BrokenExecutor):
-            self._rebuild(executor)
-        self._release_slot()
-        if isinstance(exc, BrokenExecutor):
-            # the executor cannot say whether this task was mid-execution
-            # when the worker died, so never silently re-run it — surface a
-            # typed crash and let the gateway's bounded retry layer decide
-            outer.set_exception(WorkerCrashed(str(exc) or "worker process died"))
-        elif exc is not None:
-            outer.set_exception(exc)
-        else:
-            outer.set_result(inner.result())
-
-    def _release_slot(self) -> None:
-        """Free one executor slot, draining the backlog onto the (possibly
-        rebuilt) executor first — backlogged tasks provably never started."""
-        with self._lock:
-            if self._backlog:
-                task, outer = self._backlog.popleft()  # slot stays occupied
-            else:
-                self._active -= 1
+        if self._pump is None:
+            self._start()
+            if self.kind == "thread":
+                self._fill()
                 return
-        self._dispatch(task, outer)
+        while backlog:
+            open_workers = [w for w in self._procs if w.accepting]
+            if not open_workers:
+                return  # the pump respawns them, then fills again
+            worker = min(open_workers, key=lambda w: len(w.sent))  # idle first
+            task, future, payload = backlog[0]
+            if len(worker.sent) >= _WINDOW or (
+                worker.sent and len(payload) > _WINDOW_BYTES
+            ):
+                return
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:
+                worker.accepting = False  # dead: its sentinel reaches the pump
+                continue
+            backlog.popleft()
+            worker.sent.append((task, future, payload))
 
-    def _rebuild(self, broken: Executor) -> None:
-        """Replace a broken executor in place (at most once per breakage)."""
+    def _start(self) -> None:
+        """Start the worker processes and the pump (lock held)."""
+        ctx = multiprocessing.get_context()
+        try:
+            for _ in range(self.workers):
+                self._procs.append(_Worker(ctx))
+        except OSError:
+            self._degrade()  # no subprocesses here: run on threads
+        if self._procs:
+            self._pump = threading.Thread(
+                target=self._pump_results, name="metering-pool-pump", daemon=True
+            )
+            self._pump.start()
+            _POOLS.add(self)
+
+    def _pump_results(self) -> None:
+        """The gateway's side of every pipe: resolve each outcome as it
+        arrives and handle worker deaths, until no worker is left."""
+        watched: dict = {}
+        while True:
+            if not watched:
+                with self._lock:
+                    if not self._procs:
+                        return
+                    for worker in self._procs:
+                        watched[worker.conn] = watched[worker.process.sentinel] = worker
+            lost: set = set()
+            for ready in wait(list(watched)):
+                worker = watched[ready]
+                if worker in lost:
+                    continue
+                if ready is worker.conn:
+                    try:
+                        ok, value = worker.conn.recv()
+                    except (EOFError, OSError):
+                        pass
+                    except Exception as exc:  # an outcome that does not unpickle
+                        self._answer(worker, False, exc)
+                        continue
+                    else:
+                        self._answer(worker, ok, value)
+                        continue
+                lost.add(worker)
+                self._lost(worker)
+            if lost:
+                watched = {}
+
+    def _answer(self, worker: _Worker, ok: bool, value) -> None:
+        """Resolve ``worker``'s oldest task, refilling its slot first."""
         with self._lock:
-            if self._executor is not broken or self._shutdown:
-                return  # another thread already rebuilt (or we are closing)
-            self.rebuilds += 1
-            POOL_REBUILDS.inc()
-            if self.kind == "process" and self.rebuilds <= self.max_rebuilds:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            _task, future, _payload = worker.sent.popleft()
+            if self._backlog:
+                self._fill()
+        _resolve(future, ok, value)
+
+    def _lost(self, worker: _Worker) -> None:
+        """A worker process exited: answer what it finished, fail the one
+        task it may have been running, requeue the rest and respawn it."""
+        with self._lock:
+            worker.accepting = False
+        try:  # outcomes sent before the exit are still buffered in the pipe
+            while worker.conn.poll():
+                self._answer(worker, *worker.conn.recv())
+        except Exception:  # EOF, or a last outcome cut short by the exit
+            pass
+        worker.process.join()
+        worker.conn.close()
+        with self._lock:
+            self._procs.remove(worker)
+            crashed = worker.sent.popleft()[1] if worker.sent else None
+            if self._closed:
+                stranded = [future for _task, future, _payload in worker.sent]
             else:
-                # repeated breakage: degrade to threads for good
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="metering-worker"
+                stranded = []
+                # these never started: the worker had not read past ``crashed``
+                self._backlog.extendleft(reversed(worker.sent))
+                if not worker.retired:
+                    self._respawn()
+                self._fill()
+        if crashed is not None:
+            crashed.set_exception(
+                WorkerCrashed(
+                    f"worker process {worker.process.pid} died "
+                    f"(exit code {worker.process.exitcode})"
                 )
-                self.kind = "thread"
-            emit_event("pool_rebuild", rebuilds=self.rebuilds, pool_kind=self.kind)
-        broken.shutdown(wait=False)
+            )
+        for future in stranded:
+            future.set_exception(RuntimeError("worker pool shut down"))
+
+    def _respawn(self) -> None:
+        """Replace a dead worker, or degrade to threads for good once
+        ``max_rebuilds`` respawns are spent (lock held, pool open)."""
+        self.rebuilds += 1
+        POOL_REBUILDS.inc()
+        try:
+            if self.rebuilds > self.max_rebuilds:
+                raise OSError("worker respawns exhausted")
+            self._procs.append(_Worker(multiprocessing.get_context()))
+        except OSError:
+            self._degrade()
+        emit_event("pool_rebuild", rebuilds=self.rebuilds, pool_kind=self.kind)
+
+    def _degrade(self) -> None:
+        """Serve on threads from now on; live worker processes finish the
+        tasks already in their pipes, then exit (lock held)."""
+        self.kind = "thread"
+        self._threads = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="metering-worker"
+        )
+        for worker in self._procs:
+            self._retire(worker)
+
+    @staticmethod
+    def _retire(worker: _Worker) -> None:
+        """Ask a worker to exit after the tasks in its pipe (lock held)."""
+        if worker.retired:
+            return
+        worker.retired = True
+        worker.accepting = False
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass  # already dead: the pump sees its sentinel
+
+    def _run_threaded(self, task: ExecutionTask, future: Future) -> None:
+        """One thread slot: run tasks until the backlog is empty."""
+        while True:
+            try:
+                outcome = (True, execute_task(task))
+            except Exception as exc:
+                outcome = (False, exc)
+            with self._lock:
+                if self._backlog:
+                    following = self._backlog.popleft()
+                else:
+                    self._active -= 1
+                    following = None
+            _resolve(future, *outcome)
+            if following is None:
+                return
+            task, future, _payload = following
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -474,16 +646,24 @@ class WorkerPool:
         POOL_UTILISATION.set(min(1.0, self._in_flight / self.workers))
 
     def shutdown(self, wait: bool = True) -> None:
+        """Close the pool: fail the backlog, let tasks already handed to a
+        worker finish, then stop every worker (``wait``: and join them)."""
         with self._lock:
-            self._shutdown = True
-            executor = self._executor
+            # closed before any worker is told to exit, so no exit respawns
+            self._closed = True
             stranded = list(self._backlog)
             self._backlog.clear()
-        for _task, outer in stranded:
-            # backlogged tasks never reached the executor; fail them rather
-            # than leave their futures pending forever
-            outer.set_exception(RuntimeError("worker pool shut down"))
-        executor.shutdown(wait=wait)
+            for worker in self._procs:
+                self._retire(worker)
+            pump, threads = self._pump, self._threads
+        for _task, future, _payload in stranded:
+            # backlogged tasks never reached a worker; fail them rather than
+            # leave their futures pending forever
+            future.set_exception(RuntimeError("worker pool shut down"))
+        if threads is not None:
+            threads.shutdown(wait=wait)
+        if wait and pump is not None and pump is not threading.current_thread():
+            pump.join()
 
     def __enter__(self) -> "WorkerPool":
         return self

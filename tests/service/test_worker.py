@@ -4,18 +4,32 @@ The cache tests stub out ``decode_module`` so they exercise pure cache
 mechanics (LRU order, bounded size, thread safety) without compiling
 anything; the pool tests use crash-faulted tasks, which fail before ever
 touching their module bytes, so no real module is needed there either.
-Full pool-through-gateway behaviour (rebuild after a real process crash)
-lives in ``test_faults.py``.
+The process-pool tests run a small real module, to check the answers of
+tasks that a crash moved to a respawned worker.  Full pool-through-gateway
+behaviour (respawn after a real process crash) lives in ``test_faults.py``.
 """
 
+import multiprocessing
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
 import repro.service.worker as worker
-from repro.service.faults import InjectedCrash
-from repro.service.worker import ExecutionTask, WorkerPool
+from repro.core.sandbox import SandboxConfig, TwoWaySandbox
+from repro.service.faults import InjectedCrash, WorkerCrashed
+from repro.service.worker import ExecutionTask, WorkerPool, execute_task
+from repro.tcrypto.hashing import sha256
+from repro.wasm.binary import encode_module
+
+MINIC_SUM = """
+int total(int n) {
+    int t = 0;
+    for (int i = 0; i < n; i = i + 1) t = t + i;
+    return t;
+}
+"""
 
 
 def make_task(tag: bytes, fault: str | None = None, fault_arg: float = 0.0) -> ExecutionTask:
@@ -137,3 +151,116 @@ def test_submit_after_shutdown_raises():
     future = pool.submit(make_task(b"x"))
     with pytest.raises(RuntimeError, match="shut down"):
         future.result(timeout=10)
+
+
+# -- process pool: the two-task window, crashes and shutdown -------------------
+
+
+@pytest.fixture(scope="module")
+def sum_task() -> ExecutionTask:
+    workload = TwoWaySandbox.deploy(SandboxConfig()).submit_minic(MINIC_SUM)
+    module_bytes = encode_module(workload.module)
+    return ExecutionTask(
+        module_bytes=module_bytes,
+        module_hash=sha256(module_bytes),
+        counter_global_index=workload.evidence.counter_global_index,
+        export="total",
+        args=(40,),
+    )
+
+
+def require_processes(pool: WorkerPool) -> None:
+    # worker processes start at the first submit
+    if pool.kind != "process":
+        pool.shutdown()
+        pytest.skip("worker processes unavailable in this environment")
+
+
+def queued_in_pipe(pool: WorkerPool) -> list:
+    [proc] = pool._procs
+    return [future for _task, future, _payload in proc.sent]
+
+
+def test_crash_fails_only_the_task_that_was_running(sum_task):
+    """One worker, window full: a task that dies mid-run fails alone; the
+    task queued behind it in the same pipe and the backlogged one complete
+    on the respawned worker with the right answer."""
+    expected = execute_task(sum_task).raw
+    pool = WorkerPool(workers=1, kind="process")
+    try:
+        crash = pool.submit(replace(sum_task, fault="crash", fault_arg=0.3))
+        require_processes(pool)
+        queued = pool.submit(sum_task)
+        backlogged = pool.submit(sum_task)
+        assert queued_in_pipe(pool) == [crash, queued]
+        assert [future for _t, future, _p in pool._backlog] == [backlogged]
+        with pytest.raises(WorkerCrashed):
+            crash.result(timeout=30)
+        assert queued.result(timeout=30).raw == expected
+        assert backlogged.result(timeout=30).raw == expected
+        assert pool.rebuilds == 1
+        assert pool.kind == "process"
+    finally:
+        pool.shutdown()
+
+
+def test_a_large_task_waits_for_an_idle_worker(sum_task):
+    """Only a small task may wait in a busy worker's pipe: a large one could
+    block the sending thread until the worker is done."""
+    pool = WorkerPool(workers=1, kind="process")
+    try:
+        busy = pool.submit(replace(sum_task, fault="slow", fault_arg=0.3))
+        require_processes(pool)
+        large = pool.submit(replace(sum_task, input_data=bytes(3 * worker._WINDOW_BYTES)))
+        assert queued_in_pipe(pool) == [busy]
+        assert [future for _t, future, _p in pool._backlog] == [large]
+        assert busy.result(timeout=30).raw.value == large.result(timeout=30).raw.value
+    finally:
+        pool.shutdown()
+
+
+def test_crash_past_max_rebuilds_degrades_to_threads(sum_task):
+    expected = execute_task(sum_task).raw
+    pool = WorkerPool(workers=1, kind="process", max_rebuilds=0)
+    try:
+        crash = pool.submit(replace(sum_task, fault="crash", fault_arg=0.3))
+        require_processes(pool)
+        queued = pool.submit(sum_task)
+        with pytest.raises(WorkerCrashed):
+            crash.result(timeout=30)
+        assert queued.result(timeout=30).raw == expected
+        assert (pool.rebuilds, pool.kind) == (1, "thread")
+        assert pool.submit(sum_task).result(timeout=30).raw == expected
+    finally:
+        pool.shutdown()
+
+
+def test_shutdown_stops_every_worker_process(sum_task):
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool(workers=2, kind="process")
+    futures = [pool.submit(sum_task) for _ in range(5)]
+    require_processes(pool)
+    for future in futures:
+        future.result(timeout=30)
+    assert len(set(multiprocessing.active_children()) - before) == 2
+    pool.shutdown()
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_shutdown_during_a_crash_respawns_nothing(sum_task):
+    """The worker dies after shutdown began: its crash fails the running
+    task, the task behind it never started and fails as shut down, and no
+    replacement worker outlives the pool."""
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool(workers=1, kind="process")
+    crash = pool.submit(replace(sum_task, fault="crash", fault_arg=0.3))
+    require_processes(pool)
+    queued = pool.submit(sum_task)
+    assert queued_in_pipe(pool) == [crash, queued]
+    pool.shutdown()
+    with pytest.raises(WorkerCrashed):
+        crash.result(timeout=1)
+    with pytest.raises(RuntimeError, match="shut down"):
+        queued.result(timeout=1)
+    assert pool.rebuilds == 0
+    assert set(multiprocessing.active_children()) <= before
