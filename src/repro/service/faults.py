@@ -282,8 +282,8 @@ def perform_pre_fault(kind: str | None, arg: float) -> None:
     ``crash`` kills the worker process outright when it really is a child
     process (as a segfaulting worker would) and raises
     :class:`InjectedCrash` when the worker is a thread of the gateway
-    process; a positive ``arg`` first runs the task that long, so the
-    worker dies mid-task.  ``hang`` and ``slow`` sleep for the shipped
+    process; a positive ``arg`` delays the crash that long, so the worker
+    dies while its task is in flight.  ``hang`` and ``slow`` sleep for the shipped
     duration — distinguished only by whether the gateway's deadline
     outlasts them.
     """

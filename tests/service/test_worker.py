@@ -10,6 +10,7 @@ behaviour (respawn after a real process crash) lives in ``test_faults.py``.
 """
 
 import multiprocessing
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -264,3 +265,34 @@ def test_shutdown_during_a_crash_respawns_nothing(sum_task):
         queued.result(timeout=1)
     assert pool.rebuilds == 0
     assert set(multiprocessing.active_children()) <= before
+
+
+def test_concurrent_submits_lose_no_task(sum_task):
+    """More workers than cores, submits from several threads at a tiny
+    switch interval: every task is answered once, correctly, and the pool
+    ends with nothing queued or in flight."""
+    expected = execute_task(sum_task).raw
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool = WorkerPool(workers=3, kind="process")
+    futures: list = []
+    try:
+
+        def submit_some() -> None:
+            for _ in range(15):
+                futures.append(pool.submit(sum_task))
+
+        threads = [threading.Thread(target=submit_some) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        require_processes(pool)
+        assert len(futures) == 60
+        assert all(f.result(timeout=60).raw == expected for f in futures)
+        assert not pool._backlog
+        assert all(not proc.sent for proc in pool._procs)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
