@@ -459,17 +459,14 @@ class WorkerPool:
         """Move backlog tasks, oldest first, to workers with room (the
         caller holds the lock)."""
         backlog = self._backlog
+        if self.kind == "process" and self._pump is None:
+            self._start()  # may fall back to threads
         if self.kind == "thread":
             while backlog and self._active < self.workers:
                 task, future, _payload = backlog.popleft()
                 self._active += 1
                 self._threads.submit(self._run_threaded, task, future)
             return
-        if self._pump is None:
-            self._start()
-            if self.kind == "thread":
-                self._fill()
-                return
         while backlog:
             open_workers = [w for w in self._procs if w.accepting]
             if not open_workers:

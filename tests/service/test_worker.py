@@ -236,6 +236,19 @@ def test_crash_past_max_rebuilds_degrades_to_threads(sum_task):
         pool.shutdown()
 
 
+def test_pool_falls_back_to_threads_without_worker_processes(monkeypatch, sum_task):
+    def refuse(_ctx):
+        raise OSError("cannot start a process here")
+
+    monkeypatch.setattr(worker, "_Worker", refuse)
+    pool = WorkerPool(workers=2, kind="process")
+    try:
+        assert pool.submit(sum_task).result(timeout=30).raw == execute_task(sum_task).raw
+        assert (pool.kind, pool.rebuilds) == ("thread", 0)
+    finally:
+        pool.shutdown()
+
+
 def test_shutdown_stops_every_worker_process(sum_task):
     pool = WorkerPool(workers=2, kind="process")
     futures = [pool.submit(sum_task) for _ in range(5)]
