@@ -334,6 +334,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if verdict.ok else 1
 
 
+def _json_or_empty(path: pathlib.Path) -> dict:
+    """A JSON file's contents, or ``{}`` when it is missing or unparsable."""
+    import json
+
+    try:
+        return json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
+        return {}
+
+
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """Sweep gateway worker counts; write BENCH_service.json."""
     import json
@@ -351,27 +361,22 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     if args.preempt or args.warm:
         # preemption/warm pools execute for real; the modeled backend cannot
         backends = tuple(b for b in backends if b != "modeled") or ("wasm",)
-    registry = None
     if args.metrics_out:
         from repro.obs import enable_metrics, get_registry
 
-        registry = get_registry()
-        registry.reset()
+        get_registry().reset()
         enable_metrics()
+
+    def per_backend(path: str | None, backend: str) -> str | None:
+        # one file per backend rather than the second overwriting the first
+        if not path or len(backends) == 1:
+            return path
+        stem = pathlib.Path(path)
+        return str(stem.with_name(f"{stem.stem}.{backend}{stem.suffix}"))
+
     sweeps = {}
-    ok = True
-    chaos = bool(args.faults)
     for backend in backends:
-        events_out = args.events_out
-        if events_out and len(backends) > 1:
-            # one stream per backend rather than the second overwriting the first
-            stem = pathlib.Path(events_out)
-            events_out = str(stem.with_name(f"{stem.stem}.{backend}{stem.suffix}"))
-        trace_out = args.trace_out
-        if trace_out and len(backends) > 1:
-            stem = pathlib.Path(trace_out)
-            trace_out = str(stem.with_name(f"{stem.stem}.{backend}{stem.suffix}"))
-        result = run_loadtest(
+        result = sweeps[backend] = run_loadtest(
             worker_counts=worker_counts,
             requests=args.requests,
             pool=args.pool,
@@ -385,108 +390,31 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             fault_seed=args.fault_seed,
             deadline_s=args.deadline,
             hang_s=args.hang_s,
-            events_out=events_out,
+            events_out=per_backend(args.events_out, backend),
             slo_rules=args.slo,
             validate_results=not args.no_validate,
             preempt_after=args.preempt or None,
             warm_pool=args.warm,
-            trace_out=trace_out,
+            trace_out=per_backend(args.trace_out, backend),
             seal_window=seal_window,
         )
-        sweeps[backend] = result
         for point in result["sweep"]:
             latency = point["latency_s"]
             print(f"[{backend}] workers={point['workers']}: "
                   f"{point['throughput_rps']:8.1f} req/s  "
                   f"p50={latency['p50'] * 1000:.1f}ms p95={latency['p95'] * 1000:.1f}ms "
                   f"p99={latency['p99'] * 1000:.1f}ms  epoch_ok={point['epoch_ok']}")
-            ok = ok and point["epoch_ok"]
-            if not point["epoch_ok"]:
-                for error in point["epoch_errors"]:
-                    print(f"[{backend}] workers={point['workers']}: "
-                          f"epoch audit error: {error}", file=sys.stderr)
-            if point["quota_rejection"]:
-                print(f"         over-quota probe rejected: "
-                      f"[{point['quota_rejection']['code']}]")
-            if "preemption" in point:
-                pre = point["preemption"]
-                detail = f"every {pre['preempt_after']} instructions" \
-                    if pre["preempt_after"] else "off"
-                if pre["warm_pool"]:
-                    detail += ", warm pool"
-                print(f"         preemption: {pre['preemptions']} slices "
-                      f"({detail})")
-            if chaos:
-                faults = point["faults"]
-                billing = point["billing"]
-                injected = ",".join(
-                    f"{kind}:{n}" for kind, n in sorted(faults["faults_injected"].items())
-                ) or "none"
-                print(f"         chaos: injected {injected}  "
-                      f"retries={faults['retries']} "
-                      f"deadline_exceeded={faults['deadline_exceeded']} "
-                      f"rejected_results={faults['results_rejected']} "
-                      f"pool_rebuilds={faults['pool_rebuilds']}")
-                print(f"         billing exactly-once: {billing['exactly_once']} "
-                      f"(receipts={billing['receipts']} "
-                      f"distinct_billed={billing['distinct_requests_billed']} "
-                      f"ok_responses={billing['ok_responses']})")
-                ok = ok and billing["exactly_once"]
         if "speedup_4_over_1" in result:
-            gate = result.get("speedup_gate", {})
-            advisory = " (advisory: fewer cores than workers)" if gate.get("advisory") else ""
+            advisory = (" (advisory: fewer cores than workers)"
+                        if result["speedup_gate"]["advisory"] else "")
             print(f"[{backend}] speedup 4 workers over 1: "
                   f"{result['speedup_4_over_1']:.2f}x{advisory}")
-        sigs = result["sweep"][-1].get("signatures") if result["sweep"] else None
-        if sigs is not None:
-            mode = (f"batched (window {seal_window})" if seal_window
-                    else "per-receipt")
-            print(f"[{backend}] AE signatures: {mode} — "
-                  f"{sigs['per_receipt']} per-receipt + {sigs['batch_seals']} "
-                  f"batch seals over {sigs['receipts']} receipts "
-                  f"({sigs['per_request']:.2f} sigs/receipt)")
-        if not args.no_serial and not chaos:
-            print(f"[{backend}] totals byte-identical to serial sandbox: "
-                  f"{result['serial_totals_match']}")
-            ok = ok and result["serial_totals_match"]
-        telemetry = result.get("telemetry")
-        if telemetry is not None:
-            drift_ok = telemetry["drift_ok"]
-            print(f"[{backend}] billing drift audit: "
-                  f"{'clean' if drift_ok else 'DRIFT DETECTED'}")
-            if not drift_ok:
-                for point in result["sweep"]:
-                    for finding in point.get("drift", {}).get("findings", []):
-                        if finding["severity"] == "error":
-                            print(f"[{backend}] drift [{finding['code']}] "
-                                  f"{finding['tenant']}: {finding['detail']}",
-                                  file=sys.stderr)
-            slo = telemetry.get("slo")
-            if slo is not None:
-                for alert in slo["alerts"]:
-                    print(f"[{backend}] alert [{alert['severity']}] "
-                          f"{alert['rule']}: {alert['detail']}")
-                print(f"[{backend}] SLO gate: "
-                      f"{'FAIL' if slo['gating'] else 'pass'} "
-                      f"(worst={slo['worst_severity']})")
-            if telemetry.get("events_path"):
-                dropped = telemetry["events"]["dropped"]
-                print(f"[{backend}] {telemetry['events']['buffered']} events "
-                      f"written to {telemetry['events_path']}"
-                      + (f" ({dropped} dropped)" if dropped else ""))
-            ok = ok and telemetry["ok"]
-        if "trace_ok" in result:
-            for point in result["sweep"]:
-                stitch = point.get("trace")
-                if stitch is None:
-                    continue
-                pids = ",".join(str(p) for p in stitch["worker_pids"]) or "-"
-                print(f"[{backend}] workers={point['workers']}: stitched traces "
-                      f"{stitch['stitched']}/{stitch['requests_checked']} "
-                      f"(worker pids: {pids})")
-            print(f"[{backend}] stitched trace written to {result['trace_out']}  "
-                  f"trace_ok={result['trace_ok']}")
-            ok = ok and result["trace_ok"]
+        gates = result["gates"]
+        print(f"[{backend}] gates: " + " ".join(
+            f"{gate}={'FAIL' if lines else 'pass'}" for gate, lines in gates.items()))
+        for lines in gates.values():
+            for line in lines:
+                print(f"[{backend}] {line}", file=sys.stderr)
     report = {
         "benchmark": "metering-gateway-loadtest",
         "cores_available": sweeps[backends[0]]["cores_available"],
@@ -494,29 +422,19 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         "requests_per_point": args.requests,
         "seal_window": seal_window,
         "speedup_gate": sweeps[backends[0]].get("speedup_gate"),
-        "speedup_4_over_1": {
-            backend: sweeps[backend].get("speedup_4_over_1")
-            for backend in backends
-        },
+        "speedup_4_over_1": {b: sweeps[b].get("speedup_4_over_1") for b in backends},
         "sweeps": sweeps,
     }
-    out_path = pathlib.Path(args.out)
-    if out_path.exists():
-        # the bench file may carry a perf-history trajectory (--bench-append);
-        # rewriting the latest report must not wipe it
-        try:
-            previous = json.loads(out_path.read_text())
-        except ValueError:
-            previous = {}
-        for key in ("trajectory", "trajectory_schema"):
-            if key in previous:
-                report[key] = previous[key]
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    # the bench file may carry a perf-history trajectory (--bench-append);
+    # rewriting the latest report must not wipe it
+    previous = _json_or_empty(pathlib.Path(args.out))
+    for key in ("trajectory", "trajectory_schema"):
+        if key in previous:
+            report[key] = previous[key]
+    pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     if args.slo_out:
-        slo_report = {
-            backend: sweeps[backend].get("telemetry") for backend in backends
-        }
+        slo_report = {b: sweeps[b].get("telemetry") for b in backends}
         pathlib.Path(args.slo_out).write_text(json.dumps(slo_report, indent=2) + "\n")
         print(f"SLO/drift report written to {args.slo_out}")
     if args.bench_append:
@@ -525,21 +443,16 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         for backend in backends:
             append_point(args.bench_append, distill_point(sweeps[backend]))
         print(f"appended {len(backends)} trajectory point(s) to {args.bench_append}")
-    if registry is not None:
-        from repro.obs import disable_metrics
+    if args.metrics_out:
+        from repro.obs import disable_metrics, get_registry
 
         disable_metrics()
         metrics_path = pathlib.Path(args.metrics_out)
-        merged = {}
-        if metrics_path.exists():
-            try:
-                merged = json.loads(metrics_path.read_text())
-            except ValueError:
-                merged = {}
-        merged["loadtest_metrics"] = registry.snapshot()
+        merged = _json_or_empty(metrics_path)
+        merged["loadtest_metrics"] = get_registry().snapshot()
         metrics_path.write_text(json.dumps(merged, indent=2) + "\n")
         print(f"metrics snapshot merged into {args.metrics_out}")
-    return 0 if ok else 1
+    return 0 if all(sweeps[backend]["ok"] for backend in backends) else 1
 
 
 def cmd_soak(args: argparse.Namespace) -> int:

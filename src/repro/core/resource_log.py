@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.tcrypto.hashing import sha256
 from repro.tcrypto.merkle import MerkleProof, MerkleTree, verify_proof
@@ -205,6 +206,22 @@ def verify_log_batches(
     return problems, pending
 
 
+def totals_of(entries: Iterable[LogEntry]) -> ResourceVector:
+    """Aggregate log entries into one vector: peak memory is the max, every
+    other resource the sum."""
+    vectors = [e.vector for e in entries]
+    return ResourceVector(
+        weighted_instructions=sum(v.weighted_instructions for v in vectors),
+        peak_memory_bytes=max((v.peak_memory_bytes for v in vectors), default=0),
+        memory_integral_page_instructions=sum(
+            v.memory_integral_page_instructions for v in vectors
+        ),
+        io_bytes_in=sum(v.io_bytes_in for v in vectors),
+        io_bytes_out=sum(v.io_bytes_out for v in vectors),
+        label="totals",
+    )
+
+
 class ResourceUsageLog:
     """The mutually trusted, verifiable log of a workload's resource usage."""
 
@@ -364,15 +381,4 @@ class ResourceUsageLog:
 
     def totals(self) -> ResourceVector:
         """Aggregate all entries into one vector (sum/max as appropriate)."""
-        return ResourceVector(
-            weighted_instructions=sum(e.vector.weighted_instructions for e in self.entries),
-            peak_memory_bytes=max(
-                (e.vector.peak_memory_bytes for e in self.entries), default=0
-            ),
-            memory_integral_page_instructions=sum(
-                e.vector.memory_integral_page_instructions for e in self.entries
-            ),
-            io_bytes_in=sum(e.vector.io_bytes_in for e in self.entries),
-            io_bytes_out=sum(e.vector.io_bytes_out for e in self.entries),
-            label="totals",
-        )
+        return totals_of(self.entries)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.accounting_enclave import AccountingEnclave, WorkloadResult
 from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
-from repro.core.resource_log import ResourceUsageLog, ResourceVector
+from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
 from repro.obs.context import TraceContext, env_sample_rate
 from repro.obs.events import emit as emit_event
@@ -281,7 +281,6 @@ class MeteringGateway:
         trace_sample: float | None = None,
         seal_window: int | None = None,
         shards: int = DEFAULT_SHARDS,
-        adaptive: bool = True,
     ):
         if seal_window is not None and seal_window < 1:
             raise ValueError("seal_window must be >= 1")
@@ -347,7 +346,7 @@ class MeteringGateway:
         #: than 1).  The requested count stays visible in :meth:`stats`.
         self.requested_workers = workers
         self.backend: ExecutionBackend = backend or WasmBackend(
-            WorkerPool(workers=workers, kind=pool, adaptive=adaptive)
+            WorkerPool(workers=workers, kind=pool, adaptive=True)
         )
         inner_pool = getattr(self.backend, "pool", None)
         self.effective_workers = getattr(inner_pool, "workers", workers)
@@ -913,15 +912,8 @@ class MeteringGateway:
 
     def totals(self, tenant_id: str | None = None) -> ResourceVector:
         """Aggregate usage — one tenant's, or across the whole gateway."""
-        if tenant_id is not None:
-            return self.ledger.totals(tenant_id)
-        log = ResourceUsageLog(signing_key=None)
-        log.entries = [
-            receipt.entry
-            for tid in sorted(self._tenants)
-            for receipt in self.ledger.receipts(tid)
-        ]
-        return log.totals()
+        tenants = sorted(self._tenants) if tenant_id is None else [tenant_id]
+        return totals_of(r.entry for tid in tenants for r in self.ledger.receipts(tid))
 
     # -- operations --------------------------------------------------------------
 

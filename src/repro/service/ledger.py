@@ -33,6 +33,7 @@ from repro.core.resource_log import (
     LogEntry,
     ResourceUsageLog,
     ResourceVector,
+    totals_of,
     verify_log_batches,
 )
 from repro.obs.events import emit as emit_event
@@ -323,9 +324,7 @@ class BillingLedger:
 
     def totals(self, tenant_id: str) -> ResourceVector:
         """One tenant's aggregate usage across all recorded receipts."""
-        log = ResourceUsageLog(signing_key=None)
-        log.entries = [r.entry for r in self.receipts(tenant_id)]
-        return log.totals()
+        return totals_of(r.entry for r in self.receipts(tenant_id))
 
     # -- epoch sealing -----------------------------------------------------------
 

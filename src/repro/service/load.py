@@ -17,7 +17,7 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
-from repro.core.resource_log import ResourceUsageLog, ResourceVector
+from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
 from repro.obs.context import trace_id_for
 from repro.obs.events import EventLog, disable_events, enable_events, get_event_log
@@ -116,8 +116,9 @@ def polybench_tenant_mix(
 
 #: The quota-probe tenant every load test carries: its instruction budget is
 #: below one request's cost, so its second request must come back as a typed
-#: ``instruction-budget-exhausted`` rejection — exercising admission control
-#: under load on every run.
+#: ``instruction-budget-exhausted`` rejection.  Both requests run at each
+#: sweep point before the timed load starts; the ``quota_probe`` gate fails
+#: the run when the second one is admitted.
 _PROBE_KERNEL = "trisolv"
 _PROBE_BUDGET = 1000
 
@@ -167,7 +168,6 @@ def run_loadtest(
     fault_seed: int = 0,
     deadline_s: float | None = None,
     hang_s: float = 3.0,
-    max_retries: int | None = None,
     events_out: str | None = None,
     slo_rules: str | None = None,
     validate_results: bool = True,
@@ -176,19 +176,21 @@ def run_loadtest(
     warm_pool: bool = False,
     trace_out: str | None = None,
     seal_window: int | None = 16,
-    adaptive: bool = True,
     tenants: int | None = None,
 ) -> dict:
     """Drive the gateway at each worker count and report wall-clock numbers.
 
     Each sweep point serves ``requests`` requests round-robin across the
-    PolyBench tenant mix, seals the epoch, audits it offline, and records
-    throughput plus latency percentiles.  With ``quota_probe`` a tenant with
-    a too-small instruction budget rides along and must be rejected with a
-    typed error; with ``verify_serial`` the same requests are re-run
-    serially through one :class:`TwoWaySandbox` and the aggregate resource
-    totals must match byte-for-byte.  The result feeds
-    ``BENCH_service.json``.
+    PolyBench tenant mix, seals the epoch, audits it offline (the ``epoch``
+    gate), and records throughput plus latency percentiles.  With
+    ``quota_probe`` a tenant with a too-small instruction budget rides along
+    and must be rejected with a typed error (the ``quota_probe`` gate); with
+    ``verify_serial`` the same requests are re-run serially through one
+    :class:`TwoWaySandbox` and the aggregate resource totals must match
+    byte-for-byte (the ``serial`` gate).  The result feeds
+    ``BENCH_service.json``.  Its verdict is ``result["gates"]``, each gate
+    that ran mapped to its failure lines (empty when it passed), and
+    ``result["ok"]``, true when every list is empty.
 
     ``backend="wasm"`` executes every request for real on the worker pool —
     throughput then scales with *physical* cores.  ``backend="modeled"``
@@ -204,8 +206,9 @@ def run_loadtest(
     audit after each sweep point's epoch seals.  ``pipeline`` forces the
     event log on (or off) independently of the two outputs — the overhead
     benchmark uses it to measure the pipeline's cost without touching disk.
-    The gate verdict lands in ``result["telemetry"]["ok"]``:
-    ``repro loadtest --slo`` exits non-zero when it is false.
+    Error-severity drift findings fail the ``drift`` gate and gating (page
+    or critical) alerts the ``slo`` gate; ``result["telemetry"]["ok"]`` is
+    the two combined.
 
     ``validate_results=False`` disables worker meter-reading validation —
     only useful to demonstrate that the drift auditor catches what
@@ -220,7 +223,7 @@ def run_loadtest(
     quota-probe checks (failed requests have no serial counterpart) and
     instead report the failure-containment invariants: the epoch still
     audits clean, and billing is exactly-once — receipt count == distinct
-    billed request ids == successful responses.
+    billed request ids == successful responses (the ``exactly_once`` gate).
 
     ``trace_out`` turns on distributed tracing for the run and writes the
     stitched Chrome/Perfetto trace there: every request's gateway-side
@@ -228,17 +231,18 @@ def run_loadtest(
     spans render as one connected timeline, and each sweep point gains a
     ``trace`` stitch report — per completed request, the span tree must be
     connected and every one of its receipts must carry the recomputable
-    ``trace_id``.  The aggregate verdict lands in ``result["trace_ok"]``.
+    ``trace_id``.  A point that fails it fails the ``trace`` gate;
+    ``result["trace_ok"]`` is the aggregate.
 
     ``seal_window`` (default 16) runs the gateway with batched receipt
     sealing: per tenant, one AE signature over a Merkle root of N receipt
     bodies per flush window instead of one RSA op per request.  Pass
-    ``None`` for the paper's per-receipt signing.  ``adaptive`` (default
-    on) shrinks process pools to the cores actually available — points
-    record both requested and effective worker counts, and the
-    ``speedup_gate`` entry marks the 4-vs-1 comparison *advisory* when the
-    box has fewer cores than the widest sweep point (a 1-core runner
-    cannot demonstrate a parallelism cliff, only scheduler thrash).
+    ``None`` for the paper's per-receipt signing.  Process pools shrink to
+    the cores actually available — points record both requested and
+    effective worker counts, and the ``speedup_gate`` entry marks the
+    4-vs-1 comparison *advisory* when the box has fewer cores than the
+    widest sweep point (a 1-core runner cannot demonstrate a parallelism
+    cliff, only scheduler thrash).
 
     ``tenants`` fans the kernel mix out to that many distinct tenant
     identities (see :func:`polybench_tenant_mix`) — useful for driving
@@ -277,7 +281,7 @@ def run_loadtest(
         quota_probe = False  # a fault on the probe would invalidate its assertion
     policy = ResiliencePolicy(
         deadline_s=deadline_s,
-        max_retries=(4 if plan is not None else 2) if max_retries is None else max_retries,
+        max_retries=4 if plan is not None else 2,
         backoff_base_s=0.05,
         backoff_cap_s=0.5,
         jitter_seed=fault_seed,
@@ -311,7 +315,6 @@ def run_loadtest(
         preempt_after=preempt_after,
         warm_pool=warm_pool,
         seal_window=seal_window,
-        adaptive=adaptive,
     )
     sweep = []
     try:
@@ -352,20 +355,27 @@ def run_loadtest(
         result["preempt_after"] = preempt_after
     if warm_pool:
         result["warm_pool"] = True
-    if trace_out is not None:
-        result["trace_out"] = trace_out
-        result["trace_ok"] = all(
-            point.get("trace", {}).get("ok", True) for point in sweep
-        )
+    # the verdict: each gate that ran -> its failure lines (empty = pass)
+    gates: dict[str, list[str]] = {"epoch": [
+        f"workers={p['workers']}: epoch audit error: {error}"
+        for p in sweep for error in p["epoch_errors"]
+    ]}
     if plan is not None:
         result["fault_plan"] = plan.describe()
         result["deadline_s"] = deadline_s
+        gates["exactly_once"] = [
+            f"workers={p['workers']}: billing not exactly-once: {p['billing']}"
+            for p in sweep if not p["billing"]["exactly_once"]
+        ]
     if verify_serial:
         serial = serial_baseline_totals(mix, schedule, engine=engine).to_json()
         result["serial_totals"] = serial
-        result["serial_totals_match"] = all(
-            point.get("gateway_totals") == serial for point in sweep
-        )
+        gates["serial"] = [
+            f"workers={p['workers']}: gateway totals differ from the serial "
+            f"sandbox: {p['gateway_totals']} != {serial}"
+            for p in sweep if p["gateway_totals"] != serial
+        ]
+        result["serial_totals_match"] = not gates["serial"]
     by_workers = {point["workers"]: point for point in sweep}
     if 1 in by_workers and 4 in by_workers:
         result["speedup_4_over_1"] = (
@@ -384,18 +394,39 @@ def run_loadtest(
         telemetry: dict = {"events": event_log.stats(), "events_path": events_out}
         if events_out is not None:
             telemetry["events_meta"] = event_log.write_jsonl(events_out)
-        drift_ok = all(point.get("drift", {}).get("ok", True) for point in sweep)
-        telemetry["drift_ok"] = drift_ok
-        engine = None
+        gates["drift"] = [
+            f"workers={p['workers']}: drift [{f['code']}] {f['tenant']}: {f['detail']}"
+            for p in sweep for f in p["drift"]["findings"] if f["severity"] == "error"
+        ]
+        telemetry["drift_ok"] = not gates["drift"]
         if slo_rules is not None:
             from repro.obs.slo import load_rules
             from repro.obs.slo import replay as replay_slo
 
-            engine, _agg = replay_slo(event_log.events(), load_rules(slo_rules))
+            slo, _agg = replay_slo(event_log.events(), load_rules(slo_rules))
             telemetry["slo_rules"] = slo_rules
-            telemetry["slo"] = engine.report()
-        telemetry["ok"] = drift_ok and (engine is None or not engine.gating_alerts())
+            telemetry["slo"] = slo.report()
+            gates["slo"] = [
+                f"alert [{alert.severity}] {alert.rule}: {alert.detail}"
+                for alert in slo.gating_alerts()
+            ]
+        telemetry["ok"] = not gates["drift"] and not gates.get("slo")
         result["telemetry"] = telemetry
+    if trace_out is not None:
+        gates["trace"] = [
+            f"workers={p['workers']}: stitched traces "
+            f"{p['trace']['stitched']}/{p['trace']['requests_checked']}"
+            for p in sweep if not p["trace"]["ok"]
+        ]
+        result["trace_out"] = trace_out
+        result["trace_ok"] = not gates["trace"]
+    if probe_spec is not None:
+        gates["quota_probe"] = [
+            f"workers={p['workers']}: over-quota probe admitted past its budget"
+            for p in sweep if p["quota_rejection"] is None
+        ]
+    result["gates"] = gates
+    result["ok"] = not any(gates.values())
     return result
 
 
@@ -538,9 +569,7 @@ def _run_sweep_point(
         if tracer is not None:
             point["trace"] = _stitch_report(gw, tracer, responses)
         if verify_serial:
-            mix_totals = ResourceUsageLog(signing_key=None)
-            mix_totals.entries = [receipt.entry for receipt in mix_receipts]
-            point["gateway_totals"] = mix_totals.totals().to_json()
+            point["gateway_totals"] = totals_of(r.entry for r in mix_receipts).to_json()
         return point
 
 

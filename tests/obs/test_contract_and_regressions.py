@@ -1,7 +1,9 @@
-"""Metric-name contract, CLI observability surface, and the two fix satellites
-(loadtest exit code on epoch-audit failure, atomic cache/admission stats)."""
+"""Metric-name contract, CLI observability surface, the loadtest verdict
+(each gate's failure exits non-zero) and atomic cache/admission stats."""
 
+import dataclasses
 import json
+import pathlib
 import threading
 
 import pytest
@@ -11,8 +13,9 @@ from repro.cli import main
 from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.obs import disable_all, get_registry
+from repro.service import load
 from repro.service.gateway import MeteringGateway
-from repro.service.ledger import EpochVerification
+from repro.service.ledger import BillingLedger, EpochVerification
 from repro.service.quota import AdmissionController, TenantQuota
 from repro.wasm.wat_parser import parse_wat
 
@@ -62,25 +65,55 @@ def test_cli_check_contract_exit_codes(monkeypatch, tmp_path):
     assert main(["metrics", "--check-contract"]) == 1
 
 
-# -- satellite: loadtest must exit non-zero when an epoch fails its audit ------
+# -- the loadtest verdict: every gate's failure fails the run ------------------
 
 
-def _loadtest_args(tmp_path, metrics_out=None):
+def _loadtest_args(tmp_path, *extra, serial=False, metrics_out=None):
     args = [
         "loadtest", "--workers", "1", "--requests", "4", "--pool", "thread",
-        "--backend", "wasm", "--kernels", "trisolv", "--no-serial",
-        "--out", str(tmp_path / "bench.json"),
+        "--backend", "wasm", "--kernels", "trisolv",
+        "--out", str(tmp_path / "bench.json"), *extra,
     ]
+    if not serial:
+        args.append("--no-serial")
     if metrics_out:
         args += ["--metrics-out", str(metrics_out)]
     return args
+
+
+SLO_RULES = pathlib.Path(__file__).parents[2] / "examples" / "slo_rules.json"
+
+
+def _gates_line(out: str) -> str:
+    [line] = [line for line in out.splitlines() if line.startswith("[wasm] gates:")]
+    return line
 
 
 def test_loadtest_exits_zero_when_epochs_verify(tmp_path):
     assert main(_loadtest_args(tmp_path)) == 0
 
 
-def test_loadtest_exits_nonzero_on_epoch_audit_failure(tmp_path, monkeypatch, capsys):
+def test_loadtest_passing_run_shows_every_gate_pass(tmp_path, capsys):
+    assert main(_loadtest_args(
+        tmp_path, "--trace-out", str(tmp_path / "trace.json"),
+        "--events-out", str(tmp_path / "events.jsonl"),
+        "--slo", str(SLO_RULES), serial=True,
+    )) == 0
+    captured = capsys.readouterr()
+    assert _gates_line(captured.out) == (
+        "[wasm] gates: epoch=pass serial=pass drift=pass slo=pass "
+        "trace=pass quota_probe=pass"
+    )
+    assert captured.err == ""
+    sweep = json.loads((tmp_path / "bench.json").read_text())["sweeps"]["wasm"]
+    assert sweep["ok"] is True
+    assert set(sweep["gates"]) == {
+        "epoch", "serial", "drift", "slo", "trace", "quota_probe",
+    }
+    assert not any(sweep["gates"].values())
+
+
+def _fail_epoch(monkeypatch):
     def failing_verify(self, seal=None):
         return EpochVerification(
             ok=False, epoch=0, receipts_checked=0,
@@ -88,14 +121,73 @@ def test_loadtest_exits_nonzero_on_epoch_audit_failure(tmp_path, monkeypatch, ca
         )
 
     monkeypatch.setattr(MeteringGateway, "verify_epoch", failing_verify)
-    assert main(_loadtest_args(tmp_path)) == 1
+
+
+def _fail_serial(monkeypatch):
+    real = load.serial_baseline_totals
+
+    def off_by_one(*args, **kwargs):
+        totals = real(*args, **kwargs)
+        return dataclasses.replace(
+            totals, weighted_instructions=totals.weighted_instructions + 1
+        )
+
+    monkeypatch.setattr(load, "serial_baseline_totals", off_by_one)
+
+
+def _fail_exactly_once(monkeypatch):
+    real = BillingLedger.billed_requests
+
+    def double_billed(self, tenant_id=None):
+        return real(self, tenant_id) + (1 if tenant_id is None else 0)
+
+    monkeypatch.setattr(BillingLedger, "billed_requests", double_billed)
+
+
+def _fail_trace(monkeypatch):
+    # receipts no longer carry the recomputable trace id
+    monkeypatch.setattr(load, "trace_id_for", lambda gateway, request_id: "0" * 16)
+
+
+def _fail_quota_probe(monkeypatch):
+    # a budget the probe tenant cannot exhaust: its second request is admitted
+    monkeypatch.setattr(load, "_PROBE_BUDGET", 10**12)
+
+
+GATE_FAILURES = {
+    # gate: (make it fail alone, extra loadtest flags, its stderr failure line)
+    "epoch": (_fail_epoch, (), "epoch audit error: tenant-x: chain broken"),
+    "serial": (_fail_serial, (), "differ from the serial sandbox"),
+    "exactly_once": (_fail_exactly_once, ("--faults", "crash:3"), "billing not exactly-once"),
+    "trace": (_fail_trace, ("--trace-out", "{tmp}/trace.json"), "stitched traces 0/4"),
+    "quota_probe": (_fail_quota_probe, (), "over-quota probe admitted past its budget"),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_FAILURES))
+def test_loadtest_exits_nonzero_on_gate_failure(gate, tmp_path, monkeypatch, capsys):
+    make_fail, extra, failure_line = GATE_FAILURES[gate]
+    make_fail(monkeypatch)
+    flags = [flag.format(tmp=tmp_path) for flag in extra]
+    assert main(_loadtest_args(tmp_path, *flags, serial=gate == "serial")) == 1
     captured = capsys.readouterr()
-    assert "chain broken" in captured.err  # audit errors surface on stderr
-    # the sweep point records the failure for the JSON artifact too
-    report = json.loads((tmp_path / "bench.json").read_text())
-    point = report["sweeps"]["wasm"]["sweep"][0]
-    assert point["epoch_ok"] is False
-    assert point["epoch_errors"]
+    verdicts = dict(
+        word.split("=") for word in _gates_line(captured.out).split(": ", 1)[1].split()
+    )
+    assert verdicts[gate] == "FAIL"
+    assert all(v == "pass" for g, v in verdicts.items() if g != gate), verdicts
+    assert any(
+        line.startswith("[wasm] workers=1: ") and failure_line in line
+        for line in captured.err.splitlines()
+    ), captured.err
+    # the report records the same verdict for the JSON artifact
+    sweep = json.loads((tmp_path / "bench.json").read_text())["sweeps"]["wasm"]
+    assert sweep["ok"] is False
+    assert sweep["gates"][gate]
+    if gate == "epoch":
+        point = sweep["sweep"][0]
+        assert point["epoch_ok"] is False
+        assert point["epoch_errors"]
 
 
 def test_loadtest_metrics_out_merges_snapshot(tmp_path):

@@ -119,8 +119,7 @@ def test_loadtest_writes_events_and_slo_report(tmp_path, capsys):
         "--slo-out", str(slo_out),
     )) == 0
     out = capsys.readouterr().out
-    assert "billing drift audit: clean" in out
-    assert "SLO gate: pass" in out
+    assert "[modeled] gates: epoch=pass drift=pass slo=pass quota_probe=pass" in out
     assert events.exists()
     first = json.loads(events.read_text().splitlines()[0])
     assert first["kind"] == "_meta"
@@ -142,13 +141,13 @@ def test_loadtest_slo_gate_fails_on_page_alert(tmp_path, capsys):
     }]))
     assert main(_loadtest(tmp_path, "--slo", str(rules))) == 1
     out = capsys.readouterr().out
-    assert "SLO gate: FAIL" in out
+    assert "drift=pass slo=FAIL" in out
 
 
 def test_loadtest_without_pipeline_flags_reports_no_telemetry(tmp_path, capsys):
     assert main(_loadtest(tmp_path)) == 0
     out = capsys.readouterr().out
-    assert "billing drift audit" not in out  # pipeline stayed off
+    assert "[modeled] gates: epoch=pass quota_probe=pass" in out  # pipeline stayed off
     report = json.loads((tmp_path / "bench.json").read_text())
     assert "telemetry" not in report["sweeps"]["modeled"]
 
