@@ -18,7 +18,6 @@ from repro.core.instrumentation_enclave import InstrumentationEvidence, verify_e
 from repro.core.policy import MemoryPolicy, memory_integral
 from repro.core.resource_log import ResourceUsageLog, ResourceVector
 from repro.instrument.weights import WeightTable
-from repro.obs.context import worker_span
 from repro.obs.instruments import (
     CHECKPOINT_RECEIPTS,
     SANDBOX_INSTRUCTIONS,
@@ -138,15 +137,15 @@ def run_slice(
     slice too, recorded in ``raw``).  ``exec_engine`` names the engine
     whose frames ran it.
 
-    Both phases are worker spans on the active telemetry capture (no-ops
-    outside a traced worker task): ``worker.instantiate`` or
+    Both phases are spans — on the task's telemetry capture in a gateway
+    worker, on the active tracer in the enclave: ``worker.instantiate`` or
     ``worker.restore`` (with the snapshot's wire size, ``snapshot_bytes``),
     then ``worker.invoke`` or ``worker.resume_invoke``.
     """
     if snapshot is None:
-        setup = worker_span("worker.instantiate", warm=lease is not None, engine=engine or "")
+        setup = span("worker.instantiate", warm=lease is not None, engine=engine or "")
     else:
-        setup = worker_span("worker.restore", snapshot_bytes=snapshot_bytes, engine=engine or "")
+        setup = span("worker.restore", snapshot_bytes=snapshot_bytes, engine=engine or "")
         if limits.snapshot_at is not None:
             limits = replace(limits, snapshot_at=snapshot.executed + limits.snapshot_at)
     with setup:
@@ -173,7 +172,7 @@ def run_slice(
     value: object = None
     trapped, trap_message = False, ""
     captured: Snapshot | None = None
-    with worker_span(
+    with span(
         "worker.invoke" if snapshot is None else "worker.resume_invoke",
         export=export,
         exec_engine=instance.exec_engine,

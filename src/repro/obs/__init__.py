@@ -37,10 +37,8 @@ from repro.obs.context import (
     current_capture,
     env_sample_rate,
     explain_request,
-    record_metric,
+    merge_telemetry,
     trace_id_for,
-    worker_event,
-    worker_span,
 )
 from repro.obs.events import (
     Event,
@@ -125,16 +123,14 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "load_rules",
+    "merge_telemetry",
     "metrics_enabled",
     "profile",
     "read_jsonl",
-    "record_metric",
     "replay",
     "span",
     "trace_id_for",
     "tracing_enabled",
-    "worker_event",
-    "worker_span",
 ]
 
 

@@ -10,37 +10,55 @@ carries telemetry across that boundary in both directions:
   flag and a hop counter — is minted at gateway admission, serialized into
   the :class:`~repro.service.worker.ExecutionTask` wire format, and
   re-activated inside ``execute_task``;
-* a :class:`TelemetryCapture` — a bounded, process-local buffer of spans,
-  structured events and metric deltas — records everything the worker-side
-  call sites observe while the context is active, and ships home inside
-  :class:`~repro.service.worker.WorkerResult`;
-* the gateway merges the capture into its own tracer / event log / metrics
-  registry with origin-pid tagging, so one request preempted across three
-  workers still renders as **one stitched Perfetto timeline**.
+* a :class:`TelemetryCapture` — a bounded :class:`~repro.obs.trace.Tracer`
+  that also keeps structured events and metric deltas — is active
+  (thread-locally) for every task ``execute_task`` runs, and ships home
+  inside :class:`~repro.service.worker.WorkerResult` as :meth:`to_wire
+  <TelemetryCapture.to_wire>` data;
+* :func:`merge_telemetry` folds that data into the gateway's tracer / event
+  log / metrics registry with origin-pid tagging, so one request preempted
+  across three workers still renders as **one stitched Perfetto timeline**,
+  and every worker metric is counted exactly once, in either pool kind.
 
 Identity is deterministic: ``trace_id = sha256("trace:<gateway>:<request>")``
 truncated to 128 bits, so offline consumers (the drift auditor, ``repro
 explain``, CI's stitch checker) can recompute the id for any request without
 carrying extra state.  Head sampling is deterministic too — the decision is
 a pure function of the trace id and the rate (``REPRO_TRACE_SAMPLE``), so
-every process agrees on whether a given request is sampled.
+every process agrees on whether a given request is sampled.  Sampling gates
+spans and events only: metrics are never sampled.
 
-Worker-side call sites use :func:`worker_span` / :func:`worker_event` /
-:func:`record_metric` instead of the process-global tracer: activation is
-**thread-local**, so in the threaded pool two concurrent tasks never write
-into each other's capture, and when no capture is active (the serial
-sandbox path, obs-off runs) every helper is a no-op costing one
-thread-local read.
+Worker code has no telemetry API of its own.  It calls the ordinary
+:func:`repro.obs.trace.span`, :func:`repro.obs.events.emit`,
+``Counter.inc`` and ``Histogram.observe``; while a capture is active on the
+calling thread (:func:`activate`, :func:`~repro.obs.trace.current_capture`)
+those record into it and nowhere else, so in the threaded pool two
+concurrent tasks never write into each other's capture (or into the
+gateway's sinks directly), and in a worker process nothing lands in the
+forked copies of the gateway's sinks.  With no capture active (the serial
+sandbox path, the gateway itself) they behave as they always do.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+from repro.obs.events import emit
+from repro.obs.instruments import TRACE_BACKHAUL_BYTES, TRACE_SPANS_DROPPED
+from repro.obs.metrics import get_registry, metrics_enabled
+from repro.obs.trace import (
+    _ACTIVE,
+    NULL_SPAN,
+    Span,
+    Tracer,
+    _json_safe,
+    current_capture,
+    get_tracer,
+)
 from repro.tcrypto.hashing import sha256
 
 #: Environment knob for head sampling: a rate in [0, 1], default 1.0
@@ -76,9 +94,9 @@ class TraceContext:
     worker's spans should hang under.  ``hop`` counts re-dispatches — a
     fresh request is hop 0, each snapshot re-dispatch or retry increments
     it, so a preempted job's worker spans are ordered even when wall clocks
-    disagree.  ``sampled`` gates the *backhaul* (span/event/metric capture
-    in the worker); the id itself always exists once minted, so receipts
-    and ledger events carry provenance even for unsampled requests.
+    disagree.  ``sampled`` gates the worker's spans and events (never its
+    metrics); the id itself always exists once minted, so receipts and
+    ledger events carry provenance even for unsampled requests.
     """
 
     trace_id: str
@@ -149,98 +167,48 @@ def sampling_decision(trace_id: str, rate: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side capture
+# Worker-side capture, its activation, and the gateway-side merge
 # ---------------------------------------------------------------------------
 
 
-class _CaptureSpan:
-    """A span recorded into a capture; context-manager like a real Span."""
+class TelemetryCapture(Tracer):
+    """One task's worker-side telemetry: a bounded :class:`Tracer` plus the
+    task's structured events and metric deltas.
 
-    __slots__ = ("_capture", "_record")
-
-    def __init__(self, capture: "TelemetryCapture", record: dict | None):
-        self._capture = capture
-        self._record = record  # None = dropped by the bound
-
-    def set_attribute(self, key: str, value) -> None:
-        if self._record is not None:
-            self._record["attrs"][key] = _wire_safe(value)
-
-    def set_attributes(self, **attributes) -> None:
-        for key, value in attributes.items():
-            self.set_attribute(key, value)
-
-    def end(self) -> None:
-        if self._record is not None and self._record["end_ns"] is None:
-            self._record["end_ns"] = time.perf_counter_ns()
-        self._capture._pop(self._record)
-
-    def __enter__(self) -> "_CaptureSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.end()
-        return False
-
-
-def _wire_safe(value):
-    if isinstance(value, (bytes, bytearray)):
-        return value.hex()
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
-class TelemetryCapture:
-    """A bounded process-local buffer of worker-side telemetry.
-
-    One capture per task execution, activated thread-locally for the task's
-    duration.  Spans use ``time.perf_counter_ns()`` — CLOCK_MONOTONIC on
-    Linux, whose epoch is boot time and therefore *shared* across processes
-    on the same host — so worker timestamps land directly on the gateway's
-    timeline when merged.  Everything is plain dicts/lists/tuples, so the
-    capture pickles across the process boundary without custom reducers.
+    While :func:`activate` has made it the calling thread's capture, the
+    ordinary obs calls on that thread record here and nowhere else.  With a
+    sampled ``ctx`` it keeps spans, events and metric deltas; unsampled,
+    metric deltas only; with ``ctx=None``, nothing.  Span timestamps are
+    CLOCK_MONOTONIC on Linux, whose epoch is boot time and therefore
+    *shared* across processes on the same host, so worker spans land
+    directly on the gateway's timeline when merged.
     """
 
-    def __init__(self, ctx: TraceContext, max_spans: int = MAX_SPANS,
+    def __init__(self, ctx: TraceContext | None, max_spans: int = MAX_SPANS,
                  max_events: int = MAX_EVENTS):
+        super().__init__()
         self.ctx = ctx
+        self.sampled = ctx is not None and ctx.sampled
         self.pid = os.getpid()
         self.max_spans = max_spans
         self.max_events = max_events
-        self.spans: list[dict] = []
         self.events: list[dict] = []
         self.metrics: list[tuple] = []
         self.spans_dropped = 0
         self.events_dropped = 0
-        self._next_id = 1
-        self._stack: list[dict] = []
 
-    # -- recording ---------------------------------------------------------------
-
-    def span(self, name: str, **attributes) -> _CaptureSpan:
-        if len(self.spans) >= self.max_spans:
+    def span(self, name: str, parent: Span | None = None, detached: bool = False,
+             **attributes):
+        if not self.sampled:
+            return NULL_SPAN
+        if self._next_id > self.max_spans:
             self.spans_dropped += 1
-            return _CaptureSpan(self, None)
-        record = {
-            "name": name,
-            "id": self._next_id,
-            "parent": self._stack[-1]["id"] if self._stack else None,
-            "start_ns": time.perf_counter_ns(),
-            "end_ns": None,
-            "thread_id": threading.get_ident(),
-            "attrs": {k: _wire_safe(v) for k, v in attributes.items()},
-        }
-        self._next_id += 1
-        self.spans.append(record)
-        self._stack.append(record)
-        return _CaptureSpan(self, record)
-
-    def _pop(self, record: dict | None) -> None:
-        if record is not None and self._stack and self._stack[-1] is record:
-            self._stack.pop()
+            return NULL_SPAN
+        return super().span(name, parent=parent, detached=detached, **attributes)
 
     def event(self, kind: str, **fields) -> None:
+        if not self.sampled:
+            return
         if len(self.events) >= self.max_events:
             self.events_dropped += 1
             return
@@ -248,39 +216,49 @@ class TelemetryCapture:
             {
                 "kind": kind,
                 "ts_s": time.time(),
-                "fields": {k: _wire_safe(v) for k, v in fields.items()},
+                "fields": {k: _json_safe(v) for k, v in fields.items()},
             }
         )
 
-    def metric(self, name: str, value: float = 1.0, kind: str = "counter",
-               **labels) -> None:
-        """Record a metric delta to replay into the gateway registry.
+    def metric(self, metric, value: float, labels: dict) -> None:
+        """Record one ``Counter.inc``/``Histogram.observe`` as a delta for
+        the gateway to replay (without its exemplar, if any)."""
+        if self.ctx is not None:
+            self.metrics.append((metric.name, metric.kind, float(value), labels))
 
-        Worker-side ``Counter.inc`` / ``Histogram.observe`` calls mutate the
-        *worker process's* registry, which is discarded with the process —
-        this is the copy that survives.  The gateway applies deltas only
-        when the capture's origin pid differs from its own (a process-pool
-        worker); in the threaded pool the direct calls already landed in
-        the shared registry and replaying them would double-count.
+    def to_wire(self) -> dict | None:
+        """The capture as plain data (it pickles across the process
+        boundary), or ``None`` when nothing was recorded.
+
+        Spans come in creation order, so every parent precedes its children
+        as :meth:`Tracer.ingest` needs; one still open (a fault unwound
+        past its exit) is closed now and marked ``truncated``.
         """
-        self.metrics.append((name, kind, float(value), tuple(sorted(labels.items()))))
-
-    # -- wire format -------------------------------------------------------------
-
-    def to_wire(self) -> dict:
+        if not (self._next_id > 1 or self.events or self.metrics
+                or self.spans_dropped or self.events_dropped):
+            return None
+        with self._lock:
+            spans = sorted([*self._spans, *self._open.values()], key=lambda s: s.span_id)
         now = time.perf_counter_ns()
-        spans = []
-        for record in self.spans:
-            wire = dict(record)
-            if wire["end_ns"] is None:  # left open (e.g. a fault unwound it)
-                wire["end_ns"] = now
-                wire["attrs"] = dict(wire["attrs"], truncated=True)
-            spans.append(wire)
         return {
             "trace_id": self.ctx.trace_id,
             "hop": self.ctx.hop,
             "pid": self.pid,
-            "spans": spans,
+            "spans": [
+                {
+                    "name": s.name,
+                    "id": s.span_id,
+                    "parent": s.parent_id,
+                    "start_ns": s.start_ns,
+                    "end_ns": now if s.end_ns is None else s.end_ns,
+                    "thread_id": s.thread_id,
+                    "attrs": (
+                        s.attributes if s.end_ns is not None
+                        else {**s.attributes, "truncated": True}
+                    ),
+                }
+                for s in spans
+            ],
             "spans_dropped": self.spans_dropped,
             "events": list(self.events),
             "events_dropped": self.events_dropped,
@@ -288,17 +266,15 @@ class TelemetryCapture:
         }
 
 
-# ---------------------------------------------------------------------------
-# Thread-local activation: the worker-side analogue of the global switches
-# ---------------------------------------------------------------------------
-
-_ACTIVE = threading.local()
+#: The capture of a task without a trace context.  It records nothing, so
+#: one instance serves every such task, on every thread.
+NO_CAPTURE = TelemetryCapture(None)
 
 
 @contextmanager
 def activate(capture: TelemetryCapture):
     """Make ``capture`` the calling thread's telemetry sink for the block."""
-    previous = getattr(_ACTIVE, "capture", None)
+    previous = _ACTIVE.capture
     _ACTIVE.capture = capture
     try:
         yield capture
@@ -306,53 +282,45 @@ def activate(capture: TelemetryCapture):
         _ACTIVE.capture = previous
 
 
-def current_capture() -> TelemetryCapture | None:
-    return getattr(_ACTIVE, "capture", None)
+def merge_telemetry(telemetry: dict, parent: Span | None = None, **fields) -> None:
+    """Fold one :meth:`TelemetryCapture.to_wire` into this process's
+    tracer, event log and metrics registry.
 
-
-class _NullCaptureSpan:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set_attribute(self, key: str, value) -> None:
-        pass
-
-    def set_attributes(self, **attributes) -> None:
-        pass
-
-    def end(self) -> None:
-        pass
-
-
-_NULL_CAPTURE_SPAN = _NullCaptureSpan()
-
-
-def worker_span(name: str, **attributes):
-    """Open a span on the active capture; a shared no-op when inactive."""
-    capture = getattr(_ACTIVE, "capture", None)
-    if capture is None:
-        return _NULL_CAPTURE_SPAN
-    return capture.span(name, **attributes)
-
-
-def worker_event(kind: str, **fields) -> None:
-    """Record a structured event on the active capture; no-op when inactive."""
-    capture = getattr(_ACTIVE, "capture", None)
-    if capture is not None:
-        capture.event(kind, **fields)
-
-
-def record_metric(name: str, value: float = 1.0, kind: str = "counter",
-                  **labels) -> None:
-    """Record a metric delta on the active capture; no-op when inactive."""
-    capture = getattr(_ACTIVE, "capture", None)
-    if capture is not None:
-        capture.metric(name, value, kind=kind, **labels)
+    Spans keep their origin pid and hang under ``parent`` (one stitched
+    trace per request, however many workers served its hops).  Events
+    re-emit through this process's log (fresh, strictly monotonic ``seq``)
+    stamped with ``fields``, the trace id, and the worker's pid and clock
+    as ``origin_pid``/``worker_ts_s``.  Metric deltas always replay: the
+    capture was the only place the worker recorded them, in a thread pool
+    and a process pool alike.
+    """
+    trace_id = telemetry["trace_id"]
+    origin_pid = telemetry["pid"]
+    if metrics_enabled():
+        TRACE_BACKHAUL_BYTES.observe(float(len(json.dumps(telemetry, default=str))))
+    dropped = telemetry["spans_dropped"] + telemetry["events_dropped"]
+    if dropped:
+        TRACE_SPANS_DROPPED.inc(dropped)
+    tracer = get_tracer()
+    if tracer is not None and telemetry["spans"]:
+        tracer.ingest(
+            telemetry["spans"],
+            parent=parent if isinstance(parent, Span) else None,
+            pid=origin_pid,
+            trace_id=trace_id,
+        )
+    stamp = dict(fields, trace_id=trace_id, origin_pid=origin_pid)
+    for record in telemetry["events"]:
+        emit(record["kind"], **{**record["fields"], **stamp, "worker_ts_s": record["ts_s"]})
+    registry = get_registry()
+    for name, kind, value, labels in telemetry["metrics"]:
+        metric = registry.get(name)
+        if metric is None:
+            continue
+        if kind == "histogram":
+            metric.observe(value, **labels)
+        else:
+            metric.inc(value, **labels)
 
 
 # ---------------------------------------------------------------------------

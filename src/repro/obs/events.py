@@ -11,9 +11,10 @@ the rolling-window aggregator (:mod:`repro.obs.rollup`), the SLO rules engine
 
 Design constraints, in order:
 
-* **Off by default and nearly free when off** — :func:`emit` is one module
-  global read and a ``None`` check, like spans and metrics, so the disabled
-  serving path stays byte-identical and unmeasurably slower.
+* **Off by default and nearly free when off** — :func:`emit` is a
+  thread-local read (the worker-side capture, see :mod:`repro.obs.context`),
+  one module global read and two ``None`` checks, like spans and metrics, so
+  the disabled serving path stays byte-identical and unmeasurably slower.
 * **Bounded memory with honest backpressure** — the in-process buffer holds at
   most ``capacity`` events; beyond that, *new* events are counted as dropped
   rather than evicting history (the head of a run — registrations, first
@@ -34,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs.instruments import EVENTS_DROPPED, EVENTS_EMITTED
+from repro.obs.trace import _ACTIVE, _json_safe
 
 #: Bump when a record's reserved keys or an event kind's fields change shape.
 SCHEMA_VERSION = 1
@@ -58,16 +60,6 @@ EVENT_KINDS = (
     #                  degraded to threads: rebuilds, pool_kind
     "alert",  # SLO rule fired: rule, severity, value
 )
-
-
-def _json_safe(value):
-    if isinstance(value, (bytes, bytearray)):
-        return value.hex()
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -236,7 +228,11 @@ def get_event_log() -> EventLog | None:
 
 
 def emit(kind: str, **fields) -> None:
-    """Emit one event on the active log; a no-op when events are disabled."""
+    """Emit one event on the thread's active capture, else on the active
+    log; a no-op when neither is there."""
+    if (capture := _ACTIVE.capture) is not None:
+        capture.event(kind, **fields)
+        return
     log = _LOG
     if log is None:
         return

@@ -13,9 +13,14 @@ ways:
 
 Tracing is **off by default**: :func:`span` returns a shared no-op span
 unless :func:`enable_tracing` installed a tracer, so instrumented call sites
-cost one module-global read plus a ``None`` check when disabled.  Span
-nesting is tracked per thread; cross-thread children (a gateway request
-settled on a pool callback thread) pass ``parent=`` explicitly.
+cost a thread-local read, one module-global read and a ``None`` check when
+disabled.  Span nesting is tracked per thread; cross-thread children (a
+gateway request settled on a pool callback thread) pass ``parent=``
+explicitly.
+
+While a :class:`~repro.obs.context.TelemetryCapture` is active on the
+calling thread (:func:`current_capture`), :func:`span` — like ``emit``,
+``Counter.inc`` and ``Histogram.observe`` — records into it instead.
 """
 
 from __future__ import annotations
@@ -28,12 +33,31 @@ from dataclasses import dataclass, field
 
 
 def _json_safe(value):
-    """Coerce an attribute value into something JSON-serialisable."""
+    """Coerce an attribute or event field into something JSON-serialisable."""
     if isinstance(value, (bytes, bytearray)):
         return value.hex()
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
     return str(value)
+
+
+class _Active(threading.local):
+    """The calling thread's active telemetry capture.  The class default
+    makes the no-capture read a plain attribute hit, several times cheaper
+    than ``getattr`` with a default on a missing thread-local attribute."""
+
+    capture = None
+
+
+_ACTIVE = _Active()
+
+
+def current_capture():
+    """The :class:`~repro.obs.context.TelemetryCapture` active on this
+    thread, or ``None``."""
+    return _ACTIVE.capture
 
 
 @dataclass
@@ -374,8 +398,9 @@ def get_tracer() -> Tracer | None:
 
 
 def span(name: str, parent: Span | None = None, detached: bool = False, **attributes):
-    """Open a span on the active tracer, or a shared no-op when disabled."""
-    t = _tracer
+    """Open a span on the thread's active capture, else on the active tracer,
+    else a shared no-op."""
+    t = _ACTIVE.capture or _tracer
     if t is None:
         return NULL_SPAN
     return t.span(name, parent=parent, detached=detached, **attributes)

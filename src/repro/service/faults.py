@@ -31,7 +31,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from repro.obs.context import worker_event
 from repro.obs.events import emit as emit_event
 from repro.tcrypto.hashing import sha256
 from repro.wasm.memory import PAGE_SIZE
@@ -287,7 +286,7 @@ def perform_pre_fault(kind: str | None, arg: float) -> None:
     duration — distinguished only by whether the gateway's deadline
     outlasts them.
     """
-    worker_event("fault_performed", fault=kind, arg=arg)
+    emit_event("fault_performed", fault=kind, arg=arg)
     if arg > 0:
         time.sleep(arg)
     if kind == "crash":

@@ -17,8 +17,6 @@ Each request transition records its telemetry through the table in
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import threading
 import time
 from concurrent.futures import Future
@@ -29,13 +27,12 @@ from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
-from repro.obs.context import TraceContext, env_sample_rate
+from repro.obs.context import TraceContext, env_sample_rate, merge_telemetry
 from repro.obs.events import emit as emit_event
 from repro.obs.events import events_enabled
-from repro.obs.instruments import TRACE_BACKHAUL_BYTES, TRACE_SPANS_DROPPED
-from repro.obs.metrics import get_registry
-from repro.obs.trace import Span, get_tracer, tracing_enabled
+from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import span as obs_span
+from repro.obs.trace import tracing_enabled
 from repro.service.backends import ExecutionBackend, WasmBackend
 from repro.service.faults import (
     DeadlineExceeded,
@@ -135,8 +132,8 @@ class _RequestState:
     #: tenant lock, alongside the checkpoint signing they describe)
     checkpoints: int = 0
     billed: tuple = (0, 0, 0)
-    #: distributed-trace context for this request (``None`` when neither
-    #: tracing nor events are on); re-minted to the next hop on every
+    #: distributed-trace context for this request (``None`` when no
+    #: telemetry sink is on); re-minted to the next hop on every
     #: checkpoint re-dispatch and retry, always on the single serving
     #: coroutine for the request, so no extra locking is needed
     trace: "TraceContext | None" = None
@@ -299,10 +296,10 @@ class MeteringGateway:
         #: Tenant-hash shard count for admission state, the ledger, and
         #: request-id minting (see :mod:`repro.service.sharding`).
         self.shards = shards
-        #: Head-sampling rate for the worker telemetry backhaul, in [0, 1].
-        #: Defaults to ``REPRO_TRACE_SAMPLE`` (1.0 when unset).  Sampling
-        #: gates only the backhaul: trace ids are minted (and stamped onto
-        #: receipts/events) for every request once tracing or events are on.
+        #: Head-sampling rate for worker spans and events, in [0, 1]
+        #: (default ``REPRO_TRACE_SAMPLE``, else 1.0).  Worker metrics are
+        #: never sampled, and every request's trace id is minted (and
+        #: stamped onto receipts/events) once tracing, events or metrics are on.
         self.trace_sample = (
             env_sample_rate()
             if trace_sample is None
@@ -499,10 +496,9 @@ class MeteringGateway:
             req_span.end()
             raise
         request_id = self._mint_request_id(tenant.shard)
-        # trace identity: minted once per admitted request whenever anyone
-        # is watching (tracer or event log); obs-off runs skip it entirely
+        # trace identity, minted whenever any sink is on: it arms the worker capture
         ctx: TraceContext | None = None
-        if tracing_enabled() or events_enabled():
+        if tracing_enabled() or events_enabled() or metrics_enabled():
             ctx = TraceContext.mint(
                 self.gateway_id,
                 request_id,
@@ -539,7 +535,7 @@ class MeteringGateway:
             max_instructions=self.config.max_instructions,
             snapshot_at=self.preempt_after,
             warm=self.warm_pool,
-            trace=ctx.to_wire() if ctx is not None and ctx.sampled else None,
+            trace=ctx.to_wire() if ctx is not None else None,
             fault=fault,
             fault_arg=self.fault_plan.fault_arg(fault) if fault is not None else 0.0,
         )
@@ -589,8 +585,13 @@ class MeteringGateway:
                     attempt += 1
                     continue
                 worker_result = inner.result()
-                if worker_result.telemetry:
-                    self._merge_telemetry(state, worker_result.telemetry)
+                if worker_result.telemetry is not None:
+                    merge_telemetry(
+                        worker_result.telemetry,
+                        state.span,
+                        gateway=self.gateway_id,
+                        request_id=state.request_id,
+                    )
                 task = self._sign_and_record(state, task, worker_result)
                 if task is None:
                     return
@@ -616,54 +617,6 @@ class MeteringGateway:
             return True
         done, _pending = await asyncio.wait({waiter}, timeout=remaining)
         return bool(done)
-
-    def _merge_telemetry(self, state: _RequestState, telemetry: dict) -> None:
-        """Fold one worker capture into the gateway's tracer/log/registry.
-
-        Spans keep their origin pid and land re-parented under the request
-        span (one stitched trace per request, however many workers served
-        its hops).  Worker events re-emit through the gateway log — fresh,
-        strictly monotonic ``seq``; the worker's own clock and pid ride
-        along as fields — so JSONL replay order stays deterministic.
-        Metric deltas are applied only when the capture crossed a process
-        boundary: a thread-pool worker's direct increments already landed
-        in the shared registry, and replaying them would double-count.
-        """
-        trace_id = telemetry.get("trace_id")
-        origin_pid = int(telemetry.get("pid", 0))
-        TRACE_BACKHAUL_BYTES.observe(float(len(json.dumps(telemetry, default=str))))
-        dropped = int(telemetry.get("spans_dropped", 0)) + int(
-            telemetry.get("events_dropped", 0)
-        )
-        if dropped:
-            TRACE_SPANS_DROPPED.inc(dropped)
-        tracer = get_tracer()
-        if tracer is not None and telemetry.get("spans"):
-            parent = state.span if isinstance(state.span, Span) else None
-            tracer.ingest(
-                telemetry["spans"], parent=parent, pid=origin_pid, trace_id=trace_id
-            )
-        for record in telemetry.get("events", ()):
-            fields = dict(record.get("fields", ()))
-            fields.update(
-                gateway=self.gateway_id,
-                request_id=state.request_id,
-                trace_id=trace_id,
-                origin_pid=origin_pid,
-                worker_ts_s=record.get("ts_s"),
-            )
-            emit_event(record["kind"], **fields)
-        if origin_pid != os.getpid():
-            registry = get_registry()
-            for delta in telemetry.get("metrics", ()):
-                name, kind, value, labels = delta
-                metric = registry.get(name)
-                if metric is None:
-                    continue
-                if kind == "histogram":
-                    metric.observe(value, **dict(labels))
-                else:
-                    metric.inc(value, **dict(labels))
 
     async def _task_failed(
         self,
@@ -704,8 +657,7 @@ class MeteringGateway:
         task = replace(task, fault=None, fault_arg=0.0, **changes)
         if state.trace is not None:
             state.trace = state.trace.next_hop()
-            if state.trace.sampled:
-                task = replace(task, trace=state.trace.to_wire())
+            task = replace(task, trace=state.trace.to_wire())
         return task
 
     def _sign_and_record(

@@ -37,6 +37,7 @@ from repro.core.resource_log import (
     verify_log_batches,
 )
 from repro.obs.events import emit as emit_event
+from repro.obs.events import events_enabled
 from repro.obs.instruments import (
     LEDGER_BATCH_SEALS,
     LEDGER_RECEIPTS,
@@ -238,16 +239,17 @@ class BillingLedger:
             if request_id is not None:
                 self._billed_requests[tenant_id].add(request_id)
         LEDGER_RECEIPTS.inc(tenant=tenant_id)
-        emit_event(
-            "receipt",
-            gateway=self.owner,
-            tenant=tenant_id,
-            request_id=request_id,
-            sequence=entry.sequence,
-            weighted_instructions=entry.vector.weighted_instructions,
-            entry_hash=entry.entry_hash(),
-            trace_id=trace_id,
-        )
+        if events_enabled():  # no entry hash for an event nobody records
+            emit_event(
+                "receipt",
+                gateway=self.owner,
+                tenant=tenant_id,
+                request_id=request_id,
+                sequence=entry.sequence,
+                weighted_instructions=entry.vector.weighted_instructions,
+                entry_hash=entry.entry_hash(),
+                trace_id=trace_id,
+            )
         return receipt
 
     def billed_requests(self, tenant_id: str | None = None) -> int:

@@ -25,8 +25,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.obs.context import record_metric, worker_event, worker_span
+from repro.obs.events import emit
 from repro.obs.instruments import WARM_POOL_HITS
+from repro.obs.trace import span
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment
@@ -101,16 +102,14 @@ class WarmPool:
         with self._lock:
             handle = self._idle.pop() if self._idle else None
         if handle is None:
-            with worker_span("warmpool.build"):
+            with span("warmpool.build"):
                 handle = self._build()
-            worker_event("warm_acquire", outcome="build")
+            emit("warm_acquire", outcome="build")
         else:
             with self._lock:
                 self.hits += 1
             WARM_POOL_HITS.inc()
-            # backhaul copy: a process-pool worker's registry dies with it
-            record_metric("acctee_warm_pool_hits", 1)
-            worker_event("warm_acquire", outcome="hit")
+            emit("warm_acquire", outcome="hit")
         apply_state(handle.instance, self._image)
         rewind_io(handle.env, input_data, None)
         handle.instance.limits = limits or ExecutionLimits()

@@ -56,7 +56,7 @@ from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 
 from repro.core.accounting_enclave import RawExecution, run_slice
-from repro.obs.context import TelemetryCapture, TraceContext, activate, worker_event
+from repro.obs.context import NO_CAPTURE, TelemetryCapture, TraceContext, activate
 from repro.obs.events import emit as emit_event
 from repro.obs.instruments import (
     POOL_EXEC_WALL,
@@ -65,6 +65,7 @@ from repro.obs.instruments import (
     POOL_TASKS_IN_FLIGHT,
     POOL_UTILISATION,
 )
+from repro.obs.trace import span
 from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
 from repro.service.warmpool import WarmPool
 from repro.tcrypto.hashing import sha256
@@ -141,8 +142,9 @@ class ExecutionTask:
     #: reset a pooled instance per request)
     warm: bool = False
     #: distributed-trace context (``TraceContext.to_wire()`` tuple), set by
-    #: the gateway only when the request is head-sampled — its presence is
-    #: what arms the worker-side telemetry capture
+    #: the gateway whenever any telemetry sink (tracing, events, metrics) is
+    #: on, sampled or not; it arms the task's telemetry capture, which
+    #: keeps spans and events only when the context is sampled
     trace: tuple | None = None
 
 
@@ -162,8 +164,9 @@ class WorkerResult:
     #: empty when nothing executed (the modeled backend)
     exec_engine: str = ""
     #: backhauled worker telemetry (``TelemetryCapture.to_wire()`` dict):
-    #: spans, events and metric deltas recorded while the task's trace
-    #: context was active, merged by the gateway with origin-pid tagging
+    #: the spans, events and metric deltas the task recorded, merged by
+    #: the gateway (``merge_telemetry``) with origin-pid tagging; ``None``
+    #: when the task recorded nothing
     telemetry: dict | None = None
 
 
@@ -172,11 +175,11 @@ def _cached_decoded(task: ExecutionTask) -> _Decoded:
         decoded = _MODULE_CACHE.get(task.module_hash)
         if decoded is not None:
             _MODULE_CACHE.move_to_end(task.module_hash)
-            worker_event("module_cache", outcome="hit")
+            emit_event("module_cache", outcome="hit")
             return decoded
     # decode outside the lock — it is the expensive part, and two threads
     # decoding the same module concurrently is wasteful but harmless
-    worker_event("module_cache", outcome="decode")
+    emit_event("module_cache", outcome="decode")
     decoded = _Decoded(decode_module(task.module_bytes))
     with _MODULE_CACHE_LOCK:
         if task.module_hash not in _MODULE_CACHE:
@@ -225,28 +228,29 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
     any variant may *preempt* instead of completing: the result then carries
     the encoded snapshot and meters-as-of-capture for checkpoint billing.
 
-    When the task carries a trace context (``task.trace``, set only for
-    head-sampled requests), a :class:`~repro.obs.context.TelemetryCapture`
-    is activated thread-locally for the task's duration: worker-side spans,
-    events and metric deltas record into it and ship home on the result.
+    The task always runs under a :class:`~repro.obs.context.TelemetryCapture`,
+    activated thread-locally for its duration, so the worker's obs calls
+    record into it and never into this process's (possibly forked) sinks.
+    It is built from the task's trace context (``task.trace``): sampled, it
+    keeps spans, events and metric deltas; unsampled, metric deltas only;
+    with no context, nothing.  What it recorded ships home on the result.
     A worker that crashes mid-task loses its capture with the process —
     which is the truthful telemetry for that hop.
     """
     started = time.perf_counter()
-    if task.trace is None:
-        return _execute_any(task, started)
-    ctx = TraceContext.from_wire(task.trace)
-    capture = TelemetryCapture(ctx)
+    ctx = TraceContext.from_wire(task.trace) if task.trace is not None else None
+    capture = TelemetryCapture(ctx) if ctx is not None else NO_CAPTURE
     with activate(capture):
-        with capture.span(
+        with span(
             "worker.task",
-            hop=ctx.hop,
+            hop=ctx.hop if ctx is not None else 0,
             resume=task.snapshot is not None,
             warm=task.warm,
         ) as root:
             result = _execute_any(task, started)
             root.set_attribute("preempted", result.snapshot is not None)
-    return replace(result, telemetry=capture.to_wire())
+    telemetry = capture.to_wire()
+    return replace(result, telemetry=telemetry) if telemetry is not None else result
 
 
 def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:

@@ -34,7 +34,6 @@ import json
 import struct
 from dataclasses import dataclass, replace
 
-from repro.obs.context import record_metric
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
 from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
@@ -209,9 +208,7 @@ def capture_instance(instance: Instance, frames=()) -> Snapshot:
         table=tuple(instance.table.elements) if instance.table is not None else None,
         frames=tuple(frames),
     )
-    kind = "warm" if not frames else "suspend"
-    SNAPSHOTS_TAKEN.inc(kind=kind)
-    record_metric("acctee_snapshots_taken", 1, kind=kind)
+    SNAPSHOTS_TAKEN.inc(kind="warm" if not frames else "suspend")
     return snapshot
 
 
@@ -323,7 +320,6 @@ def encode_snapshot(snapshot: Snapshot, _observe: bool = True) -> bytes:
     blob = MAGIC + struct.pack("<I", snapshot.version) + body
     if _observe:
         SNAPSHOT_BYTES.observe(float(len(blob)))
-        record_metric("acctee_snapshot_bytes", float(len(blob)), kind="histogram")
     return blob
 
 

@@ -15,7 +15,6 @@ uninterrupted one.
 
 from __future__ import annotations
 
-from repro.obs.context import record_metric
 from repro.obs.instruments import RESUMES_TOTAL
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import encode_module
@@ -131,7 +130,6 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
     if not frames:
         raise SnapshotError("snapshot has no suspended frames to resume")
     RESUMES_TOTAL.inc()
-    record_metric("acctee_resumes_total", 1)
     n_imported = instance.module.num_imported_funcs
     run = instance._engine.exec_function
     saved_depth = instance._call_depth

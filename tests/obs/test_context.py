@@ -1,14 +1,18 @@
 """Trace context, worker telemetry capture, and the cross-process merge.
 
 Unit coverage for :mod:`repro.obs.context`: deterministic trace identity
-and head sampling, the bounded worker-side capture (wire format, drop
-counting, thread-local activation), the tracer's foreign-span ingest, the
+and head sampling, the bounded worker-side capture as the ordinary obs calls
+reach it (wire format, drop counting, sampled/unsampled/disabled, thread-local
+activation), the gateway-side merge, the tracer's foreign-span ingest, the
 per-span pid in the Chrome export, histogram exemplars, and the
 ``explain_request`` event reconstruction.
 """
 
 import json
+import pickle
+import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -22,15 +26,19 @@ from repro.obs.context import (
     current_capture,
     env_sample_rate,
     explain_request,
-    record_metric,
+    merge_telemetry,
     sampling_decision,
     trace_id_for,
-    worker_event,
-    worker_span,
 )
-from repro.obs.events import Event
-from repro.obs.metrics import Histogram, disable_metrics, enable_metrics
-from repro.obs.trace import Tracer
+from repro.obs.events import Event, EventLog, disable_events, emit, enable_events
+from repro.obs.metrics import (
+    Counter,
+    Histogram,
+    disable_metrics,
+    enable_metrics,
+    get_registry,
+)
+from repro.obs.trace import NULL_SPAN, Tracer, disable_tracing, enable_tracing, span
 
 
 CTX = TraceContext(trace_id=trace_id_for("gw-test", 1))
@@ -108,40 +116,71 @@ class TestTraceContext:
 
 
 # ---------------------------------------------------------------------------
-# TelemetryCapture: recording, bounds, wire format
+# TelemetryCapture: recording through the ordinary obs calls, bounds, wire
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def sinks_on():
+    """Every process-wide sink on, so a test can show a capture keeps the
+    obs calls made under it out of them."""
+    tracer = enable_tracing(Tracer())
+    log = enable_events(EventLog())
+    enable_metrics()
+    yield tracer, log
+    disable_tracing()
+    disable_events()
+    disable_metrics()
+
+
+def probe_counter():
+    return Counter("ctx_probe", "a counter no registry holds")
 
 
 class TestTelemetryCapture:
     def test_span_nesting_records_parent_links(self):
         capture = TelemetryCapture(CTX)
-        with capture.span("outer") as outer:
-            outer.set_attribute("k", "v")
-            with capture.span("inner"):
+        with activate(capture):
+            with span("outer") as outer:
+                outer.set_attribute("k", "v")
+                with span("inner"):
+                    pass
+            with span("sibling"):
                 pass
-        with capture.span("sibling"):
-            pass
-        by_name = {s["name"]: s for s in capture.spans}
+        spans = capture.to_wire()["spans"]
+        by_name = {s["name"]: s for s in spans}
         assert by_name["outer"]["parent"] is None
         assert by_name["inner"]["parent"] == by_name["outer"]["id"]
         assert by_name["sibling"]["parent"] is None
         assert by_name["outer"]["attrs"] == {"k": "v"}
-        for record in capture.spans:
-            assert record["end_ns"] is not None
+        for record in spans:
             assert record["end_ns"] >= record["start_ns"]
+
+    def test_spans_ship_in_creation_order(self):
+        # the tracer keeps finish order (inner first); ingest needs parents
+        # before children
+        capture = TelemetryCapture(CTX)
+        with activate(capture):
+            with span("outer"):
+                with span("inner"):
+                    pass
+        assert [s["name"] for s in capture.to_wire()["spans"]] == ["outer", "inner"]
 
     def test_span_bound_counts_drops_instead_of_growing(self):
         capture = TelemetryCapture(CTX, max_spans=2)
-        for i in range(5):
-            with capture.span(f"s{i}") as s:
-                s.set_attribute("i", i)  # safe even on a dropped span
-        assert len(capture.spans) == 2
-        assert capture.spans_dropped == 3
+        with activate(capture):
+            for i in range(5):
+                with span(f"s{i}") as s:
+                    s.set_attribute("i", i)  # safe even on a dropped span
+        wire = capture.to_wire()
+        assert [s["name"] for s in wire["spans"]] == ["s0", "s1"]
+        assert wire["spans_dropped"] == 3
 
     def test_event_bound_counts_drops(self):
         capture = TelemetryCapture(CTX, max_events=3)
-        for i in range(5):
-            capture.event("k", i=i)
+        with activate(capture):
+            for i in range(5):
+                emit("k", i=i)
         assert len(capture.events) == 3
         assert capture.events_dropped == 2
 
@@ -152,82 +191,139 @@ class TestTelemetryCapture:
 
     def test_attributes_are_wire_safe(self):
         capture = TelemetryCapture(CTX)
-        with capture.span("s", blob=b"\x01\x02", n=3, f=1.5, flag=True, none=None):
-            pass
-        capture.event("e", blob=b"\xff", obj=object())
-        attrs = capture.spans[0]["attrs"]
+        with activate(capture):
+            with span("s", blob=b"\x01\x02", n=3, f=1.5, flag=True, none=None):
+                pass
+            emit("e", blob=b"\xff", obj=object(), seq=(1, b"\x02"))
+        attrs = capture.to_wire()["spans"][0]["attrs"]
         assert attrs["blob"] == "0102"  # bytes hex-encode
         assert attrs["n"] == 3 and attrs["f"] == 1.5 and attrs["flag"] is True
         assert attrs["none"] is None
         fields = capture.events[0]["fields"]
         assert fields["blob"] == "ff"
         assert isinstance(fields["obj"], str)  # arbitrary objects stringify
+        assert fields["seq"] == [1, "02"]  # sequences map element-wise
 
-    def test_metric_deltas_record_sorted_label_tuples(self):
+    def test_metric_deltas_keep_kind_and_labels(self):
+        # a ``kind`` label is a label, not the metric type
         capture = TelemetryCapture(CTX)
-        capture.metric("acctee_warm_pool_hits", 1)
-        capture.metric("acctee_snapshot_bytes", 512.0, kind="histogram", b="2", a="1")
-        assert capture.metrics[0] == ("acctee_warm_pool_hits", "counter", 1.0, ())
-        name, kind, value, labels = capture.metrics[1]
-        assert (name, kind, value) == ("acctee_snapshot_bytes", "histogram", 512.0)
-        assert labels == (("a", "1"), ("b", "2"))  # sorted, hashable
+        histogram = Histogram("ctx_probe_bytes", "h", buckets=(1.0,))
+        with activate(capture):
+            probe_counter().inc(kind="suspend")
+            histogram.observe(512.0, b="2", a="1")
+        assert capture.metrics == [
+            ("ctx_probe", "counter", 1.0, {"kind": "suspend"}),
+            ("ctx_probe_bytes", "histogram", 512.0, {"a": "1", "b": "2"}),
+        ]
+
+    def test_unsampled_capture_keeps_metrics_only(self, sinks_on):
+        tracer, log = sinks_on
+        capture = TelemetryCapture(replace(CTX, sampled=False))
+        counter = probe_counter()
+        with activate(capture):
+            with span("s"):
+                emit("e")
+            counter.inc(2)
+        wire = capture.to_wire()
+        assert wire["spans"] == [] and wire["events"] == []
+        assert wire["metrics"] == [["ctx_probe", "counter", 2.0, {}]]
+        # nothing fell through to the process-wide sinks either
+        assert tracer.finished() == [] and log.events() == []
+        assert counter.total() == 0
+
+    def test_disabled_capture_records_nothing(self, sinks_on):
+        tracer, log = sinks_on
+        capture = TelemetryCapture(None)
+        counter = probe_counter()
+        with activate(capture):
+            with span("s") as s:
+                s.set_attribute("k", 1)
+            emit("e")
+            counter.inc()
+        assert capture.to_wire() is None
+        assert tracer.finished() == [] and log.events() == []
+        assert counter.total() == 0
 
     def test_to_wire_closes_open_spans_as_truncated(self):
         capture = TelemetryCapture(CTX)
-        capture.span("left_open")  # e.g. a fault unwound past the exit
+        with activate(capture):
+            left_open = span("left_open")  # e.g. a fault unwound past the exit
         wire = capture.to_wire()
         [record] = wire["spans"]
-        assert record["end_ns"] is not None
+        assert record["end_ns"] >= record["start_ns"]
         assert record["attrs"]["truncated"] is True
         # the capture itself is untouched — to_wire copies
-        assert capture.spans[0]["end_ns"] is None
+        assert left_open.end_ns is None
+        assert "truncated" not in left_open.attributes
 
     def test_to_wire_shape_pickles_as_plain_data(self):
         capture = TelemetryCapture(CTX)
-        with capture.span("s"):
-            capture.event("e", x=1)
-        capture.metric("m", 2.0)
+        with activate(capture):
+            with span("s"):
+                emit("e", x=1)
+            probe_counter().inc(2.0)
         wire = capture.to_wire()
         assert wire["trace_id"] == CTX.trace_id
         assert wire["hop"] == CTX.hop
         assert wire["pid"] == capture.pid
         assert wire["spans_dropped"] == 0 and wire["events_dropped"] == 0
         json.dumps(wire)  # nothing exotic survives into the wire format
+        assert pickle.loads(pickle.dumps(wire)) == wire
 
 
 # ---------------------------------------------------------------------------
-# Thread-local activation and the no-op helpers
+# Thread-local activation: the obs calls route to the capture
 # ---------------------------------------------------------------------------
 
 
 class TestActivation:
     def test_helpers_are_noops_without_a_capture(self):
+        # no capture, no sink: the obs calls behave as they always did
         assert current_capture() is None
-        with worker_span("nothing", k=1) as s:
+        counter = probe_counter()
+        with span("nothing", k=1) as s:
             s.set_attribute("k", 2)
-        worker_event("nothing")
-        record_metric("nothing", 1)  # none of these raise or record anywhere
+        assert s is NULL_SPAN
+        emit("nothing")
+        counter.inc()  # none of these raise or record anywhere
+        assert counter.total() == 0
 
-    def test_activate_installs_and_restores(self):
+    def test_without_a_capture_calls_reach_the_process_sinks(self, sinks_on):
+        tracer, log = sinks_on
+        counter = probe_counter()
+        with span("outside"):
+            emit("evt")
+            counter.inc()
+        assert [s.name for s in tracer.finished()] == ["outside"]
+        assert [e.kind for e in log.events()] == ["evt"]
+        assert counter.total() == 1
+
+    def test_activate_installs_and_restores(self, sinks_on):
+        tracer, log = sinks_on
         capture = TelemetryCapture(CTX)
+        counter = probe_counter()
         with activate(capture):
             assert current_capture() is capture
-            with worker_span("inside", k="v"):
+            with span("inside", k="v"):
                 pass
-            worker_event("evt", a=1)
-            record_metric("m", 3.0)
+            emit("evt", a=1)
+            counter.inc(3.0)
         assert current_capture() is None
-        assert [s["name"] for s in capture.spans] == ["inside"]
+        assert [s["name"] for s in capture.to_wire()["spans"]] == ["inside"]
         assert [e["kind"] for e in capture.events] == ["evt"]
-        assert capture.metrics == [("m", "counter", 3.0, ())]
+        assert capture.metrics == [("ctx_probe", "counter", 3.0, {})]
+        # recorded into the capture and nowhere else
+        assert tracer.finished() == [] and log.events() == []
+        assert counter.total() == 0
 
-    def test_activation_is_thread_local(self):
+    def test_activation_is_thread_local(self, sinks_on):
+        _tracer, log = sinks_on
         mine = TelemetryCapture(CTX)
         seen = {}
 
         def other_thread():
             seen["capture"] = current_capture()
-            worker_event("from_other")  # must not leak into `mine`
+            emit("from_other")  # must not leak into `mine`
 
         with activate(mine):
             t = threading.Thread(target=other_thread)
@@ -235,6 +331,43 @@ class TestActivation:
             t.join()
         assert seen["capture"] is None
         assert mine.events == []
+        assert [e.kind for e in log.events()] == ["from_other"]
+
+    def test_concurrent_captures_each_keep_only_their_own_calls(self, sinks_on):
+        tracer, log = sinks_on
+        counter = probe_counter()
+        captures = [TelemetryCapture(CTX) for _ in range(8)]
+        barrier = threading.Barrier(len(captures))
+
+        def run(index, capture):
+            with activate(capture):
+                barrier.wait(timeout=10)
+                for _ in range(200):
+                    with span("s", owner=index):
+                        emit("e", owner=index)
+                    counter.inc(owner=index)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(i, c)) for i, c in enumerate(captures)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        for index, capture in enumerate(captures):
+            wire = capture.to_wire()
+            assert len(wire["spans"]) == len(wire["events"]) == len(wire["metrics"]) == 200
+            assert {s["attrs"]["owner"] for s in wire["spans"]} == {index}
+            assert {e["fields"]["owner"] for e in wire["events"]} == {index}
+            assert {m[3]["owner"] for m in wire["metrics"]} == {index}
+        assert tracer.finished() == [] and log.events() == []
+        assert counter.total() == 0
 
     def test_nested_activation_restores_previous(self):
         outer = TelemetryCapture(CTX)
@@ -242,7 +375,72 @@ class TestActivation:
         with activate(outer):
             with activate(inner):
                 assert current_capture() is inner
+                emit("to_inner")
             assert current_capture() is outer
+        assert [e["kind"] for e in inner.events] == ["to_inner"]
+        assert outer.events == []
+
+
+# ---------------------------------------------------------------------------
+# merge_telemetry: the gateway-side replay
+# ---------------------------------------------------------------------------
+
+
+class TestMerge:
+    def test_metric_deltas_replay_once_with_their_labels(self, sinks_on):
+        registry = get_registry()
+        snapshots = registry.get("acctee_snapshots_taken")
+        resumes = registry.get("acctee_resumes_total")
+        snapshots.reset()
+        resumes.reset()
+        capture = TelemetryCapture(CTX)
+        with activate(capture):
+            snapshots.inc(kind="suspend")
+            resumes.inc()
+        assert snapshots.total() == 0  # nothing landed before the merge
+        merge_telemetry(capture.to_wire(), gateway="gw-test", request_id=1)
+        assert snapshots.value(kind="suspend") == 1
+        assert snapshots.total() == 1
+        assert resumes.total() == 1
+        snapshots.reset()
+        resumes.reset()
+
+    def test_events_gain_provenance_and_spans_their_parent(self, sinks_on):
+        tracer, log = sinks_on
+        parent = tracer.span("gateway.request", detached=True)
+        capture = TelemetryCapture(CTX)
+        with activate(capture):
+            with span("worker.task"):
+                emit("module_cache", outcome="hit", request_id="spoofed")
+        merge_telemetry(capture.to_wire(), parent, gateway="gw-test", request_id=7)
+        parent.end()
+        [event] = log.events()
+        assert event.fields == {
+            "outcome": "hit",
+            "gateway": "gw-test",
+            "request_id": 7,  # the gateway's identity wins
+            "trace_id": CTX.trace_id,
+            "origin_pid": capture.pid,
+            "worker_ts_s": capture.events[0]["ts_s"],
+        }
+        [task] = [s for s in tracer.finished() if s.name == "worker.task"]
+        assert task.parent_id == parent.span_id
+
+    def test_backhaul_bytes_observed_only_with_metrics_on(self):
+        histogram = get_registry().get("acctee_trace_backhaul_bytes")
+        histogram.reset()
+        capture = TelemetryCapture(CTX)
+        with activate(capture):
+            emit("e")
+        wire = capture.to_wire()
+        merge_telemetry(wire)
+        enable_metrics()
+        try:
+            merge_telemetry(wire)
+        finally:
+            disable_metrics()
+        assert histogram.count() == 1
+        histogram.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +451,10 @@ class TestActivation:
 class TestIngest:
     def make_wire_spans(self):
         capture = TelemetryCapture(CTX)
-        with capture.span("worker.task", hop=0):
-            with capture.span("worker.invoke"):
-                pass
+        with activate(capture):
+            with span("worker.task", hop=0):
+                with span("worker.invoke"):
+                    pass
         return capture.to_wire()
 
     def test_ids_remapped_and_roots_reparented(self):

@@ -213,3 +213,24 @@ def test_flush_with_nothing_open_is_a_noop():
         pass
     assert tracer.flush_truncated() == []
     assert len(tracer.finished()) == 1
+
+
+def test_sandbox_trace_shows_run_slice_spans_under_execute():
+    """The serial enclave path runs under no capture, so ``run_slice``'s
+    spans land on the tracer, under the AE's ``execute`` span — the same
+    span set a gateway worker ships home."""
+    from repro.core.sandbox import SandboxConfig, TwoWaySandbox
+
+    tracer = enable_tracing(Tracer())
+    sandbox = TwoWaySandbox.deploy(SandboxConfig())
+    workload = sandbox.submit_minic(
+        "int f(int n) { int t; int i; t = 0; "
+        "for (i = 0; i < n; i = i + 1) { t = t + i; } return t; }"
+    )
+    workload.invoke("f", 10)
+    spans = tracer.finished()
+    [execute] = [s for s in spans if s.name == "execute"]
+    children = {s.name: s for s in spans if s.parent_id == execute.span_id}
+    assert set(children) == {"worker.instantiate", "worker.invoke"}
+    assert children["worker.instantiate"].attributes["warm"] is False
+    assert children["worker.invoke"].attributes["export"] == "f"

@@ -9,8 +9,10 @@ The acceptance-critical properties from the tracing issue:
   recomputable trace id, as do its ledger events;
 * worker events merged into the gateway's stream keep strictly monotonic
   sequence numbers and gain ``origin_pid`` provenance;
-* head sampling gates only the worker backhaul — unsampled requests still
-  carry provenance on receipts and events;
+* head sampling gates only worker spans and events — unsampled requests
+  still carry provenance on receipts and events, and every worker metric
+  reaches the gateway registry exactly once, with its labels, on either
+  pool kind;
 * the whole apparatus is inert when off: signed totals stay byte-identical
   with tracing+events enabled vs disabled, on every engine.
 """
@@ -336,13 +338,50 @@ class TestProcessPoolBackhaul:
             # worker-process metric deltas (snapshot capture) replayed into
             # the gateway's registry, where direct .inc() never landed
             snapshots = get_registry().get("acctee_snapshots_taken")
-            replayed = sum(snapshots.to_json().values())
+            replayed = snapshots.value(kind="suspend")
         finally:
             gw.shutdown()
         assert report["ok"], report
         assert report["worker_pids"], "process-pool spans must keep worker pids"
         assert os.getpid() not in report["worker_pids"]
         assert replayed > 0
+
+
+class TestWorkerMetricsCountedOnce:
+    """Every worker metric reaches the gateway registry exactly once, with
+    its labels, whatever the pool kind and whichever sinks are on."""
+
+    @pytest.mark.parametrize("pool", ("thread", "process"))
+    @pytest.mark.parametrize(
+        "mode", ("metrics", "metrics+tracing", "metrics+tracing-unsampled")
+    )
+    def test_suspend_resume_and_warm_hits(self, pool, mode):
+        get_registry().reset()
+        enable_metrics()
+        if mode != "metrics":
+            enable_tracing(Tracer())
+        gw = MeteringGateway(
+            workers=1,
+            pool=pool,
+            preempt_after=150,
+            warm_pool=True,
+            trace_sample=0.0 if mode.endswith("unsampled") else 1.0,
+        )
+        try:
+            if pool == "process" and gw.backend.kind != "wasm-process":
+                pytest.skip("process pool unavailable in this environment")
+            gw.register_tenant("alice", minic=MINIC_SUM)
+            for _ in range(3):
+                gw.execute("alice", "total", 40)
+            preemptions = gw.resilience_stats()["preemptions"]
+        finally:
+            gw.shutdown()
+        registry = get_registry()
+        assert preemptions > 0
+        assert registry.get("acctee_snapshots_taken").value(kind="suspend") == preemptions
+        assert registry.get("acctee_resumes_total").total() == preemptions
+        assert registry.get("acctee_snapshot_bytes").count() == preemptions
+        assert registry.get("acctee_warm_pool_hits").total() > 0
 
 
 class TestLoadtestStitchGate:
