@@ -6,7 +6,8 @@ engine (``repro.wasm.compile_engine``) must deliver >= 3x geomean over the
 pre-decoded reference engine (``repro.wasm.predecode``) — the acceptance
 bar for shipping it as a selectable engine.
 
-Artefacts:
+Artefacts (in the repository only with ``REPRO_BENCH_WRITE=1``, see
+:func:`benchmarks.conftest.artifact_path`):
 
 * ``benchmarks/results/interp_speed.txt`` — the human-readable table;
 * ``BENCH_interp.json`` (repo root) — machine-readable per-kernel numbers
@@ -21,17 +22,15 @@ from __future__ import annotations
 
 import json
 import math
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit_table, record
+from benchmarks.conftest import artifact_path, emit_table, record
 from repro.obs.bench import TRAJECTORY_LIMIT, append_point
 from repro.wasm.interpreter import Instance
 from repro.workloads import POLYBENCH_KERNELS
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: A spread of kernel shapes: dense linalg (gemm, 2mm), stencils (jacobi-1d,
 #: jacobi-2d), triangular solve (trisolv) and a reduction-heavy one (atax).
@@ -90,7 +89,7 @@ def speed_rows():
             "compile_speedup": round(compile_speedup, 3),
         }
 
-    path = REPO_ROOT / "BENCH_interp.json"
+    path = artifact_path("BENCH_interp.json")
     doc: dict = {}
     if path.exists():
         doc = json.loads(path.read_text())
@@ -141,7 +140,7 @@ def test_compile_speedup_geomean_at_least_3x(speed_rows, benchmark):
 
 
 def test_bench_json_written(speed_rows, benchmark):
-    data = json.loads((REPO_ROOT / "BENCH_interp.json").read_text())
+    data = json.loads(artifact_path("BENCH_interp.json").read_text())
     assert set(data["kernels"]) == set(KERNELS)
     for entry in data["kernels"].values():
         for column in ("predecode_ips", "compile_ips"):
@@ -150,7 +149,7 @@ def test_bench_json_written(speed_rows, benchmark):
 
 
 def test_bench_trajectory_appended(speed_rows, benchmark):
-    data = json.loads((REPO_ROOT / "BENCH_interp.json").read_text())
+    data = json.loads(artifact_path("BENCH_interp.json").read_text())
     trajectory = data["trajectory"]
     assert 1 <= len(trajectory) <= TRAJECTORY_LIMIT
     latest = trajectory[-1]

@@ -16,7 +16,8 @@ Two layers of measurement:
   Profiler cost is reported but not gated: attribution is paid for only
   when ``--profile`` is asked for.
 
-Artefacts:
+Artefacts (in the repository only with ``REPRO_BENCH_WRITE=1``, see
+:func:`benchmarks.conftest.artifact_path`):
 
 * ``benchmarks/results/obs_overhead.txt`` — human-readable table;
 * ``BENCH_obs.json`` (repo root) — machine-readable numbers merged with the
@@ -28,13 +29,12 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_obs_overhead.py -q -s
 from __future__ import annotations
 
 import json
-import pathlib
 import statistics
 import time
 
 import pytest
 
-from benchmarks.conftest import emit_table, record
+from benchmarks.conftest import artifact_path, emit_table, record
 from repro.obs import (
     disable_all,
     enable_metrics,
@@ -49,8 +49,6 @@ from repro.obs.trace import span
 from repro.wasm.interpreter import Instance
 from repro.workloads import POLYBENCH_KERNELS
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_obs.json"
 
 KERNEL = "gemm"  # ~160k instructions: long enough to beat scheduler jitter
 RUNS = 7
@@ -70,14 +68,15 @@ def _obs_off():
 
 
 def _merge_bench(payload: dict) -> None:
+    path = artifact_path("BENCH_obs.json")
     try:
-        existing = json.loads(BENCH_PATH.read_text())
+        existing = json.loads(path.read_text())
         if not isinstance(existing, dict):
             existing = {}
     except (OSError, ValueError):
         existing = {}
     existing.update(payload)
-    BENCH_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
 
 def _time_loop(fn, iters: int) -> float:
@@ -263,7 +262,7 @@ def test_enabled_overhead_under_ci_gate(overhead_numbers, benchmark):
 
 
 def test_bench_artifact_written(overhead_numbers, benchmark):
-    doc = json.loads(BENCH_PATH.read_text())
+    doc = json.loads(artifact_path("BENCH_obs.json").read_text())
     assert "obs_overhead" in doc
     assert set(doc["obs_overhead"]["end_to_end"]) == {"predecode", "compile"}
     record(benchmark)

@@ -39,7 +39,8 @@ runnable for most of the rest.  Every request's final answer must equal
 an in-process run's.
 
 Artefacts: ``BENCH_pool.json`` (repo root) and
-``benchmarks/results/pool_dispatch.txt``.
+``benchmarks/results/pool_dispatch.txt``, written into the repository only
+with ``REPRO_BENCH_WRITE=1`` (see :func:`benchmarks.conftest.artifact_path`).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_pool_dispatch.py -q -s``.
 """
@@ -49,7 +50,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pathlib
 import platform
 import queue
 import statistics
@@ -61,14 +61,13 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import emit_table, record
+from benchmarks.conftest import artifact_path, emit_table, record
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
 from repro.service.worker import ExecutionTask, WorkerPool, execute_task
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import encode_module
 from repro.workloads import POLYBENCH_KERNELS
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 KERNELS = ("atax", "bicg", "mvt", "jacobi-1d")
 ENGINE = "compile"
@@ -291,7 +290,7 @@ def pool_rows() -> dict:
             "wrong_answers": wrong,
         }
     )
-    (REPO_ROOT / "BENCH_pool.json").write_text(
+    artifact_path("BENCH_pool.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     return summary

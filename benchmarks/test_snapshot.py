@@ -10,16 +10,23 @@ least **5x** cheaper than cold setup (instantiate + bind) on the PolyBench
 kernels, per engine.
 
 The ``armed`` section measures execution speed (instructions per second)
-of each kernel's run call three ways, per engine: unarmed; armed with a
-``snapshot_at`` it never reaches; and preempted every 5000 instructions,
-each hop encoded, decoded, restored (with the module digest the caller
-holds, as a worker does) and resumed until the job completes.  Each engine
-captures and resumes on its own frames — ``compile`` inside compiled code —
-so the bars are: armed-but-never-reached ``predecode`` and ``compile`` each
-stay within **1.3x** of unarmed, and preempted ``compile`` is at least
-**1.5x** faster than preempted ``predecode`` on every kernel.
+of each kernel's run call four ways, per engine: unarmed; armed with a
+``snapshot_at`` it never reaches; preempted every 5000 instructions, each
+hop encoded, decoded, restored into a fresh instance (with the module
+digest the caller holds) and resumed until the job completes — the serial
+accounting enclave's path; and ``preempted_pooled``, the same hops each
+resumed into one pooled live instance reset to the snapshot, as gateway
+workers do.  It also records a resumed slice's cost per instruction
+against the unarmed run's (``resumed_ns_per_instr`` vs
+``unarmed_ns_per_instr``): on ``compile`` the resumed frame runs in its
+resumable form.  Each engine captures and resumes on its own frames —
+``compile`` inside compiled code — so the bars are: armed-but-never-reached
+``predecode`` and ``compile`` each stay within **1.3x** of unarmed, and
+preempted ``compile`` is at least **1.5x** faster than preempted
+``predecode`` on every kernel.
 
-Artefacts:
+Artefacts (in the repository only with ``REPRO_BENCH_WRITE=1``, see
+:func:`benchmarks.conftest.artifact_path`):
 
 * ``benchmarks/results/snapshot_warm_start.txt`` and
   ``benchmarks/results/snapshot_armed.txt`` — human-readable tables;
@@ -33,12 +40,11 @@ from __future__ import annotations
 
 import json
 import math
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit_table, record
+from benchmarks.conftest import artifact_path, emit_table, record
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.obs.bench import append_point
 from repro.service.warmpool import WarmPool
@@ -54,7 +60,6 @@ from repro.wasm.snapshot import (
 )
 from repro.workloads import POLYBENCH_KERNELS
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 KERNELS = ["trisolv", "atax", "jacobi-1d"]
 ENGINES = ["predecode", "compile"]
@@ -158,7 +163,7 @@ def warm_rows():
         "rounds": ROUNDS,
     }
 
-    path = REPO_ROOT / "BENCH_snapshot.json"
+    path = artifact_path("BENCH_snapshot.json")
     doc: dict = {}
     if path.exists():
         try:
@@ -243,24 +248,29 @@ def _run_s(module, spec, engine: str) -> tuple[float, float, int]:
     return best[None], best[10**12], inst.stats.executed - first
 
 
-def _preempted_s(module, spec, engine: str) -> tuple[float, int]:
-    """Best-of wall time of the run call preempted every ``PREEMPT_SLICE``
-    instructions, each hop through the wire format and a fresh instance."""
-    module_hash = _started(module, spec, engine).module_hash
-    best = math.inf
-    for _ in range(ARMED_ROUNDS):
-        inst = _started(module, spec, engine)
-        inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
-        hops = 0
-        start = time.perf_counter()
-        try:
-            inst.invoke(spec.run[0], *spec.run[1])
-            blob = None
-        except SnapshotCaptured as exc:
-            blob = encode_snapshot(exc.snapshot)
-        while blob is not None:
-            snap = decode_snapshot(blob)
-            hops += 1
+def _preempted_once(module, spec, engine: str, module_hash: bytes, pool) -> tuple[float, int]:
+    """Wall time and hop count of the run call preempted every
+    ``PREEMPT_SLICE`` instructions, each hop through the wire format and
+    resumed into a fresh instance or, given ``pool``, into one pooled live
+    instance reset for it."""
+    inst = _started(module, spec, engine)
+    inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
+    hops = 0
+    start = time.perf_counter()
+    try:
+        inst.invoke(spec.run[0], *spec.run[1])
+        blob = None
+    except SnapshotCaptured as exc:
+        blob = encode_snapshot(exc.snapshot)
+    while blob is not None:
+        snap = decode_snapshot(blob)
+        hops += 1
+        if pool is not None:
+            handle = pool.acquire(
+                snapshot=snap, limits=ExecutionLimits(snapshot_at=PREEMPT_SLICE)
+            )
+            inst = handle.instance
+        else:
             inst = restore_instance(
                 snap,
                 module,
@@ -268,14 +278,60 @@ def _preempted_s(module, spec, engine: str) -> tuple[float, int]:
                 engine=engine,
                 module_hash=module_hash,
             )
-            try:
-                resume_invoke(inst, snap)
-                blob = None
-            except SnapshotCaptured as exc:
-                blob = encode_snapshot(exc.snapshot)
-        best = min(best, time.perf_counter() - start)
+        try:
+            resume_invoke(inst, snap)
+            blob = None
+        except SnapshotCaptured as exc:
+            blob = encode_snapshot(exc.snapshot)
+        if pool is not None:
+            pool.release(handle)
+    return time.perf_counter() - start, hops
+
+
+def _preempted_s(module, spec, engine: str) -> tuple[float, float, int]:
+    """Best-of wall times of the preempted run call with each hop resumed
+    into a fresh instance (the serial AE's path) and into one pooled
+    instance (a worker's path; rounds alternate, so host noise hits both
+    alike), and its hop count."""
+    module_hash = _started(module, spec, engine).module_hash
+    pool = WarmPool(module=module, module_hash=module_hash, engine=engine, max_size=1)
+    pool.release(pool.acquire())  # pay the single build up front, as a worker
+    best = [math.inf, math.inf]
+    for _ in range(ARMED_ROUNDS):
+        for i, variant in enumerate((None, pool)):
+            elapsed, hops = _preempted_once(module, spec, engine, module_hash, variant)
+            best[i] = min(best[i], elapsed)
     assert hops >= 1
-    return best, hops
+    assert pool.stats()["builds"] == 1
+    return best[0], best[1], hops
+
+
+def _ns_per_instr(module, spec, engine: str) -> tuple[float, float]:
+    """Best-of cost per instruction of the run call unarmed, and resumed
+    unarmed from a capture ``PREEMPT_SLICE`` instructions in (the resumed
+    frame runs in its resumable form on ``compile``); rounds alternate."""
+    inst = _started(module, spec, engine)
+    inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
+    try:
+        inst.invoke(spec.run[0], *spec.run[1])
+    except SnapshotCaptured as exc:
+        snap = exc.snapshot
+    pool = WarmPool(module=module, engine=engine, max_size=1)
+    unarmed = resumed = math.inf
+    for _ in range(ARMED_ROUNDS):
+        inst = _started(module, spec, engine)
+        first = inst.stats.executed
+        start = time.perf_counter()
+        inst.invoke(spec.run[0], *spec.run[1])
+        elapsed = time.perf_counter() - start
+        unarmed = min(unarmed, elapsed / (inst.stats.executed - first))
+        handle = pool.acquire(snapshot=snap)
+        start = time.perf_counter()
+        resume_invoke(handle.instance, snap)
+        elapsed = time.perf_counter() - start
+        resumed = min(resumed, elapsed / (handle.instance.stats.executed - snap.executed))
+        pool.release(handle)
+    return unarmed * 1e9, resumed * 1e9
 
 
 @pytest.fixture(scope="module")
@@ -288,15 +344,21 @@ def armed_rows():
         per_engine = {}
         for engine in ENGINES:
             unarmed_s, armed_s, executed = _run_s(module, spec, engine)
-            preempted_s, hops = _preempted_s(module, spec, engine)
+            preempted_s, pooled_s, hops = _preempted_s(module, spec, engine)
+            unarmed_ns, resumed_ns = _ns_per_instr(module, spec, engine)
             cell = {
                 "executed": executed,
                 "unarmed_minstr_per_s": round(executed / unarmed_s / 1e6, 3),
                 "armed_minstr_per_s": round(executed / armed_s / 1e6, 3),
                 "preempted_minstr_per_s": round(executed / preempted_s / 1e6, 3),
+                "preempted_pooled_minstr_per_s": round(executed / pooled_s / 1e6, 3),
                 "preempted_hops": hops,
                 "armed_slowdown": round(armed_s / unarmed_s, 2),
                 "preempted_slowdown": round(preempted_s / unarmed_s, 2),
+                "preempted_pooled_slowdown": round(pooled_s / unarmed_s, 2),
+                "unarmed_ns_per_instr": round(unarmed_ns, 1),
+                "resumed_ns_per_instr": round(resumed_ns, 1),
+                "resumed_cost": round(resumed_ns / unarmed_ns, 2),
             }
             per_engine[engine] = cell
             rows.append(
@@ -306,8 +368,10 @@ def armed_rows():
                     f"{cell['unarmed_minstr_per_s']:.2f}",
                     f"{cell['armed_minstr_per_s']:.2f}",
                     f"{cell['preempted_minstr_per_s']:.2f}",
+                    f"{cell['preempted_pooled_minstr_per_s']:.2f}",
                     hops,
                     f"{cell['armed_slowdown']:.2f}x",
+                    f"{cell['resumed_cost']:.2f}x",
                 ]
             )
         results[name] = per_engine
@@ -331,7 +395,10 @@ def armed_rows():
         armed[f"max_{engine}_armed_slowdown"] = max(
             results[name][engine]["armed_slowdown"] for name in ARMED_KERNELS
         )
-    path = REPO_ROOT / "BENCH_snapshot.json"
+        armed[f"max_{engine}_resumed_cost"] = max(
+            results[name][engine]["resumed_cost"] for name in ARMED_KERNELS
+        )
+    path = artifact_path("BENCH_snapshot.json")
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["armed"] = armed
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -343,8 +410,12 @@ def test_armed_table(armed_rows, benchmark):
     emit_table(
         "snapshot_armed",
         "Run-call speed unarmed, armed but never reached, and preempted every "
-        f"{PREEMPT_SLICE} instructions (M instr/s)",
-        ["kernel", "engine", "unarmed", "armed", "preempted", "hops", "armed slowdown"],
+        f"{PREEMPT_SLICE} instructions, each hop resumed into a fresh or a "
+        "pooled instance (M instr/s); a resumed slice's ns/instr over unarmed",
+        [
+            "kernel", "engine", "unarmed", "armed", "preempted", "preempted pooled",
+            "hops", "armed slowdown", "resumed/unarmed ns",
+        ],
         rows,
     )
     record(benchmark)

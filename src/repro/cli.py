@@ -358,8 +358,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     kernels = tuple(args.kernels.split(",")) if args.kernels else ()
     seal_window = args.seal_window if args.seal_window > 0 else None
     backends = ("wasm", "modeled") if args.backend == "both" else (args.backend,)
-    if args.preempt or args.warm:
-        # preemption/warm pools execute for real; the modeled backend cannot
+    if args.preempt:
+        # preemption executes for real; the modeled backend cannot
         backends = tuple(b for b in backends if b != "modeled") or ("wasm",)
     if args.metrics_out:
         from repro.obs import enable_metrics, get_registry
@@ -394,7 +394,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             slo_rules=args.slo,
             validate_results=not args.no_validate,
             preempt_after=args.preempt or None,
-            warm_pool=args.warm,
             trace_out=per_backend(args.trace_out, backend),
             seal_window=seal_window,
         )
@@ -978,9 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preempt every request after N executed instructions "
                         "per slice, checkpoint-bill and re-dispatch the "
                         "snapshot (implies --backend wasm)")
-    p.add_argument("--warm", action="store_true",
-                   help="serve requests from per-worker warm pools instead "
-                        "of instantiating per request (implies --backend wasm)")
     p.add_argument("--trace-out", default=None, metavar="TRACE_JSON",
                    help="run with distributed tracing on and write the "
                         "stitched Chrome/Perfetto trace here; exit non-zero "

@@ -30,10 +30,11 @@ from repro.sgx.enclave import Enclave
 from repro.tcrypto.hashing import sha256
 from repro.tcrypto.rsa import RSAKeyPair, RSAPublicKey, rsa_generate
 from repro.wasm.binary import encode_module
-from repro.wasm.interpreter import ExecutionLimits, Instance, SnapshotCaptured, Trap
+from repro.wasm.interpreter import ExecutionLimits, SnapshotCaptured, Trap
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOChannel
 from repro.wasm.snapshot import Snapshot, restore_instance, resume_invoke, rewind_io, with_io
+from repro.wasm.snapshot.restore import slice_limits
 from repro.wasm.validate import validate
 
 
@@ -120,7 +121,7 @@ def run_slice(
     engine: str | None,
     *,
     snapshot: Snapshot | None = None,
-    lease: tuple[Instance, HostEnvironment] | None = None,
+    pool: object | None = None,  # WarmPool, kept untyped to avoid a cycle
     snapshot_bytes: int = 0,
 ) -> tuple[RawExecution, Snapshot | None, str]:
     """Run one slice of a workload; return ``(raw, capture, exec_engine)``.
@@ -129,13 +130,13 @@ def run_slice(
     :meth:`~AccountingEnclave.resume`) and of gateway workers
     (:func:`repro.service.worker.execute_task`).  A slice is a fresh call
     of ``export(*args)`` or, with ``snapshot``, the continuation of a
-    suspended one; ``lease`` is a warm-pool ``(instance, env)`` pair already
-    reset for this request under ``limits``.  ``limits.snapshot_at`` counts
-    the instructions executed *in this slice*: when it is reached,
-    ``capture`` is the snapshot (I/O position attached) and ``raw`` the
-    meters as of it; otherwise ``capture`` is None (a trap finishes the
-    slice too, recorded in ``raw``).  ``exec_engine`` names the engine
-    whose frames ran it.
+    suspended one; it runs on a fresh instance or, with ``pool``, on a
+    pooled one leased and reset for it (``WarmPool.acquire``).
+    ``limits.snapshot_at`` counts the instructions executed *in this
+    slice*: when it is reached, ``capture`` is the snapshot (I/O position
+    attached) and ``raw`` the meters as of it; otherwise ``capture`` is
+    None (a trap finishes the slice too, recorded in ``raw``).
+    ``exec_engine`` names the engine whose frames ran it.
 
     Both phases are spans — on the task's telemetry capture in a gateway
     worker, on the active tracer in the enclave: ``worker.instantiate`` or
@@ -143,14 +144,12 @@ def run_slice(
     then ``worker.invoke`` or ``worker.resume_invoke``.
     """
     if snapshot is None:
-        setup = span("worker.instantiate", warm=lease is not None, engine=engine or "")
+        setup = span("worker.instantiate", warm=pool is not None, engine=engine or "")
     else:
         setup = span("worker.restore", snapshot_bytes=snapshot_bytes, engine=engine or "")
-        if limits.snapshot_at is not None:
-            limits = replace(limits, snapshot_at=snapshot.executed + limits.snapshot_at)
     with setup:
-        if lease is not None:
-            instance, env = lease
+        if pool is not None:
+            instance, env = handle = pool.acquire(input_data, limits, snapshot)
         elif snapshot is None:
             env = HostEnvironment(IOChannel(input_data=input_data))
             instance = env.instantiate(
@@ -163,7 +162,7 @@ def run_slice(
                 snapshot,
                 module,
                 imports=env.imports(),
-                limits=limits,
+                limits=slice_limits(limits, snapshot),
                 engine=engine,
                 module_hash=module_hash,
             )
@@ -203,6 +202,8 @@ def run_slice(
         trap_message=trap_message,
         output=bytes(env.channel.output),
     )
+    if pool is not None:
+        pool.release(handle)
     return raw, captured, instance.exec_engine
 
 

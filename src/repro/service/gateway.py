@@ -274,7 +274,6 @@ class MeteringGateway:
         resilience: ResiliencePolicy | None = None,
         fault_plan: FaultPlan | None = None,
         preempt_after: int | None = None,
-        warm_pool: bool = False,
         trace_sample: float | None = None,
         seal_window: int | None = None,
         shards: int = DEFAULT_SHARDS,
@@ -310,10 +309,6 @@ class MeteringGateway:
         #: gateway signs a checkpoint receipt for the consumed delta and
         #: re-dispatches the snapshot (possibly onto another worker).
         self.preempt_after = preempt_after
-        #: Serve requests from per-worker warm pools (instantiate once,
-        #: reset a pooled instance per request) instead of instantiating
-        #: per request.
-        self.warm_pool = warm_pool
         #: Process-unique telemetry identity: every event this gateway (and
         #: its ledger) emits is stamped ``gateway=<id>``, so a shared event
         #: log can be sliced per gateway — e.g. one drift audit per sweep
@@ -534,7 +529,6 @@ class MeteringGateway:
             engine=self.config.engine,
             max_instructions=self.config.max_instructions,
             snapshot_at=self.preempt_after,
-            warm=self.warm_pool,
             trace=ctx.to_wire() if ctx is not None else None,
             fault=fault,
             fault_arg=self.fault_plan.fault_arg(fault) if fault is not None else 0.0,

@@ -173,7 +173,6 @@ def run_loadtest(
     validate_results: bool = True,
     pipeline: bool | None = None,
     preempt_after: int | None = None,
-    warm_pool: bool = False,
     trace_out: str | None = None,
     seal_window: int | None = 16,
     tenants: int | None = None,
@@ -256,15 +255,13 @@ def run_loadtest(
     suspended after that many executed instructions per slice, checkpoint-
     billed, and re-dispatched from its snapshot.  Aggregate billing must be
     unaffected — the serial-equivalence gate stays on, comparing the *sum*
-    of each request's receipts.  ``warm_pool`` serves requests from the
-    workers' per-module warm pools instead of instantiating per request.
-    Both require the real ``wasm`` backend (the modeled backend never
-    executes, so it can neither suspend nor clone).
+    of each request's receipts.  It requires the real ``wasm`` backend (the
+    modeled backend never executes, so it cannot suspend).
     """
-    if backend == "modeled" and (preempt_after is not None or warm_pool):
+    if backend == "modeled" and preempt_after is not None:
         raise ValueError(
-            "preemption and warm pools need backend='wasm': the modeled "
-            "backend does not execute requests"
+            "preemption needs backend='wasm': the modeled backend does not "
+            "execute requests"
         )
     mix = polybench_tenant_mix(kernels, tenants=tenants)
     schedule = _request_schedule(mix, requests)
@@ -313,7 +310,6 @@ def run_loadtest(
         resilience=policy,
         fault_plan=plan,
         preempt_after=preempt_after,
-        warm_pool=warm_pool,
         seal_window=seal_window,
     )
     sweep = []
@@ -353,8 +349,6 @@ def run_loadtest(
     }
     if preempt_after is not None:
         result["preempt_after"] = preempt_after
-    if warm_pool:
-        result["warm_pool"] = True
     # the verdict: each gate that ran -> its failure lines (empty = pass)
     gates: dict[str, list[str]] = {"epoch": [
         f"workers={p['workers']}: epoch audit error: {error}"
@@ -525,10 +519,9 @@ def _run_sweep_point(
                 ),
             },
         }
-        if gw.preempt_after is not None or gw.warm_pool:
+        if gw.preempt_after is not None:
             point["preemption"] = {
                 "preempt_after": gw.preempt_after,
-                "warm_pool": gw.warm_pool,
                 "preemptions": gw.resilience_stats()["preemptions"],
             }
         # the probe tenant's served request is not part of the schedule

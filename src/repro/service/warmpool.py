@@ -1,16 +1,16 @@
-"""Warm-start pools: instantiate + instrument once, snapshot, clone per request.
+"""Instance pools: instantiate once, lease and reset a live instance per slice.
 
-Per-request setup cost for an instrumented module is dominated by
+Per-slice setup cost for an instrumented module is dominated by
 instantiation — the predecode engine translates every function body at
-``Instance()`` time, the compile engine parses and wires its template.  A
-:class:`WarmPool` pays that cost once per pooled slot: it builds a template
-instance, captures its pristine post-instantiation state as a warm-image
-:class:`~repro.wasm.snapshot.Snapshot` (frames empty), and serves each
-request by resetting a pooled live instance back to that image with
-:func:`~repro.wasm.snapshot.apply_state` — an in-place memory/globals/
-stats overwrite that is orders of magnitude cheaper than instantiating.
-Requests then run at full engine speed: the warm path itself captures
-nothing but the frameless warm image.
+``Instance()`` time, the compile engine wires its template and binds step
+functions on first use.  A :class:`WarmPool` pays that cost once per pooled
+slot: it builds a template instance, captures its pristine
+post-instantiation state as a warm-image
+:class:`~repro.wasm.snapshot.Snapshot` (frames empty), and leases each slice
+a pooled live instance reset in place with
+:func:`~repro.wasm.snapshot.apply_state` — to the warm image for a fresh
+call, to the snapshot for a resume — exactly as a fresh instance would
+start it.  Gateway workers run every slice this way.
 
 When constructed with an :class:`~repro.core.cache.InstrumentationCache`
 and a *source* (uninstrumented) module, every slot build fetches the
@@ -25,18 +25,18 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.obs.events import emit
 from repro.obs.instruments import WARM_POOL_HITS
 from repro.obs.trace import span
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment
 from repro.wasm.snapshot import Snapshot, apply_state, capture_instance, rewind_io
+from repro.wasm.snapshot.restore import require_module, slice_limits
 
 
 class WarmHandle(NamedTuple):
-    """One pooled live instance, leased to exactly one request at a time
-    (the ``lease`` pair :func:`~repro.core.accounting_enclave.run_slice` takes)."""
+    """One pooled live instance, leased to exactly one slice at a time
+    (:func:`~repro.core.accounting_enclave.run_slice` runs on it)."""
 
     instance: Instance
     env: HostEnvironment
@@ -48,14 +48,16 @@ class WarmPool:
 
     Exactly one of ``module`` or (``cache`` + ``source``) must be provided:
     with a cache, each slot build runs the source module through it and
-    instantiates the (shared, cached) instrumented result.
+    instantiates the (shared, cached) instrumented result.  ``module_hash``
+    is ``sha256(encode_module(module))`` when the caller holds it already,
+    so no pooled instance encodes the module again.
     """
 
     module: Module | None = None
     source: Module | None = None
     cache: object | None = None  # InstrumentationCache, kept untyped to avoid a cycle
     engine: str | None = None
-    cost_model: object | None = None
+    module_hash: bytes | None = None
     max_size: int = 4
     hits: int = 0
     builds: int = 0
@@ -82,8 +84,8 @@ class WarmPool:
         instance = env.instantiate(
             self._fetch_module(),
             limits=ExecutionLimits(),
-            cost_model=self.cost_model,
             engine=self.engine,
+            module_hash=self.module_hash,
         )
         with self._lock:
             self.builds += 1
@@ -96,23 +98,31 @@ class WarmPool:
     # -- leasing -----------------------------------------------------------------
 
     def acquire(
-        self, input_data: bytes = b"", limits: ExecutionLimits | None = None
+        self,
+        input_data: bytes = b"",
+        limits: ExecutionLimits | None = None,
+        snapshot: Snapshot | None = None,
     ) -> WarmHandle:
-        """Lease an instance reset to the warm image, ready to invoke."""
+        """Lease an instance reset to the warm image, ready to invoke, or
+        to ``snapshot`` (of this module only), ready to resume under
+        ``limits`` whose ``snapshot_at`` counts on from it."""
         with self._lock:
             handle = self._idle.pop() if self._idle else None
         if handle is None:
             with span("warmpool.build"):
                 handle = self._build()
-            emit("warm_acquire", outcome="build")
         else:
             with self._lock:
                 self.hits += 1
             WARM_POOL_HITS.inc()
-            emit("warm_acquire", outcome="hit")
-        apply_state(handle.instance, self._image)
-        rewind_io(handle.env, input_data, None)
-        handle.instance.limits = limits or ExecutionLimits()
+        limits = limits or ExecutionLimits()
+        if snapshot is not None:
+            require_module(snapshot, self._image.module_hash)
+            limits = slice_limits(limits, snapshot)
+        state = snapshot or self._image
+        apply_state(handle.instance, state)
+        rewind_io(handle.env, input_data, state.io)
+        handle.instance.limits = limits
         return handle
 
     def release(self, handle: WarmHandle) -> None:

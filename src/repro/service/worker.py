@@ -10,16 +10,18 @@ keys, and a compromised worker can at worst mis-execute its own tenant's
 request — exactly the blast radius the two-way sandbox promises.  The
 execution itself is the accounting enclave's own
 :func:`~repro.core.accounting_enclave.run_slice`; a worker adds only its
-wire concerns — the module cache, snapshot encoding, warm-pool leases and
-fault act-out.
+wire concerns — the module cache and its instance pools, snapshot
+encoding and fault act-out.
 
 The default pool runs one long-lived worker process per slot (real
 parallelism for the pure-Python interpreter), each fed over its own duplex
 ``multiprocessing`` pipe; ``kind="thread"`` gives a threaded fallback for
 platforms where subprocesses are unavailable, and is also what the test
 suite uses for speed.  Each worker process keeps a small module cache keyed
-by module hash, so per-request work is instantiate + execute, matching the
-paper's cached-side-module FaaS setup (§4.3).
+by module hash, each entry with a pool of live instances
+(:class:`~repro.service.warmpool.WarmPool`), so per-slice work is lease and
+reset a pooled instance, then execute, matching the paper's
+cached-side-module FaaS setup (§4.3).
 
 Each worker holds a window of two tasks: the one it runs and the next,
 already waiting in its pipe.  A worker's loop is receive, execute, send, so
@@ -70,27 +72,41 @@ from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
 from repro.service.warmpool import WarmPool
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import decode_module, encode_module
+from repro.wasm.engines import resolve_engine
 from repro.wasm.interpreter import ExecutionLimits
 from repro.wasm.module import Module
 from repro.wasm.snapshot import decode_snapshot, encode_snapshot
 
 
 class _Decoded:
-    """One decoded module and its digest, ``sha256(encode_module(module))``.
+    """One decoded module, its digest ``sha256(encode_module(module))`` and
+    its instance pools, one per engine.
 
     The digest is computed from this very module the first time a dispatch
     needs it (the compiled-code cache key, snapshot capture, the restore
     check, the reading's workload hash) and then reused by every later
     dispatch of the module, instead of re-encoding it up to three times per
     dispatch.  Decoded modules are never mutated, so the digest cannot go
-    stale.
+    stale.  The pools are evicted with the entry.
     """
 
-    __slots__ = ("module", "_digest")
+    __slots__ = ("module", "_digest", "_pools")
 
     def __init__(self, module: Module):
         self.module = module
         self._digest: bytes | None = None
+        self._pools: dict[str, WarmPool] = {}
+
+    def pool(self, engine: str | None) -> WarmPool:
+        """This module's instance pool for ``engine`` (resolved, so a task
+        on the default engine follows ``REPRO_WASM_ENGINE``)."""
+        engine = resolve_engine(engine)
+        pool = self._pools.get(engine)
+        if pool is None:  # racing threads may each make one; one is kept
+            pool = self._pools.setdefault(engine, WarmPool(
+                module=self.module, module_hash=self.digest, engine=engine, max_size=8
+            ))
+        return pool
 
     @property
     def digest(self) -> bytes:
@@ -138,9 +154,6 @@ class ExecutionTask:
     #: resume payload: an encoded snapshot to restore and continue instead
     #: of invoking ``export`` fresh
     snapshot: bytes | None = None
-    #: serve from this worker's warm pool (instantiate once per process,
-    #: reset a pooled instance per request)
-    warm: bool = False
     #: distributed-trace context (``TraceContext.to_wire()`` tuple), set by
     #: the gateway whenever any telemetry sink (tracing, events, metrics) is
     #: on, sampled or not; it arms the task's telemetry capture, which
@@ -191,28 +204,6 @@ def _cached_decoded(task: ExecutionTask) -> _Decoded:
         return _MODULE_CACHE[task.module_hash]
 
 
-def _cached_module(task: ExecutionTask) -> Module:
-    return _cached_decoded(task).module
-
-
-#: Per-process warm pools keyed by (module hash, engine) — in the threaded
-#: pool all workers share them (WarmPool itself is lock-protected).
-_WARM_POOLS: "dict[tuple[bytes, str | None], WarmPool]" = {}
-_WARM_POOLS_LOCK = threading.Lock()
-
-
-def _warm_pool(task: ExecutionTask) -> WarmPool:
-    key = (task.module_hash, task.engine)
-    with _WARM_POOLS_LOCK:
-        pool = _WARM_POOLS.get(key)
-        if pool is None:
-            pool = WarmPool(
-                module=_cached_module(task), engine=task.engine, max_size=8
-            )
-            _WARM_POOLS[key] = pool
-    return pool
-
-
 def execute_task(task: ExecutionTask) -> WorkerResult:
     """Run one request in this process and return its raw meter readings.
 
@@ -221,12 +212,12 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
     run, so a gateway run and a serial in-enclave run of the same requests
     produce byte-identical resource vectors.
 
-    Three variants share this entry point: a fresh invocation (the default),
-    a warm-pool invocation (``task.warm`` — lease a pooled instance instead
-    of instantiating), and a resume (``task.snapshot`` — decode a snapshot
-    and continue the suspended call stack).  With ``task.snapshot_at`` set,
-    any variant may *preempt* instead of completing: the result then carries
-    the encoded snapshot and meters-as-of-capture for checkpoint billing.
+    Both variants lease a pooled instance of the module and reset it: a
+    fresh invocation to the warm image, a resume (``task.snapshot``) to the
+    decoded snapshot, whose suspended call stack it then continues.  With
+    ``task.snapshot_at`` set, either may *preempt* instead of completing:
+    the result then carries the encoded snapshot and meters-as-of-capture
+    for checkpoint billing.
 
     The task always runs under a :class:`~repro.obs.context.TelemetryCapture`,
     activated thread-locally for its duration, so the worker's obs calls
@@ -245,7 +236,6 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
             "worker.task",
             hop=ctx.hop if ctx is not None else 0,
             resume=task.snapshot is not None,
-            warm=task.warm,
         ) as root:
             result = _execute_any(task, started)
             root.set_attribute("preempted", result.snapshot is not None)
@@ -262,10 +252,6 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
     limits = ExecutionLimits(
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
-    handle = None
-    if task.warm and snapshot is None:
-        pool = _warm_pool(task)
-        handle = pool.acquire(task.input_data, limits=limits)
     raw, captured, exec_engine = run_slice(
         decoded.module,
         decoded.digest,
@@ -276,13 +262,11 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
         limits,
         task.engine,
         snapshot=snapshot,
-        lease=handle,
+        pool=decoded.pool(task.engine),
         snapshot_bytes=len(task.snapshot) if snapshot is not None else 0,
     )
     if task.fault == "corrupt":
         raw = corrupt_raw(raw)
-    if handle is not None:
-        pool.release(handle)
     return WorkerResult(
         raw=raw,
         exec_wall_s=time.perf_counter() - started,

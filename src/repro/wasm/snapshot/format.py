@@ -235,9 +235,12 @@ def rewind_io(env: HostEnvironment, input_data: bytes, io: IOState | None) -> No
     """Point ``env``'s channel at ``input_data`` and its meters at ``io``.
 
     The input bytes travel with the request, not the snapshot; ``io=None``
-    rewinds to the start (a fresh request on a reused environment).
+    rewinds to the start (a fresh request on a reused environment).  The
+    environment's one reset: it also drops the ``host_log`` values an
+    earlier request left, which no snapshot carries.
     """
     io = io or IOState()
+    env.log_values.clear()
     channel = env.channel
     channel.input_data = input_data
     channel.output = bytearray(io.output)

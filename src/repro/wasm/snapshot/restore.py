@@ -15,6 +15,8 @@ uninterrupted one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.obs.instruments import RESUMES_TOTAL
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import encode_module
@@ -56,10 +58,7 @@ def restore_instance(
     """
     if module_hash is None:
         module_hash = sha256(encode_module(module))
-    if module_hash != snapshot.module_hash:
-        raise SnapshotError(
-            "module hash mismatch: snapshot was taken from a different module"
-        )
+    require_module(snapshot, module_hash)
     instance = Instance(
         module,
         imports=imports,
@@ -72,26 +71,44 @@ def restore_instance(
     return instance
 
 
+def require_module(snapshot: Snapshot, module_hash: bytes) -> None:
+    """Refuse a snapshot taken from another module than ``module_hash``'s."""
+    if module_hash != snapshot.module_hash:
+        raise SnapshotError(
+            "module hash mismatch: snapshot was taken from a different module"
+        )
+
+
+def slice_limits(limits: ExecutionLimits, snapshot: Snapshot) -> ExecutionLimits:
+    """``limits`` for a slice resumed from ``snapshot``: a relative
+    ``snapshot_at`` counts on from the instructions already executed."""
+    if limits.snapshot_at is None:
+        return limits
+    return replace(limits, snapshot_at=snapshot.executed + limits.snapshot_at)
+
+
 def apply_state(instance: Instance, snapshot: Snapshot) -> None:
     """Overwrite a live instance's state from a snapshot, in place.
 
     In place matters: the engines bind the instance's memory/globals/stats
     objects at instantiation, so state must be written *into* those objects
-    rather than replacing them.  Warm pools use this to reset a live
-    instance to its pristine post-instantiation image per request.
+    rather than replacing them.  Per-call state an earlier call left (the
+    profiler ``invoke`` armed) is cleared, so a pooled instance, reset by
+    this, carries nothing a fresh one would not.
     """
+    instance._profiler = None
     memory = instance.memory
     if snapshot.memory_pages is not None:
         if memory is None:
             raise SnapshotError("snapshot has memory but the instance does not")
-        base = base_memory_image(instance.module)
-        buf = bytearray(snapshot.memory_pages * PAGE_SIZE)
-        limit = min(len(base), len(buf))
-        buf[:limit] = base[:limit]
+        data = memory._data
+        data[:] = base_memory_image(instance.module)
+        size = snapshot.memory_pages * PAGE_SIZE
+        del data[size:]
+        data.extend(bytes(size - len(data)))
         for index, page in snapshot.memory_delta:
             lo = index * PAGE_SIZE
-            buf[lo : lo + PAGE_SIZE] = page
-        memory._data[:] = buf
+            data[lo : lo + PAGE_SIZE] = page
         memory.grow_events[:] = list(snapshot.grow_events)
     if len(snapshot.globals) != len(instance.globals):
         raise SnapshotError("snapshot global count does not match the instance")

@@ -32,10 +32,8 @@ MINIC_SUM = (
 )
 
 
-def drive(preempt_after, warm_pool=False, requests=4):
-    gw = MeteringGateway(
-        workers=2, pool="thread", preempt_after=preempt_after, warm_pool=warm_pool
-    )
+def drive(preempt_after, requests=4):
+    gw = MeteringGateway(workers=2, pool="thread", preempt_after=preempt_after)
     try:
         gw.register_tenant("alice", minic=MINIC_SUM)
         responses = [gw.execute("alice", "total", 40) for _ in range(requests)]
@@ -87,10 +85,24 @@ class TestGatewayPreemption:
             gw.shutdown()
 
     def test_warm_pool_preemption_still_exact(self):
-        _r0, _v0, _rec0, totals0, _s0 = drive(preempt_after=None)
-        _r1, v1, _rec1, totals1, stats1 = drive(preempt_after=200, warm_pool=True)
+        # every slice, fresh or resumed, runs on a pooled instance reset for
+        # it: reuse across hops and requests must not move the totals
+        from repro.obs.instruments import WARM_POOL_HITS
+        from repro.obs.metrics import disable_metrics, enable_metrics, metrics_enabled
+
+        was_enabled = metrics_enabled()
+        enable_metrics()
+        try:
+            hits_before = WARM_POOL_HITS.total()
+            _r0, _v0, _rec0, totals0, _s0 = drive(preempt_after=None)
+            _r1, v1, _rec1, totals1, stats1 = drive(preempt_after=200)
+            hits = WARM_POOL_HITS.total() - hits_before
+        finally:
+            if not was_enabled:
+                disable_metrics()
         assert v1.ok
         assert stats1["preemptions"] > 0
+        assert hits > stats1["preemptions"]
         assert totals1 == totals0
 
 
@@ -245,7 +257,6 @@ class TestWorkerResume:
             kernels=("trisolv",),
             quota_probe=False,
             preempt_after=400,
-            warm_pool=True,
         )
         point = report["sweep"][0]
         assert report["serial_totals_match"] is True

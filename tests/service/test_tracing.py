@@ -364,7 +364,6 @@ class TestWorkerMetricsCountedOnce:
             workers=1,
             pool=pool,
             preempt_after=150,
-            warm_pool=True,
             trace_sample=0.0 if mode.endswith("unsampled") else 1.0,
         )
         try:

@@ -64,28 +64,28 @@ def fresh_cache(monkeypatch):
 
 def test_module_cache_hits_skip_decoding(fresh_cache):
     task = make_task(b"a")
-    first = worker._cached_module(task)
-    second = worker._cached_module(task)
+    first = worker._cached_decoded(task)
+    second = worker._cached_decoded(task)
     assert first is second
     assert len(fresh_cache) == 1
 
 
 def test_module_cache_is_true_lru(fresh_cache):
     a, b, c = make_task(b"a"), make_task(b"b"), make_task(b"c")
-    worker._cached_module(a)
-    worker._cached_module(b)
-    worker._cached_module(a)  # hit: A becomes most-recently-used
-    worker._cached_module(c)  # full: evicts B (least recent), not A
+    worker._cached_decoded(a)
+    worker._cached_decoded(b)
+    worker._cached_decoded(a)  # hit: A becomes most-recently-used
+    worker._cached_decoded(c)  # full: evicts B (least recent), not A
     assert len(fresh_cache) == 3
-    worker._cached_module(a)  # still cached
+    worker._cached_decoded(a)  # still cached
     assert len(fresh_cache) == 3
-    worker._cached_module(b)  # was evicted: decoded again
+    worker._cached_decoded(b)  # was evicted: decoded again
     assert len(fresh_cache) == 4
 
 
 def test_module_cache_size_stays_bounded(fresh_cache):
     for i in range(10):
-        worker._cached_module(make_task(b"m%d" % i))
+        worker._cached_decoded(make_task(b"m%d" % i))
     assert len(worker._MODULE_CACHE) == 2
 
 
@@ -101,7 +101,7 @@ def test_module_cache_concurrent_access_is_safe(monkeypatch):
         try:
             for i in range(300):
                 tag = b"m%d" % ((seed + i) % 5)
-                module = worker._cached_module(make_task(tag))
+                module = worker._cached_decoded(make_task(tag)).module
                 assert module == ("decoded", b"module-" + tag)
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -113,6 +113,36 @@ def test_module_cache_concurrent_access_is_safe(monkeypatch):
         t.join()
     assert not errors
     assert len(worker._MODULE_CACHE) <= 2
+
+
+def test_instance_pools_are_evicted_with_their_module(monkeypatch):
+    """A worker's instance pools hang off its module cache entries, so a
+    worker that has run 65 modules holds live instances of at most 64."""
+    from repro.wasm.wat_parser import parse_wat
+
+    monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
+    for i in range(worker._MODULE_CACHE_MAX + 1):
+        module_bytes = encode_module(
+            parse_wat(
+                "(module (global (mut i64) (i64.const 0)) "
+                f'(func (export "f") (result i32) (i32.const {i})))'
+            )
+        )
+        task = ExecutionTask(
+            module_bytes=module_bytes,
+            module_hash=sha256(module_bytes),
+            counter_global_index=0,
+            export="f",
+            args=(),
+        )
+        assert execute_task(task).raw.value == i
+    pools = [
+        pool for decoded in worker._MODULE_CACHE.values()
+        for pool in decoded._pools.values()
+    ]
+    assert len(worker._MODULE_CACHE) == worker._MODULE_CACHE_MAX
+    assert len(pools) == worker._MODULE_CACHE_MAX
+    assert all(pool.stats()["idle"] == 1 for pool in pools)
 
 
 # -- pool mechanics ------------------------------------------------------------
