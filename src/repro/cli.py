@@ -857,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--args", nargs="*", default=[])
     p.add_argument("--top", type=int, default=0, help="show N hottest instructions")
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine (default: pre-decoded threaded dispatch)")
+                   help="execution engine (default: compile, Wasm translated "
+                        "to Python; predecode is the per-instruction reference)")
     _add_profile_args(p)
     p.set_defaults(fn=cmd_run)
 

@@ -174,7 +174,7 @@ def run_slice(
     with span(
         "worker.invoke" if snapshot is None else "worker.resume_invoke",
         export=export,
-        exec_engine=instance.exec_engine,
+        exec_engine=instance.engine,
     ) as run:
         try:
             if snapshot is None:
@@ -204,7 +204,7 @@ def run_slice(
     )
     if pool is not None:
         pool.release(handle)
-    return raw, captured, instance.exec_engine
+    return raw, captured, instance.engine
 
 
 class AccountingEnclave(Enclave):
@@ -238,10 +238,10 @@ class AccountingEnclave(Enclave):
         self.weight_table = weight_table
         self.memory_policy = memory_policy
         self.limits = limits or ExecutionLimits()
-        #: Wasm execution engine used for workload invocations ("predecode"
-        #: or "compile"; None picks the interpreter default).  The injected
-        #: counter verification is engine-independent — the differential
-        #: tests pin both engines to identical ExecutionStats.
+        #: Wasm execution engine used for workload invocations ("compile"
+        #: or "predecode"; None picks the interpreter default, compile).
+        #: The injected counter verification is engine-independent — the
+        #: differential tests pin both engines to identical ExecutionStats.
         self.engine = engine
         self._signing_key: RSAKeyPair = rsa_generate(key_bits, seed=key_seed)
         #: ``batch_window=N`` puts the receipt log in batched-sealing mode:

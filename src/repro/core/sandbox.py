@@ -61,7 +61,7 @@ class SandboxConfig:
     pricing: PricingPolicy = field(default_factory=PricingPolicy)
     max_instructions: int | None = None  # the sandbox's resource cap
     attestation_nonce: bytes = b"acctee-deploy-nonce"
-    engine: str | None = None  # Wasm execution engine ("predecode"/"compile")
+    engine: str | None = None  # Wasm execution engine (None: compile)
 
     def weight_table(self) -> WeightTable:
         return cycle_weight_table() if self.weighted else UNIT_WEIGHTS

@@ -294,10 +294,6 @@ def _find_hoistable_loops(
     return hoists
 
 
-def _region_weight(body: list[Instr], start: int, end: int, weights: WeightTable) -> int:
-    return sum(weights.weight(body[i].name) for i in range(start, end + 1))
-
-
 def _try_pattern_a(
     module: Module,
     func: Function,

@@ -242,10 +242,6 @@ class Tracer:
                 flushed.append(span)
         return flushed
 
-    def current_span(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     # -- cross-process merge -----------------------------------------------------
 
     def ingest(

@@ -33,6 +33,7 @@ from repro.service.faults import FaultPlan, ResiliencePolicy
 from repro.service.gateway import GatewayResponse, MeteringGateway
 from repro.service.quota import AdmissionError, TenantQuota
 from repro.service.worker import cores_available
+from repro.wasm.engines import resolve_engine
 from repro.wasm.module import Module
 
 
@@ -341,7 +342,7 @@ def run_loadtest(
         "mix": [tenant_id for tenant_id, _m, _r in mix],
         "requests_per_point": requests,
         "pool": pool,
-        "engine": engine or "default",
+        "engine": resolve_engine(engine),
         "execution_backend": backend,
         "cores_available": cores,
         "seal_window": seal_window,

@@ -1,13 +1,13 @@
 """Instance pools: instantiate once, lease and reset a live instance per slice.
 
 Per-slice setup cost for an instrumented module is dominated by
-instantiation — the predecode engine translates every function body at
-``Instance()`` time, the compile engine wires its template and binds step
-functions on first use.  A :class:`WarmPool` pays that cost once per pooled
-slot: it builds a template instance, captures its pristine
-post-instantiation state as a warm-image
-:class:`~repro.wasm.snapshot.Snapshot` (frames empty), and leases each slice
-a pooled live instance reset in place with
+instantiation — the compile engine (the default) binds its cached code
+into a fresh namespace and its step functions on first use, the predecode
+reference decodes every function body at ``Instance()`` time.  A
+:class:`WarmPool` pays that cost once per pooled slot: it builds a
+template instance, captures its pristine post-instantiation state as a
+warm-image :class:`~repro.wasm.snapshot.Snapshot` (frames empty), and
+leases each slice a pooled live instance reset in place with
 :func:`~repro.wasm.snapshot.apply_state` — to the warm image for a fresh
 call, to the snapshot for a resume — exactly as a fresh instance would
 start it.  Gateway workers run every slice this way.

@@ -173,7 +173,7 @@ class WorkerResult:
     raw: RawExecution
     exec_wall_s: float
     snapshot: bytes | None = None
-    #: the engine whose frames ran the task (``Instance.exec_engine``);
+    #: the engine whose frames ran the task (``Instance.engine``);
     #: empty when nothing executed (the modeled backend)
     exec_engine: str = ""
     #: backhauled worker telemetry (``TelemetryCapture.to_wire()`` dict):

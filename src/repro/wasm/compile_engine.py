@@ -16,14 +16,15 @@ function body is translated once into Python **source** —
   wrapper per level, so irreducible dispatch loops are never needed for
   valid wasm structured control;
 * the per-basic-block meter increments (``visits``/``executed``/``cycles``)
-  are folded into the generated code as constant-amount updates, with the
-  same budget/progress boundary check as the predecode engine.  When a
+  are folded into the generated code as constant-amount updates, with one
+  budget/progress boundary check per batch.  When a
   boundary lands inside a batch of charges, the slow path hands the frame
   to the engine, which runs the batch per instruction from a static step
   table (instructions through generated per-instruction step functions);
-* trap attribution mirrors predecode exactly: blocks that may trap run under
-  ``try``, record the trapping position in ``_tp``, and roll back the
-  not-executed suffix so :class:`ExecutionStats` stay byte-identical;
+* trap attribution: blocks that may trap run under ``try``, record the
+  trapping position in ``_tp``, and roll back the not-executed suffix, so
+  :class:`ExecutionStats` stay byte-identical to the predecode reference,
+  which charges each instruction just before running it;
 * ``executed >= snapshot_at`` is one more observation point: the capture
   point is folded into the batch threshold (unarmed code does no extra
   work), the slow path captures before the instruction it falls on, with
@@ -76,7 +77,7 @@ from repro.wasm.interpreter import (
     build_structure_map,
 )
 from repro.wasm.memory import MemoryAccessError
-from repro.wasm.predecode import PredecodedEngine, uncharge_suffix
+from repro.wasm.predecode import PredecodedEngine
 
 #: Python's tokenizer rejects indentation deeper than 100 levels; leave slack.
 _MAX_INDENT = 90
@@ -1864,11 +1865,28 @@ class CompiledEngine:
         return types.FunctionType(codes[j], self._namespace)
 
     def _unwind(self, defined_index: int, seg_index: int, failed_index: int) -> None:
-        """Roll back the uncharged suffix after a mid-block trap."""
+        """Roll back the charges of the block's suffix that never ran after
+        a mid-block trap.
+
+        ``failed_index`` is the in-block position of the trapping
+        instruction, which stays charged (in the reference order visits
+        precede execution).  A negative index means an instruction
+        classified as non-trapping raised (invalid module); nothing is
+        rolled back then.
+        """
         _start, _count, names, op_cycles, _depth = (
             self._module_code.funcs[defined_index].segs[seg_index]
         )
-        uncharge_suffix(
-            self.instance.stats, names, op_cycles, failed_index,
-            self.instance.cost_model is not None,
-        )
+        if failed_index < 0 or failed_index + 1 >= len(names):
+            return
+        stats = self.instance.stats
+        visits = stats.visits
+        stats.executed -= len(names) - (failed_index + 1)
+        for name in names[failed_index + 1 :]:
+            remaining = visits[name] - 1
+            if remaining:
+                visits[name] = remaining
+            else:
+                del visits[name]
+        if self.instance.cost_model is not None:
+            stats.cycles -= sum(op_cycles[failed_index + 1 :])

@@ -4,13 +4,14 @@ Two engines execute validated modules, both producing byte-identical
 :class:`~repro.wasm.interpreter.ExecutionStats` (the differential suite in
 ``tests/wasm/test_engine_differential.py`` is the contract):
 
-* ``predecode`` — the default and the semantics reference: pre-decoded
-  threaded dispatch with per-basic-block visit batching
-  (:mod:`repro.wasm.predecode`), whose step mode defines the reference
-  order of capture, charge, budget trap and progress callback;
-* ``compile`` — translates validated function bodies to Python source with
-  folded meter counters, compiled once with :func:`compile` and cached per
-  (module fingerprint, cost signature) (:mod:`repro.wasm.compile_engine`).
+* ``compile`` — the default, which every serving entry point runs on:
+  translates validated function bodies to Python source with folded meter
+  counters, compiled once with :func:`compile` and cached per (module
+  fingerprint, cost signature) (:mod:`repro.wasm.compile_engine`);
+* ``predecode`` — the semantics reference: pre-decoded threaded dispatch
+  that charges every instruction one at a time
+  (:mod:`repro.wasm.predecode`), defining the reference order of capture,
+  charge, budget trap and progress callback.
 
 The predecode closures and the translator's emitted code are two
 independently written semantics, so the differential suites compare one
@@ -30,11 +31,11 @@ import os
 #: Environment variable that overrides the default engine.
 ENGINE_ENV_VAR = "REPRO_WASM_ENGINE"
 
-#: Recognised engine names, in preference/documentation order.
+#: Recognised engine names, the semantics reference first.
 ENGINE_NAMES: tuple[str, ...] = ("predecode", "compile")
 
 #: Engine used when neither ``engine=`` nor the environment variable is set.
-FALLBACK_ENGINE = "predecode"
+FALLBACK_ENGINE = "compile"
 
 
 class UnknownEngineError(ValueError):

@@ -183,10 +183,11 @@ BLOCK_TERMINATORS: frozenset[str] = frozenset(
      "block", "loop"}
 )
 
-#: Instructions the pre-decoded engine executes one at a time rather than
-#: inside a batched straight-line segment: every control transfer (a segment
-#: may not span a jump source or target) plus ``memory.grow``, whose
-#: ``grow_history`` entries record the exact instruction count at grow time.
+#: Instructions that end a straight-line segment, the unit of the engines'
+#: ``record_segment`` profiling and of the compile engine's batched charges:
+#: every control transfer (a segment may not span a jump source or target)
+#: plus ``memory.grow``, whose ``grow_history`` entries record the exact
+#: instruction count at grow time.
 SEGMENT_BARRIERS: frozenset[str] = frozenset(
     {"block", "loop", "if", "else", "end", "br", "br_if", "br_table",
      "return", "call", "call_indirect", "unreachable", "memory.grow"}
@@ -194,7 +195,7 @@ SEGMENT_BARRIERS: frozenset[str] = frozenset(
 
 #: Non-control instructions that can raise a runtime :class:`Trap`: memory
 #: accesses (out-of-bounds), integer division/remainder (zero divisor or
-#: overflow) and float-to-int truncation (NaN or overflow).  The pre-decoded
+#: overflow) and float-to-int truncation (NaN or overflow).  The compile
 #: engine tracks the in-segment position of these so a mid-segment trap can
 #: be attributed to the exact instruction (visit counts stay precise).
 TRAPPING_INSTRUCTIONS: frozenset[str] = frozenset(
@@ -236,10 +237,6 @@ class Instr:
     @property
     def info(self) -> OpInfo:
         return INSTRUCTIONS_BY_NAME[self.name]
-
-    @property
-    def is_control(self) -> bool:
-        return self.info.category is Category.CONTROL
 
     def __repr__(self) -> str:  # compact form for test failure output
         if not self.args:

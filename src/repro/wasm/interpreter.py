@@ -34,7 +34,6 @@ from repro.obs.profiler import active_profiler
 from repro.wasm.costmodel import CostModel
 from repro.wasm.engines import (
     ENGINE_NAMES,
-    FALLBACK_ENGINE,
     UnknownEngineError,
     resolve_engine,
 )
@@ -96,12 +95,6 @@ class SnapshotCaptured(Exception):
         self.snapshot = snapshot
 
 
-#: Engine used when ``Instance(engine=None)`` and ``REPRO_WASM_ENGINE`` is
-#: unset.  Kept for backwards compatibility; the registry in
-#: :mod:`repro.wasm.engines` is the authoritative source (it reads the
-#: environment variable at instantiation time, not import time).
-DEFAULT_ENGINE = FALLBACK_ENGINE
-
 #: Recognised values for ``Instance(engine=...)`` (re-exported from
 #: :mod:`repro.wasm.engines` for backwards compatibility).
 ENGINES = ENGINE_NAMES
@@ -153,9 +146,6 @@ class ExecutionStats:
     def weighted_visits(self, weights: dict[str, float]) -> float:
         """Total weight of all visited instructions under a weight table."""
         return sum(weights.get(name, 1.0) * n for name, n in self.visits.items())
-
-    def unweighted_excluding(self, excluded: frozenset[str]) -> int:
-        return sum(n for name, n in self.visits.items() if name not in excluded)
 
 
 @dataclass
@@ -346,12 +336,12 @@ class Instance:
     or :class:`TableInstance`.
 
     ``engine`` selects the execution engine (see :mod:`repro.wasm.engines`):
-    ``"predecode"`` (the default and the semantics reference) compiles every
-    function body once at instantiation into a flat handler array with
-    per-basic-block visit batching, and ``"compile"`` translates function
-    bodies to Python source with folded meter counters
-    (:mod:`repro.wasm.compile_engine`).  Both produce identical
-    :class:`ExecutionStats`.
+    ``"compile"`` (the default) translates function bodies to Python source
+    with folded meter counters (:mod:`repro.wasm.compile_engine`), and
+    ``"predecode"`` (the semantics reference) decodes every function body
+    once at instantiation into a flat handler array and charges each
+    instruction as it runs (:mod:`repro.wasm.predecode`).  Both produce
+    identical :class:`ExecutionStats`.
     """
 
     def __init__(
@@ -501,13 +491,6 @@ class Instance:
 
             self._module_hash = sha256(encode_module(self.module))
         return self._module_hash
-
-    @property
-    def exec_engine(self) -> str:
-        """The engine whose frames run this instance's calls, armed, resumed
-        or not (a ``compile`` instance's declined functions, listed in its
-        engine's ``fallback_functions``, run on ``predecode``)."""
-        return self.engine
 
     # -- public API ------------------------------------------------------------
 

@@ -160,13 +160,6 @@ class Module:
                 return export.index
         raise KeyError(f"no {kind} export named {name!r}")
 
-    def func_by_name(self, name: str) -> int:
-        """Look up a *defined* function's combined index by its $identifier."""
-        for i, func in enumerate(self.funcs):
-            if func.name == name:
-                return self.num_imported_funcs + i
-        raise KeyError(f"no function named {name!r}")
-
     def global_names(self) -> set[str]:
         """All $identifiers used for globals (imported and defined)."""
         names = {g.name for g in self.globals if g.name}

@@ -1,38 +1,26 @@
-"""Pre-decoded threaded-dispatch execution engine with basic-block batching.
+"""Pre-decoded threaded-dispatch engine: the semantics reference.
 
-This is the default engine and the semantics reference every other engine
-is pinned against.  A naive interpreter re-discovers every instruction on
-every visit: a chain of string comparisons picks the handler, immediates
-are unpacked from the :class:`Instr` tuple, the cost table is consulted per
-instruction and ``ExecutionStats.visits`` is bumped one ``Counter``
-increment at a time.  This module removes all of that from the hot path the
-same way AccTEE makes *accounting* cheap (paper §3.4): precompute per basic
-block, pay per basic block.
+Every other engine is pinned against this one, so it is written to be
+obviously right rather than fast: each instruction is charged and run one at
+a time, in one loop, with one charge path.  A naive interpreter re-discovers
+every instruction on every visit (a chain of string comparisons picks the
+handler, immediates are unpacked from the :class:`Instr` tuple); this module
+decodes each function body once at instantiation into a flat code array,
+indexed by pc, with one entry per instruction:
 
-At instantiation each function body is compiled once into a flat code array,
-indexed by pc, holding two kinds of entries:
+* **operations** — ``(K_OP, name, cycles, op)`` for every non-control
+  instruction, ``op`` a closure ``(stack, locals_) -> None`` pre-bound to
+  its immediates, globals, the linear memory and the stats object
+  (dispatch is one indirect call, no string compares);
 
-* **segments** — maximal straight-line runs of non-control instructions,
-  pre-bound to per-instruction closures (immediates, globals, the linear
-  memory and the stats object are captured at compile time; dispatch is one
-  indirect call, no string compares).  Each segment carries a precomputed
-  visit summary (``{name: count}``), instruction count and cycle total which
-  the engine charges *once on entry* instead of once per instruction;
-
-* **control entries** — small tuples ``(kind, name, cycles, ...decoded)``
-  for block/loop/if/else/end/br/br_if/br_table/return/call/call_indirect/
+* **control entries** — ``(kind, name, cycles, ...decoded)`` for
+  block/loop/if/else/end/br/br_if/br_table/return/call/call_indirect/
   unreachable/memory.grow, with structure offsets from
-  :func:`~repro.wasm.interpreter.build_structure_map` baked in.  These are
-  charged individually, one instruction at a time, because they are jump
-  sources/targets (``memory.grow`` is included so ``grow_history`` records
-  the precise instruction count at grow time, and calls so the callee's
-  stats interleave at the correct boundary).
+  :func:`~repro.wasm.interpreter.build_structure_map` baked in.
 
 The documented visit semantics — loop-header re-visit, ``end`` on every
-exit, ``return`` skipping enclosing ``end``s — are preserved *exactly*:
-segments never span a control instruction, and every branch target is either
-a control instruction or the instruction right after one, so no jump can
-land in a segment interior.
+exit, ``return`` skipping enclosing ``end``s — follow from executing the
+entries in order.
 
 **The reference order.**  At every instruction boundary the observable
 effects happen in this order: (1) *capture* — if ``snapshot_at`` is set and
@@ -41,43 +29,28 @@ a resumed run re-charges and re-runs it; (2) *charge* — bump its visit,
 ``executed`` and cycles; (3) *budget trap* — raise once ``executed >
 max_instructions``; (4) *progress* — call ``progress_callback`` when
 ``executed`` is a multiple of ``progress_interval``.  Then the instruction
-runs.  Control entries and step mode follow this order literally; a batched
-segment is charged whole only when no boundary can fall inside it.  The
-``compile`` engine's slow paths follow the same order ("the reference
-order" in :mod:`repro.wasm.compile_engine`).
+runs, so a trapping instruction stays charged.  The ``compile`` engine
+batches its charges and follows the same order on its slow paths ("the
+reference order" in :mod:`repro.wasm.compile_engine`).
 
-Four mechanisms keep per-instruction observability intact despite batching:
+**Segments** — maximal straight-line runs of non-control instructions
+(everything outside :data:`~repro.wasm.instructions.SEGMENT_BARRIERS`) —
+are the unit of ``record_segment`` profiling, as in the ``compile``
+engine: entering a segment at its first instruction reports its start pc
+and length to an active :class:`~repro.obs.profiler.Profiler`.
 
-* **budget/capture/progress fallback** — if charging a whole segment would
-  cross the ``max_instructions`` budget, the ``snapshot_at`` capture point
-  or a ``progress_interval`` multiple, that segment is executed in
-  per-instruction *step mode* in the reference order, so the budget trap
-  fires at exactly ``executed == max_instructions + 1``, the callback at
-  every exact multiple, and a capture exactly at ``executed == snapshot_at``;
+**Suspendable frames** — the engine runs on explicit frame state (``pc``,
+value stack, locals, control tuples), so a capture raises
+:class:`~repro.wasm.interpreter.CaptureUnwind` carrying engine-independent
+:class:`~repro.wasm.interpreter.CapturedFrame` records (calls append their
+``at_call`` frame as it passes), and ``exec_function(resume=...)``
+re-enters such a frame at its pc.
 
-* **suspendable frames** — the engine runs on explicit frame state (``pc``,
-  value stack, locals, control tuples), so a capture raises
-  :class:`~repro.wasm.interpreter.CaptureUnwind` carrying engine-independent
-  :class:`~repro.wasm.interpreter.CapturedFrame` records (calls append their
-  ``at_call`` frame as it passes), and ``exec_function(resume=...)``
-  re-enters such a frame, stepping the rest of a segment when the capture
-  fell inside one;
-
-* **trap attribution** — closures for instructions that can trap (memory
-  accesses, division, truncation) record their in-segment position in a
-  shared cell before attempting the risky operation; when a trap aborts a
-  pre-charged segment the engine rolls back the visits/cycles of the
-  not-executed suffix, leaving the stats of per-instruction charging;
-
-* **call boundaries** — calls terminate segments, so a callee (and any
-  ``memory.grow`` or progress report inside it) observes the same
-  ``executed`` count it would under per-instruction accounting.
-
-The engine is selected with ``Instance(module, engine="predecode")`` (the
-default; the ``REPRO_WASM_ENGINE`` environment variable overrides it).  It
-also runs the functions a ``compile`` instance's translator declines.  A
-differential test pins it and ``compile`` to identical
-:class:`ExecutionStats` across every workload in :mod:`repro.workloads`.
+The engine is selected with ``Instance(module, engine="predecode")`` or
+``REPRO_WASM_ENGINE=predecode``; the default is ``compile``.  It also runs
+the functions a ``compile`` instance's translator declines.  A differential
+test pins it and ``compile`` to identical :class:`ExecutionStats` across
+every workload in :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
@@ -86,7 +59,7 @@ import math
 import struct
 from typing import Callable
 
-from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
+from repro.wasm.instructions import SEGMENT_BARRIERS, Instr
 from repro.wasm.interpreter import (
     CapturedFrame,
     CaptureUnwind,
@@ -113,7 +86,7 @@ from repro.wasm.memory import MemoryAccessError
 # ---------------------------------------------------------------------------
 
 (
-    K_SEG,
+    K_OP,
     K_END,
     K_BLOCK,
     K_LOOP,
@@ -130,41 +103,18 @@ from repro.wasm.memory import MemoryAccessError
 ) = range(14)
 
 
-class _Segment:
-    """One straight-line run of non-control instructions, pre-compiled."""
-
-    __slots__ = (
-        "ops",          # tuple of closures (stack, locals_) -> None
-        "names",        # tuple of instruction names, for step mode / rollback
-        "op_cycles",    # tuple of per-instruction cycle costs
-        "count",        # len(ops)
-        "visit_items",  # ((name, count), ...) charged in one pass on entry
-        "cycles",       # sum(op_cycles)
-        "can_trap",     # any op may raise a Trap mid-segment
-        "next_pc",      # pc of the instruction after the segment
-    )
-
-    def __init__(self, ops, names, op_cycles, visit_delta, can_trap, next_pc):
-        self.ops = ops
-        self.names = names
-        self.op_cycles = op_cycles
-        self.count = len(ops)
-        self.visit_items = tuple(visit_delta.items())
-        self.cycles = sum(op_cycles)
-        self.can_trap = can_trap
-        self.next_pc = next_pc
-
-
 class CompiledFunction:
     """The pre-decoded form of one defined function."""
 
-    __slots__ = ("code", "n", "local_init", "n_results")
+    __slots__ = ("code", "n", "local_init", "n_results", "segments")
 
-    def __init__(self, code, n, local_init, n_results):
+    def __init__(self, code, n, local_init, n_results, segments):
         self.code = code
         self.n = n
         self.local_init = local_init
         self.n_results = n_results
+        #: start pc -> instruction count of every segment, for profiling
+        self.segments = segments
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +470,15 @@ _SHARED: dict[str, Callable] = _build_shared()
 
 
 # ---------------------------------------------------------------------------
-# Per-occurrence closure factories (immediates, instance state, trap cells)
+# Per-occurrence closure factories (immediates, instance state)
 # ---------------------------------------------------------------------------
 
 
-def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
-    """Build the closure for one non-control instruction.
-
-    ``cell``/``idx`` implement trap attribution: closures that may raise
-    write their in-segment position into ``cell[0]`` before the risky
-    operation, so a mid-segment trap can be charged exactly.
-    """
+def _compile_simple(instr: Instr, instance) -> Callable:
+    """Build the closure for one non-control instruction."""
     name = instr.name
     shared = _SHARED.get(name)
-    if shared is not None and name not in TRAPPING_INSTRUCTIONS:
+    if shared is not None:
         return shared
 
     if name == "local.get":
@@ -594,7 +539,7 @@ def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
     prefix, _, suffix = name.partition(".")
 
     if "load" in suffix or "store" in suffix:
-        return _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx)
+        return _compile_memory_access(instr, name, prefix, suffix, instance)
 
     if suffix in ("div_s", "rem_s"):
         bits = 32 if prefix == "i32" else 64
@@ -603,7 +548,6 @@ def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
         is_div = suffix == "div_s"
 
         def divrem_s(stack, locals_):
-            cell[0] = idx
             b = stack.pop()
             a = stack[-1]
             if b == 0:
@@ -622,7 +566,6 @@ def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
         is_div = suffix == "div_u"
 
         def divrem_u(stack, locals_):
-            cell[0] = idx
             b = stack.pop()
             if b == 0:
                 raise Trap("integer divide by zero")
@@ -637,7 +580,6 @@ def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
         signed = suffix.endswith("_s")
 
         def trunc_f(stack, locals_):
-            cell[0] = idx
             stack[-1] = _trunc_to_int(stack[-1], bits, signed)
 
         return trunc_f
@@ -645,7 +587,7 @@ def _compile_simple(instr: Instr, instance, cell: list, idx: int) -> Callable:
     raise AssertionError(f"no predecode handler for {name}")  # pragma: no cover
 
 
-def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> Callable:
+def _compile_memory_access(instr, name, prefix, suffix, instance) -> Callable:
     mem = instance.memory
     if mem is None:
         def no_memory(stack, locals_):
@@ -668,7 +610,6 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
             store_value = mem.store_f32 if prefix == "f32" else mem.store_f64
 
             def store_f(stack, locals_):
-                cell[0] = idx
                 value = stack.pop()
                 address = (stack.pop() + offset) & _MASK64
                 try:
@@ -685,7 +626,6 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
         store_int = mem.store_int
 
         def store_i(stack, locals_):
-            cell[0] = idx
             value = stack.pop()
             address = (stack.pop() + offset) & _MASK64
             try:
@@ -703,7 +643,6 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
         load_value = mem.load_f32 if prefix == "f32" else mem.load_f64
 
         def load_f(stack, locals_):
-            cell[0] = idx
             address = (stack.pop() + offset) & _MASK64
             try:
                 result = load_value(address)
@@ -722,7 +661,6 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
     load_int = mem.load_int
 
     def load_i(stack, locals_):
-        cell[0] = idx
         address = (stack.pop() + offset) & _MASK64
         try:
             raw = load_int(address, width, signed=signed)
@@ -742,7 +680,7 @@ def _compile_memory_access(instr, name, prefix, suffix, instance, cell, idx) -> 
 # ---------------------------------------------------------------------------
 
 
-def compile_function(instance, defined_index: int, cell: list) -> CompiledFunction:
+def compile_function(instance, defined_index: int) -> CompiledFunction:
     """Pre-decode one defined function into a flat code array."""
     module = instance.module
     func = module.funcs[defined_index]
@@ -758,32 +696,16 @@ def compile_function(instance, defined_index: int, cell: list) -> CompiledFuncti
     }
 
     code: list = [None] * n
-    i = 0
-    while i < n:
-        instr = body[i]
+    segments: dict[int, int] = {}
+    for i, instr in enumerate(body):
         name = instr.name
-        if name not in SEGMENT_BARRIERS:
-            start = i
-            while i < n and body[i].name not in SEGMENT_BARRIERS:
-                i += 1
-            members = body[start:i]
-            names = tuple(m.name for m in members)
-            ops = tuple(
-                _compile_simple(m, instance, cell, j) for j, m in enumerate(members)
-            )
-            op_cycles = tuple(cycles_of(m) for m in names)
-            visit_delta: dict[str, int] = {}
-            for m in names:
-                visit_delta[m] = visit_delta.get(m, 0) + 1
-            can_trap = any(m in TRAPPING_INSTRUCTIONS for m in names)
-            code[start] = (
-                K_SEG,
-                _Segment(ops, names, op_cycles, visit_delta, can_trap, i),
-            )
-            continue
-
         cyc = cycles_of(name)
-        if name == "end":
+        if name not in SEGMENT_BARRIERS:
+            if i == 0 or body[i - 1].name in SEGMENT_BARRIERS:
+                start = i
+            segments[start] = i - start + 1
+            code[i] = (K_OP, name, cyc, _compile_simple(instr, instance))
+        elif name == "end":
             code[i] = (K_END, name, cyc)
         elif name == "block":
             info = structs[i]
@@ -816,11 +738,10 @@ def compile_function(instance, defined_index: int, cell: list) -> CompiledFuncti
             code[i] = (K_UNREACHABLE, name, cyc)
         else:  # memory.grow
             code[i] = (K_GROW, name, cyc)
-        i += 1
 
     functype = module.types[func.type_index]
     local_init = [0 if vt.is_int else 0.0 for vt in func.locals]
-    return CompiledFunction(code, n, local_init, len(functype.results))
+    return CompiledFunction(code, n, local_init, len(functype.results), segments)
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +755,6 @@ class PredecodedEngine:
 
     def __init__(self, instance):
         self.instance = instance
-        #: shared trap-attribution cell: trapping closures record their
-        #: in-segment position here (segments contain no calls, so a single
-        #: cell per instance cannot be clobbered by reentrancy)
-        self.cell = [-1]
         self._compiled: list[CompiledFunction | None] = [None] * len(
             instance.module.funcs
         )
@@ -846,7 +763,7 @@ class PredecodedEngine:
         """Pre-decode every defined function (done once at instantiation)."""
         for index in range(len(self._compiled)):
             if self._compiled[index] is None:
-                self._compiled[index] = compile_function(self.instance, index, self.cell)
+                self._compiled[index] = compile_function(self.instance, index)
 
     def exec_function(
         self, defined_index: int, args: list, resume: tuple | None = None
@@ -859,14 +776,13 @@ class PredecodedEngine:
         cf = self._compiled[defined_index]
         if cf is None:  # start functions may run before compile_all finishes
             cf = self._compiled[defined_index] = compile_function(
-                self.instance, defined_index, self.cell
+                self.instance, defined_index
             )
         inst = self.instance
         stats = inst.stats
         visits = stats.visits
         limits = inst.limits
         cost_on = inst.cost_model is not None
-        cell = self.cell
         code = cf.code
         n = cf.n
         prof = inst._profiler
@@ -886,63 +802,13 @@ class PredecodedEngine:
                 (op == "loop", start, end, height, arity)
                 for op, start, end, height, arity in frames
             ]
-            if pc < n and code[pc] is None:
-                # suspended inside a segment: step the rest of it
-                seg_pc = pc
-                while code[seg_pc] is None:
-                    seg_pc -= 1
-                pc = self._step_segment(
-                    code[seg_pc][1], stack, locals_, cost_on, pc - seg_pc,
-                    (defined_index, seg_pc, control),
-                )
 
         while pc < n:
             entry = code[pc]
-            kind = entry[0]
+            if prof is not None and pc in cf.segments:
+                prof.record_segment(prof_label, pc, cf.segments[pc])
 
-            if kind == K_SEG:
-                seg = entry[1]
-                count = seg.count
-                if prof is not None:
-                    prof.record_segment(prof_label, pc, count)
-                executed = stats.executed
-                mi = limits.max_instructions
-                pi = limits.progress_interval
-                if (
-                    (mi is not None and executed + count > mi)
-                    or (snapshot_at is not None and executed + count > snapshot_at)
-                    or (
-                        pi is not None
-                        and limits.progress_callback is not None
-                        and (executed + count) // pi != executed // pi
-                    )
-                ):
-                    # a budget, capture or progress boundary falls inside
-                    # this segment: step it per-instruction
-                    pc = self._step_segment(
-                        seg, stack, locals_, cost_on, 0, (defined_index, pc, control)
-                    )
-                    continue
-                stats.executed = executed + count
-                for vname, vcount in seg.visit_items:
-                    visits[vname] += vcount
-                if cost_on:
-                    stats.cycles += seg.cycles
-                if seg.can_trap:
-                    cell[0] = -1
-                    try:
-                        for op in seg.ops:
-                            op(stack, locals_)
-                    except BaseException:
-                        self._unwind_segment(seg, cell[0], cost_on)
-                        raise
-                else:
-                    for op in seg.ops:
-                        op(stack, locals_)
-                pc = seg.next_pc
-                continue
-
-            # -- individually charged control instruction ----------------------
+            # -- the one charge path, in the reference order --------------------
             if snapshot_at is not None and stats.executed >= snapshot_at:
                 raise self._capture(
                     defined_index, pc, stack, locals_, control, CaptureUnwind()
@@ -963,7 +829,11 @@ class PredecodedEngine:
             ):
                 limits.progress_callback(stats)
 
-            if kind == K_END:
+            kind = entry[0]
+            if kind == K_OP:
+                entry[3](stack, locals_)
+                pc += 1
+            elif kind == K_END:
                 if control:
                     control.pop()
                 pc += 1
@@ -1052,50 +922,6 @@ class PredecodedEngine:
             raise Trap("function returned with empty stack")
         return stack[-n_results:]
 
-    # -- slow paths -------------------------------------------------------------
-
-    def _step_segment(
-        self, seg: _Segment, stack, locals_, cost_on: bool, first: int = 0,
-        frame: tuple | None = None,
-    ) -> int:
-        """Per-instruction execution of one segment from its ``first``
-        instruction, in the reference order at every instruction boundary:
-        capture, charge, budget trap, progress callback.
-
-        ``frame`` is ``(defined_index, segment_pc, control)``; it locates a
-        capture when ``limits.snapshot_at`` is set (callers without frame
-        state run unarmed)."""
-        inst = self.instance
-        stats = inst.stats
-        visits = stats.visits
-        limits = inst.limits
-        snapshot_at = limits.snapshot_at if frame is not None else None
-        names, ops, op_cycles = seg.names, seg.ops, seg.op_cycles
-        for j in range(first, seg.count):
-            if snapshot_at is not None and stats.executed >= snapshot_at:
-                defined_index, seg_pc, control = frame
-                raise self._capture(
-                    defined_index, seg_pc + j, stack, locals_, control, CaptureUnwind()
-                )
-            name = names[j]
-            visits[name] += 1
-            stats.executed += 1
-            if cost_on:
-                stats.cycles += op_cycles[j]
-            if (
-                limits.max_instructions is not None
-                and stats.executed > limits.max_instructions
-            ):
-                raise Trap("instruction budget exhausted")
-            if (
-                limits.progress_interval is not None
-                and limits.progress_callback is not None
-                and stats.executed % limits.progress_interval == 0
-            ):
-                limits.progress_callback(stats)
-            ops[j](stack, locals_)
-        return seg.next_pc
-
     def _capture(
         self, defined_index: int, pc: int, stack, locals_, control,
         unwind: CaptureUnwind, kind: str = "at_current",
@@ -1117,36 +943,6 @@ class PredecodedEngine:
             )
         )
         return unwind
-
-    def _unwind_segment(self, seg: _Segment, failed_index: int, cost_on: bool) -> None:
-        uncharge_suffix(
-            self.instance.stats, seg.names, seg.op_cycles, failed_index, cost_on
-        )
-
-
-def uncharge_suffix(stats, names, op_cycles, failed_index: int, cost_on: bool) -> None:
-    """Un-charge the suffix of a pre-charged segment that never ran.
-
-    ``failed_index`` is the in-segment position of the trapping
-    instruction (which stays charged — in the reference order visits
-    precede execution).  A negative index means an instruction we classified as
-    non-trapping raised (invalid module); nothing is rolled back then.
-    """
-    if failed_index < 0:
-        return
-    extra = len(names) - (failed_index + 1)
-    if extra <= 0:
-        return
-    visits = stats.visits
-    stats.executed -= extra
-    for name in names[failed_index + 1 :]:
-        remaining = visits[name] - 1
-        if remaining:
-            visits[name] = remaining
-        else:
-            del visits[name]
-    if cost_on:
-        stats.cycles -= sum(op_cycles[failed_index + 1 :])
 
 
 def _branch(depth: int, stack: list, control: list, n: int) -> int:

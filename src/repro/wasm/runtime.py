@@ -133,8 +133,8 @@ class HostEnvironment:
     ) -> Instance:
         """Instantiate ``module`` against this environment's imports.
 
-        ``engine`` selects the execution engine (``"predecode"`` or
-        ``"compile"``, defaulting to the interpreter-wide default) — the FaaS
+        ``engine`` selects the execution engine (``"compile"`` or
+        ``"predecode"``, defaulting to the interpreter-wide default) — the FaaS
         and volunteer scenarios thread it through so throughput experiments
         can compare both engines.
         """

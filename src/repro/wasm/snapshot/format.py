@@ -32,6 +32,8 @@ from __future__ import annotations
 import base64
 import json
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
@@ -152,6 +154,31 @@ def base_memory_image(module: Module) -> bytearray:
     return image
 
 
+#: module hash -> that module's base memory image, most recent last
+_BASE_IMAGES: OrderedDict[bytes, bytes] = OrderedDict()
+_BASE_IMAGES_LOCK = threading.Lock()
+#: modules whose image is kept (as many as the worker's module cache holds)
+_BASE_IMAGES_LIMIT = 64
+
+
+def instance_base_image(instance: Instance) -> bytes:
+    """:func:`base_memory_image` of the instance's module, built once per
+    module (keyed by :attr:`Instance.module_hash`): every capture and every
+    reset compares against or copies it."""
+    key = instance.module_hash
+    with _BASE_IMAGES_LOCK:
+        image = _BASE_IMAGES.get(key)
+        if image is not None:
+            _BASE_IMAGES.move_to_end(key)
+            return image
+    image = bytes(base_memory_image(instance.module))
+    with _BASE_IMAGES_LOCK:
+        _BASE_IMAGES[key] = image
+        while len(_BASE_IMAGES) > _BASE_IMAGES_LIMIT:
+            _BASE_IMAGES.popitem(last=False)
+    return image
+
+
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
@@ -159,7 +186,7 @@ def _memory_state(instance: Instance):
     memory = instance.memory
     if memory is None:
         return None, (), ()
-    base = bytes(base_memory_image(instance.module))
+    base = instance_base_image(instance)
     data = memory._data
     pages = len(data) // PAGE_SIZE
     delta = []

@@ -32,7 +32,7 @@ from repro.wasm.module import Module
 from repro.wasm.snapshot.format import (
     Snapshot,
     SnapshotError,
-    base_memory_image,
+    instance_base_image,
     snapshot_from_unwind,
 )
 
@@ -102,7 +102,7 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
         if memory is None:
             raise SnapshotError("snapshot has memory but the instance does not")
         data = memory._data
-        data[:] = base_memory_image(instance.module)
+        data[:] = instance_base_image(instance)
         size = snapshot.memory_pages * PAGE_SIZE
         del data[size:]
         data.extend(bytes(size - len(data)))

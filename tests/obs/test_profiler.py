@@ -89,14 +89,15 @@ def test_profiling_does_not_perturb_stats(engine):
     assert profiled.stats.cycles == plain.stats.cycles
 
 
-def test_segment_attribution_predecode_batches():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_segment_attribution_covers_basic_blocks(engine):
     module = parse_wat(FIB_WAT)
     with profile() as prof:
-        Instance(module, engine="predecode").invoke("fib", 6)
+        Instance(module, engine=engine).invoke("fib", 6)
     segs = prof.top_segments(100)
-    assert segs, "predecode must report basic-block segments"
+    assert segs, f"{engine} must report basic-block segments"
     assert all(row["function"] == "fib" for row in segs)
-    # pre-decoded segments batch: some segment covers >1 instruction per entry
+    # a segment is a basic block: some segment covers >1 instruction per entry
     assert any(row["instructions"] > row["entries"] for row in segs)
 
 

@@ -21,6 +21,7 @@ from repro.service.load import run_loadtest
 from repro.service.ledger import DuplicateReceipt
 from repro.service.worker import ExecutionTask, execute_task
 from repro.wasm.binary import encode_module
+from repro.wasm.engines import ENGINE_ENV_VAR
 from repro.obs.context import trace_id_for
 from repro.wasm.snapshot import SnapshotError, decode_snapshot
 from repro.wasm.wat_parser import parse_wat
@@ -210,9 +211,13 @@ class TestWorkerResume:
             ("compile", False, "compile"),
             ("compile", True, "compile"),
             ("predecode", True, "predecode"),
+            (None, True, "compile"),
         ],
     )
-    def test_invoke_spans_name_the_engine_that_ran(self, engine, armed, expected):
+    def test_invoke_spans_name_the_engine_that_ran(
+        self, engine, armed, expected, monkeypatch
+    ):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         trace = (trace_id_for("gw-t", 1), 7, True, 1)
         task = sum_task(engine=engine, snapshot_at=100 if armed else None, trace=trace)
         results = run_preempted(task)

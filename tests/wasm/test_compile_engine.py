@@ -7,7 +7,8 @@ pins the behaviours unique to :mod:`repro.wasm.compile_engine`:
 
 * graceful per-function fallback to the pre-decoded engine for bodies the
   translator declines (nesting beyond Python's indentation budget,
-  multi-value results), with stats still byte-identical;
+  multi-value results), with stats still byte-identical — and no such
+  fallback for any module in :mod:`repro.workloads`, raw or instrumented;
 * the process-wide code cache keyed on (module fingerprint, cost
   signature) — hits, misses, evictions;
 * ``memory.grow`` inside compiled loops, where deferred visit batching must
@@ -18,6 +19,7 @@ pins the behaviours unique to :mod:`repro.wasm.compile_engine`:
 
 import pytest
 
+from repro.instrument import instrument_module
 from repro.wasm import compile_engine
 from repro.wasm.compile_engine import (
     CompiledEngine,
@@ -26,7 +28,17 @@ from repro.wasm.compile_engine import (
 )
 from repro.wasm.costmodel import CostModel
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
+from repro.wasm.runtime import HostEnvironment, IOChannel
 from repro.wasm.wat_parser import parse_wat
+from repro.workloads import (
+    DARKNET,
+    ECHO,
+    MSIEVE,
+    PC_ALGORITHM,
+    POLYBENCH_KERNELS,
+    RESIZE,
+    SUBSET_SUM,
+)
 
 
 def _stats_record(stats) -> dict:
@@ -192,6 +204,20 @@ class TestFallback:
         inst = Instance(parse_wat(_deeply_nested_wat(10)), engine="compile")
         assert inst._engine.fallback_functions == ()
         assert inst.invoke("deep", 3) == 3
+
+    @pytest.mark.parametrize("level", [None, "naive", "flow-based", "loop-based"])
+    def test_every_workload_translates_wholly(self, level):
+        # compile is the serving default: a function it declined would run
+        # on the predecode reference, several times slower, with no error
+        specs = [*POLYBENCH_KERNELS.values(), MSIEVE, PC_ALGORITHM, SUBSET_SUM,
+                 DARKNET, ECHO, RESIZE]
+        for spec in specs:
+            module = spec.compile().clone()
+            if level is not None:
+                module = instrument_module(module, level).module
+            env = HostEnvironment(IOChannel())
+            inst = env.instantiate(module, engine="compile")
+            assert inst._engine.fallback_functions == (), (spec.name, level)
 
 
 class TestCodeCache:

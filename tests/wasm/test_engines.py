@@ -106,8 +106,14 @@ class TestInstanceWiring:
         assert inst.invoke("answer") == 42
 
     def test_env_var_selects_instance_engine(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "compile")
+        monkeypatch.setenv(ENGINE_ENV_VAR, "predecode")
         inst = Instance(parse_wat(TINY))
-        assert inst.engine == "compile"
+        assert inst.engine == "predecode"
+        assert inst.invoke("answer") == 42
+
+    def test_instance_naming_no_engine_runs_on_compile(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        inst = Instance(parse_wat(TINY))
+        assert inst.engine == FALLBACK_ENGINE == "compile"
         assert inst.invoke("answer") == 42
 

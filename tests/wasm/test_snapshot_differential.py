@@ -294,14 +294,15 @@ def test_armed_but_never_reached_leaves_stats_identical(engine, name):
     assert encoded(capture_instance(armed)) == encoded(capture_instance(plain))
 
 
-def predecode_segment(module, func_index: int, pc: int):
-    """``(segment start, segment)`` of the predecode segment holding ``pc``."""
+def predecode_segment(module, func_index: int, pc: int) -> tuple[int, int]:
+    """``(start, length)`` of the predecode segment holding ``pc``, or
+    ``(pc, 0)`` when ``pc`` is a control instruction."""
     inst = Instance(module, engine="predecode")
-    code = inst._engine._compiled[func_index - module.num_imported_funcs].code
-    start = pc
-    while code[start] is None:
-        start -= 1
-    return start, code[start][1]
+    segments = inst._engine._compiled[func_index - module.num_imported_funcs].segments
+    for start, count in segments.items():
+        if start <= pc < start + count:
+            return start, count
+    return pc, 0
 
 
 def capture_snapshot(module, engine: str, at: int):
@@ -317,8 +318,8 @@ def mid_segment_point(min_left: int) -> int:
     module = parse_wat(WORK)
     for at in range(1, 400):
         frame = capture_snapshot(module, REFERENCE, at).frames[-1]
-        start, seg = predecode_segment(module, frame.func_index, frame.pc)
-        if start < frame.pc and seg.count - (frame.pc - start) >= min_left:
+        start, count = predecode_segment(module, frame.func_index, frame.pc)
+        if start < frame.pc and count - (frame.pc - start) >= min_left:
             return at
     raise AssertionError("WORK has no mid-segment capture point")
 
@@ -378,11 +379,11 @@ def test_armed_and_resumed_compile_never_predecode_a_translated_function(
 
     whole_function = predecode.compile_function
 
-    def guarded(instance, defined_index, cell):
+    def guarded(instance, defined_index):
         engine = instance._engine
         if instance.engine == "compile" and engine._fns[defined_index] is not None:
             raise AssertionError(f"predecoded translated function {defined_index}")
-        return whole_function(instance, defined_index, cell)
+        return whole_function(instance, defined_index)
 
     module, setup, run = program(name)
     plain = started(module, setup, "compile")

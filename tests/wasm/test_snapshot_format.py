@@ -13,11 +13,13 @@ Pins the properties the rest of the stack leans on:
 """
 
 import struct
+from collections import OrderedDict
 
 import pytest
 
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance
 from repro.wasm.memory import PAGE_SIZE
+from repro.wasm.snapshot import format as snapshot_format
 from repro.wasm.snapshot import (
     FORMAT_VERSION,
     MAGIC,
@@ -146,6 +148,37 @@ class TestMemoryDelta:
         assert [g.value for g in restored.globals] == [g.value for g in inst.globals]
         assert restored.stats.executed == inst.stats.executed
         assert restored.stats.visits == inst.stats.visits
+
+    def test_base_image_is_built_once_per_module(self, monkeypatch):
+        # every capture diffs against the base image and every reset copies
+        # it; both must read exactly what an uncached build gives
+        built = []
+        uncached = snapshot_format.base_memory_image
+
+        def counting(module):
+            built.append(module)
+            return uncached(module)
+
+        monkeypatch.setattr(snapshot_format, "_BASE_IMAGES", OrderedDict())
+        monkeypatch.setattr(snapshot_format, "base_memory_image", counting)
+        module = parse_wat(MEMMOD)
+        pristine = bytes(Instance(module).memory._data)
+        warm = capture_instance(Instance(module))
+        source, target = Instance(module), Instance(module)
+        for value in range(1, 4):
+            source.invoke("poke", PAGE_SIZE + value, value)
+            if value == 2:
+                source.invoke("grow")
+            snap = capture_instance(source)
+            assert [index for index, _page in snap.memory_delta] == [1]
+            apply_state(target, snap)
+            assert bytes(target.memory._data) == bytes(source.memory._data)
+            apply_state(target, warm)
+            assert bytes(target.memory._data) == pristine
+        assert uncached(module)[16:33] == pristine[16:33] == b"acctee-base-image"
+        assert len(built) == 1
+        capture_instance(Instance(parse_wat(MEMMOD.replace("base-image", "other-data"))))
+        assert len(built) == 2
 
 
 class TestRestoreSafety:
