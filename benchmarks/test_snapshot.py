@@ -18,8 +18,8 @@ accounting enclave's path; and ``preempted_pooled``, the same hops each
 resumed into one pooled live instance reset to the snapshot, as gateway
 workers do.  It also records a resumed slice's cost per instruction
 against the unarmed run's (``resumed_ns_per_instr`` vs
-``unarmed_ns_per_instr``): on ``compile`` the resumed frame runs in its
-resumable form.  Each engine captures and resumes on its own frames —
+``unarmed_ns_per_instr``): on ``compile`` the resumed frame runs in the
+same generated function as a fresh call, entered past the capture.  Each engine captures and resumes on its own frames —
 ``compile`` inside compiled code — so the bars are: armed-but-never-reached
 ``predecode`` and ``compile`` each stay within **1.3x** of unarmed, and
 preempted ``compile`` is at least **1.5x** faster than preempted
@@ -309,7 +309,8 @@ def _preempted_s(module, spec, engine: str) -> tuple[float, float, int]:
 def _ns_per_instr(module, spec, engine: str) -> tuple[float, float]:
     """Best-of cost per instruction of the run call unarmed, and resumed
     unarmed from a capture ``PREEMPT_SLICE`` instructions in (the resumed
-    frame runs in its resumable form on ``compile``); rounds alternate."""
+    frame re-enters the function a fresh call runs on ``compile``); rounds
+    alternate."""
     inst = _started(module, spec, engine)
     inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
     try:

@@ -493,11 +493,10 @@ class Histogram(Metric):
             }
 
     def snapshot(self, **labels) -> dict:
-        """One labelset's state as a mergeable value snapshot.
+        """One labelset's state as a value snapshot.
 
         ``counts`` has ``len(buckets) + 1`` entries (the last is the
-        ``+Inf`` overflow); ``buckets`` records the bounds so two snapshots
-        can only merge when their layouts agree.
+        ``+Inf`` overflow); ``buckets`` records the bounds they count in.
         """
         with self._lock:
             series = self._series.get(_label_key(labels))
@@ -508,18 +507,6 @@ class Histogram(Metric):
                 "sum": series[1] if series else 0.0,
                 "count": series[2] if series else 0,
             }
-
-    @staticmethod
-    def merge_snapshots(a: dict, b: dict) -> dict:
-        """Combine two :meth:`snapshot` values (same bucket layout required)."""
-        if a["buckets"] != b["buckets"]:
-            raise ValueError("cannot merge histogram snapshots with different buckets")
-        return {
-            "buckets": list(a["buckets"]),
-            "counts": [x + y for x, y in zip(a["counts"], b["counts"])],
-            "sum": a["sum"] + b["sum"],
-            "count": a["count"] + b["count"],
-        }
 
 
 def _format_number(value: float) -> str:

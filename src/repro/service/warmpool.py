@@ -2,8 +2,9 @@
 
 Per-slice setup cost for an instrumented module is dominated by
 instantiation — the compile engine (the default) binds its cached code
-into a fresh namespace and its step functions on first use, the predecode
-reference decodes every function body at ``Instance()`` time.  A
+into a fresh namespace (and builds a slow path's per-instruction closures
+on first use), the predecode reference decodes every function body at
+``Instance()`` time.  A
 :class:`WarmPool` pays that cost once per pooled slot: it builds a
 template instance, captures its pristine post-instantiation state as a
 warm-image :class:`~repro.wasm.snapshot.Snapshot` (frames empty), and

@@ -93,20 +93,3 @@ class SGXLKL:
     def transition_overhead_cycles(self) -> float:
         """Total cycles spent on enclave transitions so far."""
         return self.profile.delegated_calls * EEXIT_EENTER_CYCLES
-
-    def request_io_cycles(self, request_bytes: int, response_bytes: int) -> float:
-        """Cost of serving one network request/response pair through LKL.
-
-        Models what a Node.js HTTP server on SGX-LKL does per request:
-        accept, a few reads, a few writes, close — with payload encryption.
-        """
-        total = 0.0
-        total += self.syscall("accept")
-        read_chunks = max(1, (request_bytes + 16383) // 16384)
-        for _ in range(read_chunks):
-            total += self.syscall("read", min(request_bytes, 16384))
-        write_chunks = max(1, (response_bytes + 16383) // 16384)
-        for _ in range(write_chunks):
-            total += self.syscall("write", min(response_bytes, 16384))
-        total += self.syscall("close")
-        return total

@@ -17,10 +17,11 @@ function body is translated once into Python **source** —
   valid wasm structured control;
 * the per-basic-block meter increments (``visits``/``executed``/``cycles``)
   are folded into the generated code as constant-amount updates, with one
-  budget/progress boundary check per batch.  When a
-  boundary lands inside a batch of charges, the slow path hands the frame
-  to the engine, which runs the batch per instruction from a static step
-  table (instructions through generated per-instruction step functions);
+  budget/progress boundary check per batch.  When a boundary lands inside a
+  batch of charges, the slow path hands the frame to the engine, which runs
+  the batch per instruction from a static step table, each non-control
+  instruction through the predecode reference's closure for it
+  (:func:`repro.wasm.predecode.compile_simple`);
 * trap attribution: blocks that may trap run under ``try``, record the
   trapping position in ``_tp``, and roll back the not-executed suffix, so
   :class:`ExecutionStats` stay byte-identical to the predecode reference,
@@ -31,11 +32,16 @@ function body is translated once into Python **source** —
   the control stack from the step table, and calls add their ``at_call``
   frame to a passing
   :class:`~repro.wasm.interpreter.CaptureUnwind` — the same frames the
-  predecode reference captures.  A suspended frame re-enters compiled code through
-  a lazily built *resumable form* of its function: the same structured
-  code with every behaviour guarded by an entry id, so a resume skips
-  forward to the batch the capture fell in (the engine finishes that batch
-  per instruction) and runs on at compiled speed.
+  predecode reference captures.
+
+Each function is generated in one form, ``_f{i}(_e, _stk, _loc)``, with every
+behaviour guarded by an entry id ``_e``.  A fresh call enters it with
+``_e = 0``.  A resume enters the same function with the id of the batch
+the capture fell in (the engine first finishes that batch per instruction):
+the code skips forward to that batch and runs on at compiled speed.  The
+seek is folded into the batch threshold (``-1`` while ``_e`` is set), so a
+fresh call pays for it only at the guards around branches, calls and
+returns.
 
 Generated code objects are cached per ``(module fingerprint, cost
 signature)`` — the same keying discipline as
@@ -54,7 +60,6 @@ import math
 import re
 import struct
 import threading
-import types
 from collections import OrderedDict
 
 from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
@@ -70,14 +75,13 @@ from repro.wasm.interpreter import (
     _nearest,
     _rotl,
     _rotr,
-    _signed,
     _trunc_div,
     _trunc_rem,
     _trunc_to_int,
     build_structure_map,
 )
 from repro.wasm.memory import MemoryAccessError
-from repro.wasm.predecode import PredecodedEngine
+from repro.wasm.predecode import PredecodedEngine, compile_simple
 
 #: Python's tokenizer rejects indentation deeper than 100 levels; leave slack.
 _MAX_INDENT = 90
@@ -95,39 +99,20 @@ class CompileError(Exception):
 class _FuncCode:
     """Translation result for one defined function (or a fallback marker)."""
 
-    __slots__ = (
-        "code", "consts", "segs", "batch_steps", "error", "resume", "step_code",
-    )
+    __slots__ = ("code", "consts", "segs", "batch_steps", "entry_at", "error")
 
-    def __init__(self, code, consts, segs, batch_steps=(), error=None):
+    def __init__(self, code, consts, segs, batch_steps=(), entry_at=None, error=None):
         self.code = code        # code object, or None -> predecode fallback
         self.consts = consts    # tuple referenced as _K{i}[j] in generated code
-        #: per basic block: (start_pc, count, names, op_cycles, entry depth)
+        #: per basic block: (names, op_cycles), for the trap rollback
         self.segs = segs
-        #: per charge batch, its instructions in execution order:
-        #: ``("charge", pc, name, cycles, control)`` or ``("seg", seg_index,
-        #: start, control)`` (both forms emit the same batches)
+        #: per charge batch, its instructions in execution order, one
+        #: ``(pc, name, cycles, control, is_op)`` each (``is_op``: a
+        #: non-control instruction, run through its predecode closure)
         self.batch_steps = batch_steps
-        self.error = error      # why translation fell back, for diagnostics
-        #: the resumable form (:class:`_ResumeCode`), built on first resume;
-        #: ``False`` when the translator declined it
-        self.resume = None
-        #: per basic block, its step functions' code (see
-        #: :meth:`_Translator.step_source`)
-        self.step_code: dict[int, tuple] = {}
-
-
-class _ResumeCode:
-    """The resumable form of one function: the same structured code with an
-    entry after every charge batch (see :meth:`CompiledEngine._resume`)."""
-
-    __slots__ = ("code", "consts", "entry_at")
-
-    def __init__(self, code, consts, entry_at):
-        self.code = code          # defines _r{i}(_e, _stk, _loc)
-        self.consts = consts      # referenced as _Q{i}[j]
-        #: pc -> (batch id, step index, first instruction within the step)
+        #: per pc, the batch charging it (0: none): where a resume enters
         self.entry_at = entry_at
+        self.error = error      # why translation fell back, for diagnostics
 
 
 class _ModuleCode:
@@ -251,7 +236,7 @@ def _flush_visits(S, V, vp, sv) -> None:
     ``vp[i]`` counts fast-path executions of batch ``i`` since the last
     flush; ``sv[i]`` is that batch's constant delta ``(cycles, visit_pairs,
     loads, stores, bytes_loaded, bytes_stored)``.  Between observation
-    points (budget traps, progress callbacks, calls, returns, step-mode)
+    points (budget traps, progress callbacks, calls, returns, slow paths)
     the drift is unobservable, so the hot path pays one list increment per
     block instead of one Counter update per opcode.  ``cycles * n`` is
     exact: cycle weights are dyadic and counts are integers.
@@ -291,16 +276,13 @@ class _Frame:
         self.marker = 0             # start-of-suite line index (for `pass`)
         #: the snapshot control tuple for this construct
         self.ctl = (kind, start, end, h, arity)
-        self.cond_line = None       # resumable form: the `if` line to patch
+        self.cond_line = None       # the `if` line whose seek bound is patched
 
 
 class _Translator:
     """Translates one function body; raises :class:`CompileError` to decline."""
 
-    def __init__(
-        self, module, defined_index: int, cost_model, has_memory: bool,
-        resumable: bool = False,
-    ):
+    def __init__(self, module, defined_index: int, cost_model, has_memory: bool):
         self.module = module
         self.fidx = defined_index
         self.func = module.funcs[defined_index]
@@ -309,9 +291,7 @@ class _Translator:
         self.cost = cost_model
         self.cost_on = cost_model is not None
         self.has_memory = has_memory
-        #: emit the resumable form: behaviour guarded by the entry id ``_e``
-        self.resumable = resumable
-        self.kname = f"{'_Q' if resumable else '_K'}{defined_index}"
+        self.kname = f"_K{defined_index}"
         self.func_index = module.num_imported_funcs + defined_index
         self.n_locals = len(self.functype.params) + len(self.func.locals)
         self.lines: list[str] = []
@@ -320,7 +300,8 @@ class _Translator:
         # (filled in at the end of translate(); referenced as _SV)
         self.consts: list = [None]
         self.batches: list = []
-        #: per batch, its instructions in execution order (resume entries)
+        #: per batch, its instructions in execution order (see
+        #: :attr:`_FuncCode.batch_steps`)
         self.steps: list[tuple] = []
         self.segs: list[tuple] = []
         self.frames: list[_Frame] = []
@@ -361,15 +342,13 @@ class _Translator:
         return f"[{stack}], [{locals_}]"
 
     def _guard(self) -> None:
-        """Open a behaviour suite: the resumable form skips it while ``_e``
-        still names an entry further on (closed by :meth:`_unguard`)."""
-        if self.resumable:
-            self.emit("if not _e:")
-            self.ind += 1
+        """Open a behaviour suite, skipped while ``_e`` still names an entry
+        further on (closed by :meth:`_unguard`)."""
+        self.emit("if not _e:")
+        self.ind += 1
 
     def _unguard(self) -> None:
-        if self.resumable:
-            self.ind -= 1
+        self.ind -= 1
 
     def _float_literal(self, value: float) -> str:
         if value != value:
@@ -428,30 +407,33 @@ class _Translator:
     def _emit_batch_head(self, lead, seg, trail) -> None:
         """Open the batch's boundary check, and emit its slow path.
 
-        ``mi`` folds the budget and the capture point into one threshold,
-        so unarmed code pays nothing for being capturable.  When a budget,
-        capture or progress boundary falls inside the batch, the slow path
-        hands the frame to the engine, which runs the batch's recorded
-        steps per instruction in the reference order of
+        ``mi`` folds the budget, the capture point and the seek into one
+        threshold, so the fast path pays nothing for being capturable or
+        resumable.  When a budget, capture or progress boundary falls inside
+        the batch, the slow path hands the frame to the engine, which runs
+        the batch's recorded steps per instruction in the reference order of
         :mod:`repro.wasm.predecode`: capture, charge, budget trap, progress
-        callback.  The resumable form first skips the batch while still
-        seeking its entry, and clears ``_e`` at the entry itself: the engine
-        finishes the batch a capture fell inside before re-entering.
+        callback.  While seeking a resume entry (``mi == -1``) every batch
+        takes the slow branch and is skipped; the entry batch itself, which
+        the engine finished before re-entering, clears ``_e`` and restores
+        ``mi``.
         """
-        steps = [("charge", pc, name, cyc, ctl) for name, cyc, pc, _d, ctl in lead]
+        steps = [(pc, name, cyc, ctl, False) for name, cyc, pc, _d, ctl in lead]
         if seg is not None:
-            steps.append(("seg", seg["index"], seg["start"], seg["control"]))
-        steps += [("charge", pc, name, cyc, ctl) for name, cyc, pc, _d, ctl in trail]
+            start, control = seg["start"], seg["control"]
+            steps += [
+                (start + j, name, cyc, control, True)
+                for j, (name, cyc) in enumerate(zip(seg["names"], seg["op_cycles"]))
+            ]
+        steps += [(pc, name, cyc, ctl, False) for name, cyc, pc, _d, ctl in trail]
         self.steps.append(tuple(steps))
         batch = len(self.steps)
-        total = len(lead) + len(trail) + (seg["count"] if seg is not None else 0)
+        total = len(steps)
         cond = f"_ex + {total} > mi or (_pb and (_ex + {total}) // pi != _ex // pi)"
-        if self.resumable:
-            self.emit("if _e:")
-            self.emit(f"    if _e == {batch}: _e = 0")
-            self.emit(f"elif {cond}:")
-        else:
-            self.emit(f"if {cond}:")
+        self.emit(f"if {cond}:")
+        self.ind += 1
+        self.emit(f"if _e == {batch}: _e = 0; mi = _mi")
+        self.emit("elif not _e:")
         self.ind += 1
         # every charge of a batch sees the operand stack it starts with:
         # control charges move no values, and the block's come first
@@ -466,7 +448,7 @@ class _Translator:
             if seg["d1"]:
                 regs = ", ".join(f"s{i}" for i in range(seg["d1"]))
                 self.emit(f"{regs}, = _stk")
-        self.ind -= 1
+        self.ind -= 2
         self.emit("else:")
 
     def flush(self) -> None:
@@ -489,8 +471,7 @@ class _Translator:
     def _flush_with_segment(self, lead, seg, trail) -> None:
         start, count = seg["start"], seg["count"]
         total = len(lead) + count + len(trail)
-        skip = " and not _e" if self.resumable else ""
-        self.emit(f"if P is not None{skip}: P.record_segment(_lbl, {start}, {count})")
+        self.emit(f"if P is not None and not _e: P.record_segment(_lbl, {start}, {count})")
         self._emit_batch_head(lead, seg, trail)
         self.ind += 1
         bid = self._register_batch(lead + trail, seg)
@@ -637,7 +618,7 @@ class _Translator:
         temporaries ``t{n}``) at hazards: a write to a local they read, a
         multi-use operand, an oversized expression, or the end of the block,
         where surviving slots land in the canonical registers ``s{i}`` that
-        the control-flow code and the step-mode fallback both use.
+        the control-flow code and the slow path's stack lists both use.
         """
         if self.seg is not None:
             self.flush()
@@ -664,7 +645,7 @@ class _Translator:
                 buf.append(f"s{k} = {self._sym[k]}")
 
         seg_index = len(self.segs)
-        self.segs.append((start, stop - start, names, tuple(op_cycles), d0))
+        self.segs.append((names, tuple(op_cycles)))
         self.seg = {
             "start": start,
             "count": stop - start,
@@ -1111,25 +1092,14 @@ class _Translator:
 
 
     def _prologue(self) -> None:
-        """Function header: bind locals and registers, load the limits."""
-        n_params = len(self.functype.params)
-        if self.resumable:
-            # re-entry: the frame's locals and operand stack come in as lists
-            self.emit(f"def _r{self.fidx}(_e, _stk, _loc):")
-            self.ind += 1
-            if self.n_locals:
-                self.emit(", ".join(f"l{i}" for i in range(self.n_locals)) + ", = _loc")
-            self.emit("@STACK@")  # register unpack, patched once depth is known
-        else:
-            self.emit(f"def _f{self.fidx}(_args):")
-            self.ind += 1
-            if n_params:
-                self.emit(", ".join(f"l{i}" for i in range(n_params)) + ", = _args")
-            for i, vt in enumerate(self.func.locals):
-                self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
+        """Function header: load the limits, then bind locals and registers —
+        from the arguments on a fresh call, from the frame's lists (and with
+        the threshold disarmed for the seek) on a resume."""
+        self.emit(f"def _f{self.fidx}(_e, _stk, _loc):")
+        self.ind += 1
         self.emit("S = _I.stats; V = S.visits; L = _I.limits")
         # mb: instruction budget, sa: capture point, mi: the nearer of both
-        # (the fast path's one threshold)
+        # (the fast path's one threshold; -1 while a resume seeks its entry)
         self.emit("mb = L.max_instructions")
         self.emit("if mb is None: mb = _BIG")
         self.emit("sa = L.snapshot_at")
@@ -1148,6 +1118,23 @@ class _Translator:
             self.emit("_mb = M._data")  # bytearray grows in place: stays valid
             if self.cost_on:
                 self.emit("C = _C")
+        self.emit("if _e:")
+        self.ind += 1
+        if self.n_locals:
+            self.emit(", ".join(f"l{i}" for i in range(self.n_locals)) + ", = _loc")
+        self.emit("@STACK@")  # register unpack, patched once depth is known
+        self.emit("_mi = mi; mi = -1")
+        self.ind -= 1
+        self.emit("else:")
+        self.ind += 1
+        n_params = len(self.functype.params)
+        if n_params:
+            self.emit(", ".join(f"l{i}" for i in range(n_params)) + ", = _loc")
+        for i, vt in enumerate(self.func.locals):
+            self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
+        if not self.n_locals:
+            self.emit("pass")
+        self.ind -= 1
 
     def _emit_call(self, pc: int, callee: str, np_: int, nres: int, base: int) -> None:
         """``_CALL`` with the popped arguments ``s{base}..``; a capture
@@ -1164,61 +1151,12 @@ class _Translator:
         self.emit("_ex = S.executed")
 
     def _patch_cond(self, frame: _Frame) -> None:
-        """Resumable ``if``: once the true arm is emitted, the entries it
+        """Seeking ``if``: once the true arm is emitted, the entries it
         holds are known — seeking one of them takes the true arm."""
         if frame.cond_line is not None:
             line = self.lines[frame.cond_line]
             self.lines[frame.cond_line] = line.replace("@HT@", str(len(self.steps)))
             frame.cond_line = None
-
-    def step_source(self, seg_index: int, seg) -> str:
-        """One function per instruction of a basic block, over the list-form
-        stack and locals: ``_st{i}_{k}_{j}(stack, locals)`` runs instruction
-        ``j`` exactly as the compiled block would, memory statistics included.
-        The per-instruction slow paths (a budget, capture or progress boundary
-        inside a block, a resume inside one) step through these."""
-        start, count, _names, _cycles, depth = seg
-        lines: list[str] = []
-        for j, instr in enumerate(self.body[start : start + count]):
-            name = instr.name
-            self._sym = [f"x{i}" for i in range(depth)]
-            self._deps = [set() for _ in range(depth)]
-            self._seg_mem = [0, 0, 0, 0]
-            self._seg_mp = {}
-            out: list[str] = []
-            self._emit_op(instr, j, out)
-            new = self._sym
-            kept = 0  # leading slots the instruction left untouched
-            while kept < min(depth, len(new)) and new[kept] == f"x{kept}":
-                kept += 1
-            lines.append(f"def _st{self.fidx}_{seg_index}_{j}(_stk, _loc):")
-            body = [f"x{i} = _stk[{i}]" for i in range(kept, depth)]
-            if name == "local.get":
-                body.append(f"l{instr.args[0]} = _loc[{instr.args[0]}]")
-            is_access = "load" in name or "store" in name
-            if is_access or name == "memory.size":
-                body.append("S = _I.stats; M = _M; C = _C")
-                body.append("_mb = M._data if M is not None else None")
-            if is_access and self.has_memory:
-                body.append("try:")
-                body += ["    " + line for line in out]
-                body.append(
-                    "except MemoryAccessError as _xc: raise Trap(str(_xc)) from _xc"
-                )
-            else:
-                body += out
-            if kept < depth or len(new) > kept:
-                body.append(f"_stk[{kept}:] = [{', '.join(new[kept:])}]")
-            if name in ("local.set", "local.tee"):
-                body.append(f"_loc[{instr.args[0]}] = l{instr.args[0]}")
-            loads, stores, bytes_loaded, bytes_stored = self._seg_mem
-            if loads:
-                body.append(f"S.loads += {loads}; S.bytes_loaded += {bytes_loaded}")
-            if stores:
-                body.append(f"S.stores += {stores}; S.bytes_stored += {bytes_stored}")
-            lines += ["    " + line for line in body or ["pass"]]
-            depth = len(new)
-        return "\n".join(lines) + "\n"
 
     def translate(self) -> tuple[str, tuple, tuple]:
         module = self.module
@@ -1318,12 +1256,9 @@ class _Translator:
                 if wrapped:
                     self.emit("while True:")
                     self.ind += 1
-                if self.resumable:
-                    # the condition was popped before any capture inside
-                    frame.cond_line = len(self.lines)
-                    self.emit(f"if (_e <= @HT@ if _e else s{d}):")
-                else:
-                    self.emit(f"if s{d}:")
+                # the condition was popped before any capture inside
+                frame.cond_line = len(self.lines)
+                self.emit(f"if (_e <= @HT@ if _e else s{d}):")
                 self.ind += 1
                 frame.marker = len(self.lines)
                 frames.append(frame)
@@ -1358,12 +1293,10 @@ class _Translator:
                 self.emit_charge(name, i, d)
                 self.flush()
                 d -= 1
-                self._guard()
-                self.emit(f"if s{d}:")
+                self.emit(f"if s{d} and not _e:")
                 self.ind += 1
                 self.emit_branch(instr.args[0], d, frames)
                 self.ind -= 1
-                self._unguard()
             elif name == "br_table":
                 self.emit_charge(name, i, d)
                 self.flush()
@@ -1466,13 +1399,12 @@ class _Translator:
         if frames:
             raise CompileError("unbalanced control structure")
 
-        if self.resumable:
-            regs = ", ".join(f"s{k}" for k in range(self.max_d))
-            unpack = (
-                f"    {regs}, = _stk + [0] * ({self.max_d} - len(_stk))"
-                if self.max_d else "    pass"
-            )
-            self.lines = [unpack if ln == "    @STACK@" else ln for ln in self.lines]
+        regs = ", ".join(f"s{k}" for k in range(self.max_d))
+        unpack = (
+            f"        {regs}, = _stk + [0] * ({self.max_d} - len(_stk))"
+            if self.max_d else ""
+        )
+        self.lines = [unpack if ln == "        @STACK@" else ln for ln in self.lines]
         self.consts[0] = tuple(self.batches)
         return "\n".join(self.lines) + "\n", tuple(self.consts), tuple(self.segs)
 
@@ -1503,7 +1435,7 @@ class _Translator:
                 self.flush()  # pending batch belongs inside the while body
                 if frame.end_reachable:
                     self.emit("break")
-                elif self.resumable:
+                else:
                     # only reached while seeking an entry past the loop
                     self.emit("if _e: break")
                 self.ind -= 1
@@ -1539,30 +1471,14 @@ def _translate_module(module, cost_model) -> _ModuleCode:
         except (SyntaxError, RecursionError, MemoryError) as exc:
             funcs.append(_FuncCode(None, (), (), error=repr(exc)))
         else:
-            funcs.append(_FuncCode(code, consts, segs, tuple(translator.steps)))
+            entry_at = [0] * len(module.funcs[index].body)
+            for batch, steps in enumerate(translator.steps, 1):
+                for step in steps:
+                    entry_at[step[0]] = batch
+            funcs.append(
+                _FuncCode(code, consts, segs, tuple(translator.steps), entry_at)
+            )
     return _ModuleCode(funcs)
-
-
-def _translate_resume(module, index: int, cost_model, segs) -> _ResumeCode | bool:
-    """The resumable form of one translated function (``False``: declined)."""
-    translator = _Translator(
-        module, index, cost_model, _module_has_memory(module), resumable=True
-    )
-    try:
-        source, consts, _segs = translator.translate()
-        code = compile(source, f"<wasm-resume:{index}>", "exec")
-    except (CompileError, SyntaxError, RecursionError, MemoryError):
-        return False
-    entry_at: dict[int, tuple[int, int, int]] = {}
-    for batch, items in enumerate(translator.steps, 1):
-        for j, item in enumerate(items):
-            if item[0] == "charge":
-                entry_at[item[1]] = (batch, j, 0)
-            else:
-                start, count = segs[item[1]][:2]
-                for offset in range(count):
-                    entry_at[start + offset] = (batch, j, offset)
-    return _ResumeCode(code, consts, entry_at)
 
 
 def _module_code(instance) -> _ModuleCode:
@@ -1591,7 +1507,6 @@ _SHARED_NAMESPACE = {
     "Trap": Trap,
     "MemoryAccessError": MemoryAccessError,
     "_f32": _f32,
-    "_signed": _signed,
     "_sg32": _sg32,
     "_sg64": _sg64,
     "_fv": _flush_visits,
@@ -1647,7 +1562,6 @@ class CompiledEngine:
         mc = _module_code(instance)
         self._module_code = mc
         ns = self._make_namespace()
-        self._namespace = ns
         fns: list = []
         for index, fc in enumerate(mc.funcs):
             if fc.code is None:
@@ -1657,11 +1571,8 @@ class CompiledEngine:
                 exec(fc.code, ns)
                 fns.append(ns[f"_f{index}"])
         self._fns = fns
-        #: resumable forms entered so far: index -> (_ResumeCode, function),
-        #: or ``False`` where the translator declined the resumable form
-        self._rfns: dict = {}
-        #: step functions bound so far, per (function, basic block)
-        self._step_fns: dict[tuple[int, int], list] = {}
+        #: predecode closures the slow paths built so far: index -> {pc: op}
+        self._ops: dict[int, dict] = {}
         #: defined-function indices running on the predecode fallback
         self.fallback_functions = tuple(
             index for index, fc in enumerate(mc.funcs) if fc.code is None
@@ -1678,7 +1589,6 @@ class CompiledEngine:
             _T=instance.table,
             _C=instance.cost_model,
             _CALL=instance.call_function,
-            _CAP=self._capture_at,
             _CAPC=self._append_frame,
             _FT=instance.module.func_type,
         )
@@ -1688,14 +1598,14 @@ class CompiledEngine:
         self, defined_index: int, args: list, resume: tuple | None = None
     ) -> list:
         """Run one defined function; ``resume=(pc, stack, locals, control)``
-        re-enters a suspended frame through its resumable form instead.
-        With ``limits.snapshot_at`` set, the first observation point at or
-        past it raises :class:`CaptureUnwind` carrying this frame."""
+        re-enters a suspended frame instead.  With ``limits.snapshot_at``
+        set, the first observation point at or past it raises
+        :class:`CaptureUnwind` carrying this frame."""
         fn = self._fns[defined_index]
         if fn is None:
             return self._fallback.exec_function(defined_index, args, resume)
         if resume is None:
-            return fn(args)
+            return fn(0, None, args)
         return self._resume(defined_index, *resume)
 
     # -- suspend / resume -----------------------------------------------------------
@@ -1718,38 +1628,13 @@ class CompiledEngine:
         )
         return unwind
 
-    def _resume_form(self, defined_index: int):
-        """``(_ResumeCode, function)`` for one translated function, built on
-        its first resume (once per module) and bound once per instance."""
-        form = self._rfns.get(defined_index)
-        if form is not None:
-            return form
-        fc = self._module_code.funcs[defined_index]
-        if fc.resume is None:
-            fc.resume = _translate_resume(
-                self.instance.module, defined_index, self.instance.cost_model, fc.segs
-            )
-        if fc.resume is False:
-            form = False
-        else:
-            self._namespace[f"_Q{defined_index}"] = fc.resume.consts
-            exec(fc.resume.code, self._namespace)
-            form = (fc.resume, self._namespace[f"_r{defined_index}"])
-        self._rfns[defined_index] = form
-        return form
-
     def _resume(self, defined_index: int, pc: int, stack: list, locals_: list, control) -> list:
         """Re-enter a suspended frame: finish the charge batch the capture
         fell inside per instruction, as the slow path does, then enter the
-        resumable form right after that batch."""
-        form = self._resume_form(defined_index)
-        if form is False:
-            return self._fallback.exec_function(
-                defined_index, [], (pc, stack, locals_, control)
-            )
-        rc, fn = form
-        entry = rc.entry_at.get(pc)
-        if entry is None:  # suspended past the last instruction
+        function seeking the end of that batch."""
+        fc = self._module_code.funcs[defined_index]
+        batch = fc.entry_at[pc] if 0 <= pc < len(fc.entry_at) else 0
+        if not batch:  # suspended past the last instruction
             module = self.instance.module
             n_results = len(
                 module.func_type(module.num_imported_funcs + defined_index).results
@@ -1757,112 +1642,61 @@ class CompiledEngine:
             if len(stack) < n_results:
                 raise Trap("function returned with empty stack")
             return stack[len(stack) - n_results:]
-        batch, item, first = entry
-        self._run_batch(defined_index, batch, stack, locals_, item, first)
-        return fn(batch, stack, locals_)
+        steps = fc.batch_steps[batch - 1]
+        first = next(k for k, step in enumerate(steps) if step[0] == pc)
+        self._run_batch(defined_index, batch, stack, locals_, first)
+        return self._fns[defined_index](batch, stack, locals_)
 
     # -- per-instruction slow paths ---------------------------------------------
 
     def _run_batch(
         self, defined_index: int, batch: int, stack: list, locals_: list,
-        item: int = 0, first: int = 0,
+        first: int = 0,
     ) -> None:
-        """Run a charge batch per instruction from its ``item``-th step
-        (``first`` instruction within it): the slow path of a batch a
-        budget, capture or progress boundary falls inside, and the rest of
-        the batch a resumed capture fell inside."""
-        func_index = self.instance.module.num_imported_funcs + defined_index
-        steps = self._module_code.funcs[defined_index].batch_steps[batch - 1]
-        for step in steps[item:]:
-            if step[0] == "seg":
-                _kind, seg_index, _start, control = step
-                self._step_from(defined_index, seg_index, first, stack, locals_, control)
-                first = 0
-            else:
-                _kind, pc, name, cycles, control = step
-                self._charge_one((func_index, pc, control), name, cycles, stack, locals_)
+        """Run a charge batch per instruction from its ``first`` step: the
+        slow path of a batch a budget, capture or progress boundary falls
+        inside, and the rest of the batch a resumed capture fell inside.
 
-    def _charge_one(
-        self, site: tuple, name: str, cycles: float, stack: list, locals_: list
-    ) -> None:
-        """One instruction's charge in the reference order (see
-        :mod:`repro.wasm.predecode`): capture, charge, budget trap, progress
-        callback."""
-        inst = self.instance
-        stats, limits = inst.stats, inst.limits
-        if limits.snapshot_at is not None and stats.executed >= limits.snapshot_at:
-            raise self._capture_at(site, stack, locals_)
-        stats.visits[name] += 1
-        stats.executed += 1
-        if inst.cost_model is not None:
-            stats.cycles += cycles
-        if limits.max_instructions is not None and stats.executed > limits.max_instructions:
-            raise Trap("instruction budget exhausted")
-        if (
-            limits.progress_interval is not None
-            and limits.progress_callback is not None
-            and stats.executed % limits.progress_interval == 0
-        ):
-            limits.progress_callback(stats)
-
-    def _step_from(
-        self, defined_index: int, seg_index: int, first: int, stack: list,
-        locals_: list, control: tuple,
-    ) -> None:
-        """Charge and run one basic block per instruction from its ``first``
-        instruction, with the checks of :meth:`_charge_one` inlined
-        (``control`` locates a capture)."""
-        start, count, names, op_cycles, _depth = (
-            self._module_code.funcs[defined_index].segs[seg_index]
-        )
-        fns = self._step_fns.get((defined_index, seg_index))
-        if fns is None:
-            fns = self._step_fns[(defined_index, seg_index)] = [None] * count
+        Each instruction is charged in the reference order of
+        :mod:`repro.wasm.predecode` (capture, charge, budget trap, progress
+        callback); a non-control one then runs through the reference's
+        closure for it, built on first use per instance and pc (a hop
+        builds only what it steps).
+        """
         inst = self.instance
         stats, limits = inst.stats, inst.limits
         visits = stats.visits
         cost_on = inst.cost_model is not None
-        sa, mb = limits.snapshot_at, limits.max_instructions
-        pi, cb = limits.progress_interval, limits.progress_callback
-        for j in range(first, count):
-            if sa is not None and stats.executed >= sa:
-                func_index = inst.module.num_imported_funcs + defined_index
-                raise self._capture_at((func_index, start + j, control), stack, locals_)
-            visits[names[j]] += 1
+        func_index = inst.module.num_imported_funcs + defined_index
+        ops = self._ops.get(defined_index)
+        if ops is None:
+            ops = self._ops[defined_index] = {}
+        steps = self._module_code.funcs[defined_index].batch_steps[batch - 1]
+        for k in range(first, len(steps)):
+            pc, name, cycles, control, is_op = steps[k]
+            if limits.snapshot_at is not None and stats.executed >= limits.snapshot_at:
+                raise self._capture_at((func_index, pc, control), stack, locals_)
+            visits[name] += 1
             stats.executed += 1
             if cost_on:
-                stats.cycles += op_cycles[j]
-            if mb is not None and stats.executed > mb:
+                stats.cycles += cycles
+            if (
+                limits.max_instructions is not None
+                and stats.executed > limits.max_instructions
+            ):
                 raise Trap("instruction budget exhausted")
-            if pi is not None and cb is not None and stats.executed % pi == 0:
-                cb(stats)
-                sa, mb = limits.snapshot_at, limits.max_instructions
-                pi, cb = limits.progress_interval, limits.progress_callback
-            fn = fns[j]
-            if fn is None:
-                fn = fns[j] = self._bind_step(defined_index, seg_index, j)
-            fn(stack, locals_)
-
-    def _bind_step(self, defined_index: int, seg_index: int, j: int):
-        """Instruction ``j``'s step function: generated once per module for
-        the whole block, bound into this instance's namespace on first use
-        (a hop steps part of a block on a fresh instance)."""
-        fc = self._module_code.funcs[defined_index]
-        codes = fc.step_code.get(seg_index)
-        if codes is None:
-            module = self.instance.module
-            translator = _Translator(
-                module, defined_index, self.instance.cost_model,
-                _module_has_memory(module),
-            )
-            source = translator.step_source(seg_index, fc.segs[seg_index])
-            module_code = compile(
-                source, f"<wasm-step:{defined_index}:{seg_index}>", "exec"
-            )
-            codes = fc.step_code[seg_index] = tuple(
-                c for c in module_code.co_consts if isinstance(c, types.CodeType)
-            )
-        return types.FunctionType(codes[j], self._namespace)
+            if (
+                limits.progress_interval is not None
+                and limits.progress_callback is not None
+                and stats.executed % limits.progress_interval == 0
+            ):
+                limits.progress_callback(stats)
+            if is_op:
+                op = ops.get(pc)
+                if op is None:
+                    body = inst.module.funcs[defined_index].body
+                    op = ops[pc] = compile_simple(body[pc], inst)
+                op(stack, locals_)
 
     def _unwind(self, defined_index: int, seg_index: int, failed_index: int) -> None:
         """Roll back the charges of the block's suffix that never ran after
@@ -1874,9 +1708,7 @@ class CompiledEngine:
         classified as non-trapping raised (invalid module); nothing is
         rolled back then.
         """
-        _start, _count, names, op_cycles, _depth = (
-            self._module_code.funcs[defined_index].segs[seg_index]
-        )
+        names, op_cycles = self._module_code.funcs[defined_index].segs[seg_index]
         if failed_index < 0 or failed_index + 1 >= len(names):
             return
         stats = self.instance.stats

@@ -30,8 +30,10 @@ a resumed run re-charges and re-runs it; (2) *charge* — bump its visit,
 max_instructions``; (4) *progress* — call ``progress_callback`` when
 ``executed`` is a multiple of ``progress_interval``.  Then the instruction
 runs, so a trapping instruction stays charged.  The ``compile`` engine
-batches its charges and follows the same order on its slow paths ("the
-reference order" in :mod:`repro.wasm.compile_engine`).
+batches its charges; where a boundary falls inside a batch, its slow path
+charges in this order and runs each non-control instruction through this
+module's closure for it (:func:`compile_simple`), so the two engines share
+one per-instruction semantics.
 
 **Segments** — maximal straight-line runs of non-control instructions
 (everything outside :data:`~repro.wasm.instructions.SEGMENT_BARRIERS`) —
@@ -474,8 +476,9 @@ _SHARED: dict[str, Callable] = _build_shared()
 # ---------------------------------------------------------------------------
 
 
-def _compile_simple(instr: Instr, instance) -> Callable:
-    """Build the closure for one non-control instruction."""
+def compile_simple(instr: Instr, instance) -> Callable:
+    """Build the closure for one non-control instruction (also what the
+    ``compile`` engine's per-instruction slow paths run)."""
     name = instr.name
     shared = _SHARED.get(name)
     if shared is not None:
@@ -704,7 +707,7 @@ def compile_function(instance, defined_index: int) -> CompiledFunction:
             if i == 0 or body[i - 1].name in SEGMENT_BARRIERS:
                 start = i
             segments[start] = i - start + 1
-            code[i] = (K_OP, name, cyc, _compile_simple(instr, instance))
+            code[i] = (K_OP, name, cyc, compile_simple(instr, instance))
         elif name == "end":
             code[i] = (K_END, name, cyc)
         elif name == "block":

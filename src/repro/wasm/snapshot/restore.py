@@ -5,7 +5,8 @@ for *any* engine and overwrites its state in place from a snapshot —
 memory (base image + page delta), globals, table, and the exact meter
 counters.  ``resume_instance`` then re-enters the suspended call stack:
 frames are replayed innermost-first as direct entries into the instance's
-own engine (compiled code re-enters through its resumable form), and each
+own engine (compiled code re-enters the same generated function a fresh
+call runs, skipping forward to where the capture fell), and each
 ancestor frame — suspended inside ``call``/``call_indirect`` — receives its
 callee's results, charges the deferred ``calls`` counter (every engine
 charges it *after* the callee returns) and continues at ``pc + 1``.  A

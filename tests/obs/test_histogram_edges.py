@@ -1,5 +1,5 @@
-"""Log-bucket histogram edge semantics: zero/negative observations, exact
-boundary determinism, and snapshot merging across processes."""
+"""Log-bucket histogram edge semantics: zero/negative observations and exact
+boundary determinism."""
 
 import pytest
 
@@ -93,37 +93,6 @@ def test_openmetrics_cumulative_rendering_at_edges():
     assert 'edge_probe_render_bucket{le="4"} 3' in lines
     assert 'edge_probe_render_bucket{le="+Inf"} 4' in lines
     assert "edge_probe_render_count 4" in lines
-
-
-# -- snapshot merging ----------------------------------------------------------
-
-
-def test_snapshot_merge_sums_counts_and_totals():
-    a = Histogram("merge_a", "probe", buckets=(1.0, 4.0))
-    b = Histogram("merge_b", "probe", buckets=(1.0, 4.0))
-    a.observe(0.5)
-    a.observe(100.0)
-    b.observe(2.0)
-    merged = Histogram.merge_snapshots(a.snapshot(), b.snapshot())
-    assert merged["counts"] == [1, 1, 1]
-    assert merged["count"] == 3
-    assert merged["sum"] == pytest.approx(102.5)
-    assert merged["buckets"] == [1.0, 4.0]
-
-
-def test_snapshot_merge_is_associative_and_empty_is_identity():
-    a = Histogram("merge_c", "probe", buckets=(1.0, 4.0))
-    a.observe(2.0)
-    empty = Histogram("merge_d", "probe", buckets=(1.0, 4.0)).snapshot()
-    merged = Histogram.merge_snapshots(a.snapshot(), empty)
-    assert merged == {**a.snapshot(), "buckets": [1.0, 4.0]}
-
-
-def test_snapshot_merge_rejects_mismatched_layouts():
-    a = Histogram("merge_e", "probe", buckets=(1.0, 4.0)).snapshot()
-    b = Histogram("merge_f", "probe", buckets=(1.0, 8.0)).snapshot()
-    with pytest.raises(ValueError, match="different buckets"):
-        Histogram.merge_snapshots(a, b)
 
 
 def test_rolling_aggregator_shares_the_same_edge_semantics():

@@ -44,13 +44,6 @@ def test_payload_encryption_charged():
     assert encrypted > plain
 
 
-def test_request_io_cost_scales_with_payload():
-    lkl = SGXLKL()
-    small = lkl.request_io_cycles(4096, 4096)
-    large = lkl.request_io_cycles(1024 * 1024, 4096)
-    assert large > small * 5
-
-
 def test_transition_overhead_accumulates():
     lkl = SGXLKL()
     lkl.syscall("read")

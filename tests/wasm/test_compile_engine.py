@@ -10,7 +10,8 @@ pins the behaviours unique to :mod:`repro.wasm.compile_engine`:
   multi-value results), with stats still byte-identical — and no such
   fallback for any module in :mod:`repro.workloads`, raw or instrumented;
 * the process-wide code cache keyed on (module fingerprint, cost
-  signature) — hits, misses, evictions;
+  signature) — hits, misses, evictions — and one generated form per
+  function, which fresh calls, captures and resumes all run;
 * ``memory.grow`` inside compiled loops, where deferred visit batching must
   still stamp ``grow_history`` with exact visit totals;
 * budget traps landing on memory instructions mid-segment, exercising the
@@ -28,7 +29,10 @@ from repro.wasm.compile_engine import (
 )
 from repro.wasm.costmodel import CostModel
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
+from repro.service.warmpool import WarmPool
+from repro.wasm.interpreter import SnapshotCaptured
 from repro.wasm.runtime import HostEnvironment, IOChannel
+from repro.wasm.snapshot import restore_instance, resume_invoke
 from repro.wasm.wat_parser import parse_wat
 from repro.workloads import (
     DARKNET,
@@ -273,3 +277,35 @@ class TestCodeCache:
         second = Instance(module.clone(), engine="compile")
         assert first.invoke("churn", 10) == second.invoke("churn", 10)
         assert _stats_record(first.stats) == _stats_record(second.stats)
+
+    def test_capture_and_resume_translate_nothing_once_cached(self, monkeypatch):
+        # fresh calls and resumes enter the same generated function, and
+        # the slow paths step the reference's closures: once a module's
+        # code is cached, no capture or resume translates anything
+        clear_code_cache()
+        module = parse_wat(MEM_LOOP)
+        expected = Instance(module, engine="compile").invoke("churn", 20)
+        translate = compile_engine._Translator.translate
+        translated = []
+
+        def counting(translator):
+            translated.append(translator.fidx)
+            return translate(translator)
+
+        monkeypatch.setattr(compile_engine._Translator, "translate", counting)
+        armed = Instance(
+            module, engine="compile", limits=ExecutionLimits(snapshot_at=37)
+        )
+        with pytest.raises(SnapshotCaptured) as captured:
+            armed.invoke("churn", 20)
+        snap = captured.value.snapshot
+        fresh = restore_instance(snap, module, engine="compile")
+        assert resume_invoke(fresh, snap) == expected
+        pool = WarmPool(module=module, engine="compile")
+        handle = pool.acquire()
+        assert handle.instance.invoke("churn", 20) == expected
+        pool.release(handle)
+        pooled = pool.acquire(snapshot=snap)
+        assert pool.stats()["hits"] == 1
+        assert resume_invoke(pooled.instance, snap) == expected
+        assert translated == []

@@ -1,23 +1,31 @@
-"""Generative capture differential: random programs, random capture points.
+"""Generative boundary differential: random programs, random boundaries.
 
-For a random MiniC program (optionally instrumented) and a random capture
-point, a capture taken from compiled code must encode byte-identically to
-the predecode reference's capture, and resuming it under a random engine
-must finish with the uninterrupted value and byte-identical
-``ExecutionStats``.
+For a random MiniC program (optionally instrumented) and a random boundary,
+compiled code must match the predecode reference:
+
+* a random capture point: the capture encodes byte-identically, and
+  resuming it under a random engine finishes with the uninterrupted value
+  and byte-identical ``ExecutionStats``;
+* a random ``max_instructions`` budget: both engines trap at the same
+  ``executed`` (or both finish) with byte-identical stats;
+* a random ``progress_interval``: the callback sees the same sequence of
+  stats, and the run ends with byte-identical stats.
+
+These are the per-instruction slow paths of the compiled code.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument import instrument_module
 from repro.instrument.weights import UNIT_WEIGHTS
 from repro.minic import compile_source
 from repro.wasm.costmodel import CostModel
-from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance
+from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
 from repro.wasm.snapshot import (
     SnapshotCaptured,
     decode_snapshot,
@@ -29,7 +37,10 @@ from tests.minic_programs import programs
 
 
 def stats_bytes(instance: Instance) -> bytes:
-    s = instance.stats
+    return stats_record(instance.stats)
+
+
+def stats_record(s) -> bytes:
     return repr(
         (sorted(s.visits.items()), s.executed, s.cycles, s.loads, s.stores,
          s.bytes_loaded, s.bytes_stored, s.calls, s.host_calls, s.grow_history)
@@ -48,6 +59,25 @@ def capture(module, engine: str, at: int, args) -> bytes | None:
     return None
 
 
+def limited_run(module, engine: str, args, **limits) -> tuple:
+    """Run under ``limits``: the outcome, the stats every progress callback
+    saw, and the final stats."""
+    seen: list[bytes] = []
+    inst = Instance(
+        module, cost_model=CostModel(), engine=engine,
+        limits=ExecutionLimits(
+            progress_callback=lambda stats: seen.append(stats_record(stats)),
+            **limits,
+        ),
+    )
+    try:
+        outcome = ("value", inst.invoke("f", *args))
+    except Trap as exc:
+        outcome = ("trap", inst.stats.executed, str(exc))
+    return outcome, seen, stats_bytes(inst)
+
+
+@pytest.mark.parametrize("boundary", ("capture", "budget", "progress"))
 @settings(max_examples=30, deadline=None)
 @given(
     programs(),
@@ -57,14 +87,37 @@ def capture(module, engine: str, at: int, args) -> bytes | None:
     st.sampled_from(ENGINES),
     st.data(),
 )
-def test_compiled_capture_matches_predecode_and_resumes_anywhere(
-    source, level, a, b, resume_engine, data
+def test_compiled_boundary_matches_predecode(
+    boundary, source, level, a, b, resume_engine, data
 ):
     module = compile_source(source)
     if level is not None:
         module = instrument_module(module, level, UNIT_WEIGHTS).module
     plain = Instance(module, cost_model=CostModel(), engine="predecode")
     expected = plain.invoke("f", a, b)
+    if boundary == "budget":
+        budget = data.draw(st.integers(0, plain.stats.executed + 1), label="budget")
+        outcome = limited_run(module, "compile", (a, b), max_instructions=budget)
+        assert outcome == limited_run(
+            module, "predecode", (a, b), max_instructions=budget
+        )
+        if budget < plain.stats.executed:
+            assert outcome[0] == ("trap", budget + 1, "instruction budget exhausted")
+        else:
+            assert outcome[0] == ("value", expected)
+        return
+    if boundary == "progress":
+        interval = data.draw(
+            st.integers(1, plain.stats.executed + 1), label="progress interval"
+        )
+        outcome = limited_run(module, "compile", (a, b), progress_interval=interval)
+        assert outcome == limited_run(
+            module, "predecode", (a, b), progress_interval=interval
+        )
+        assert outcome[0] == ("value", expected)
+        assert len(outcome[1]) == plain.stats.executed // interval
+        assert outcome[2] == stats_bytes(plain)
+        return
     at = data.draw(st.integers(0, plain.stats.executed + 1), label="capture point")
 
     blob = capture(module, "compile", at, (a, b))
