@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument import instrument_module
@@ -77,47 +76,31 @@ def limited_run(module, engine: str, args, **limits) -> tuple:
     return outcome, seen, stats_bytes(inst)
 
 
-@pytest.mark.parametrize("boundary", ("capture", "budget", "progress"))
-@settings(max_examples=30, deadline=None)
-@given(
-    programs(),
-    st.sampled_from((None, "naive", "loop-based")),
-    st.integers(-6, 6),
-    st.integers(-6, 6),
-    st.sampled_from(ENGINES),
-    st.data(),
-)
-def test_compiled_boundary_matches_predecode(
-    boundary, source, level, a, b, resume_engine, data
-):
+def program_case(source, level, a, b):
+    """The (optionally instrumented) module, and the uninterrupted
+    predecode run of ``f(a, b)``: its instance and its value."""
     module = compile_source(source)
     if level is not None:
         module = instrument_module(module, level, UNIT_WEIGHTS).module
     plain = Instance(module, cost_model=CostModel(), engine="predecode")
     expected = plain.invoke("f", a, b)
-    if boundary == "budget":
-        budget = data.draw(st.integers(0, plain.stats.executed + 1), label="budget")
-        outcome = limited_run(module, "compile", (a, b), max_instructions=budget)
-        assert outcome == limited_run(
-            module, "predecode", (a, b), max_instructions=budget
-        )
-        if budget < plain.stats.executed:
-            assert outcome[0] == ("trap", budget + 1, "instruction budget exhausted")
-        else:
-            assert outcome[0] == ("value", expected)
-        return
-    if boundary == "progress":
-        interval = data.draw(
-            st.integers(1, plain.stats.executed + 1), label="progress interval"
-        )
-        outcome = limited_run(module, "compile", (a, b), progress_interval=interval)
-        assert outcome == limited_run(
-            module, "predecode", (a, b), progress_interval=interval
-        )
-        assert outcome[0] == ("value", expected)
-        assert len(outcome[1]) == plain.stats.executed // interval
-        assert outcome[2] == stats_bytes(plain)
-        return
+    return module, plain, expected
+
+
+PROGRAM_CASES = (
+    programs(),
+    st.sampled_from((None, "naive", "loop-based")),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*PROGRAM_CASES, st.sampled_from(ENGINES), st.data())
+def test_compiled_capture_matches_predecode_and_resumes_anywhere(
+    source, level, a, b, resume_engine, data
+):
+    module, plain, expected = program_case(source, level, a, b)
     at = data.draw(st.integers(0, plain.stats.executed + 1), label="capture point")
 
     blob = capture(module, "compile", at, (a, b))
@@ -131,3 +114,34 @@ def test_compiled_boundary_matches_predecode(
     )
     assert resume_invoke(resumed, snap) == expected
     assert stats_bytes(resumed) == stats_bytes(plain)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*PROGRAM_CASES, st.data())
+def test_compiled_budget_matches_predecode(source, level, a, b, data):
+    module, plain, expected = program_case(source, level, a, b)
+    budget = data.draw(st.integers(0, plain.stats.executed + 1), label="budget")
+    outcome = limited_run(module, "compile", (a, b), max_instructions=budget)
+    assert outcome == limited_run(
+        module, "predecode", (a, b), max_instructions=budget
+    )
+    if budget < plain.stats.executed:
+        assert outcome[0] == ("trap", budget + 1, "instruction budget exhausted")
+    else:
+        assert outcome[0] == ("value", expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*PROGRAM_CASES, st.data())
+def test_compiled_progress_matches_predecode(source, level, a, b, data):
+    module, plain, expected = program_case(source, level, a, b)
+    interval = data.draw(
+        st.integers(1, plain.stats.executed + 1), label="progress interval"
+    )
+    outcome = limited_run(module, "compile", (a, b), progress_interval=interval)
+    assert outcome == limited_run(
+        module, "predecode", (a, b), progress_interval=interval
+    )
+    assert outcome[0] == ("value", expected)
+    assert len(outcome[1]) == plain.stats.executed // interval
+    assert outcome[2] == stats_bytes(plain)
