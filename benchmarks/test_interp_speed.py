@@ -1,7 +1,12 @@
 """Interpreter throughput — pre-decoded vs. compiled engine.
 
 Times both engines on a set of PolyBench kernels and reports wall-clock
-instructions/second plus the speedup ratio.  The Wasm→Python compilation
+instructions/second plus the speedup ratio.  One run of a kernel takes
+0.3-7 ms on the compiled engine, too short for a single timing to mean
+much, so each kernel runs ``REPEATS`` times per engine, each run on a fresh
+instance.  The runs are interleaved, one round over every kernel and
+engine at a time, so drift in machine load hits every cell alike; the
+tables report each cell's median run.  The Wasm→Python compilation
 engine (``repro.wasm.compile_engine``) must deliver >= 3x geomean over the
 pre-decoded reference engine (``repro.wasm.predecode``) — the acceptance
 bar for shipping it as a selectable engine.
@@ -20,8 +25,10 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_interp_speed.py -q -s
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import statistics
 import time
 
 import pytest
@@ -38,11 +45,18 @@ KERNELS = ["gemm", "2mm", "jacobi-1d", "jacobi-2d", "trisolv", "atax"]
 
 ENGINES = ["predecode", "compile"]
 
+#: timed runs per kernel and engine
+REPEATS = 9
+
 
 def _time_engine(name: str, engine: str) -> tuple[float, int]:
-    """Run one kernel under one engine; return (seconds, executed)."""
+    """Run one kernel on a fresh instance under one engine; return
+    (seconds, executed).  Garbage left by earlier runs is collected before
+    the kernel's setup calls, so no run pays for another's, and the setup
+    warms the caches the collection cooled."""
     spec = POLYBENCH_KERNELS[name]
     instance = Instance(spec.compile().clone(), engine=engine)
+    gc.collect()
     for fn, args in spec.setup:
         instance.invoke(fn, *args)
     start = time.perf_counter()
@@ -59,16 +73,21 @@ def _geomean(values: list[float]) -> float:
 def speed_rows():
     rows = []
     results = {}
+    runs: dict[tuple[str, str], list[float]] = {
+        (name, engine): [] for name in KERNELS for engine in ENGINES
+    }
+    counts: dict[str, int] = {}
+    for _ in range(REPEATS):  # each round runs every kernel on every engine
+        for name in KERNELS:
+            for engine in ENGINES:
+                elapsed, count = _time_engine(name, engine)
+                runs[name, engine].append(elapsed)
+                assert counts.setdefault(name, count) == count, (
+                    "engines disagree on instruction count"
+                )
     for name in KERNELS:
-        seconds = {}
-        executed = None
-        for engine in ENGINES:
-            elapsed, count = _time_engine(name, engine)
-            seconds[engine] = elapsed
-            if executed is None:
-                executed = count
-            else:
-                assert count == executed, "engines disagree on instruction count"
+        executed = counts[name]
+        seconds = {engine: statistics.median(runs[name, engine]) for engine in ENGINES}
         ips = {engine: executed / seconds[engine] for engine in ENGINES}
         compile_speedup = ips["compile"] / ips["predecode"]
         rows.append(
@@ -94,6 +113,7 @@ def speed_rows():
     if path.exists():
         doc = json.loads(path.read_text())
     doc["kernels"] = results
+    doc["repeats"] = REPEATS
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     # one distilled, timestamped point per run; the helper caps the history
     # and preserves the full per-kernel snapshot written above
@@ -118,7 +138,7 @@ def test_interp_speed_table(speed_rows, benchmark):
     emit_table(
         "interp_speed",
         "Interpreter throughput: pre-decoded vs. compiled engine "
-        "(Minstr/s, wall clock)",
+        f"(Minstr/s, wall clock, median of {REPEATS} runs)",
         [
             "kernel",
             "instructions",

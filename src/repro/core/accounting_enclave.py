@@ -33,7 +33,7 @@ from repro.wasm.binary import encode_module
 from repro.wasm.interpreter import ExecutionLimits, SnapshotCaptured, Trap
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOChannel
-from repro.wasm.snapshot import Snapshot, restore_instance, resume_invoke, rewind_io, with_io
+from repro.wasm.snapshot import Snapshot, restore_instance, resume_invoke, rewind_io
 from repro.wasm.snapshot.restore import slice_limits
 from repro.wasm.validate import validate
 
@@ -182,7 +182,7 @@ def run_slice(
             else:
                 value = resume_invoke(instance, snapshot)
         except SnapshotCaptured as exc:
-            captured = with_io(exc.snapshot, env)
+            captured = exc.snapshot
             run.set_attribute("preempted", True)
         except Trap as exc:
             trapped, trap_message = True, str(exc)

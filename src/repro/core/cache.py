@@ -8,26 +8,26 @@ the signed evidence — everything an accounting enclave needs to re-admit the
 workload without re-running the IE.
 
 Under FaaS-style churn (every distinct tenant module adds an entry) the
-cache is bounded: with ``max_entries`` set it evicts least-recently-used
-entries, and :meth:`InstrumentationCache.stats` exposes hit/miss/eviction
-counters so operators can size it.
+cache is bounded: it keeps the ``max_entries`` most recently used entries
+(:class:`repro.lru.LRUCache`), and :meth:`InstrumentationCache.stats`
+exposes hit/miss/eviction counters so operators can size it.
 
 The cache is thread-safe: the metering gateway shares one instance across
-request-submitting threads and pool completion callbacks, so lookups,
-inserts, evictions and the counters are all serialised behind one lock
-(instrumentation of a miss runs inside the lock — concurrent submitters of
-the same module would otherwise both pay the IE pass).
+request-submitting threads and pool completion callbacks.  A miss runs the
+IE outside the cache's lock, so two concurrent registrations of the same
+module may both pay the IE pass; the first result stored is the one every
+caller gets.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.instrumentation_enclave import (
     InstrumentationEnclave,
     InstrumentationEvidence,
 )
+from repro.lru import LRUCache
 from repro.obs.instruments import CACHE_EVICTIONS, CACHE_HITS, CACHE_MISSES
 from repro.obs.trace import span
 from repro.tcrypto.hashing import sha256
@@ -35,35 +35,21 @@ from repro.wasm.binary import decode_module, encode_module
 from repro.wasm.module import Module
 
 
-@dataclass
-class _CacheEntry:
+class _CacheEntry(NamedTuple):
     module_bytes: bytes
     evidence: InstrumentationEvidence
     counter_export: str
-    hits: int = 0
 
 
-@dataclass
 class InstrumentationCache:
-    """Caches IE outputs keyed by (input hash, IE measurement).
+    """Caches IE outputs keyed by (input hash, IE measurement), keeping the
+    ``max_entries`` most recently used."""
 
-    ``max_entries`` bounds the cache with LRU eviction: ``None`` (the
-    default) keeps it unbounded, matching the original behaviour.  Entry
-    order in the backing dict is recency order — a hit re-inserts the entry
-    at the most-recently-used end.
-    """
-
-    ie: InstrumentationEnclave
-    max_entries: int | None = None
-    _entries: dict[tuple[bytes, bytes], _CacheEntry] = field(default_factory=dict)
-    misses: int = 0
-    _hit_count: int = field(default=0, repr=False)
-    _evictions: int = field(default=0, repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_entries is not None and self.max_entries <= 0:
-            raise ValueError("max_entries must be positive (or None for unbounded)")
+    def __init__(self, ie: InstrumentationEnclave, max_entries: int = 256):
+        self.ie = ie
+        self._lru: LRUCache[_CacheEntry] = LRUCache(
+            max_entries, on_evict=CACHE_EVICTIONS.inc
+        )
 
     def instrument(self, module: Module) -> tuple[Module, InstrumentationEvidence, str]:
         """Return (instrumented module, evidence, counter export), cached.
@@ -73,63 +59,45 @@ class InstrumentationCache:
         """
         key = (sha256(encode_module(module)), self.ie.mrenclave)
         with span("instrument", module_hash=key[0]) as sp:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is None:
-                    self.misses += 1
-                    CACHE_MISSES.inc()
-                    sp.set_attribute("cache", "miss")
-                    result, evidence = self.ie.instrument(module)
-                    entry = _CacheEntry(
-                        module_bytes=encode_module(result.module),
-                        evidence=evidence,
-                        counter_export=result.counter_export,
-                    )
-                    if (
-                        self.max_entries is not None
-                        and len(self._entries) >= self.max_entries
-                    ):
-                        oldest = next(iter(self._entries))
-                        del self._entries[oldest]
-                        self._evictions += 1
-                        CACHE_EVICTIONS.inc()
-                    self._entries[key] = entry
-                else:
-                    entry.hits += 1
-                    self._hit_count += 1
-                    CACHE_HITS.inc()
-                    sp.set_attribute("cache", "hit")
-                    # refresh recency: move the entry to the MRU end
-                    del self._entries[key]
-                    self._entries[key] = entry
-                return decode_module(entry.module_bytes), entry.evidence, entry.counter_export
+            outcome = "hit"
+
+            def build() -> _CacheEntry:
+                nonlocal outcome
+                outcome = "miss"
+                result, evidence = self.ie.instrument(module)
+                return _CacheEntry(
+                    encode_module(result.module), evidence, result.counter_export
+                )
+
+            entry = self._lru.get_or_build(key, build)
+            (CACHE_MISSES if outcome == "miss" else CACHE_HITS).inc()
+            sp.set_attribute("cache", outcome)
+            return decode_module(entry.module_bytes), entry.evidence, entry.counter_export
 
     @property
     def hits(self) -> int:
         """Cumulative hit count (survives eviction of the entries that hit)."""
-        return self._hit_count
+        return self._lru.hits
 
     @property
-    def evictions(self) -> int:
-        return self._evictions
+    def misses(self) -> int:
+        return self._lru.misses
 
-    def stats(self) -> dict[str, int | float | None]:
+    def stats(self) -> dict[str, int | float]:
         """Operational counters: hits, misses, evictions, occupancy."""
-        with self._lock:
-            # single atomic snapshot: every counter below is read under the
-            # same lock acquisition, so hits + misses == lookups always holds
-            # even while instrument() runs concurrently
-            lookups = self._hit_count + self.misses
-            return {
-                "hits": self._hit_count,
-                "misses": self.misses,
-                "lookups": lookups,
-                "evictions": self._evictions,
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hit_rate": (self._hit_count / lookups) if lookups else 0.0,
-            }
+        # one atomic snapshot of the LRU's counters, so hits + misses ==
+        # lookups holds even while instrument() runs concurrently
+        lru = self._lru.stats()
+        lookups = lru["hits"] + lru["misses"]
+        return {
+            "hits": lru["hits"],
+            "misses": lru["misses"],
+            "lookups": lookups,
+            "evictions": lru["evictions"],
+            "entries": lru["entries"],
+            "max_entries": lru["capacity"],
+            "hit_rate": (lru["hits"] / lookups) if lookups else 0.0,
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)

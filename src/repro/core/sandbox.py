@@ -99,7 +99,8 @@ class TwoWaySandbox:
         self.qe = qe
         self.attestation_service = attestation_service
         #: Instrumented-module cache (paper §3.3): resubmitting the same
-        #: module skips the IE pass.  Shared-cache deployments (the metering
+        #: module skips the IE pass (for the 256 most recently used modules,
+        #: the gateway's bound).  Shared-cache deployments (the metering
         #: gateway) swap in their own instance.
         self.cache = InstrumentationCache(ie)
 

@@ -270,7 +270,6 @@ class MeteringGateway:
         pool: str = "process",
         config: SandboxConfig | None = None,
         backend: ExecutionBackend | None = None,
-        cache_entries: int | None = 256,
         resilience: ResiliencePolicy | None = None,
         fault_plan: FaultPlan | None = None,
         preempt_after: int | None = None,
@@ -331,7 +330,7 @@ class MeteringGateway:
         self.qe = QuotingEnclave()
         self.platform.launch(self.qe)
         self.attestation_service.provision(self.qe)
-        self.cache = InstrumentationCache(self.ie, max_entries=cache_entries)
+        self.cache = InstrumentationCache(self.ie)
         #: Adaptive worker sizing: a process pool is shrunk to the cores
         #: actually available — oversubscription is the other half of the
         #: multi-worker cliff (4 CPU-bound workers on 1 core run slower

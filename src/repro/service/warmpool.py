@@ -12,12 +12,6 @@ leases each slice a pooled live instance reset in place with
 :func:`~repro.wasm.snapshot.apply_state` — to the warm image for a fresh
 call, to the snapshot for a resume — exactly as a fresh instance would
 start it.  Gateway workers run every slice this way.
-
-When constructed with an :class:`~repro.core.cache.InstrumentationCache`
-and a *source* (uninstrumented) module, every slot build fetches the
-instrumented module through the cache, so clone storms across pools and
-threads share one IE pass and the cache's hit/miss/eviction counters stay
-meaningful.
 """
 
 from __future__ import annotations
@@ -47,16 +41,11 @@ class WarmHandle(NamedTuple):
 class WarmPool:
     """A bounded pool of pre-instantiated instances of one module.
 
-    Exactly one of ``module`` or (``cache`` + ``source``) must be provided:
-    with a cache, each slot build runs the source module through it and
-    instantiates the (shared, cached) instrumented result.  ``module_hash``
-    is ``sha256(encode_module(module))`` when the caller holds it already,
-    so no pooled instance encodes the module again.
+    ``module_hash`` is ``sha256(encode_module(module))`` when the caller
+    holds it already, so no pooled instance encodes the module again.
     """
 
-    module: Module | None = None
-    source: Module | None = None
-    cache: object | None = None  # InstrumentationCache, kept untyped to avoid a cycle
+    module: Module
     engine: str | None = None
     module_hash: bytes | None = None
     max_size: int = 4
@@ -67,23 +56,15 @@ class WarmPool:
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
-        if self.module is None and (self.cache is None or self.source is None):
-            raise ValueError("WarmPool needs a module, or a cache plus a source module")
         if self.max_size < 1:
             raise ValueError("max_size must be >= 1")
 
     # -- building ----------------------------------------------------------------
 
-    def _fetch_module(self) -> Module:
-        if self.cache is not None and self.source is not None:
-            instrumented, _evidence, _counter = self.cache.instrument(self.source)
-            return instrumented
-        return self.module
-
     def _build(self) -> WarmHandle:
         env = HostEnvironment(account_io=True)
         instance = env.instantiate(
-            self._fetch_module(),
+            self.module,
             limits=ExecutionLimits(),
             engine=self.engine,
             module_hash=self.module_hash,

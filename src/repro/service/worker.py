@@ -51,13 +51,14 @@ import multiprocessing
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 
 from repro.core.accounting_enclave import RawExecution, run_slice
+from repro.lru import LRUCache
 from repro.obs.context import NO_CAPTURE, TelemetryCapture, TraceContext, activate
 from repro.obs.events import emit as emit_event
 from repro.obs.instruments import (
@@ -115,14 +116,9 @@ class _Decoded:
         return self._digest
 
 
-#: Worker-side decoded-module cache (per process; in the threaded pool all
-#: workers share it, so every access goes through ``_MODULE_CACHE_LOCK`` —
-#: decoded modules themselves are never mutated by instantiation, but the
-#: dict bookkeeping is a classic check-then-act race without the lock).
-#: Ordered, so eviction is true LRU: hits move the entry to the MRU end.
-_MODULE_CACHE: "OrderedDict[bytes, _Decoded]" = OrderedDict()
-_MODULE_CACHE_MAX = 64
-_MODULE_CACHE_LOCK = threading.Lock()
+#: Worker-side decoded-module cache, keyed by module hash (per process; in
+#: the threaded pool all workers share it).
+MODULE_CACHE: LRUCache[_Decoded] = LRUCache(64)
 
 
 @dataclass(frozen=True)
@@ -184,24 +180,16 @@ class WorkerResult:
 
 
 def _cached_decoded(task: ExecutionTask) -> _Decoded:
-    with _MODULE_CACHE_LOCK:
-        decoded = _MODULE_CACHE.get(task.module_hash)
-        if decoded is not None:
-            _MODULE_CACHE.move_to_end(task.module_hash)
-            emit_event("module_cache", outcome="hit")
-            return decoded
-    # decode outside the lock — it is the expensive part, and two threads
-    # decoding the same module concurrently is wasteful but harmless
-    emit_event("module_cache", outcome="decode")
-    decoded = _Decoded(decode_module(task.module_bytes))
-    with _MODULE_CACHE_LOCK:
-        if task.module_hash not in _MODULE_CACHE:
-            while len(_MODULE_CACHE) >= _MODULE_CACHE_MAX:
-                _MODULE_CACHE.popitem(last=False)
-            _MODULE_CACHE[task.module_hash] = decoded
-        else:
-            _MODULE_CACHE.move_to_end(task.module_hash)
-        return _MODULE_CACHE[task.module_hash]
+    outcome = "hit"
+
+    def decode() -> _Decoded:
+        nonlocal outcome
+        outcome = "decode"
+        return _Decoded(decode_module(task.module_bytes))
+
+    decoded = MODULE_CACHE.get_or_build(task.module_hash, decode)
+    emit_event("module_cache", outcome=outcome)
+    return decoded
 
 
 def execute_task(task: ExecutionTask) -> WorkerResult:

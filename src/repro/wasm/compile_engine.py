@@ -43,10 +43,11 @@ seek is folded into the batch threshold (``-1`` while ``_e`` is set), so a
 fresh call pays for it only at the guards around branches, calls and
 returns.
 
-Generated code objects are cached per ``(module fingerprint, cost
-signature)`` — the same keying discipline as
-:class:`repro.core.cache.InstrumentationCache` — so instantiating the same
-module repeatedly (worker pools, the gateway) compiles once.  Any function
+Generated code objects are cached in :data:`CODE_CACHE` per ``(module
+digest, cost signature)`` — the module digest is
+:attr:`~repro.wasm.interpreter.Instance.module_hash`, the cost signature
+the cost model's cycle weights — so instantiating the same module
+repeatedly (worker pools, the gateway) compiles once.  Any function
 the translator cannot handle (deeper nesting than Python's indentation
 limit, multi-result functions, ...) falls back *per function* to the
 predecode engine, which is itself stats-identical, so coverage is never a
@@ -59,9 +60,8 @@ from __future__ import annotations
 import math
 import re
 import struct
-import threading
-from collections import OrderedDict
 
+from repro.lru import LRUCache
 from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
 from repro.wasm.interpreter import (
     CapturedFrame,
@@ -92,7 +92,7 @@ class CompileError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Compiled-code cache, keyed like the InstrumentationCache
+# Compiled-code cache
 # ---------------------------------------------------------------------------
 
 
@@ -122,67 +122,8 @@ class _ModuleCode:
         self.funcs = funcs
 
 
-class _CodeCache:
-    """LRU cache of :class:`_ModuleCode` per (module digest, cost signature).
-
-    Same shape as :class:`repro.core.cache.InstrumentationCache`: bounded,
-    thread-safe, with hit/miss/eviction counters surfaced via
-    :func:`code_cache_stats`.
-    """
-
-    def __init__(self, capacity: int = 64):
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-_CODE_CACHE = _CodeCache()
-
-
-def code_cache_stats() -> dict:
-    """Hit/miss/eviction counters of the process-wide compiled-code cache."""
-    return _CODE_CACHE.stats()
-
-
-def clear_code_cache() -> None:
-    """Drop every cached translation (tests / memory pressure)."""
-    _CODE_CACHE.clear()
+#: Translations per (module digest, cost signature), process-wide.
+CODE_CACHE: LRUCache[_ModuleCode] = LRUCache(64)
 
 
 def _cost_signature(cost_model):
@@ -1486,12 +1427,7 @@ def _module_code(instance) -> _ModuleCode:
     key = _module_key(instance)
     if key is None:
         return _translate_module(module, cost_model)
-    cached = _CODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    mc = _translate_module(module, cost_model)
-    _CODE_CACHE.put(key, mc)
-    return mc
+    return CODE_CACHE.get_or_build(key, lambda: _translate_module(module, cost_model))
 
 
 # ---------------------------------------------------------------------------

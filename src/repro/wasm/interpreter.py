@@ -433,6 +433,10 @@ class Instance:
                 self.table.elements[offset + i] = func_index
 
         self._call_depth = 0
+        #: the :class:`~repro.wasm.runtime.HostEnvironment` bound to this
+        #: instance (set by its ``instantiate``/``bind``); a snapshot capture
+        #: records its I/O position
+        self.host_env = None
         #: hot-path profiler (repro.obs): snapshotted from the process-wide
         #: active profiler at each top-level invoke; None keeps the engines'
         #: profiler hooks on their no-cost path

@@ -139,7 +139,7 @@ class HostEnvironment:
         can compare both engines.
         """
         instance = Instance(module, imports=self.imports(), engine=engine, **kwargs)
-        self._instance = instance
+        self.bind(instance)
         return instance
 
     def bind(self, instance: Instance) -> None:
@@ -148,6 +148,8 @@ class HostEnvironment:
         Used with :func:`repro.wasm.linking.instantiate_side_module`, where
         the side module is instantiated against a main module's exports plus
         this environment's functions: the I/O calls must read and write the
-        *side* module's linear memory.
+        *side* module's linear memory.  A snapshot captured from
+        ``instance`` records this environment's I/O position.
         """
         self._instance = instance
+        instance.host_env = self

@@ -21,7 +21,6 @@ from repro.wasm.snapshot.format import (
     encode_snapshot,
     rewind_io,
     snapshot_from_unwind,
-    with_io,
 )
 from repro.wasm.snapshot.restore import (
     apply_state,
@@ -48,5 +47,4 @@ __all__ = [
     "resume_invoke",
     "rewind_io",
     "snapshot_from_unwind",
-    "with_io",
 ]

@@ -32,10 +32,9 @@ from __future__ import annotations
 import base64
 import json
 import struct
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.lru import LRUCache
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
 from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
@@ -154,29 +153,17 @@ def base_memory_image(module: Module) -> bytearray:
     return image
 
 
-#: module hash -> that module's base memory image, most recent last
-_BASE_IMAGES: OrderedDict[bytes, bytes] = OrderedDict()
-_BASE_IMAGES_LOCK = threading.Lock()
-#: modules whose image is kept (as many as the worker's module cache holds)
-_BASE_IMAGES_LIMIT = 64
+#: module hash -> that module's base memory image
+BASE_IMAGES: LRUCache[bytes] = LRUCache(64)
 
 
 def instance_base_image(instance: Instance) -> bytes:
     """:func:`base_memory_image` of the instance's module, built once per
     module (keyed by :attr:`Instance.module_hash`): every capture and every
     reset compares against or copies it."""
-    key = instance.module_hash
-    with _BASE_IMAGES_LOCK:
-        image = _BASE_IMAGES.get(key)
-        if image is not None:
-            _BASE_IMAGES.move_to_end(key)
-            return image
-    image = bytes(base_memory_image(instance.module))
-    with _BASE_IMAGES_LOCK:
-        _BASE_IMAGES[key] = image
-        while len(_BASE_IMAGES) > _BASE_IMAGES_LIMIT:
-            _BASE_IMAGES.popitem(last=False)
-    return image
+    return BASE_IMAGES.get_or_build(
+        instance.module_hash, lambda: bytes(base_memory_image(instance.module))
+    )
 
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
@@ -220,7 +207,9 @@ def _stats_state(instance: Instance) -> dict:
     }
 
 
-def capture_instance(instance: Instance, frames=()) -> Snapshot:
+def capture_instance(
+    instance: Instance, frames=(), io: IOState | None = None
+) -> Snapshot:
     """Snapshot an instance's full state (with ``frames=()``: a warm image)."""
     pages, delta, grow_events = _memory_state(instance)
     snapshot = Snapshot(
@@ -234,27 +223,31 @@ def capture_instance(instance: Instance, frames=()) -> Snapshot:
         grow_events=grow_events,
         table=tuple(instance.table.elements) if instance.table is not None else None,
         frames=tuple(frames),
+        io=io,
     )
     SNAPSHOTS_TAKEN.inc(kind="warm" if not frames else "suspend")
     return snapshot
 
 
 def snapshot_from_unwind(instance: Instance, unwind: CaptureUnwind) -> Snapshot:
-    """Finish a capture: unwound frames arrive innermost-first."""
-    return capture_instance(instance, frames=tuple(reversed(unwind.frames)))
+    """Finish a capture: unwound frames arrive innermost-first.  An instance
+    bound to a host environment (:attr:`Instance.host_env`) also records
+    the environment's I/O position; :func:`rewind_io` is the inverse."""
+    env = instance.host_env
+    return capture_instance(
+        instance,
+        frames=tuple(reversed(unwind.frames)),
+        io=None if env is None else _io_state(env),
+    )
 
 
-def with_io(snapshot: Snapshot, env: HostEnvironment) -> Snapshot:
-    """Attach ``env``'s I/O position; :func:`rewind_io` is the inverse."""
-    return replace(
-        snapshot,
-        io=IOState(
-            read_pos=env.channel._read_pos,
-            output=bytes(env.channel.output),
-            bytes_in=env.account.bytes_in,
-            bytes_out=env.account.bytes_out,
-            calls=env.account.calls,
-        ),
+def _io_state(env: HostEnvironment) -> IOState:
+    return IOState(
+        read_pos=env.channel._read_pos,
+        output=bytes(env.channel.output),
+        bytes_in=env.account.bytes_in,
+        bytes_out=env.account.bytes_out,
+        calls=env.account.calls,
     )
 
 

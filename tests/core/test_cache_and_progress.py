@@ -115,12 +115,13 @@ class TestCacheBounds:
         assert cache.hits == 1
         assert cache.stats()["hit_rate"] == pytest.approx(1 / 3)
 
-    def test_unbounded_by_default(self, ie):
+    def test_bounded_at_256_by_default(self, ie):
         cache = InstrumentationCache(ie)
         for src in self._sources(5):
             cache.instrument(compile_source(src))
         assert len(cache) == 5
         assert cache.stats()["evictions"] == 0
+        assert cache.stats()["max_entries"] == 256
 
     def test_rejects_nonpositive_bound(self, ie):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ unpreempted gateway, the sealed epoch verifies, the drift auditor stays
 clean, and checkpoint-id replay trips :class:`DuplicateReceipt`.
 """
 
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -177,7 +176,7 @@ class TestWorkerResume:
         import repro.wasm.snapshot.restore as restore
 
         task = sum_task(engine=engine, snapshot_at=100)
-        monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
+        worker.MODULE_CACHE.clear()
         encodes = []
         real = binary.encode_module
 

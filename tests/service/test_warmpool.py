@@ -1,19 +1,13 @@
-"""Warm pools: correct per-request isolation, one shared IE pass per module.
+"""Warm pools: correct per-request isolation.
 
 The pool's contract: an acquired instance is indistinguishable from a
 freshly instantiated one, or, given a snapshot, a freshly restored one
 (state reset to the warm image or the snapshot, fresh I/O accounting,
-per-request limits), and when the pool instruments through a
-shared :class:`InstrumentationCache`, clone storms cost exactly one cache
-miss however many slots get built — concurrently or not.
+per-request limits).
 """
-
-import threading
 
 import pytest
 
-from repro.core.cache import InstrumentationCache
-from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.service.warmpool import WarmPool
 from repro.wasm.interpreter import ExecutionLimits, Instance, Trap
 from repro.wasm.wat_parser import parse_wat
@@ -86,62 +80,6 @@ class TestReuseCorrectness:
         pool.release(first)
         pool.release(second)
         assert pool.stats()["idle"] == 1
-
-
-class TestInstrumentationCacheSharing:
-    def test_all_slots_share_one_cached_instrumented_module(self):
-        ie = InstrumentationEnclave()
-        cache = InstrumentationCache(ie)
-        source = parse_wat(WORK)
-        pool = WarmPool(cache=cache, source=source, max_size=8)
-        handles = [pool.acquire() for _ in range(5)]
-        assert pool.stats()["builds"] == 5
-        assert cache.misses == 1
-        assert cache.hits == 4
-        for handle in handles:
-            pool.release(handle)
-
-    def test_concurrent_clone_storm_is_one_miss(self):
-        ie = InstrumentationEnclave()
-        cache = InstrumentationCache(ie)
-        pool = WarmPool(cache=cache, source=parse_wat(WORK), max_size=16)
-        errors: list[BaseException] = []
-        barrier = threading.Barrier(8)
-
-        def storm() -> None:
-            try:
-                barrier.wait()
-                for _ in range(3):
-                    handle = pool.acquire()
-                    assert handle.instance.invoke("work", 20) == 21
-                    pool.release(handle)
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=storm) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == pool.stats()["builds"] - 1
-        assert stats["evictions"] == 0
-        assert pool.stats()["hits"] + pool.stats()["builds"] == 24
-
-    def test_eviction_stats_stay_correct_under_pool_builds(self):
-        ie = InstrumentationEnclave()
-        cache = InstrumentationCache(ie, max_entries=1)
-        other = parse_wat('(module (func (export "f") (result i32) (i32.const 3)))')
-        pool = WarmPool(cache=cache, source=parse_wat(WORK), max_size=4)
-        pool.acquire()  # miss: WORK enters the cache
-        cache.instrument(other)  # miss: evicts WORK (capacity 1)
-        pool.acquire()  # miss again: WORK re-enters
-        stats = cache.stats()
-        assert stats["misses"] == 3
-        assert stats["evictions"] == 2
-        assert pool.stats()["builds"] == 2
 
 
 # -- a reused instance is a fresh instance ----------------------------------------

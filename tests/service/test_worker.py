@@ -1,9 +1,10 @@
 """Unit tests for the worker pool and its per-process module cache.
 
-The cache tests stub out ``decode_module`` so they exercise pure cache
-mechanics (LRU order, bounded size, thread safety) without compiling
-anything; the pool tests use crash-faulted tasks, which fail before ever
-touching their module bytes, so no real module is needed there either.
+The cache tests stub out ``decode_module`` so they exercise the worker's
+use of its cache (hits, bounded size, thread safety) without compiling
+anything; LRU order is pinned in ``tests/test_lru.py``.  The pool tests
+use crash-faulted tasks, which fail before ever touching their module
+bytes, so no real module is needed there either.
 The process-pool tests run a small real module, to check the answers of
 tasks that a crash moved to a respawned worker.  Full pool-through-gateway
 behaviour (respawn after a real process crash) lives in ``test_faults.py``.
@@ -12,13 +13,13 @@ behaviour (respawn after a real process crash) lives in ``test_faults.py``.
 import multiprocessing
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
 
 import repro.service.worker as worker
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
+from repro.lru import LRUCache
 from repro.service.faults import InjectedCrash, WorkerCrashed
 from repro.service.worker import ExecutionTask, WorkerPool, execute_task
 from repro.tcrypto.hashing import sha256
@@ -56,8 +57,7 @@ def fresh_cache(monkeypatch):
         decoded.append(module_bytes)
         return ("decoded", module_bytes)
 
-    monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
-    monkeypatch.setattr(worker, "_MODULE_CACHE_MAX", 2)
+    monkeypatch.setattr(worker, "MODULE_CACHE", LRUCache(2))
     monkeypatch.setattr(worker, "decode_module", fake_decode)
     return decoded
 
@@ -70,31 +70,15 @@ def test_module_cache_hits_skip_decoding(fresh_cache):
     assert len(fresh_cache) == 1
 
 
-def test_module_cache_is_true_lru(fresh_cache):
-    a, b, c = make_task(b"a"), make_task(b"b"), make_task(b"c")
-    worker._cached_decoded(a)
-    worker._cached_decoded(b)
-    worker._cached_decoded(a)  # hit: A becomes most-recently-used
-    worker._cached_decoded(c)  # full: evicts B (least recent), not A
-    assert len(fresh_cache) == 3
-    worker._cached_decoded(a)  # still cached
-    assert len(fresh_cache) == 3
-    worker._cached_decoded(b)  # was evicted: decoded again
-    assert len(fresh_cache) == 4
-
-
 def test_module_cache_size_stays_bounded(fresh_cache):
     for i in range(10):
         worker._cached_decoded(make_task(b"m%d" % i))
-    assert len(worker._MODULE_CACHE) == 2
+    assert len(worker.MODULE_CACHE) == 2
 
 
-def test_module_cache_concurrent_access_is_safe(monkeypatch):
+def test_module_cache_concurrent_access_is_safe(fresh_cache):
     """Regression for the unsynchronized check-then-act eviction: hammer the
     cache from many threads and require it stays bounded and consistent."""
-    monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
-    monkeypatch.setattr(worker, "_MODULE_CACHE_MAX", 2)
-    monkeypatch.setattr(worker, "decode_module", lambda b: ("decoded", b))
     errors: list[BaseException] = []
 
     def hammer(seed: int) -> None:
@@ -112,16 +96,17 @@ def test_module_cache_concurrent_access_is_safe(monkeypatch):
     for t in threads:
         t.join()
     assert not errors
-    assert len(worker._MODULE_CACHE) <= 2
+    assert len(worker.MODULE_CACHE) <= 2
 
 
-def test_instance_pools_are_evicted_with_their_module(monkeypatch):
+def test_instance_pools_are_evicted_with_their_module():
     """A worker's instance pools hang off its module cache entries, so a
     worker that has run 65 modules holds live instances of at most 64."""
     from repro.wasm.wat_parser import parse_wat
 
-    monkeypatch.setattr(worker, "_MODULE_CACHE", OrderedDict())
-    for i in range(worker._MODULE_CACHE_MAX + 1):
+    cache = worker.MODULE_CACHE
+    cache.clear()
+    for i in range(cache.capacity + 1):
         module_bytes = encode_module(
             parse_wat(
                 "(module (global (mut i64) (i64.const 0)) "
@@ -136,12 +121,9 @@ def test_instance_pools_are_evicted_with_their_module(monkeypatch):
             args=(),
         )
         assert execute_task(task).raw.value == i
-    pools = [
-        pool for decoded in worker._MODULE_CACHE.values()
-        for pool in decoded._pools.values()
-    ]
-    assert len(worker._MODULE_CACHE) == worker._MODULE_CACHE_MAX
-    assert len(pools) == worker._MODULE_CACHE_MAX
+    pools = [pool for decoded in cache.values() for pool in decoded._pools.values()]
+    assert len(cache) == cache.capacity
+    assert len(pools) == cache.capacity
     assert all(pool.stats()["idle"] == 1 for pool in pools)
 
 

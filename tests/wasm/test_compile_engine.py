@@ -9,9 +9,9 @@ pins the behaviours unique to :mod:`repro.wasm.compile_engine`:
   translator declines (nesting beyond Python's indentation budget,
   multi-value results), with stats still byte-identical — and no such
   fallback for any module in :mod:`repro.workloads`, raw or instrumented;
-* the process-wide code cache keyed on (module fingerprint, cost
-  signature) — hits, misses, evictions — and one generated form per
-  function, which fresh calls, captures and resumes all run;
+* the process-wide code cache keyed on (module digest, cost signature),
+  whose hits skip translation, and one generated form per function, which
+  fresh calls, captures and resumes all run;
 * ``memory.grow`` inside compiled loops, where deferred visit batching must
   still stamp ``grow_history`` with exact visit totals;
 * budget traps landing on memory instructions mid-segment, exercising the
@@ -22,11 +22,7 @@ import pytest
 
 from repro.instrument import instrument_module
 from repro.wasm import compile_engine
-from repro.wasm.compile_engine import (
-    CompiledEngine,
-    clear_code_cache,
-    code_cache_stats,
-)
+from repro.wasm.compile_engine import CODE_CACHE, CompiledEngine
 from repro.wasm.costmodel import CostModel
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
 from repro.service.warmpool import WarmPool
@@ -226,52 +222,42 @@ class TestFallback:
 
 class TestCodeCache:
     def test_second_instance_hits_the_cache(self):
-        clear_code_cache()
+        CODE_CACHE.clear()
         module = parse_wat(MEM_LOOP)
         Instance(module.clone(), engine="compile")
-        after_first = code_cache_stats()
+        after_first = CODE_CACHE.stats()
         assert after_first["misses"] >= 1
         assert after_first["entries"] >= 1
         hits_before = after_first["hits"]
         Instance(module.clone(), engine="compile")
-        after_second = code_cache_stats()
+        after_second = CODE_CACHE.stats()
         assert after_second["hits"] == hits_before + 1
         assert after_second["misses"] == after_first["misses"]
 
     def test_cost_model_is_part_of_the_key(self):
-        clear_code_cache()
+        CODE_CACHE.clear()
         module = parse_wat(MEM_LOOP)
         Instance(module.clone(), engine="compile")
         Instance(module.clone(), engine="compile", cost_model=CostModel())
-        stats = code_cache_stats()
+        stats = CODE_CACHE.stats()
         assert stats["misses"] == 2
         assert stats["entries"] == 2
         # same cost signature → hit, not a third entry
         Instance(module.clone(), engine="compile", cost_model=CostModel())
-        stats = code_cache_stats()
+        stats = CODE_CACHE.stats()
         assert stats["hits"] == 1
         assert stats["entries"] == 2
 
     def test_clear_resets_counters_and_entries(self):
         module = parse_wat(MEM_LOOP)
         Instance(module.clone(), engine="compile")
-        clear_code_cache()
-        stats = code_cache_stats()
+        CODE_CACHE.clear()
+        stats = CODE_CACHE.stats()
         assert stats["entries"] == 0
         assert stats["hits"] == stats["misses"] == stats["evictions"] == 0
 
-    def test_eviction_counts_when_capacity_overflows(self, monkeypatch):
-        clear_code_cache()
-        monkeypatch.setattr(compile_engine._CODE_CACHE, "capacity", 1)
-        Instance(parse_wat(MEM_LOOP), engine="compile")
-        Instance(parse_wat(GROW_LOOP), engine="compile")
-        stats = code_cache_stats()
-        assert stats["evictions"] >= 1
-        assert stats["entries"] == 1
-        clear_code_cache()
-
     def test_cached_code_still_executes_correctly(self):
-        clear_code_cache()
+        CODE_CACHE.clear()
         module = parse_wat(MEM_LOOP)
         first = Instance(module.clone(), engine="compile")
         second = Instance(module.clone(), engine="compile")
@@ -282,7 +268,7 @@ class TestCodeCache:
         # fresh calls and resumes enter the same generated function, and
         # the slow paths step the reference's closures: once a module's
         # code is cached, no capture or resume translates anything
-        clear_code_cache()
+        CODE_CACHE.clear()
         module = parse_wat(MEM_LOOP)
         expected = Instance(module, engine="compile").invoke("churn", 20)
         translate = compile_engine._Translator.translate

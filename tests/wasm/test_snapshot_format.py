@@ -13,7 +13,6 @@ Pins the properties the rest of the stack leans on:
 """
 
 import struct
-from collections import OrderedDict
 
 import pytest
 
@@ -159,7 +158,7 @@ class TestMemoryDelta:
             built.append(module)
             return uncached(module)
 
-        monkeypatch.setattr(snapshot_format, "_BASE_IMAGES", OrderedDict())
+        snapshot_format.BASE_IMAGES.clear()
         monkeypatch.setattr(snapshot_format, "base_memory_image", counting)
         module = parse_wat(MEMMOD)
         pristine = bytes(Instance(module).memory._data)
