@@ -6,10 +6,10 @@ processes (the stand-ins for the paper's per-request enclave instances,
 registries, which evaporated when the result pickled back.  This module
 carries telemetry across that boundary in both directions:
 
-* a :class:`TraceContext` — 128-bit ``trace_id``, parent span id, sampled
-  flag and a hop counter — is minted at gateway admission, serialized into
-  the :class:`~repro.service.worker.ExecutionTask` wire format, and
-  re-activated inside ``execute_task``;
+* a :class:`TraceContext` — 128-bit ``trace_id``, parent span id, the
+  worker's sink set and a hop counter — is minted at gateway admission,
+  serialized into the :class:`~repro.service.worker.ExecutionTask` wire
+  format, and re-activated inside ``execute_task``;
 * a :class:`TelemetryCapture` — a bounded :class:`~repro.obs.trace.Tracer`
   that also keeps structured events and metric deltas — is active
   (thread-locally) for every task ``execute_task`` runs, and ships home
@@ -25,8 +25,9 @@ truncated to 128 bits, so offline consumers (the drift auditor, ``repro
 explain``, CI's stitch checker) can recompute the id for any request without
 carrying extra state.  Head sampling is deterministic too — the decision is
 a pure function of the trace id and the rate (``REPRO_TRACE_SAMPLE``), so
-every process agrees on whether a given request is sampled.  Sampling gates
-spans and events only: metrics are never sampled.
+every process agrees on whether a given request is sampled.  What a worker
+records is decided once, at admission, as the context's sink set
+(:meth:`TraceContext.mint`): nothing ships home that no gateway sink keeps.
 
 Worker code has no telemetry API of its own.  It calls the ordinary
 :func:`repro.obs.trace.span`, :func:`repro.obs.events.emit`,
@@ -47,7 +48,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from repro.obs.events import emit
+from repro.obs.events import emit, events_enabled
 from repro.obs.instruments import TRACE_BACKHAUL_BYTES, TRACE_SPANS_DROPPED
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import (
@@ -58,6 +59,7 @@ from repro.obs.trace import (
     _json_safe,
     current_capture,
     get_tracer,
+    tracing_enabled,
 )
 from repro.tcrypto.hashing import sha256
 
@@ -72,17 +74,23 @@ SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 MAX_SPANS = 256
 MAX_EVENTS = 256
 
+#: The channels a worker capture can record; a sink set is a subset.
+SPANS, EVENTS, METRICS = "spans", "events", "metrics"
+ALL_SINKS = frozenset((SPANS, EVENTS, METRICS))
+
+
+def clamp_sample_rate(value, default: float = 1.0) -> float:
+    """``value`` clamped to [0, 1]; ``default`` if it is not a number or NaN."""
+    try:
+        rate = float(value)
+    except (TypeError, ValueError):
+        return default
+    return default if rate != rate else min(1.0, max(0.0, rate))
+
 
 def env_sample_rate(default: float = 1.0) -> float:
-    """The head-sampling rate from ``REPRO_TRACE_SAMPLE``, clamped to [0, 1]."""
-    raw = os.environ.get(SAMPLE_ENV)
-    if raw is None:
-        return default
-    try:
-        rate = float(raw)
-    except ValueError:
-        return default
-    return min(1.0, max(0.0, rate))
+    """The head-sampling rate from ``REPRO_TRACE_SAMPLE``, clamped."""
+    return clamp_sample_rate(os.environ.get(SAMPLE_ENV), default)
 
 
 @dataclass(frozen=True)
@@ -94,14 +102,13 @@ class TraceContext:
     worker's spans should hang under.  ``hop`` counts re-dispatches — a
     fresh request is hop 0, each snapshot re-dispatch or retry increments
     it, so a preempted job's worker spans are ordered even when wall clocks
-    disagree.  ``sampled`` gates the worker's spans and events (never its
-    metrics); the id itself always exists once minted, so receipts and
-    ledger events carry provenance even for unsampled requests.
+    disagree.  ``sinks`` is the set of channels the worker's capture records
+    (possibly empty: receipts and ledger events carry the id regardless).
     """
 
     trace_id: str
     parent_span_id: int = 0
-    sampled: bool = True
+    sinks: frozenset = ALL_SINKS
     hop: int = 0
 
     @classmethod
@@ -111,14 +118,17 @@ class TraceContext:
         request_id: int,
         sample_rate: float = 1.0,
         parent_span_id: int = 0,
-    ) -> "TraceContext":
+    ) -> "TraceContext | None":
+        """The request's context, ``None`` when no sink is on.  Its sink set:
+        spans if tracing is on and the request is sampled, events if events
+        are on and it is sampled, metrics if metrics are on."""
+        tracing, events, metrics = tracing_enabled(), events_enabled(), metrics_enabled()
+        if not (tracing or events or metrics):
+            return None
         trace_id = trace_id_for(gateway_id, request_id)
-        return cls(
-            trace_id=trace_id,
-            parent_span_id=parent_span_id,
-            sampled=sampling_decision(trace_id, sample_rate),
-            hop=0,
-        )
+        sampled = sampling_decision(trace_id, sample_rate)
+        on = {SPANS: tracing and sampled, EVENTS: events and sampled, METRICS: metrics}
+        return cls(trace_id, parent_span_id, frozenset(k for k, v in on.items() if v))
 
     def next_hop(self, parent_span_id: int | None = None) -> "TraceContext":
         """The context for a re-dispatch (snapshot resume, retry)."""
@@ -133,17 +143,11 @@ class TraceContext:
     # -- wire format (rides inside ExecutionTask, so: plain tuple) ---------------
 
     def to_wire(self) -> tuple:
-        return (self.trace_id, self.parent_span_id, self.sampled, self.hop)
+        return (self.trace_id, self.parent_span_id, self.sinks, self.hop)
 
     @classmethod
     def from_wire(cls, wire: tuple) -> "TraceContext":
-        trace_id, parent_span_id, sampled, hop = wire
-        return cls(
-            trace_id=str(trace_id),
-            parent_span_id=int(parent_span_id),
-            sampled=bool(sampled),
-            hop=int(hop),
-        )
+        return cls(*wire)
 
 
 def trace_id_for(gateway_id: str, request_id: int | str) -> str:
@@ -176,19 +180,18 @@ class TelemetryCapture(Tracer):
     task's structured events and metric deltas.
 
     While :func:`activate` has made it the calling thread's capture, the
-    ordinary obs calls on that thread record here and nowhere else.  With a
-    sampled ``ctx`` it keeps spans, events and metric deltas; unsampled,
-    metric deltas only; with ``ctx=None``, nothing.  Span timestamps are
-    CLOCK_MONOTONIC on Linux, whose epoch is boot time and therefore
-    *shared* across processes on the same host, so worker spans land
-    directly on the gateway's timeline when merged.
+    ordinary obs calls on that thread record here and nowhere else, each
+    only if its channel is in ``ctx.sinks`` (empty for ``ctx=None``).  Span
+    timestamps are CLOCK_MONOTONIC on Linux, whose epoch is boot time and
+    therefore *shared* across processes on the same host, so worker spans
+    land directly on the gateway's timeline when merged.
     """
 
     def __init__(self, ctx: TraceContext | None, max_spans: int = MAX_SPANS,
                  max_events: int = MAX_EVENTS):
         super().__init__()
         self.ctx = ctx
-        self.sampled = ctx is not None and ctx.sampled
+        self.sinks = ctx.sinks if ctx is not None else frozenset()
         self.pid = os.getpid()
         self.max_spans = max_spans
         self.max_events = max_events
@@ -199,7 +202,7 @@ class TelemetryCapture(Tracer):
 
     def span(self, name: str, parent: Span | None = None, detached: bool = False,
              **attributes):
-        if not self.sampled:
+        if SPANS not in self.sinks:
             return NULL_SPAN
         if self._next_id > self.max_spans:
             self.spans_dropped += 1
@@ -207,7 +210,7 @@ class TelemetryCapture(Tracer):
         return super().span(name, parent=parent, detached=detached, **attributes)
 
     def event(self, kind: str, **fields) -> None:
-        if not self.sampled:
+        if EVENTS not in self.sinks:
             return
         if len(self.events) >= self.max_events:
             self.events_dropped += 1
@@ -223,7 +226,7 @@ class TelemetryCapture(Tracer):
     def metric(self, metric, value: float, labels: dict) -> None:
         """Record one ``Counter.inc``/``Histogram.observe`` as a delta for
         the gateway to replay (without its exemplar, if any)."""
-        if self.ctx is not None:
+        if METRICS in self.sinks:
             self.metrics.append((metric.name, metric.kind, float(value), labels))
 
     def to_wire(self) -> dict | None:
@@ -264,11 +267,6 @@ class TelemetryCapture(Tracer):
             "events_dropped": self.events_dropped,
             "metrics": [list(m) for m in self.metrics],
         }
-
-
-#: The capture of a task without a trace context.  It records nothing, so
-#: one instance serves every such task, on every thread.
-NO_CAPTURE = TelemetryCapture(None)
 
 
 @contextmanager

@@ -27,12 +27,10 @@ from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
-from repro.obs.context import TraceContext, env_sample_rate, merge_telemetry
+from repro.obs.context import TraceContext, clamp_sample_rate, env_sample_rate
+from repro.obs.context import merge_telemetry, sampling_decision
 from repro.obs.events import emit as emit_event
-from repro.obs.events import events_enabled
-from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import span as obs_span
-from repro.obs.trace import tracing_enabled
 from repro.service.backends import ExecutionBackend, WasmBackend
 from repro.service.faults import (
     DeadlineExceeded,
@@ -299,9 +297,7 @@ class MeteringGateway:
         #: never sampled, and every request's trace id is minted (and
         #: stamped onto receipts/events) once tracing, events or metrics are on.
         self.trace_sample = (
-            env_sample_rate()
-            if trace_sample is None
-            else min(1.0, max(0.0, trace_sample))
+            env_sample_rate() if trace_sample is None else clamp_sample_rate(trace_sample)
         )
         #: Budget-boundary preemption: when set, every dispatched slice
         #: suspends after this many further executed instructions; the
@@ -490,15 +486,13 @@ class MeteringGateway:
             req_span.end()
             raise
         request_id = self._mint_request_id(tenant.shard)
-        # trace identity, minted whenever any sink is on: it arms the worker capture
-        ctx: TraceContext | None = None
-        if tracing_enabled() or events_enabled() or metrics_enabled():
-            ctx = TraceContext.mint(
-                self.gateway_id,
-                request_id,
-                sample_rate=self.trace_sample,
-                parent_span_id=getattr(req_span, "span_id", 0),
-            )
+        # trace identity and the worker's sink set; None when no sink is on
+        ctx = TraceContext.mint(
+            self.gateway_id,
+            request_id,
+            sample_rate=self.trace_sample,
+            parent_span_id=getattr(req_span, "span_id", 0),
+        )
         submitted = time.perf_counter()
         state = _RequestState(
             request_id=request_id,
@@ -514,7 +508,8 @@ class MeteringGateway:
             ),
             trace=ctx,
         )
-        self._transition(state, "admit", sampled=ctx.sampled if ctx else None)
+        sampled = sampling_decision(ctx.trace_id, self.trace_sample) if ctx else None
+        self._transition(state, "admit", sampled=sampled)
         fault = (
             self.fault_plan.fault_for(request_id) if self.fault_plan is not None else None
         )

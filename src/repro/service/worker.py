@@ -59,7 +59,7 @@ from multiprocessing.reduction import ForkingPickler
 
 from repro.core.accounting_enclave import RawExecution, run_slice
 from repro.lru import LRUCache
-from repro.obs.context import NO_CAPTURE, TelemetryCapture, TraceContext, activate
+from repro.obs.context import TelemetryCapture, TraceContext, activate
 from repro.obs.events import emit as emit_event
 from repro.obs.instruments import (
     POOL_EXEC_WALL,
@@ -150,10 +150,10 @@ class ExecutionTask:
     #: resume payload: an encoded snapshot to restore and continue instead
     #: of invoking ``export`` fresh
     snapshot: bytes | None = None
-    #: distributed-trace context (``TraceContext.to_wire()`` tuple), set by
-    #: the gateway whenever any telemetry sink (tracing, events, metrics) is
-    #: on, sampled or not; it arms the task's telemetry capture, which
-    #: keeps spans and events only when the context is sampled
+    #: distributed-trace context (``TraceContext.to_wire()`` tuple: trace
+    #: id, parent span id, sink set, hop), set by the gateway whenever any
+    #: telemetry sink (tracing, events, metrics) is on; the task's capture
+    #: records exactly the channels in its sink set
     trace: tuple | None = None
 
 
@@ -210,15 +210,15 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
     The task always runs under a :class:`~repro.obs.context.TelemetryCapture`,
     activated thread-locally for its duration, so the worker's obs calls
     record into it and never into this process's (possibly forked) sinks.
-    It is built from the task's trace context (``task.trace``): sampled, it
-    keeps spans, events and metric deltas; unsampled, metric deltas only;
-    with no context, nothing.  What it recorded ships home on the result.
+    It records the channels in the sink set of the task's trace context
+    (``task.trace``) and nothing else; with no context the set is empty.
+    What it recorded ships home on the result.
     A worker that crashes mid-task loses its capture with the process —
     which is the truthful telemetry for that hop.
     """
     started = time.perf_counter()
     ctx = TraceContext.from_wire(task.trace) if task.trace is not None else None
-    capture = TelemetryCapture(ctx) if ctx is not None else NO_CAPTURE
+    capture = TelemetryCapture(ctx)
     with activate(capture):
         with span(
             "worker.task",

@@ -104,9 +104,10 @@ class LinkError(Exception):
     """Raised at instantiation when imports cannot be satisfied."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionLimits:
-    """Resource limits enforced during execution (the sandbox's outer guard)."""
+    """Resource limits enforced during execution (the sandbox's outer guard).
+    Frozen: ``compile`` reads them once per call, predecode per instruction."""
 
     max_instructions: int | None = None
     max_call_depth: int = 500

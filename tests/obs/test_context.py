@@ -1,13 +1,15 @@
 """Trace context, worker telemetry capture, and the cross-process merge.
 
-Unit coverage for :mod:`repro.obs.context`: deterministic trace identity
-and head sampling, the bounded worker-side capture as the ordinary obs calls
-reach it (wire format, drop counting, sampled/unsampled/disabled, thread-local
-activation), the gateway-side merge, the tracer's foreign-span ingest, the
-per-span pid in the Chrome export, histogram exemplars, and the
-``explain_request`` event reconstruction.
+Unit coverage for :mod:`repro.obs.context`: deterministic trace identity,
+head sampling and the sink set minted from them, the bounded worker-side
+capture as the ordinary obs calls reach it (wire format, drop counting, the
+sink set each channel is checked against, thread-local activation), the
+gateway-side merge, the tracer's foreign-span ingest, the per-span pid in
+the Chrome export, histogram exemplars, and the ``explain_request`` event
+reconstruction.
 """
 
+import itertools
 import json
 import pickle
 import sys
@@ -17,9 +19,13 @@ from dataclasses import replace
 import pytest
 
 from repro.obs.context import (
+    ALL_SINKS,
+    EVENTS,
     MAX_EVENTS,
     MAX_SPANS,
+    METRICS,
     SAMPLE_ENV,
+    SPANS,
     TelemetryCapture,
     TraceContext,
     activate,
@@ -58,15 +64,44 @@ class TestTraceContext:
         assert a != trace_id_for("gw-1", 8)
         assert a != trace_id_for("gw-2", 7)
 
-    def test_mint_recomputable_offline(self):
+    def test_mint_recomputable_offline(self, sinks_on):
         ctx = TraceContext.mint("gw-1", 42, parent_span_id=9)
         assert ctx.trace_id == trace_id_for("gw-1", 42)
         assert ctx.parent_span_id == 9
         assert ctx.hop == 0
-        assert ctx.sampled is True  # default rate 1.0
+        assert ctx.sinks == ALL_SINKS  # default rate 1.0
+
+    def test_mint_without_a_sink_is_none(self):
+        assert TraceContext.mint("gw-1", 42) is None
+
+    @pytest.mark.parametrize("sampled", (True, False))
+    @pytest.mark.parametrize(
+        "tracing,events,metrics",
+        [on for on in itertools.product((True, False), repeat=3) if any(on)],
+    )
+    def test_mint_sink_set_follows_sinks_and_sampling(
+        self, sampled, tracing, events, metrics
+    ):
+        if tracing:
+            enable_tracing(Tracer())
+        if events:
+            enable_events(EventLog())
+        if metrics:
+            enable_metrics()
+        try:
+            ctx = TraceContext.mint("gw-1", 42, sample_rate=1.0 if sampled else 0.0)
+        finally:
+            disable_tracing()
+            disable_events()
+            disable_metrics()
+        expected = {SPANS} if tracing and sampled else set()
+        expected |= {EVENTS} if events and sampled else set()
+        expected |= {METRICS} if metrics else set()
+        assert ctx.sinks == expected
+        assert ctx.trace_id == trace_id_for("gw-1", 42)  # minted, sampled or not
 
     def test_next_hop_increments_and_can_reparent(self):
-        ctx = TraceContext.mint("gw-1", 1, parent_span_id=3)
+        ctx = TraceContext(trace_id_for("gw-1", 1), parent_span_id=3)
         resumed = ctx.next_hop()
         assert resumed.hop == 1
         assert resumed.trace_id == ctx.trace_id
@@ -76,7 +111,8 @@ class TestTraceContext:
         assert again.parent_span_id == 17
 
     def test_wire_roundtrip(self):
-        ctx = TraceContext(trace_id="ab" * 16, parent_span_id=5, sampled=False, hop=2)
+        ctx = TraceContext(trace_id="ab" * 16, parent_span_id=5,
+                           sinks=frozenset({EVENTS}), hop=2)
         wire = ctx.to_wire()
         assert isinstance(wire, tuple)  # pickles inside ExecutionTask
         assert TraceContext.from_wire(wire) == ctx
@@ -113,6 +149,8 @@ class TestTraceContext:
         assert env_sample_rate() == 0.0  # clamped low
         monkeypatch.setenv(SAMPLE_ENV, "banana")
         assert env_sample_rate() == 1.0  # unparseable falls back
+        monkeypatch.setenv(SAMPLE_ENV, "nan")
+        assert env_sample_rate() == 1.0  # NaN is unparseable, not 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +255,9 @@ class TestTelemetryCapture:
         ]
 
     def test_unsampled_capture_keeps_metrics_only(self, sinks_on):
+        # an unsampled request with metrics on: the sink set is {metrics}
         tracer, log = sinks_on
-        capture = TelemetryCapture(replace(CTX, sampled=False))
+        capture = TelemetryCapture(replace(CTX, sinks=frozenset({METRICS})))
         counter = probe_counter()
         with activate(capture):
             with span("s"):
@@ -232,15 +271,18 @@ class TestTelemetryCapture:
         assert counter.total() == 0
 
     def test_disabled_capture_records_nothing(self, sinks_on):
+        # a task without a context gets the empty sink set
         tracer, log = sinks_on
-        capture = TelemetryCapture(None)
         counter = probe_counter()
-        with activate(capture):
-            with span("s") as s:
-                s.set_attribute("k", 1)
-            emit("e")
-            counter.inc()
-        assert capture.to_wire() is None
+        for ctx in (None, replace(CTX, sinks=frozenset())):
+            capture = TelemetryCapture(ctx)
+            assert capture.sinks == frozenset()
+            with activate(capture):
+                with span("s") as s:
+                    s.set_attribute("k", 1)
+                emit("e")
+                counter.inc()
+            assert capture.to_wire() is None
         assert tracer.finished() == [] and log.events() == []
         assert counter.total() == 0
 

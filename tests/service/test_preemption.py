@@ -21,7 +21,7 @@ from repro.service.ledger import DuplicateReceipt
 from repro.service.worker import ExecutionTask, execute_task
 from repro.wasm.binary import encode_module
 from repro.wasm.engines import ENGINE_ENV_VAR
-from repro.obs.context import trace_id_for
+from repro.obs.context import ALL_SINKS, trace_id_for
 from repro.wasm.snapshot import SnapshotError, decode_snapshot
 from repro.wasm.wat_parser import parse_wat
 from repro.tcrypto.hashing import sha256
@@ -217,7 +217,7 @@ class TestWorkerResume:
         self, engine, armed, expected, monkeypatch
     ):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        trace = (trace_id_for("gw-t", 1), 7, True, 1)
+        trace = (trace_id_for("gw-t", 1), 7, ALL_SINKS, 1)
         task = sum_task(engine=engine, snapshot_at=100 if armed else None, trace=trace)
         results = run_preempted(task)
         if armed:

@@ -13,17 +13,22 @@ The acceptance-critical properties from the tracing issue:
   still carry provenance on receipts and events, and every worker metric
   reaches the gateway registry exactly once, with its labels, on either
   pool kind;
+* a worker ships home only what the gateway has a sink for: spans only
+  with tracing on, events only with events on, metric deltas only with
+  metrics on;
 * the whole apparatus is inert when off: signed totals stay byte-identical
   with tracing+events enabled vs disabled, on every engine.
 """
 
+import itertools
 import json
 import os
 
 import pytest
 
+import repro.service.gateway as gateway_module
 from repro.core.sandbox import SandboxConfig
-from repro.obs.context import SAMPLE_ENV, trace_id_for
+from repro.obs.context import ALL_SINKS, SAMPLE_ENV, trace_id_for
 from repro.obs.events import EventLog, disable_events, enable_events
 from repro.obs.metrics import disable_metrics, enable_metrics, get_registry
 from repro.obs.trace import Tracer, disable_tracing, enable_tracing
@@ -211,6 +216,9 @@ class TestSampling:
         gw = MeteringGateway(workers=1, pool="thread", trace_sample=0.25)
         gw.shutdown()
         assert gw.trace_sample == 0.25
+        gw = MeteringGateway(workers=1, pool="thread", trace_sample=float("nan"))
+        gw.shutdown()
+        assert gw.trace_sample == 1.0  # NaN is unparseable, not "sample nothing"
 
     def test_obs_off_mints_no_context(self):
         # neither tracing nor events enabled: the task wire format never
@@ -256,7 +264,7 @@ class TestWorkerTaskGating:
 
     def test_traced_task_backhauls_capture(self):
         tid = trace_id_for("gw-t", 1)
-        result = execute_task(self.make_task(trace=(tid, 7, True, 2)))
+        result = execute_task(self.make_task(trace=(tid, 7, ALL_SINKS, 2)))
         telemetry = result.telemetry
         assert telemetry is not None
         assert telemetry["trace_id"] == tid
@@ -381,6 +389,58 @@ class TestWorkerMetricsCountedOnce:
         assert registry.get("acctee_resumes_total").total() == preemptions
         assert registry.get("acctee_snapshot_bytes").count() == preemptions
         assert registry.get("acctee_warm_pool_hits").total() > 0
+
+
+class TestShipmentPerSink:
+    """Nothing is recorded or shipped for a sink the gateway does not have."""
+
+    @pytest.mark.parametrize("pool", ("thread", "process"))
+    @pytest.mark.parametrize(
+        "tracing,events,metrics",
+        [
+            pytest.param(*on, id="+".join(
+                name for name, o in zip(("tracing", "events", "metrics"), on) if o
+            ))
+            for on in itertools.product((True, False), repeat=3)
+            if any(on)
+        ],
+    )
+    def test_shipment_holds_only_what_a_sink_keeps(
+        self, monkeypatch, pool, tracing, events, metrics
+    ):
+        if tracing:
+            enable_tracing(Tracer())
+        if events:
+            enable_events(EventLog())
+        if metrics:
+            enable_metrics()
+        shipped = []
+        merge = gateway_module.merge_telemetry
+
+        def spy(telemetry, *args, **kwargs):
+            shipped.append(telemetry)
+            return merge(telemetry, *args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "merge_telemetry", spy)
+        [(tenant, module, (export, args))] = polybench_tenant_mix(("atax",))
+        gw = MeteringGateway(workers=1, pool=pool, preempt_after=2000)
+        try:
+            if pool == "process" and gw.backend.kind != "wasm-process":
+                pytest.skip("process pool unavailable in this environment")
+            gw.register_tenant(tenant, module=module)
+            for _ in range(2):
+                gw.execute(tenant, export, *args)
+            hops = 2 + gw.resilience_stats()["preemptions"]
+        finally:
+            gw.shutdown()
+        assert hops > 2  # the requests really were preempted
+        assert len(shipped) == hops  # every hop recorded something it keeps
+        for channel, on in (("spans", tracing), ("events", events), ("metrics", metrics)):
+            counts = [len(telemetry[channel]) for telemetry in shipped]
+            if on:
+                assert all(counts), (channel, counts)
+            else:
+                assert not any(counts), (channel, counts)
 
 
 class TestLoadtestStitchGate:

@@ -11,6 +11,8 @@ contains a budget or progress crossing):
   with ``stats.executed`` equal to that exact multiple at callback time.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
@@ -120,6 +122,20 @@ class TestProgressEdge:
         # every multiple up to the budget was reported; the trapping
         # instruction (101) is past the last multiple
         assert seen == list(range(10, 101, 10))
+
+    def test_callback_cannot_retighten_the_budget(self, engine):
+        # compiled code reads the budget once per call, predecode once per
+        # instruction: a limit changed mid-call would trap at different
+        # points, so the limits are frozen
+        inst = make(engine, max_instructions=10_000, progress_interval=100)
+
+        def tighten(stats):
+            inst.limits.max_instructions = stats.executed + 50
+
+        inst.limits = dataclasses.replace(inst.limits, progress_callback=tighten)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.invoke("spin", 1_000)
+        assert inst.stats.executed == 100
 
 
 @pytest.mark.parametrize("engine", ENGINES)
