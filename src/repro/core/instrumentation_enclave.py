@@ -12,7 +12,7 @@ safe (paper §3.3).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.instrument import InstrumentationResult, instrument_module
 from repro.instrument.weights import UNIT_WEIGHTS, WeightTable
@@ -90,16 +90,7 @@ class InstrumentationEnclave(Enclave):
             ie_measurement=self.mrenclave,
             signature=b"",
         )
-        evidence = InstrumentationEvidence(
-            input_hash=unsigned.input_hash,
-            output_hash=unsigned.output_hash,
-            level=unsigned.level,
-            weight_table_digest=unsigned.weight_table_digest,
-            counter_global_index=unsigned.counter_global_index,
-            ie_measurement=unsigned.ie_measurement,
-            signature=rsa_sign(self._signing_key, unsigned.body()),
-        )
-        return result, evidence
+        return result, replace(unsigned, signature=rsa_sign(self._signing_key, unsigned.body()))
 
 
 def verify_evidence(

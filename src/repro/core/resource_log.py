@@ -24,12 +24,15 @@ Two signing modes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.tcrypto.hashing import sha256
 from repro.tcrypto.merkle import MerkleProof, MerkleTree, verify_proof
 from repro.tcrypto.rsa import RSAKeyPair, RSAPublicKey, rsa_sign, rsa_verify
+
+#: The ``previous_hash`` of every chain's first entry.
+GENESIS = b"\x00" * 32
 
 
 @dataclass(frozen=True)
@@ -136,28 +139,23 @@ def verify_batched_entry(
         return False
     if not verify_proof(entry.body(), proof, batch.merkle_root):
         return False
-    unsigned = LogBatch(
-        start_sequence=batch.start_sequence,
-        end_sequence=batch.end_sequence,
-        merkle_root=batch.merkle_root,
-        signature=b"",
-    )
-    return rsa_verify(public_key, unsigned.body(), batch.signature)
+    return rsa_verify(public_key, batch.body(), batch.signature)
 
 
 def verify_log_batches(
     entries: list[LogEntry],
     batches: list[LogBatch],
     public_key: RSAPublicKey,
+    complete_upto: int = 0,
 ) -> tuple[list[str], int]:
     """Check that every unsigned entry is covered by a verifying batch.
 
     ``entries`` is a contiguous chain segment (any base sequence);
     ``batches`` the batches claimed to cover it.  Returns ``(problems,
-    pending)`` where ``pending`` counts *trailing* unsigned entries past
-    the last batch — awaiting a flush, incomplete rather than wrong.  Any
-    other uncovered unsigned entry, root mismatch or bad batch signature
-    is a problem.
+    pending)`` where ``pending`` counts uncovered unsigned entries at or
+    past both ``complete_upto`` and the end of the last verifying batch —
+    awaiting a flush, incomplete rather than wrong.  Any other uncovered
+    unsigned entry, root mismatch or bad batch signature is a problem.
     """
     problems: list[str] = []
     covered: set[int] = set()
@@ -179,13 +177,7 @@ def verify_log_batches(
                 "Merkle root does not match the covered entries (tampered)"
             )
             continue
-        unsigned = LogBatch(
-            start_sequence=batch.start_sequence,
-            end_sequence=batch.end_sequence,
-            merkle_root=batch.merkle_root,
-            signature=b"",
-        )
-        if not rsa_verify(public_key, unsigned.body(), batch.signature):
+        if not rsa_verify(public_key, batch.body(), batch.signature):
             problems.append(
                 f"batch [{batch.start_sequence}, {batch.end_sequence}): "
                 "batch signature does not verify"
@@ -194,16 +186,86 @@ def verify_log_batches(
         covered.update(range(batch.start_sequence, batch.end_sequence))
         last_end = max(last_end, batch.end_sequence)
     pending = 0
+    bound = max(last_end, complete_upto)
     for entry in entries:
         if entry.signature or entry.sequence in covered:
             continue
-        if entry.sequence >= last_end:
+        if entry.sequence >= bound:
             pending += 1
         else:
             problems.append(
                 f"entry {entry.sequence} is unsigned and not covered by any batch"
             )
     return problems, pending
+
+
+@dataclass(frozen=True)
+class ChainProblem:
+    """One thing :func:`verify_chain` found wrong with a chain segment.
+
+    ``kind`` is ``"chain"`` (sequence numbers, hash links, a segment short
+    of its completeness bound), ``"signature"`` (an entry's own signature),
+    ``"batch"`` (a batch seal, or an unsigned entry no verifying batch
+    covers) or ``"pending"`` (unsigned entries past the completeness bound,
+    awaiting a flush: incomplete rather than wrong).
+    """
+
+    kind: str
+    detail: str
+
+
+def verify_chain(
+    entries: list[LogEntry],
+    public_key: RSAPublicKey,
+    batches: list[LogBatch] = (),
+    start_sequence: int = 0,
+    start_hash: bytes = GENESIS,
+    complete_upto: int | None = None,
+) -> tuple[list[ChainProblem], bytes]:
+    """The receipt-chain verifier every auditor shares.
+
+    Walks ``entries`` as the segment that starts at ``start_sequence`` and
+    links to ``start_hash``: sequence numbers, ``previous_hash`` links and
+    per-entry signatures (stopping at the first failure), then every
+    claimed batch seal (:func:`verify_log_batches`).  Entries below
+    ``complete_upto`` (default: the segment's end) must all be present and
+    signed or batch-covered.  Returns the problems found and the hash of
+    the last entry the walk accepted; callers add their own policy (an
+    expected head or count, a sealed end hash, finding codes).
+    """
+    problems: list[ChainProblem] = []
+    previous = start_hash
+    for offset, entry in enumerate(entries):
+        sequence = start_sequence + offset
+        if entry.sequence != sequence:
+            problems.append(ChainProblem(
+                "chain", f"entry {offset} has sequence {entry.sequence}, expected {sequence}"
+            ))
+            break
+        if entry.previous_hash != previous:
+            problems.append(ChainProblem(
+                "chain", f"chain broken at sequence {sequence} (reordered or dropped)"
+            ))
+            break
+        if entry.signature and not rsa_verify(public_key, entry.body(), entry.signature):
+            problems.append(ChainProblem(
+                "signature", f"signature invalid at sequence {sequence} (tampered)"
+            ))
+            break
+        previous = entry.entry_hash()
+    end = start_sequence + len(entries)
+    bound = end if complete_upto is None else complete_upto
+    if end < bound:
+        problems.append(ChainProblem(
+            "chain", f"chain ends at sequence {end}, short of {bound} (truncated tail)"
+        ))
+    batch_problems, pending = verify_log_batches(entries, batches, public_key, bound)
+    problems += [ChainProblem("batch", detail) for detail in batch_problems]
+    if pending:
+        problems.append(ChainProblem(
+            "pending", f"{pending} unsigned entries await their batch seal"
+        ))
+    return problems, previous
 
 
 def totals_of(entries: Iterable[LogEntry]) -> ResourceVector:
@@ -225,7 +287,7 @@ def totals_of(entries: Iterable[LogEntry]) -> ResourceVector:
 class ResourceUsageLog:
     """The mutually trusted, verifiable log of a workload's resource usage."""
 
-    GENESIS = b"\x00" * 32
+    GENESIS = GENESIS
 
     def __init__(
         self,
@@ -276,19 +338,11 @@ class ResourceUsageLog:
             signature=b"",
         )
         if self._batch_window is not None:
-            entry = unsigned
-            self.entries.append(entry)
+            self.entries.append(unsigned)
             if len(self.entries) - self._batch_from >= self._batch_window:
                 self._seal_batch()
-            return entry
-        entry = LogEntry(
-            sequence=unsigned.sequence,
-            vector=unsigned.vector,
-            workload_hash=unsigned.workload_hash,
-            weight_table_digest=unsigned.weight_table_digest,
-            previous_hash=unsigned.previous_hash,
-            signature=rsa_sign(self._signing_key, unsigned.body()),
-        )
+            return unsigned
+        entry = replace(unsigned, signature=rsa_sign(self._signing_key, unsigned.body()))
         self.entries.append(entry)
         return entry
 
@@ -303,12 +357,7 @@ class ResourceUsageLog:
             merkle_root=tree.root,
             signature=b"",
         )
-        batch = LogBatch(
-            start_sequence=unsigned.start_sequence,
-            end_sequence=unsigned.end_sequence,
-            merkle_root=unsigned.merkle_root,
-            signature=rsa_sign(self._signing_key, unsigned.body()),
-        )
+        batch = replace(unsigned, signature=rsa_sign(self._signing_key, unsigned.body()))
         self.batches.append(batch)
         self._undrained.append(batch)
         self._batch_from = len(self.entries)
@@ -358,22 +407,10 @@ class ResourceUsageLog:
         flush make the log *incomplete*, so verification fails until
         :meth:`flush` runs.
         """
-        previous = self.GENESIS
-        for i, entry in enumerate(self.entries):
-            if entry.sequence != i or entry.previous_hash != previous:
-                return False
-            if entry.signature and not rsa_verify(
-                public_key, entry.body(), entry.signature
-            ):
-                return False
-            previous = entry.entry_hash()
-        if any(not entry.signature for entry in self.entries):
-            problems, pending = verify_log_batches(
-                self.entries, self.batches, public_key
-            )
-            if problems or pending:
-                return False
-        if expected_head is not None and previous != expected_head:
+        problems, head = verify_chain(self.entries, public_key, self.batches)
+        if problems:
+            return False
+        if expected_head is not None and head != expected_head:
             return False
         if expected_entries is not None and len(self.entries) != expected_entries:
             return False

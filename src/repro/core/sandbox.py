@@ -42,11 +42,9 @@ from repro.sgx.attestation import (
     AttestationError,
     AttestationService,
     QuotingEnclave,
-    remote_attest,
-    verify_service_report,
+    challenge_enclave,
 )
 from repro.sgx.enclave import SGXPlatform
-from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import ExecutionLimits
 from repro.wasm.module import Module
 
@@ -147,21 +145,10 @@ class TwoWaySandbox:
     def attest(self, nonce: bytes) -> bool:
         """Remote-attest the AE and check the log-key binding (both parties)."""
         with span("sandbox.attest", enclave=self.ae.name):
-            user_data = self.ae.report_data_binding()
-            verdict = remote_attest(
-                self.ae, self.qe, self.attestation_service, nonce, user_data
+            return challenge_enclave(
+                self.ae, self.qe, self.attestation_service, nonce,
+                self.ae.report_data_binding(),
             )
-            if not verdict.ok:
-                return False
-            if not verify_service_report(self.attestation_service.public_key, verdict):
-                return False
-            if verdict.quote.mrenclave != self.ae.mrenclave:
-                return False
-            # freshness + key binding: report data must hash this nonce and the
-            # AE's log-signing key fingerprint
-            expected = sha256(sha256(nonce + user_data))
-            actual = sha256(verdict.quote.report_data)
-            return expected == actual
 
     # -- workload intake ------------------------------------------------------------
 

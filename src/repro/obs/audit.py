@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.instruments import DRIFT_FINDINGS
-from repro.tcrypto.rsa import rsa_verify
 
 #: Every code an audit can produce, with the failing reconciliation.
 FINDING_CODES = {
@@ -38,6 +37,14 @@ FINDING_CODES = {
     "event-ledger-mismatch": "event-log billing narrative disagrees with the ledger",
     "unsealed-receipts": "receipts not yet covered by any epoch seal",
     "pending-batch": "batched receipts still awaiting their AE batch seal (flush)",
+}
+
+#: The finding code for each kind of :class:`~repro.core.resource_log.ChainProblem`.
+_CHAIN_CODES = {
+    "chain": "chain-broken",
+    "signature": "bad-signature",
+    "batch": "bad-signature",
+    "pending": "pending-batch",
 }
 
 #: Codes that mean billing is *wrong* (everything else is a warning).
@@ -188,7 +195,7 @@ def audit_billing(
     # deferred: repro.core's package init reaches back into repro.obs via
     # the instrumentation enclave — a module-level import here would make
     # the cycle unresolvable when repro.obs loads first
-    from repro.core.resource_log import verify_log_batches
+    from repro.core.resource_log import verify_chain
 
     findings: list[DriftFinding] = []
     receipts_checked = 0
@@ -196,7 +203,7 @@ def audit_billing(
 
     tenants = ledger.tenants()
     if tenant_batch is not None and tenant_batch > 0 and len(tenants) > tenant_batch:
-        # deferred for the same import-cycle reason as verify_log_batches
+        # deferred for the same import-cycle reason as verify_chain
         from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
 
         ordered = sorted(
@@ -229,7 +236,7 @@ def audit_billing(
                 events is not None,
                 event_receipts,
                 event_instructions,
-                verify_log_batches,
+                verify_chain,
             )
 
     return DriftReport(
@@ -248,11 +255,14 @@ def _audit_tenant(
     have_events: bool,
     event_receipts: dict[str, int],
     event_instructions: dict[str, int],
-    verify_log_batches,
+    verify_chain,
 ) -> int:
     """Reconcile one tenant's records; appends findings, returns receipts seen."""
+    # read oldest-first, so a seal landing mid-audit cannot make the
+    # receipt snapshot look shorter than the sealed count or its batches
+    sealed = ledger.sealed_upto(tenant)
+    batches = ledger.batches(tenant)
     receipts = ledger.receipts(tenant)
-    ae_key = ledger.ae_key(tenant)
 
     # exactly-once: every receipt carries a distinct request id
     with_ids = [r for r in receipts if r.request_id is not None]
@@ -266,32 +276,17 @@ def _audit_tenant(
             f"{billed} distinct requests billed",
         )
 
-    # chain + signature + plausibility of every signed vector; receipts
-    # with an empty signature are batch-sealed — their AE signature is
-    # the batch's, checked below against the ledger's recorded batches
-    has_batched = False
-    previous = ledger.GENESIS
+    # chain, signatures and batch seals; sealing flushed every batch window,
+    # so a receipt below the seal is never legitimately pending
+    chain_problems, _head = verify_chain(
+        [r.entry for r in receipts], ledger.ae_key(tenant), batches, complete_upto=sealed
+    )
+    for problem in chain_problems:
+        _finding(findings, _CHAIN_CODES[problem.kind], tenant, problem.detail)
+
+    # plausibility of every signed vector
     for i, receipt in enumerate(receipts):
-        entry = receipt.entry
-        if entry.sequence != i or entry.previous_hash != previous:
-            _finding(
-                findings,
-                "chain-broken",
-                tenant,
-                f"receipt {i}: sequence={entry.sequence}, chain link broken",
-            )
-            break
-        if not entry.signature:
-            has_batched = True
-        elif not rsa_verify(ae_key, entry.body(), entry.signature):
-            _finding(
-                findings,
-                "bad-signature",
-                tenant,
-                f"receipt {i}: AE signature does not verify",
-            )
-            break
-        problems = _plausible(entry.vector)
+        problems = _plausible(receipt.entry.vector)
         if problems:
             _finding(
                 findings,
@@ -299,27 +294,6 @@ def _audit_tenant(
                 tenant,
                 f"receipt {i} (request {receipt.request_id}): signed vector "
                 "has impossible components: " + ", ".join(problems),
-            )
-        previous = entry.entry_hash()
-
-    # batched receipts: every unsigned entry must sit under a verifying
-    # AE batch seal (ledgers predating batched sealing have no batches()
-    # accessor — getattr keeps the auditor usable against them)
-    tenant_batches = (
-        ledger.batches(tenant) if hasattr(ledger, "batches") else []
-    )
-    if has_batched or tenant_batches:
-        problems, pending = verify_log_batches(
-            [r.entry for r in receipts], tenant_batches, ae_key
-        )
-        for problem in problems:
-            _finding(findings, "bad-signature", tenant, problem)
-        if pending:
-            _finding(
-                findings,
-                "pending-batch",
-                tenant,
-                f"{pending} batched receipts await their AE batch seal",
             )
 
     # admission slot conservation: every admit settles exactly once
@@ -360,7 +334,7 @@ def _audit_tenant(
                 )
 
     # completeness: receipts outside any sealed epoch are un-auditable
-    unsealed = len(receipts) - ledger.sealed_upto(tenant)
+    unsealed = len(receipts) - sealed
     if unsealed > 0:
         _finding(
             findings,

@@ -67,8 +67,7 @@ from repro.sgx.attestation import (
     AttestationError,
     AttestationService,
     QuotingEnclave,
-    remote_attest,
-    verify_service_report,
+    challenge_enclave,
 )
 from repro.sgx.enclave import SGXPlatform
 from repro.tcrypto.hashing import sha256
@@ -419,15 +418,9 @@ class MeteringGateway:
 
     def _attest(self, ae: AccountingEnclave, tenant_id: str) -> None:
         nonce = sha256(b"gateway-attest:" + tenant_id.encode())[:16]
-        user_data = ae.report_data_binding()
-        verdict = remote_attest(ae, self.qe, self.attestation_service, nonce, user_data)
-        ok = (
-            verdict.ok
-            and verify_service_report(self.attestation_service.public_key, verdict)
-            and verdict.quote.mrenclave == ae.mrenclave
-            and sha256(sha256(nonce + user_data)) == sha256(verdict.quote.report_data)
-        )
-        if not ok:
+        if not challenge_enclave(
+            ae, self.qe, self.attestation_service, nonce, ae.report_data_binding()
+        ):
             raise AttestationError(
                 f"accounting enclave for tenant {tenant_id!r} failed attestation"
             )
@@ -693,8 +686,11 @@ class MeteringGateway:
                 span_name, parent=state.span, tenant=tenant.tenant_id, **span_attrs
             ):
                 # narrow critical section: only the AE signing, the chain
-                # append and the billed baseline are under the tenant lock
+                # append and the billed baseline are under the tenant lock;
+                # a duplicate id is refused before the AE signs, so its log
+                # never runs ahead of the ledger chain
                 with tenant.lock:
+                    self.ledger.check_unbilled(tenant.tenant_id, request_id)
                     result = tenant.ae.account_span(
                         raw,
                         label=state.label,

@@ -24,9 +24,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-
 from contextlib import ExitStack
+from dataclasses import dataclass, replace
 
 from repro.core.resource_log import (
     LogBatch,
@@ -34,7 +33,7 @@ from repro.core.resource_log import (
     ResourceUsageLog,
     ResourceVector,
     totals_of,
-    verify_log_batches,
+    verify_chain,
 )
 from repro.obs.events import emit as emit_event
 from repro.obs.events import events_enabled
@@ -226,10 +225,7 @@ class BillingLedger:
         # set are under the shard lock — metrics and events emit outside it
         with self._shard_lock(tenant_id):
             chain = self._receipts[tenant_id]
-            if request_id is not None and request_id in self._billed_requests[tenant_id]:
-                raise DuplicateReceipt(
-                    f"request {request_id} already billed for {tenant_id!r}"
-                )
+            self._refuse_billed(tenant_id, request_id)
             if entry.sequence != len(chain):
                 raise ValueError(
                     f"receipt out of order for {tenant_id!r}: "
@@ -251,6 +247,17 @@ class BillingLedger:
                 trace_id=trace_id,
             )
         return receipt
+
+    def check_unbilled(self, tenant_id: str, request_id: int | str | None) -> None:
+        """Raise :class:`DuplicateReceipt` if ``request_id`` already has a
+        receipt — the exactly-once check a signer runs *before* its AE signs,
+        so a refused duplicate never leaves the AE's log ahead of the chain."""
+        with self._shard_lock(tenant_id):
+            self._refuse_billed(tenant_id, request_id)
+
+    def _refuse_billed(self, tenant_id: str, request_id: int | str | None) -> None:
+        if request_id is not None and request_id in self._billed_requests[tenant_id]:
+            raise DuplicateReceipt(f"request {request_id} already billed for {tenant_id!r}")
 
     def billed_requests(self, tenant_id: str | None = None) -> int:
         """Distinct request ids with a receipt — one tenant's, or all.
@@ -372,13 +379,7 @@ class BillingLedger:
                 spans=tuple(spans),
                 signature=b"",
             )
-            seal = EpochSeal(
-                epoch=unsigned.epoch,
-                previous_seal_hash=unsigned.previous_seal_hash,
-                merkle_root=unsigned.merkle_root,
-                spans=unsigned.spans,
-                signature=rsa_sign(self._signing_key, unsigned.body()),
-            )
+            seal = replace(unsigned, signature=rsa_sign(self._signing_key, unsigned.body()))
             self.seals.append(seal)
             duration_s = time.perf_counter() - sealed_at
             LEDGER_SEAL_DURATION.observe(duration_s)
@@ -427,44 +428,24 @@ def _verify_span(
             "(dropped or extra receipts)"
         )
         return
-    previous = span.start_hash
-    batched = False
-    for offset, receipt in enumerate(receipts):
-        entry = receipt.entry
-        seq = span.start_sequence + offset
-        if entry.sequence != seq:
-            errors.append(f"{tid}: receipt {offset} has sequence {entry.sequence}, expected {seq}")
-            return
-        if entry.previous_hash != previous:
-            errors.append(f"{tid}: chain broken at sequence {seq} (reordered or dropped)")
-            return
-        if not entry.signature:
-            batched = True  # covered by an AE batch seal, checked below
-        elif not rsa_verify(ae_key, entry.body(), entry.signature):
-            errors.append(f"{tid}: signature invalid at sequence {seq} (tampered)")
-            return
-        previous = entry.entry_hash()
-    if previous != span.end_hash:
-        errors.append(f"{tid}: chain head does not match the sealed end hash (truncated tail)")
-        return
-    if batched:
-        # the epoch seal forced a flush, so the span must be fully covered
-        # by verifying batches — one RSA verify per flush window
-        relevant = [
+    # the epoch seal forced a flush, so the span must be complete: every
+    # receipt signed or under a verifying batch that lies inside the span
+    problems, head = verify_chain(
+        [r.entry for r in receipts],
+        ae_key,
+        [
             b
             for b in batches
             if span.start_sequence <= b.start_sequence
             and b.end_sequence <= span.end_sequence
-        ]
-        problems, pending = verify_log_batches(
-            [r.entry for r in receipts], relevant, ae_key
-        )
-        for problem in problems:
-            errors.append(f"{tid}: {problem}")
-        if pending:
-            errors.append(
-                f"{tid}: {pending} batched receipts have no covering AE batch seal"
-            )
+        ],
+        start_sequence=span.start_sequence,
+        start_hash=span.start_hash,
+        complete_upto=span.end_sequence,
+    )
+    errors.extend(f"{tid}: {problem.detail}" for problem in problems)
+    if not problems and head != span.end_hash:
+        errors.append(f"{tid}: chain head does not match the sealed end hash (truncated tail)")
 
 
 def verify_epoch(
@@ -488,14 +469,7 @@ def verify_epoch(
     errors: list[str] = []
     checked = 0
 
-    unsigned = EpochSeal(
-        epoch=seal.epoch,
-        previous_seal_hash=seal.previous_seal_hash,
-        merkle_root=seal.merkle_root,
-        spans=seal.spans,
-        signature=b"",
-    )
-    if not rsa_verify(ledger_public_key, unsigned.body(), seal.signature):
+    if not rsa_verify(ledger_public_key, seal.body(), seal.signature):
         errors.append("epoch seal signature invalid")
     if previous_seal is not None and seal.previous_seal_hash != previous_seal.seal_hash():
         errors.append("epoch does not chain to the given previous seal")
@@ -536,14 +510,7 @@ def audit_tenant(
     Needs nothing about other tenants — the privacy-preserving audit path.
     Pass ``batches`` when the receipts were signed in batched mode.
     """
-    unsigned = EpochSeal(
-        epoch=seal.epoch,
-        previous_seal_hash=seal.previous_seal_hash,
-        merkle_root=seal.merkle_root,
-        spans=seal.spans,
-        signature=b"",
-    )
-    if not rsa_verify(ledger_public_key, unsigned.body(), seal.signature):
+    if not rsa_verify(ledger_public_key, seal.body(), seal.signature):
         return False
     if not verify_proof(span.leaf(), proof, seal.merkle_root):
         return False

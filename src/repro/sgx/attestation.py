@@ -11,7 +11,7 @@ registered, up-to-date platform and returns a signed verification report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.sgx.enclave import Enclave, Report, SGXPlatform
 from repro.tcrypto.hashing import sha256
@@ -83,14 +83,7 @@ class QuotingEnclave(Enclave):
             qe_key_fingerprint=self._attestation_key.public.fingerprint(),
             signature=b"",
         )
-        signature = rsa_sign(self._attestation_key, quote.signed_body())
-        return Quote(
-            mrenclave=quote.mrenclave,
-            report_data=quote.report_data,
-            platform_id=quote.platform_id,
-            qe_key_fingerprint=quote.qe_key_fingerprint,
-            signature=signature,
-        )
+        return replace(quote, signature=rsa_sign(self._attestation_key, quote.signed_body()))
 
 
 @dataclass
@@ -145,14 +138,7 @@ class AttestationService:
         report = VerificationReport(
             quote=quote, ok=ok, advisory=advisory, timestamp=self._clock(), signature=b""
         )
-        signature = rsa_sign(self._service_key, report.signed_body())
-        return VerificationReport(
-            quote=report.quote,
-            ok=report.ok,
-            advisory=report.advisory,
-            timestamp=report.timestamp,
-            signature=signature,
-        )
+        return replace(report, signature=rsa_sign(self._service_key, report.signed_body()))
 
 
 def verify_service_report(
@@ -179,3 +165,26 @@ def remote_attest(
     report = enclave.report(report_data)
     quote = qe.quote(report)
     return service.verify_quote(quote)
+
+
+def challenge_enclave(
+    enclave: Enclave,
+    qe: QuotingEnclave,
+    service: AttestationService,
+    nonce: bytes,
+    user_data: bytes = b"",
+) -> bool:
+    """The challenger's whole attestation check, for either party.
+
+    Runs :func:`remote_attest` and accepts only a verdict that is ``ok``,
+    signed by ``service``, for ``enclave``'s measurement, and whose report
+    data hashes this nonce and ``user_data`` (freshness plus the binding of,
+    e.g., the AE's log-signing key).
+    """
+    verdict = remote_attest(enclave, qe, service, nonce, user_data)
+    return (
+        verdict.ok
+        and verify_service_report(service.public_key, verdict)
+        and verdict.quote.mrenclave == enclave.mrenclave
+        and verdict.quote.report_data == sha256(nonce + user_data)
+    )

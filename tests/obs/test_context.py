@@ -484,6 +484,27 @@ class TestMerge:
         assert histogram.count() == 1
         histogram.reset()
 
+    def test_backhaul_bytes_are_the_pickled_capture(self):
+        # the observed size is what the capture costs on the pipe, not a
+        # re-encoding of it (JSON ran about half again larger)
+        histogram = get_registry().get("acctee_trace_backhaul_bytes")
+        histogram.reset()
+        capture = TelemetryCapture(CTX)
+        with activate(capture):
+            with span("worker.task", hop=0):
+                emit("module_cache", outcome="hit")
+                get_registry().get("acctee_resumes_total").inc()
+        shipped = pickle.loads(pickle.dumps(capture.to_wire()))
+        enable_metrics()
+        try:
+            merge_telemetry(shipped)
+        finally:
+            disable_metrics()
+        assert histogram.count() == 1
+        assert histogram.sum() == len(pickle.dumps(shipped))
+        assert histogram.sum() < len(json.dumps(shipped, default=str))
+        histogram.reset()
+
 
 # ---------------------------------------------------------------------------
 # Tracer.ingest: the gateway-side merge

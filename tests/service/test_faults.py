@@ -158,6 +158,27 @@ def test_ledger_rejects_duplicate_request_id():
     assert ledger.billed_requests() == 2
 
 
+def test_refused_duplicate_leaves_the_tenant_billable():
+    # the id check runs before the AE signs: a refused duplicate must not
+    # leave the AE's log a receipt ahead of the ledger chain
+    gw = MeteringGateway(workers=1, pool="thread")
+    with gw:
+        gw.register_tenant("alice", minic=MINIC_SQUARE)
+        first = gw.execute("alice", "square", 2)
+        shard = gw._tenants["alice"].shard
+        gw._id_counters[shard] -= 1  # the next request re-mints the same id
+        with pytest.raises(DuplicateReceipt):
+            gw.execute("alice", "square", 3)
+        second = gw.execute("alice", "square", 4)
+        assert second.request_id != first.request_id
+        assert second.result.value == 16
+        ae = gw._tenants["alice"].ae
+        assert len(ae.log.entries) == len(gw.ledger.receipts("alice")) == 2
+        seal = gw.seal_epoch()
+        verdict = gw.verify_epoch(seal)
+        assert verdict.ok, verdict.errors
+
+
 # -- typed failures through a live gateway -------------------------------------
 
 

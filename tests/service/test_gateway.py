@@ -19,6 +19,7 @@ from repro.service import (
 )
 from repro.service.backends import SimulatedFaaSBackend
 from repro.service.faults import FaultPlan, FaultRule
+from repro.sgx.attestation import AttestationError, QuotingEnclave
 from repro.service.load import (
     polybench_tenant_mix,
     run_loadtest,
@@ -66,6 +67,24 @@ def test_tenant_isolation_of_logs(gateway):
     gateway.execute("bob", "total", 4)
     assert len(gateway.ledger.receipts("alice")) == 2
     assert len(gateway.ledger.receipts("bob")) == 1
+
+
+@pytest.mark.parametrize("distrust", ["revoke", "mark_tcb_outdated", "unprovisioned"])
+def test_tenant_whose_ae_fails_attestation_is_refused(distrust):
+    gw = MeteringGateway(workers=1, pool="thread")
+    try:
+        if distrust == "unprovisioned":
+            gw.qe = QuotingEnclave(seed=0xBAD)
+            gw.platform.launch(gw.qe)
+        else:
+            getattr(gw.attestation_service, distrust)(gw.qe)
+        with pytest.raises(AttestationError):
+            gw.register_tenant("alice", minic=MINIC_SQUARE)
+        assert gw.ledger.tenants() == []
+        with pytest.raises(UnknownTenant):
+            gw.execute("alice", "square", 3)
+    finally:
+        gw.shutdown()
 
 
 def test_unknown_tenant(gateway):
