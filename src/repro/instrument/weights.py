@@ -47,10 +47,6 @@ class WeightTable:
     def block_weight(self, names: list[str]) -> int:
         return sum(self.weight(n) for n in names)
 
-    def to_cycles(self, counter_value: int) -> float:
-        """Convert a counter reading back to (fractional) cycle units."""
-        return counter_value / self.scale
-
     def digest(self) -> bytes:
         """Stable digest identifying this table (goes into resource logs).
 

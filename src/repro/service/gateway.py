@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from contextlib import ExitStack
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
@@ -389,8 +390,12 @@ class MeteringGateway:
             batch_window=self.seal_window,
         )
         self.platform.launch(ae)
-        self._attest(ae, tenant_id)
-        ae.load_workload(instrumented, evidence)
+        try:
+            self._attest(ae, tenant_id)
+            ae.load_workload(instrumented, evidence)
+        except BaseException:
+            self.platform.destroy(ae)  # a refused AE keeps no key resident
+            raise
 
         module_bytes = encode_module(instrumented)
         if instrumented.memories:
@@ -800,16 +805,22 @@ class MeteringGateway:
         In batched-sealing mode every tenant's pending receipt window is
         flushed first (one short batch each), so AE batches never straddle
         an epoch boundary and the sealed epoch verifies offline from the
-        receipts plus the recorded batches alone.
+        receipts plus the recorded batches alone.  Every tenant lock is
+        held, in tenant-id order, across the flushes and the seal: a
+        receipt recorded between its tenant's flush and the seal would
+        otherwise be sealed without a covering batch.
         """
         with obs_span("gateway.seal_epoch"):
-            if self.seal_window is not None:
-                for tenant in self._tenants.values():
-                    with tenant.lock:
+            with ExitStack() as held:
+                tenants = [tenant for _tid, tenant in sorted(self._tenants.items())]
+                for tenant in tenants:
+                    held.enter_context(tenant.lock)
+                if self.seal_window is not None:
+                    for tenant in tenants:
                         tenant.ae.log.flush()
                         for batch in tenant.ae.log.drain_batches():
                             self.ledger.record_batch(tenant.tenant_id, batch)
-            seal = self.ledger.seal_epoch()
+                seal = self.ledger.seal_epoch()
             self.admission.reset_epoch()
             return seal
 

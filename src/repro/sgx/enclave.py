@@ -50,6 +50,11 @@ class SGXPlatform:
         enclave._platform = self
         self.enclaves.append(enclave)
 
+    def destroy(self, enclave: "Enclave") -> None:
+        """Tear a resident enclave down (EREMOVE): it and its keys leave."""
+        self.enclaves.remove(enclave)
+        enclave._platform = None
+
     # -- local attestation primitives (EREPORT / report-key verify) -------------
 
     def create_report(self, enclave: "Enclave", report_data: bytes) -> Report:

@@ -68,7 +68,3 @@ class RequestServer:
                 self._try_dispatch()
 
             self.sim.schedule(duration, finish)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)

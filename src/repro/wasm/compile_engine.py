@@ -22,6 +22,24 @@ function body is translated once into Python **source** —
   the batch per instruction from a static step table, each non-control
   instruction through the predecode reference's closure for it
   (:func:`repro.wasm.predecode.compile_simple`);
+* only the work the wasm asks for: a signed compare flips both sign bits
+  and compares unsigned (``(a ^ 0x80000000) < (b ^ 0x80000000)``), any
+  other signed use converts inline (``(a ^ S) - S``), literals fold at
+  translate time, and ``eqz`` of a compare flips the compare instead of
+  nesting a second conditional.  A nonzero literal divisor is inline
+  truncating arithmetic with no zero test (``div_s`` by -1 keeps its
+  overflow test), ``x // 1`` is ``x``, and a float division by a nonzero
+  finite literal is a plain ``/``.  Globals are read and written through
+  the :class:`Global` objects bound in the prologue (``_g{i}``), pending
+  like locals, so a counter increment (``global.get; i64.const; i64.add;
+  global.set``) is one statement;
+* memory accesses leave the bounds check to ``struct``: the effective
+  address (a u32 base plus a u32 offset, unmasked) is written to ``_a``
+  inside the prebound ``unpack_from``/``pack_into`` call, which raises
+  ``struct.error`` past the end (addresses are never negative).  The
+  batch's ``except`` turns that into the :class:`MemoryAccessError` text of
+  :class:`~repro.wasm.memory.LinearMemory` (``read of W bytes at A out of
+  bounds (LEN)``) from ``_a`` and a per-position table of kind and width;
 * trap attribution: blocks that may trap run under ``try``, record the
   trapping position in ``_tp``, and roll back the not-executed suffix, so
   :class:`ExecutionStats` stay byte-identical to the predecode reference,
@@ -62,7 +80,7 @@ import re
 import struct
 
 from repro.lru import LRUCache
-from repro.wasm.instructions import SEGMENT_BARRIERS, TRAPPING_INSTRUCTIONS, Instr
+from repro.wasm.instructions import SEGMENT_BARRIERS, Instr
 from repro.wasm.interpreter import (
     CapturedFrame,
     CaptureUnwind,
@@ -75,6 +93,7 @@ from repro.wasm.interpreter import (
     _nearest,
     _rotl,
     _rotr,
+    _signed,
     _trunc_div,
     _trunc_rem,
     _trunc_to_int,
@@ -163,12 +182,12 @@ def _as_int(expr: str) -> int | None:
         return None
 
 
-def _sg32(v: int) -> int:
-    return v - 0x100000000 if v >= 0x80000000 else v
-
-
-def _sg64(v: int) -> int:
-    return v - 0x10000000000000000 if v >= 0x8000000000000000 else v
+def _as_float(expr: str) -> float | None:
+    """The value of a float literal operand expression, else ``None``."""
+    try:
+        return float(expr)
+    except ValueError:
+        return None
 
 
 def _flush_visits(S, V, vp, sv) -> None:
@@ -420,7 +439,9 @@ class _Translator:
         self.emit(f"_vp[{bid}] += 1")
         buf = seg["buf"]
         if seg["can_trap"]:
-            self.emit("_tp = -1")
+            # _tp names the last trap point reached: -1 before the first
+            if not buf[0].startswith("_tp = "):
+                self.emit("_tp = -1")
             self.emit("try:")
             self.ind += 1
             for line in buf:
@@ -451,6 +472,14 @@ class _Translator:
                 self.emit(f"_ex -= {len(trail)}")
             self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
             self.emit(f"_E._unwind({self.fidx}, {seg['index']}, _tp)")
+            if seg["oob"]:
+                # struct refused an access past the end: the same text as
+                # LinearMemory.read/write, at the address the access wrote
+                oob = self.const(seg["oob"])
+                self.emit(
+                    f"if isinstance(_xc, _SE) and _tp in {oob}: _xc = MemoryAccessError("
+                    f'f"{{{oob}[_tp]}} {{_a}} out of bounds ({{len(_mb)}})")'
+                )
             self.emit("if isinstance(_xc, MemoryAccessError): raise Trap(str(_xc)) from _xc")
             self.emit("raise")
             self.ind -= 1
@@ -575,6 +604,11 @@ class _Translator:
         # trap position (what had completed before the op at index j ran)
         self._seg_mem = [0, 0, 0, 0]
         self._seg_mp: dict[int, tuple] = {-1: (0, 0, 0, 0)}
+        # per memory access position, the head of its out-of-bounds message
+        self._seg_oob: dict[int, str] = {}
+        # compare expressions pushed in this block -> (condition, the
+        # expression's value when the condition holds)
+        self._conds: dict[str, tuple[str, int]] = {}
         for j, m in enumerate(members):
             self._emit_op(m, j, buf)
         d1 = len(self._sym)
@@ -593,7 +627,9 @@ class _Translator:
             "index": seg_index,
             "names": names,
             "op_cycles": op_cycles,
-            "can_trap": any(nm in TRAPPING_INSTRUCTIONS for nm in names),
+            # a literal divisor, say, leaves a trapping instruction that
+            # cannot trap: only recorded trap points need the rollback
+            "can_trap": len(self._seg_mp) > 1,
             "written_locals": sorted(
                 {m.args[0] for m in members if m.name in ("local.set", "local.tee")}
             ),
@@ -602,12 +638,19 @@ class _Translator:
             "d1": d1,
             "mem": tuple(self._seg_mem),
             "mp": dict(self._seg_mp),
+            "oob": dict(self._seg_oob),
             "control": self._control(),
         }
         self.max_d = max(self.max_d, d0, d1)
         return d1
 
     # -- symbolic-stack helpers ------------------------------------------------
+
+    def _trap_point(self, j: int, out: list[str]) -> None:
+        """Block position ``j`` may trap: ``_tp`` names it at run time, and
+        the memory stats completed before it are kept for the rollback."""
+        self._seg_mp[j] = tuple(self._seg_mem)
+        out.append(f"_tp = {j}")
 
     def _temp(self) -> str:
         self.tctr += 1
@@ -635,14 +678,15 @@ class _Translator:
         self._sym[k] = t
         self._deps[k] = set()
 
-    def _barrier_local(self, index: int, out: list[str]) -> None:
-        """A local is about to be written: pin every expression reading it.
+    def _barrier(self, var, out: list[str]) -> None:
+        """A variable is about to be written: pin every expression reading it.
 
+        ``var`` is a local's index or a global's ``_g{index}`` name.
         ``force=True`` because a bare ``l{index}`` slot — simple, but about to
         change value — must be copied out before the write.
         """
         for k in range(len(self._sym)):
-            if index in self._deps[k]:
+            if var in self._deps[k]:
                 self._materialize(k, out, force=True)
 
     def _pop_simple(self, out: list[str]) -> tuple[str, set]:
@@ -664,7 +708,10 @@ class _Translator:
             c, cd = self._pop()
             b, bd = self._pop()
             a, ad = self._pop()
-            self._push(f"({a} if {c} else {b})", ad | bd | cd, out)
+            cond, when = self._conds.get(c, (c, 1))
+            if not when:
+                a, b = b, a
+            self._push(f"({a} if {cond} else {b})", ad | bd | cd, out)
             return
         if name == "local.get":
             idx = instr.args[0]
@@ -673,24 +720,27 @@ class _Translator:
         if name == "local.set":
             idx = instr.args[0]
             e, _deps = self._pop()
-            self._barrier_local(idx, out)
+            self._barrier(idx, out)
             out.append(f"l{idx} = {e}")
             return
         if name == "local.tee":
             idx = instr.args[0]
             e, _deps = self._pop()
-            self._barrier_local(idx, out)
+            self._barrier(idx, out)
             out.append(f"l{idx} = {e}")
             self._push(f"l{idx}", {idx}, out)
             return
         if name == "global.get":
-            t = self._temp()
-            out.append(f"{t} = _G[{instr.args[0]}].value")
-            self._push(t, set(), out)
+            # pending like a local, so a counter increment (global.get;
+            # i64.const; i64.add; global.set) is one statement
+            g = f"_g{instr.args[0]}"
+            self._push(f"{g}.value", {g}, out)
             return
         if name == "global.set":
+            g = f"_g{instr.args[0]}"
             e, _deps = self._pop()
-            out.append(f"_G[{instr.args[0]}].value = {e}")
+            self._barrier(g, out)
+            out.append(f"{g}.value = {e}")
             return
         if name.endswith(".const"):
             value = instr.args[0]
@@ -699,6 +749,7 @@ class _Translator:
             return
         if name == "memory.size":
             if not self.has_memory:
+                self._trap_point(j, out)
                 out.append('raise Trap("no memory")')
                 self._push("0", set(), out)  # unreachable; keep depth consistent
                 return
@@ -718,6 +769,7 @@ class _Translator:
     def _emit_memory_access(self, instr, name, prefix, suffix, j, out) -> None:
         is_store = "store" in suffix
         if not self.has_memory:
+            self._trap_point(j, out)
             out.append('raise Trap("no memory")')
             # keep static depth bookkeeping consistent (code is unreachable)
             if is_store:
@@ -739,59 +791,80 @@ class _Translator:
             base, _bd = self._pop()
         else:
             base, _bd = self._pop()
-        addr = f"({base} + {offset})" if offset else f"({base})"
-        a = self._temp()
-        self._seg_mp[j] = tuple(self._seg_mem)
-        out.append(f"_tp = {j}")
-        out.append(f"{a} = {addr} & 0xffffffffffffffff")
-        # inline bounds check + Struct access: same MemoryAccessError text as
-        # LinearMemory.read/write, minus the byte copy and two call layers
+        # a u32 base plus a u32 offset is below 2**33: no wrap-around mask.
+        # Struct does the bounds check: unpack_from/pack_into raise
+        # struct.error past the end (addresses are never negative), which
+        # the batch's except turns into LinearMemory.read/write's text,
+        # from the address in _a and the head of the message kept per _tp
+        blit = _as_int(base)
+        if blit is not None:
+            addr = repr(blit + offset)
+        else:
+            addr = f"{base} + {offset}" if offset else base
         kind = "write" if is_store else "read"
-        out.append(
-            f"if {a} + {width} > len(_mb): raise MemoryAccessError("
-            f'f"{kind} of {width} bytes at {{{a}}} out of bounds ({{len(_mb)}})")'
-        )
+        self._trap_point(j, out)
+        self._seg_oob[j] = f"{kind} of {width} bytes at"
         if is_store:
             if prefix == "f32":
                 # mirror LinearMemory.store_f32's out-of-range clamp to inf
-                out.append(f"try: _Sf4(_mb, {a}, {val})")
+                out.append(f"try: _Sf4(_mb, _a := {addr}, {val})")
                 out.append(
                     f"except OverflowError: "
-                    f"_Sf4(_mb, {a}, _INF if {val} > 0 else -_INF)"
+                    f"_Sf4(_mb, _a, _INF if {val} > 0 else -_INF)"
                 )
             elif prefix == "f64":
-                out.append(f"_Sf8(_mb, {a}, {val})")
+                out.append(f"_Sf8(_mb, _a := {addr}, {val})")
             else:
                 mask = hex((1 << (width * 8)) - 1)
-                out.append(f"_S{width}(_mb, {a}, {val} & {mask})")
+                out.append(f"_S{width}(_mb, _a := {addr}, {val} & {mask})")
             self._seg_mem[1] += 1
             self._seg_mem[3] += width
             if self.cost_on:
-                out.append(f"S.cycles += C.memory_access_cycles({a}, {width}, True)")
+                out.append(f"S.cycles += C.memory_access_cycles(_a, {width}, True)")
         else:
             t = self._temp()
             if prefix == "f32":
-                out.append(f"{t} = _Lf4(_mb, {a})[0]")
+                out.append(f"{t} = _Lf4(_mb, _a := {addr})[0]")
             elif prefix == "f64":
-                out.append(f"{t} = _Lf8(_mb, {a})[0]")
+                out.append(f"{t} = _Lf8(_mb, _a := {addr})[0]")
             else:
                 signed = suffix.endswith("_s")
-                expr = f"_L{width}{'s' if signed else 'u'}(_mb, {a})[0]"
+                expr = f"_L{width}{'s' if signed else 'u'}(_mb, _a := {addr})[0]"
                 if signed:
                     expr += f" & {hex((1 << vt_bits) - 1)}"
                 out.append(f"{t} = {expr}")
             self._seg_mem[0] += 1
             self._seg_mem[2] += width
             if self.cost_on:
-                out.append(f"S.cycles += C.memory_access_cycles({a}, {width}, False)")
+                out.append(f"S.cycles += C.memory_access_cycles(_a, {width}, False)")
             self._push(t, set(), out)
 
-    def _signed_expr(self, expr: str, bits: int) -> str:
-        """Compile-time sign conversion for literals, helper call otherwise."""
+    @staticmethod
+    def _biased(expr: str, bits: int) -> str:
+        """``expr`` with its sign bit flipped: unsigned order of the result
+        is the signed order of ``expr`` (literals fold)."""
+        sign = 1 << (bits - 1)
         lit = _as_int(expr)
         if lit is not None:
-            return repr(lit - (1 << bits) if lit >= (1 << (bits - 1)) else lit)
-        return f"_sg{bits}({expr})"
+            return repr((lit % (1 << bits)) ^ sign)
+        return f"({expr} ^ {hex(sign)})"
+
+    @staticmethod
+    def _signed_expr(expr: str, bits: int) -> str:
+        """The signed value of ``expr``, inline (literals fold)."""
+        lit = _as_int(expr)
+        if lit is not None:
+            return repr(_signed(lit % (1 << bits), bits))
+        sign = hex(1 << (bits - 1))
+        return f"(({expr} ^ {sign}) - {sign})"
+
+    def _push_cond(self, cond: str, deps: set, out: list[str], when: int = 1) -> None:
+        """Push a compare: ``when`` if ``cond`` holds, else the other of 0/1.
+        Kept in :attr:`_conds`, so an ``eqz`` of it flips ``when`` instead of
+        nesting a second conditional."""
+        expr = f"({when} if {cond} else {1 - when})"
+        self._conds[expr] = (cond, when)
+        self._push(expr, deps, out)
 
     def _emit_int(self, name, suffix, prefix, j, out) -> None:
         bits = 32 if prefix == "i32" else 64
@@ -837,18 +910,19 @@ class _Translator:
         if suffix in _I_CMP_U:
             b, bd = self._pop()
             a, ad = self._pop()
-            self._push(f"(1 if {a} {_I_CMP_U[suffix]} {b} else 0)", ad | bd, out)
+            self._push_cond(f"{a} {_I_CMP_U[suffix]} {b}", ad | bd, out)
             return
         if suffix in _I_CMP_S:
             b, bd = self._pop()
             a, ad = self._pop()
-            sa = self._signed_expr(a, bits)
-            sb = self._signed_expr(b, bits)
-            self._push(f"(1 if {sa} {_I_CMP_S[suffix]} {sb} else 0)", ad | bd, out)
+            sa = self._biased(a, bits)
+            sb = self._biased(b, bits)
+            self._push_cond(f"{sa} {_I_CMP_S[suffix]} {sb}", ad | bd, out)
             return
         if suffix == "eqz":
             a, ad = self._pop()
-            self._push(f"(1 if {a} == 0 else 0)", ad, out)
+            cond, when = self._conds.get(a, (f"{a} == 0", 0))
+            self._push_cond(cond, ad, out, 1 - when)
             return
         if suffix in ("clz", "ctz"):
             a, ad = self._pop()
@@ -860,39 +934,53 @@ class _Translator:
             return
         if suffix in ("div_u", "rem_u"):
             op = "//" if suffix == "div_u" else "%"
+            blit = _as_int(self._sym[-1]) if self._sym else None
+            c = blit % (1 << bits) if blit is not None else 0
+            if c:
+                # a nonzero literal divisor: no trap, no mask (the result
+                # is no larger than the dividend)
+                self._pop()
+                if c == 1 and op == "//":
+                    return  # the dividend stays
+                a, ad = self._pop()
+                if c == 1:
+                    self._push("0", set(), out)
+                else:
+                    self._push(f"({a} {op} {c})", ad, out)
+                return
             b, _bd = self._pop()
             a, _ad = self._pop()
-            blit = _as_int(b)
             t = self._temp()
-            self._seg_mp[j] = tuple(self._seg_mem)
-            out.append(f"_tp = {j}")
+            self._trap_point(j, out)
             if blit is None:
                 tb = self._temp()
                 out.append(f"{tb} = {b}")
                 out.append(f'if {tb} == 0: raise Trap("integer divide by zero")')
                 b = tb
-            elif blit == 0:
+            else:  # a zero literal
                 out.append('raise Trap("integer divide by zero")')
             out.append(f"{t} = ({a} {op} {b}) & {mask}")
             self._push(t, set(), out)
             return
         if suffix in ("div_s", "rem_s"):
+            blit = _as_int(self._sym[-1]) if self._sym else None
+            c = _signed(blit % (1 << bits), bits) if blit is not None else 0
+            if c:
+                self._pop()
+                self._emit_divrem_s_by(suffix, c, bits, j, out)
+                return
             b, _bd = self._pop()
             a, _ad = self._pop()
             t = self._temp()
-            self._seg_mp[j] = tuple(self._seg_mem)
-            out.append(f"_tp = {j}")
-            blit = _as_int(b)
+            self._trap_point(j, out)
             if blit is None:
                 tb = self._temp()
                 out.append(f"{tb} = {self._signed_expr(b, bits)}")
                 out.append(f'if {tb} == 0: raise Trap("integer divide by zero")')
                 sb = tb
-            elif blit % (1 << bits) == 0:
+            else:  # a zero literal
                 out.append('raise Trap("integer divide by zero")')
                 sb = "0"
-            else:
-                sb = self._signed_expr(b, bits)
             ta = self._temp()
             out.append(f"{ta} = {self._signed_expr(a, bits)}")
             if suffix == "div_s":
@@ -909,8 +997,7 @@ class _Translator:
         if suffix.startswith("trunc_f"):
             a, _ad = self._pop()
             t = self._temp()
-            self._seg_mp[j] = tuple(self._seg_mem)
-            out.append(f"_tp = {j}")
+            self._trap_point(j, out)
             out.append(f"{t} = _trunc_to_int({a}, {bits}, {suffix.endswith('_s')})")
             self._push(t, set(), out)
             return
@@ -925,9 +1012,7 @@ class _Translator:
             )
             return
         if suffix == "extend_i32_u":
-            a, ad = self._pop()
-            self._push(f"({a} & 0xffffffff)", ad, out)
-            return
+            return  # an i32 value is already below 2**32
         if suffix == "reinterpret_f32":
             a, ad = self._pop()
             self._push(f'_up("<I", _pk("<f", _f32({a})))[0]', ad, out)
@@ -937,6 +1022,41 @@ class _Translator:
             self._push(f'_up("<Q", _pk("<d", {a}))[0]', ad, out)
             return
         raise CompileError(f"no translation for {name}")
+
+    def _emit_divrem_s_by(self, suffix: str, c: int, bits: int, j: int, out) -> None:
+        """``div_s``/``rem_s`` by the nonzero literal ``c`` (signed value),
+        inline: truncating arithmetic on the unsigned operand, with no
+        helper call and no zero test.  Only ``div_s`` by -1 can trap."""
+        sign, mod = hex(1 << (bits - 1)), hex(1 << bits)
+        mask = hex((1 << bits) - 1)
+        m = abs(c)
+        if suffix == "rem_s":
+            if m == 1:
+                self._pop()
+                self._push("0", set(), out)
+                return
+            # the remainder takes the dividend's sign
+            a, ad = self._pop_simple(out)
+            self._push(
+                f"({a} % {m} if {a} < {sign} else -(({mod} - {a}) % {m}) & {mask})",
+                ad, out,
+            )
+            return
+        if c == 1:
+            return  # the dividend stays
+        a, ad = self._pop_simple(out)
+        if c == -1:
+            self._trap_point(j, out)
+            out.append(f'if {a} == {sign}: raise Trap("integer overflow")')
+            self._push(f"(-{a} & {mask})", ad, out)
+            return
+        # |quotient| = |dividend| // |c|, negative when the signs differ
+        neg = f"(({mod} - {a}) // {m})"
+        if c > 0:
+            expr = f"({a} // {m} if {a} < {sign} else -{neg} & {mask})"
+        else:
+            expr = f"(-({a} // {m}) & {mask} if {a} < {sign} else {neg})"
+        self._push(expr, ad, out)
 
     def _emit_float(self, name, suffix, prefix, out) -> None:
         narrow = prefix == "f32"
@@ -951,6 +1071,13 @@ class _Translator:
             self._push(wrap(f"({a} {op} {b})"), ad | bd, out)
             return
         if suffix == "div":
+            lit = _as_float(self._sym[-1]) if self._sym else None
+            if lit is not None and lit != 0.0 and math.isfinite(lit):
+                # a nonzero finite literal divisor: plain division
+                b, bd = self._pop()
+                a, ad = self._pop()
+                self._push(wrap(f"({a} / {b})"), ad | bd, out)
+                return
             b, bd = self._pop_simple(out)
             a, ad = self._pop_simple(out)
             # wasm float division: 0-divisor produces nan or signed infinity
@@ -1054,6 +1181,9 @@ class _Translator:
         self.emit("_br = 0")
         self.emit(f"_SV = {self.kname}[0]")
         self.emit("_vp = [0] * len(_SV)")
+        used = {m.args[0] for m in self.body if m.name in ("global.get", "global.set")}
+        for g in sorted(used):
+            self.emit(f"_g{g} = _G[{g}]")
         if self.has_memory:
             self.emit("M = _M")
             self.emit("_mb = M._data")  # bytearray grows in place: stays valid
@@ -1442,9 +1572,8 @@ _SHARED_NAMESPACE = {
     "_CU": CaptureUnwind,
     "Trap": Trap,
     "MemoryAccessError": MemoryAccessError,
+    "_SE": struct.error,
     "_f32": _f32,
-    "_sg32": _sg32,
-    "_sg64": _sg64,
     "_fv": _flush_visits,
     "_trunc_div": _trunc_div,
     "_trunc_rem": _trunc_rem,

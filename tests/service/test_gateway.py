@@ -87,6 +87,18 @@ def test_tenant_whose_ae_fails_attestation_is_refused(distrust):
         gw.shutdown()
 
 
+def test_refused_registrations_leave_no_enclave_behind():
+    gw = MeteringGateway(workers=1, pool="thread")
+    try:
+        gw.attestation_service.revoke(gw.qe)
+        for tenant in ("alice", "bob", "carol"):
+            with pytest.raises(AttestationError):
+                gw.register_tenant(tenant, minic=MINIC_SQUARE)
+        assert gw.platform.enclaves == [gw.ie, gw.qe]
+    finally:
+        gw.shutdown()
+
+
 def test_unknown_tenant(gateway):
     with pytest.raises(UnknownTenant):
         gateway.submit("nobody", "f")

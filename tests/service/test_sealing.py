@@ -9,6 +9,10 @@ exactly-once billing under chaos, and checkpoint receipts riding inside
 batches.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.accounting_enclave import AccountingEnclave
@@ -277,6 +281,47 @@ class TestGatewayBatchedSealing:
             assert ae.log.batch_window is None
             assert all(e.signature for e in ae.log.entries)
             assert gw.ledger.batches("alice") == []
+        finally:
+            gw.shutdown()
+
+
+class TestSealDuringTraffic:
+    def test_every_epoch_sealed_under_load_verifies(self):
+        """Seals race four requests in flight: a receipt recorded between a
+        tenant's window flush and the ledger seal must not be sealed
+        without its covering batch."""
+        gw = _batched_gateway(seal_window=4)
+        seals = []
+        stop = threading.Event()
+
+        def sealer():
+            while not stop.is_set():
+                seals.append(gw.seal_epoch())
+                time.sleep(0.003)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=sealer)
+        try:
+            thread.start()
+            for i in range(80):
+                futures = [gw.submit(tenant, "square", i) for tenant in TENANTS]
+                for future in futures:
+                    future.result(timeout=30)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        try:
+            assert not thread.is_alive()
+            seals.append(gw.seal_epoch())
+            failed = [
+                (seal.epoch, verdict.errors[:1])
+                for seal in seals
+                if not (verdict := gw.verify_epoch(seal)).ok
+            ]
+            assert len(seals) > 5
+            assert failed == []
         finally:
             gw.shutdown()
 

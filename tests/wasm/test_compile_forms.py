@@ -1,0 +1,350 @@
+"""Differential pinning of the compile engine's specialised emission forms.
+
+:mod:`repro.wasm.compile_engine` does not translate every instruction the
+one way the predecode reference runs it.  Signed compares flip the sign bit
+instead of converting, ``eqz`` of a compare flips the compare, a literal
+divisor becomes inline arithmetic, and a memory access leaves its bounds
+check to ``struct``.  Each case here runs on ``compile`` and on
+``predecode`` and requires the same value, the same :class:`Trap` text and
+byte-identical :class:`ExecutionStats` after every call, at the operand
+values where those forms could go wrong: the sign boundary, ``INT_MIN``
+and ``-1`` divisors, and the last bytes of memory before and after a
+``memory.grow``.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+import struct
+
+import pytest
+
+from repro.instrument import instrument_module
+from repro.wasm.compile_engine import _module_has_memory, _Translator
+from repro.wasm.costmodel import CostModel
+from repro.wasm.interpreter import Instance, Trap
+from repro.wasm.memory import PAGE_SIZE
+from repro.wasm.wat_parser import parse_wat
+from repro.workloads import POLYBENCH_KERNELS
+
+ENGINES = ("predecode", "compile")
+
+#: per integer type: 0, 1, INT_MAX, INT_MIN and -1, unsigned
+BOUNDARY = {
+    "i32": [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF],
+    "i64": [0, 1, 0x7FFFFFFFFFFFFFFF, 0x8000000000000000, 0xFFFFFFFFFFFFFFFF],
+}
+
+
+def _stats_record(stats) -> tuple:
+    return (
+        sorted(stats.visits.items()), stats.executed, stats.cycles, stats.loads,
+        stats.stores, stats.bytes_loaded, stats.bytes_stored, stats.calls,
+        stats.host_calls, stats.grow_history,
+    )
+
+
+def _outcome(instance: Instance, name: str, args: tuple):
+    try:
+        value = instance.invoke(name, *args)
+    except Trap as exc:
+        value = ("trap", str(exc))
+    if isinstance(value, float):
+        value = struct.pack("<d", value)  # bit-exact, NaN included
+    return value, _stats_record(instance.stats)
+
+
+def _differential(wat: str, calls: list[tuple[str, tuple]]) -> list:
+    """Run ``calls`` in order on one instance per engine; every outcome and
+    the stats after it must match.  Returns the reference outcomes."""
+    instances = {
+        engine: Instance(parse_wat(wat), engine=engine, cost_model=CostModel())
+        for engine in ENGINES
+    }
+    outcomes = []
+    for name, args in calls:
+        expected = _outcome(instances["predecode"], name, args)
+        got = _outcome(instances["compile"], name, args)
+        assert got == expected, f"{name}{args}"
+        outcomes.append(expected)
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Signed compares, and eqz of them
+# ---------------------------------------------------------------------------
+
+
+def _compare_module(t: str, op: str) -> str:
+    cmp_vv = f"({t}.{op} (local.get 0) (local.get 1))"
+    funcs = [
+        f'(func (export "vv") (param {t} {t}) (result i32) {cmp_vv})',
+        f'(func (export "z1") (param {t} {t}) (result i32) (i32.eqz {cmp_vv}))',
+        f'(func (export "z2") (param {t} {t}) (result i32) (i32.eqz (i32.eqz {cmp_vv})))',
+        f'(func (export "z3") (param {t} {t}) (result i32)'
+        f" (i32.eqz (i32.eqz (i32.eqz {cmp_vv}))))",
+        f'(func (export "sel") (param {t} {t}) (result i32)'
+        f" (select (i32.const 10) (i32.const 20) {cmp_vv}))",
+        f'(func (export "selz") (param {t} {t}) (result i32)'
+        f" (select (i32.const 10) (i32.const 20) (i32.eqz {cmp_vv})))",
+    ]
+    for k, lit in enumerate(BOUNDARY[t]):
+        funcs.append(
+            f'(func (export "vl{k}") (param {t}) (result i32)'
+            f" ({t}.{op} (local.get 0) ({t}.const {lit})))"
+        )
+        funcs.append(
+            f'(func (export "lv{k}") (param {t}) (result i32)'
+            f" (i32.eqz ({t}.{op} ({t}.const {lit}) (local.get 0))))"
+        )
+    return "(module " + "\n".join(funcs) + ")"
+
+
+@pytest.mark.parametrize("t", ["i32", "i64"])
+@pytest.mark.parametrize("op", ["lt_s", "gt_s", "le_s", "ge_s"])
+def test_signed_compare_and_eqz(t, op):
+    values = BOUNDARY[t]
+    calls = []
+    for a in values:
+        for b in values:
+            calls += [(fn, (a, b)) for fn in ("vv", "z1", "z2", "z3", "sel", "selz")]
+        calls += [(f"{side}{k}", (a,)) for k in range(len(values)) for side in ("vl", "lv")]
+    outcomes = _differential(_compare_module(t, op), calls)
+    # the reference itself: INT_MIN < 0 < INT_MAX as signed values
+    bits = 32 if t == "i32" else 64
+    lt = {
+        (a, b): (a - (a >> (bits - 1) << bits)) < (b - (b >> (bits - 1) << bits))
+        for a in values for b in values
+    }
+    vv = [out[0] for (fn, _), out in zip(calls, outcomes) if fn == "vv"]
+    pairs = [args for fn, args in calls if fn == "vv"]
+    expected = {
+        "lt_s": lambda a, b: lt[a, b],
+        "gt_s": lambda a, b: lt[b, a],
+        "le_s": lambda a, b: not lt[b, a],
+        "ge_s": lambda a, b: not lt[a, b],
+    }[op]
+    assert vv == [int(expected(a, b)) for a, b in pairs]
+
+
+def test_eqz_chains_of_plain_values():
+    wat = """
+    (module
+      (func (export "z1") (param i32) (result i32) (i32.eqz (local.get 0)))
+      (func (export "z2") (param i32) (result i32) (i32.eqz (i32.eqz (local.get 0))))
+      (func (export "z3") (param i32) (result i32)
+        (i32.eqz (i32.eqz (i32.eqz (local.get 0)))))
+      (func (export "z64") (param i64) (result i32)
+        (i32.eqz (i64.eqz (local.get 0)))))
+    """
+    calls = [(fn, (v,)) for v in BOUNDARY["i32"] for fn in ("z1", "z2", "z3")]
+    calls += [("z64", (v,)) for v in BOUNDARY["i64"]]
+    outcomes = _differential(wat, calls)
+    assert [out[0] for out in outcomes[:3]] == [1, 0, 1]  # at 0
+
+
+# ---------------------------------------------------------------------------
+# Literal divisors
+# ---------------------------------------------------------------------------
+
+
+def _divisors(t: str) -> list[int]:
+    bits = 32 if t == "i32" else 64
+    return [1, -1, 7, -7, -(1 << (bits - 1)), 0]
+
+
+def _dividends(t: str) -> list[int]:
+    bits = 32 if t == "i32" else 64
+    int_min, int_max = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return [0, 1, 6, 7, 8, -1, -6, -7, -8, 100, -100, int_min, int_min + 1, int_max]
+
+
+@pytest.mark.parametrize("t", ["i32", "i64"])
+@pytest.mark.parametrize("op", ["div_s", "div_u", "rem_s", "rem_u"])
+def test_divide_by_literal(t, op):
+    divisors = _divisors(t)
+    funcs = [
+        f'(func (export "d{k}") (param {t}) (result {t})'
+        f" ({t}.{op} (local.get 0) ({t}.const {c})))"
+        for k, c in enumerate(divisors)
+    ]
+    # the same divisors arriving as values: the general, helper-call path
+    funcs.append(
+        f'(func (export "dv") (param {t} {t}) (result {t})'
+        f" ({t}.{op} (local.get 0) (local.get 1)))"
+    )
+    wat = "(module " + "\n".join(funcs) + ")"
+    calls = []
+    for a in _dividends(t):
+        for k, c in enumerate(divisors):
+            calls += [(f"d{k}", (a,)), ("dv", (a, c))]
+    outcomes = _differential(wat, calls)
+    # literal and value divisors agree with each other, too
+    by_literal, by_value = outcomes[0::2], outcomes[1::2]
+    assert [out[0] for out in by_literal] == [out[0] for out in by_value]
+    traps = {out[0][1] for out in outcomes if isinstance(out[0], tuple)}
+    expected = {"integer divide by zero"}
+    if op == "div_s":
+        expected.add("integer overflow")  # INT_MIN / -1
+    assert traps == expected
+
+
+def test_division_inside_a_longer_block_rolls_back_exactly():
+    """A trapping ``div_s`` by -1 between memory accesses: the batch's
+    rollback must charge the prefix only."""
+    wat = """
+    (module (memory 1)
+      (func (export "f") (param i32) (result i32)
+        (i32.store (i32.const 0) (local.get 0))
+        (i32.store (i32.const 4)
+          (i32.div_s (i32.load (i32.const 0)) (i32.const -1)))
+        (i32.rem_s (i32.load (i32.const 4)) (i32.const 7))))
+    """
+    calls = [("f", (v,)) for v in BOUNDARY["i32"] + [-13, 13]]
+    outcomes = _differential(wat, calls)
+    assert outcomes[3][0] == ("trap", "integer overflow")
+
+
+@pytest.mark.parametrize("t", ["f32", "f64"])
+def test_float_divide_by_literal(t):
+    literals = [2.0, -0.5, 3.0, 1e-30, -7.25]
+    funcs = [
+        f'(func (export "d{k}") (param {t}) (result {t})'
+        f" ({t}.div (local.get 0) ({t}.const {lit!r})))"
+        for k, lit in enumerate(literals)
+    ]
+    funcs += [
+        f'(func (export "z") (param {t}) (result {t})'
+        f" ({t}.div (local.get 0) ({t}.const 0.0)))",
+        f'(func (export "nz") (param {t}) (result {t})'
+        f" ({t}.div (local.get 0) ({t}.const -0.0)))",
+    ]
+    wat = "(module " + "\n".join(funcs) + ")"
+    dividends = [1.0, -3.5, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e38, 1e308]
+    calls = [
+        (fn, (a,))
+        for a in dividends
+        for fn in [f"d{k}" for k in range(len(literals))] + ["z", "nz"]
+    ]
+    _differential(wat, calls)
+
+
+# ---------------------------------------------------------------------------
+# Globals read pending, like locals
+# ---------------------------------------------------------------------------
+
+
+def test_global_read_outlives_a_write_to_it():
+    """A pending ``global.get`` is pinned before a ``global.set`` of the
+    same global; the counter increment is one statement."""
+    wat = """
+    (module
+      (global $g (mut i32) (i32.const 5))
+      (global $c (mut i64) (i64.const 0))
+      (func (export "swap") (param i32) (result i32)
+        (global.get $g)
+        (global.set $g (local.get 0)))
+      (func (export "count") (param i64) (result i64)
+        (global.set $c (i64.add (global.get $c) (i64.const 7)))
+        (global.get $c)
+        (global.set $c (i64.add (global.get $c) (local.get 0)))
+        (i64.sub (global.get $c))))
+    """
+    calls = [("swap", (v,)) for v in (9, 0xFFFFFFFF, 3)]
+    calls += [("count", (v,)) for v in (1, -1, 0x7FFFFFFFFFFFFFFF)]
+    outcomes = _differential(wat, calls)
+    assert [out[0] for out in outcomes[:3]] == [5, 9, -1]
+    assert outcomes[3][0] == -1  # c - (c + 1)
+
+
+# ---------------------------------------------------------------------------
+# Memory accesses bounds-checked by struct
+# ---------------------------------------------------------------------------
+
+#: (instruction, access width in bytes, value type)
+ACCESSES = [
+    ("i32.load", 4, "i32"), ("i32.load8_s", 1, "i32"), ("i32.load8_u", 1, "i32"),
+    ("i32.load16_s", 2, "i32"), ("i32.load16_u", 2, "i32"),
+    ("i64.load", 8, "i64"), ("i64.load8_s", 1, "i64"), ("i64.load8_u", 1, "i64"),
+    ("i64.load16_s", 2, "i64"), ("i64.load16_u", 2, "i64"),
+    ("i64.load32_s", 4, "i64"), ("i64.load32_u", 4, "i64"),
+    ("f32.load", 4, "f32"), ("f64.load", 8, "f64"),
+    ("i32.store", 4, "i32"), ("i32.store8", 1, "i32"), ("i32.store16", 2, "i32"),
+    ("i64.store", 8, "i64"), ("i64.store8", 1, "i64"), ("i64.store16", 2, "i64"),
+    ("i64.store32", 4, "i64"), ("f32.store", 4, "f32"), ("f64.store", 8, "f64"),
+]
+
+OFFSET = 16
+
+
+def _access_module(instr: str, t: str) -> str:
+    value = f"({t}.const -3)" if t[0] == "i" else f"({t}.const -2.5)"
+
+    def access(offset: str) -> str:
+        if ".store" in instr:
+            # a load first, so the trapping store rolls a memory prefix back
+            return (
+                f"(drop (i32.load (i32.const 0)))"
+                f" ({instr}{offset} (local.get 0) {value}) (i32.const 1)"
+            )
+        return f"(drop ({instr}{offset} (local.get 0))) (i32.const 1)"
+
+    return f"""
+    (module (memory 1 3)
+      (func (export "acc") (param i32) (result i32) {access("")})
+      (func (export "off") (param i32) (result i32) {access(f" offset={OFFSET}")})
+      (func (export "grow") (result i32) (memory.grow (i32.const 1))))
+    """
+
+
+@pytest.mark.parametrize("instr,width,t", ACCESSES, ids=[a[0] for a in ACCESSES])
+def test_out_of_bounds_access(instr, width, t):
+    calls = []
+    for pages in (1, 2):
+        end = pages * PAGE_SIZE
+        for address in (end - width, end - width + 1, end):
+            calls += [("acc", (address,)), ("off", (address - OFFSET,))]
+        calls.append(("off", (0xFFFFFFFF,)))  # base + offset past 2**32
+        calls.append(("grow", ()))
+    outcomes = _differential(_access_module(instr, t), calls)
+    kind = "write" if ".store" in instr else "read"
+    traps = [out[0][1] for out in outcomes if isinstance(out[0], tuple)]
+    assert traps[0] == f"{kind} of {width} bytes at {PAGE_SIZE - width + 1} out of bounds (65536)"
+    assert traps[-1] == (
+        f"{kind} of {width} bytes at {0xFFFFFFFF + OFFSET} out of bounds (131072)"
+    )
+    assert len(traps) == 10  # two past-the-end addresses x two forms x two sizes + 2
+
+
+def test_memory_instruction_without_a_memory_traps_where_it_stands():
+    """An unvalidated module without memory: the ``no memory`` trap is a
+    trap point, so the rest of its block is not charged."""
+    wat = """
+    (module
+      (func (export "f") (param i32) (result i32)
+        (drop (i32.add (local.get 0) (i32.const 1)))
+        (i32.add (i32.load (local.get 0)) (i32.const 3))))
+    """
+    [(value, _stats)] = _differential(wat, [("f", (4,))])
+    assert value == ("trap", "no memory")
+
+
+# ---------------------------------------------------------------------------
+# What the fast path no longer contains
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [None, "loop-based"])
+def test_generated_code_has_no_sign_helpers_or_length_tests(level):
+    for spec in POLYBENCH_KERNELS.values():
+        module = spec.compile()
+        if level is not None:
+            module = instrument_module(module.clone(), level).module
+        for index in range(len(module.funcs)):
+            source = _Translator(module, index, None, _module_has_memory(module)).translate()[0]
+            assert "_sg32(" not in source and "_sg64(" not in source
+            assert "> len(_mb)" not in source
+            assert not re.search(r"_trunc_(div|rem)\([^,]+, -?\d+\)", source)
+            assert "// 1)" not in source
+            assert not re.search(r"_G\[\d+\]\.value", source)
