@@ -6,7 +6,7 @@ metrics, event rollup, live SLO evaluation) costs per request as the
 tenant population sweeps decades, and gates the curve flat: per-request
 overhead at the largest population within ``1.25x`` of the smallest,
 every per-tenant structure bounded by its budget, the heaviest tenant
-still recoverable through the shard-merged sketches.
+still recoverable through the rollup's Space-Saving summary.
 
 CI runs a reduced sweep (up to 10^4 here; the workflow's scale-soak job
 drives 10^5, and 10^6 is the nightly/manual leg) — the gates are

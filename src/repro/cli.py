@@ -998,9 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "points so per-request overhead is comparable)")
     p.add_argument("--budget", type=int, default=64,
                    help="exact per-tenant series budget; the rest spills "
-                        "to sketches plus one __other__ series")
+                        "to one __other__ series and a Space-Saving summary")
     p.add_argument("--top-k", type=int, default=64,
-                   help="Space-Saving capacity per sketch shard")
+                   help="Space-Saving summary size per governed counter "
+                        "(the rollup's summary holds 8x this)")
     p.add_argument("--max-resident", type=int, default=256,
                    help="resident lazy quota states before idle eviction")
     p.add_argument("--max-overhead-ratio", type=float, default=1.25,

@@ -193,7 +193,7 @@ TRACE_BACKHAUL_BYTES = REGISTRY.histogram(
     buckets=BYTES_BUCKETS,
 )
 
-# -- cardinality governance (tenant budgets, sketches, quota eviction) ---------
+# -- cardinality governance (tenant budgets, spill summaries, quota eviction) --
 
 TENANT_CARDINALITY = REGISTRY.gauge(
     "acctee_tenant_cardinality",
@@ -201,11 +201,7 @@ TENANT_CARDINALITY = REGISTRY.gauge(
 )
 LABEL_SETS_EVICTED = REGISTRY.counter(
     "acctee_label_sets_evicted",
-    "Tenant labelsets denied an exact series (spilled to sketches), by metric.",
-)
-SKETCH_MERGES = REGISTRY.counter(
-    "acctee_sketch_merges",
-    "Shard-sketch merge operations performed for global rollups, by kind.",
+    "Tenant labelsets denied an exact series (spilled to __other__), by metric.",
 )
 QUOTA_EVICTIONS = REGISTRY.counter(
     "acctee_quota_evictions",

@@ -30,14 +30,15 @@ one unbounded dimension (everything else — outcomes, codes, engines — is a
 small enum).  Each instrument therefore runs its tenant labelsets through a
 :class:`~repro.obs.sketch.TenantSpill` governor: the first
 :func:`tenant_budget` distinct tenants get exact series, later ones are
-folded into a single ``tenant="__other__"`` overflow series while a
-Space-Saving/Count-Min sketch keeps their per-tenant frequencies within
-documented bounds.  Totals are conserved (the overflow series absorbs every
-spilled observation) and nothing is silently lost: governance state is
-reported through the hook installed by :mod:`repro.obs.instruments` as the
-``acctee_tenant_cardinality`` gauge and ``acctee_label_sets_evicted``
-counter.  Already-materialised series are a dict hit away, so the governed
-hot path costs the same as before for in-budget tenants.
+folded into a single ``tenant="__other__"`` overflow series; a counter's
+governor also offers each spilled observation to a Space-Saving summary,
+which counts the distinct labelsets shed.  Totals are conserved (the
+overflow series absorbs every spilled observation) and nothing is
+silently lost: governance state is reported through the hook installed
+by :mod:`repro.obs.instruments` as the ``acctee_tenant_cardinality``
+gauge and ``acctee_label_sets_evicted`` counter.  Already-materialised
+series are a dict hit away, so the governed hot path costs the same as
+before for in-budget tenants.
 """
 
 from __future__ import annotations
@@ -156,14 +157,6 @@ class Metric:
 
     kind = "untyped"
 
-    #: Governor fidelity (see :class:`~repro.obs.sketch.TenantSpill`):
-    #: counters/histograms keep Space-Saving heavy hitters ("heavy");
-    #: gauges route only — their sets are not additive, so sketched
-    #: frequency would be meaningless.  The rolling aggregator, not the
-    #: registry, carries the "full" Count-Min governor the top-K and SLO
-    #: paths read.
-    _spill_mode = "heavy"
-
     #: Spills are reported to the governance hook in batches of this many —
     #: per-spill notification is measurable overhead at 10^6-tenant spill
     #: rates, and the evicted counter tolerates being up to a batch behind.
@@ -176,14 +169,18 @@ class Metric:
         self._spill: TenantSpill | None = None  # lazy tenant-cardinality governor
         self._spill_reported = 0  # spills already delivered to the hook
 
-    def _govern(self, key: tuple, labels: dict):
+    def _govern(self, key: tuple, labels: dict, weight: int):
         """Route a *new* labelset through the tenant budget.
 
         Caller holds ``self._lock`` and has already missed the values dict
         — in-budget tenants only pay this once, at series creation.
-        Returns ``(key, notify)``: the (possibly overflow-rewritten) series
-        key, and ``None`` or ``(cardinality, evicted_delta)`` to hand to
-        :func:`_notify` after the lock is released.  Spill deltas are
+        ``weight`` is what a spilled observation adds to the governor's
+        summary: 1 for counters, 0 (route only, see
+        :meth:`~repro.obs.sketch.TenantSpill.admit`) for gauges, whose sets
+        are not additive, and histograms, whose spilled tenants nothing
+        ranks.  Returns ``(key, notify)``: the (possibly overflow-rewritten)
+        series key, and ``None`` or ``(cardinality, evicted_delta)`` to
+        hand to :func:`_notify` after the lock is released.  Spill deltas are
         batched (:data:`_NOTIFY_BATCH`); tracked-set growth notifies
         immediately.
         """
@@ -192,14 +189,10 @@ class Metric:
             return key, None
         spill = self._spill
         if spill is None:
-            spill = self._spill = TenantSpill(
-                budget=_TENANT_BUDGET,
-                top_k=_SPILL_TOP_K,
-                mode=self._spill_mode,
-            )
+            spill = self._spill = TenantSpill(_TENANT_BUDGET, _SPILL_TOP_K)
         tenant = str(tenant)
         tracked_before = spill.tracked_count()
-        routed = spill.admit(tenant)
+        routed = spill.admit(tenant, weight)
         if routed is not tenant and routed != tenant:
             # key is already the sorted labelset tuple; swap the tenant
             # element in place instead of rebuilding + re-sorting the dict
@@ -220,23 +213,6 @@ class Metric:
         hook = _GOVERNANCE_HOOK
         if hook is not None:
             hook(self.name, notify[0], notify[1])
-
-    def spill_info(self) -> dict | None:
-        """Governance state (``None`` until a tenant labelset was seen)."""
-        with self._lock:
-            return self._spill.to_json() if self._spill is not None else None
-
-    def top_spilled(self, n: int | None = None) -> list[tuple[str, int, int]]:
-        """``(tenant, count, error)`` for the heaviest over-budget tenants."""
-        with self._lock:
-            if self._spill is None:
-                return []
-            return self._spill.top_spilled(n)
-
-    def spill_estimate(self, tenant: str) -> int:
-        """Overestimate of a spilled tenant's observation count."""
-        with self._lock:
-            return self._spill.estimate(tenant) if self._spill is not None else 0
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -269,7 +245,7 @@ class Counter(Metric):
             if key in self._values:
                 self._values[key] += amount
             else:
-                key, notify = self._govern(key, labels)
+                key, notify = self._govern(key, labels, 1)
                 self._values[key] = self._values.get(key, 0.0) + amount
         self._notify(notify)
 
@@ -307,7 +283,6 @@ class Gauge(Metric):
     """A value that goes up and down (queue depth, pool utilisation)."""
 
     kind = "gauge"
-    _spill_mode = "route"  # gauge sets are not additive; route-only governor
 
     def __init__(self, name: str, help: str):
         super().__init__(name, help)
@@ -320,7 +295,7 @@ class Gauge(Metric):
         notify = None
         with self._lock:
             if key not in self._values:
-                key, notify = self._govern(key, labels)
+                key, notify = self._govern(key, labels, 0)
             # an over-budget gauge series is last-write-wins on the single
             # overflow labelset: bounded, and still shows recent activity
             self._values[key] = float(value)
@@ -335,7 +310,7 @@ class Gauge(Metric):
             if key in self._values:
                 self._values[key] += amount
             else:
-                key, notify = self._govern(key, labels)
+                key, notify = self._govern(key, labels, 0)
                 self._values[key] = self._values.get(key, 0.0) + amount
         self._notify(notify)
 
@@ -377,12 +352,6 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
-    # route-only governor: a spilled tenant's observations fold fully into
-    # the __other__ series' buckets (distribution conserved); per-tenant
-    # heavy-hitter ranking for spilled traffic comes from the rolling
-    # aggregator's full-mode sketches, so maintaining a second Space-Saving
-    # per histogram would duplicate hot-path work for data nothing reads
-    _spill_mode = "route"
 
     def __init__(self, name: str, help: str, buckets: tuple[float, ...] = LATENCY_BUCKETS):
         super().__init__(name, help)
@@ -407,7 +376,11 @@ class Histogram(Metric):
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                key, notify = self._govern(key, labels)
+                # a spilled tenant's observations fold fully into the
+                # __other__ series' buckets (distribution conserved); the
+                # rolling aggregator ranks spilled tenants, so a histogram
+                # routes without weighing
+                key, notify = self._govern(key, labels, 0)
                 series = self._series.get(key)
             if series is None:
                 series = self._series[key] = [[0] * (len(self.buckets) + 1), 0.0, 0]

@@ -24,14 +24,12 @@ edge semantics) as the metrics registry's histograms.
 
 The per-tenant dimension is **cardinality-governed**: only the first
 ``tenant_budget`` distinct tenants get exact ``(kind, "tenant", t)`` keys.
-Later tenants fold into ``(kind, "tenant", "__other__")`` while per-shard
-Space-Saving/Count-Min sketches (sharded with the same tenant-hash routing
-as the gateway, :func:`repro.service.sharding.shard_index_for`) keep their
-frequencies recoverable within documented bounds.  :meth:`top_tenants`
-merges the shard sketches into a global ranking — exact rows beside
-sketched rows — so ``repro top`` and the SLO engine evaluate top-K plus
-one overflow series instead of 10^6 keys, and window memory stays
-O(slices × (kinds + budget)) no matter how many tenants ever appear.
+Later tenants fold into ``(kind, "tenant", "__other__")`` while one
+Space-Saving summary keeps the heaviest of them recoverable within
+documented bounds.  :meth:`top_tenants` ranks exact rows beside the
+summary's sketched rows, so ``repro top`` and the SLO engine evaluate
+top-K plus one overflow series instead of 10^6 keys, and window memory
+stays O(slices × (kinds + budget)) no matter how many tenants ever appear.
 """
 
 from __future__ import annotations
@@ -45,22 +43,23 @@ from repro.obs.sketch import OVERFLOW_KEY, TenantSpill
 #: Event fields that become ``(kind, value)`` counting sub-keys.
 SUBKEY_FIELDS = ("outcome", "code", "fault")
 
-#: Event kinds that weigh into the tenant spill sketches.  Every
+#: Event kinds that weigh into the tenant spill summary.  Every
 #: tenant-carrying event still *routes* through the governor (so the ring
 #: key folds to the overflow series consistently), but only request-level
 #: events count toward a tenant's sketched weight: the top-K ranking then
 #: reads "admission attempts per tenant" instead of a mixed event tally,
-#: and the spill path does sketch maintenance once per request rather than
-#: once per narrative event.
+#: and the spill path does summary maintenance once per request rather
+#: than once per narrative event.
 WEIGHED_KINDS = frozenset({"admit", "reject"})
 
 #: Default exact-tenant budget for the window ring (see module docstring).
 DEFAULT_TENANT_BUDGET = 512
 
-#: Default number of per-shard spill sketches (matches the gateway's
-#: ``repro.service.sharding.DEFAULT_SHARDS`` so per-shard telemetry and
-#: admission state line up tenant-for-tenant).
-DEFAULT_SKETCH_SHARDS = 8
+#: Space-Saving counters per ranked row: the spill summary holds
+#: ``SPILL_COUNTERS_PER_ROW * top_k`` counters.  A summary barely larger
+#: than the rows it reports misses most of the true heaviest tenants; at
+#: 8x the top rows of a Zipf(1.1) tail come back with near-exact counts.
+SPILL_COUNTERS_PER_ROW = 8
 
 
 class _Slice:
@@ -94,7 +93,6 @@ class RollingAggregator:
         buckets: tuple[float, ...] = LATENCY_BUCKETS,
         tenant_budget: int = DEFAULT_TENANT_BUDGET,
         top_k: int = 64,
-        sketch_shards: int = DEFAULT_SKETCH_SHARDS,
     ):
         if slice_s <= 0:
             raise ValueError("slice_s must be positive")
@@ -110,7 +108,7 @@ class RollingAggregator:
         self.tenant_budget = tenant_budget
         self.top_k = top_k
         self._tenants = TenantSpill(
-            budget=tenant_budget, top_k=top_k, shards=sketch_shards
+            budget=tenant_budget, top_k=SPILL_COUNTERS_PER_ROW * top_k
         )
 
     # -- ingestion ---------------------------------------------------------------
@@ -130,7 +128,7 @@ class RollingAggregator:
         with self._lock:
             if tenant is not None:
                 # over-budget tenants fold into the single overflow key;
-                # the spill sketches keep their per-tenant frequencies
+                # the spill summary ranks the heaviest of them
                 # (weighed by request-level events only, see WEIGHED_KINDS)
                 routed = self._tenants.admit(
                     str(tenant), 1 if event.kind in WEIGHED_KINDS else 0
@@ -260,7 +258,7 @@ class RollingAggregator:
 
         0.0 means every active tenant has an exact series; climbing toward
         1.0 means the exact budget no longer covers the traffic mix and
-        per-tenant answers increasingly come from sketches.
+        per-tenant answers increasingly come from the spill summary.
         """
         overflow = 0
         total = 0
@@ -282,38 +280,17 @@ class RollingAggregator:
         """Global top-N tenants by lifetime request count (``WEIGHED_KINDS``).
 
         Exact rows (in-budget tenants, ``error == 0``) rank beside sketched
-        rows from the shard→global Space-Saving merge — the hierarchical
-        rollup that replaces iterating every tenant key.  Shard merges
-        performed here are reported as ``acctee_sketch_merges``.  The
-        ``events`` field counts admission attempts, the one-per-request
-        weight the spill sketches fold.
+        rows from the Space-Saving summary, whose ``events - error <= true
+        <= events`` bracket each spilled tenant — the rollup that replaces
+        iterating every tenant key.  The ``events`` field counts admission
+        attempts, the one-per-request weight the spill summary folds.
         """
         with self._lock:
-            merges_before = self._tenants.merges
             rows = self._tenants.top(n)
-            merges = self._tenants.merges - merges_before
-        if merges:
-            from repro.obs.instruments import SKETCH_MERGES
-
-            SKETCH_MERGES.inc(merges, kind="rollup")
         return [
             {"tenant": key, "events": count, "error": error, "exact": exact}
             for key, count, error, exact in rows
         ]
-
-    def tenant_estimate(self, tenant: str) -> tuple[int, int]:
-        """``(count, error)`` lifetime request estimate for one tenant.
-
-        Exact (error 0) for in-budget tenants; a Count-Min upper bound
-        with the Space-Saving error term for spilled ones.  Counts weigh
-        request-level events only (``WEIGHED_KINDS``).
-        """
-        with self._lock:
-            tracked = self._tenants._tracked.get(tenant)
-            if tracked is not None:
-                return tracked, 0
-            estimate = self._tenants.estimate(tenant)
-            return estimate, estimate
 
     def tenant_spill_info(self) -> dict:
         """Governance counters for the snapshot / ``repro top`` footer."""

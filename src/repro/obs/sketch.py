@@ -1,4 +1,4 @@
-"""Mergeable streaming sketches for tenant-scale telemetry.
+"""Bounded-memory streaming summaries for tenant-scale telemetry.
 
 The observability stack's per-tenant structures (rollup keys, metric
 labelsets, quota states) are exact dicts — O(ever-seen tenants).  At 10^6
@@ -9,37 +9,25 @@ bounded-memory substitutes:
   "Efficient computation of frequent and top-k elements in data streams").
   ``k`` counters total.  Guarantees, with ``N`` the stream total:
 
-  - **overestimate-only**: ``estimate(x) >= true(x)`` for every key;
-  - **bounded error**: ``estimate(x) - error(x) <= true(x)`` and every
-    tracked key's ``error <= N / k``;
+  - **bounded error**: every tracked key's ``(count, error)`` brackets its
+    true frequency, ``count - error <= true <= count``, and
+    ``error <= N / k``;
+  - **absent keys are light**: once the summary is full, no untracked key
+    truly occurs more often than the minimum tracked count;
   - **guaranteed heavy hitters**: any key with ``true(x) > N / k`` is
     present in the summary.
 
-* :class:`CountMinSketch` — frequency estimation in ``width × depth``
-  counters (Cormode & Muthukrishnan).  Overestimate-only; with
-  ``width = ceil(e / eps)`` and ``depth = ceil(ln(1 / delta))`` the
-  estimate exceeds the true count by more than ``eps * N`` with
-  probability at most ``delta``.
-
 * :class:`HyperLogLog` — distinct-count estimation in ``2^p`` one-byte
   registers (Flajolet et al.), relative error ``~1.04 / sqrt(2^p)``.
-
-All three **merge**: combining per-shard sketches yields a sketch whose
-bounds hold for the union stream, so shard→global rollups never need the
-raw keys (mergeability in the sense of Agarwal et al., "Mergeable
-summaries"; pinned by tests, not just asserted here).
-
-Hashing is deterministic (BLAKE2b with fixed per-row salts), never
-Python's randomized ``hash()``: estimates must agree across processes and
-across interpreter restarts so shard sketches produced by different
-workers merge coherently and replays reproduce.
+  Hashing is deterministic (BLAKE2b with a fixed salt), never Python's
+  randomized ``hash()``, so estimates agree across processes and replays.
 
 :class:`TenantSpill` packages the governance policy built from these
 parts: the first ``budget`` distinct keys stay exact, everything later
-spills into per-shard sketches plus the single ``OVERFLOW_KEY`` series.
+routes to the single ``OVERFLOW_KEY`` series while one Space-Saving
+summary ranks the spilled keys.
 
-Nothing here imports the metrics registry — call sites report
-``sketch_merges_total`` etc. themselves — so :mod:`repro.obs.metrics`
+Nothing here imports the metrics registry, so :mod:`repro.obs.metrics`
 can depend on this module without a cycle.
 
 None of the classes are thread-safe on their own; callers (metric
@@ -54,32 +42,6 @@ import math
 
 #: The single series that absorbs every over-budget tenant's observations.
 OVERFLOW_KEY = "__other__"
-
-_shard_index_for = None
-
-
-def shard_index_for(tenant_id: str, shards: int) -> int:
-    """Deferred alias for :func:`repro.service.sharding.shard_index_for`.
-
-    This module sits *below* the service layer in the import graph
-    (``metrics`` imports it, and the service package's init transitively
-    imports ``instruments`` → ``metrics``), so binding the router at import
-    time would be a cycle.  Sketches are only ever built at runtime, well
-    after both packages finish importing.
-    """
-    global _shard_index_for
-    if _shard_index_for is None:
-        from repro.service.sharding import shard_index_for as bound
-
-        _shard_index_for = bound
-    return _shard_index_for(tenant_id, shards)
-
-
-def _hash64(data: bytes, salt: bytes) -> int:
-    """Deterministic 64-bit hash (BLAKE2b, domain-separated by ``salt``)."""
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8, salt=salt).digest(), "big"
-    )
 
 
 class SpaceSaving:
@@ -108,9 +70,6 @@ class SpaceSaving:
         # amortized victim lookup is O(log k) instead of the O(k) min-scan
         # that dominates profiles at 10^6-tenant spill rates.
         self._heap: list[tuple[int, str]] = []
-
-    def __len__(self) -> int:
-        return len(self._counters)
 
     def __contains__(self, key: str) -> bool:
         return key in self._counters
@@ -150,170 +109,16 @@ class SpaceSaving:
                 return count, key
             heapq.heapreplace(heap, (current, key))
 
-    def _floor(self) -> int:
-        """Upper bound on any *absent* key's true count.
-
-        A key missing from a full summary was either never seen or was
-        evicted at a count at most the current minimum; if the summary
-        never filled, absent means never seen (bound 0).
-        """
-        if len(self._counters) < self.k:
-            return 0
-        return self._min_entry()[0]
-
-    def estimate(self, key: str) -> tuple[int, int]:
-        """``(count, error)`` with ``count - error <= true(key) <= count``."""
-        entry = self._counters.get(key)
-        if entry is not None:
-            return entry[0], entry[1]
-        floor = self._floor()
-        return floor, floor
-
-    def top(self, n: int | None = None) -> list[tuple[str, int, int]]:
+    def top(self) -> list[tuple[str, int, int]]:
         """``(key, count, error)`` rows, highest estimate first.
 
         Ties break on the key so the ordering is deterministic across
-        processes (dict order is insertion order, which differs per shard).
+        processes (dict order is insertion order, which differs per run).
         """
-        rows = sorted(
+        return sorted(
             ((key, entry[0], entry[1]) for key, entry in self._counters.items()),
             key=lambda row: (-row[1], row[0]),
         )
-        return rows if n is None else rows[:n]
-
-    def guaranteed(self, n: int | None = None) -> list[tuple[str, int, int]]:
-        """Tracked keys whose lower bound clears every untracked key's upper.
-
-        ``count - error > floor`` means no absent key can truly outrank
-        this one — the classic "guaranteed top" test.
-        """
-        floor = self._floor()
-        rows = [row for row in self.top(n=None) if row[1] - row[2] > floor]
-        return rows if n is None else rows[:n]
-
-    def merge(self, other: "SpaceSaving") -> "SpaceSaving":
-        """Combine two summaries; bounds hold for the concatenated stream.
-
-        For a key absent from one input, that input contributes its floor
-        to both count and error (its true count there is at most the
-        floor, and at least zero) — this keeps both the overestimate and
-        the ``count - error <= true`` invariants through the merge.  The
-        result keeps the ``max(k)`` largest estimates.
-        """
-        k = max(self.k, other.k)
-        merged = SpaceSaving(k)
-        merged.total = self.total + other.total
-        floor_a, floor_b = self._floor(), other._floor()
-        combined: dict[str, list[int]] = {}
-        for key in self._counters.keys() | other._counters.keys():
-            ca, ea = self._counters.get(key, (floor_a, floor_a))
-            cb, eb = other._counters.get(key, (floor_b, floor_b))
-            combined[key] = [ca + cb, ea + eb]
-        keep = sorted(combined, key=lambda name: (-combined[name][0], name))[:k]
-        merged._counters = {key: combined[key] for key in keep}
-        merged._heap = [(entry[0], key) for key, entry in merged._counters.items()]
-        heapq.heapify(merged._heap)
-        return merged
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "total": self.total,
-            "counters": {
-                key: {"count": entry[0], "error": entry[1]}
-                for key, entry in sorted(self._counters.items())
-            },
-        }
-
-
-class CountMinSketch:
-    """Frequency table folded into ``depth`` rows of ``width`` counters.
-
-    Every key increments one counter per row (chosen by that row's hash);
-    the estimate is the minimum across rows, hence **overestimate-only**
-    (collisions only ever add).  One BLAKE2b call yields all row indices,
-    so an ``add`` costs one hash regardless of depth (depth <= 8).
-    """
-
-    __slots__ = ("width", "depth", "total", "_rows")
-
-    _SALT = b"acctee-cm"
-
-    def __init__(self, width: int = 1024, depth: int = 4):
-        if width < 1 or depth < 1:
-            raise ValueError("width and depth must be >= 1")
-        if depth > 8:
-            raise ValueError("depth must be <= 8 (row indices come from one digest)")
-        self.width = width
-        self.depth = depth
-        self.total = 0
-        self._rows = [[0] * width for _ in range(depth)]
-
-    @classmethod
-    def from_error(cls, eps: float, delta: float) -> "CountMinSketch":
-        """Size a sketch for ``P[estimate - true > eps * N] <= delta``."""
-        width = max(1, math.ceil(math.e / eps))
-        depth = max(1, math.ceil(math.log(1.0 / delta)))
-        return cls(width=width, depth=depth)
-
-    @property
-    def eps(self) -> float:
-        """Additive error factor: overestimation beyond ``eps * total`` is rare."""
-        return math.e / self.width
-
-    @property
-    def delta(self) -> float:
-        """Probability the ``eps * total`` bound is exceeded for a key."""
-        return math.exp(-self.depth)
-
-    def _indices(self, key: str) -> list[int]:
-        # one 8-byte digest split into two 32-bit halves, expanded per row
-        # by double hashing (Kirsch & Mitzenmacher, "Less hashing, same
-        # performance"): row i uses h1 + i*h2 mod width, which preserves
-        # the Count-Min guarantees while keeping the hot path in small-int
-        # arithmetic — one hash per add regardless of depth
-        h = int.from_bytes(
-            hashlib.blake2b(
-                key.encode("utf-8"), digest_size=8, salt=self._SALT
-            ).digest(),
-            "big",
-        )
-        h1 = h & 0xFFFFFFFF
-        h2 = (h >> 32) | 1  # odd, so successive rows never collapse
-        width = self.width
-        return [(h1 + row * h2) % width for row in range(self.depth)]
-
-    def add(self, key: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        self.total += amount
-        for row, index in zip(self._rows, self._indices(key)):
-            row[index] += amount
-
-    def estimate(self, key: str) -> int:
-        """An upper bound on ``true(key)``; never underestimates."""
-        return min(row[index] for row, index in zip(self._rows, self._indices(key)))
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Element-wise sum; requires identical geometry (same hash family)."""
-        if (self.width, self.depth) != (other.width, other.depth):
-            raise ValueError("cannot merge count-min sketches of different geometry")
-        merged = CountMinSketch(self.width, self.depth)
-        merged.total = self.total + other.total
-        merged._rows = [
-            [a + b for a, b in zip(row_a, row_b)]
-            for row_a, row_b in zip(self._rows, other._rows)
-        ]
-        return merged
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "total": self.total,
-            "eps": self.eps,
-            "delta": self.delta,
-        }
 
 
 class HyperLogLog:
@@ -342,7 +147,12 @@ class HyperLogLog:
         self._zeros = self.m
 
     def add(self, key: str) -> None:
-        h = _hash64(key.encode("utf-8"), self._SALT)
+        h = int.from_bytes(
+            hashlib.blake2b(
+                key.encode("utf-8"), digest_size=8, salt=self._SALT
+            ).digest(),
+            "big",
+        )
         index = h >> (64 - self.p)
         tail = h & ((1 << (64 - self.p)) - 1)
         # rank = position of the leftmost 1-bit in the (64-p)-bit tail
@@ -362,108 +172,41 @@ class HyperLogLog:
             return m * math.log(m / self._zeros)  # linear counting
         return raw
 
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        """Register-wise max; the union-stream estimate."""
-        if self.p != other.p:
-            raise ValueError("cannot merge HLLs of different precision")
-        merged = HyperLogLog(self.p)
-        merged._registers = bytearray(
-            max(a, b) for a, b in zip(self._registers, other._registers)
-        )
-        merged._inv_sum = sum(2.0**-r for r in merged._registers)
-        merged._zeros = merged._registers.count(0)
-        return merged
-
-
-class _ShardSketch:
-    """One shard's slice of the spilled-tenant stream."""
-
-    __slots__ = ("heavy", "freq")
-
-    def __init__(self, top_k: int, cm_width: int, cm_depth: int):
-        self.heavy = SpaceSaving(top_k)
-        self.freq = CountMinSketch(cm_width, cm_depth)
-
 
 class TenantSpill:
     """Cardinality governor: exact series for the first ``budget`` keys,
-    sketched ``OVERFLOW_KEY`` routing for the rest.
+    ``OVERFLOW_KEY`` routing for the rest.
 
     :meth:`admit` is the one hot-path call.  It returns the series a key's
     observations should land in — the key itself while the exact budget
     has room (or the key is already tracked), ``OVERFLOW_KEY`` once it
-    does not.  Spilled keys are folded into per-shard Space-Saving and
-    Count-Min sketches (sharded by :func:`shard_index_for`, the same
-    routing the gateway uses) so heavy tenants remain identifiable and
-    nothing is silently lost: the overflow series conserves totals, the
-    sketches recover per-key frequency within documented bounds, and
+    does not.  Weighed spilled observations fold into one Space-Saving
+    summary of ``top_k`` counters, so heavy tenants remain identifiable
+    and nothing is silently lost: the overflow series conserves totals,
+    :meth:`top` ranks spilled keys within the summary's bounds, and
     :attr:`spills` counts every labelset denied an exact series.
-
-    ``mode`` trades sketch fidelity for hot-path cost, per instrument:
-
-    * ``"full"`` — Space-Saving *and* Count-Min per spilled observation;
-      per-key estimates use Count-Min (tightest for non-heavy keys).
-      The rolling aggregator uses this: it is the source ``repro top``
-      and the SLO engine rank tenants from.
-    * ``"heavy"`` — Space-Saving only; estimates fall back to its
-      ``(count, error)`` upper bound, which stays overestimate-only with
-      the ``N/k`` error ceiling.  Counters and histograms use this.
-    * ``"route"`` — no sketch maintenance at all; an over-budget key
-      costs a dict miss and nothing else.  Cardinality then reports the
-      tracked set only.  Gauges use this: gauge sets are not additive,
-      so sketched "frequency" would be meaningless anyway.
-
-    Merging the per-shard sketches (:meth:`merged_heavy`) is the
-    shard→global rollup; :attr:`merges` counts those merge operations for
-    the ``sketch_merges_total`` metric (incremented by *call sites* — this
-    module stays import-free of the registry).
     """
 
-    __slots__ = (
-        "budget",
-        "top_k",
-        "shards",
-        "mode",
-        "_tracked",
-        "_shards",
-        "_hll",
-        "_spill_events",
-        "merges",
-    )
+    __slots__ = ("budget", "top_k", "_tracked", "_heavy", "_hll", "_spill_events")
 
     # _tracked maps tracked key -> exact offered weight, so a *global*
     # top-K (exact in-budget rows beside sketched over-budget rows) is
     # answerable when the caller offers every observation (the rolling
-    # aggregator does; the metrics registry only consults top_spilled()).
+    # aggregator does).
 
-    def __init__(
-        self,
-        budget: int = 512,
-        top_k: int = 64,
-        shards: int = 1,
-        cm_width: int = 1024,
-        cm_depth: int = 4,
-        mode: str = "full",
-    ):
+    def __init__(self, budget: int = 512, top_k: int = 64):
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if mode not in ("full", "heavy", "route"):
-            raise ValueError("mode must be 'full', 'heavy' or 'route'")
         self.budget = budget
         self.top_k = top_k
-        self.shards = shards
-        self.mode = mode
         self._tracked: dict[str, int] = {}
-        self._shards = [_ShardSketch(top_k, cm_width, cm_depth) for _ in range(shards)]
+        self._heavy = SpaceSaving(top_k)
         self._hll = HyperLogLog()
         self._spill_events = 0  # distinct keys that have entered the spill path
-        self.merges = 0  # shard-sketch merge operations performed
 
     @property
     def spills(self) -> int:
-        """Distinct labelsets denied an exact series (heavy-sketch entries)."""
+        """Distinct labelsets denied an exact series (summary entries)."""
         return self._spill_events
 
     def admit(self, key: str, amount: int = 1) -> str:
@@ -471,10 +214,11 @@ class TenantSpill:
 
         ``amount=0`` routes without weighing: the key still claims a budget
         slot if one is free (and counts toward cardinality), but a spilled
-        zero-weight observation skips sketch maintenance entirely — use it
-        for observations that should follow a tenant's series without
-        counting toward its ranking (the rolling aggregator weighs only
-        request-level events this way).
+        zero-weight observation skips the summary entirely — use it for
+        observations that should follow a tenant's series without counting
+        toward its ranking (the rolling aggregator weighs only request-level
+        events; gauges and histograms weigh nothing, since no reader ranks
+        their spilled tenants).
         """
         count = self._tracked.get(key)
         if count is not None:
@@ -484,18 +228,13 @@ class TenantSpill:
             self._tracked[key] = amount
             self._hll.add(key)
             return key
-        mode = self.mode
-        if mode == "route" or amount == 0:
-            return OVERFLOW_KEY  # route-only fast path: no sketch maintenance
-        shard = self._shards[
-            shard_index_for(key, self.shards) if self.shards > 1 else 0
-        ]
-        if key not in shard.heavy:
+        if amount == 0:
+            return OVERFLOW_KEY  # route only: no summary maintenance
+        heavy = self._heavy
+        if key not in heavy:
             self._hll.add(key)
             self._spill_events += 1
-        shard.heavy.offer(key, amount)
-        if mode == "full":
-            shard.freq.add(key, amount)
+        heavy.offer(key, amount)
         return OVERFLOW_KEY
 
     def tracked(self) -> frozenset[str]:
@@ -508,14 +247,13 @@ class TenantSpill:
         """Global top rows ``(key, count, error, exact)``.
 
         Exact rows come from the tracked dict (error 0); sketched rows
-        from the shard→global merge.  Valid as a *global* ranking only
+        from the Space-Saving summary.  Valid as a *global* ranking only
         when every observation was routed through :meth:`admit` with its
         true weight.
         """
         rows = [(key, count, 0, True) for key, count in self._tracked.items()]
         rows.extend(
-            (key, count, error, False)
-            for key, count, error in self.merged_heavy().top(None)
+            (key, count, error, False) for key, count, error in self._heavy.top()
         )
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows if n is None else rows[:n]
@@ -525,33 +263,8 @@ class TenantSpill:
         return max(len(self._tracked), round(self._hll.estimate()))
 
     def spilled_total(self) -> int:
-        """Total observation weight routed to the overflow series."""
-        return sum(shard.heavy.total for shard in self._shards)
-
-    def merged_heavy(self) -> SpaceSaving:
-        """Shard→global rollup: one Space-Saving over every spilled key."""
-        merged = self._shards[0].heavy
-        for shard in self._shards[1:]:
-            merged = merged.merge(shard.heavy)
-            self.merges += 1
-        return merged
-
-    def top_spilled(self, n: int | None = None) -> list[tuple[str, int, int]]:
-        """``(key, count, error)`` for the heaviest spilled keys."""
-        return self.merged_heavy().top(n)
-
-    def estimate(self, key: str) -> int:
-        """Overestimate of a spilled key's observation count.
-
-        Count-Min in ``"full"`` mode; the shard's Space-Saving upper bound
-        otherwise (still overestimate-only, error within ``N/k``).
-        """
-        shard = self._shards[
-            shard_index_for(key, self.shards) if self.shards > 1 else 0
-        ]
-        if self.mode != "full":
-            return shard.heavy.estimate(key)[0]
-        return shard.freq.estimate(key)
+        """Total weighed observation weight routed to the overflow series."""
+        return self._heavy.total
 
     def to_json(self) -> dict:
         return {
@@ -560,6 +273,5 @@ class TenantSpill:
             "cardinality": self.cardinality(),
             "spilled_labelsets": self.spills,
             "spilled_total": self.spilled_total(),
-            "shards": self.shards,
             "top_k": self.top_k,
         }

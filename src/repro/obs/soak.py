@@ -401,8 +401,8 @@ def run_scale_soak(
       and the registry's materialised series bounded by the per-instrument
       budget rather than the tenant population;
     * **nothing lost** — the heaviest tenant is recovered through the
-      shard-merged sketches at every point, and accounted request totals
-      (admitted == settled + rejected narrative) hold;
+      rollup's Space-Saving summary at every point, and accounted request
+      totals (admitted == settled + rejected narrative) hold;
     * optional **RSS ceiling** — every point's resident set below
       ``rss_ceiling_mb``.
 

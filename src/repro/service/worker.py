@@ -358,8 +358,9 @@ class WorkerPool:
     processes, started with the default ``multiprocessing`` context at the
     first submit; ``kind="thread"`` runs them in threads.  If worker
     processes cannot be started (no ``fork``/``spawn`` support, restricted
-    environments) the pool silently falls back to threads and records that
-    in :attr:`kind`.
+    environments) the pool falls back to threads, records that in
+    :attr:`kind` and announces it with a ``pool_rebuild`` event
+    (``pool_kind="thread"``).
 
     A process worker holds at most two tasks (see the module docstring);
     the surplus waits in the pool's own backlog.  When a worker dies, only
@@ -469,6 +470,7 @@ class WorkerPool:
                 self._procs.append(_Worker(ctx))
         except OSError:
             self._degrade()  # no subprocesses here: run on threads
+            emit_event("pool_rebuild", rebuilds=self.rebuilds, pool_kind=self.kind)
         if self._procs:
             self._pump = threading.Thread(
                 target=self._pump_results, name="metering-pool-pump", daemon=True

@@ -7,6 +7,8 @@ governance metrics report what was shed, and the admission controller's
 lazy tenant states stay within their resident cap.
 """
 
+import collections
+
 import pytest
 
 from repro.obs import instruments
@@ -21,6 +23,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.rollup import RollingAggregator
 from repro.obs.sketch import OVERFLOW_KEY
+from repro.obs.soak import _zipf_schedule
 from repro.service.quota import AdmissionController, TenantQuota
 
 
@@ -65,11 +68,12 @@ def test_counter_spilled_tenant_recoverable_from_sketch(governed_registry):
         counter.inc(tenant="noisy")
     for i in range(30):
         counter.inc(tenant="tail-%d" % i)
-    # the heavy spilled tenant is identifiable and never underestimated
-    top = counter.top_spilled(1)
-    assert top and top[0][0] == "noisy"
-    assert counter.spill_estimate("noisy") >= 50
-    info = counter.spill_info()
+    # the heavy spilled tenant leads the governor's sketched rows, its
+    # count bracketed by the Space-Saving bounds
+    sketched = [row for row in counter._spill.top() if not row[3]]
+    tenant, count, error, _exact = sketched[0]
+    assert tenant == "noisy" and count - error <= 50 <= count
+    info = counter._spill.to_json()
     assert info["tracked"] == 4
     assert info["spilled_labelsets"] == 31
 
@@ -80,8 +84,8 @@ def test_gauge_routes_overflow_without_sketch_maintenance(governed_registry):
         gauge.set(i, tenant="g%d" % i)
     series = gauge.to_json()
     assert len(series) == 4 + 1
-    # route mode: the governor does no sketch work for gauges
-    info = gauge.spill_info()
+    # gauges route without weighing: the governor does no summary work
+    info = gauge._spill.to_json()
     assert info["spilled_labelsets"] == 0
     assert info["spilled_total"] == 0
     # overflow series is last-write-wins
@@ -120,7 +124,7 @@ def test_non_tenant_labels_are_never_governed(governed_registry):
         counter.inc(code="c%d" % i)
     # only the tenant dimension is budgeted; other labels stay exact
     assert len(counter.to_json()) == 50
-    assert counter.spill_info() is None
+    assert counter._spill is None
 
 
 # -- rollup aggregator ---------------------------------------------------------
@@ -167,9 +171,8 @@ def test_rollup_top_tenants_merges_exact_and_sketched_rows():
     rows = agg.top_tenants(3)
     assert rows[0]["tenant"] == "whale"
     assert not rows[0]["exact"]
-    assert rows[0]["events"] >= 300
-    count, error = agg.tenant_estimate("whale")
-    assert count - error <= 300 <= count
+    assert rows[0]["events"] - rows[0]["error"] <= 300 <= rows[0]["events"]
+    assert [row["exact"] for row in rows[1:]] == [True, True]
 
 
 def test_rollup_unweighed_kinds_route_but_do_not_rank():
@@ -183,9 +186,30 @@ def test_rollup_unweighed_kinds_route_but_do_not_rank():
                   fields={"tenant": "chatty", "outcome": "ok"})
         )
     assert agg.count(("settled", "tenant", OVERFLOW_KEY), 8.0) == 50
-    assert agg.tenant_estimate("chatty")[0] == 0
+    assert "chatty" not in {row["tenant"] for row in agg.top_tenants()}
     spill = agg.tenant_spill_info()
     assert spill["spilled_total"] == 0
+
+
+def test_rollup_top_tenants_recover_the_heaviest_spilled_tenants():
+    # a Zipf(1.1) stream over 10^5 tenants: the exact budget covers 64
+    # tenants, so the ranking of the heavy tail rests on the spill summary
+    schedule = _zipf_schedule(100_000, 100_000, 1.1, seed=7)
+    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=64, top_k=64)
+    for seq, rank in enumerate(schedule):
+        agg.observe(
+            Event(seq=seq, ts_s=1.0, kind="admit", fields={"tenant": "t%d" % rank})
+        )
+    rows = agg.top_tenants()
+    exact = {row["tenant"] for row in rows if row["exact"]}
+    sketched = {row["tenant"]: row for row in rows if not row["exact"]}
+    truth = collections.Counter("t%d" % rank for rank in schedule)
+    spilled = [(count, t) for t, count in truth.items() if t not in exact]
+    for true_count, tenant in sorted(spilled, reverse=True)[:10]:
+        assert tenant in sketched
+        row = sketched[tenant]
+        assert row["events"] - row["error"] <= true_count <= row["events"]
+        assert row["events"] <= 1.25 * true_count
 
 
 def test_rollup_overflow_ratio_reflects_governance_pressure():

@@ -20,6 +20,7 @@ import pytest
 import repro.service.worker as worker
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
 from repro.lru import LRUCache
+from repro.obs.events import EventLog, disable_events, enable_events
 from repro.service.faults import InjectedCrash, WorkerCrashed
 from repro.service.worker import ExecutionTask, WorkerPool, execute_task
 from repro.tcrypto.hashing import sha256
@@ -253,12 +254,18 @@ def test_pool_falls_back_to_threads_without_worker_processes(monkeypatch, sum_ta
         raise OSError("cannot start a process here")
 
     monkeypatch.setattr(worker, "_Worker", refuse)
+    log = enable_events(EventLog())
     pool = WorkerPool(workers=2, kind="process")
     try:
         assert pool.submit(sum_task).result(timeout=30).raw == execute_task(sum_task).raw
         assert (pool.kind, pool.rebuilds) == ("thread", 0)
+        # the fallback announces itself: never a silent degraded mode
+        assert [(e.kind, e.fields) for e in log.events()] == [
+            ("pool_rebuild", {"rebuilds": 0, "pool_kind": "thread"})
+        ]
     finally:
         pool.shutdown()
+        disable_events()
 
 
 def test_shutdown_stops_every_worker_process(sum_task):
