@@ -201,7 +201,9 @@ TENANT_CARDINALITY = REGISTRY.gauge(
 )
 LABEL_SETS_EVICTED = REGISTRY.counter(
     "acctee_label_sets_evicted",
-    "Tenant labelsets denied an exact series (spilled to __other__), by metric.",
+    "Entries of tenant labelsets denied an exact series (spilled to __other__) "
+    "into the spill summary; one evicted from it counts again when it returns, "
+    "by metric.",
 )
 QUOTA_EVICTIONS = REGISTRY.counter(
     "acctee_quota_evictions",

@@ -31,8 +31,10 @@ small enum).  Each instrument therefore runs its tenant labelsets through a
 :class:`~repro.obs.sketch.TenantSpill` governor: the first
 :func:`tenant_budget` distinct tenants get exact series, later ones are
 folded into a single ``tenant="__other__"`` overflow series; a counter's
-governor also offers each spilled observation to a Space-Saving summary,
-which counts the distinct labelsets shed.  Totals are conserved (the
+governor also offers each spilled observation to a Space-Saving summary
+and counts each spilled labelset's entry into it (one the summary evicted
+counts again when it returns, so the count is at least the number of
+distinct labelsets shed, not that number).  Totals are conserved (the
 overflow series absorbs every spilled observation) and nothing is
 silently lost: governance state is reported through the hook installed
 by :mod:`repro.obs.instruments` as the ``acctee_tenant_cardinality``

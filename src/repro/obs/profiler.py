@@ -2,7 +2,9 @@
 
 Attribution happens at two granularities, both driven by hooks the engines
 call only when a profiler is active (``Instance._profiler`` is ``None``
-otherwise, so the disabled cost is a local ``None`` check):
+otherwise).  The disabled cost is one ``None`` check per call and, on
+``predecode``, one per instruction; ``compile`` checks once per deferred
+accounting flush, never per block:
 
 * **functions** — :meth:`Profiler.enter_function` / :meth:`exit_function`
   wrap every defined-function call in
@@ -13,7 +15,11 @@ otherwise, so the disabled cost is a local ``None`` check):
 
 * **basic-block segments** — both engines report each entry into a
   straight-line run of instructions (:meth:`record_segment`: function,
-  start pc, instruction count).
+  start pc, instruction count).  ``predecode`` reports an entry as it
+  happens; ``compile`` counts its fast-path entries with its batch
+  counters and reports them in bulk where it flushes those, and reports
+  the entries its per-instruction slow path and its trap path make
+  themselves, so both engines fill :attr:`Profiler.segments` alike.
 
 Outputs: :meth:`top_functions` / :meth:`top_segments` (data),
 :meth:`report` (a text table naming real Wasm functions), and
@@ -92,15 +98,18 @@ class Profiler:
             stat[6] += excl_cycles
             self.collapsed[path] = self.collapsed.get(path, 0) + excl_wall
 
-    def record_segment(self, label: str, start_pc: int, instructions: int) -> None:
-        """One entry into a basic-block segment."""
+    def record_segment(
+        self, label: str, start_pc: int, instructions: int, entries: int = 1
+    ) -> None:
+        """``entries`` entries into a basic-block segment of ``instructions``
+        instructions."""
         key = (label, start_pc)
         seg = self.segments.get(key)
         if seg is None:
             with self._lock:
                 seg = self.segments.setdefault(key, [0, 0])
-        seg[0] += 1
-        seg[1] += instructions
+        seg[0] += entries
+        seg[1] += instructions * entries
 
     # -- reports -----------------------------------------------------------------
 

@@ -184,7 +184,12 @@ class TenantSpill:
     summary of ``top_k`` counters, so heavy tenants remain identifiable
     and nothing is silently lost: the overflow series conserves totals,
     :meth:`top` ranks spilled keys within the summary's bounds, and
-    :attr:`spills` counts every labelset denied an exact series.
+    :attr:`spills` counts the spilled labelsets' entries into the summary.
+    A labelset the summary evicted enters again when it returns, so with
+    more than ``top_k`` spilled labelsets in rotation ``spills`` exceeds
+    their distinct number (100 tenants cycled three times through
+    ``budget=4, top_k=8`` give 288 for 96); counting them exactly would
+    need state for every labelset ever seen.
     """
 
     __slots__ = ("budget", "top_k", "_tracked", "_heavy", "_hll", "_spill_events")
@@ -202,11 +207,12 @@ class TenantSpill:
         self._tracked: dict[str, int] = {}
         self._heavy = SpaceSaving(top_k)
         self._hll = HyperLogLog()
-        self._spill_events = 0  # distinct keys that have entered the spill path
+        self._spill_events = 0  # entries of spilled keys into the summary
 
     @property
     def spills(self) -> int:
-        """Distinct labelsets denied an exact series (summary entries)."""
+        """Entries of labelsets denied an exact series into the spill
+        summary; one evicted from it and seen again counts again."""
         return self._spill_events
 
     def admit(self, key: str, amount: int = 1) -> str:

@@ -16,23 +16,37 @@ function body is translated once into Python **source** —
   wrapper per level, so irreducible dispatch loops are never needed for
   valid wasm structured control;
 * the per-basic-block meter increments (``visits``/``executed``/``cycles``)
-  are folded into the generated code as constant-amount updates, with one
-  budget/progress boundary check per batch.  When a boundary lands inside a
-  batch of charges, the slow path hands the frame to the engine, which runs
-  the batch per instruction from a static step table, each non-control
-  instruction through the predecode reference's closure for it
-  (:func:`repro.wasm.predecode.compile_simple`);
-* only the work the wasm asks for: a signed compare flips both sign bits
-  and compares unsigned (``(a ^ 0x80000000) < (b ^ 0x80000000)``), any
-  other signed use converts inline (``(a ^ S) - S``), literals fold at
-  translate time, and ``eqz`` of a compare flips the compare instead of
-  nesting a second conditional.  A nonzero literal divisor is inline
-  truncating arithmetic with no zero test (``div_s`` by -1 keeps its
-  overflow test), ``x // 1`` is ``x``, and a float division by a nonzero
-  finite literal is a plain ``/``.  Globals are read and written through
-  the :class:`Global` objects bound in the prologue (``_g{i}``), pending
-  like locals, so a counter increment (``global.get; i64.const; i64.add;
-  global.set``) is one statement;
+  are folded into the generated code.  Each batch of charges opens with two
+  statements, ``_ex += N`` and ``if _ex > mi:``; the one threshold ``mi``
+  folds the budget, the capture point and the last count before the next
+  progress boundary, and is re-armed after a slow path and (with a progress
+  callback) after a call.  The fast path counts the batch in a local
+  ``_v{k}``; the counts reach the stats (and a profiler) only where they
+  are observable — calls, returns, traps, slow paths — through
+  :func:`_flush_visits`.  When a boundary lands inside a batch, its slow
+  path takes the charge back and raises to the function's one handler,
+  which settles the counts, has the engine run the batch per instruction
+  from a static step table, each non-control instruction through the
+  predecode reference's closure for it
+  (:func:`repro.wasm.predecode.compile_simple`), and re-enters the body
+  past that batch the way a resume does (below);
+* only the work the wasm asks for: integer ``add``, ``sub``, ``mul``,
+  ``shl`` by a literal, ``and``, ``or`` and ``xor`` commute with reduction
+  mod ``2**bits``, so their results stay unmasked and a chain of them is
+  masked once, where a canonical value is needed: a write to a local,
+  global, temporary or register, a compare or condition, a memory base,
+  shifts right, division, rotation, bit counts, extension, conversion and
+  reinterpretation (``((((l3 * 12) + l6) << 3) & 0xffffffff) + 3328``).  A
+  signed compare flips both sign bits and compares unsigned (``(a ^
+  0x80000000) < (b ^ 0x80000000)``), any other signed use converts inline
+  (``(a ^ S) - S``), literals fold at translate time, and ``eqz`` of a
+  compare flips the compare instead of nesting a second conditional.  A
+  nonzero literal divisor is inline truncating arithmetic with no zero test
+  (``div_s`` by -1 keeps its overflow test), ``x // 1`` is ``x``, and a
+  float division by a nonzero finite literal is a plain ``/``.  Globals are
+  read and written through the :class:`Global` objects bound in the
+  prologue (``_g{i}``), pending like locals, so a counter increment
+  (``global.get; i64.const; i64.add; global.set``) is one statement;
 * memory accesses leave the bounds check to ``struct``: the effective
   address (a u32 base plus a u32 offset, unmasked) is written to ``_a``
   inside the prebound ``unpack_from``/``pack_into`` call, which raises
@@ -40,10 +54,11 @@ function body is translated once into Python **source** —
   batch's ``except`` turns that into the :class:`MemoryAccessError` text of
   :class:`~repro.wasm.memory.LinearMemory` (``read of W bytes at A out of
   bounds (LEN)``) from ``_a`` and a per-position table of kind and width;
-* trap attribution: blocks that may trap run under ``try``, record the
-  trapping position in ``_tp``, and roll back the not-executed suffix, so
-  :class:`ExecutionStats` stay byte-identical to the predecode reference,
-  which charges each instruction just before running it;
+* trap attribution: blocks that may trap run under ``try`` and record the
+  trapping position in ``_tp``; the trap path takes the batch back and the
+  engine charges the part that ran, so :class:`ExecutionStats` stay
+  byte-identical to the predecode reference, which charges each
+  instruction just before running it;
 * ``executed >= snapshot_at`` is one more observation point: the capture
   point is folded into the batch threshold (unarmed code does no extra
   work), the slow path captures before the instruction it falls on, with
@@ -59,7 +74,9 @@ the capture fell in (the engine first finishes that batch per instruction):
 the code skips forward to that batch and runs on at compiled speed.  The
 seek is folded into the batch threshold (``-1`` while ``_e`` is set), so a
 fresh call pays for it only at the guards around branches, calls and
-returns.
+returns.  A slow path re-enters its own function body the same way, so the
+frame's state is written out once per function, in the handler, not once
+per batch.
 
 Generated code objects are cached in :data:`CODE_CACHE` per ``(module
 digest, cost signature)`` — the module digest is
@@ -110,6 +127,11 @@ class CompileError(Exception):
     """A function body the translator cannot handle (falls back, per function)."""
 
 
+class _SlowPath(Exception):
+    """Raised by generated code at a batch a boundary falls inside; caught
+    by the same function's handler (never escapes a generated function)."""
+
+
 # ---------------------------------------------------------------------------
 # Compiled-code cache
 # ---------------------------------------------------------------------------
@@ -123,7 +145,8 @@ class _FuncCode:
     def __init__(self, code, consts, segs, batch_steps=(), entry_at=None, error=None):
         self.code = code        # code object, or None -> predecode fallback
         self.consts = consts    # tuple referenced as _K{i}[j] in generated code
-        #: per basic block: (names, op_cycles), for the trap rollback
+        #: per basic block: (its batch, memory stats completed before each
+        #: trap point), for the trap path
         self.segs = segs
         #: per charge batch, its instructions in execution order, one
         #: ``(pc, name, cycles, control, is_op)`` each (``is_op``: a
@@ -165,13 +188,27 @@ def _module_key(instance):
 _I_CMP_U = {"eq": "==", "ne": "!=", "lt_u": "<", "gt_u": ">", "le_u": "<=", "ge_u": ">="}
 _I_CMP_S = {"lt_s": "<", "gt_s": ">", "le_s": "<=", "ge_s": ">="}
 _F_CMP = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
-# masked wrap-around arithmetic vs. bitwise ops, which stay
-# unmasked (operand values are already canonical, results stay canonical)
+# integer ops that commute with reduction mod 2**bits: their result is left
+# unreduced ("raw") and masked once, where a canonical value is required
 _I_BIN = {"add": "+", "sub": "-", "mul": "*"}
 _I_BIT = {"and": "&", "or": "|", "xor": "^"}
+#: the wrap-around mask per integer width
+_MASK = {32: "0xffffffff", 64: "0xffffffffffffffff"}
+
+#: re-arms the fast path's threshold ``mi`` at the last count before the
+#: next progress boundary (or at ``mm``, the budget or capture point, if
+#: nearer); emitted wherever ``executed`` may have moved past it
+_REARM = "if _pb: mi = min(mm, _ex - _ex % pi + pi - 1)"
 
 #: operands cheap enough to re-evaluate or leave pending: names, int literals
 _SIMPLE_EXPR = re.compile(r"-?\d+|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _masked(expr: str, raw: int) -> str:
+    """``expr`` reduced to its canonical value, for the right-hand side of
+    an assignment: masked if ``raw`` (its width) is set.  Pushed
+    expressions are atoms, calls or parenthesised, so ``&`` binds last."""
+    return f"{expr} & {_MASK[raw]}" if raw else expr
 
 
 def _as_int(expr: str) -> int | None:
@@ -190,21 +227,27 @@ def _as_float(expr: str) -> float | None:
         return None
 
 
-def _flush_visits(S, V, vp, sv) -> None:
+def _flush_visits(S, V, counts, sv, P, label) -> None:
     """Apply deferred per-batch accounting deltas to the live stats.
 
-    ``vp[i]`` counts fast-path executions of batch ``i`` since the last
-    flush; ``sv[i]`` is that batch's constant delta ``(cycles, visit_pairs,
-    loads, stores, bytes_loaded, bytes_stored)``.  Between observation
-    points (budget traps, progress callbacks, calls, returns, slow paths)
-    the drift is unobservable, so the hot path pays one list increment per
-    block instead of one Counter update per opcode.  ``cycles * n`` is
-    exact: cycle weights are dyadic and counts are integers.
+    ``counts[i]`` is how often batch ``i + 1`` ran on the fast path since
+    the last flush.  The generated code keeps these counts in locals
+    ``_v1``, ``_v2``, ..., packs them into a tuple for this call, and
+    zeroes them afterwards wherever it runs on (calls, the slow-path
+    handler).  ``sv[i]`` is that batch's constant delta ``(cycles,
+    visit_pairs, loads, stores, bytes_loaded, bytes_stored, segment)``.
+    Between observation points (budget traps,
+    progress callbacks, calls, returns, slow paths) the drift is
+    unobservable, so the hot path pays one local increment per block
+    instead of one Counter update per opcode.  ``cycles * n`` is exact:
+    cycle weights are dyadic and counts are integers.  With a profiler
+    ``P`` active, each batch's basic block (``segment``: start pc and
+    length, ``None`` for a batch of control charges only) is reported
+    once per entry, so the fast path carries no profiler test.
     """
-    for i, n in enumerate(vp):
+    for i, n in enumerate(counts):
         if n:
-            vp[i] = 0
-            cyc, pairs, ld, st, bl, bs = sv[i]
+            cyc, pairs, ld, st, bl, bs, seg = sv[i]
             if cyc:
                 S.cycles += cyc * n
             if ld:
@@ -215,6 +258,8 @@ def _flush_visits(S, V, vp, sv) -> None:
                 S.bytes_stored += bs * n
             for nm, c in pairs:
                 V[nm] += c * n
+            if P is not None and seg is not None:
+                P.record_segment(label, seg[0], seg[1], n)
 
 
 class _Frame:
@@ -272,10 +317,14 @@ class _Translator:
         self.lead: list[tuple] = []
         self.seg: dict | None = None
         self.trail: list[tuple] = []
-        # symbolic operand stack for the block under translation
+        # symbolic operand stack for the block under translation: per slot
+        # its expression, the variables it reads, and its raw width (0: the
+        # value is canonical; 32/64: it is congruent to the value mod
+        # 2**width and still needs the mask)
         self.tctr = 0
         self._sym: list[str] = []
         self._deps: list[set] = []
+        self._raw: list[int] = []
 
     # -- emission helpers ----------------------------------------------------
 
@@ -338,18 +387,8 @@ class _Translator:
         entry = (name, self._cycles_of(name), pc, d, control)
         (self.trail if self.seg is not None else self.lead).append(entry)
 
-    def _emit_visit_updates(self, charges, seg_names) -> None:
-        """Merged ``V[...] += c`` lines for a whole batch."""
-        delta: dict[str, int] = {}
-        for name, *_rest in charges:
-            delta[name] = delta.get(name, 0) + 1
-        for name in seg_names:
-            delta[name] = delta.get(name, 0) + 1
-        for name, c in delta.items():
-            self.emit(f'V["{name}"] += {c}')
-
-    def _register_batch(self, charges, seg) -> int:
-        """Record a fast-path batch's constant accounting delta; returns id."""
+    def _register_batch(self, charges, seg) -> None:
+        """Record a fast-path batch's constant accounting delta."""
         delta: dict[str, int] = {}
         for name, *_rest in charges:
             delta[name] = delta.get(name, 0) + 1
@@ -361,19 +400,30 @@ class _Translator:
             if seg:
                 cyc += sum(seg["op_cycles"])
         ld, st, bl, bs = seg["mem"] if seg else (0, 0, 0, 0)
-        self.batches.append((cyc, tuple(delta.items()), ld, st, bl, bs))
-        return len(self.batches) - 1
+        block = (seg["start"], seg["count"]) if seg else None
+        self.batches.append((cyc, tuple(delta.items()), ld, st, bl, bs, block))
 
-    def _emit_batch_head(self, lead, seg, trail) -> None:
-        """Open the batch's boundary check, and emit its slow path.
+    @staticmethod
+    def _settle(zero: bool = True) -> str:
+        """The statement that settles the deferred accounting: ``executed``,
+        then every batch count ``_v{i}`` (``@VS@``/``@V0@`` are patched
+        once all batches are known).  ``zero`` resets the counts, for code
+        that runs on afterwards."""
+        return "S.executed = _ex; _fv(S, V, @VS@, _SV, P, _lbl)" + ("; @V0@" if zero else "")
 
-        ``mi`` folds the budget, the capture point and the seek into one
-        threshold, so the fast path pays nothing for being capturable or
-        resumable.  When a budget, capture or progress boundary falls inside
-        the batch, the slow path hands the frame to the engine, which runs
-        the batch's recorded steps per instruction in the reference order of
-        :mod:`repro.wasm.predecode`: capture, charge, budget trap, progress
-        callback.  While seeking a resume entry (``mi == -1``) every batch
+    def _emit_batch_head(self, lead, seg, trail) -> int:
+        """Open the batch with its two-statement head, ``_ex += N`` and
+        ``if _ex > mi:``, emit its slow branch, and open the fast path's
+        ``else:``, which counts the batch in ``_v{batch}``; returns the
+        batch id.
+
+        ``mi`` folds the budget, the capture point, the next progress
+        boundary and the seek into one threshold, so the fast path pays
+        nothing for being capturable, resumable or watched.  When a budget,
+        capture or progress boundary falls inside the batch, the slow branch
+        takes the charge back and raises to the function's handler (see
+        :meth:`_epilogue`) with ``_e`` naming the batch and ``_stk`` its
+        operand stack.  While seeking an entry (``mi == -1``) every batch
         takes the slow branch and is skipped; the entry batch itself, which
         the engine finished before re-entering, clears ``_e`` and restores
         ``mi``.
@@ -388,28 +438,26 @@ class _Translator:
         steps += [(pc, name, cyc, ctl, False) for name, cyc, pc, _d, ctl in trail]
         self.steps.append(tuple(steps))
         batch = len(self.steps)
+        if seg is not None:
+            self.segs.append((batch, seg["mp"]))
         total = len(steps)
-        cond = f"_ex + {total} > mi or (_pb and (_ex + {total}) // pi != _ex // pi)"
-        self.emit(f"if {cond}:")
+        self.emit(f"_ex += {total}")
+        self.emit("if _ex > mi:")
         self.ind += 1
+        self.emit(f"_ex -= {total}")
         self.emit(f"if _e == {batch}: _e = 0; mi = _mi")
-        self.emit("elif not _e:")
-        self.ind += 1
         # every charge of a batch sees the operand stack it starts with:
         # control charges move no values, and the block's come first
         depth = lead[0][3] if lead else seg["d0"]
-        self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
-        self.emit(f"_stk, _loc = {self._lists(depth)}")
-        self.emit(f"_E._run_batch({self.fidx}, {batch}, _stk, _loc)")
-        self.emit("_ex = S.executed")
-        if seg is not None:
-            for i in seg["written_locals"]:
-                self.emit(f"l{i} = _loc[{i}]")
-            if seg["d1"]:
-                regs = ", ".join(f"s{i}" for i in range(seg["d1"]))
-                self.emit(f"{regs}, = _stk")
-        self.ind -= 2
+        stack = ", ".join(f"s{i}" for i in range(depth))
+        self.emit(f"elif not _e: _e = {batch}; _stk = [{stack}]; raise _SLOW")
+        self.ind -= 1
         self.emit("else:")
+        self.ind += 1
+        self._register_batch(lead + list(trail), seg)
+        self.emit(f"_v{batch} += 1")
+        self.ind -= 1
+        return batch
 
     def flush(self) -> None:
         """Emit the pending charge batch under one budget/capture/progress
@@ -420,23 +468,12 @@ class _Translator:
         self.lead, self.seg, self.trail = [], None, []
         if seg is None:
             self._emit_batch_head(lead, None, ())
-            self.ind += 1
-            bid = self._register_batch(lead, None)
-            self.emit(f"_ex += {len(lead)}")
-            self.emit(f"_vp[{bid}] += 1")
-            self.ind -= 1
             return
         self._flush_with_segment(lead, seg, trail)
 
     def _flush_with_segment(self, lead, seg, trail) -> None:
-        start, count = seg["start"], seg["count"]
-        total = len(lead) + count + len(trail)
-        self.emit(f"if P is not None and not _e: P.record_segment(_lbl, {start}, {count})")
-        self._emit_batch_head(lead, seg, trail)
+        batch = self._emit_batch_head(lead, seg, trail)
         self.ind += 1
-        bid = self._register_batch(lead + trail, seg)
-        self.emit(f"_ex += {total}")
-        self.emit(f"_vp[{bid}] += 1")
         buf = seg["buf"]
         if seg["can_trap"]:
             # _tp names the last trap point reached: -1 before the first
@@ -451,27 +488,11 @@ class _Translator:
             self.ind -= 1
             self.emit("except BaseException as _xc:")
             self.ind += 1
-            # a mid-block trap: retract this batch's pending delta, settle
-            # everything else, then re-apply the lead + block charges exactly
-            # and let _unwind subtract the unexecuted op suffix.  Trailing
-            # control charges never happened; memory-op stats for the
-            # executed prefix come from the compile-time table keyed by the
-            # failing op's position.
-            self.emit(f"_vp[{bid}] -= 1")
-            self.emit("_fv(S, V, _vp, _SV)")
-            self._emit_visit_updates(lead, seg["names"])
-            leadseg_cycles = sum(entry[1] for entry in lead) + sum(seg["op_cycles"])
-            if self.cost_on and leadseg_cycles != 0.0:
-                self.emit(f"S.cycles += {leadseg_cycles!r}")
-            if any(seg["mem"]):
-                mp = self.const(seg["mp"])
-                self.emit(f"_l, _s, _bl, _bs = {mp}[_tp]")
-                self.emit("S.loads += _l; S.bytes_loaded += _bl")
-                self.emit("S.stores += _s; S.bytes_stored += _bs")
-            if trail:
-                self.emit(f"_ex -= {len(trail)}")
-            self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
-            self.emit(f"_E._unwind({self.fidx}, {seg['index']}, _tp)")
+            # a mid-block trap: take this batch back, settle everything
+            # else, and let _unwind charge the part of the batch that ran
+            self.emit(f"_v{batch} -= 1; _ex -= {len(self.steps[-1])}")
+            self.emit(self._settle(zero=False))
+            self.emit(f"_E._unwind({self.fidx}, {len(self.segs) - 1}, _tp)")
             if seg["oob"]:
                 # struct refused an access past the end: the same text as
                 # LinearMemory.read/write, at the address the access wrote
@@ -498,7 +519,7 @@ class _Translator:
 
     def _return_values(self, d: int) -> None:
         nres = len(self.functype.results)
-        self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+        self.emit(self._settle(zero=False))
         if nres == 0:
             self.emit("return []")
             return
@@ -589,6 +610,13 @@ class _Translator:
         multi-use operand, an oversized expression, or the end of the block,
         where surviving slots land in the canonical registers ``s{i}`` that
         the control-flow code and the slow path's stack lists both use.
+
+        Integer arithmetic that commutes with reduction mod ``2**bits``
+        (``add``, ``sub``, ``mul``, ``shl`` by a literal, ``and``, ``or``,
+        ``xor``) leaves its slot *raw*: ``l3 * 12 + l6`` stays unmasked
+        until a consumer that needs the canonical value pops it
+        (:meth:`_pop`), or it is written to a name, so a chain of wrapping
+        steps pays one mask.
         """
         if self.seg is not None:
             self.flush()
@@ -598,8 +626,12 @@ class _Translator:
 
         buf: list[str] = []
         d0 = d
+        # temporaries never outlive their block: every block reuses t1, t2,
+        # ..., so a function's local count stays small
+        self.tctr = 0
         self._sym = [f"s{i}" for i in range(d0)]
-        self._deps: list[set] = [set() for _ in range(d0)]
+        self._deps = [set() for _ in range(d0)]
+        self._raw = [0] * d0
         # memory-op stat totals for the block, plus the prefix table keyed by
         # trap position (what had completed before the op at index j ran)
         self._seg_mem = [0, 0, 0, 0]
@@ -617,25 +649,18 @@ class _Translator:
         # so each write happens after every read of the old value
         for k in range(d1):
             if self._sym[k] != f"s{k}":
-                buf.append(f"s{k} = {self._sym[k]}")
+                buf.append(f"s{k} = {_masked(self._sym[k], self._raw[k])}")
 
-        seg_index = len(self.segs)
-        self.segs.append((names, tuple(op_cycles)))
         self.seg = {
             "start": start,
             "count": stop - start,
-            "index": seg_index,
             "names": names,
             "op_cycles": op_cycles,
             # a literal divisor, say, leaves a trapping instruction that
             # cannot trap: only recorded trap points need the rollback
             "can_trap": len(self._seg_mp) > 1,
-            "written_locals": sorted(
-                {m.args[0] for m in members if m.name in ("local.set", "local.tee")}
-            ),
             "buf": buf,
             "d0": d0,
-            "d1": d1,
             "mem": tuple(self._seg_mem),
             "mp": dict(self._seg_mp),
             "oob": dict(self._seg_oob),
@@ -656,27 +681,37 @@ class _Translator:
         self.tctr += 1
         return f"t{self.tctr}"
 
-    def _push(self, expr: str, deps: set, out: list[str]) -> None:
+    def _push(self, expr: str, deps: set, out: list[str], raw: int = 0) -> None:
+        """Push ``expr``; ``raw`` is its width if it may still need the
+        wrap-around mask (see :meth:`_queue_segment`)."""
         if len(expr) > 100:  # cap folded-expression size
             t = self._temp()
-            out.append(f"{t} = {expr}")
-            expr, deps = t, set()
+            out.append(f"{t} = {_masked(expr, raw)}")
+            expr, deps, raw = t, set(), 0
         self._sym.append(expr)
         self._deps.append(deps)
+        self._raw.append(raw)
 
-    def _pop(self) -> tuple[str, set]:
+    def _pop_raw(self) -> tuple[str, set, int]:
+        """Pop an operand as it stands: expression, deps and raw width."""
         if not self._sym:
             raise CompileError("operand stack underflow")
-        return self._sym.pop(), self._deps.pop()
+        return self._sym.pop(), self._deps.pop(), self._raw.pop()
+
+    def _pop(self) -> tuple[str, set]:
+        """Pop an operand's canonical value: a raw slot gets its mask here."""
+        expr, deps, raw = self._pop_raw()
+        return (f"({expr} & {_MASK[raw]})" if raw else expr), deps
 
     def _materialize(self, k: int, out: list[str], force: bool = False) -> None:
         """Pin slot ``k``'s pending expression into a fresh temporary."""
         if not force and _SIMPLE_EXPR.fullmatch(self._sym[k]):
             return
         t = self._temp()
-        out.append(f"{t} = {self._sym[k]}")
+        out.append(f"{t} = {_masked(self._sym[k], self._raw[k])}")
         self._sym[k] = t
         self._deps[k] = set()
+        self._raw[k] = 0
 
     def _barrier(self, var, out: list[str]) -> None:
         """A variable is about to be written: pin every expression reading it.
@@ -690,7 +725,8 @@ class _Translator:
                 self._materialize(k, out, force=True)
 
     def _pop_simple(self, out: list[str]) -> tuple[str, set]:
-        """Pop an operand that the consumer will evaluate more than once."""
+        """Pop an operand that the consumer will evaluate more than once
+        (canonical: a raw one is materialised)."""
         if self._sym and not _SIMPLE_EXPR.fullmatch(self._sym[-1]):
             self._materialize(len(self._sym) - 1, out)
         return self._pop()
@@ -702,33 +738,28 @@ class _Translator:
         if name == "nop":
             return
         if name == "drop":
-            self._pop()
+            self._pop_raw()
             return
         if name == "select":
             c, cd = self._pop()
-            b, bd = self._pop()
-            a, ad = self._pop()
+            b, bd, rb = self._pop_raw()
+            a, ad, ra = self._pop_raw()
             cond, when = self._conds.get(c, (c, 1))
             if not when:
                 a, b = b, a
-            self._push(f"({a} if {cond} else {b})", ad | bd | cd, out)
+            self._push(f"({a} if {cond} else {b})", ad | bd | cd, out, ra or rb)
             return
         if name == "local.get":
             idx = instr.args[0]
             self._push(f"l{idx}", {idx}, out)
             return
-        if name == "local.set":
+        if name in ("local.set", "local.tee"):
             idx = instr.args[0]
-            e, _deps = self._pop()
+            e, _deps, raw = self._pop_raw()
             self._barrier(idx, out)
-            out.append(f"l{idx} = {e}")
-            return
-        if name == "local.tee":
-            idx = instr.args[0]
-            e, _deps = self._pop()
-            self._barrier(idx, out)
-            out.append(f"l{idx} = {e}")
-            self._push(f"l{idx}", {idx}, out)
+            out.append(f"l{idx} = {_masked(e, raw)}")
+            if name == "local.tee":
+                self._push(f"l{idx}", {idx}, out)
             return
         if name == "global.get":
             # pending like a local, so a counter increment (global.get;
@@ -738,9 +769,9 @@ class _Translator:
             return
         if name == "global.set":
             g = f"_g{instr.args[0]}"
-            e, _deps = self._pop()
+            e, _deps, raw = self._pop_raw()
             self._barrier(g, out)
-            out.append(f"{g}.value = {e}")
+            out.append(f"{g}.value = {_masked(e, raw)}")
             return
         if name.endswith(".const"):
             value = instr.args[0]
@@ -787,7 +818,10 @@ class _Translator:
                 width = w
                 break
         if is_store:
-            val, _vd = (self._pop_simple(out) if prefix == "f32" else self._pop())
+            if prefix == "f32":
+                val, _vd = self._pop_simple(out)
+            else:
+                val, _vd, raw = self._pop_raw()
             base, _bd = self._pop()
         else:
             base, _bd = self._pop()
@@ -815,8 +849,11 @@ class _Translator:
             elif prefix == "f64":
                 out.append(f"_Sf8(_mb, _a := {addr}, {val})")
             else:
-                mask = hex((1 << (width * 8)) - 1)
-                out.append(f"_S{width}(_mb, _a := {addr}, {val} & {mask})")
+                # the width mask reduces a raw value too; a canonical one
+                # stored at full width needs none
+                if raw or width * 8 < vt_bits:
+                    val = f"{val} & {hex((1 << (width * 8)) - 1)}"
+                out.append(f"_S{width}(_mb, _a := {addr}, {val})")
             self._seg_mem[1] += 1
             self._seg_mem[3] += width
             if self.cost_on:
@@ -871,39 +908,44 @@ class _Translator:
         mask = hex((1 << bits) - 1)
 
         if suffix in _I_BIN:
-            b, bd = self._pop()
-            a, ad = self._pop()
-            self._push(f"(({a} {_I_BIN[suffix]} {b}) & {mask})", ad | bd, out)
+            b, bd, _rb = self._pop_raw()
+            a, ad, _ra = self._pop_raw()
+            self._push(f"({a} {_I_BIN[suffix]} {b})", ad | bd, out, bits)
             return
         if suffix in _I_BIT:
-            b, bd = self._pop()
-            a, ad = self._pop()
-            self._push(f"({a} {_I_BIT[suffix]} {b})", ad | bd, out)
+            b, bd, rb = self._pop_raw()
+            a, ad, ra = self._pop_raw()
+            # a canonical operand bounds an `and` to [0, 2**bits)
+            raw = (ra and rb) if suffix == "and" else (ra or rb)
+            self._push(f"({a} {_I_BIT[suffix]} {b})", ad | bd, out, raw)
             return
+        # a shift count is taken mod bits, which divides 2**bits: it may be raw
         if suffix == "shl":
-            b, bd = self._pop()
-            a, ad = self._pop()
+            b, bd, _rb = self._pop_raw()
+            a, ad, _ra = self._pop_raw()
             blit = _as_int(b)
-            shift = repr(blit % bits) if blit is not None else f"({b} % {bits})"
-            self._push(f"(({a} << {shift}) & {mask})", ad | bd, out)
+            if blit is not None:
+                self._push(f"({a} << {blit % bits})", ad | bd, out, bits)
+            else:
+                self._push(f"(({a} << ({b} % {bits})) & {mask})", ad | bd, out)
             return
         if suffix == "shr_u":
-            b, bd = self._pop()
+            b, bd, _rb = self._pop_raw()
             a, ad = self._pop()
             blit = _as_int(b)
             shift = repr(blit % bits) if blit is not None else f"({b} % {bits})"
             self._push(f"({a} >> {shift})", ad | bd, out)
             return
         if suffix == "shr_s":
-            b, bd = self._pop()
+            b, bd, _rb = self._pop_raw()
             a, ad = self._pop()
             blit = _as_int(b)
             shift = repr(blit % bits) if blit is not None else f"({b} % {bits})"
             sa = self._signed_expr(a, bits)
-            self._push(f"(({sa} >> {shift}) & {mask})", ad | bd, out)
+            self._push(f"({sa} >> {shift})", ad | bd, out, bits)
             return
         if suffix in ("rotl", "rotr"):
-            b, bd = self._pop()
+            b, bd, _rb = self._pop_raw()
             a, ad = self._pop()
             self._push(f"_{suffix}({a}, {b}, {bits})", ad | bd, out)
             return
@@ -959,7 +1001,8 @@ class _Translator:
                 b = tb
             else:  # a zero literal
                 out.append('raise Trap("integer divide by zero")')
-            out.append(f"{t} = ({a} {op} {b}) & {mask}")
+            # canonical operands: the quotient or remainder is canonical too
+            out.append(f"{t} = {a} {op} {b}")
             self._push(t, set(), out)
             return
         if suffix in ("div_s", "rem_s"):
@@ -1002,20 +1045,21 @@ class _Translator:
             self._push(t, set(), out)
             return
         if suffix == "wrap_i64":
-            a, ad = self._pop()
+            a, ad, _ra = self._pop_raw()  # the mask reduces a raw i64 too
             self._push(f"({a} & 0xffffffff)", ad, out)
             return
         if suffix == "extend_i32_s":
             a, ad = self._pop()
-            self._push(
-                f"({self._signed_expr(a, 32)} & 0xffffffffffffffff)", ad, out
-            )
+            self._push(self._signed_expr(a, 32), ad, out, 64)
             return
         if suffix == "extend_i32_u":
-            return  # an i32 value is already below 2**32
+            if self._raw and self._raw[-1]:
+                a, ad = self._pop()  # a canonical i32 is already below 2**32
+                self._push(a, ad, out)
+            return
         if suffix == "reinterpret_f32":
             a, ad = self._pop()
-            self._push(f'_up("<I", _pk("<f", _f32({a})))[0]', ad, out)
+            self._push(f'_up("<I", _pk("<f", _rf32({a})))[0]', ad, out)
             return
         if suffix == "reinterpret_f64":
             a, ad = self._pop()
@@ -1026,20 +1070,20 @@ class _Translator:
     def _emit_divrem_s_by(self, suffix: str, c: int, bits: int, j: int, out) -> None:
         """``div_s``/``rem_s`` by the nonzero literal ``c`` (signed value),
         inline: truncating arithmetic on the unsigned operand, with no
-        helper call and no zero test.  Only ``div_s`` by -1 can trap."""
+        helper call and no zero test.  Only ``div_s`` by -1 can trap.  A
+        negative result is left raw."""
         sign, mod = hex(1 << (bits - 1)), hex(1 << bits)
-        mask = hex((1 << bits) - 1)
         m = abs(c)
         if suffix == "rem_s":
             if m == 1:
-                self._pop()
+                self._pop_raw()
                 self._push("0", set(), out)
                 return
             # the remainder takes the dividend's sign
             a, ad = self._pop_simple(out)
             self._push(
-                f"({a} % {m} if {a} < {sign} else -(({mod} - {a}) % {m}) & {mask})",
-                ad, out,
+                f"({a} % {m} if {a} < {sign} else -(({mod} - {a}) % {m}))",
+                ad, out, bits,
             )
             return
         if c == 1:
@@ -1048,21 +1092,21 @@ class _Translator:
         if c == -1:
             self._trap_point(j, out)
             out.append(f'if {a} == {sign}: raise Trap("integer overflow")')
-            self._push(f"(-{a} & {mask})", ad, out)
+            self._push(f"(-{a})", ad, out, bits)
             return
         # |quotient| = |dividend| // |c|, negative when the signs differ
         neg = f"(({mod} - {a}) // {m})"
         if c > 0:
-            expr = f"({a} // {m} if {a} < {sign} else -{neg} & {mask})"
+            expr = f"({a} // {m} if {a} < {sign} else -{neg})"
         else:
-            expr = f"(-({a} // {m}) & {mask} if {a} < {sign} else {neg})"
-        self._push(expr, ad, out)
+            expr = f"(-({a} // {m}) if {a} < {sign} else {neg})"
+        self._push(expr, ad, out, bits)
 
     def _emit_float(self, name, suffix, prefix, out) -> None:
         narrow = prefix == "f32"
 
         def wrap(expr: str) -> str:
-            return f"_f32({expr})" if narrow else expr
+            return f"_rf32({expr})" if narrow else expr
 
         if suffix in ("add", "sub", "mul"):
             b, bd = self._pop()
@@ -1142,7 +1186,7 @@ class _Translator:
             return
         if suffix == "demote_f64":
             a, ad = self._pop()
-            self._push(f"_f32({a})", ad, out)
+            self._push(f"_rf32({a})", ad, out)
             return
         if suffix == "promote_f32":
             a, ad = self._pop()
@@ -1150,11 +1194,11 @@ class _Translator:
             return
         if suffix == "reinterpret_i32":
             a, ad = self._pop()
-            self._push(f'_up("<f", _pk("<I", {a} & 0xffffffff))[0]', ad, out)
+            self._push(f'_up("<f", _pk("<I", {a}))[0]', ad, out)
             return
         if suffix == "reinterpret_i64":
             a, ad = self._pop()
-            self._push(f'_up("<d", _pk("<Q", {a} & 0xffffffffffffffff))[0]', ad, out)
+            self._push(f'_up("<d", _pk("<Q", {a}))[0]', ad, out)
             return
         raise CompileError(f"no translation for {name}")
 
@@ -1166,21 +1210,25 @@ class _Translator:
         self.emit(f"def _f{self.fidx}(_e, _stk, _loc):")
         self.ind += 1
         self.emit("S = _I.stats; V = S.visits; L = _I.limits")
-        # mb: instruction budget, sa: capture point, mi: the nearer of both
-        # (the fast path's one threshold; -1 while a resume seeks its entry)
+        # mb: instruction budget, sa: capture point, mm: the nearer of both;
+        # mi, the fast path's one threshold, is mm or the last count before
+        # the next progress boundary, whichever is nearer (-1 while a
+        # resume seeks its entry)
         self.emit("mb = L.max_instructions")
         self.emit("if mb is None: mb = _BIG")
         self.emit("sa = L.snapshot_at")
         self.emit("if sa is None: sa = _BIG")
-        self.emit("mi = sa if sa < mb else mb")
-        self.emit("pi = L.progress_interval; cb = L.progress_callback")
-        self.emit("_pb = pi is not None and cb is not None")
+        self.emit("mm = sa if sa < mb else mb")
+        self.emit("pi = L.progress_interval")
+        self.emit("_pb = pi is not None and L.progress_callback is not None")
         self.emit("P = _I._profiler")
         self.emit(f'_lbl = _I._func_labels[{self.fidx}] if P is not None else ""')
         self.emit("_ex = S.executed")
+        self.emit("mi = mm")
+        self.emit(_REARM)
         self.emit("_br = 0")
         self.emit(f"_SV = {self.kname}[0]")
-        self.emit("_vp = [0] * len(_SV)")
+        self.emit("@V0@")
         used = {m.args[0] for m in self.body if m.name in ("global.get", "global.set")}
         for g in sorted(used):
             self.emit(f"_g{g} = _G[{g}]")
@@ -1189,6 +1237,19 @@ class _Translator:
             self.emit("_mb = M._data")  # bytearray grows in place: stays valid
             if self.cost_on:
                 self.emit("C = _C")
+        if self.n_locals:
+            self.emit("if not _e:")
+            self.ind += 1
+            n_params = len(self.functype.params)
+            if n_params:
+                self.emit(", ".join(f"l{i}" for i in range(n_params)) + ", = _loc")
+            for i, vt in enumerate(self.func.locals):
+                self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
+            self.ind -= 1
+        # the body runs in a loop: a slow path (raise _SLOW) leaves it for
+        # the handler emitted by _epilogue, which re-enters it like a resume
+        self.emit("while True:")
+        self.ind += 1
         self.emit("if _e:")
         self.ind += 1
         if self.n_locals:
@@ -1196,16 +1257,32 @@ class _Translator:
         self.emit("@STACK@")  # register unpack, patched once depth is known
         self.emit("_mi = mi; mi = -1")
         self.ind -= 1
-        self.emit("else:")
+        self.emit("try:")
         self.ind += 1
-        n_params = len(self.functype.params)
-        if n_params:
-            self.emit(", ".join(f"l{i}" for i in range(n_params)) + ", = _loc")
-        for i, vt in enumerate(self.func.locals):
-            self.emit(f"l{n_params + i} = {'0' if vt.is_int else '0.0'}")
-        if not self.n_locals:
-            self.emit("pass")
+
+    def _epilogue(self) -> None:
+        """Close the body's ``try`` with the one slow path of the function.
+
+        A batch a budget, capture or progress boundary falls inside leaves
+        the body with ``_e`` naming it and ``_stk`` holding its operand
+        stack.  The handler settles the deferred accounting, has the engine
+        run the batch per instruction, re-arms the threshold and re-enters
+        the body, which seeks past that batch as a resume does.  It runs
+        after the ``try`` statement, so a trap or capture it raises does not
+        carry the ``_SlowPath`` as its context.
+        """
         self.ind -= 1
+        self.emit("except _SLOW:")
+        self.emit("    pass")
+        self.emit("else:")
+        self.emit("    break")
+        self.emit(self._settle())
+        locals_ = ", ".join(f"l{i}" for i in range(self.n_locals))
+        self.emit(f"_loc = [{locals_}]")
+        self.emit(f"_E._run_batch({self.fidx}, _e, _stk, _loc)")
+        self.emit("_ex = S.executed")
+        self.emit(_REARM)
+        self.ind -= 2
 
     def _emit_call(self, pc: int, callee: str, np_: int, nres: int, base: int) -> None:
         """``_CALL`` with the popped arguments ``s{base}..``; a capture
@@ -1220,6 +1297,7 @@ class _Translator:
             self.emit(f"s{base} = _r[0]")
         self.emit("S.calls += 1")
         self.emit("_ex = S.executed")
+        self.emit(_REARM)
 
     def _patch_cond(self, frame: _Frame) -> None:
         """Seeking ``if``: once the true arm is emitted, the entries it
@@ -1405,7 +1483,7 @@ class _Translator:
                 self.emit_charge(name, i, d)
                 self.flush()
                 self._guard()
-                self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+                self.emit(self._settle(zero=False))
                 self.emit('raise Trap("unreachable executed")')
                 self._unguard()
                 reachable = False
@@ -1418,7 +1496,7 @@ class _Translator:
                 self.emit_charge(name, i, d)
                 self.flush()
                 self._guard()
-                self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+                self.emit(self._settle())
                 self._emit_call(i, str(target), np_, nres, d - np_)
                 self._unguard()
                 d = d - np_ + nres
@@ -1430,7 +1508,7 @@ class _Translator:
                 self.emit_charge(name, i, d)
                 self.flush()
                 self._guard()
-                self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+                self.emit(self._settle())
                 tk = self.const(expected)
                 self.emit(f"_x = s{d - 1}")
                 self.emit(
@@ -1451,7 +1529,7 @@ class _Translator:
                 self.flush()
                 self._guard()
                 if not self.has_memory:
-                    self.emit("S.executed = _ex; _fv(S, V, _vp, _SV)")
+                    self.emit(self._settle(zero=False))
                     self.emit('raise Trap("no memory")')
                 else:
                     self.emit(f"_r = M.grow(s{d - 1})")
@@ -1469,15 +1547,21 @@ class _Translator:
             self.emit_return(d)
         if frames:
             raise CompileError("unbalanced control structure")
+        self._epilogue()
 
         regs = ", ".join(f"s{k}" for k in range(self.max_d))
         unpack = (
-            f"        {regs}, = _stk + [0] * ({self.max_d} - len(_stk))"
+            f"            {regs}, = _stk + [0] * ({self.max_d} - len(_stk))"
             if self.max_d else ""
         )
-        self.lines = [unpack if ln == "        @STACK@" else ln for ln in self.lines]
+        self.lines = [unpack if ln == "            @STACK@" else ln for ln in self.lines]
         self.consts[0] = tuple(self.batches)
-        return "\n".join(self.lines) + "\n", tuple(self.consts), tuple(self.segs)
+        counts = [f"_v{k}" for k in range(1, len(self.batches) + 1)]
+        source = (
+            "\n".join(self.lines).replace("@VS@", f"({', '.join(counts)},)" if counts else "()")
+            .replace("@V0@", " = ".join(counts + ["0"]) if counts else "pass")
+        )
+        return source + "\n", tuple(self.consts), tuple(self.segs)
 
     def _close_frame(self, frames: list, reachable: bool) -> tuple[bool, int]:
         """Emit the close of the innermost construct; returns (reachable, d)."""
@@ -1573,8 +1657,10 @@ _SHARED_NAMESPACE = {
     "Trap": Trap,
     "MemoryAccessError": MemoryAccessError,
     "_SE": struct.error,
-    "_f32": _f32,
+    # not "_f32": generated functions are named _f{index}
+    "_rf32": _f32,
     "_fv": _flush_visits,
+    "_SLOW": _SlowPath,
     "_trunc_div": _trunc_div,
     "_trunc_rem": _trunc_rem,
     "_trunc_to_int": _trunc_to_int,
@@ -1595,7 +1681,9 @@ _SHARED_NAMESPACE = {
     "_up": struct.unpack,
     "_INF": math.inf,
     "_NAN": math.nan,
-    "_BIG": float("inf"),
+    # "no limit": an int past any reachable count, so the threshold test
+    # compares two ints (an int against float("inf") is slower)
+    "_BIG": 1 << 62,
     # prebound Struct methods for inline linear-memory access
     "_L1s": struct.Struct("<b").unpack_from,
     "_L1u": struct.Struct("<B").unpack_from,
@@ -1726,7 +1814,9 @@ class CompiledEngine:
         :mod:`repro.wasm.predecode` (capture, charge, budget trap, progress
         callback); a non-control one then runs through the reference's
         closure for it, built on first use per instance and pc (a hop
-        builds only what it steps).
+        builds only what it steps).  Reaching the first instruction of the
+        batch's basic block reports its entry to an active profiler, before
+        the capture test, as the reference does.
         """
         inst = self.instance
         stats, limits = inst.stats, inst.limits
@@ -1737,8 +1827,16 @@ class CompiledEngine:
         if ops is None:
             ops = self._ops[defined_index] = {}
         steps = self._module_code.funcs[defined_index].batch_steps[batch - 1]
+        prof = inst._profiler
+        block_pc = None
+        if prof is not None:
+            block = [step[0] for step in steps if step[4]]
+            if block:
+                block_pc, label = block[0], inst._func_labels[defined_index]
         for k in range(first, len(steps)):
             pc, name, cycles, control, is_op = steps[k]
+            if pc == block_pc:
+                prof.record_segment(label, pc, len(block))
             if limits.snapshot_at is not None and stats.executed >= limits.snapshot_at:
                 raise self._capture_at((func_index, pc, control), stack, locals_)
             visits[name] += 1
@@ -1764,26 +1862,38 @@ class CompiledEngine:
                 op(stack, locals_)
 
     def _unwind(self, defined_index: int, seg_index: int, failed_index: int) -> None:
-        """Roll back the charges of the block's suffix that never ran after
-        a mid-block trap.
+        """Charge what ran of a batch whose basic block trapped.
 
-        ``failed_index`` is the in-block position of the trapping
-        instruction, which stays charged (in the reference order visits
-        precede execution).  A negative index means an instruction
-        classified as non-trapping raised (invalid module); nothing is
-        rolled back then.
+        The trap path has taken the whole batch back; this charges its
+        leading control instructions and the block up to ``failed_index``,
+        the in-block position of the trapping instruction, which stays
+        charged (in the reference order visits precede execution), plus
+        the memory stats of the accesses completed before it.  Trailing
+        control charges never happened.  An index of -1 means an
+        instruction classified as non-trapping raised (invalid module); the
+        whole block stays charged then.  The block's entry is reported to
+        an active profiler here, since the batch counter no longer holds it.
         """
-        names, op_cycles = self._module_code.funcs[defined_index].segs[seg_index]
-        if failed_index < 0 or failed_index + 1 >= len(names):
-            return
-        stats = self.instance.stats
+        fc = self._module_code.funcs[defined_index]
+        batch, mem_prefix = fc.segs[seg_index]
+        steps = fc.batch_steps[batch - 1]
+        block = [k for k, step in enumerate(steps) if step[4]]
+        ran = block[failed_index] + 1  # -1 (no trap point reached): all of it
+        inst = self.instance
+        stats = inst.stats
         visits = stats.visits
-        stats.executed -= len(names) - (failed_index + 1)
-        for name in names[failed_index + 1 :]:
-            remaining = visits[name] - 1
-            if remaining:
-                visits[name] = remaining
-            else:
-                del visits[name]
-        if self.instance.cost_model is not None:
-            stats.cycles -= sum(op_cycles[failed_index + 1 :])
+        cost_on = inst.cost_model is not None
+        for _pc, name, cycles, _control, _is_op in steps[:ran]:
+            visits[name] += 1
+            if cost_on:
+                stats.cycles += cycles
+        stats.executed += ran
+        loads, stores, bytes_loaded, bytes_stored = mem_prefix[failed_index]
+        stats.loads += loads
+        stats.bytes_loaded += bytes_loaded
+        stats.stores += stores
+        stats.bytes_stored += bytes_stored
+        if inst._profiler is not None:
+            inst._profiler.record_segment(
+                inst._func_labels[defined_index], steps[block[0]][0], len(block)
+            )

@@ -60,8 +60,15 @@ def _stats_record(stats) -> tuple:
     )
 
 
+#: arguments near zero, and at the i32 boundaries where arithmetic wraps
+ARGUMENTS = st.one_of(
+    st.integers(-10, 10),
+    st.sampled_from([2**31 - 1, -(2**31), 2**31 - 2, -(2**31) + 1, 2**16, -(2**16)]),
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(programs(), st.integers(-10, 10), st.integers(-10, 10))
+@given(programs(), ARGUMENTS, ARGUMENTS)
 def test_every_engine_counts_exactly_on_random_programs(source, a, b):
     """Per engine and level: counter == that engine's ground-truth visits;
     with a cost model, every engine's stats are byte-identical."""

@@ -1,8 +1,10 @@
 """Hypothesis strategy for random MiniC programs, shared by property tests.
 
 ``programs()`` draws ``int f(int a, int b)`` with straight-line arithmetic,
-comparisons, branches and bounded ``for``/``while`` loops: every program
-terminates and never traps, so a test can compare any two executions of it.
+shifts, comparisons, branches and bounded ``for``/``while`` loops: every
+program terminates and never traps, so a test can compare any two
+executions of it.  Large literals and products make values wrap around
+2**32 often.
 """
 
 from __future__ import annotations
@@ -10,17 +12,19 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 _VARS = ["a", "b", "t"]
+#: small literals, and large ones whose products and sums wrap
+_LITERALS = ["1", "2", "3", "7", "11", "65537", "1000003", "2147483647"]
 
 
 @st.composite
 def expressions(draw, depth: int = 0) -> str:
     if depth >= 3:
-        return draw(st.sampled_from(_VARS + ["1", "2", "3", "7"]))
+        return draw(st.sampled_from(_VARS + _LITERALS))
     kind = draw(st.sampled_from(["leaf", "leaf", "binop", "cmp", "not"]))
     if kind == "leaf":
-        return draw(st.sampled_from(_VARS + ["1", "2", "3", "7", "11"]))
+        return draw(st.sampled_from(_VARS + _LITERALS))
     if kind == "binop":
-        op = draw(st.sampled_from(["+", "-", "*", "&", "|", "^"]))
+        op = draw(st.sampled_from(["+", "-", "*", "&", "|", "^", "<<", ">>"]))
         left = draw(expressions(depth + 1))
         right = draw(expressions(depth + 1))
         return f"({left} {op} {right})"

@@ -22,7 +22,7 @@ from repro.obs.metrics import (
     set_tenant_budget,
 )
 from repro.obs.rollup import RollingAggregator
-from repro.obs.sketch import OVERFLOW_KEY
+from repro.obs.sketch import OVERFLOW_KEY, TenantSpill
 from repro.obs.soak import _zipf_schedule
 from repro.service.quota import AdmissionController, TenantQuota
 
@@ -58,6 +58,26 @@ def test_counter_spills_over_budget_tenants_and_conserves_totals(
     assert counter.total() == 100
     # the overflow series carries exactly the over-budget weight
     assert counter.value(tenant=OVERFLOW_KEY, outcome="ok") == 96
+
+
+def test_spills_counts_summary_entries_not_distinct_labelsets():
+    """A labelset the Space-Saving summary evicted counts again when it
+    returns: 96 spilled tenants cycled three times through an 8-counter
+    summary enter it 288 times.  A distinct count would need state for
+    every labelset ever seen, so ``spills`` is documented as entries."""
+    spill = TenantSpill(budget=4, top_k=8)
+    for _cycle in range(3):
+        for i in range(100):
+            spill.admit("tenant-%d" % i)
+    assert spill.tracked_count() == 4
+    assert spill.spills == 288
+    # with no more spilled labelsets than counters, nothing is evicted
+    # and entries equal distinct labelsets
+    small = TenantSpill(budget=4, top_k=8)
+    for _cycle in range(3):
+        for i in range(12):
+            small.admit("tenant-%d" % i)
+    assert small.spills == 8
 
 
 def test_counter_spilled_tenant_recoverable_from_sketch(governed_registry):

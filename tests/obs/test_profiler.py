@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.instrument import instrument_module
 from repro.obs.profiler import (
     Profiler,
     active_profiler,
@@ -9,8 +10,9 @@ from repro.obs.profiler import (
     enable_profiling,
     profile,
 )
-from repro.wasm.interpreter import ENGINES, Instance, function_labels
+from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap, function_labels
 from repro.wasm.wat_parser import parse_wat
+from repro.workloads import POLYBENCH_KERNELS
 
 FIB_WAT = """
 (module
@@ -25,6 +27,13 @@ FIB_WAT = """
   (func (export "entry") (result i32)
     (i32.add (call $fib (i32.const 6)) (call $helper))))
 """
+
+
+#: the PolyBench kernels the serving benchmark's faas-small, faas-heavy and
+#: faas-preempt workloads run
+FAAS_KERNELS = (
+    "atax", "bicg", "mvt", "trisolv", "gesummv", "jacobi-1d", "gemm", "2mm", "jacobi-2d",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -146,3 +155,66 @@ def test_top_functions_sorted_by_exclusive_wall():
     prof.functions["fast"] = [1, 50, 10, 5, 5, 0.0, 0.0]
     rows = prof.top_functions(2)
     assert [r["function"] for r in rows] == ["slow", "fast"]
+
+
+def _segments(module, engine: str, calls) -> dict:
+    with profile() as prof:
+        instance = Instance(module.clone(), engine=engine)
+        for export, args in calls:
+            instance.invoke(export, *args)
+    return prof.segments
+
+
+def test_engines_report_identical_segments_for_fib():
+    """``compile`` counts block entries in its batch counters and reports
+    them where it settles those; ``predecode`` reports each entry as it
+    happens.  The totals must be the same table."""
+    module = parse_wat(FIB_WAT)
+    calls = [("entry", ()), ("fib", (9,))]
+    reference = _segments(module, "predecode", calls)
+    assert reference
+    assert _segments(module, "compile", calls) == reference
+
+
+@pytest.mark.parametrize("kernel", FAAS_KERNELS)
+def test_engines_report_identical_segments_for_served_kernels(kernel):
+    spec = POLYBENCH_KERNELS[kernel]
+    module = instrument_module(spec.compile().clone(), "loop-based").module
+    calls = list(spec.setup) + [spec.run]
+    reference = _segments(module, "predecode", calls)
+    assert reference
+    assert _segments(module, "compile", calls) == reference
+
+
+#: a loop whose block stores one word further each round until a store
+#: falls past the end of memory, mid-block
+RUNAWAY_WAT = """
+(module (memory 1)
+  (func (export "run") (param i32) (result i32)
+    (local i32)
+    (loop $top
+      (i32.store (local.get 1) (local.get 1))
+      (i32.store (i32.add (local.get 1) (local.get 0)) (i32.const 7))
+      (local.set 1 (i32.add (local.get 1) (local.get 0)))
+      (br $top))
+    (local.get 1)))
+"""
+
+
+@pytest.mark.parametrize("interval", [None, 1, 7])
+def test_engines_report_identical_segments_through_traps_and_slow_paths(interval):
+    """Block entries reach the profiler from the trap path (a store past
+    the end) and from the per-instruction slow path (progress boundaries)
+    as they do from the fast path."""
+    tables = {}
+    for engine in ENGINES:
+        limits = ExecutionLimits(
+            progress_interval=interval, progress_callback=lambda stats: None
+        )
+        with profile() as prof:
+            instance = Instance(parse_wat(RUNAWAY_WAT), engine=engine, limits=limits)
+            with pytest.raises(Trap, match="out of bounds"):
+                instance.invoke("run", 4096)
+        tables[engine] = prof.segments
+    assert tables["predecode"]
+    assert tables["compile"] == tables["predecode"]

@@ -15,7 +15,9 @@ pins the behaviours unique to :mod:`repro.wasm.compile_engine`:
 * ``memory.grow`` inside compiled loops, where deferred visit batching must
   still stamp ``grow_history`` with exact visit totals;
 * budget traps landing on memory instructions mid-segment, exercising the
-  rollback of the deferred load/store counters.
+  rollback of the deferred load/store counters;
+* slow paths only where a boundary falls: the threshold is re-armed after
+  each, after calls and after a resume's seek.
 """
 
 import pytest
@@ -295,3 +297,81 @@ class TestCodeCache:
         assert pool.stats()["hits"] == 1
         assert resume_invoke(pooled.instance, snap) == expected
         assert translated == []
+
+
+# A caller whose loop calls a callee long enough to cross progress
+# boundaries inside it.
+CALL_LOOP = """
+(module
+  (func $inner (param i32) (result i32)
+    (local i32)
+    (loop $l
+      (local.set 1 (i32.add (local.get 1) (local.get 0)))
+      (local.set 0 (i32.sub (local.get 0) (i32.const 1)))
+      (br_if $l (local.get 0)))
+    (local.get 1))
+  (func (export "outer") (param i32) (result i32)
+    (local i32 i32)
+    (loop $top
+      (local.set 2 (i32.add (local.get 2) (call $inner (i32.const 9))))
+      (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+      (br_if $top (i32.lt_u (local.get 1) (local.get 0))))
+    (local.get 2)))
+"""
+
+
+class TestSlowPathsStayRare:
+    """The threshold is re-armed after every slow path (at the next
+    progress boundary), after calls and after a resume's seek: a run steps
+    per instruction only the batches a boundary falls inside, plus the
+    batch a resume re-enters."""
+
+    @staticmethod
+    def _count_slow_batches(monkeypatch) -> list:
+        stepped = []
+        run_batch = CompiledEngine._run_batch
+
+        def counting(self, defined_index, batch, stack, locals_, first=0):
+            stepped.append((defined_index, batch))
+            return run_batch(self, defined_index, batch, stack, locals_, first)
+
+        monkeypatch.setattr(CompiledEngine, "_run_batch", counting)
+        return stepped
+
+    @pytest.mark.parametrize("interval", [50, 97, 200])
+    def test_one_slow_batch_per_progress_boundary(self, monkeypatch, interval):
+        stepped = self._count_slow_batches(monkeypatch)
+        seen = []
+        inst = Instance(
+            parse_wat(CALL_LOOP),
+            limits=ExecutionLimits(
+                progress_interval=interval,
+                progress_callback=lambda stats: seen.append(stats.executed),
+            ),
+            engine="compile",
+        )
+        inst.invoke("outer", 30)
+        assert len(seen) == inst.stats.executed // interval > 5
+        assert len(stepped) == len(seen)
+
+    def test_a_resume_steps_only_the_batch_it_reenters(self, monkeypatch):
+        module = parse_wat(CALL_LOOP)
+        armed = Instance(module, engine="compile", limits=ExecutionLimits(snapshot_at=500))
+        with pytest.raises(SnapshotCaptured) as captured:
+            armed.invoke("outer", 30)
+        snap = captured.value.snapshot
+        stepped = self._count_slow_batches(monkeypatch)
+        resume_invoke(restore_instance(snap, module, engine="compile"), snap)
+        # one per captured frame: the rest of the callee's batch, and the
+        # caller's batch around the call it re-enters at
+        assert len(snap.frames) == 2
+        assert len(stepped) == 2
+
+    def test_a_budget_trap_from_the_slow_path_has_no_slow_path_context(self):
+        inst = Instance(
+            parse_wat(CALL_LOOP), engine="compile",
+            limits=ExecutionLimits(max_instructions=100),
+        )
+        with pytest.raises(Trap, match="budget") as raised:
+            inst.invoke("outer", 30)
+        assert raised.value.__context__ is None

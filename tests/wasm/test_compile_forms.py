@@ -3,17 +3,19 @@
 :mod:`repro.wasm.compile_engine` does not translate every instruction the
 one way the predecode reference runs it.  Signed compares flip the sign bit
 instead of converting, ``eqz`` of a compare flips the compare, a literal
-divisor becomes inline arithmetic, and a memory access leaves its bounds
-check to ``struct``.  Each case here runs on ``compile`` and on
+divisor becomes inline arithmetic, a memory access leaves its bounds
+check to ``struct``, and wrapping arithmetic is masked once, where a
+canonical value is needed.  Each case here runs on ``compile`` and on
 ``predecode`` and requires the same value, the same :class:`Trap` text and
 byte-identical :class:`ExecutionStats` after every call, at the operand
 values where those forms could go wrong: the sign boundary, ``INT_MIN``
-and ``-1`` divisors, and the last bytes of memory before and after a
-``memory.grow``.
+and ``-1`` divisors, the last bytes of memory before and after a
+``memory.grow``, and unreduced chains at the wrap boundary.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 import struct
@@ -230,6 +232,20 @@ def test_float_divide_by_literal(t):
     _differential(wat, calls)
 
 
+def test_function_32_does_not_shadow_the_f32_rounding_helper():
+    """Generated functions are named ``_f{index}`` in one namespace per
+    instance: the 33rd must not replace the helper f32 arithmetic rounds
+    through."""
+    funcs = [f"(func (result i32) (i32.const {k}))" for k in range(32)]
+    funcs.append(
+        '(func (export "half") (param f32) (result f32)'
+        " (f32.mul (local.get 0) (f32.const 0.5)))"
+    )
+    wat = "(module " + "\n".join(funcs) + ")"
+    outcomes = _differential(wat, [("half", (3.0,)), ("half", (1e-45,))])
+    assert outcomes[0][0] == struct.pack("<d", 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Globals read pending, like locals
 # ---------------------------------------------------------------------------
@@ -348,3 +364,248 @@ def test_generated_code_has_no_sign_helpers_or_length_tests(level):
             assert not re.search(r"_trunc_(div|rem)\([^,]+, -?\d+\)", source)
             assert "// 1)" not in source
             assert not re.search(r"_G\[\d+\]\.value", source)
+
+
+# ---------------------------------------------------------------------------
+# Wrap-around masks applied once, where a canonical value is required
+# ---------------------------------------------------------------------------
+
+#: per integer type: chains of ops that commute with reduction mod 2**bits
+#: and are left unreduced, over (param t t); with the arguments below they
+#: cross the wrap boundary, up and down
+CHAINS = {
+    "i32": {
+        "add": "(i32.add (local.get 0) (local.get 1))",
+        "sub": "(i32.sub (local.get 0) (local.get 1))",
+        "mul": "(i32.mul (local.get 0) (local.get 1))",
+        "shl": "(i32.shl (local.get 0) (i32.const 31))",
+        "bits": "(i32.xor (i32.or (i32.sub (local.get 0) (local.get 1)) (i32.const 1))"
+        " (i32.and (i32.mul (local.get 0) (local.get 1)) (i32.sub (local.get 1)"
+        " (local.get 0))))",
+        "and": "(i32.and (i32.mul (local.get 0) (local.get 1)) (i32.sub (local.get 1)"
+        " (local.get 0)))",
+        # an i64 chain wrapped to i32
+        "wrap": "(i32.wrap_i64 (i64.mul (i64.add (i64.extend_i32_u (local.get 0))"
+        " (i64.const 0xffffffff)) (i64.extend_i32_u (local.get 1))))",
+    },
+    "i64": {
+        "add": "(i64.add (local.get 0) (local.get 1))",
+        "sub": "(i64.sub (local.get 0) (local.get 1))",
+        "mul": "(i64.mul (local.get 0) (local.get 1))",
+        "shl": "(i64.shl (local.get 0) (i64.const 63))",
+        "bits": "(i64.xor (i64.or (i64.sub (local.get 0) (local.get 1)) (i64.const 1))"
+        " (i64.and (i64.mul (local.get 0) (local.get 1)) (i64.sub (local.get 1)"
+        " (local.get 0))))",
+        "and": "(i64.and (i64.mul (local.get 0) (local.get 1)) (i64.sub (local.get 1)"
+        " (local.get 0)))",
+        # i32 chains extended to i64
+        "ext_u": "(i64.add (i64.extend_i32_u (i32.sub (i32.wrap_i64 (local.get 0))"
+        " (i32.wrap_i64 (local.get 1)))) (local.get 1))",
+        "ext_s": "(i64.mul (i64.extend_i32_s (i32.add (i32.wrap_i64 (local.get 0))"
+        " (i32.wrap_i64 (local.get 1)))) (local.get 0))",
+    },
+}
+
+WRAP_ARGS = {
+    "i32": [
+        (0x7FFFFFFF, 1), (0xFFFFFFFF, 0xFFFFFFFF), (0, 1), (0xFFFFFFFF, 1),
+        (1, 0), (0x80000000, 0x80000000), (3, 0xFFFFFFFD), (5, 3),
+        # a product past 2**32 and a negative difference: their unreduced
+        # `and` keeps bit 33
+        (0x20000, 0x10000),
+    ],
+    "i64": [
+        (0x7FFFFFFFFFFFFFFF, 1), (0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF), (0, 1),
+        (0xFFFFFFFFFFFFFFFF, 1), (1, 0), (0x8000000000000000, 0x8000000000000000),
+        (0x7FFFFFFF, 1), (0xFFFFFFFF, 0xFFFFFFFF), (3, 5), (1 << 33, 1 << 32),
+    ],
+}
+
+#: every canonical consumer, per integer type: (result type, body with the
+#: unreduced chain at X; locals 2 and 3 are scratch of the chain's type)
+CONSUMERS = {
+    "i32": {
+        "local.set": ("i32", "(local.set 2 X) (local.get 2)"),
+        "local.tee": ("i32", "(i32.add (local.tee 2 X) (i32.const 0))"),
+        "global.set": ("i32", "(global.set $g32 X) (global.get $g32)"),
+        # the pending chain reads local 0, which is then written: pinned
+        # into a temporary
+        "temporary": ("i32", "X (local.set 0 (i32.const 9)) (i32.add (local.get 0))"),
+        "register": ("i32", "X"),
+        "block result": ("i32", "(block (result i32) X) (i32.const 1) (i32.add)"),
+        "eq": ("i32", "(i32.eq X (i32.const 0))"),
+        "ne": ("i32", "(i32.ne (i32.const 0) X)"),
+        "lt_u": ("i32", "(i32.lt_u X (i32.const 2))"),
+        "ge_u": ("i32", "(i32.ge_u X (local.get 0))"),
+        "lt_s": ("i32", "(i32.lt_s X (i32.const 0))"),
+        "gt_s": ("i32", "(i32.gt_s (local.get 1) X)"),
+        "eqz": ("i32", "(i32.eqz X)"),
+        "select condition": ("i32", "(select (i32.const 10) (i32.const 20) X)"),
+        "select value": ("i32", "(select X (i32.const 20) (local.get 1))"),
+        "br_if": ("i32", "(block $b (result i32) (br_if $b (i32.const 10) X)"
+                  " (drop) (i32.const 20))"),
+        "if": ("i32", "(if (result i32) X (then (i32.const 10)) (else (i32.const 20)))"),
+        "load base": ("i32", "(i32.load8_u X)"),
+        "load base+offset": ("i32", "(i32.load16_s offset=16 X)"),
+        "store base": ("i32", "(i32.store offset=4 X (i32.const 7)) (i32.load (i32.const 4))"),
+        "store value": ("i32", "(i32.store (i32.const 0) X) (i32.load (i32.const 0))"),
+        "store8 value": ("i32", "(i32.store8 (i32.const 0) X) (i32.load (i32.const 0))"),
+        "shr_u": ("i32", "(i32.shr_u X (i32.const 1))"),
+        "shr_s": ("i32", "(i32.shr_s X (i32.const 3))"),
+        # results left unreduced themselves, consumed by an unsigned shift
+        "shr_s result": ("i32", "(i32.shr_u (i32.shr_s X (i32.const 3)) (i32.const 1))"),
+        "div_s result": ("i32", "(i32.shr_u (i32.div_s X (i32.const -3)) (i32.const 1))"),
+        "rem_s result": ("i32", "(i32.shr_u (i32.rem_s X (i32.const 7)) (i32.const 1))"),
+        "extend_s result": ("i64", "(i64.shr_u (i64.extend_i32_s X) (i64.const 1))"),
+        "shift count": ("i32", "(i32.shr_u (i32.const -1) X)"),
+        "div_u": ("i32", "(i32.div_u X (i32.const 3))"),
+        "rem_u": ("i32", "(i32.rem_u X (local.get 1))"),
+        "div_s": ("i32", "(i32.div_s X (i32.const -3))"),
+        "div_s -1": ("i32", "(i32.div_s X (i32.const -1))"),
+        "rem_s": ("i32", "(i32.rem_s X (i32.const 7))"),
+        "div_s by value": ("i32", "(i32.div_s X (local.get 1))"),
+        "divisor": ("i32", "(i32.div_s (local.get 1) X)"),
+        "divisor_u": ("i32", "(i32.div_u (local.get 0) X)"),
+        "rotl": ("i32", "(i32.rotl X (i32.const 5))"),
+        "rotr": ("i32", "(i32.rotr X (local.get 1))"),
+        "clz": ("i32", "(i32.clz X)"),
+        "ctz": ("i32", "(i32.ctz X)"),
+        "popcnt": ("i32", "(i32.popcnt X)"),
+        "extend_s": ("i64", "(i64.extend_i32_s X)"),
+        "extend_u": ("i64", "(i64.extend_i32_u X)"),
+        "convert_s": ("f64", "(f64.convert_i32_s X)"),
+        "convert_u": ("f32", "(f32.convert_i32_u X)"),
+        "reinterpret": ("f32", "(f32.reinterpret_i32 X)"),
+        "call argument": ("i32", "(call $id32 X)"),
+    },
+    "i64": {
+        "local.set": ("i64", "(local.set 2 X) (local.get 2)"),
+        "local.tee": ("i64", "(i64.add (local.tee 2 X) (i64.const 0))"),
+        "global.set": ("i64", "(global.set $g64 X) (global.get $g64)"),
+        "temporary": ("i64", "X (local.set 0 (i64.const 9)) (i64.add (local.get 0))"),
+        "register": ("i64", "X"),
+        "block result": ("i64", "(block (result i64) X) (i64.const 1) (i64.add)"),
+        "eq": ("i32", "(i64.eq X (i64.const 0))"),
+        "ne": ("i32", "(i64.ne (i64.const 0) X)"),
+        "lt_u": ("i32", "(i64.lt_u X (i64.const 2))"),
+        "lt_s": ("i32", "(i64.lt_s X (i64.const 0))"),
+        "gt_s": ("i32", "(i64.gt_s (local.get 1) X)"),
+        "eqz": ("i32", "(i64.eqz X)"),
+        "select value": ("i64", "(select X (i64.const 20) (i32.wrap_i64 (local.get 1)))"),
+        "load base": ("i32", "(i32.load8_u (i32.wrap_i64 X))"),
+        "store value": ("i64", "(i64.store (i32.const 0) X) (i64.load (i32.const 0))"),
+        "store32 value": ("i64", "(i64.store32 (i32.const 0) X) (i64.load (i32.const 0))"),
+        "wrap": ("i32", "(i32.wrap_i64 X)"),
+        "shr_u": ("i64", "(i64.shr_u X (i64.const 1))"),
+        "shr_s": ("i64", "(i64.shr_s X (i64.const 3))"),
+        "div_s result": ("i64", "(i64.shr_u (i64.div_s X (i64.const -3)) (i64.const 1))"),
+        "div_u": ("i64", "(i64.div_u X (i64.const 3))"),
+        "rem_u": ("i64", "(i64.rem_u X (local.get 1))"),
+        "div_s": ("i64", "(i64.div_s X (i64.const -3))"),
+        "rem_s": ("i64", "(i64.rem_s X (i64.const 7))"),
+        "rem_s by value": ("i64", "(i64.rem_s X (local.get 1))"),
+        "divisor": ("i64", "(i64.rem_s (local.get 1) X)"),
+        "divisor_u": ("i64", "(i64.rem_u (local.get 0) X)"),
+        "rotl": ("i64", "(i64.rotl X (i64.const 5))"),
+        "rotr": ("i64", "(i64.rotr X (local.get 1))"),
+        "clz": ("i64", "(i64.clz X)"),
+        "ctz": ("i64", "(i64.ctz X)"),
+        "popcnt": ("i64", "(i64.popcnt X)"),
+        "convert_s": ("f64", "(f64.convert_i64_s X)"),
+        "convert_u": ("f64", "(f64.convert_i64_u X)"),
+        "reinterpret": ("f64", "(f64.reinterpret_i64 X)"),
+        "call argument": ("i64", "(call $id64 X)"),
+    },
+}
+
+
+def _wrap_module(t: str) -> tuple[str, list[str]]:
+    funcs = [
+        '(func $id32 (param i32) (result i32) (local.get 0))',
+        '(func $id64 (param i64) (result i64) (local.get 0))',
+    ]
+    exports = []
+    for cname, chain in CHAINS[t].items():
+        for kname, (result, body) in CONSUMERS[t].items():
+            export = f"{kname}/{cname}"
+            exports.append(export)
+            funcs.append(
+                f'(func (export "{export}") (param {t} {t}) (result {result})'
+                f" (local {t} {t}) {body.replace('X', chain)})"
+            )
+    wat = (
+        "(module (memory 1) (global $g32 (mut i32) (i32.const 0))"
+        " (global $g64 (mut i64) (i64.const 0))\n" + "\n".join(funcs) + ")"
+    )
+    return wat, exports
+
+
+@pytest.mark.parametrize("t", ["i32", "i64"])
+def test_every_canonical_consumer_of_an_unreduced_chain(t):
+    """Each consumer that needs a canonical value gets the chain's one mask:
+    value, trap text and stats match the reference at the wrap boundary."""
+    wat, exports = _wrap_module(t)
+    calls = [(export, args) for export in exports for args in WRAP_ARGS[t]]
+    outcomes = _differential(wat, calls)
+    # the boundary is really crossed: the chains' values wrap
+    registers = [
+        out[0] for (export, _args), out in zip(calls, outcomes) if export == "register/mul"
+    ]
+    assert registers[1] == 1  # (2**bits - 1) ** 2 wraps to 1
+    # a memory base is reduced before the bounds check: (-1) + 1 wraps to
+    # address 0, in bounds, where the unreduced 2**bits would trap
+    loads = {
+        args: out[0] for (export, args), out in zip(calls, outcomes)
+        if export == "load base/add"
+    }
+    assert loads[(2**32 - 1, 1) if t == "i32" else (2**64 - 1, 1)] == 0
+
+
+def _call_args(call: ast.Call) -> list[ast.expr]:
+    """A memory access call's address (out of ``_a := ...``) and, for a
+    store, its value."""
+    args = [call.args[1].value] if isinstance(call.args[1], ast.NamedExpr) else []
+    return args + list(call.args[2:])
+
+
+def _nested_masks(expr: ast.expr) -> list[int]:
+    """Masks applied to a value already masked to the same width."""
+    found = []
+    for node in ast.walk(expr):
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value in (0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
+        ):
+            for inner in ast.walk(node.left):
+                if (
+                    isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.BitAnd)
+                    and isinstance(inner.right, ast.Constant)
+                    and inner.right.value == node.right.value
+                ):
+                    found.append(node.right.value)
+    return found
+
+
+@pytest.mark.parametrize("level", [None, "loop-based"])
+def test_polybench_accesses_mask_each_value_once(level):
+    """No address or stored value masks a value already masked to the same
+    width, and no generated source keeps a per-block profiler call or a
+    list of batch counts."""
+    accesses = 0
+    for spec in POLYBENCH_KERNELS.values():
+        module = spec.compile()
+        if level is not None:
+            module = instrument_module(module.clone(), level).module
+        for index in range(len(module.funcs)):
+            source = _Translator(module, index, None, _module_has_memory(module)).translate()[0]
+            assert "_vp[" not in source and "record_segment" not in source
+            for node in ast.walk(ast.parse(source)):
+                if (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and re.fullmatch(r"_[LS](\d[su]?|f\d)", node.func.id)
+                ):
+                    accesses += 1
+                    for expr in _call_args(node):
+                        assert not _nested_masks(expr), ast.unparse(expr)
+    assert accesses > 300

@@ -209,3 +209,119 @@ class TestSnapshotEdges:
         assert seen == base_seen == list(range(interval, base.stats.executed + 1, interval))
         assert resumed.stats.executed == base.stats.executed
         assert resumed.stats.visits == base.stats.visits
+
+
+# ---------------------------------------------------------------------------
+# The progress boundary folded into the compiled fast path's threshold
+# ---------------------------------------------------------------------------
+
+# A loop around a call: the callee's block is the only one with an i32.mul
+# and ends on the only i32.xor, the caller's loop test is the only
+# i32.lt_u, and the call charge closes the caller's batch before it.
+CALLS = """
+(module
+  (func $step (param i32) (result i32)
+    (i32.xor (i32.mul (local.get 0) (i32.const 3)) (i32.const 1)))
+  (func (export "run") (param i32) (result i32)
+    (local i32 i32)
+    (loop $top
+      (local.set 2 (i32.add (local.get 2) (call $step (local.get 1))))
+      (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+      (br_if $top (i32.lt_u (local.get 1) (local.get 0))))
+    (local.get 2)))
+"""
+
+
+def _charges(wat: str, export: str, args: tuple) -> list[str]:
+    """The instructions of a run in the order they are charged (1-based
+    position k is the instruction that makes ``executed == k``)."""
+    names: list[str] = []
+    last: dict = {}
+
+    def record(stats):
+        grew = [name for name, n in stats.visits.items() if n != last.get(name, 0)]
+        names.append(grew[0])
+        last.update(stats.visits)
+
+    Instance(
+        parse_wat(wat),
+        limits=ExecutionLimits(progress_interval=1, progress_callback=record),
+        engine="predecode",
+    ).invoke(export, *args)
+    return names
+
+
+def _callbacks(engine: str, wat: str, export: str, args: tuple, **limits) -> list:
+    """(executed, visits) at every progress callback, and the result."""
+    seen: list = []
+    inst = Instance(
+        parse_wat(wat),
+        limits=ExecutionLimits(
+            progress_callback=lambda stats: seen.append((stats.executed, dict(stats.visits))),
+            **limits,
+        ),
+        engine=engine,
+    )
+    return seen, inst.invoke(export, *args)
+
+
+def _boundary(where: str) -> int:
+    names = _charges(CALLS, "run", (6,))
+    if where == "inside a batch":
+        return names.index("i32.lt_u") + 1   # mid-block, before the br_if
+    if where == "on a batch end":
+        return names.index("call") + 1       # the call charge closes its batch
+    if where == "inside a callee":
+        return names.index("i32.mul") + 1
+    # the callee's last instruction, then the first charge back in the caller
+    return names.index("i32.xor") + 2
+
+
+@pytest.mark.parametrize(
+    "where", ["inside a batch", "on a batch end", "inside a callee", "after a call returns"]
+)
+def test_progress_boundary_placements_agree(where):
+    """The first boundary falls where named; later multiples fall wherever
+    the run takes them.  Both engines call back at the same counts, with
+    the same visits charged."""
+    interval = _boundary(where)
+    runs = {engine: _callbacks(engine, CALLS, "run", (6,), progress_interval=interval)
+            for engine in ENGINES}
+    seen, value = runs["predecode"]
+    assert seen[0][0] == interval and len(seen) > 3
+    assert runs["compile"] == (seen, value)
+
+
+@pytest.mark.parametrize("capture_engine", ENGINES)
+@pytest.mark.parametrize("resume_engine", ENGINES)
+def test_progress_boundary_in_the_first_batch_after_a_resume(capture_engine, resume_engine):
+    """Captured inside the caller's loop, then resumed with boundaries that
+    fall in the rest of the captured batch and in the batches right after
+    it: the resumed run calls back where an uninterrupted one does."""
+    names = _charges(CALLS, "run", (6,))
+    at = names.index("i32.lt_u")  # capture before the loop test's compare
+    inst = Instance(
+        parse_wat(CALLS), limits=ExecutionLimits(snapshot_at=at), engine=capture_engine
+    )
+    with pytest.raises(SnapshotCaptured) as captured:
+        inst.invoke("run", 6)
+    snap = decode_snapshot(encode_snapshot(captured.value.snapshot))
+    for interval in range(at + 1, at + 9):
+        seen: list = []
+        resumed = restore_instance(
+            snap,
+            parse_wat(CALLS),
+            limits=ExecutionLimits(
+                progress_interval=interval,
+                progress_callback=lambda stats: seen.append(
+                    (stats.executed, dict(stats.visits))
+                ),
+            ),
+            engine=resume_engine,
+        )
+        value = resume_invoke(resumed, snap)
+        base, base_value = _callbacks(
+            "predecode", CALLS, "run", (6,), progress_interval=interval
+        )
+        assert value == base_value
+        assert seen == base, f"interval {interval}"
