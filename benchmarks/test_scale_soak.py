@@ -2,11 +2,12 @@
 
 The paper's provider runs *many* tenants on one attested platform; this
 experiment measures what the repo's control plane (admission, governed
-metrics, event rollup, live SLO evaluation) costs per request as the
-tenant population sweeps decades, and gates the curve flat: per-request
-overhead at the largest population within ``1.25x`` of the smallest,
-every per-tenant structure bounded by its budget, the heaviest tenant
-still recoverable through the rollup's Space-Saving summary.
+metrics and their windows, the event log, live SLO evaluation) costs per
+request as the tenant population sweeps decades, and gates the curve flat:
+per-request overhead at the largest population within ``1.25x`` of the
+smallest, every per-tenant structure bounded by its budget, the window
+rings' keys bounded by a constant, the heaviest tenant still among the
+requests counter's top rows.
 
 CI runs a reduced sweep (up to 10^4 here; the workflow's scale-soak job
 drives 10^5, and 10^6 is the nightly/manual leg) — the gates are
@@ -46,7 +47,7 @@ def test_scale_soak_overhead_flat_and_structures_bounded(benchmark):
             f"{point['rss_mb']:.1f}",
             f"{point['overflow_ratio']:.2f}",
             point["structures"]["admission_resident"],
-            point["structures"]["rollup_tenant_keys"],
+            point["structures"]["window_keys"],
             point["tenant_cardinality"],
         ]
         for point in result["points"]
@@ -83,6 +84,6 @@ def test_scale_point_memory_is_o_active_not_o_seen(benchmark):
     record(benchmark)
     # 100x the tenant population: bounded structures must not move at all,
     # and RSS may grow only by the schedule/census slack, never 100x
-    for field in ("admission_resident", "rollup_tenant_keys", "rollup_tracked"):
+    for field in ("admission_resident", "window_keys"):
         assert large["structures"][field] <= small["structures"][field] + 1
     assert large["rss_mb"] <= small["rss_mb"] * 1.5 + 16.0

@@ -32,7 +32,7 @@ on ``run``/``sandbox`` prints a hot-function report and can write a
 flamegraph collapsed-stack file.
 
 Telemetry pipeline: ``top`` renders a live rolling-window dashboard over the
-structured event stream while driving a gateway mix; ``loadtest
+metrics registry's windows while driving a gateway mix; ``loadtest
 --events-out`` records the stream to JSONL, ``--slo RULES.json`` evaluates
 declarative threshold/burn-rate rules plus the per-tenant billing-drift
 audit (non-zero exit on a page-severity alert or billing drift); ``alerts``
@@ -479,7 +479,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
             f"rss={point['rss_mb']:6.1f}MB  "
             f"overflow={point['overflow_ratio']:.2f}  "
             f"resident={point['structures']['admission_resident']}  "
-            f"tracked={point['structures']['rollup_tracked']}"
+            f"window_keys={point['structures']['window_keys']}"
         )
     gates = result["gates"]
     print(
@@ -506,21 +506,22 @@ _TOP_SORT_COLUMNS = {
 
 
 def _tenant_table_lines(
-    agg, top_k: int, sort: str, plain: bool, reserved_lines: int
+    metrics, top_k: int, sort: str, plain: bool, reserved_lines: int
 ) -> list[str]:
     """The per-tenant table for one ``repro top`` frame.
 
-    At scale the aggregator governs tenant cardinality, but even the
-    governed top-K can outrun a terminal; rows are sorted by the chosen
-    column and truncated to the terminal height (skipped under ``--plain``,
-    where frames go to pipes), and tenants beyond the visible rows are
+    Rows come from the requests counter: exact per-tenant series beside the
+    governor's sketched rows for spilled tenants.  Even the governed top-K
+    can outrun a terminal; rows are sorted by the chosen column and
+    truncated to the terminal height (skipped under ``--plain``, where
+    frames go to pipes), and tenants beyond the visible rows are
     summarised in a ``(+N more tenants)`` footer so nothing silently
     disappears.
     """
     import shutil
 
-    rows = agg.top_tenants(top_k)
-    spill = agg.tenant_spill_info()
+    rows = metrics.requests.top_tenants(top_k)
+    spill = metrics.requests.governance()
     key, descending = _TOP_SORT_COLUMNS[sort]
     rows.sort(key=lambda row: row[key], reverse=descending)
     lines = [
@@ -548,22 +549,18 @@ def _tenant_table_lines(
 
 
 def _render_top_frame(
-    agg,
+    metrics,
     engine,
-    log,
     window_s: float,
     plain: bool,
     failures: dict | None = None,
     top_k: int = 10,
     sort: str = "events",
 ) -> None:
-    snapshot = agg.snapshot(window_s)
-    stats = log.stats()
-    lines = []
-    lines.append(
-        f"repro top — trailing {window_s:g}s window   "
-        f"(events: {stats['emitted']} emitted, {stats['dropped']} dropped)"
-    )
+    from repro.obs.slo import snapshot as window_snapshot
+
+    snapshot = window_snapshot(metrics, window_s)
+    lines = [f"repro top — trailing {window_s:g}s window"]
     latency = snapshot["latency_s"]
     lines.append(
         f"  throughput {snapshot['throughput_rps']:8.1f} req/s   "
@@ -579,9 +576,9 @@ def _render_top_frame(
             lines.append(f"  failures: {total} ({detail})")
         else:
             lines.append("  failures: none")
-    lines.append("  events in window:")
+    lines.append("  counts in window:")
     for key, count in snapshot["counts"].items():
-        lines.append(f"    {key:<40} {count:>8}")
+        lines.append(f"    {key:<40} {count:>8g}")
     tail = []
     if engine is not None:
         firing = engine.firing
@@ -593,7 +590,7 @@ def _render_top_frame(
             tail.append(f"  alerts: none firing ({len(engine.rules)} rules armed)")
     lines.extend(
         _tenant_table_lines(
-            agg, top_k, sort, plain, reserved_lines=len(lines) + len(tail)
+            metrics, top_k, sort, plain, reserved_lines=len(lines) + len(tail)
         )
     )
     lines.extend(tail)
@@ -603,25 +600,30 @@ def _render_top_frame(
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    """Live rolling-window dashboard while driving a gateway mix."""
+    """Live dashboard over the process registry's windows while driving a
+    gateway mix; the event log is on only to record ``--events-out``."""
     import itertools
     import threading
     import time
 
     from repro.core.sandbox import SandboxConfig
     from repro.obs.events import EventLog, disable_events, enable_events
-    from repro.obs.rollup import RollingAggregator
+    from repro.obs.instruments import GATEWAY
+    from repro.obs.metrics import WINDOW_HORIZON_S, disable_metrics, enable_metrics
     from repro.service import MeteringGateway
     from repro.service.load import _request_schedule, drive, polybench_tenant_mix
 
-    agg = RollingAggregator(slice_s=0.5, slices=240)
-    log = enable_events(EventLog())
-    log.subscribe(agg.observe)
+    if not 0 < args.window <= WINDOW_HORIZON_S:
+        print(f"error: --window must be in (0, {WINDOW_HORIZON_S:g}]", file=sys.stderr)
+        return 2
     engine = None
     if args.rules:
         from repro.obs.slo import SLOEngine, load_rules
 
         engine = SLOEngine(load_rules(args.rules))
+    GATEWAY.registry.reset()
+    enable_metrics()
+    log = enable_events(EventLog()) if args.events_out else None
     kernels = tuple(args.kernels.split(",")) if args.kernels else ()
     mix = polybench_tenant_mix(kernels, tenants=args.tenants or None)
     stop = threading.Event()
@@ -663,23 +665,24 @@ def cmd_top(args: argparse.Namespace) -> int:
         while time.monotonic() < deadline:
             time.sleep(args.interval)
             if engine is not None:
-                engine.evaluate(agg)
+                engine.evaluate(GATEWAY)
             with failures_lock:
                 frame_failures = dict(failures)
             _render_top_frame(
-                agg, engine, log, args.window, args.plain,
+                GATEWAY, engine, args.window, args.plain,
                 failures=frame_failures, top_k=args.top_k, sort=args.sort,
             )
     finally:
         stop.set()
         driver.join(timeout=60)
         disable_events()
+        disable_metrics()
     if engine is not None:
-        engine.evaluate(agg)
+        engine.evaluate(GATEWAY)
     with failures_lock:
         frame_failures = dict(failures)
     _render_top_frame(
-        agg, engine, log, args.window, plain=True,
+        GATEWAY, engine, args.window, plain=True,
         failures=frame_failures, top_k=args.top_k, sort=args.sort,
     )
     if args.events_out:
@@ -697,7 +700,7 @@ def cmd_alerts(args: argparse.Namespace) -> int:
 
     rules = load_rules(args.rules)
     meta, events = read_jsonl(args.replay)
-    engine, _agg = replay(events, rules, eval_every_s=args.eval_every)
+    engine, _windows = replay(events, rules, eval_every_s=args.eval_every)
     report = engine.report()
     if args.json:
         print(json.dumps({"meta": meta, **report}, indent=2))
@@ -1000,8 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact per-tenant series budget; the rest spills "
                         "to one __other__ series and a Space-Saving summary")
     p.add_argument("--top-k", type=int, default=64,
-                   help="Space-Saving summary size per governed counter "
-                        "(the rollup's summary holds 8x this)")
+                   help="Space-Saving summary size per governed counter")
     p.add_argument("--max-resident", type=int, default=256,
                    help="resident lazy quota states before idle eviction")
     p.add_argument("--max-overhead-ratio", type=float, default=1.25,
@@ -1016,13 +1018,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_soak)
 
     p = sub.add_parser("top",
-                       help="live rolling-window dashboard over the event stream")
+                       help="live rolling-window dashboard over the metrics "
+                            "registry's windows")
     p.add_argument("--duration", type=float, default=10.0,
                    help="seconds to run the driver and dashboard")
     p.add_argument("--interval", type=float, default=1.0,
                    help="seconds between dashboard refreshes")
     p.add_argument("--window", type=float, default=30.0,
-                   help="trailing window the dashboard aggregates over")
+                   help="trailing window the dashboard aggregates over "
+                        "(at most 600 s)")
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--backend", choices=["wasm", "modeled"], default="wasm")
     p.add_argument("--time-scale", type=float, default=0.2,

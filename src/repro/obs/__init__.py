@@ -18,11 +18,11 @@ is watching:
 
 A fourth subsystem — the **streaming telemetry pipeline** — builds on the
 same off-by-default switch discipline: :mod:`repro.obs.events` (structured,
-bounded, replayable event log), :mod:`repro.obs.rollup` (ring-buffer
-rolling-window aggregation), :mod:`repro.obs.slo` (declarative threshold and
-multi-window burn-rate alerting) and :mod:`repro.obs.audit` (per-tenant
-billing-drift reconciliation of meter readings vs signed receipts vs sealed
-epochs).
+bounded, replayable event log), :mod:`repro.obs.slo` (declarative threshold
+and multi-window burn-rate alerting over the windows the metrics registry
+keeps for the gateway instruments, live or replayed from an event log) and
+:mod:`repro.obs.audit` (per-tenant billing-drift reconciliation of meter
+readings vs signed receipts vs sealed epochs).
 
 CLI surface: ``repro trace <workload>``, ``repro metrics``, ``repro top``,
 ``repro alerts``, ``repro run/sandbox --profile`` and ``repro loadtest
@@ -69,7 +69,6 @@ from repro.obs.profiler import (
     enable_profiling,
     profile,
 )
-from repro.obs.rollup import RollingAggregator
 from repro.obs.slo import Alert, Rule, SLOEngine, load_rules, replay
 from repro.obs.trace import (
     NULL_SPAN,
@@ -96,7 +95,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "Profiler",
-    "RollingAggregator",
     "Rule",
     "SLOEngine",
     "Span",

@@ -6,8 +6,10 @@ fault injection, deadline, receipt, epoch seal, pool rebuild).  The emitting
 sites live in :mod:`repro.service.lifecycle` (every gateway request
 transition), :mod:`repro.service.gateway`, :mod:`repro.service.ledger`,
 :mod:`repro.service.faults` and :mod:`repro.service.worker`; the consumers are
-the rolling-window aggregator (:mod:`repro.obs.rollup`), the SLO rules engine
-(:mod:`repro.obs.slo`) and the billing-drift auditor (:mod:`repro.obs.audit`).
+the SLO replay (:mod:`repro.obs.slo`, which re-drives the lifecycle events
+through their metric rows), the billing-drift auditor (:mod:`repro.obs.audit`)
+and ``repro explain``.  Live SLO evaluation and ``repro top`` read the metrics
+registry's windows instead, so they need no event log.
 
 Design constraints, in order:
 
@@ -19,12 +21,11 @@ Design constraints, in order:
   most ``capacity`` events; beyond that, *new* events are counted as dropped
   rather than evicting history (the head of a run — registrations, first
   admissions — is what forensics needs, and a silent ring would misreport
-  rates).  Synchronous subscribers (the aggregator) still see dropped events:
-  aggregation is O(1) memory and must not develop blind spots under load.
+  rates).
 * **Replayable** — :meth:`EventLog.write_jsonl` persists one JSON object per
   line with a leading ``_meta`` header (schema version, drop count), and
-  :func:`read_jsonl` round-trips it, so ``repro alerts --replay`` evaluates
-  the same rules offline that ``repro loadtest --slo`` evaluated live.
+  :func:`read_jsonl` round-trips it, so ``repro alerts --replay`` rebuilds
+  the windows a live registry held and evaluates the same rules offline.
 """
 
 from __future__ import annotations
@@ -99,14 +100,8 @@ class EventLog:
         self._clock = clock
         self._lock = threading.Lock()
         self._events: list[Event] = []
-        self._subscribers: list = []
         self._emitted = 0
         self._dropped = 0
-
-    def subscribe(self, fn) -> None:
-        """Register a synchronous consumer called with every event (even ones
-        the bounded buffer drops) while holding no log lock."""
-        self._subscribers.append(fn)
 
     def emit(self, kind: str, **fields) -> Event:
         for key in RESERVED_KEYS:
@@ -124,8 +119,6 @@ class EventLog:
         EVENTS_EMITTED.inc(kind=kind)
         if dropped:
             EVENTS_DROPPED.inc()
-        for fn in self._subscribers:
-            fn(event)
         return event
 
     # -- introspection -----------------------------------------------------------

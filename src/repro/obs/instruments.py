@@ -23,6 +23,7 @@ import pathlib
 from repro.obs.metrics import (
     BYTES_BUCKETS,
     LATENCY_BUCKETS,
+    MetricsRegistry,
     get_registry,
     set_governance_hook,
 )
@@ -31,15 +32,52 @@ REGISTRY = get_registry()
 
 # -- gateway request path ------------------------------------------------------
 
-GATEWAY_REQUESTS = REGISTRY.counter(
-    "acctee_gateway_requests",
-    "Requests settled by the metering gateway, by tenant and outcome.",
-)
-GATEWAY_REQUEST_LATENCY = REGISTRY.histogram(
-    "acctee_gateway_request_latency_seconds",
-    "Submit-to-receipt latency per request, by tenant.",
-    buckets=LATENCY_BUCKETS,
-)
+
+class GatewayMetrics:
+    """The instruments the request-lifecycle transitions record into
+    (:data:`repro.service.lifecycle.TRANSITIONS`), declared in ``registry``:
+    the process-wide set below, or a fresh registry an event replay fills.
+    The windowed ones are what the SLO signals and ``repro top`` read.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.requests = registry.counter(
+            "acctee_gateway_requests",
+            "Requests settled by the metering gateway, by tenant and outcome.",
+            windowed=True,
+        )
+        self.latency = registry.histogram(
+            "acctee_gateway_request_latency_seconds",
+            "Submit-to-receipt latency per request, by tenant.",
+            buckets=LATENCY_BUCKETS,
+            windowed=True,
+        )
+        self.retries = registry.counter(
+            "acctee_gateway_retries",
+            "Request re-dispatches after transient worker failures, by tenant.",
+            windowed=True,
+        )
+        self.faults = registry.counter(
+            "acctee_gateway_faults_injected",
+            "Faults the chaos plan stamped on requests, by tenant and fault.",
+            windowed=True,
+        )
+        self.deadline_exceeded = registry.counter(
+            "acctee_gateway_deadline_exceeded",
+            "Requests failed by the wall-clock deadline watchdog, by tenant.",
+        )
+        self.results_rejected = registry.counter(
+            "acctee_gateway_results_rejected",
+            "Worker meter readings that failed sanity validation, by tenant.",
+        )
+        self.traces_sampled = registry.counter(
+            "acctee_traces_sampled_total",
+            "Trace contexts minted at gateway admission, by sampling decision.",
+        )
+
+
+GATEWAY = GatewayMetrics(REGISTRY)
 GATEWAY_QUEUE_DEPTH = REGISTRY.gauge(
     "acctee_gateway_queue_depth",
     "Admitted in-flight requests per tenant (admission controller view).",
@@ -47,18 +85,6 @@ GATEWAY_QUEUE_DEPTH = REGISTRY.gauge(
 GATEWAY_REJECTIONS = REGISTRY.counter(
     "acctee_gateway_admission_rejections",
     "Typed admission rejections, by tenant and reason code.",
-)
-GATEWAY_RETRIES = REGISTRY.counter(
-    "acctee_gateway_retries",
-    "Request re-dispatches after transient worker failures, by tenant.",
-)
-GATEWAY_DEADLINE_EXCEEDED = REGISTRY.counter(
-    "acctee_gateway_deadline_exceeded",
-    "Requests failed by the wall-clock deadline watchdog, by tenant.",
-)
-GATEWAY_RESULTS_REJECTED = REGISTRY.counter(
-    "acctee_gateway_results_rejected",
-    "Worker meter readings that failed sanity validation, by tenant.",
 )
 LEDGER_SEAL_DURATION = REGISTRY.histogram(
     "acctee_ledger_seal_duration_seconds",
@@ -179,10 +205,6 @@ CHECKPOINT_RECEIPTS = REGISTRY.counter(
 
 # -- distributed tracing (context propagation + worker backhaul) ---------------
 
-TRACES_SAMPLED_TOTAL = REGISTRY.counter(
-    "acctee_traces_sampled_total",
-    "Trace contexts minted at gateway admission, by sampling decision.",
-)
 TRACE_SPANS_DROPPED = REGISTRY.counter(
     "acctee_trace_spans_dropped",
     "Worker-side spans/events dropped by the bounded telemetry capture.",

@@ -15,9 +15,10 @@ Export formats:
 * :meth:`MetricsRegistry.snapshot` — a JSON-friendly dict, what
   ``repro loadtest --metrics-out`` persists.
 
-Recording is **off by default**: every mutator checks one shared flag
-(:func:`enable_metrics` / :func:`disable_metrics`), so instrumented call
-sites cost two attribute reads and two branches when metrics are disabled.
+Recording is **off by default**: every mutator checks its registry's flag
+(:func:`enable_metrics` / :func:`disable_metrics` switch the process-wide
+one), so instrumented call sites cost two attribute reads and two branches
+when metrics are disabled.
 The other read is the calling thread's capture (:mod:`repro.obs.context`):
 while one is active, ``Counter.inc`` and ``Histogram.observe`` record a
 delta into it instead; gauges stay process-local.  The
@@ -41,11 +42,19 @@ by :mod:`repro.obs.instruments` as the ``acctee_tenant_cardinality``
 gauge and ``acctee_label_sets_evicted`` counter.  Already-materialised
 series are a dict hit away, so the governed hot path costs the same as
 before for in-budget tenants.
+
+**Windows**: an instrument declared ``windowed`` also keeps a ring of
+:data:`WINDOW_SLICES` one-second slices of deltas for the SLO signals
+(:mod:`repro.obs.slo`), keyed by the labelset *without* its tenant plus an
+``__other__`` count, so a window holds a handful of keys at any tenant
+count and costs no governor call.  Slices follow the registry's clock
+(``time.time`` unless a test, the soak or an event replay sets its own).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left
 
 from repro.obs.sketch import OVERFLOW_KEY, TenantSpill
@@ -65,22 +74,34 @@ def bucket_index(buckets: tuple[float, ...], value: float) -> int:
     Deterministic at the edges — a value exactly on a bound belongs to that
     bound's ``le`` bucket, and anything at or below the first bound
     (including zero and negative observations) lands in bucket 0.  Index
-    ``len(buckets)`` is the implicit ``+Inf`` overflow bucket.  Shared by
-    :class:`Histogram` and the rolling-window aggregator so both count the
-    same observation into the same bucket.
+    ``len(buckets)`` is the implicit ``+Inf`` overflow bucket.  A
+    histogram's window counts each observation into the same bucket as its
+    cumulative series.
     """
     return bisect_left(buckets, value)
 
 
+#: Width of one window slice, and the slices a window ring keeps: the
+#: horizon covers the longest shipped SLO rule window (600 s).
+WINDOW_SLICE_S = 1.0
+WINDOW_SLICES = 600
+WINDOW_HORIZON_S = WINDOW_SLICE_S * WINDOW_SLICES
+
+
 class _State:
-    """Shared on/off switch read by every instrument mutator."""
+    """One registry's on/off switch, window clock and governance hook."""
 
-    __slots__ = ("enabled",)
+    __slots__ = ("enabled", "clock", "hook")
 
-    def __init__(self) -> None:
-        self.enabled = False
+    def __init__(self, enabled: bool = False, clock=time.time) -> None:
+        self.enabled = enabled
+        self.clock = clock
+        # called *outside* instrument locks as hook(metric_name,
+        # cardinality, evicted_delta) whenever a governor's state changes
+        self.hook = None
 
 
+#: The process-wide registry's state (the switch below flips it).
 _STATE = _State()
 
 
@@ -102,12 +123,6 @@ DEFAULT_TENANT_BUDGET = 1024
 
 _TENANT_BUDGET = DEFAULT_TENANT_BUDGET
 _SPILL_TOP_K = 64
-
-# Installed by repro.obs.instruments (metrics.py cannot import it — the
-# instruments module imports this one).  Called *outside* instrument locks
-# as hook(metric_name, cardinality, evicted_delta) whenever an instrument's
-# governance state changes.
-_GOVERNANCE_HOOK = None
 
 
 def set_tenant_budget(budget: int, top_k: int | None = None) -> int:
@@ -133,9 +148,9 @@ def tenant_budget() -> int:
 
 
 def set_governance_hook(hook) -> None:
-    """Install the observer for governance state changes (or ``None``)."""
-    global _GOVERNANCE_HOOK
-    _GOVERNANCE_HOOK = hook
+    """Install the process-wide registry's observer for governance state
+    changes (or ``None``); :mod:`repro.obs.instruments` installs it."""
+    _STATE.hook = hook
 
 
 def _label_key(labels: dict) -> tuple:
@@ -154,6 +169,69 @@ def _render_labels(key: tuple) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+_OVERFLOW_ITEM = ("tenant", OVERFLOW_KEY)
+
+
+class _Window:
+    """A ring of :data:`WINDOW_SLICES` slices, each mapping a labelset
+    without its tenant to a *cell* of ``width`` numbers the instrument folds
+    observations into (the last counts the ``__other__`` series).  The
+    owning instrument holds its lock around every call."""
+
+    __slots__ = ("_state", "_width", "_ids", "_slices", "_newest", "_keys")
+
+    def __init__(self, state: _State, width: int):
+        self._state = state
+        self._width = width
+        self._ids = [-1] * WINDOW_SLICES  # slice id each slot holds
+        self._slices: list[dict[tuple, list]] = [{} for _ in range(WINDOW_SLICES)]
+        self._newest = -1  # newest slice id observed
+        self._keys: dict[tuple, tuple] = {}  # series key -> window key
+
+    def cell(self, key: tuple) -> list | None:
+        """The current slice's cell for a series key, or ``None`` when the
+        clock reads a time older than the ring holds."""
+        slice_id = int(self._state.clock() // WINDOW_SLICE_S)
+        slot = slice_id % WINDOW_SLICES
+        if self._ids[slot] != slice_id:
+            if slice_id <= self._newest - WINDOW_SLICES:
+                return None  # older than the horizon: nothing to fold into
+            self._newest = max(self._newest, slice_id)
+            self._ids[slot] = slice_id
+            self._slices[slot] = {}
+        cells = self._slices[slot]
+        window_key = self._keys.get(key)
+        if window_key is None:  # series keys are governed, so this stays small
+            window_key = self._keys[key] = tuple(i for i in key if i[0] != "tenant")
+        cell = cells.get(window_key)
+        if cell is None:
+            cell = cells[window_key] = [0] * self._width
+        return cell
+
+    def merged(self, window_s: float, now: float | None) -> dict[tuple, list]:
+        """Every cell of the trailing ``window_s`` ending at ``now`` (the
+        clock by default), summed per key."""
+        span = round(window_s / WINDOW_SLICE_S)
+        if span > WINDOW_SLICES:
+            raise ValueError(
+                f"window {window_s:g}s is longer than the "
+                f"{WINDOW_HORIZON_S:g}s horizon"
+            )
+        newest = int((self._state.clock() if now is None else now) // WINDOW_SLICE_S)
+        oldest = newest - max(1, span) + 1
+        merged: dict[tuple, list] = {}
+        for slice_id, cells in zip(self._ids, self._slices):
+            if oldest <= slice_id <= newest:
+                for key, cell in cells.items():
+                    total = merged.setdefault(key, [0] * len(cell))
+                    for i, value in enumerate(cell):
+                        total[i] += value
+        return merged
+
+    def keys(self) -> set[tuple]:
+        return {key for cells in self._slices for key in cells}
+
+
 class Metric:
     """Base: a named instrument with per-labelset values."""
 
@@ -164,12 +242,40 @@ class Metric:
     #: rates, and the evicted counter tolerates being up to a batch behind.
     _NOTIFY_BATCH = 64
 
-    def __init__(self, name: str, help: str):
+    #: Numbers in one window cell (see :class:`_Window`).
+    _window_width = 2
+
+    def __init__(self, name: str, help: str, state: _State = _STATE, windowed=False):
         self.name = name
         self.help = help
+        self._state = state
+        self._windowed = windowed
+        self._window = self._new_window()
         self._lock = threading.Lock()
         self._spill: TenantSpill | None = None  # lazy tenant-cardinality governor
         self._spill_reported = 0  # spills already delivered to the hook
+
+    def _new_window(self) -> _Window | None:
+        return _Window(self._state, self._window_width) if self._windowed else None
+
+    def window(self, window_s: float, now: float | None = None) -> dict[tuple, list]:
+        """Cells of the trailing window, keyed by labelset without tenant: a
+        counter's is ``[value, overflow]``, a histogram's its bucket counts,
+        ``sum``, ``overflow``.  ``ValueError`` past :data:`WINDOW_HORIZON_S`."""
+        if self._window is None:
+            raise ValueError(f"metric {self.name!r} keeps no window")
+        with self._lock:
+            return self._window.merged(window_s, now)
+
+    def window_keys(self) -> int:
+        """Distinct keys held across the window ring (0 without one)."""
+        with self._lock:
+            return 0 if self._window is None else len(self._window.keys())
+
+    def governance(self) -> dict:
+        """The tenant governor's state (budget, tracked, cardinality, ...)."""
+        with self._lock:
+            return (self._spill or TenantSpill(_TENANT_BUDGET, _SPILL_TOP_K)).to_json()
 
     def _govern(self, key: tuple, labels: dict, weight: int):
         """Route a *new* labelset through the tenant budget.
@@ -212,11 +318,19 @@ class Metric:
         """Report a governance change to the instruments hook (lock-free)."""
         if notify is None:
             return
-        hook = _GOVERNANCE_HOOK
+        hook = self._state.hook
         if hook is not None:
             hook(self.name, notify[0], notify[1])
 
     def reset(self) -> None:
+        """Drop every recorded value, the window and the governor."""
+        with self._lock:
+            self._clear()
+            self._window = self._new_window()
+            self._spill = None
+            self._spill_reported = 0
+
+    def _clear(self) -> None:
         raise NotImplementedError
 
     def samples(self) -> list[str]:
@@ -231,15 +345,15 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str):
-        super().__init__(name, help)
+    def __init__(self, name: str, help: str, **kwargs):
+        super().__init__(name, help, **kwargs)
         self._values: dict[tuple, float] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         if (capture := _ACTIVE.capture) is not None:
             capture.metric(self, amount, labels)
             return
-        if not _STATE.enabled:
+        if not self._state.enabled:
             return
         key = _label_key(labels)
         notify = None
@@ -249,6 +363,12 @@ class Counter(Metric):
             else:
                 key, notify = self._govern(key, labels, 1)
                 self._values[key] = self._values.get(key, 0.0) + amount
+            if self._window is not None:
+                cell = self._window.cell(key)
+                if cell is not None:
+                    cell[0] += amount
+                    if _OVERFLOW_ITEM in key:
+                        cell[1] += amount
         self._notify(notify)
 
     def value(self, **labels) -> float:
@@ -259,11 +379,30 @@ class Counter(Metric):
         with self._lock:
             return sum(self._values.values())
 
-    def reset(self) -> None:
+    def top_tenants(self, n: int | None = None) -> list[dict]:
+        """Global top-``n`` tenants by counted value.
+
+        Exact rows (``error == 0``) sum an in-budget tenant's series;
+        sketched rows come from the governor's Space-Saving summary, whose
+        ``events - error <= true <= events`` bracket each spilled tenant.
+        """
         with self._lock:
-            self._values.clear()
-            self._spill = None
-            self._spill_reported = 0
+            exact: dict[str, float] = {}
+            for key, value in self._values.items():
+                tenant = dict(key).get("tenant")
+                if tenant is not None and tenant != OVERFLOW_KEY:
+                    exact[tenant] = exact.get(tenant, 0.0) + value
+            sketched = [] if self._spill is None else self._spill.top()
+        rows = [(tenant, int(value), 0, True) for tenant, value in exact.items()]
+        rows.extend(row for row in sketched if not row[3])
+        rows.sort(key=lambda row: (-row[1], row[0]))
+        return [
+            {"tenant": tenant, "events": count, "error": error, "exact": is_exact}
+            for tenant, count, error, is_exact in rows[:n]
+        ]
+
+    def _clear(self) -> None:
+        self._values.clear()
 
     def samples(self) -> list[str]:
         with self._lock:
@@ -286,12 +425,12 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str):
-        super().__init__(name, help)
+    def __init__(self, name: str, help: str, **kwargs):
+        super().__init__(name, help, **kwargs)
         self._values: dict[tuple, float] = {}
 
     def set(self, value: float, **labels) -> None:
-        if not _STATE.enabled:
+        if not self._state.enabled:
             return
         key = _label_key(labels)
         notify = None
@@ -304,7 +443,7 @@ class Gauge(Metric):
         self._notify(notify)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not _STATE.enabled:
+        if not self._state.enabled:
             return
         key = _label_key(labels)
         notify = None
@@ -323,11 +462,8 @@ class Gauge(Metric):
         with self._lock:
             return self._values.get(_label_key(labels), 0.0)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
-            self._spill = None
-            self._spill_reported = 0
+    def _clear(self) -> None:
+        self._values.clear()
 
     def samples(self) -> list[str]:
         with self._lock:
@@ -355,11 +491,15 @@ class Histogram(Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str, buckets: tuple[float, ...] = LATENCY_BUCKETS):
-        super().__init__(name, help)
+    def __init__(
+        self, name: str, help: str, buckets: tuple[float, ...] = LATENCY_BUCKETS, **kwargs
+    ):
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
         self.buckets = tuple(float(b) for b in buckets)
+        # bucket counts (with +Inf), sum, overflow
+        self._window_width = len(self.buckets) + 3
+        super().__init__(name, help, **kwargs)
         self._series: dict[tuple, list] = {}  # key -> [counts, sum, count]
         # key -> bucket index -> (trace_id, value): the last sampled
         # observation that landed in each bucket, OpenMetrics-exemplar style,
@@ -370,7 +510,7 @@ class Histogram(Metric):
         if (capture := _ACTIVE.capture) is not None:
             capture.metric(self, value, labels)
             return
-        if not _STATE.enabled:
+        if not self._state.enabled:
             return
         key = _label_key(labels)
         index = bucket_index(self.buckets, value)
@@ -380,8 +520,8 @@ class Histogram(Metric):
             if series is None:
                 # a spilled tenant's observations fold fully into the
                 # __other__ series' buckets (distribution conserved); the
-                # rolling aggregator ranks spilled tenants, so a histogram
-                # routes without weighing
+                # counters rank spilled tenants, so a histogram routes
+                # without weighing
                 key, notify = self._govern(key, labels, 0)
                 series = self._series.get(key)
             if series is None:
@@ -389,6 +529,13 @@ class Histogram(Metric):
             series[0][index] += 1
             series[1] += value
             series[2] += 1
+            if self._window is not None:
+                cell = self._window.cell(key)
+                if cell is not None:
+                    cell[index] += 1
+                    cell[-2] += value
+                    if _OVERFLOW_ITEM in key:
+                        cell[-1] += 1
             if exemplar is not None:
                 # last-write-wins per bucket: the freshest trace is the one
                 # an operator drilling into a bucket wants to open
@@ -410,12 +557,9 @@ class Histogram(Metric):
             series = self._series.get(_label_key(labels))
             return series[1] if series else 0.0
 
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self._exemplars.clear()
-            self._spill = None
-            self._spill_reported = 0
+    def _clear(self) -> None:
+        self._series.clear()
+        self._exemplars.clear()
 
     def samples(self) -> list[str]:
         with self._lock:
@@ -491,11 +635,26 @@ def _format_number(value: float) -> str:
 
 
 class MetricsRegistry:
-    """Holds instruments by name; renders OpenMetrics text and JSON snapshots."""
+    """Holds instruments by name; renders OpenMetrics text and JSON snapshots.
 
-    def __init__(self):
+    A registry made here is *on* and follows ``clock``: the shape an
+    offline replay wants.  The process-wide one (:func:`get_registry`) is
+    off until :func:`enable_metrics`.
+    """
+
+    def __init__(self, clock=time.time, state: _State | None = None):
+        self._state = _State(True, clock) if state is None else state
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
+
+    def now(self) -> float:
+        """The registry clock's reading, where windows end by default."""
+        return self._state.clock()
+
+    def set_clock(self, clock):
+        """Substitute the windows' clock; returns the previous one."""
+        previous, self._state.clock = self._state.clock, clock
+        return previous
 
     def _register(self, metric: Metric) -> Metric:
         with self._lock:
@@ -509,16 +668,24 @@ class MetricsRegistry:
             self._metrics[metric.name] = metric
             return metric
 
-    def counter(self, name: str, help: str) -> Counter:
-        return self._register(Counter(name, help))  # type: ignore[return-value]
+    def counter(self, name: str, help: str, windowed: bool = False) -> Counter:
+        return self._register(  # type: ignore[return-value]
+            Counter(name, help, state=self._state, windowed=windowed)
+        )
 
     def gauge(self, name: str, help: str) -> Gauge:
-        return self._register(Gauge(name, help))  # type: ignore[return-value]
+        return self._register(Gauge(name, help, state=self._state))  # type: ignore[return-value]
 
     def histogram(
-        self, name: str, help: str, buckets: tuple[float, ...] = LATENCY_BUCKETS
+        self,
+        name: str,
+        help: str,
+        buckets: tuple[float, ...] = LATENCY_BUCKETS,
+        windowed: bool = False,
     ) -> Histogram:
-        return self._register(Histogram(name, help, buckets))  # type: ignore[return-value]
+        return self._register(  # type: ignore[return-value]
+            Histogram(name, help, buckets, state=self._state, windowed=windowed)
+        )
 
     def get(self, name: str) -> Metric | None:
         with self._lock:
@@ -534,6 +701,12 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for metric in metrics:
             metric.reset()
+
+    def window_keys(self) -> int:
+        """Distinct (instrument, key) pairs held across every window ring."""
+        with self._lock:
+            metrics = list(self._metrics.values())
+        return sum(metric.window_keys() for metric in metrics)
 
     def render_openmetrics(self) -> str:
         """Prometheus/OpenMetrics exposition text, ``# EOF``-terminated."""
@@ -559,7 +732,7 @@ class MetricsRegistry:
 
 #: The process-wide default registry; the instruments in
 #: :mod:`repro.obs.instruments` all live here.
-_DEFAULT = MetricsRegistry()
+_DEFAULT = MetricsRegistry(state=_STATE)
 
 
 def get_registry() -> MetricsRegistry:

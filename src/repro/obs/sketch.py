@@ -1,7 +1,7 @@
 """Bounded-memory streaming summaries for tenant-scale telemetry.
 
-The observability stack's per-tenant structures (rollup keys, metric
-labelsets, quota states) are exact dicts — O(ever-seen tenants).  At 10^6
+The observability stack's per-tenant structures (metric labelsets, quota
+states) are exact dicts — O(ever-seen tenants).  At 10^6
 tenants that is the memory bill nobody ordered.  This module provides the
 bounded-memory substitutes:
 
@@ -31,7 +31,7 @@ Nothing here imports the metrics registry, so :mod:`repro.obs.metrics`
 can depend on this module without a cycle.
 
 None of the classes are thread-safe on their own; callers (metric
-instruments, the rolling aggregator) wrap access in their own locks.
+instruments) wrap access in their own locks.
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ class TenantSpill:
 
     # _tracked maps tracked key -> exact offered weight, so a *global*
     # top-K (exact in-budget rows beside sketched over-budget rows) is
-    # answerable when the caller offers every observation (the rolling
-    # aggregator does).
+    # answerable when the caller offers every observation (instruments
+    # offer only a series' first one, and rank their exact rows from their
+    # own values).
 
     def __init__(self, budget: int = 512, top_k: int = 64):
         if budget < 0:
@@ -222,9 +223,8 @@ class TenantSpill:
         slot if one is free (and counts toward cardinality), but a spilled
         zero-weight observation skips the summary entirely — use it for
         observations that should follow a tenant's series without counting
-        toward its ranking (the rolling aggregator weighs only request-level
-        events; gauges and histograms weigh nothing, since no reader ranks
-        their spilled tenants).
+        toward its ranking (gauges and histograms weigh nothing, since no
+        reader ranks their spilled tenants).
         """
         count = self._tracked.get(key)
         if count is not None:

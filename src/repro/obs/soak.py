@@ -2,16 +2,16 @@
 
 The gateway's *execution* path scales with workers; the question this
 harness answers is whether the **control plane** — admission control,
-metrics, the event pipeline, rolling aggregation, SLO evaluation — stays
-fast and bounded as the *tenant population* grows from 10^3 to 10^6.
+metrics and their windows, the event log, SLO evaluation — stays fast and
+bounded as the *tenant population* grows from 10^3 to 10^6.
 
 Real-gateway fan-out cannot get there: each registered tenant mints an
 attested AE (pure-python RSA keygen, ~1 s apiece), which is 11 days of
 setup at 10^6 tenants.  So the soak drives the same control-plane objects
 the gateway uses — a sharded :class:`~repro.service.quota.AdmissionController`
-with lazy default-quota tenants, the governed metrics registry, a bounded
-:class:`~repro.obs.events.EventLog` feeding a cardinality-governed
-:class:`~repro.obs.rollup.RollingAggregator`, and a live SLO engine — with
+with lazy default-quota tenants, the governed metrics registry whose
+windows the SLO signals read, a bounded :class:`~repro.obs.events.EventLog`,
+and a live SLO engine over the registry — with
 a **modeled request loop**: per request, admit → the gateway's own
 lifecycle transitions (:mod:`repro.service.lifecycle`) with a deterministic
 modeled latency → settle.  No Wasm executes; what is measured is exactly
@@ -26,8 +26,9 @@ comparable; the tenant *population* is what sweeps.
 Each point reports per-request overhead, process RSS, and the sizes of
 every per-tenant structure; :func:`run_scale_soak` gates the curve —
 overhead at the largest point within ``max_overhead_ratio`` of the
-smallest, every structure bounded by its configured budget, the heaviest
-tenant recoverable from the sketches — and the result is what
+smallest, every structure bounded by its configured budget, the window
+rings' keys by :data:`MAX_WINDOW_KEYS` at any tenant count, the heaviest
+tenant recoverable from the requests counter — and the result is what
 ``repro soak`` writes to ``BENCH_scale.json`` and CI asserts flat.
 """
 
@@ -37,17 +38,15 @@ import statistics
 import time
 
 from repro.obs.events import EventLog, disable_events, enable_events, get_event_log
+from repro.obs.instruments import GATEWAY
 from repro.obs.metrics import (
-    Counter,
     disable_metrics,
     enable_metrics,
-    get_registry,
     metrics_enabled,
     set_tenant_budget,
 )
-from repro.obs.rollup import RollingAggregator
 from repro.obs.sketch import TenantSpill
-from repro.obs.slo import Rule, SLOEngine
+from repro.obs.slo import Rule, SLOEngine, resolve_signal
 from repro.service.lifecycle import LifecycleRecorder
 from repro.service.quota import AdmissionController, AdmissionError, TenantQuota
 
@@ -56,6 +55,11 @@ DEFAULT_TENANT_COUNTS = (1_000, 10_000, 100_000, 1_000_000)
 
 #: Times the sweep runs, points interleaved; each point reports its median run.
 SWEEP_ROUNDS = 9
+
+#: Bound on the registry's window keys at a point: one per outcome plus the
+#: latency key at any tenant count (a window keyed by tenant would hold the
+#: exact budget, 64 by default).
+MAX_WINDOW_KEYS = 8
 
 #: Modeled service-time palette (seconds); tenants cycle through it so
 #: latency histograms see spread without a random source.
@@ -136,8 +140,8 @@ def _vm_rss_mb() -> float:
 #: run after every timed chunk of a point's loop.
 _PROBE_ITERS = 300
 
-#: The probe's fixed tenant set: more than the soak's default exact budget,
-#: so the probe's counter spills and maintains its sketch like the loop's.
+#: The probe's fixed tenant set: more than the probe governor's budget,
+#: so it spills and maintains its summary like the loop's governors.
 _PROBE_TENANTS = tuple("probe%d" % i for i in range(97))
 
 
@@ -152,30 +156,29 @@ def _calibration_us() -> float:
     than how fast the machine happened to be while a chunk ran.
 
     The probe does the point loop's kinds of work — lazy admission and
-    settlement, a tenant-labelled counter under the active budget, sketch
-    maintenance — on private, unregistered objects and a fixed tenant set,
-    so it slows down under co-tenant pressure by about as much as the loop
-    does.  (A tight dict/str loop does not: it slowed almost 2x when the
-    loop slowed 1.5x, and normalising by it moved the overhead ratio by
-    that difference.)  Timed in this thread's CPU time, like the chunks.
+    settlement, a tenant governor's routing and summary maintenance — on
+    private objects and a fixed tenant set, so it slows down under
+    co-tenant pressure by about as much as the loop does.  (A tight
+    dict/str loop does not: it slowed almost 2x when the loop slowed 1.5x,
+    and normalising by it moved the overhead ratio by that difference.)  No
+    metric instrument runs in it, so ``per_request_us_norm`` compares across
+    commits that change the instruments.  Timed in thread CPU time.
     """
     admission = AdmissionController(default_quota=TenantQuota(max_queue_depth=8))
     spill = TenantSpill(budget=64)
-    counter = Counter("soak_probe", "machine-speed probe; never registered")
     tenants = _PROBE_TENANTS
     started = time.thread_time()
     for i in range(_PROBE_ITERS):
         tenant = tenants[i % len(tenants)]
         admission.admit(tenant)
         spill.admit(tenant)
-        counter.inc(tenant=tenant, outcome="ok")
         admission.settle(tenant, weighted_instructions=1)
     return (time.thread_time() - started) / _PROBE_ITERS * 1e6
 
 
 def _registry_series_count() -> int:
     """Materialised labelsets across every registered instrument."""
-    registry = get_registry()
+    registry = GATEWAY.registry
     total = 0
     for name in registry.names():
         metric = registry.get(name)
@@ -196,14 +199,14 @@ def run_scale_point(
     """One sweep point: fresh control-plane state, ``requests`` modeled requests."""
     schedule = _zipf_schedule(tenants, requests, zipf_s, seed)
 
-    registry = get_registry()
+    registry = GATEWAY.registry
     registry.reset()
     previous_budget = set_tenant_budget(tenant_budget, top_k=top_k)
     was_metrics = metrics_enabled()
     previous_log = get_event_log()
 
     # synthetic event time: two emits per request at a fixed modeled rate,
-    # so the aggregator ring and SLO windows behave as they would live
+    # so the registry windows and SLO evaluation behave as they would live
     dt = 1.0 / rps / 2.0
     clock_state = [0.0]
 
@@ -211,18 +214,17 @@ def run_scale_point(
         clock_state[0] += dt
         return clock_state[0]
 
+    def now() -> float:
+        return clock_state[0]
+
+    previous_clock = registry.set_clock(now)
     admission = AdmissionController(
-        clock=lambda: clock_state[0],
+        clock=now,
         default_quota=TenantQuota(max_queue_depth=8),
         max_resident=max_resident,
     )
-    aggregator = RollingAggregator(
-        slice_s=1.0, slices=120, tenant_budget=tenant_budget, top_k=top_k
-    )
-    # small buffer on purpose: subscribers (the aggregator) see every event
-    # regardless, and the soak must not hold the whole stream in memory
+    # small buffer on purpose: the soak must not hold the whole stream
     log = EventLog(capacity=4096, clock=clock)
-    log.subscribe(aggregator.observe)
     enable_events(log)
     enable_metrics()
     engine = SLOEngine(list(_SOAK_RULES))
@@ -266,21 +268,20 @@ def run_scale_point(
             )
             admission.settle(tenant, weighted_instructions=1_000)
             if i % 2048 == 2047:
-                engine.evaluate(aggregator)
+                engine.evaluate(GATEWAY)
             if i % chunk_len == chunk_len - 1:
                 chunk_us = (time.thread_time() - chunk_started) / chunk_len * 1e6
                 probe_started = time.perf_counter()
                 samples.append((chunk_us, _calibration_us()))
                 probe_s += time.perf_counter() - probe_started
                 chunk_started = time.thread_time()
-        engine.evaluate(aggregator)
+        engine.evaluate(GATEWAY)
         wall_s = time.perf_counter() - started - probe_s
         if not samples:
             samples.append((wall_s / max(1, requests) * 1e6, _calibration_us()))
 
-        census = aggregator.key_census()
-        spill = aggregator.tenant_spill_info()
-        top = aggregator.top_tenants(10)
+        spill = GATEWAY.requests.governance()
+        top = GATEWAY.requests.top_tenants(10)
         heaviest_rank = min(schedule)
         point = {
             "tenants": tenants,
@@ -294,13 +295,11 @@ def run_scale_point(
             "per_request_probes": statistics.median(c / p for c, p in samples),
             "rss_mb": _vm_rss_mb(),
             "tenant_cardinality": spill["cardinality"],
-            "overflow_ratio": aggregator.overflow_ratio(120.0),
+            "overflow_ratio": resolve_signal(GATEWAY, "overflow_ratio", 120.0),
             "structures": {
                 "admission_resident": admission.resident(),
                 "admission_evictions": admission.evictions,
-                "rollup_total_keys": census["total_keys"],
-                "rollup_tenant_keys": census["tenant_keys"],
-                "rollup_tracked": spill["tracked"],
+                "window_keys": registry.window_keys(),
                 "spilled_labelsets": spill["spilled_labelsets"],
                 "registry_series": _registry_series_count(),
                 "event_log_resident": len(log.events()),
@@ -320,6 +319,7 @@ def run_scale_point(
         if not was_metrics:
             disable_metrics()
         set_tenant_budget(previous_budget)
+        registry.set_clock(previous_clock)
         registry.reset()
 
 
@@ -397,12 +397,11 @@ def run_scale_soak(
       ``max_overhead_ratio`` of the smallest point's;
     * **bounded structures** at every point — resident admission states
       within ``max_resident`` (+1 per-shard rounding slack, plus states
-      kept alive in flight), window tenant keys within ``tenant_budget + 1``,
-      and the registry's materialised series bounded by the per-instrument
-      budget rather than the tenant population;
-    * **nothing lost** — the heaviest tenant is recovered through the
-      rollup's Space-Saving summary at every point, and accounted request
-      totals (admitted == settled + rejected narrative) hold;
+      kept alive in flight) and the registry's window keys within
+      :data:`MAX_WINDOW_KEYS`, a constant independent of the tenant count;
+    * **nothing lost** — the heaviest tenant is among the requests
+      counter's top rows (exact series or Space-Saving summary) at every
+      point;
     * optional **RSS ceiling** — every point's resident set below
       ``rss_ceiling_mb``.
 
@@ -459,8 +458,7 @@ def run_scale_soak(
     )
     bounded_ok = all(
         p["structures"]["admission_resident"] <= resident_slack
-        and p["structures"]["rollup_tenant_keys"] <= tenant_budget + 1
-        and p["structures"]["rollup_tracked"] <= tenant_budget
+        and p["structures"]["window_keys"] <= MAX_WINDOW_KEYS
         for p in points
     )
     recovered_ok = all(p["top_recovered"] for p in points)

@@ -5,7 +5,9 @@ Every transition of a metering-gateway request is one
 which metric it bumps, which event it emits (with exactly which fields),
 which request-span attributes it sets (and whether it ends the span) and
 which per-gateway count it adds to.  The scale soak records through the
-same table, so it measures the gateway's real per-request telemetry cost.
+same table, so it measures the gateway's real per-request telemetry cost,
+and an SLO replay (:func:`repro.obs.slo.replay`) re-drives a recorded event
+stream through its metric rows into a fresh registry.
 """
 
 from __future__ import annotations
@@ -16,37 +18,34 @@ from typing import Callable, NamedTuple
 
 from repro.obs.events import emit as emit_event
 from repro.obs.events import events_enabled
-from repro.obs.instruments import (
-    GATEWAY_DEADLINE_EXCEEDED,
-    GATEWAY_REQUEST_LATENCY,
-    GATEWAY_REQUESTS,
-    GATEWAY_RESULTS_REJECTED,
-    GATEWAY_RETRIES,
-    TRACES_SAMPLED_TOTAL,
-)
+from repro.obs.instruments import GATEWAY, GatewayMetrics
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import Span
 
 
 class Transition(NamedTuple):
-    metric: Callable[[dict], object] | None = None  # given the fields
+    # given the instruments to record into and the fields
+    metric: Callable[[GatewayMetrics, dict], object] | None = None
     event: tuple[str, ...] = ()  # the event's field names; () emits none
     span: Callable[[dict], dict] | None = None  # request-span attributes
     end: bool = False  # end the request span
     count: str | None = None  # count key, formatted with the fields
 
 
-def _admitted(f: dict) -> None:
-    if f["sampled"] is not None:  # a trace context was minted
-        TRACES_SAMPLED_TOTAL.inc(decision="sampled" if f["sampled"] else "unsampled")
+def _admitted(m: GatewayMetrics, f: dict) -> None:
+    # a trace context was minted; the admit event does not carry the
+    # decision, so a replayed stream counts none
+    if f.get("sampled") is not None:
+        m.traces_sampled.inc(decision="sampled" if f["sampled"] else "unsampled")
 
 
-def _settled(f: dict) -> None:
-    GATEWAY_REQUESTS.inc(tenant=f["tenant"], outcome=f["outcome"])
+def _settled(m: GatewayMetrics, f: dict) -> None:
+    m.requests.inc(tenant=f["tenant"], outcome=f["outcome"])
     if f["outcome"] == "ok":
-        # the exemplar links this latency bucket to the request's trace
-        GATEWAY_REQUEST_LATENCY.observe(
-            f["latency_s"], exemplar=f["trace_id"], tenant=f["tenant"]
+        # the exemplar links this latency bucket to the request's trace (a
+        # recorded stream may predate trace ids)
+        m.latency.observe(
+            f["latency_s"], exemplar=f.get("trace_id"), tenant=f["tenant"]
         )
 
 
@@ -54,7 +53,7 @@ _REQUEST = ("gateway", "tenant", "request_id")
 
 TRANSITIONS: dict[str, Transition] = {
     "reject": Transition(
-        metric=lambda f: GATEWAY_REQUESTS.inc(
+        metric=lambda m, f: m.requests.inc(
             tenant=f["tenant"], outcome=f"rejected:{f['code']}"
         ),
         event=("gateway", "tenant", "code"),
@@ -67,19 +66,21 @@ TRANSITIONS: dict[str, Transition] = {
         span=lambda f: {"request_id": f["request_id"], "trace_id": f["trace_id"]},
     ),
     "fault_injected": Transition(
+        metric=lambda m, f: m.faults.inc(tenant=f["tenant"], fault=f["fault"]),
         event=_REQUEST + ("fault", "trace_id"),
         span=lambda f: {"injected_fault": f["fault"]},
         count="faults_injected:{fault}",
     ),
     "retry": Transition(
-        metric=lambda f: GATEWAY_RETRIES.inc(tenant=f["tenant"]),
+        metric=lambda m, f: m.retries.inc(tenant=f["tenant"]),
         event=_REQUEST + ("attempt", "trace_id"),
         span=lambda f: {"attempts": f["attempt"] + 1},
         count="retries",
     ),
-    # its event, meter_invalid, comes from validate_raw itself
+    # its event, meter_invalid, comes from validate_raw itself (and carries
+    # no tenant): a replay sees these requests as settled result-rejected
     "result_rejected": Transition(
-        metric=lambda f: GATEWAY_RESULTS_REJECTED.inc(tenant=f["tenant"]),
+        metric=lambda m, f: m.results_rejected.inc(tenant=f["tenant"]),
         count="results_rejected",
     ),
     "checkpoint": Transition(
@@ -87,8 +88,9 @@ TRANSITIONS: dict[str, Transition] = {
         span=lambda f: {"checkpoints": f["checkpoint"]},
         count="preemptions",
     ),
+    # no event: a replay sees these requests as settled deadline-exceeded
     "deadline_exceeded": Transition(
-        metric=lambda f: GATEWAY_DEADLINE_EXCEEDED.inc(tenant=f["tenant"]),
+        metric=lambda m, f: m.deadline_exceeded.inc(tenant=f["tenant"]),
         count="deadline_exceeded",
     ),
     "settled": Transition(
@@ -114,7 +116,7 @@ class LifecycleRecorder:
         fields["gateway"] = self.gateway_id
         fields["tenant"] = tenant
         if metric is not None and metrics_enabled():
-            metric(fields)
+            metric(GATEWAY, fields)
         if event and events_enabled():
             emit_event(kind, **{name: fields[name] for name in event})
         if isinstance(span, Span):  # a null span (tracing off) records nothing

@@ -201,11 +201,13 @@ def run_loadtest(
 
     The telemetry pipeline rides along when asked: ``events_out`` records
     the structured event stream to JSONL, ``slo_rules`` evaluates a
-    declarative rule file over it (via the same replay path ``repro alerts``
-    uses offline), and either one also runs the per-tenant billing-drift
-    audit after each sweep point's epoch seals.  ``pipeline`` forces the
-    event log on (or off) independently of the two outputs — the overhead
-    benchmark uses it to measure the pipeline's cost without touching disk.
+    declarative rule file over it (replayed into a fresh registry's windows,
+    the path ``repro alerts`` uses offline, so the process registry keeps
+    exactly what the run recorded), and either one also runs the per-tenant
+    billing-drift audit after each sweep point's epoch seals.  ``pipeline``
+    forces the event log on (or off) independently of the two outputs — the
+    overhead benchmark uses it to measure the pipeline's cost without
+    touching disk.
     Error-severity drift findings fail the ``drift`` gate and gating (page
     or critical) alerts the ``slo`` gate; ``result["telemetry"]["ok"]`` is
     the two combined.
@@ -398,7 +400,7 @@ def run_loadtest(
             from repro.obs.slo import load_rules
             from repro.obs.slo import replay as replay_slo
 
-            slo, _agg = replay_slo(event_log.events(), load_rules(slo_rules))
+            slo, _windows = replay_slo(event_log.events(), load_rules(slo_rules))
             telemetry["slo_rules"] = slo_rules
             telemetry["slo"] = slo.report()
             gates["slo"] = [

@@ -1,7 +1,7 @@
 """Cardinality governance across the observability stack.
 
 Pins the scale behaviour the million-tenant soak depends on: instruments
-and the rolling aggregator stay bounded under arbitrary tenant churn,
+and their windows stay bounded under arbitrary tenant churn,
 totals are conserved through the ``__other__`` overflow series, the
 governance metrics report what was shed, and the admission controller's
 lazy tenant states stay within their resident cap.
@@ -21,8 +21,8 @@ from repro.obs.metrics import (
     enable_metrics,
     set_tenant_budget,
 )
-from repro.obs.rollup import RollingAggregator
 from repro.obs.sketch import OVERFLOW_KEY, TenantSpill
+from repro.obs.slo import EventReplay, resolve_signal
 from repro.obs.soak import _zipf_schedule
 from repro.service.quota import AdmissionController, TenantQuota
 
@@ -147,80 +147,105 @@ def test_non_tenant_labels_are_never_governed(governed_registry):
     assert counter._spill is None
 
 
-# -- rollup aggregator ---------------------------------------------------------
+# -- rollups: the registry windows and the requests counter's tenant rows ------
 
 
-def _drive(agg: RollingAggregator, tenants: int, ts: float = 1.0) -> None:
+def _drive(replayed: EventReplay, tenants: int, ts: float = 1.0) -> None:
     for i in range(tenants):
-        agg.observe(
-            Event(seq=i, ts_s=ts, kind="admit", fields={"tenant": "t%d" % i})
+        replayed.record(
+            Event(seq=i, ts_s=ts, kind="reject",
+                  fields={"tenant": "t%d" % i, "code": "queue-full"})
         )
 
 
-def test_rollup_tenant_keys_bounded_under_many_distinct_tenants():
-    # the regression the budget exists for: before governance, every
-    # distinct tenant minted a window key and the ring grew O(ever-seen)
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=32, top_k=16)
-    _drive(agg, 100_000)
-    census = agg.key_census()
-    assert census["tenant_keys"] <= 32 + 1  # budget + __other__
-    spill = agg.tenant_spill_info()
+def _windowed(budget: int, top_k: int) -> EventReplay:
+    """A replay registry whose governors get ``budget`` and ``top_k``."""
+    set_tenant_budget(budget, top_k=top_k)
+    return EventReplay()
+
+
+@pytest.fixture
+def restore_budget():
+    previous = set_tenant_budget(1024, top_k=64)
+    try:
+        yield
+    finally:
+        set_tenant_budget(previous, top_k=64)
+
+
+def test_rollup_tenant_keys_bounded_under_many_distinct_tenants(restore_budget):
+    # the regression the budget exists for: a window keyed by tenant grows
+    # O(ever-seen); the registry windows are keyed by outcome alone
+    replayed = _windowed(32, 16)
+    _drive(replayed, 100_000)
+    m = replayed.metrics
+    assert m.registry.window_keys() == 1  # one per outcome, none per tenant
+    spill = m.requests.governance()
     assert spill["tracked"] == 32
     # cardinality still approximates the true population
-    assert abs(agg.tenant_cardinality() - 100_000) / 100_000 < 0.1
+    assert abs(spill["cardinality"] - 100_000) / 100_000 < 0.1
 
 
-def test_rollup_conserves_window_counts_through_overflow():
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=8, top_k=8)
-    _drive(agg, 200)
-    total = sum(
-        agg.count(("admit", "tenant", "t%d" % i), 8.0) for i in range(8)
-    ) + agg.count(("admit", "tenant", OVERFLOW_KEY), 8.0)
-    assert total == 200
-    assert agg.count("admit", 8.0) == 200
+def test_rollup_conserves_window_counts_through_overflow(restore_budget):
+    replayed = _windowed(8, 8)
+    _drive(replayed, 200)
+    m = replayed.metrics
+    [cell] = m.requests.window(8.0).values()
+    exact = sum(m.requests.value(tenant="t%d" % i, outcome="rejected:queue-full")
+                for i in range(8))
+    overflow = m.requests.value(tenant=OVERFLOW_KEY, outcome="rejected:queue-full")
+    assert exact + overflow == 200
+    assert cell[1] == overflow  # the window's overflow share
+    assert resolve_signal(m, "count:reject", 8.0) == 200
 
 
-def test_rollup_top_tenants_merges_exact_and_sketched_rows():
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=4, top_k=16)
-    _drive(agg, 4)  # fill the exact budget
+def test_rollup_top_tenants_merges_exact_and_sketched_rows(restore_budget):
+    replayed = _windowed(4, 16)
+    _drive(replayed, 4)  # fill the exact budget
     for seq in range(300):
-        agg.observe(
-            Event(seq=100 + seq, ts_s=1.0, kind="admit",
-                  fields={"tenant": "whale"})
+        replayed.record(
+            Event(seq=100 + seq, ts_s=1.0, kind="reject",
+                  fields={"tenant": "whale", "code": "queue-full"})
         )
-    rows = agg.top_tenants(3)
+    rows = replayed.metrics.requests.top_tenants(3)
     assert rows[0]["tenant"] == "whale"
     assert not rows[0]["exact"]
     assert rows[0]["events"] - rows[0]["error"] <= 300 <= rows[0]["events"]
     assert [row["exact"] for row in rows[1:]] == [True, True]
 
 
-def test_rollup_unweighed_kinds_route_but_do_not_rank():
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=2, top_k=8)
-    _drive(agg, 2)
-    # spilled settled/receipt events follow the overflow series but must
-    # not inflate the tenant's sketched request count
-    for seq in range(50):
-        agg.observe(
-            Event(seq=200 + seq, ts_s=1.0, kind="settled",
-                  fields={"tenant": "chatty", "outcome": "ok"})
+def test_rollup_unweighed_kinds_route_but_do_not_rank(restore_budget):
+    replayed = _windowed(2, 8)
+    for i in range(2):  # fill both instruments' exact budgets
+        replayed.record(
+            Event(seq=i, ts_s=1.0, kind="settled",
+                  fields={"tenant": "t%d" % i, "outcome": "ok",
+                          "latency_s": 0.001, "trace_id": None})
         )
-    assert agg.count(("settled", "tenant", OVERFLOW_KEY), 8.0) == 50
-    assert "chatty" not in {row["tenant"] for row in agg.top_tenants()}
-    spill = agg.tenant_spill_info()
-    assert spill["spilled_total"] == 0
+    m = replayed.metrics
+    # a spilled tenant's latency observations follow the overflow series
+    # in the histogram's window but must not rank it: only the requests
+    # counter weighs tenants
+    for _ in range(50):
+        m.latency.observe(0.001, tenant="chatty")
+    [cell] = m.latency.window(8.0).values()
+    assert cell[-1] == 50
+    assert "chatty" not in {row["tenant"] for row in m.requests.top_tenants()}
+    assert m.latency.governance()["spilled_total"] == 0
 
 
-def test_rollup_top_tenants_recover_the_heaviest_spilled_tenants():
+def test_rollup_top_tenants_recover_the_heaviest_spilled_tenants(restore_budget):
     # a Zipf(1.1) stream over 10^5 tenants: the exact budget covers 64
     # tenants, so the ranking of the heavy tail rests on the spill summary
+    # (8 counters per row of a top-64 table)
     schedule = _zipf_schedule(100_000, 100_000, 1.1, seed=7)
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=64, top_k=64)
+    replayed = _windowed(64, 8 * 64)
     for seq, rank in enumerate(schedule):
-        agg.observe(
-            Event(seq=seq, ts_s=1.0, kind="admit", fields={"tenant": "t%d" % rank})
+        replayed.record(
+            Event(seq=seq, ts_s=1.0, kind="reject",
+                  fields={"tenant": "t%d" % rank, "code": "queue-full"})
         )
-    rows = agg.top_tenants()
+    rows = replayed.metrics.requests.top_tenants()
     exact = {row["tenant"] for row in rows if row["exact"]}
     sketched = {row["tenant"]: row for row in rows if not row["exact"]}
     truth = collections.Counter("t%d" % rank for rank in schedule)
@@ -232,12 +257,14 @@ def test_rollup_top_tenants_recover_the_heaviest_spilled_tenants():
         assert row["events"] <= 1.25 * true_count
 
 
-def test_rollup_overflow_ratio_reflects_governance_pressure():
-    agg = RollingAggregator(slice_s=1.0, slices=8, tenant_budget=4, top_k=8)
-    _drive(agg, 4)
-    assert agg.overflow_ratio(8.0) == 0.0
-    _drive(agg, 12)  # 8 of these spill
-    assert agg.overflow_ratio(8.0) == pytest.approx(8 / 16)
+def test_rollup_overflow_ratio_reflects_governance_pressure(restore_budget):
+    replayed = _windowed(4, 8)
+    _drive(replayed, 4)
+    assert resolve_signal(replayed.metrics, "overflow_ratio", 8.0) == 0.0
+    _drive(replayed, 12)  # 8 of these spill
+    assert resolve_signal(replayed.metrics, "overflow_ratio", 8.0) == pytest.approx(
+        8 / 16
+    )
 
 
 # -- admission controller ------------------------------------------------------
@@ -302,3 +329,42 @@ def test_quota_queue_depth_gauge_only_for_registered_tenants():
         disable_metrics()
         set_tenant_budget(previous)
         instruments.REGISTRY.reset()
+
+
+# -- governor work per request -------------------------------------------------
+
+
+def test_soak_requests_make_at_most_one_governor_call(monkeypatch):
+    """The registry governors are the only ones on the modeled request
+    path: a request routes through the requests counter's and the latency
+    histogram's governor only when it spills or opens a series, and the
+    windows add no call.  The machine-speed probe's governor is not
+    counted."""
+    from repro.obs import soak
+
+    calls = [0]
+    counting = [True]
+    admit = TenantSpill.admit
+
+    def counted(self, key, amount=1):
+        calls[0] += counting[0]
+        return admit(self, key, amount)
+
+    probe = soak._calibration_us
+
+    def uncounted_probe():
+        counting[0] = False
+        try:
+            return probe()
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(TenantSpill, "admit", counted)
+    monkeypatch.setattr(soak, "_calibration_us", uncounted_probe)
+    requests = 20_000
+    point = soak.run_scale_point(
+        tenants=100_000, requests=requests, tenant_budget=256, top_k=16,
+        max_resident=256, zipf_s=1.1, seed=7,
+    )
+    assert point["top_recovered"]
+    assert calls[0] / requests <= 1.0

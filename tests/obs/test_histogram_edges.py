@@ -93,19 +93,3 @@ def test_openmetrics_cumulative_rendering_at_edges():
     assert 'edge_probe_render_bucket{le="4"} 3' in lines
     assert 'edge_probe_render_bucket{le="+Inf"} 4' in lines
     assert "edge_probe_render_count 4" in lines
-
-
-def test_rolling_aggregator_shares_the_same_edge_semantics():
-    """The rollup latency histogram must bucket exactly like Histogram."""
-    from repro.obs.events import Event
-    from repro.obs.rollup import RollingAggregator
-
-    agg = RollingAggregator()
-    hist = Histogram("edge_probe_shared", "probe", buckets=LATENCY_BUCKETS)
-    for i, value in enumerate((0.0, -1.0, LATENCY_BUCKETS[3], 1e9)):
-        hist.observe(value)
-        agg.observe(Event(seq=i + 1, ts_s=1.0, kind="settled",
-                          fields={"outcome": "ok", "latency_s": value}))
-    counts, _total, n = agg.latency_stats(window_s=30)
-    assert n == 4
-    assert counts == hist.snapshot()["counts"]

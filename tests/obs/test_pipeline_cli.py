@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.events import EventLog, disable_events
+from repro.obs.soak import MAX_WINDOW_KEYS
 
 RULES = str(pathlib.Path(__file__).parents[2] / "examples" / "slo_rules.json")
 
@@ -166,12 +167,62 @@ def test_top_plain_renders_frames_and_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "repro top" in out
     assert "throughput" in out
-    assert "events in window:" in out
+    assert "counts in window:" in out
     assert "rules armed" in out or "ALERTS FIRING" in out
     assert events.exists()
     meta = json.loads(events.read_text().splitlines()[0])
     assert meta["kind"] == "_meta"
     assert meta["emitted"] > 0
+
+
+def test_top_runs_with_the_event_log_off(monkeypatch, capsys):
+    emitted = []
+    monkeypatch.setattr(EventLog, "emit", lambda self, kind, **f: emitted.append(kind))
+    assert main([
+        "top", "--plain", "--duration", "1.2", "--interval", "0.4",
+        "--workers", "2", "--backend", "modeled", "--time-scale", "0",
+        "--kernels", "trisolv", "--tenants", "3",
+    ]) == 0
+    assert emitted == []
+    out = capsys.readouterr().out
+    final = out[out.rindex("repro top"):]
+    throughput = float(final.split("throughput")[1].split()[0])
+    assert throughput > 0
+    assert "p50" in final and "p99" in final
+    assert "settled:ok" in final
+    rows = [line for line in final.splitlines()
+            if line.startswith("    tenant-trisolv-")]
+    assert len(rows) == 3 and all(line.endswith("exact") for line in rows)
+
+
+def test_top_rules_read_the_whole_600s_horizon():
+    """A 600 s rule in ``repro top`` counts what happened 300 s ago: the
+    dashboard evaluates the process registry's windows, not a shorter ring."""
+    from repro.obs.instruments import GATEWAY
+    from repro.obs.metrics import disable_metrics, enable_metrics
+    from repro.obs.slo import SLOEngine, load_rules
+    from repro.service.lifecycle import LifecycleRecorder
+
+    now = [10_000.0]
+    registry = GATEWAY.registry
+    previous = registry.set_clock(lambda: now[0])
+    registry.reset()
+    enable_metrics()
+    try:
+        LifecycleRecorder("gw").record(
+            "fault_injected", "t0", None,
+            {"request_id": 1, "fault": "crash", "trace_id": None},
+        )
+        now[0] += 300.0
+        engine = SLOEngine(load_rules(RULES))
+        engine.evaluate(GATEWAY)
+        fired = {alert.rule: alert for alert in engine.alerts}
+        assert fired["faults-observed"].window_s == 600
+        assert fired["faults-observed"].value == 1.0
+    finally:
+        disable_metrics()
+        registry.set_clock(previous)
+        registry.reset()
 
 
 def test_top_tenant_table_renders_sorted_rows_and_footer(tmp_path, capsys):
@@ -196,12 +247,13 @@ def test_top_tenant_table_renders_sorted_rows_and_footer(tmp_path, capsys):
 def test_tenant_table_truncates_to_terminal_height(monkeypatch):
     from repro.cli import _tenant_table_lines
     from repro.obs.events import Event
-    from repro.obs.rollup import RollingAggregator
+    from repro.obs.slo import EventReplay
 
-    agg = RollingAggregator(slice_s=1.0, slices=4, tenant_budget=64, top_k=64)
+    replayed = EventReplay()
     for i in range(40):
-        agg.observe(Event(seq=i, ts_s=1.0, kind="admit",
-                          fields={"tenant": "t%02d" % i}))
+        replayed.record(Event(seq=i, ts_s=1.0, kind="reject",
+                              fields={"tenant": "t%02d" % i, "code": "queue-full"}))
+    agg = replayed.metrics
     monkeypatch.setenv("LINES", "12")
     monkeypatch.setenv("COLUMNS", "80")
     lines = _tenant_table_lines(agg, top_k=40, sort="events",
@@ -231,7 +283,7 @@ def test_soak_cli_writes_gated_bench_json(tmp_path, capsys):
     assert report["ok"] is True
     assert [p["tenants"] for p in report["points"]] == [200, 2000]
     for point in report["points"]:
-        assert point["structures"]["rollup_tracked"] <= 64
+        assert point["structures"]["window_keys"] <= MAX_WINDOW_KEYS
         assert point["per_request_us_norm"] > 0
 
 

@@ -4,7 +4,7 @@ Every request transition (admit, reject, fault injection, retry, result
 rejection, checkpoint, deadline, settle) leaves the same footprint in four
 places: the structured event stream, the ``acctee_gateway_*`` metric
 series, the request span's attributes and :meth:`resilience_stats`.  Event
-JSONL consumers (the rolling aggregator, SLO replay, the drift auditor and
+JSONL consumers (the SLO replay, the drift auditor and
 ``repro explain``) depend on that footprint, so it is pinned here field
 name by field name.
 
@@ -273,6 +273,7 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 2.0},
         "acctee_gateway_retries": {A: 2.0},
         "acctee_gateway_deadline_exceeded": {},
+        "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 2.0},
         "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
@@ -282,6 +283,7 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_deadline_exceeded": {A: 1.0},
+        "acctee_gateway_faults_injected": {'{fault="hang",tenant="alice"}': 1.0},
         "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
@@ -291,6 +293,7 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="result-rejected",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_deadline_exceeded": {},
+        "acctee_gateway_faults_injected": {'{fault="corrupt",tenant="alice"}': 1.0},
         "acctee_gateway_results_rejected": {A: 1.0},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
@@ -300,6 +303,7 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {A: 1.0},
         "acctee_gateway_deadline_exceeded": {A: 1.0},
+        "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 1.0},
         "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
@@ -309,6 +313,7 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_deadline_exceeded": {},
+        "acctee_gateway_faults_injected": {},
         "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
@@ -322,6 +327,7 @@ SERIES = {
         },
         "acctee_gateway_retries": {},
         "acctee_gateway_deadline_exceeded": {},
+        "acctee_gateway_faults_injected": {},
         "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {
             '{reason="instruction-budget-exhausted",tenant="hog"}': 1.0
