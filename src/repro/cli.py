@@ -942,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated PolyBench kernels (default: built-in mix)")
     p.add_argument("--tenants", type=int, default=0, metavar="N",
                    help="fan the kernel mix out to N distinct tenants "
-                        "(cycling kernels) to exercise admission sharding "
+                        "(cycling kernels) to exercise per-tenant admission "
                         "and telemetry cardinality (default: one per kernel)")
     p.add_argument("--time-scale", type=float, default=1.0)
     p.add_argument("--no-serial", action="store_true",

@@ -183,14 +183,13 @@ def audit_billing(
     shared event log can audit each sweep point of a multi-gateway run
     separately).
 
-    ``tenant_batch`` turns on **streaming mode**: tenants are grouped by
-    their gateway shard (:func:`repro.service.sharding.shard_index_for`,
-    the same routing admission state uses) and reconciled ``tenant_batch``
-    at a time, holding each batch's event narrative — O(batch) — instead
-    of one dict over every tenant.  The event stream is re-scanned per
-    batch, so ``events`` must then be a re-iterable sequence (a list or an
-    :meth:`EventLog.events` snapshot, not a generator).  Findings are
-    identical to the single-pass mode; only peak memory changes.
+    ``tenant_batch`` turns on **streaming mode**: tenants are reconciled
+    ``tenant_batch`` at a time in sorted id order, holding each batch's
+    event narrative — O(batch) — instead of one dict over every tenant.
+    The event stream is re-scanned per batch, so ``events`` must then be a
+    re-iterable sequence (a list or an :meth:`EventLog.events` snapshot,
+    not a generator).  Findings are identical to the single-pass mode;
+    only peak memory changes.
     """
     # deferred: repro.core's package init reaches back into repro.obs via
     # the instrumentation enclave — a module-level import here would make
@@ -201,17 +200,11 @@ def audit_billing(
     receipts_checked = 0
     events_checked = 0
 
-    tenants = ledger.tenants()
+    tenants = ledger.tenants()  # sorted
     if tenant_batch is not None and tenant_batch > 0 and len(tenants) > tenant_batch:
-        # deferred for the same import-cycle reason as verify_chain
-        from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
-
-        ordered = sorted(
-            tenants, key=lambda t: (shard_index_for(t, DEFAULT_SHARDS), t)
-        )
         batches = [
-            ordered[i : i + tenant_batch]
-            for i in range(0, len(ordered), tenant_batch)
+            tenants[i : i + tenant_batch]
+            for i in range(0, len(tenants), tenant_batch)
         ]
     else:
         batches = [list(tenants)]

@@ -330,6 +330,7 @@ _REQUEST_KINDS = (
     "admit",
     "fault_injected",
     "retry",
+    "result_rejected",
     "checkpoint",
     "receipt",
     "settled",
@@ -400,6 +401,11 @@ def explain_request(events, request_id: int, gateway: str | None = None) -> dict
             story.append(
                 f"+{dt:7.3f}s  transient failure; re-dispatched "
                 f"(attempt {fields.get('attempt')})"
+            )
+        elif event.kind == "result_rejected":
+            story.append(
+                f"+{dt:7.3f}s  meter readings rejected, nothing signed: "
+                + "; ".join(fields.get("problems") or ())
             )
         elif event.kind == "checkpoint":
             checkpoints.append(fields.get("checkpoint"))

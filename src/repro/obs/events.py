@@ -51,7 +51,8 @@ EVENT_KINDS = (
     "reject",  # typed admission rejection: tenant, code
     "fault_injected",  # chaos plan stamped a fault: tenant, request_id, fault
     "retry",  # transient failure re-dispatch: tenant, request_id, attempt
-    "meter_invalid",  # raw readings failed sanity validation: problems
+    "result_rejected",  # raw readings failed sanity validation: tenant,
+    #                     request_id, problems
     "settled",  # request finalized: tenant, request_id, outcome, latency_s
     "receipt",  # AE-signed receipt recorded: tenant, request_id, sequence,
     #             weighted_instructions, entry_hash

@@ -63,14 +63,6 @@ class GatewayMetrics:
             "Faults the chaos plan stamped on requests, by tenant and fault.",
             windowed=True,
         )
-        self.deadline_exceeded = registry.counter(
-            "acctee_gateway_deadline_exceeded",
-            "Requests failed by the wall-clock deadline watchdog, by tenant.",
-        )
-        self.results_rejected = registry.counter(
-            "acctee_gateway_results_rejected",
-            "Worker meter readings that failed sanity validation, by tenant.",
-        )
         self.traces_sampled = registry.counter(
             "acctee_traces_sampled_total",
             "Trace contexts minted at gateway admission, by sampling decision.",

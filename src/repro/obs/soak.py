@@ -8,7 +8,7 @@ bounded as the *tenant population* grows from 10^3 to 10^6.
 Real-gateway fan-out cannot get there: each registered tenant mints an
 attested AE (pure-python RSA keygen, ~1 s apiece), which is 11 days of
 setup at 10^6 tenants.  So the soak drives the same control-plane objects
-the gateway uses — a sharded :class:`~repro.service.quota.AdmissionController`
+the gateway uses — an :class:`~repro.service.quota.AdmissionController`
 with lazy default-quota tenants, the governed metrics registry whose
 windows the SLO signals read, a bounded :class:`~repro.obs.events.EventLog`,
 and a live SLO engine over the registry — with
@@ -396,8 +396,9 @@ def run_scale_soak(
       as ``per_request_us_norm``) at the largest point is within
       ``max_overhead_ratio`` of the smallest point's;
     * **bounded structures** at every point — resident admission states
-      within ``max_resident`` (+1 per-shard rounding slack, plus states
-      kept alive in flight) and the registry's window keys within
+      within ``max_resident`` (each request settles before the next is
+      admitted, so no in-flight state holds the population above its
+      cap) and the registry's window keys within
       :data:`MAX_WINDOW_KEYS`, a constant independent of the tenant count;
     * **nothing lost** — the heaviest tenant is among the requests
       counter's top rows (exact series or Space-Saving summary) at every
@@ -442,8 +443,6 @@ def run_scale_soak(
         for count in counts
     ]
 
-    shards = 8  # AdmissionController default; per-shard cap rounds up
-    resident_slack = max_resident + shards
     # drift-normalised overhead: each point's cost in probe iterations
     # (every chunk divided by the machine-speed probe that followed it),
     # expressed in µs at the smallest point's probe speed, so the gate
@@ -457,7 +456,7 @@ def run_scale_soak(
         points[-1]["per_request_us_norm"] / points[0]["per_request_us_norm"]
     )
     bounded_ok = all(
-        p["structures"]["admission_resident"] <= resident_slack
+        p["structures"]["admission_resident"] <= max_resident
         and p["structures"]["window_keys"] <= MAX_WINDOW_KEYS
         for p in points
     )

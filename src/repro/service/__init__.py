@@ -17,8 +17,6 @@ Layers (each usable on its own):
   per-tenant hash chains) and the offline :func:`verify_epoch` auditor;
 * :mod:`repro.service.backends`— pluggable execution backends (real Wasm, or
   the FaaS service-time model from :mod:`repro.scenarios.faas`);
-* :mod:`repro.service.sharding`— deterministic tenant-hash shard routing for
-  admission/ledger state and shard-tagged request-id minting;
 * :mod:`repro.service.faults`  — failure semantics: typed request failures,
   deadline/retry/backoff policy, worker-result sanity validation, and the
   deterministic fault-injection plans behind ``repro loadtest --faults``;
@@ -60,14 +58,12 @@ from repro.service.quota import (
     UnknownTenant,
 )
 from repro.service.load import run_loadtest
-from repro.service.sharding import DEFAULT_SHARDS, shard_index_for, shard_of_request
 from repro.service.worker import ExecutionTask, WorkerPool
 
 __all__ = [
     "AdmissionController",
     "AdmissionError",
     "BillingLedger",
-    "DEFAULT_SHARDS",
     "DeadlineExceeded",
     "DuplicateReceipt",
     "EpochSeal",
@@ -92,8 +88,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerPool",
     "run_loadtest",
-    "shard_index_for",
-    "shard_of_request",
     "validate_raw",
     "verify_epoch",
 ]

@@ -174,8 +174,6 @@ def validate_raw(raw, max_instructions: int | None = None) -> list[str]:
             f"peak memory {raw.peak_memory_bytes} B below the final grown "
             f"size of {last_pages} pages"
         )
-    if problems:
-        emit_event("meter_invalid", problems=problems, counter=raw.counter_value)
     return problems
 
 

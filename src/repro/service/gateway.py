@@ -57,7 +57,6 @@ from repro.service.quota import (
     TenantQuota,
     UnknownTenant,
 )
-from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
 from repro.service.worker import (
     ExecutionTask,
     WorkerPool,
@@ -86,7 +85,6 @@ class _Tenant:
     module_hash: bytes
     counter_index: int
     memory_required_bytes: int
-    shard: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -153,8 +151,7 @@ class _RequestState:
         return self.trace.trace_id if self.trace is not None else None
 
 
-# gateway ids are minted once per gateway construction — cold path, unlike
-# request ids, which are minted per shard on the submit hot path
+# gateway ids are minted once per gateway construction
 _GATEWAY_SEQ = 0
 _GATEWAY_SEQ_LOCK = threading.Lock()
 
@@ -273,7 +270,6 @@ class MeteringGateway:
         preempt_after: int | None = None,
         trace_sample: float | None = None,
         seal_window: int | None = None,
-        shards: int = DEFAULT_SHARDS,
     ):
         if seal_window is not None and seal_window < 1:
             raise ValueError("seal_window must be >= 1")
@@ -281,17 +277,12 @@ class MeteringGateway:
             # a slice that executes nothing re-captures at the same point
             # forever, signing zero-usage checkpoints without progress
             raise ValueError("preempt_after must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.config = config or SandboxConfig()
         #: Batched receipt sealing: with ``seal_window=N`` each tenant's AE
         #: signs one Merkle root per N receipts (flushed at epoch seals)
         #: instead of one RSA op per request; ``None`` keeps the paper's
         #: per-receipt signing byte-identical to previous behaviour.
         self.seal_window = seal_window
-        #: Tenant-hash shard count for admission state, the ledger, and
-        #: request-id minting (see :mod:`repro.service.sharding`).
-        self.shards = shards
         #: Head-sampling rate for worker spans and events, in [0, 1]
         #: (default ``REPRO_TRACE_SAMPLE``, else 1.0).  Worker metrics are
         #: never sampled, and every request's trace id is minted (and
@@ -337,13 +328,13 @@ class MeteringGateway:
         )
         inner_pool = getattr(self.backend, "pool", None)
         self.effective_workers = getattr(inner_pool, "workers", workers)
-        self.admission = AdmissionController(shards=shards)
-        self.ledger = BillingLedger(owner=self.gateway_id, shards=shards)
+        self.admission = AdmissionController()
+        self.ledger = BillingLedger(owner=self.gateway_id)
         self._tenants: dict[str, _Tenant] = {}
-        # per-shard request-id minting: shard s hands out s+1, s+1+shards,
-        # s+1+2*shards, … — globally unique ints with no cross-shard lock
-        self._id_counters = [0] * shards
-        self._id_locks = [threading.Lock() for _ in range(shards)]
+        #: Requests admitted so far; the last request id minted (ids run
+        #: 1, 2, 3, … per gateway).
+        self._requests = 0
+        self._id_lock = threading.Lock()
         self._frontend = _AsyncFrontend(name=f"{self.gateway_id}-frontend")
 
     # -- tenant lifecycle --------------------------------------------------------
@@ -410,7 +401,6 @@ class MeteringGateway:
             module_hash=sha256(module_bytes),
             counter_index=evidence.counter_global_index,
             memory_required_bytes=pages * PAGE_SIZE,
-            shard=shard_index_for(tenant_id, self.shards),
         )
         self._tenants[tenant_id] = tenant
         self.admission.register(tenant_id, quota or TenantQuota())
@@ -432,16 +422,10 @@ class MeteringGateway:
 
     # -- request path ------------------------------------------------------------
 
-    def _mint_request_id(self, shard: int) -> int:
-        with self._id_locks[shard]:
-            n = self._id_counters[shard]
-            self._id_counters[shard] = n + 1
-        return n * self.shards + shard + 1
-
-    @property
-    def _requests(self) -> int:
-        """Requests admitted so far (sum over the shard counters)."""
-        return sum(self._id_counters)
+    def _mint_request_id(self) -> int:
+        with self._id_lock:
+            self._requests += 1
+            return self._requests
 
     def submit(
         self,
@@ -483,7 +467,7 @@ class MeteringGateway:
         except BaseException:
             req_span.end()
             raise
-        request_id = self._mint_request_id(tenant.shard)
+        request_id = self._mint_request_id()
         # trace identity and the worker's sink set; None when no sink is on
         ctx = TraceContext.mint(
             self.gateway_id,
@@ -670,7 +654,7 @@ class MeteringGateway:
         )
         if problems:
             # a lying worker, not a failing one: reject, never sign, no retry
-            self._transition(state, "result_rejected")
+            self._transition(state, "result_rejected", problems=problems)
             self._finalize_failure(
                 state, ResultRejected("implausible meter readings: " + "; ".join(problems))
             )
@@ -870,7 +854,6 @@ class MeteringGateway:
             "tenants": len(self._tenants),
             "requests": self._requests,
             "epochs_sealed": len(self.ledger.seals),
-            "shards": self.shards,
             "seal_window": self.seal_window,
             "workers": {
                 "requested": self.requested_workers,

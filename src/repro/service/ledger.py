@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 from repro.core.resource_log import (
@@ -43,7 +42,6 @@ from repro.obs.instruments import (
     LEDGER_SEAL_DURATION,
 )
 from repro.obs.trace import span as obs_span
-from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
 from repro.tcrypto.hashing import sha256
 from repro.tcrypto.merkle import MerkleProof, MerkleTree, verify_proof
 from repro.tcrypto.rsa import RSAKeyPair, RSAPublicKey, rsa_generate, rsa_sign, rsa_verify
@@ -145,11 +143,8 @@ class EpochVerification:
 class BillingLedger:
     """Collects receipts per tenant and seals them into epochs.
 
-    Internally sharded per tenant-hash: each tenant's chain appends under
-    its shard's lock (:func:`~repro.service.sharding.shard_index_for`), so
-    concurrent tenants on different shards never contend.  Sealing an
-    epoch briefly takes every shard lock — a consistent cross-tenant cut,
-    off the request hot path.
+    One lock guards every tenant chain, so sealing an epoch under it takes
+    a consistent cross-tenant cut.
     """
 
     GENESIS = ResourceUsageLog.GENESIS
@@ -158,18 +153,13 @@ class BillingLedger:
         self,
         signing_key: RSAKeyPair | None = None,
         owner: str = "",
-        shards: int = DEFAULT_SHARDS,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self._signing_key = signing_key or rsa_generate(512, seed=0x1ED6E5)
         #: Telemetry stamp: which gateway this ledger serves.  Events the
         #: ledger emits carry it, so a shared event log can be audited per
         #: gateway (``audit_billing(..., gateway_id=...)``).
         self.owner = owner
-        self._shard_locks = [threading.Lock() for _ in range(shards)]
-        # guards tenant registration (dict key insertion) and the seals list
-        self._registry_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._receipts: dict[str, list[Receipt]] = {}
         self._ae_keys: dict[str, RSAPublicKey] = {}
         self._sealed_upto: dict[str, int] = {}  # sequence already in an epoch
@@ -181,21 +171,8 @@ class BillingLedger:
     def public_key(self) -> RSAPublicKey:
         return self._signing_key.public
 
-    @property
-    def shards(self) -> int:
-        return len(self._shard_locks)
-
-    def _shard_lock(self, tenant_id: str) -> threading.Lock:
-        return self._shard_locks[shard_index_for(tenant_id, len(self._shard_locks))]
-
-    def _all_locks(self, stack: ExitStack) -> None:
-        """Acquire the registry lock plus every shard lock, in fixed order."""
-        stack.enter_context(self._registry_lock)
-        for lock in self._shard_locks:
-            stack.enter_context(lock)
-
     def register_tenant(self, tenant_id: str, ae_public_key: RSAPublicKey) -> None:
-        with self._registry_lock, self._shard_lock(tenant_id):
+        with self._lock:
             self._receipts.setdefault(tenant_id, [])
             self._ae_keys[tenant_id] = ae_public_key
             self._sealed_upto.setdefault(tenant_id, 0)
@@ -222,8 +199,8 @@ class BillingLedger:
             trace_id=trace_id,
         )
         # narrow critical section: only the chain append and the billed-id
-        # set are under the shard lock — metrics and events emit outside it
-        with self._shard_lock(tenant_id):
+        # set are under the lock — metrics and events emit outside it
+        with self._lock:
             chain = self._receipts[tenant_id]
             self._refuse_billed(tenant_id, request_id)
             if entry.sequence != len(chain):
@@ -252,7 +229,7 @@ class BillingLedger:
         """Raise :class:`DuplicateReceipt` if ``request_id`` already has a
         receipt — the exactly-once check a signer runs *before* its AE signs,
         so a refused duplicate never leaves the AE's log ahead of the chain."""
-        with self._shard_lock(tenant_id):
+        with self._lock:
             self._refuse_billed(tenant_id, request_id)
 
     def _refuse_billed(self, tenant_id: str, request_id: int | str | None) -> None:
@@ -265,29 +242,23 @@ class BillingLedger:
         The offline double-billing check compares this against the raw
         receipt count: they must be equal when every receipt carries an id.
         """
-        if tenant_id is not None:
-            with self._shard_lock(tenant_id):
+        with self._lock:
+            if tenant_id is not None:
                 return len(self._billed_requests.get(tenant_id, ()))
-        total = 0
-        with self._registry_lock:
-            tenant_ids = list(self._billed_requests)
-        for tid in tenant_ids:
-            with self._shard_lock(tid):
-                total += len(self._billed_requests.get(tid, ()))
-        return total
+            return sum(len(ids) for ids in self._billed_requests.values())
 
     def receipts(self, tenant_id: str) -> list[Receipt]:
-        with self._shard_lock(tenant_id):
+        with self._lock:
             return list(self._receipts[tenant_id])
 
     def tenants(self) -> list[str]:
         """Registered tenant ids, sorted (the drift auditor's iteration order)."""
-        with self._registry_lock:
+        with self._lock:
             return sorted(self._receipts)
 
     def sealed_upto(self, tenant_id: str) -> int:
         """How many of a tenant's receipts are already inside a sealed epoch."""
-        with self._shard_lock(tenant_id):
+        with self._lock:
             return self._sealed_upto.get(tenant_id, 0)
 
     # -- batched AE seals --------------------------------------------------------
@@ -299,7 +270,7 @@ class BillingLedger:
         ended) and never past the recorded chain — the gateway drains them
         from the AE's log in order, under the tenant lock.
         """
-        with self._shard_lock(tenant_id):
+        with self._lock:
             batches = self._batches[tenant_id]
             expected = batches[-1].end_sequence if batches else 0
             if batch.start_sequence != expected:
@@ -325,7 +296,7 @@ class BillingLedger:
 
     def batches(self, tenant_id: str) -> list[LogBatch]:
         """The AE batch seals recorded for one tenant, in coverage order."""
-        with self._shard_lock(tenant_id):
+        with self._lock:
             return list(self._batches.get(tenant_id, ()))
 
     def ae_key(self, tenant_id: str) -> RSAPublicKey:
@@ -345,11 +316,9 @@ class BillingLedger:
         rejected by the Merkle tree, so we commit a sentinel leaf).
         """
         sealed_at = time.perf_counter()
-        with ExitStack() as stack:
-            # a consistent cut across every tenant chain: all shard locks,
-            # acquired in fixed order (sealing is rare and off the hot path)
-            self._all_locks(stack)
-            stack.enter_context(obs_span("ledger.seal_epoch", epoch=len(self.seals)))
+        # a consistent cut across every tenant chain (sealing is rare and
+        # off the hot path)
+        with self._lock, obs_span("ledger.seal_epoch", epoch=len(self.seals)):
             spans: list[TenantSpan] = []
             for tenant_id in sorted(self._receipts):
                 chain = self._receipts[tenant_id]
@@ -398,7 +367,7 @@ class BillingLedger:
         span = seal.span_for(tenant_id)
         if span is None:
             return []
-        with self._shard_lock(tenant_id):
+        with self._lock:
             return list(self._receipts[tenant_id][span.start_sequence : span.end_sequence])
 
     def inclusion_proof(self, seal: EpochSeal, tenant_id: str) -> MerkleProof:

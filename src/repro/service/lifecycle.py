@@ -77,10 +77,9 @@ TRANSITIONS: dict[str, Transition] = {
         span=lambda f: {"attempts": f["attempt"] + 1},
         count="retries",
     ),
-    # its event, meter_invalid, comes from validate_raw itself (and carries
-    # no tenant): a replay sees these requests as settled result-rejected
+    # counted in metrics by the settled row's result-rejected outcome
     "result_rejected": Transition(
-        metric=lambda m, f: m.results_rejected.inc(tenant=f["tenant"]),
+        event=_REQUEST + ("problems", "trace_id"),
         count="results_rejected",
     ),
     "checkpoint": Transition(
@@ -88,11 +87,9 @@ TRANSITIONS: dict[str, Transition] = {
         span=lambda f: {"checkpoints": f["checkpoint"]},
         count="preemptions",
     ),
-    # no event: a replay sees these requests as settled deadline-exceeded
-    "deadline_exceeded": Transition(
-        metric=lambda m, f: m.deadline_exceeded.inc(tenant=f["tenant"]),
-        count="deadline_exceeded",
-    ),
+    # no event or metric: the settled row's deadline-exceeded outcome
+    # counts these requests
+    "deadline_exceeded": Transition(count="deadline_exceeded"),
     "settled": Transition(
         metric=_settled,
         event=_REQUEST + ("outcome", "latency_s", "trace_id"),

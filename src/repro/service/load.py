@@ -92,7 +92,7 @@ def polybench_tenant_mix(
     ``tenants`` fans the mix out to that many distinct tenants, cycling the
     kernels (``tenant-atax-000``, ``tenant-bicg-001``, …) — the same
     workload shapes under many more tenant identities, for exercising
-    admission sharding and telemetry cardinality through the *real*
+    per-tenant admission and telemetry cardinality through the *real*
     gateway.  Each registered tenant mints an attested AE (an RSA keypair,
     ~1 s of pure-python keygen apiece), so real-gateway fan-out is for
     tens-to-hundreds of tenants; the million-tenant scale soak
@@ -248,7 +248,7 @@ def run_loadtest(
 
     ``tenants`` fans the kernel mix out to that many distinct tenant
     identities (see :func:`polybench_tenant_mix`) — useful for driving
-    admission sharding and telemetry cardinality through the real gateway
+    per-tenant admission and telemetry cardinality through the real gateway
     at tens-to-hundreds of tenants.  Per-tenant AE keygen makes larger
     fan-outs impractical here; the synthetic scale soak
     (``repro soak`` / :mod:`repro.obs.soak`) covers 10^3..10^6 tenants

@@ -17,7 +17,7 @@ Four quota dimensions, mirroring what the paper's provider would sell:
 Tenant state is **lazy and bounded** when the controller is configured for
 scale: with a ``default_quota``, unseen tenants are instantiated on first
 admit instead of requiring up-front registration, and with ``max_resident``
-the per-shard population is capped by evicting the least-recently-admitted
+the population is capped by evicting the least-recently-admitted
 *idle* lazy tenant (``in_flight == 0``; explicitly registered tenants are
 pinned and never evicted).  An evicted tenant that returns is re-admitted
 under a fresh default-quota state — per-epoch spend tracking restarts for
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.instruments import (
@@ -38,7 +38,6 @@ from repro.obs.instruments import (
     GATEWAY_REJECTIONS,
     QUOTA_EVICTIONS,
 )
-from repro.service.sharding import DEFAULT_SHARDS, shard_index_for
 
 
 class AdmissionError(Exception):
@@ -123,86 +122,55 @@ class _TenantState:
         self.tokens = float(self.quota.burst)
 
 
-@dataclass
-class _Shard:
-    """One admission shard: its lock and the tenants routed to it."""
-
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    tenants: dict[str, _TenantState] = field(default_factory=dict)
-
-
 class AdmissionController:
     """Tracks per-tenant consumption and decides admission.
 
-    Thread-safe, and sharded per tenant-hash: each tenant's state lives on
-    one of ``shards`` independently-locked shards
-    (:func:`~repro.service.sharding.shard_index_for`), so heavy traffic
-    from one tenant never serializes admission for tenants on other
-    shards.  The gateway calls :meth:`admit` from submitting threads and
-    :meth:`settle` from its front-end; ``clock`` is injectable so tests
-    can drive the token bucket deterministically.
+    Thread-safe: one lock guards the tenant dict.  The gateway calls
+    :meth:`admit` from submitting threads and :meth:`settle` from its
+    front-end; ``clock`` is injectable so tests can drive the token bucket
+    deterministically.
     """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
-        shards: int = DEFAULT_SHARDS,
         default_quota: TenantQuota | None = None,
         max_resident: int | None = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if max_resident is not None and max_resident < shards:
-            raise ValueError("max_resident must be >= shards (one slot per shard)")
+        if max_resident is not None and max_resident < 1:
+            raise ValueError("max_resident must be >= 1")
         self._clock = clock
-        self._shards = [_Shard() for _ in range(shards)]
+        self._lock = threading.Lock()
+        self._tenants: dict[str, _TenantState] = {}
         self.default_quota = default_quota
         self.max_resident = max_resident
-        # per-shard slice of the global resident cap, rounded up so the sum
-        # across shards is never below max_resident
-        self._shard_cap = (
-            None
-            if max_resident is None
-            else -(-max_resident // shards)
-        )
         self.evictions = 0
 
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def _shard(self, tenant_id: str) -> _Shard:
-        return self._shards[shard_index_for(tenant_id, len(self._shards))]
-
     def register(self, tenant_id: str, quota: TenantQuota) -> None:
-        shard = self._shard(tenant_id)
-        with shard.lock:
-            shard.tenants[tenant_id] = _TenantState(quota=quota, pinned=True)
+        with self._lock:
+            self._tenants[tenant_id] = _TenantState(quota=quota, pinned=True)
 
     def resident(self) -> int:
-        """Tenant states currently held in memory, across all shards."""
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += len(shard.tenants)
-        return total
+        """Tenant states currently held in memory."""
+        with self._lock:
+            return len(self._tenants)
 
-    def _evict_idle(self, shard: _Shard, keep: str) -> None:
+    def _evict_idle(self, keep: str) -> None:
         """Shed the least-recently-admitted idle lazy tenant; holds the lock.
 
         Dict order is insertion order and :meth:`admit` re-inserts a lazy
         tenant's entry on every successful admission, so iteration order
         *is* recency order for evictable states.  Pinned or in-flight
-        tenants are skipped; if everything is busy the shard temporarily
-        exceeds its cap rather than rejecting traffic (in-flight counts
-        are bounded by queue-depth quotas, so so is the excess).
+        tenants are skipped; if everything is busy the population
+        temporarily exceeds its cap rather than rejecting traffic (in-flight
+        counts are bounded by queue-depth quotas, so so is the excess).
         """
-        if self._shard_cap is None or len(shard.tenants) <= self._shard_cap:
+        if self.max_resident is None or len(self._tenants) <= self.max_resident:
             return
-        for tenant_id, state in shard.tenants.items():
+        for tenant_id, state in self._tenants.items():
             if tenant_id == keep or state.pinned or state.in_flight > 0:
                 continue
-            del shard.tenants[tenant_id]
+            del self._tenants[tenant_id]
             self.evictions += 1
             # the metric is reported in batches of 64: at scale an eviction
             # happens on nearly every tail-tenant admit, and a per-event
@@ -213,7 +181,7 @@ class AdmissionController:
             return
 
     def quota(self, tenant_id: str) -> TenantQuota:
-        state = self._shard(tenant_id).tenants.get(tenant_id)
+        state = self._tenants.get(tenant_id)
         if state is None:
             raise UnknownTenant(f"tenant {tenant_id!r} is not registered")
         return state.quota
@@ -226,21 +194,20 @@ class AdmissionController:
         On success the tenant's in-flight count is incremented; the caller
         must eventually :meth:`settle` the request (even if execution fails).
         """
-        shard = self._shard(tenant_id)
-        with shard.lock:
+        with self._lock:
             fresh = False
-            state = shard.tenants.get(tenant_id)
+            state = self._tenants.get(tenant_id)
             if state is None:
                 if self.default_quota is None:
                     GATEWAY_REJECTIONS.inc(tenant=tenant_id, reason=UnknownTenant.code)
                     raise UnknownTenant(f"tenant {tenant_id!r} is not registered")
                 # lazy instantiation: first contact mints a default-quota
                 # state instead of demanding up-front registration
-                state = shard.tenants[tenant_id] = _TenantState(
+                state = self._tenants[tenant_id] = _TenantState(
                     quota=self.default_quota, pinned=False
                 )
                 fresh = True
-                self._evict_idle(shard, keep=tenant_id)
+                self._evict_idle(keep=tenant_id)
             quota = state.quota
             try:
                 if (
@@ -283,12 +250,12 @@ class AdmissionController:
                 raise
             state.in_flight += 1
             state.admitted += 1
-            if self._shard_cap is not None and not state.pinned and not fresh:
+            if self.max_resident is not None and not state.pinned and not fresh:
                 # re-insert so dict order tracks admission recency: the LRU
                 # scan in _evict_idle reads insertion order as recency (a
                 # freshly minted state is already last in dict order)
-                del shard.tenants[tenant_id]
-                shard.tenants[tenant_id] = state
+                del self._tenants[tenant_id]
+                self._tenants[tenant_id] = state
             if state.pinned:
                 # per-tenant queue depth is only published for registered
                 # tenants: for lazily minted mass tenants the series would
@@ -299,9 +266,8 @@ class AdmissionController:
 
     def settle(self, tenant_id: str, weighted_instructions: int = 0) -> None:
         """Record one finished request: free its slot, charge its budget."""
-        shard = self._shard(tenant_id)
-        with shard.lock:
-            state = shard.tenants.get(tenant_id)
+        with self._lock:
+            state = self._tenants.get(tenant_id)
             if state is None:
                 raise UnknownTenant(f"tenant {tenant_id!r} is not registered")
             state.in_flight = max(0, state.in_flight - 1)
@@ -312,10 +278,9 @@ class AdmissionController:
 
     def reset_epoch(self) -> None:
         """Start a new accounting epoch: instruction budgets reset."""
-        for shard in self._shards:
-            with shard.lock:
-                for state in shard.tenants.values():
-                    state.spent_instructions = 0
+        with self._lock:
+            for state in self._tenants.values():
+                state.spent_instructions = 0
 
     def _refill(self, state: _TenantState) -> None:
         now = self._clock()
@@ -330,12 +295,11 @@ class AdmissionController:
     # -- introspection -----------------------------------------------------------
 
     def stats(self, tenant_id: str) -> dict[str, int]:
-        # snapshot under the shard lock: admit()/settle() mutate these
-        # fields from other threads, and callers rely on the counters being
+        # snapshot under the lock: admit()/settle() mutate these fields
+        # from other threads, and callers rely on the counters being
         # mutually consistent (admitted - in_flight == settled at all times)
-        shard = self._shard(tenant_id)
-        with shard.lock:
-            state = shard.tenants.get(tenant_id)
+        with self._lock:
+            state = self._tenants.get(tenant_id)
             if state is None:
                 raise UnknownTenant(f"tenant {tenant_id!r} is not registered")
             return {

@@ -286,7 +286,7 @@ def _all_receipt_events(ledger: BillingLedger, tenants: list) -> list:
 def test_streaming_tenant_batches_match_single_pass(rsa_keypair):
     """The bounded-memory audit mode finds exactly what one pass finds.
 
-    Streaming mode holds one tenant-shard batch's event narrative at a
+    Streaming mode holds one tenant batch's event narrative at a
     time instead of a dict over every tenant; with a deliberate drift
     planted for one tenant, both modes must report identical findings and
     identical coverage counts.

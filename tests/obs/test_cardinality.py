@@ -274,14 +274,13 @@ def test_quota_resident_states_bounded_and_evictions_counted():
     admission = AdmissionController(
         default_quota=TenantQuota(max_queue_depth=4),
         max_resident=32,
-        shards=4,
     )
     for i in range(500):
         tenant = "t%d" % i
         admission.admit(tenant)
         admission.settle(tenant)
-    assert admission.resident() <= 32 + 4  # per-shard rounding slack
-    assert admission.evictions >= 500 - (32 + 4)
+    assert admission.resident() <= 32
+    assert admission.evictions >= 500 - 32
 
 
 def test_quota_eviction_metric_is_batched_but_attribute_exact():
@@ -290,7 +289,7 @@ def test_quota_eviction_metric_is_batched_but_attribute_exact():
     instruments.REGISTRY.reset()
     try:
         admission = AdmissionController(
-            default_quota=TenantQuota(), max_resident=8, shards=1
+            default_quota=TenantQuota(), max_resident=8
         )
         for i in range(200):
             tenant = "t%d" % i

@@ -672,6 +672,23 @@ class TestExplainRequest:
         assert report["found"] is False
         assert "no events found" in report["story"][0]
 
+    def test_rejected_meter_readings_are_one_story_line(self):
+        tid = trace_id_for("gw-x", 2)
+        events = [
+            _event(1, "admit", ts=0.0, gateway="gw-x", request_id=2,
+                   tenant="alice", trace_id=tid),
+            _event(2, "result_rejected", ts=0.1, gateway="gw-x", request_id=2,
+                   tenant="alice", problems=["counter is negative (-5)"],
+                   trace_id=tid),
+            _event(3, "settled", ts=0.1, gateway="gw-x", request_id=2,
+                   tenant="alice", outcome="result-rejected", latency_s=0.1,
+                   trace_id=tid),
+        ]
+        report = explain_request(events, 2)
+        [line] = [line for line in report["story"] if "rejected, nothing signed" in line]
+        assert line.endswith("counter is negative (-5)")
+        assert report["receipts"] == []
+
     def test_seal_before_final_receipt_is_not_attributed(self):
         tid = trace_id_for("gw-x", 1)
         events = [

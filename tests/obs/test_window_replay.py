@@ -5,10 +5,9 @@ Live, every lifecycle transition records straight into the process-wide
 registry.  Offline (``repro alerts --replay``, ``loadtest --slo``) the
 recorded events are pushed through the same transition rows into a fresh
 registry whose clock is each event's timestamp.  Both must hold the same
-per-outcome counts, retries, faults and latency buckets; the
-``deadline_exceeded`` and ``result_rejected`` rows, which have no event of
-their own (or get it from the validator, without a tenant), reach the
-replay as ``settled`` outcomes.
+per-outcome counts, retries, faults and latency buckets; deadline-exceeded
+and result-rejected requests reach the metrics only as ``settled``
+outcomes, live and replayed alike.
 """
 
 from repro.obs import disable_all, enable_metrics, get_registry
@@ -43,8 +42,6 @@ def test_replayed_windows_match_the_live_registry(tmp_path):
             )
             for name in ("requests", "latency", "retries", "faults")
         }
-        deadline_total = live.deadline_exceeded.total()
-        rejected_total = live.results_rejected.total()
     finally:
         disable_all()
         get_registry().reset()
@@ -55,9 +52,9 @@ def test_replayed_windows_match_the_live_registry(tmp_path):
     outcomes = {
         dict(key)["outcome"]: cell[0] for key, cell in windows["requests"][0].items()
     }
-    # the rows without an event of their own arrive as settled outcomes
-    assert outcomes["deadline-exceeded"] == deadline_total > 0
-    assert outcomes["result-rejected"] == rejected_total > 0
+    # deadline and validation failures arrive as settled outcomes
+    assert outcomes["deadline-exceeded"] > 0
+    assert outcomes["result-rejected"] > 0
     assert outcomes["ok"] > 0
     [latency] = windows["latency"][0].values()
     assert sum(latency[:-2]) == outcomes["ok"]  # buckets of the ok requests

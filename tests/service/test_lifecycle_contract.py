@@ -155,7 +155,7 @@ FIELDS = {
     "settled": {
         "gateway", "tenant", "request_id", "outcome", "latency_s", "trace_id",
     },
-    "meter_invalid": {"problems", "counter"},
+    "result_rejected": {"gateway", "tenant", "request_id", "problems", "trace_id"},
     "receipt": {
         "gateway", "tenant", "request_id", "sequence", "weighted_instructions",
         "entry_hash", "trace_id",
@@ -197,7 +197,7 @@ ORDER = {
     ] * 2,
     "hang": ["admit", "fault_injected", "settled"],
     "corrupt": [
-        "admit", "fault_injected", "fault_performed", "module_cache", "meter_invalid",
+        "admit", "fault_injected", "fault_performed", "module_cache", "result_rejected",
         "settled",
     ],
     "deadline": ["admit", "fault_injected", "retry", "settled"],
@@ -272,9 +272,7 @@ SERIES = {
     "crash": {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 2.0},
         "acctee_gateway_retries": {A: 2.0},
-        "acctee_gateway_deadline_exceeded": {},
         "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 2.0},
-        "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
         "acctee_traces_sampled_total": {'{decision="sampled"}': 2.0},
@@ -282,9 +280,7 @@ SERIES = {
     "hang": {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
-        "acctee_gateway_deadline_exceeded": {A: 1.0},
         "acctee_gateway_faults_injected": {'{fault="hang",tenant="alice"}': 1.0},
-        "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
         "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
@@ -292,9 +288,7 @@ SERIES = {
     "corrupt": {
         "acctee_gateway_requests": {'{outcome="result-rejected",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
-        "acctee_gateway_deadline_exceeded": {},
         "acctee_gateway_faults_injected": {'{fault="corrupt",tenant="alice"}': 1.0},
-        "acctee_gateway_results_rejected": {A: 1.0},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
         "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
@@ -302,9 +296,7 @@ SERIES = {
     "deadline": {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {A: 1.0},
-        "acctee_gateway_deadline_exceeded": {A: 1.0},
         "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 1.0},
-        "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
         "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
@@ -312,9 +304,7 @@ SERIES = {
     "preempt": {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
-        "acctee_gateway_deadline_exceeded": {},
         "acctee_gateway_faults_injected": {},
-        "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
         "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
@@ -326,9 +316,7 @@ SERIES = {
             '{outcome="rejected:unknown-tenant",tenant="ghost"}': 1.0,
         },
         "acctee_gateway_retries": {},
-        "acctee_gateway_deadline_exceeded": {},
         "acctee_gateway_faults_injected": {},
-        "acctee_gateway_results_rejected": {},
         "acctee_gateway_admission_rejections": {
             '{reason="instruction-budget-exhausted",tenant="hog"}': 1.0
         },

@@ -4,7 +4,7 @@ The batched protocol replaces one RSA signature per receipt with one
 signature over the Merkle root of a window of receipt bodies, plus
 per-receipt inclusion proofs.  These tests pin what must survive the
 optimisation: offline verifiability (chain, batches, inclusion proofs,
-tamper detection), epoch seals across shards, drift-audit cleanliness,
+tamper detection), multi-tenant epoch seals, drift-audit cleanliness,
 exactly-once billing under chaos, and checkpoint receipts riding inside
 batches.
 """
@@ -166,10 +166,8 @@ class TestGatewayBatchedSealing:
             seal = gw.seal_epoch()
             verdict = gw.verify_epoch(seal)
             assert verdict.ok, verdict.errors
-            # the tenants span shards, every receipt is batch-sealed, and
-            # epoch sealing flushed every pending window
-            shards = {gw._tenants[t].shard for t in TENANTS}
-            assert len(shards) > 1
+            # every receipt is batch-sealed, and epoch sealing flushed
+            # every pending window
             for tenant in TENANTS:
                 entries = [r.entry for r in gw.ledger.receipts(tenant)]
                 assert entries and all(not e.signature for e in entries)

@@ -1,11 +1,11 @@
-"""Sharded admission/ledger/request-id tests for the async gateway.
+"""Control-plane concurrency tests for the async gateway.
 
-Covers the regressions the sharded front-end was built against: request-id
-collisions under concurrent submit (the old process-wide sequence lock),
-the submit-vs-settle race on shared admission state, non-deterministic
-tenant routing (a tenant hopping shards across restarts would split its
-ledger chain), and the adaptive sizing that guards the oversubscription
-half of the multi-worker cliff.
+Admission state, the ledger and request-id minting each sit behind one
+lock.  These tests race many submitting threads across tenants against
+them: request ids stay unique and run 1..N, submits racing settles neither
+leak nor double-settle an admission slot, and billing stays exactly-once.
+They also cover the adaptive sizing that guards the oversubscription half
+of the multi-worker cliff.
 """
 
 import threading
@@ -15,7 +15,6 @@ import pytest
 from repro.service.backends import SimulatedFaaSBackend
 from repro.service.gateway import MeteringGateway
 from repro.service.quota import AdmissionController, TenantQuota
-from repro.service.sharding import DEFAULT_SHARDS, shard_index_for, shard_of_request
 from repro.service.worker import WorkerPool, cores_available
 
 MINIC_SQUARE = "int square(int x) { return x * x; }"
@@ -31,83 +30,54 @@ def _gateway(**kwargs) -> MeteringGateway:
     return gw
 
 
-# -- routing determinism -------------------------------------------------------
+# -- request ids under concurrent submit ---------------------------------------
 
 
-def test_shard_index_is_deterministic():
-    for tenant in ("a", "tenant-xyz", "", "日本語"):
-        assert shard_index_for(tenant, 8) == shard_index_for(tenant, 8)
-        assert 0 <= shard_index_for(tenant, 8) < 8
-    # different shard counts re-bucket but stay in range
-    assert 0 <= shard_index_for("a", 3) < 3
+def _concurrent_request_ids(gw: MeteringGateway, per_thread: int) -> list[int]:
+    """Submit from two threads per tenant at once; the responses' ids."""
+    futures = []
+    futures_lock = threading.Lock()
 
+    def spam(tenant: str) -> None:
+        for _ in range(per_thread):
+            f = gw.submit(tenant, "square", 7)
+            with futures_lock:
+                futures.append(f)
 
-def test_same_tenant_same_shard_across_restarts():
-    first = _gateway()
-    shards_before = {t: first._tenants[t].shard for t in TENANTS}
-    first.shutdown()
-    second = _gateway()
-    try:
-        for tenant in TENANTS:
-            assert second._tenants[tenant].shard == shards_before[tenant]
-            assert shards_before[tenant] == shard_index_for(
-                tenant, DEFAULT_SHARDS
-            )
-    finally:
-        second.shutdown()
-
-
-def test_shard_of_request_round_trips_minted_ids():
-    gw = _gateway(shards=4)
-    try:
-        for tenant in TENANTS:
-            shard = gw._tenants[tenant].shard
-            for _ in range(3):
-                rid = gw._mint_request_id(shard)
-                assert shard_of_request(rid, gw.shards) == shard
-                assert rid >= 1
-    finally:
-        gw.shutdown()
-
-
-# -- satellite 1: request-id uniqueness under concurrent submit ----------------
+    threads = [
+        threading.Thread(target=spam, args=(t,)) for t in TENANTS for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return [future.result(timeout=30).request_id for future in futures]
 
 
 def test_request_ids_unique_under_concurrent_submit():
     gw = _gateway()
     try:
-        futures = []
-        futures_lock = threading.Lock()
-
-        def spam(tenant: str) -> None:
-            for _ in range(25):
-                f = gw.submit(tenant, "square", 7)
-                with futures_lock:
-                    futures.append((tenant, f))
-
-        threads = [
-            threading.Thread(target=spam, args=(t,)) for t in TENANTS for _ in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        ids = []
-        for tenant, future in futures:
-            response = future.result(timeout=30)
-            ids.append(response.request_id)
-            # ids are shard-tagged: each one routes back to its tenant's shard
-            assert shard_of_request(response.request_id, gw.shards) == (
-                gw._tenants[tenant].shard
-            )
+        ids = _concurrent_request_ids(gw, 25)
         assert len(ids) == len(TENANTS) * 2 * 25
-        assert len(set(ids)) == len(ids), "request-id collision across shards"
+        assert len(set(ids)) == len(ids), "request-id collision"
     finally:
         gw.shutdown()
 
 
-# -- satellite 2: concurrent submit + settle must not race ---------------------
+def test_request_ids_run_one_to_n_across_tenants():
+    # one gateway-wide sequence: N admitted requests, whichever tenants and
+    # threads submitted them, hold exactly the ids 1..N
+    gw = _gateway()
+    try:
+        ids = _concurrent_request_ids(gw, 10)
+        n = len(TENANTS) * 2 * 10
+        assert sorted(ids) == list(range(1, n + 1))
+        assert gw.stats()["requests"] == n
+    finally:
+        gw.shutdown()
+
+
+# -- concurrent submit + settle must not race ----------------------------------
 
 
 def test_concurrent_submit_and_settle_conserve_slots():
@@ -144,8 +114,8 @@ def test_concurrent_submit_and_settle_conserve_slots():
 
 def test_quota_concurrent_admit_settle_across_shards():
     # pure admission-controller race: admits and settles from many threads
-    # across tenants on different shards never leak or double-settle a slot
-    admission = AdmissionController(shards=4)
+    # across tenants never leak or double-settle a slot
+    admission = AdmissionController()
     for tenant in TENANTS:
         admission.register(tenant, TenantQuota(max_queue_depth=64))
     errors: list[BaseException] = []
@@ -172,7 +142,7 @@ def test_quota_concurrent_admit_settle_across_shards():
         assert stats["admitted"] == stats["settled"] == 600
 
 
-# -- satellite 3: adaptive worker sizing ---------------------------------------
+# -- adaptive worker sizing ----------------------------------------------------
 
 
 def test_adaptive_process_pool_shrinks_to_cores():
@@ -199,7 +169,6 @@ def test_gateway_stats_report_worker_sizing():
     try:
         gw.register_tenant("alice", minic=MINIC_SQUARE)
         stats = gw.stats()
-        assert stats["shards"] == DEFAULT_SHARDS
         workers = stats["workers"]
         assert workers["requested"] == 3
         assert workers["effective"] >= 1
@@ -209,7 +178,5 @@ def test_gateway_stats_report_worker_sizing():
 
 
 def test_gateway_rejects_bad_shard_and_window_config():
-    with pytest.raises(ValueError):
-        MeteringGateway(shards=0)
     with pytest.raises(ValueError):
         MeteringGateway(seal_window=0)
