@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.core.instrumentation_enclave import InstrumentationEvidence
-from repro.core.resource_log import LogEntry, ResourceUsageLog, ResourceVector
+from repro.core.resource_log import LogBatch, LogEntry, ResourceUsageLog, ResourceVector
 from repro.tcrypto.rsa import RSAPublicKey
 
 
@@ -58,7 +58,8 @@ def evidence_from_json(data: dict) -> InstrumentationEvidence:
 
 
 def log_to_json(log: ResourceUsageLog, public_key: RSAPublicKey | None = None) -> dict:
-    """Serialise a log (optionally bundling the signer's public key)."""
+    """Serialise a log and its batch seals (optionally bundling the signer's
+    public key)."""
     out: dict = {
         "entries": [
             {
@@ -70,7 +71,16 @@ def log_to_json(log: ResourceUsageLog, public_key: RSAPublicKey | None = None) -
                 "signature": entry.signature.hex(),
             }
             for entry in log.entries
-        ]
+        ],
+        "batches": [
+            {
+                "start_sequence": batch.start_sequence,
+                "end_sequence": batch.end_sequence,
+                "merkle_root": batch.merkle_root.hex(),
+                "signature": batch.signature.hex(),
+            }
+            for batch in log.batches
+        ],
     }
     if public_key is not None:
         out["public_key"] = public_key_to_json(public_key)
@@ -88,6 +98,15 @@ def log_from_json(data: dict) -> tuple[ResourceUsageLog, RSAPublicKey | None]:
                 workload_hash=bytes.fromhex(raw["workload_hash"]),
                 weight_table_digest=bytes.fromhex(raw["weight_table_digest"]),
                 previous_hash=bytes.fromhex(raw["previous_hash"]),
+                signature=bytes.fromhex(raw["signature"]),
+            )
+        )
+    for raw in data.get("batches", ()):  # absent from per-entry-signed exports
+        log.batches.append(
+            LogBatch(
+                start_sequence=int(raw["start_sequence"]),
+                end_sequence=int(raw["end_sequence"]),
+                merkle_root=bytes.fromhex(raw["merkle_root"]),
                 signature=bytes.fromhex(raw["signature"]),
             )
         )

@@ -35,7 +35,6 @@ from repro.obs.context import (
     TraceContext,
     activate,
     current_capture,
-    env_sample_rate,
     explain_request,
     merge_telemetry,
     trace_id_for,
@@ -114,7 +113,6 @@ __all__ = [
     "enable_metrics",
     "enable_profiling",
     "enable_tracing",
-    "env_sample_rate",
     "events_enabled",
     "explain_request",
     "get_event_log",

@@ -137,15 +137,10 @@ def _finding(findings: list, code: str, tenant: str, detail: str) -> None:
 
 
 def _narrative(
-    events, gateway_id: str | None, tenants: set[str] | None
+    events, gateway_id: str | None
 ) -> tuple[dict[str, int], dict[str, int], int]:
-    """One pass over the event stream: the billing narrative per tenant.
-
-    With ``tenants`` given, only those tenants' receipt counters are kept —
-    the memory the streaming audit mode holds is O(batch), not O(all
-    tenants) — while the returned scanned-event count still covers the
-    whole (gateway-filtered) stream.
-    """
+    """One pass over the event stream: the billing narrative per tenant and
+    the number of (gateway-filtered) events scanned."""
     event_receipts: dict[str, int] = {}
     event_instructions: dict[str, int] = {}
     checked = 0
@@ -156,8 +151,6 @@ def _narrative(
         if event.kind != "receipt":
             continue
         tenant = str(event.fields.get("tenant"))
-        if tenants is not None and tenant not in tenants:
-            continue
         event_receipts[tenant] = event_receipts.get(tenant, 0) + 1
         event_instructions[tenant] = event_instructions.get(tenant, 0) + int(
             event.fields.get("weighted_instructions", 0)
@@ -170,7 +163,6 @@ def audit_billing(
     admission=None,
     events=None,
     gateway_id: str | None = None,
-    tenant_batch: int | None = None,
 ) -> DriftReport:
     """Reconcile one gateway's billing records; returns a :class:`DriftReport`.
 
@@ -182,14 +174,6 @@ def audit_billing(
     ``gateway_id`` is given, only events stamped with that id count (so one
     shared event log can audit each sweep point of a multi-gateway run
     separately).
-
-    ``tenant_batch`` turns on **streaming mode**: tenants are reconciled
-    ``tenant_batch`` at a time in sorted id order, holding each batch's
-    event narrative — O(batch) — instead of one dict over every tenant.
-    The event stream is re-scanned per batch, so ``events`` must then be a
-    re-iterable sequence (a list or an :meth:`EventLog.events` snapshot,
-    not a generator).  Findings are identical to the single-pass mode;
-    only peak memory changes.
     """
     # deferred: repro.core's package init reaches back into repro.obs via
     # the instrumentation enclave — a module-level import here would make
@@ -197,40 +181,27 @@ def audit_billing(
     from repro.core.resource_log import verify_chain
 
     findings: list[DriftFinding] = []
-    receipts_checked = 0
+    event_receipts: dict[str, int] = {}
+    event_instructions: dict[str, int] = {}
     events_checked = 0
-
+    if events is not None:
+        event_receipts, event_instructions, events_checked = _narrative(
+            events, gateway_id
+        )
     tenants = ledger.tenants()  # sorted
-    if tenant_batch is not None and tenant_batch > 0 and len(tenants) > tenant_batch:
-        batches = [
-            tenants[i : i + tenant_batch]
-            for i in range(0, len(tenants), tenant_batch)
-        ]
-    else:
-        batches = [list(tenants)]
-
-    for batch_index, batch in enumerate(batches):
-        # event-log billing narrative, bucketed per tenant (batch-scoped in
-        # streaming mode)
-        event_receipts: dict[str, int] = {}
-        event_instructions: dict[str, int] = {}
-        if events is not None:
-            event_receipts, event_instructions, checked = _narrative(
-                events, gateway_id, set(batch) if len(batches) > 1 else None
-            )
-            if batch_index == 0:
-                events_checked = checked
-        for tenant in batch:
-            receipts_checked += _audit_tenant(
-                ledger,
-                admission,
-                tenant,
-                findings,
-                events is not None,
-                event_receipts,
-                event_instructions,
-                verify_chain,
-            )
+    receipts_checked = sum(
+        _audit_tenant(
+            ledger,
+            admission,
+            tenant,
+            findings,
+            events is not None,
+            event_receipts,
+            event_instructions,
+            verify_chain,
+        )
+        for tenant in tenants
+    )
 
     return DriftReport(
         findings=tuple(findings),

@@ -23,11 +23,10 @@ carries telemetry across that boundary in both directions:
 Identity is deterministic: ``trace_id = sha256("trace:<gateway>:<request>")``
 truncated to 128 bits, so offline consumers (the drift auditor, ``repro
 explain``, CI's stitch checker) can recompute the id for any request without
-carrying extra state.  Head sampling is deterministic too — the decision is
-a pure function of the trace id and the rate (``REPRO_TRACE_SAMPLE``), so
-every process agrees on whether a given request is sampled.  What a worker
-records is decided once, at admission, as the context's sink set
-(:meth:`TraceContext.mint`): nothing ships home that no gateway sink keeps.
+carrying extra state.  What a worker records is decided once, at
+admission, as the context's sink set (:meth:`TraceContext.mint`): exactly
+the gateway's enabled channels, so nothing ships home that no gateway sink
+keeps and every traced request's worker spans come home.
 
 Worker code has no telemetry API of its own.  It calls the ordinary
 :func:`repro.obs.trace.span`, :func:`repro.obs.events.emit`,
@@ -63,10 +62,6 @@ from repro.obs.trace import (
 )
 from repro.tcrypto.hashing import sha256
 
-#: Environment knob for head sampling: a rate in [0, 1], default 1.0
-#: (every traced request is backhauled).  Read once per gateway.
-SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
-
 #: Capture bounds — a preempted slice records a handful of spans and
 #: events, so these are generous; beyond them the capture *counts* drops
 #: (shipped home and surfaced as ``acctee_trace_spans_dropped``) rather
@@ -79,20 +74,6 @@ SPANS, EVENTS, METRICS = "spans", "events", "metrics"
 ALL_SINKS = frozenset((SPANS, EVENTS, METRICS))
 
 
-def clamp_sample_rate(value, default: float = 1.0) -> float:
-    """``value`` clamped to [0, 1]; ``default`` if it is not a number or NaN."""
-    try:
-        rate = float(value)
-    except (TypeError, ValueError):
-        return default
-    return default if rate != rate else min(1.0, max(0.0, rate))
-
-
-def env_sample_rate(default: float = 1.0) -> float:
-    """The head-sampling rate from ``REPRO_TRACE_SAMPLE``, clamped."""
-    return clamp_sample_rate(os.environ.get(SAMPLE_ENV), default)
-
-
 @dataclass(frozen=True)
 class TraceContext:
     """One request's distributed-trace identity, minted at admission.
@@ -102,8 +83,8 @@ class TraceContext:
     worker's spans should hang under.  ``hop`` counts re-dispatches — a
     fresh request is hop 0, each snapshot re-dispatch or retry increments
     it, so a preempted job's worker spans are ordered even when wall clocks
-    disagree.  ``sinks`` is the set of channels the worker's capture records
-    (possibly empty: receipts and ledger events carry the id regardless).
+    disagree.  ``sinks`` is the set of channels the worker's capture
+    records: the gateway's enabled ones, never empty for a minted context.
     """
 
     trace_id: str
@@ -116,19 +97,16 @@ class TraceContext:
         cls,
         gateway_id: str,
         request_id: int,
-        sample_rate: float = 1.0,
         parent_span_id: int = 0,
     ) -> "TraceContext | None":
-        """The request's context, ``None`` when no sink is on.  Its sink set:
-        spans if tracing is on and the request is sampled, events if events
-        are on and it is sampled, metrics if metrics are on."""
+        """The request's context, ``None`` when no sink is on; its sink set
+        is exactly the enabled channels."""
         tracing, events, metrics = tracing_enabled(), events_enabled(), metrics_enabled()
         if not (tracing or events or metrics):
             return None
-        trace_id = trace_id_for(gateway_id, request_id)
-        sampled = sampling_decision(trace_id, sample_rate)
-        on = {SPANS: tracing and sampled, EVENTS: events and sampled, METRICS: metrics}
-        return cls(trace_id, parent_span_id, frozenset(k for k, v in on.items() if v))
+        on = {SPANS: tracing, EVENTS: events, METRICS: metrics}
+        sinks = frozenset(k for k, v in on.items() if v)
+        return cls(trace_id_for(gateway_id, request_id), parent_span_id, sinks)
 
     def next_hop(self, parent_span_id: int | None = None) -> "TraceContext":
         """The context for a re-dispatch (snapshot resume, retry)."""
@@ -159,17 +137,6 @@ def trace_id_for(gateway_id: str, request_id: int | str) -> str:
     return sha256(f"trace:{gateway_id}:{request_id}".encode())[:16].hex()
 
 
-def sampling_decision(trace_id: str, rate: float) -> bool:
-    """Deterministic head-sampling: the same trace id always decides the same
-    way, in every process, for a given rate."""
-    if rate >= 1.0:
-        return True
-    if rate <= 0.0:
-        return False
-    fraction = int.from_bytes(bytes.fromhex(trace_id)[:8], "big") / 2**64
-    return fraction < rate
-
-
 # ---------------------------------------------------------------------------
 # Worker-side capture, its activation, and the gateway-side merge
 # ---------------------------------------------------------------------------
@@ -187,14 +154,11 @@ class TelemetryCapture(Tracer):
     land directly on the gateway's timeline when merged.
     """
 
-    def __init__(self, ctx: TraceContext | None, max_spans: int = MAX_SPANS,
-                 max_events: int = MAX_EVENTS):
+    def __init__(self, ctx: TraceContext | None):
         super().__init__()
         self.ctx = ctx
         self.sinks = ctx.sinks if ctx is not None else frozenset()
         self.pid = os.getpid()
-        self.max_spans = max_spans
-        self.max_events = max_events
         self.events: list[dict] = []
         self.metrics: list[tuple] = []
         self.spans_dropped = 0
@@ -204,7 +168,7 @@ class TelemetryCapture(Tracer):
              **attributes):
         if SPANS not in self.sinks:
             return NULL_SPAN
-        if self._next_id > self.max_spans:
+        if self._next_id > MAX_SPANS:
             self.spans_dropped += 1
             return NULL_SPAN
         return super().span(name, parent=parent, detached=detached, **attributes)
@@ -212,7 +176,7 @@ class TelemetryCapture(Tracer):
     def event(self, kind: str, **fields) -> None:
         if EVENTS not in self.sinks:
             return
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.events_dropped += 1
             return
         self.events.append(

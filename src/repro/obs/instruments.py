@@ -3,9 +3,8 @@
 Three groups, mirroring the system's layers:
 
 * ``acctee_gateway_*`` / ``acctee_ledger_*`` / ``acctee_worker_pool_*`` —
-  the metering gateway's serving path (per-tenant request latency, queue
-  depth, admission rejections by reason, ledger seal duration, worker-pool
-  utilisation);
+  the metering gateway's serving path (per-tenant request outcomes and
+  latency, queue depth, ledger seal duration, worker-pool utilisation);
 * ``acctee_cache_*`` — the shared instrumented-module cache;
 * ``acctee_sandbox_*`` — per-run resource accounting as signed by the AE
   (weighted instructions, memory peak, I/O bytes).
@@ -63,20 +62,12 @@ class GatewayMetrics:
             "Faults the chaos plan stamped on requests, by tenant and fault.",
             windowed=True,
         )
-        self.traces_sampled = registry.counter(
-            "acctee_traces_sampled_total",
-            "Trace contexts minted at gateway admission, by sampling decision.",
-        )
 
 
 GATEWAY = GatewayMetrics(REGISTRY)
 GATEWAY_QUEUE_DEPTH = REGISTRY.gauge(
     "acctee_gateway_queue_depth",
     "Admitted in-flight requests per tenant (admission controller view).",
-)
-GATEWAY_REJECTIONS = REGISTRY.counter(
-    "acctee_gateway_admission_rejections",
-    "Typed admission rejections, by tenant and reason code.",
 )
 LEDGER_SEAL_DURATION = REGISTRY.histogram(
     "acctee_ledger_seal_duration_seconds",
@@ -192,7 +183,7 @@ RESUMES_TOTAL = REGISTRY.counter(
 )
 CHECKPOINT_RECEIPTS = REGISTRY.counter(
     "acctee_checkpoint_receipts",
-    "Incremental (non-final) checkpoint receipts signed by an AE, by tenant.",
+    "Incremental (non-final) checkpoint receipts signed by an AE.",
 )
 
 # -- distributed tracing (context propagation + worker backhaul) ---------------

@@ -259,9 +259,7 @@ def run_scale_point(
                 recorder.record("reject", tenant, None, {"code": exc.code})
                 continue
             latency = palette[rank % len(palette)]
-            recorder.record(
-                "admit", tenant, None, {"request_id": i, "trace_id": None, "sampled": None}
-            )
+            recorder.record("admit", tenant, None, {"request_id": i, "trace_id": None})
             recorder.record(
                 "settled", tenant, None,
                 {"request_id": i, "trace_id": None, "outcome": "ok", "latency_s": latency},

@@ -28,8 +28,7 @@ from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
-from repro.obs.context import TraceContext, clamp_sample_rate, env_sample_rate
-from repro.obs.context import merge_telemetry, sampling_decision
+from repro.obs.context import TraceContext, merge_telemetry
 from repro.obs.events import emit as emit_event
 from repro.obs.trace import span as obs_span
 from repro.service.backends import ExecutionBackend, WasmBackend
@@ -268,7 +267,6 @@ class MeteringGateway:
         resilience: ResiliencePolicy | None = None,
         fault_plan: FaultPlan | None = None,
         preempt_after: int | None = None,
-        trace_sample: float | None = None,
         seal_window: int | None = None,
     ):
         if seal_window is not None and seal_window < 1:
@@ -283,13 +281,6 @@ class MeteringGateway:
         #: instead of one RSA op per request; ``None`` keeps the paper's
         #: per-receipt signing byte-identical to previous behaviour.
         self.seal_window = seal_window
-        #: Head-sampling rate for worker spans and events, in [0, 1]
-        #: (default ``REPRO_TRACE_SAMPLE``, else 1.0).  Worker metrics are
-        #: never sampled, and every request's trace id is minted (and
-        #: stamped onto receipts/events) once tracing, events or metrics are on.
-        self.trace_sample = (
-            env_sample_rate() if trace_sample is None else clamp_sample_rate(trace_sample)
-        )
         #: Budget-boundary preemption: when set, every dispatched slice
         #: suspends after this many further executed instructions; the
         #: gateway signs a checkpoint receipt for the consumed delta and
@@ -470,10 +461,7 @@ class MeteringGateway:
         request_id = self._mint_request_id()
         # trace identity and the worker's sink set; None when no sink is on
         ctx = TraceContext.mint(
-            self.gateway_id,
-            request_id,
-            sample_rate=self.trace_sample,
-            parent_span_id=getattr(req_span, "span_id", 0),
+            self.gateway_id, request_id, parent_span_id=getattr(req_span, "span_id", 0)
         )
         submitted = time.perf_counter()
         state = _RequestState(
@@ -490,8 +478,7 @@ class MeteringGateway:
             ),
             trace=ctx,
         )
-        sampled = sampling_decision(ctx.trace_id, self.trace_sample) if ctx else None
-        self._transition(state, "admit", sampled=sampled)
+        self._transition(state, "admit")
         fault = (
             self.fault_plan.fault_for(request_id) if self.fault_plan is not None else None
         )

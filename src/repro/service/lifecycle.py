@@ -32,13 +32,6 @@ class Transition(NamedTuple):
     count: str | None = None  # count key, formatted with the fields
 
 
-def _admitted(m: GatewayMetrics, f: dict) -> None:
-    # a trace context was minted; the admit event does not carry the
-    # decision, so a replayed stream counts none
-    if f.get("sampled") is not None:
-        m.traces_sampled.inc(decision="sampled" if f["sampled"] else "unsampled")
-
-
 def _settled(m: GatewayMetrics, f: dict) -> None:
     m.requests.inc(tenant=f["tenant"], outcome=f["outcome"])
     if f["outcome"] == "ok":
@@ -61,7 +54,6 @@ TRANSITIONS: dict[str, Transition] = {
         end=True,
     ),
     "admit": Transition(
-        metric=_admitted,
         event=_REQUEST + ("trace_id",),
         span=lambda f: {"request_id": f["request_id"], "trace_id": f["trace_id"]},
     ),

@@ -33,11 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs.instruments import (
-    GATEWAY_QUEUE_DEPTH,
-    GATEWAY_REJECTIONS,
-    QUOTA_EVICTIONS,
-)
+from repro.obs.instruments import GATEWAY_QUEUE_DEPTH, QUOTA_EVICTIONS
 
 
 class AdmissionError(Exception):
@@ -199,7 +195,6 @@ class AdmissionController:
             state = self._tenants.get(tenant_id)
             if state is None:
                 if self.default_quota is None:
-                    GATEWAY_REJECTIONS.inc(tenant=tenant_id, reason=UnknownTenant.code)
                     raise UnknownTenant(f"tenant {tenant_id!r} is not registered")
                 # lazy instantiation: first contact mints a default-quota
                 # state instead of demanding up-front registration
@@ -244,9 +239,8 @@ class AdmissionController:
                             / quota.requests_per_second,
                         )
                     state.tokens -= 1.0
-            except AdmissionError as exc:
+            except AdmissionError:
                 state.rejected += 1
-                GATEWAY_REJECTIONS.inc(tenant=tenant_id, reason=exc.code)
                 raise
             state.in_flight += 1
             state.admitted += 1

@@ -111,3 +111,25 @@ def test_verify_without_any_key_fails(tmp_path, signed_log):
     path.write_text(json.dumps(log_to_json(log)))
     ok, _ = verify_log_file(str(path))
     assert not ok
+
+
+def test_batched_log_roundtrip_verifies(tmp_path, signed_log):
+    """A window-4 log's batch seals survive export, so the file verifies
+    offline; a forged Merkle root in the file does not."""
+    source, key = signed_log
+    log = ResourceUsageLog(key, batch_window=4)
+    for i in range(6):
+        entry = source.entries[i % len(source.entries)]
+        log.append(entry.vector, entry.workload_hash, entry.weight_table_digest)
+    log.flush()
+    assert len(log.batches) == 2 and log.verify(key.public)
+    restored, _ = log_from_json(json.loads(json.dumps(log_to_json(log))))
+    assert restored.batches == log.batches
+    assert restored.verify(key.public)
+    path = tmp_path / "batched.json"
+    dump_log(log, key.public, str(path))
+    assert verify_log_file(str(path))[0]
+    data = json.loads(path.read_text())
+    data["batches"][0]["merkle_root"] = "00" * 32
+    path.write_text(json.dumps(data))
+    assert not verify_log_file(str(path))[0]

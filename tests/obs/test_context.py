@@ -1,7 +1,7 @@
 """Trace context, worker telemetry capture, and the cross-process merge.
 
-Unit coverage for :mod:`repro.obs.context`: deterministic trace identity,
-head sampling and the sink set minted from them, the bounded worker-side
+Unit coverage for :mod:`repro.obs.context`: deterministic trace identity
+and the sink set minted with it, the bounded worker-side
 capture as the ordinary obs calls reach it (wire format, drop counting, the
 sink set each channel is checked against, thread-local activation), the
 gateway-side merge, the tracer's foreign-span ingest, the per-span pid in
@@ -18,22 +18,18 @@ from dataclasses import replace
 
 import pytest
 
+from repro.obs import context
 from repro.obs.context import (
     ALL_SINKS,
     EVENTS,
-    MAX_EVENTS,
-    MAX_SPANS,
     METRICS,
-    SAMPLE_ENV,
     SPANS,
     TelemetryCapture,
     TraceContext,
     activate,
     current_capture,
-    env_sample_rate,
     explain_request,
     merge_telemetry,
-    sampling_decision,
     trace_id_for,
 )
 from repro.obs.events import Event, EventLog, disable_events, emit, enable_events
@@ -51,7 +47,7 @@ CTX = TraceContext(trace_id=trace_id_for("gw-test", 1))
 
 
 # ---------------------------------------------------------------------------
-# TraceContext: identity, sampling, wire format
+# TraceContext: identity, sink set, wire format
 # ---------------------------------------------------------------------------
 
 
@@ -69,19 +65,16 @@ class TestTraceContext:
         assert ctx.trace_id == trace_id_for("gw-1", 42)
         assert ctx.parent_span_id == 9
         assert ctx.hop == 0
-        assert ctx.sinks == ALL_SINKS  # default rate 1.0
+        assert ctx.sinks == ALL_SINKS
 
     def test_mint_without_a_sink_is_none(self):
         assert TraceContext.mint("gw-1", 42) is None
 
-    @pytest.mark.parametrize("sampled", (True, False))
     @pytest.mark.parametrize(
-        "tracing,events,metrics",
-        [on for on in itertools.product((True, False), repeat=3) if any(on)],
+        "tracing,events,metrics", list(itertools.product((True, False), repeat=3))
     )
-    def test_mint_sink_set_follows_sinks_and_sampling(
-        self, sampled, tracing, events, metrics
-    ):
+    def test_mint_sink_set_follows_sinks_and_sampling(self, tracing, events, metrics):
+        # the sink set is exactly the enabled channels; no sink, no context
         if tracing:
             enable_tracing(Tracer())
         if events:
@@ -89,16 +82,17 @@ class TestTraceContext:
         if metrics:
             enable_metrics()
         try:
-            ctx = TraceContext.mint("gw-1", 42, sample_rate=1.0 if sampled else 0.0)
+            ctx = TraceContext.mint("gw-1", 42)
         finally:
             disable_tracing()
             disable_events()
             disable_metrics()
-        expected = {SPANS} if tracing and sampled else set()
-        expected |= {EVENTS} if events and sampled else set()
-        expected |= {METRICS} if metrics else set()
-        assert ctx.sinks == expected
-        assert ctx.trace_id == trace_id_for("gw-1", 42)  # minted, sampled or not
+        on = {SPANS: tracing, EVENTS: events, METRICS: metrics}
+        if not any(on.values()):
+            assert ctx is None
+            return
+        assert ctx.sinks == {sink for sink, enabled in on.items() if enabled}
+        assert ctx.trace_id == trace_id_for("gw-1", 42)
 
     def test_next_hop_increments_and_can_reparent(self):
         ctx = TraceContext(trace_id_for("gw-1", 1), parent_span_id=3)
@@ -116,41 +110,6 @@ class TestTraceContext:
         wire = ctx.to_wire()
         assert isinstance(wire, tuple)  # pickles inside ExecutionTask
         assert TraceContext.from_wire(wire) == ctx
-
-    def test_sampling_decision_is_deterministic_per_trace(self):
-        tid = trace_id_for("gw-1", 99)
-        assert sampling_decision(tid, 1.0) is True
-        assert sampling_decision(tid, 0.0) is False
-        # the same id decides the same way every time at a mid rate
-        first = sampling_decision(tid, 0.5)
-        assert all(sampling_decision(tid, 0.5) == first for _ in range(10))
-
-    def test_sampling_rate_orders_monotonically(self):
-        # a trace sampled at rate r is sampled at every rate > r
-        ids = [trace_id_for("gw-1", i) for i in range(64)]
-        for tid in ids:
-            decisions = [sampling_decision(tid, r) for r in (0.1, 0.5, 0.9)]
-            assert decisions == sorted(decisions)
-
-    def test_mid_rate_splits_the_population(self):
-        ids = [trace_id_for("gw-1", i) for i in range(200)]
-        sampled = sum(sampling_decision(t, 0.5) for t in ids)
-        assert 0 < sampled < len(ids)
-
-    def test_env_sample_rate_parsing_and_clamping(self, monkeypatch):
-        monkeypatch.delenv(SAMPLE_ENV, raising=False)
-        assert env_sample_rate() == 1.0
-        assert env_sample_rate(default=0.25) == 0.25
-        monkeypatch.setenv(SAMPLE_ENV, "0.5")
-        assert env_sample_rate() == 0.5
-        monkeypatch.setenv(SAMPLE_ENV, "7")
-        assert env_sample_rate() == 1.0  # clamped high
-        monkeypatch.setenv(SAMPLE_ENV, "-1")
-        assert env_sample_rate() == 0.0  # clamped low
-        monkeypatch.setenv(SAMPLE_ENV, "banana")
-        assert env_sample_rate() == 1.0  # unparseable falls back
-        monkeypatch.setenv(SAMPLE_ENV, "nan")
-        assert env_sample_rate() == 1.0  # NaN is unparseable, not 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +163,9 @@ class TestTelemetryCapture:
                     pass
         assert [s["name"] for s in capture.to_wire()["spans"]] == ["outer", "inner"]
 
-    def test_span_bound_counts_drops_instead_of_growing(self):
-        capture = TelemetryCapture(CTX, max_spans=2)
+    def test_span_bound_counts_drops_instead_of_growing(self, monkeypatch):
+        monkeypatch.setattr(context, "MAX_SPANS", 2)
+        capture = TelemetryCapture(CTX)
         with activate(capture):
             for i in range(5):
                 with span(f"s{i}") as s:
@@ -214,8 +174,9 @@ class TestTelemetryCapture:
         assert [s["name"] for s in wire["spans"]] == ["s0", "s1"]
         assert wire["spans_dropped"] == 3
 
-    def test_event_bound_counts_drops(self):
-        capture = TelemetryCapture(CTX, max_events=3)
+    def test_event_bound_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(context, "MAX_EVENTS", 3)
+        capture = TelemetryCapture(CTX)
         with activate(capture):
             for i in range(5):
                 emit("k", i=i)
@@ -223,9 +184,15 @@ class TestTelemetryCapture:
         assert capture.events_dropped == 2
 
     def test_default_bounds(self):
+        assert context.MAX_SPANS == context.MAX_EVENTS == 256
         capture = TelemetryCapture(CTX)
-        assert capture.max_spans == MAX_SPANS
-        assert capture.max_events == MAX_EVENTS
+        with activate(capture):
+            for i in range(context.MAX_SPANS + 1):
+                with span(f"s{i}"):
+                    emit("k", i=i)
+        wire = capture.to_wire()
+        assert len(wire["spans"]) == len(wire["events"]) == 256
+        assert wire["spans_dropped"] == wire["events_dropped"] == 1
 
     def test_attributes_are_wire_safe(self):
         capture = TelemetryCapture(CTX)
@@ -255,7 +222,7 @@ class TestTelemetryCapture:
         ]
 
     def test_unsampled_capture_keeps_metrics_only(self, sinks_on):
-        # an unsampled request with metrics on: the sink set is {metrics}
+        # metrics alone on: the sink set is {metrics}
         tracer, log = sinks_on
         capture = TelemetryCapture(replace(CTX, sinks=frozenset({METRICS})))
         counter = probe_counter()

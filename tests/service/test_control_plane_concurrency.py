@@ -112,7 +112,7 @@ def test_concurrent_submit_and_settle_conserve_slots():
         gw.shutdown()
 
 
-def test_quota_concurrent_admit_settle_across_shards():
+def test_quota_concurrent_admit_settle_across_tenants():
     # pure admission-controller race: admits and settles from many threads
     # across tenants never leak or double-settle a slot
     admission = AdmissionController()
@@ -177,6 +177,6 @@ def test_gateway_stats_report_worker_sizing():
         gw.shutdown()
 
 
-def test_gateway_rejects_bad_shard_and_window_config():
+def test_gateway_rejects_bad_seal_window():
     with pytest.raises(ValueError):
         MeteringGateway(seal_window=0)

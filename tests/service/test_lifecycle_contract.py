@@ -78,7 +78,7 @@ def _run(gw_kwargs: dict, tenants: list, requests: list) -> Scenario:
     metrics = {
         name: entry["values"]
         for name, entry in snapshot.items()
-        if name.startswith("acctee_gateway_") or name == "acctee_traces_sampled_total"
+        if name.startswith("acctee_gateway_")
     }
     get_registry().reset()
     return Scenario(gateway_id, log.events(), metrics, stats, spans, outcomes)
@@ -273,41 +273,31 @@ SERIES = {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 2.0},
         "acctee_gateway_retries": {A: 2.0},
         "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 2.0},
-        "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 2.0},
     },
     "hang": {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_faults_injected": {'{fault="hang",tenant="alice"}': 1.0},
-        "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
     },
     "corrupt": {
         "acctee_gateway_requests": {'{outcome="result-rejected",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_faults_injected": {'{fault="corrupt",tenant="alice"}': 1.0},
-        "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
     },
     "deadline": {
         "acctee_gateway_requests": {'{outcome="deadline-exceeded",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {A: 1.0},
         "acctee_gateway_faults_injected": {'{fault="crash",tenant="alice"}': 1.0},
-        "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
     },
     "preempt": {
         "acctee_gateway_requests": {'{outcome="ok",tenant="alice"}': 1.0},
         "acctee_gateway_retries": {},
         "acctee_gateway_faults_injected": {},
-        "acctee_gateway_admission_rejections": {},
         "acctee_gateway_queue_depth": {A: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
     },
     "budget": {
         "acctee_gateway_requests": {
@@ -317,11 +307,7 @@ SERIES = {
         },
         "acctee_gateway_retries": {},
         "acctee_gateway_faults_injected": {},
-        "acctee_gateway_admission_rejections": {
-            '{reason="instruction-budget-exhausted",tenant="hog"}': 1.0
-        },
         "acctee_gateway_queue_depth": {HOG: 0.0},
-        "acctee_traces_sampled_total": {'{decision="sampled"}': 1.0},
     },
 }
 

@@ -153,7 +153,7 @@ def _batched_gateway(**kwargs):
 
 
 class TestGatewayBatchedSealing:
-    def test_cross_shard_epoch_verifies_with_batches(self):
+    def test_multi_tenant_epoch_verifies_with_batches(self):
         gw = _batched_gateway()
         try:
             futures = [
