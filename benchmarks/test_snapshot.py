@@ -47,11 +47,11 @@ import pytest
 from benchmarks.conftest import artifact_path, emit_table, record
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.obs.bench import append_point
-from repro.service.warmpool import WarmPool
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.runtime import HostEnvironment, IOChannel
 from repro.wasm.snapshot import (
     SnapshotCaptured,
+    WarmPool,
     capture_instance,
     decode_snapshot,
     encode_snapshot,
@@ -82,7 +82,7 @@ def _cold_setup_s(module, engine: str) -> float:
     start = time.perf_counter()
     for _ in range(ROUNDS):
         channel = IOChannel()
-        env = HostEnvironment(channel=channel, account_io=True)
+        env = HostEnvironment(channel=channel)
         env.instantiate(module, limits=ExecutionLimits(), engine=engine)
     return (time.perf_counter() - start) / ROUNDS
 

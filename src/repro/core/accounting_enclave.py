@@ -1,7 +1,7 @@
 """The accounting enclave (AE): executes workloads and produces trusted logs.
 
 The AE is the runtime half of Fig. 3: it verifies instrumentation evidence,
-instantiates the workload in the Wasm runtime under (simulated) SGX, reads
+runs the workload in the Wasm runtime under (simulated) SGX, reads
 the injected counter plus the runtime's memory and I/O meters (one slice:
 :func:`run_slice`, which gateway workers run too), and appends signed
 entries to the resource usage log.  Its signing key is generated
@@ -32,9 +32,7 @@ from repro.tcrypto.rsa import RSAKeyPair, RSAPublicKey, rsa_generate
 from repro.wasm.binary import encode_module
 from repro.wasm.interpreter import ExecutionLimits, SnapshotCaptured, Trap
 from repro.wasm.module import Module
-from repro.wasm.runtime import HostEnvironment, IOChannel
-from repro.wasm.snapshot import Snapshot, restore_instance, resume_invoke, rewind_io
-from repro.wasm.snapshot.restore import slice_limits
+from repro.wasm.snapshot import Snapshot, WarmPool, resume_invoke
 from repro.wasm.validate import validate
 
 
@@ -111,17 +109,14 @@ class RawExecution:
 
 
 def run_slice(
-    module: Module,
-    module_hash: bytes,
+    pool: WarmPool,
     counter_index: int,
     export: str,
     args: tuple,
     input_data: bytes,
     limits: ExecutionLimits,
-    engine: str | None,
     *,
     snapshot: Snapshot | None = None,
-    pool: object | None = None,  # WarmPool, kept untyped to avoid a cycle
     snapshot_bytes: int = 0,
 ) -> tuple[RawExecution, Snapshot | None, str]:
     """Run one slice of a workload; return ``(raw, capture, exec_engine)``.
@@ -130,8 +125,8 @@ def run_slice(
     :meth:`~AccountingEnclave.resume`) and of gateway workers
     (:func:`repro.service.worker.execute_task`).  A slice is a fresh call
     of ``export(*args)`` or, with ``snapshot``, the continuation of a
-    suspended one; it runs on a fresh instance or, with ``pool``, on a
-    pooled one leased and reset for it (``WarmPool.acquire``).
+    suspended one; either way it runs on an instance of the pool's module
+    leased and reset for it (:meth:`WarmPool.acquire`), its one set-up step.
     ``limits.snapshot_at`` counts the instructions executed *in this
     slice*: when it is reached, ``capture`` is the snapshot (I/O position
     attached) and ``raw`` the meters as of it; otherwise ``capture`` is
@@ -144,29 +139,13 @@ def run_slice(
     then ``worker.invoke`` or ``worker.resume_invoke``.
     """
     if snapshot is None:
-        setup = span("worker.instantiate", warm=pool is not None, engine=engine or "")
+        setup = span("worker.instantiate", engine=pool.engine or "")
     else:
-        setup = span("worker.restore", snapshot_bytes=snapshot_bytes, engine=engine or "")
+        setup = span(
+            "worker.restore", snapshot_bytes=snapshot_bytes, engine=pool.engine or ""
+        )
     with setup:
-        if pool is not None:
-            instance, env = handle = pool.acquire(input_data, limits, snapshot)
-        elif snapshot is None:
-            env = HostEnvironment(IOChannel(input_data=input_data))
-            instance = env.instantiate(
-                module, limits=limits, engine=engine, module_hash=module_hash
-            )
-        else:
-            env = HostEnvironment()
-            rewind_io(env, input_data, snapshot.io)
-            instance = restore_instance(
-                snapshot,
-                module,
-                imports=env.imports(),
-                limits=slice_limits(limits, snapshot),
-                engine=engine,
-                module_hash=module_hash,
-            )
-            env.bind(instance)
+        instance, env = handle = pool.acquire(input_data, limits, snapshot)
 
     value: object = None
     trapped, trap_message = False, ""
@@ -188,9 +167,9 @@ def run_slice(
             trapped, trap_message = True, str(exc)
             run.set_attribute("trapped", True)
 
-    memory = instance.memory
+    memory, module = instance.memory, pool.module
     raw = RawExecution(
-        workload_hash=module_hash,
+        workload_hash=instance.module_hash,
         counter_value=int(instance.globals[counter_index].value),
         peak_memory_bytes=memory.peak_bytes if memory is not None else 0,
         initial_pages=module.memories[0].limits.minimum if module.memories else 0,
@@ -202,8 +181,7 @@ def run_slice(
         trap_message=trap_message,
         output=bytes(env.channel.output),
     )
-    if pool is not None:
-        pool.release(handle)
+    pool.release(handle)
     return raw, captured, instance.engine
 
 
@@ -239,7 +217,8 @@ class AccountingEnclave(Enclave):
         self.memory_policy = memory_policy
         self.limits = limits or ExecutionLimits()
         #: Wasm execution engine used for workload invocations ("compile"
-        #: or "predecode"; None picks the interpreter default, compile).
+        #: or "predecode"; None picks the interpreter default, compile);
+        #: a change takes effect at the next slice.
         #: The injected counter verification is engine-independent — the
         #: differential tests pin both engines to identical ExecutionStats.
         self.engine = engine
@@ -249,7 +228,7 @@ class AccountingEnclave(Enclave):
         #: window instead of one RSA op per receipt (the gateway's hot path).
         self.log = ResourceUsageLog(self._signing_key, batch_window=batch_window)
 
-        self._module: Module | None = None
+        self._pool: WarmPool | None = None
         self._counter_global: int | None = None
         self._workload_hash: bytes = b""
 
@@ -276,9 +255,12 @@ class AccountingEnclave(Enclave):
         counter = evidence.counter_global_index
         if counter >= module.num_imported_globals + len(module.globals):
             raise WorkloadRejected("evidence names a counter global that does not exist")
-        self._module = module
         self._counter_global = counter
         self._workload_hash = sha256(encode_module(module))
+        # instances are built at the first slice, then leased and reset
+        self._pool = WarmPool(
+            module=module, engine=self.engine, module_hash=self._workload_hash
+        )
 
     # -- execution -----------------------------------------------------------------
 
@@ -293,9 +275,10 @@ class AccountingEnclave(Enclave):
     ) -> WorkloadResult | WorkloadCheckpoint:
         """Run one exported function and append a signed accounting entry.
 
-        A fresh module instance is created per invocation (the paper's FaaS
-        deployment instantiates per request to isolate tenants); the counter
-        therefore starts at zero each time.
+        Each invocation runs on an instance leased from the workload's pool
+        and reset to the module's pristine post-instantiation state (the
+        paper's FaaS deployment gives every request a clean instance to
+        isolate tenants); the counter therefore starts at zero each time.
 
         With ``progress_interval`` set, the AE additionally appends interim
         "progress" entries to the log every that-many executed instructions —
@@ -440,7 +423,7 @@ class AccountingEnclave(Enclave):
     ) -> WorkloadResult | WorkloadCheckpoint:
         """Continue a checkpointed invocation on this AE's configured engine.
 
-        The snapshot restores into a fresh instance (any engine — the format
+        The snapshot restores into a pooled instance (any engine — the format
         is engine-independent), the host I/O channel is rewound to its
         captured position, and the suspended call stack re-enters exactly
         where capture left it.  On completion the final receipt bills only
@@ -457,8 +440,12 @@ class AccountingEnclave(Enclave):
         """Run the job's next slice and sign its receipt: the final one, or
         a checkpoint receipt for the span since ``job.baseline`` when the
         slice suspended, returning the job's next checkpoint."""
-        if self._module is None or self._counter_global is None:
+        if self._pool is None or self._counter_global is None:
             raise WorkloadRejected("no workload loaded")
+        if self._pool.engine != self.engine:  # the engine changed since the last slice
+            self._pool = WarmPool(
+                self._pool.module, engine=self.engine, module_hash=self._workload_hash
+            )
         with span(
             "invoke" if job.snapshot is None else "resume",
             export=job.export,
@@ -467,14 +454,12 @@ class AccountingEnclave(Enclave):
         ):
             with span("execute", export=job.export):
                 raw, captured, _engine = run_slice(
-                    self._module,
-                    self._workload_hash,
+                    self._pool,
                     self._counter_global,
                     job.export,
                     job.args,
                     job.input_data,
                     limits,
-                    self.engine,
                     snapshot=job.snapshot,
                 )
             if captured is None:

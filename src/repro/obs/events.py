@@ -44,18 +44,26 @@ SCHEMA_VERSION = 1
 #: Keys every record carries; event field names must not collide with them.
 RESERVED_KEYS = ("v", "seq", "ts_s", "kind")
 
-#: The event kinds the serving path emits (documentation + schema tests; the
-#: log itself accepts any kind so experiments can add their own).
+#: The event kinds the serving path emits (documentation; a chaos loadtest
+#: in ``tests/obs/test_events.py`` checks every kind it records is here —
+#: the log itself accepts any kind so experiments can add their own).
 EVENT_KINDS = (
     "admit",  # admission granted: tenant, request_id
     "reject",  # typed admission rejection: tenant, code
     "fault_injected",  # chaos plan stamped a fault: tenant, request_id, fault
+    "fault_performed",  # a worker acted out its task's fault: fault, arg
+    "module_cache",  # a worker looked up the task's module: outcome (hit or
+    #                  decode)
     "retry",  # transient failure re-dispatch: tenant, request_id, attempt
     "result_rejected",  # raw readings failed sanity validation: tenant,
     #                     request_id, problems
+    "checkpoint",  # a preempted slice was billed: tenant, request_id,
+    #                checkpoint, snapshot_bytes
     "settled",  # request finalized: tenant, request_id, outcome, latency_s
     "receipt",  # AE-signed receipt recorded: tenant, request_id, sequence,
     #             weighted_instructions, entry_hash
+    "batch_seal",  # a batch of receipts signed under one Merkle root: tenant,
+    #                start_sequence, end_sequence, receipts
     "seal",  # billing epoch sealed: epoch, spans, receipts, duration_s
     "epoch_audit",  # offline epoch verification: epoch, outcome, errors
     "pool_rebuild",  # a worker process died and was respawned, or the pool

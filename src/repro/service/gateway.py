@@ -309,13 +309,13 @@ class MeteringGateway:
         self.platform.launch(self.qe)
         self.attestation_service.provision(self.qe)
         self.cache = InstrumentationCache(self.ie)
-        #: Adaptive worker sizing: a process pool is shrunk to the cores
+        #: Worker sizing: a process pool is shrunk to the cores
         #: actually available — oversubscription is the other half of the
         #: multi-worker cliff (4 CPU-bound workers on 1 core run slower
         #: than 1).  The requested count stays visible in :meth:`stats`.
         self.requested_workers = workers
         self.backend: ExecutionBackend = backend or WasmBackend(
-            WorkerPool(workers=workers, kind=pool, adaptive=True)
+            WorkerPool(workers=workers, kind=pool)
         )
         inner_pool = getattr(self.backend, "pool", None)
         self.effective_workers = getattr(inner_pool, "workers", workers)

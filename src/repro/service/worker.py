@@ -18,10 +18,11 @@ parallelism for the pure-Python interpreter), each fed over its own duplex
 ``multiprocessing`` pipe; ``kind="thread"`` gives a threaded fallback for
 platforms where subprocesses are unavailable, and is also what the test
 suite uses for speed.  Each worker process keeps a small module cache keyed
-by module hash, each entry with a pool of live instances
-(:class:`~repro.service.warmpool.WarmPool`), so per-slice work is lease and
-reset a pooled instance, then execute, matching the paper's
-cached-side-module FaaS setup (§4.3).
+by module hash, each entry with a pool of live instances per engine
+(:class:`~repro.wasm.snapshot.WarmPool`, the same pool type the accounting
+enclave leases from), so per-slice work is lease and reset a pooled
+instance, then execute, matching the paper's cached-side-module FaaS setup
+(§4.3).
 
 Each worker holds a window of two tasks: the one it runs and the next,
 already waiting in its pipe.  A worker's loop is receive, execute, send, so
@@ -40,8 +41,8 @@ oldest unanswered task can have been running.  That one fails as a typed
 retry layer; every later task in its pipe provably never started and goes
 back to the front of the backlog, to run on the respawned worker without
 the caller noticing.  Each respawn counts in :attr:`WorkerPool.rebuilds`;
-after ``max_rebuilds`` of them the pool falls back to threads for the rest
-of its life rather than fork-looping.
+after :data:`MAX_REBUILDS` of them the pool falls back to threads for the
+rest of its life rather than fork-looping.
 """
 
 from __future__ import annotations
@@ -70,13 +71,12 @@ from repro.obs.instruments import (
 )
 from repro.obs.trace import span
 from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
-from repro.service.warmpool import WarmPool
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import decode_module, encode_module
 from repro.wasm.engines import resolve_engine
 from repro.wasm.interpreter import ExecutionLimits
 from repro.wasm.module import Module
-from repro.wasm.snapshot import decode_snapshot, encode_snapshot
+from repro.wasm.snapshot import WarmPool, decode_snapshot, encode_snapshot
 
 
 class _Decoded:
@@ -241,16 +241,13 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
     raw, captured, exec_engine = run_slice(
-        decoded.module,
-        decoded.digest,
+        decoded.pool(task.engine),
         task.counter_global_index,
         task.export,
         task.args,
         task.input_data,
         limits,
-        task.engine,
         snapshot=snapshot,
-        pool=decoded.pool(task.engine),
         snapshot_bytes=len(task.snapshot) if snapshot is not None else 0,
     )
     if task.fault == "corrupt":
@@ -273,8 +270,8 @@ def cores_available() -> int:
         return os.cpu_count() or 1
 
 
-
-
+#: Worker respawns a process pool makes before it degrades to threads.
+MAX_REBUILDS = 3
 #: Tasks one worker process holds at once: the one it runs and the next,
 #: waiting in its pipe.
 _WINDOW = 2
@@ -368,33 +365,26 @@ class WorkerPool:
     :class:`~repro.service.faults.WorkerCrashed`, so the caller can apply
     its own retry policy without ever double-executing work; the tasks
     queued behind it never started and run on a respawned worker (counted
-    in :attr:`rebuilds`).  After ``max_rebuilds`` respawns the pool degrades
-    to threads permanently.
+    in :attr:`rebuilds`).  After :data:`MAX_REBUILDS` respawns the pool
+    degrades to threads permanently.
 
-    ``adaptive=True`` probes the cores actually available to this process
-    (cgroup/affinity aware) and shrinks a *process* pool to that count:
-    oversubscribing CPU-bound workers past physical parallelism only adds
-    scheduler thrash — the multi-worker cliff.  Thread pools are left
-    alone (their workers block on I/O-ish waits, not cores).  The
-    requested size stays visible as :attr:`requested_workers`.
+    A *process* pool shrinks to the cores actually available to this
+    process (cgroup/affinity aware): oversubscribing CPU-bound workers past
+    physical parallelism only adds scheduler thrash — the multi-worker
+    cliff.  Thread pools keep their size (their workers block on I/O-ish
+    waits, not cores).  The requested size stays visible as
+    :attr:`requested_workers`.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        kind: str = "process",
-        max_rebuilds: int = 3,
-        adaptive: bool = False,
-    ):
+    def __init__(self, workers: int = 1, kind: str = "process"):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if kind not in ("process", "thread"):
             raise ValueError(f"unknown pool kind {kind!r}")
         self.requested_workers = workers
-        if adaptive and kind == "process":
+        if kind == "process":
             workers = max(1, min(workers, cores_available()))
         self.workers = workers
-        self.max_rebuilds = max_rebuilds
         self.rebuilds = 0
         self.kind = kind
         self._in_flight = 0
@@ -554,11 +544,11 @@ class WorkerPool:
 
     def _respawn(self) -> None:
         """Replace a dead worker, or degrade to threads for good once
-        ``max_rebuilds`` respawns are spent (lock held, pool open)."""
+        :data:`MAX_REBUILDS` respawns are spent (lock held, pool open)."""
         self.rebuilds += 1
         POOL_REBUILDS.inc()
         try:
-            if self.rebuilds > self.max_rebuilds:
+            if self.rebuilds > MAX_REBUILDS:
                 raise OSError("worker respawns exhausted")
             self._procs.append(_Worker(multiprocessing.get_context()))
         except OSError:

@@ -29,7 +29,6 @@ class LinearMemory:
             raise ValueError("memory maximum below minimum")
         self._data = bytearray(minimum_pages * PAGE_SIZE)
         self._maximum = maximum_pages
-        self.grow_events: list[int] = []  # page counts after each successful grow
 
     @property
     def pages(self) -> int:
@@ -55,7 +54,6 @@ class LinearMemory:
         if self._maximum is not None and new > self._maximum:
             return -1
         self._data.extend(bytes(delta_pages * PAGE_SIZE))
-        self.grow_events.append(new)
         return old
 
     # -- raw byte access -------------------------------------------------------

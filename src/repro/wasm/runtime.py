@@ -70,15 +70,14 @@ class HostEnvironment:
     * ``host_log(value) -> ()``     — debug tap, records i32 values;
     * ``abort() -> ()``             — traps.
 
-    When ``account_io`` is true the wrappers accumulate into
-    :class:`IOAccount` — this is AccTEE's I/O accounting instrumentation,
-    which lives in the trusted runtime rather than in workload code.
+    The I/O wrappers accumulate into :class:`IOAccount` — this is AccTEE's
+    I/O accounting instrumentation, which lives in the trusted runtime
+    rather than in workload code.
     """
 
-    def __init__(self, channel: IOChannel | None = None, account_io: bool = True):
+    def __init__(self, channel: IOChannel | None = None):
         self.channel = channel or IOChannel()
         self.account = IOAccount()
-        self.account_io = account_io
         self.log_values: list[int] = []
         self._instance: Instance | None = None
 
@@ -89,9 +88,8 @@ class HostEnvironment:
             raise Trap("io_read requires an instantiated module with memory")
         chunk = self.channel.read(length)
         self._instance.memory.write(ptr, chunk)
-        if self.account_io:
-            self.account.bytes_in += len(chunk)
-            self.account.calls += 1
+        self.account.bytes_in += len(chunk)
+        self.account.calls += 1
         return len(chunk)
 
     def _io_write(self, ptr: int, length: int) -> int:
@@ -99,9 +97,8 @@ class HostEnvironment:
             raise Trap("io_write requires an instantiated module with memory")
         data = self._instance.memory.read(ptr, length)
         self.channel.write(data)
-        if self.account_io:
-            self.account.bytes_out += len(data)
-            self.account.calls += 1
+        self.account.bytes_out += len(data)
+        self.account.calls += 1
         return len(data)
 
     def _io_available(self) -> int:

@@ -4,8 +4,9 @@ Capture a running sandbox at an observation point, serialize everything —
 value stack, locals, call frames, globals, linear memory (page delta
 against a deterministic base image), exact meter counters, I/O position —
 and restore into any engine.  See :mod:`repro.wasm.snapshot.format` for
-the capture/wire half and :mod:`repro.wasm.snapshot.restore` for the
-restore/resume half.
+the capture/wire half, :mod:`repro.wasm.snapshot.restore` for the
+restore/resume half and :mod:`repro.wasm.snapshot.pool` for the instance
+pools every slice leases from.
 """
 
 from repro.wasm.interpreter import CapturedFrame, SnapshotCaptured
@@ -22,6 +23,7 @@ from repro.wasm.snapshot.format import (
     rewind_io,
     snapshot_from_unwind,
 )
+from repro.wasm.snapshot.pool import WarmHandle, WarmPool
 from repro.wasm.snapshot.restore import (
     apply_state,
     restore_instance,
@@ -37,6 +39,8 @@ __all__ = [
     "Snapshot",
     "SnapshotCaptured",
     "SnapshotError",
+    "WarmHandle",
+    "WarmPool",
     "apply_state",
     "base_memory_image",
     "capture_instance",

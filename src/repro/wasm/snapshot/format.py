@@ -1,4 +1,4 @@
-"""Snapshot format v1: versioned, engine-independent execution state.
+"""Snapshot format v2: versioned, engine-independent execution state.
 
 A :class:`Snapshot` serializes everything a suspended (or freshly
 instantiated) sandbox needs to continue somewhere else: the exact meter
@@ -43,7 +43,7 @@ from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOAccount
 
 MAGIC = b"RWSN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SnapshotError(Exception):
@@ -82,7 +82,6 @@ class Snapshot:
     globals: tuple
     memory_pages: int | None  # None: module has no memory
     memory_delta: tuple  # ((page_index, page_bytes), ...) vs the base image
-    grow_events: tuple
     table: tuple | None  # funcref elements, None when no table
     frames: tuple  # CapturedFrame, outermost-first
     io: IOState | None = None
@@ -172,7 +171,7 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 def _memory_state(instance: Instance):
     memory = instance.memory
     if memory is None:
-        return None, (), ()
+        return None, ()
     base = instance_base_image(instance)
     data = memory._data
     pages = len(data) // PAGE_SIZE
@@ -185,7 +184,7 @@ def _memory_state(instance: Instance):
             ref = ref + _ZERO_PAGE[len(ref) :]
         if page != ref:
             delta.append((i, page))
-    return pages, tuple(delta), tuple(memory.grow_events)
+    return pages, tuple(delta)
 
 
 # -- capture -------------------------------------------------------------------
@@ -211,7 +210,7 @@ def capture_instance(
     instance: Instance, frames=(), io: IOState | None = None
 ) -> Snapshot:
     """Snapshot an instance's full state (with ``frames=()``: a warm image)."""
-    pages, delta, grow_events = _memory_state(instance)
+    pages, delta = _memory_state(instance)
     snapshot = Snapshot(
         version=FORMAT_VERSION,
         module_hash=instance.module_hash,
@@ -220,7 +219,6 @@ def capture_instance(
         globals=tuple(g.value for g in instance.globals),
         memory_pages=pages,
         memory_delta=delta,
-        grow_events=grow_events,
         table=tuple(instance.table.elements) if instance.table is not None else None,
         frames=tuple(frames),
         io=io,
@@ -322,7 +320,6 @@ def encode_snapshot(snapshot: Snapshot, _observe: bool = True) -> bytes:
                     [index, base64.b64encode(page).decode("ascii")]
                     for index, page in snapshot.memory_delta
                 ],
-                "grow_events": list(snapshot.grow_events),
             }
         ),
         "table": list(snapshot.table) if snapshot.table is not None else None,
@@ -378,7 +375,6 @@ def decode_snapshot(blob: bytes) -> Snapshot:
                 (index, base64.b64decode(page)) for index, page in memory["delta"]
             )
         ),
-        grow_events=() if memory is None else tuple(memory["grow_events"]),
         table=None if payload["table"] is None else tuple(payload["table"]),
         frames=tuple(_frame_from_json(f) for f in payload["frames"]),
         io=(

@@ -11,13 +11,15 @@ warm-image :class:`~repro.wasm.snapshot.Snapshot` (frames empty), and
 leases each slice a pooled live instance reset in place with
 :func:`~repro.wasm.snapshot.apply_state` — to the warm image for a fresh
 call, to the snapshot for a resume — exactly as a fresh instance would
-start it.  Gateway workers run every slice this way.
+start it.  Every slice runs this way
+(:func:`~repro.core.accounting_enclave.run_slice`), in the accounting
+enclave and in gateway workers alike.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from repro.obs.instruments import WARM_POOL_HITS
@@ -25,13 +27,12 @@ from repro.obs.trace import span
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment
-from repro.wasm.snapshot import Snapshot, apply_state, capture_instance, rewind_io
-from repro.wasm.snapshot.restore import require_module, slice_limits
+from repro.wasm.snapshot.format import Snapshot, capture_instance, rewind_io
+from repro.wasm.snapshot.restore import apply_state, require_module, slice_limits
 
 
 class WarmHandle(NamedTuple):
-    """One pooled live instance, leased to exactly one slice at a time
-    (:func:`~repro.core.accounting_enclave.run_slice` runs on it)."""
+    """One pooled live instance, leased to exactly one slice at a time."""
 
     instance: Instance
     env: HostEnvironment
@@ -43,6 +44,13 @@ class WarmPool:
 
     ``module_hash`` is ``sha256(encode_module(module))`` when the caller
     holds it already, so no pooled instance encodes the module again.
+    Nothing is instantiated until the first :meth:`acquire`.
+
+    The module's start function runs once per pooled instance, when it is
+    built, under the instruction budget of the lease that builds it.  It
+    cannot perform host I/O (the environment binds an instance only once
+    its start function has returned, so ``io_read``/``io_write`` trap), so
+    the warm image carries no I/O for a lease to bill or rewind.
     """
 
     module: Module
@@ -61,11 +69,15 @@ class WarmPool:
 
     # -- building ----------------------------------------------------------------
 
-    def _build(self) -> WarmHandle:
-        env = HostEnvironment(account_io=True)
+    def _build(self, limits: ExecutionLimits) -> WarmHandle:
+        env = HostEnvironment()
+        # the start function runs under the lease's instruction budget,
+        # but never captures or reports progress
         instance = env.instantiate(
             self.module,
-            limits=ExecutionLimits(),
+            limits=replace(
+                limits, snapshot_at=None, progress_interval=None, progress_callback=None
+            ),
             engine=self.engine,
             module_hash=self.module_hash,
         )
@@ -88,16 +100,16 @@ class WarmPool:
         """Lease an instance reset to the warm image, ready to invoke, or
         to ``snapshot`` (of this module only), ready to resume under
         ``limits`` whose ``snapshot_at`` counts on from it."""
+        limits = limits or ExecutionLimits()
         with self._lock:
             handle = self._idle.pop() if self._idle else None
         if handle is None:
             with span("warmpool.build"):
-                handle = self._build()
+                handle = self._build(limits)
         else:
             with self._lock:
                 self.hits += 1
             WARM_POOL_HITS.inc()
-        limits = limits or ExecutionLimits()
         if snapshot is not None:
             require_module(snapshot, self._image.module_hash)
             limits = slice_limits(limits, snapshot)

@@ -110,7 +110,6 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
         for index, page in snapshot.memory_delta:
             lo = index * PAGE_SIZE
             data[lo : lo + PAGE_SIZE] = page
-        memory.grow_events[:] = list(snapshot.grow_events)
     if len(snapshot.globals) != len(instance.globals):
         raise SnapshotError("snapshot global count does not match the instance")
     for g, value in zip(instance.globals, snapshot.globals):

@@ -9,7 +9,31 @@ from repro.core.instrumentation_enclave import InstrumentationEnclave, verify_ev
 from repro.core.policy import MemoryPolicy
 from repro.instrument.weights import UNIT_WEIGHTS, cycle_weight_table
 from repro.minic import compile_source
-from repro.wasm.interpreter import ExecutionLimits
+from repro.wasm.interpreter import ExecutionLimits, Trap
+from repro.wasm.wat_parser import parse_wat
+
+# a start function that loops 1,000 times before any export is called
+START_LOOP = """
+(module
+  (global $n (mut i32) (i32.const 0))
+  (func $spin
+    (loop $again
+      (global.set $n (i32.add (global.get $n) (i32.const 1)))
+      (br_if $again (i32.lt_u (global.get $n) (i32.const 1000)))))
+  (func (export "count") (result i32) (global.get $n))
+  (start $spin))
+"""
+
+# a start function that writes two bytes to the host channel
+START_WRITES = """
+(module
+  (import "env" "io_write" (func $write (param i32 i32) (result i32)))
+  (memory 1)
+  (data (i32.const 0) "hi")
+  (func $greet (drop (call $write (i32.const 0) (i32.const 2))))
+  (func (export "seven") (result i32) (i32.const 7))
+  (start $greet))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +164,28 @@ class TestAccountingEnclave:
         ae.load_workload(result.module, evidence)
         outcome = ae.invoke("spin")
         assert outcome.trapped and "budget" in outcome.trap_message
+
+    def test_start_function_runs_under_the_invocation_budget(self, ie):
+        # the pooled instance's start function is built under the slice's
+        # limits: a start loop past the budget raises out of invoke
+        result, evidence = ie.instrument(parse_wat(START_LOOP))
+        ae = make_ae(ie, limits=ExecutionLimits(max_instructions=100))
+        ae.load_workload(result.module, evidence)
+        with pytest.raises(Trap, match="budget"):
+            ae.invoke("count")
+        roomy = make_ae(ie, limits=ExecutionLimits(max_instructions=100_000))
+        roomy.load_workload(result.module, evidence)
+        assert roomy.invoke("count").value == 1000
+
+    def test_start_function_cannot_perform_host_io(self, ie):
+        # the instance is bound to its I/O channel only once the start
+        # function returned, so no start-function I/O goes unbilled
+        result, evidence = ie.instrument(parse_wat(START_WRITES))
+        ae = make_ae(ie)
+        ae.load_workload(result.module, evidence)
+        with pytest.raises(Trap, match="io_write requires an instantiated module"):
+            ae.invoke("seven")
+        assert ae.log.entries == []
 
     def test_log_entries_accumulate_across_invocations(self, ie, workload_module):
         ae = make_ae(ie)

@@ -73,7 +73,7 @@ class TestTraceContext:
     @pytest.mark.parametrize(
         "tracing,events,metrics", list(itertools.product((True, False), repeat=3))
     )
-    def test_mint_sink_set_follows_sinks_and_sampling(self, tracing, events, metrics):
+    def test_mint_sinks_are_the_enabled_channels(self, tracing, events, metrics):
         # the sink set is exactly the enabled channels; no sink, no context
         if tracing:
             enable_tracing(Tracer())
@@ -221,7 +221,7 @@ class TestTelemetryCapture:
             ("ctx_probe_bytes", "histogram", 512.0, {"a": "1", "b": "2"}),
         ]
 
-    def test_unsampled_capture_keeps_metrics_only(self, sinks_on):
+    def test_metrics_only_capture_records_no_spans_or_events(self, sinks_on):
         # metrics alone on: the sink set is {metrics}
         tracer, log = sinks_on
         capture = TelemetryCapture(replace(CTX, sinks=frozenset({METRICS})))

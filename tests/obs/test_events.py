@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.events import (
+    EVENT_KINDS,
     RESERVED_KEYS,
     SCHEMA_VERSION,
     EventLog,
@@ -191,3 +192,26 @@ def test_emit_is_thread_safe_under_contention():
     assert len(events) == 800
     # sequence numbers are unique and dense
     assert sorted(e.seq for e in events) == list(range(1, 801))
+
+
+# -- the kind list -------------------------------------------------------------
+
+
+def test_every_kind_the_serving_path_emits_is_listed(tmp_path):
+    """A chaos loadtest with preemption and batched sealing emits only
+    kinds ``EVENT_KINDS`` lists — including the worker's module-cache and
+    fault act-out events, which reach the log through the task backhaul."""
+    from repro.service.load import run_loadtest
+
+    events_path = tmp_path / "events.jsonl"
+    result = run_loadtest(
+        worker_counts=(2,), requests=12, pool="thread", backend="wasm",
+        kernels=("trisolv",), verify_serial=False,
+        faults="crash:5,corrupt:3", fault_seed=1, preempt_after=800,
+        seal_window=4, events_out=str(events_path),
+    )
+    assert result["ok"], result["gates"]
+    _meta, events = read_jsonl(str(events_path))
+    emitted = {event.kind for event in events}
+    assert {"batch_seal", "checkpoint", "fault_performed", "module_cache"} <= emitted
+    assert emitted <= set(EVENT_KINDS), emitted - set(EVENT_KINDS)

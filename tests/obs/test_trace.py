@@ -232,5 +232,7 @@ def test_sandbox_trace_shows_run_slice_spans_under_execute():
     [execute] = [s for s in spans if s.name == "execute"]
     children = {s.name: s for s in spans if s.parent_id == execute.span_id}
     assert set(children) == {"worker.instantiate", "worker.invoke"}
-    assert children["worker.instantiate"].attributes["warm"] is False
+    # the enclave's first slice builds the instance its pool then leases
+    [build] = [s for s in spans if s.name == "warmpool.build"]
+    assert build.parent_id == children["worker.instantiate"].span_id
     assert children["worker.invoke"].attributes["export"] == "f"

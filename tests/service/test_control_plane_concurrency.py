@@ -146,7 +146,7 @@ def test_quota_concurrent_admit_settle_across_tenants():
 
 
 def test_adaptive_process_pool_shrinks_to_cores():
-    pool = WorkerPool(workers=256, kind="process", adaptive=True)
+    pool = WorkerPool(workers=256, kind="process")
     try:
         assert pool.requested_workers == 256
         assert pool.workers == min(256, cores_available())
@@ -157,7 +157,7 @@ def test_adaptive_process_pool_shrinks_to_cores():
 def test_adaptive_sizing_leaves_thread_pools_alone():
     # thread workers wait on I/O-ish futures, not cores; shrinking them
     # would serialize the modeled backend for no reason
-    pool = WorkerPool(workers=9, kind="thread", adaptive=True)
+    pool = WorkerPool(workers=9, kind="thread")
     try:
         assert pool.workers == 9
     finally:

@@ -182,8 +182,8 @@ class TestEventBackhaul:
             assert all(e.fields.get("trace_id") == tid for e in matching), kind
 
 
-class TestSampling:
-    def test_unsampled_requests_keep_receipt_provenance(self):
+class TestSinkSets:
+    def test_events_only_requests_keep_receipt_provenance(self):
         # tracing off, events on: no span is recorded anywhere, yet the
         # trace identity flows onto receipts and gateway and worker events
         log = enable_events(EventLog())

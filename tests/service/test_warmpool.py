@@ -8,8 +8,8 @@ per-request limits).
 
 import pytest
 
-from repro.service.warmpool import WarmPool
 from repro.wasm.interpreter import ExecutionLimits, Instance, Trap
+from repro.wasm.snapshot import WarmPool
 from repro.wasm.wat_parser import parse_wat
 
 WORK = """
@@ -66,6 +66,27 @@ class TestReuseCorrectness:
         handle = pool.acquire()
         assert handle.instance.invoke("work", 1000) > 0
 
+    def test_start_function_is_built_under_the_lease_budget(self):
+        # a start loop of ~3,000 instructions; the instance a lease builds
+        # runs it under that lease's limits, never armed to capture
+        module = parse_wat("""
+        (module
+          (global $n (mut i32) (i32.const 0))
+          (func $spin
+            (loop $again
+              (global.set $n (i32.add (global.get $n) (i32.const 1)))
+              (br_if $again (i32.lt_u (global.get $n) (i32.const 1000)))))
+          (func (export "n") (result i32) (global.get $n))
+          (start $spin))
+        """)
+        pool = WarmPool(module=module)
+        with pytest.raises(Trap, match="budget"):
+            pool.acquire(limits=ExecutionLimits(max_instructions=100))
+        # armed to capture at 10 instructions, the build still completes
+        handle = pool.acquire(limits=ExecutionLimits(snapshot_at=10))
+        assert handle.instance.globals[0].value == 1000
+        assert pool.stats()["builds"] == 1
+
     def test_io_accounting_is_per_lease(self):
         pool = make_pool()
         handle = pool.acquire(input_data=b"abc")
@@ -84,7 +105,7 @@ class TestReuseCorrectness:
 
 # -- a reused instance is a fresh instance ----------------------------------------
 #
-# Workers run every slice on a pooled instance, so whatever one slice leaves
+# Every slice runs on a pooled instance, so whatever one slice leaves
 # behind — a trap mid-run, a capture with frames still live, grown memory,
 # channel output, host_log values, an armed profiler — must be gone when the
 # next slice starts: its readings and stats equal a fresh instance's.
@@ -138,16 +159,21 @@ def reuse_module():
 
 def slice_(module, digest, engine, export="work", args=(30,), input_data=PROBE_INPUT,
            limits=None, snapshot=None, pool=None):
+    """One ``run_slice`` on ``pool``, or on a pool of its own, whose first
+    lease is a freshly built instance."""
     from repro.core.accounting_enclave import run_slice
 
+    if pool is None:
+        pool = WarmPool(module=module, module_hash=digest, engine=engine, max_size=1)
     return run_slice(
-        module, digest, 0, export, args, input_data, limits or ExecutionLimits(),
-        engine, snapshot=snapshot, pool=pool,
+        pool, 0, export, args, input_data, limits or ExecutionLimits(),
+        snapshot=snapshot,
     )
 
 
 def fresh_stats(module, engine, export, args, input_data, limits, snapshot=None):
-    """The stats a fresh instance ends the slice with (the AE's path)."""
+    """The stats a fresh instance ends the slice with, set up by the
+    wasm-level primitives (``instantiate``, ``restore_instance``)."""
     from repro.wasm.runtime import HostEnvironment, IOChannel
     from repro.wasm.snapshot import (
         SnapshotCaptured,

@@ -233,9 +233,10 @@ def test_a_large_task_waits_for_an_idle_worker(sum_task):
         pool.shutdown()
 
 
-def test_crash_past_max_rebuilds_degrades_to_threads(sum_task):
+def test_crash_past_max_rebuilds_degrades_to_threads(monkeypatch, sum_task):
     expected = execute_task(sum_task).raw
-    pool = WorkerPool(workers=1, kind="process", max_rebuilds=0)
+    monkeypatch.setattr(worker, "MAX_REBUILDS", 0)
+    pool = WorkerPool(workers=1, kind="process")
     try:
         crash = pool.submit(replace(sum_task, fault="crash", fault_arg=0.3))
         require_processes(pool)
@@ -268,13 +269,22 @@ def test_pool_falls_back_to_threads_without_worker_processes(monkeypatch, sum_ta
         disable_events()
 
 
+# a process pool shrinks to the cores available, so a multi-worker test
+# needs at least two of them to run more than one worker
+needs_two_cores = pytest.mark.skipif(
+    worker.cores_available() < 2,
+    reason="a process pool has one worker per available core; this needs two",
+)
+
+
+@needs_two_cores
 def test_shutdown_stops_every_worker_process(sum_task):
     pool = WorkerPool(workers=2, kind="process")
     futures = [pool.submit(sum_task) for _ in range(5)]
     require_processes(pool)
     for future in futures:
         future.result(timeout=30)
-    assert len(multiprocessing.active_children()) == 2
+    assert len(multiprocessing.active_children()) == pool.workers == 2
     pool.shutdown()
     assert multiprocessing.active_children() == []
 
@@ -297,8 +307,9 @@ def test_shutdown_during_a_crash_respawns_nothing(sum_task):
     assert multiprocessing.active_children() == []
 
 
+@needs_two_cores
 def test_concurrent_submits_lose_no_task(sum_task):
-    """More workers than cores, submits from several threads at a tiny
+    """Several workers, submits from several threads at a tiny
     switch interval: every task is answered once, correctly, and the pool
     ends with nothing queued or in flight."""
     expected = execute_task(sum_task).raw

@@ -27,10 +27,9 @@ from repro.wasm import compile_engine
 from repro.wasm.compile_engine import CODE_CACHE, CompiledEngine
 from repro.wasm.costmodel import CostModel
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
-from repro.service.warmpool import WarmPool
 from repro.wasm.interpreter import SnapshotCaptured
 from repro.wasm.runtime import HostEnvironment, IOChannel
-from repro.wasm.snapshot import restore_instance, resume_invoke
+from repro.wasm.snapshot import WarmPool, restore_instance, resume_invoke
 from repro.wasm.wat_parser import parse_wat
 from repro.workloads import (
     DARKNET,

@@ -158,13 +158,6 @@ class TestHostEnvironment:
         assert env.account.calls == 2
         assert env.log_values == [11]
 
-    def test_io_accounting_can_be_disabled(self):
-        env = HostEnvironment(IOChannel(input_data=b"abc"), account_io=False)
-        inst = env.instantiate(parse_wat(self.SOURCE))
-        inst.invoke("pump")
-        assert env.account.total == 0
-        assert bytes(env.channel.output) == b"abc"
-
     def test_abort_traps(self):
         env = HostEnvironment()
         inst = env.instantiate(parse_wat("""

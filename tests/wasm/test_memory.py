@@ -27,11 +27,11 @@ def test_grow_negative_fails():
     assert LinearMemory(1).grow(-1) == -1
 
 
-def test_grow_records_events():
+def test_grow_returns_old_page_count():
     mem = LinearMemory(1)
-    mem.grow(1)
-    mem.grow(3)
-    assert mem.grow_events == [2, 5]
+    assert mem.grow(1) == 1
+    assert mem.grow(3) == 2
+    assert mem.pages == 5
 
 
 def test_peak_equals_current():

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
+from repro.obs.trace import Tracer, disable_tracing, enable_tracing
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance, Trap
 from repro.wasm.snapshot import (
     SnapshotCaptured,
@@ -181,11 +182,22 @@ def test_checkpoint_receipts_sum_to_uninterrupted_vector():
     engines = ("compile", "predecode")
     from repro.core.accounting_enclave import WorkloadCheckpoint
 
-    while isinstance(outcome, WorkloadCheckpoint):
-        sandbox.ae.engine = engines[hops % len(engines)]
-        outcome = sandbox.resume(outcome, snapshot_at=150)
-        hops += 1
+    tracer = enable_tracing(Tracer())
+    try:
+        while isinstance(outcome, WorkloadCheckpoint):
+            sandbox.ae.engine = engines[hops % len(engines)]
+            outcome = sandbox.resume(outcome, snapshot_at=150)
+            hops += 1
+    finally:
+        disable_tracing()
     assert hops >= 2
+    # each hop resumed on the engine the AE was switched to
+    ran = [
+        s.attributes["exec_engine"]
+        for s in tracer.finished()
+        if s.name == "worker.resume_invoke"
+    ]
+    assert ran == [engines[hop % len(engines)] for hop in range(hops)]
 
     assert outcome.value == expected.value
     entries = sandbox.log.entries
