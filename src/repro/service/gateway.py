@@ -9,6 +9,11 @@ execution backend (worker processes by default) and come back as raw meter
 readings; the tenant's AE signs each into a receipt, and the billing ledger
 seals receipts into Merkle-rooted epochs.
 
+The request path adds no thread of its own: admission and the first
+dispatch run in the submitting thread, and each result is accounted by its
+pool future's done-callback on whichever thread resolved it.  One timer
+thread, started at the first deadline or retry backoff, runs both.
+
 Each request transition records its telemetry through the table in
 :mod:`repro.service.lifecycle`; the load driver behind ``repro loadtest``,
 ``repro serve`` and ``repro top`` lives in :mod:`repro.service.load`.
@@ -16,12 +21,15 @@ Each request transition records its telemetry through the table in
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+import itertools
 import threading
 import time
 from contextlib import ExitStack
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from repro.core.accounting_enclave import AccountingEnclave, WorkloadResult
 from repro.core.cache import InstrumentationCache
@@ -101,14 +109,16 @@ class GatewayResponse:
 
 @dataclass
 class _RequestState:
-    """One admitted request's lifecycle, owned by its serving coroutine.
+    """One admitted request's lifecycle.
 
-    ``finalized`` is the exactly-once gate: whichever of {worker result,
-    deadline, terminal failure} claims it first settles the admission slot,
-    ends the span and resolves the future — and only the claimant may sign
-    a receipt, so a result arriving after its deadline is dropped unbilled.
-    The whole lifecycle runs on the front-end event loop, so the claim is
-    a belt-and-braces invariant rather than a race arbiter.
+    ``finalized`` is the exactly-once gate: whichever of {final worker
+    result, deadline timer, terminal failure} claims it first settles the
+    admission slot, ends the span and resolves the future — and only the
+    claimant may sign a final receipt, so a result arriving after its
+    deadline is dropped unbilled.  The deadline timer and the result
+    callbacks run on different threads: :meth:`claim`, taken under
+    :attr:`lock`, arbitrates between them, and a checkpoint is signed under
+    the same lock, so none is recorded after the request settled.
     """
 
     request_id: int
@@ -121,6 +131,8 @@ class _RequestState:
     deadline: float | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     finalized: bool = False
+    #: cancels the armed deadline timer (None when no deadline is set)
+    disarm: "Callable[[], None] | None" = None
     #: preemption bookkeeping: checkpoint receipts signed so far, and the
     #: (counter, io_in, io_out) totals they billed — the final receipt
     #: bills only the delta past this baseline (both mutated under the
@@ -129,8 +141,8 @@ class _RequestState:
     billed: tuple = (0, 0, 0)
     #: distributed-trace context for this request (``None`` when no
     #: telemetry sink is on); re-minted to the next hop on every
-    #: checkpoint re-dispatch and retry, always on the single serving
-    #: coroutine for the request, so no extra locking is needed
+    #: checkpoint re-dispatch and retry.  A request has one hop in flight
+    #: at a time, so its callbacks never overlap and need no extra locking
     trace: "TraceContext | None" = None
 
     def claim(self) -> bool:
@@ -138,7 +150,9 @@ class _RequestState:
             if self.finalized:
                 return False
             self.finalized = True
-            return True
+        if self.disarm is not None:
+            self.disarm()
+        return True
 
     def remaining(self) -> float | None:
         if self.deadline is None:
@@ -150,109 +164,91 @@ class _RequestState:
         return self.trace.trace_id if self.trace is not None else None
 
 
-# gateway ids are minted once per gateway construction
-_GATEWAY_SEQ = 0
-_GATEWAY_SEQ_LOCK = threading.Lock()
+#: gateway ids, one per gateway construction (``next`` on a count is atomic)
+_GATEWAY_IDS = itertools.count(1)
 
 
-def _next_gateway_id() -> str:
-    global _GATEWAY_SEQ
-    with _GATEWAY_SEQ_LOCK:
-        _GATEWAY_SEQ += 1
-        return f"gw-{_GATEWAY_SEQ}"
+class _Timers:
+    """Callbacks due at ``perf_counter`` times, run on one daemon thread.
 
-
-class _AsyncFrontend:
-    """The gateway's event loop, run on one daemon thread.
-
-    Admission stays synchronous in the caller's thread; everything after —
-    dispatch, deadline watch, retry backoff, checkpoint re-dispatch,
-    accounting — is one coroutine per request on this loop.  Replaces the
-    two-timers-per-request scheme (a ``threading.Timer`` watchdog plus
-    backoff timers), whose thread churn was part of the multi-worker cliff.
+    The gateway's only timer facility: request deadlines and retry backoff.
+    The thread starts at the first :meth:`arm`, so a gateway that sets no
+    deadline and retries nothing never starts it.  Callbacks must not
+    raise; the gateway's finalize their request instead.
     """
 
     def __init__(self, name: str):
-        self._loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        # coroutines enqueued but not yet scheduled on the loop: waking the
-        # loop costs a self-pipe write per call, so bursts of submits share
-        # one wake-up (the scheduled drain empties the whole queue)
-        self._pending: list = []
-        self._pending_lock = threading.Lock()
-        self._drain_scheduled = False
-        self._thread.start()
-        self._started.wait()
+        self._name = name
+        # heap of [due, seq, fn, args]; a cancelled or fired entry has fn None
+        self._heap: list = []
+        self._cancelled = 0
+        self._seq = itertools.count()
+        self._cond = threading.Condition()
+        self._thread: threading.Thread | None = None
         self.closed = False
 
+    def arm(self, due: float, fn, *args):
+        """Run ``fn(*args)`` at ``due``; returns a callable that cancels it.
+        Once shut down, runs ``fn`` at once on the calling thread."""
+        entry = [due, next(self._seq), fn, args]
+        with self._cond:
+            closed = self.closed
+            if not closed:
+                heapq.heappush(self._heap, entry)
+                if self._thread is None:
+                    self._thread = threading.Thread(
+                        target=self._run, name=self._name, daemon=True
+                    )
+                    self._thread.start()
+                elif self._heap[0] is entry:
+                    self._cond.notify()
+        if closed:
+            fn(*args)
+        return partial(self._cancel, entry)
+
+    def _cancel(self, entry: list) -> None:
+        with self._cond:
+            if entry[2] is None:
+                return  # fired already
+            entry[2:] = [None, ()]
+            self._cancelled += 1
+            if self._cancelled > len(self._heap) // 2:
+                # drop cancelled deadlines rather than hold them until due
+                self._heap = [e for e in self._heap if e[2] is not None]
+                heapq.heapify(self._heap)
+                self._cancelled = 0
+
     def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(self._started.set)
-        self._loop.run_forever()
-
-    def bridge(self, inner: Future) -> "asyncio.Future":
-        """An asyncio future (on this loop) resolved when ``inner`` completes.
-
-        Replaces :func:`asyncio.wrap_future` on the hot path: the pool's
-        done-callback goes through the batched wake queue instead of
-        paying one self-pipe write per completion.  The bridged future
-        carries no result or exception — callers classify the outcome via
-        the pool future itself — so an abandoned (post-deadline) waiter
-        never triggers "exception was never retrieved".  Must be called
-        from the loop thread.
-        """
-        fut = self._loop.create_future()
-
-        def _resolve() -> None:
-            if not fut.done():
-                fut.set_result(None)
-
-        inner.add_done_callback(lambda _f: self.post(_resolve))
-        return fut
-
-    def post(self, item) -> None:
-        """From any thread, run a plain callable on the loop or schedule a
-        coroutine there; bursts share one wake-up."""
-        if self.closed:  # pragma: no cover - late completion after shutdown
-            return
-        with self._pending_lock:
-            self._pending.append(item)
-            wake = not self._drain_scheduled
-            if wake:
-                self._drain_scheduled = True
-        if wake:
-            try:
-                self._loop.call_soon_threadsafe(self._drain)
-            except RuntimeError:  # pragma: no cover - loop closed mid-enqueue
-                pass
-
-    def _drain(self) -> None:
-        while True:
-            with self._pending_lock:
-                pending, self._pending = self._pending, []
-                if not pending:
-                    self._drain_scheduled = False
-                    return
-            for item in pending:
-                if callable(item):  # coroutine objects are not callable
-                    item()
-                else:
-                    self._loop.create_task(item)
+        with self._cond:
+            while not self.closed:
+                wait_s = self._heap[0][0] - time.perf_counter() if self._heap else None
+                if wait_s is None or wait_s > 0:
+                    self._cond.wait(wait_s)
+                    continue
+                entry = heapq.heappop(self._heap)
+                fn, args = entry[2], entry[3]
+                entry[2:] = [None, ()]
+                if fn is None:
+                    self._cancelled -= 1
+                    continue
+                self._cond.release()
+                try:
+                    fn(*args)
+                finally:
+                    self._cond.acquire()
 
     def shutdown(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        for item in pending:  # pragma: no cover - shutdown race
-            if not callable(item):
-                item.close()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._thread.is_alive():
-            self._loop.close()
+        """Stop the thread, then run what is still armed, in due order, on
+        the calling thread (a retry then fails against the closed backend)."""
+        with self._cond:
+            self.closed = True
+            armed, self._heap = sorted(self._heap), []
+            self._cond.notify()
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+        for _due, _seq, fn, args in armed:
+            if fn is not None:
+                fn(*args)
 
 
 class MeteringGateway:
@@ -290,7 +286,7 @@ class MeteringGateway:
         #: its ledger) emits is stamped ``gateway=<id>``, so a shared event
         #: log can be sliced per gateway — e.g. one drift audit per sweep
         #: point of a multi-gateway load test.
-        self.gateway_id = _next_gateway_id()
+        self.gateway_id = f"gw-{next(_GATEWAY_IDS)}"
         #: Failure-handling policy.  The default retries transient worker
         #: crashes a couple of times and enforces no deadline — fault-free
         #: behaviour (and its signed vectors) is byte-identical to a gateway
@@ -309,10 +305,8 @@ class MeteringGateway:
         self.platform.launch(self.qe)
         self.attestation_service.provision(self.qe)
         self.cache = InstrumentationCache(self.ie)
-        #: Worker sizing: a process pool is shrunk to the cores
-        #: actually available — oversubscription is the other half of the
-        #: multi-worker cliff (4 CPU-bound workers on 1 core run slower
-        #: than 1).  The requested count stays visible in :meth:`stats`.
+        #: A process pool shrinks to the cores available (see
+        #: :class:`WorkerPool`); :meth:`stats` shows both counts.
         self.requested_workers = workers
         self.backend: ExecutionBackend = backend or WasmBackend(
             WorkerPool(workers=workers, kind=pool)
@@ -326,7 +320,7 @@ class MeteringGateway:
         #: 1, 2, 3, … per gateway).
         self._requests = 0
         self._id_lock = threading.Lock()
-        self._frontend = _AsyncFrontend(name=f"{self.gateway_id}-frontend")
+        self._timers = _Timers(name=f"{self.gateway_id}-timers")
 
     # -- tenant lifecycle --------------------------------------------------------
 
@@ -430,18 +424,20 @@ class MeteringGateway:
 
         Raises a typed :class:`~repro.service.quota.AdmissionError`
         *synchronously* when the tenant is over quota — rejected requests
-        never reach the pool.  Everything after admission is one coroutine
-        on the gateway's event loop: post-admission failures resolve the
+        never reach the pool.  The first hop is dispatched here, in the
+        caller's thread; every later step runs on a thread that already
+        exists (see :meth:`_advance`).  Post-admission failures resolve the
         future to a typed :class:`~repro.service.faults.GatewayFailure`,
         transient worker crashes are retried (same ``request_id``,
         exponential backoff with deterministic jitter) within
-        :attr:`resilience`'s budget, a wall-clock deadline is enforced by
-        the serving coroutine (a late worker result is dropped unbilled),
-        and meter readings are sanity-validated before the tenant's
-        accounting enclave signs them.  Whatever happens, the request is
-        billed at most once and its admission slot is settled exactly once.
+        :attr:`resilience`'s budget, a wall-clock deadline is enforced by a
+        timer armed only when one is set (a late worker result is dropped
+        unbilled), and meter readings are sanity-validated before the
+        tenant's accounting enclave signs them.  Whatever happens, the
+        request is billed at most once and its admission slot is settled
+        exactly once.
         """
-        if self._frontend.closed:
+        if self._timers.closed:
             raise RuntimeError("gateway is shut down")
         req_span = obs_span(
             "gateway.request", detached=True, tenant=tenant_id, export=export
@@ -498,7 +494,11 @@ class MeteringGateway:
         )
         if fault is not None:
             self._transition(state, "fault_injected", fault=fault)
-        self._frontend.post(self._serve(state, task))
+        if state.deadline is not None:
+            state.disarm = self._timers.arm(
+                state.deadline, self._deadline_exceeded_now, state
+            )
+        self._advance(state, task)
         return state.response
 
     def _transition(self, state: _RequestState, kind: str, **fields) -> None:
@@ -507,40 +507,49 @@ class MeteringGateway:
         fields["trace_id"] = state.trace_id
         self._recorder.record(kind, state.tenant.tenant_id, state.span, fields)
 
-    # -- the resilient serving coroutine -----------------------------------------
+    # -- the request path: callbacks on the threads results land on ------------
 
-    async def _serve(self, state: _RequestState, task: ExecutionTask) -> None:
-        """One request's whole post-admission lifecycle as a coroutine.
-
-        Dispatch, the deadline watch, retry backoff, checkpoint
-        re-dispatch and final accounting all run here, on the front-end
-        loop — workers stay processes (or threads), and their results come
-        back through the pool future the coroutine awaits.
+    def _advance(
+        self,
+        state: _RequestState,
+        task: ExecutionTask,
+        attempt: int = 0,
+        inner: "Future[WorkerResult] | None" = None,
+    ) -> None:
+        """Dispatch ``task`` (unless ``inner``, its done pool future, is
+        given) and account its result: settle, dispatch the next slice, arm
+        a retry or finalize.  Runs in :meth:`submit`'s thread, as the pool
+        future's done-callback wherever it resolves (the pool's pump or a
+        pool or backend thread) and on the timer thread after a backoff; a
+        future already done loops here rather than nesting a callback.
+        Never raises (``concurrent.futures`` would log it and strand the
+        response): whatever escapes finalizes the request.
         """
-        attempt = 0
         try:
             while True:
-                remaining = state.remaining()
-                if remaining is not None and remaining <= 0:
-                    self._deadline_exceeded_now(state)
+                if state.finalized:
+                    # the deadline landed first: nothing more is dispatched,
+                    # and a late result (or failure) is dropped unbilled
                     return
-                try:
-                    inner = self.backend.submit(task)
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    failure = exc
-                else:
-                    if not await self._await_result(inner, remaining):
-                        # the deadline landed first: the late result (or
-                        # hang) is abandoned, never accounted, never billed
+                if inner is None:
+                    remaining = state.remaining()
+                    if remaining is not None and remaining <= 0:
                         self._deadline_exceeded_now(state)
                         return
-                    failure = inner.exception()
-                if failure is not None:
-                    task = await self._task_failed(state, task, attempt, failure)
-                    if task is None:
+                    try:
+                        inner = self.backend.submit(task)
+                    except Exception as exc:  # noqa: BLE001 - classified below
+                        inner = Future()
+                        inner.set_exception(exc)
+                    if not inner.done():
+                        inner.add_done_callback(
+                            partial(self._advance, state, task, attempt)
+                        )
                         return
-                    attempt += 1
-                    continue
+                failure = inner.exception()
+                if failure is not None:
+                    self._task_failed(state, task, attempt, failure)
+                    return
                 worker_result = inner.result()
                 if worker_result.telemetry is not None:
                     merge_telemetry(
@@ -552,76 +561,54 @@ class MeteringGateway:
                 task = self._sign_and_record(state, task, worker_result)
                 if task is None:
                     return
-                attempt = 0
+                inner, attempt = None, 0
         except BaseException as exc:  # noqa: BLE001 - never strand the future
             self._finalize_failure(state, exc)
 
-    async def _await_result(self, inner: Future, remaining: float | None) -> bool:
-        """Await the pool future; False when the deadline expires first.
-
-        Uses :func:`asyncio.wait` rather than ``wait_for`` so a timeout
-        never cancels the pool future — the worker may still be running,
-        and pool bookkeeping (slot release, backlog drain) must proceed;
-        the result is simply dropped, exactly as the old watchdog did.
-        """
-        if inner.done():  # fast workers beat the coroutine here
-            return True
-        waiter = self._frontend.bridge(inner)
-        if remaining is None:
-            # no deadline: a bare await skips asyncio.wait's task setup;
-            # the caller classifies failures via inner.exception()
-            await waiter
-            return True
-        done, _pending = await asyncio.wait({waiter}, timeout=remaining)
-        return bool(done)
-
-    async def _task_failed(
-        self,
-        state: _RequestState,
-        task: ExecutionTask,
-        attempt: int,
-        exc: BaseException,
-    ) -> ExecutionTask | None:
-        """Classify one failure; returns the retry task after awaiting its
-        backoff, or ``None`` once the request is finalized."""
+    def _task_failed(
+        self, state: _RequestState, task: ExecutionTask, attempt: int, exc: BaseException
+    ) -> None:
+        """Classify one failure: arm its retry after the backoff, or
+        finalize the request."""
         if is_transient(exc) and attempt < self.resilience.max_retries:
-            self._transition(state, "retry", attempt=attempt + 1)
+            with state.lock:
+                if state.finalized:
+                    return
+                self._transition(state, "retry", attempt=attempt + 1)
             # retries reuse the request id (exactly-once billing)
             clean = self._redispatch(state, task)
             delay = self.resilience.backoff_s(state.request_id, attempt)
             remaining = state.remaining()
-            if remaining is not None and delay >= remaining:
-                # the deadline lands before the retry could dispatch
-                if remaining > 0:
-                    await asyncio.sleep(remaining)
-                self._deadline_exceeded_now(state)
-                return None
-            await asyncio.sleep(delay)
-            return clean
+            # a retry due past the deadline is never armed: the deadline
+            # timer settles the request first
+            if remaining is None or delay < remaining:
+                self._timers.arm(
+                    time.perf_counter() + delay, self._advance, state, clean, attempt + 1
+                )
+            return
         if is_transient(exc):
             exc = RetriesExhausted(
                 f"request {state.request_id} failed after {attempt + 1} attempts; "
                 f"last error: {exc}"
             )
         self._finalize_failure(state, exc)
-        return None
 
     def _redispatch(
         self, state: _RequestState, task: ExecutionTask, **changes
     ) -> ExecutionTask:
         """The next hop of ``task``: never re-injecting its fault (it
         already happened), under a re-minted trace hop."""
-        task = replace(task, fault=None, fault_arg=0.0, **changes)
         if state.trace is not None:
             state.trace = state.trace.next_hop()
-            task = replace(task, trace=state.trace.to_wire())
-        return task
+            changes["trace"] = state.trace.to_wire()
+        return replace(task, fault=None, fault_arg=0.0, **changes)
 
     def _sign_and_record(
         self, state: _RequestState, task: ExecutionTask, worker_result: WorkerResult
     ) -> ExecutionTask | None:
-        """Have the tenant's AE sign one slice, record its receipt, and
-        either settle the request or return the task resuming it.
+        """Validate one slice's readings, have the tenant's AE sign them,
+        record the receipt, and either settle the request or return the
+        task resuming it.
 
         A final result (no snapshot) is signed for the delta past the
         checkpoints already billed, under the bare request id, and settles
@@ -633,7 +620,6 @@ class MeteringGateway:
         re-dispatched, free to land on any worker.
         """
         raw = worker_result.raw
-        final = worker_result.snapshot is None
         problems = (
             validate_raw(raw, self.config.max_instructions)
             if self.resilience.validate_results
@@ -641,64 +627,34 @@ class MeteringGateway:
         )
         if problems:
             # a lying worker, not a failing one: reject, never sign, no retry
-            self._transition(state, "result_rejected", problems=problems)
-            self._finalize_failure(
-                state, ResultRejected("implausible meter readings: " + "; ".join(problems))
-            )
+            if state.claim():
+                self._transition(state, "result_rejected", problems=problems)
+                self._fail_finalized(
+                    state,
+                    ResultRejected("implausible meter readings: " + "; ".join(problems)),
+                )
             return None
-        if final and not state.claim():
-            return None  # already finalized (belt and braces): drop, unbilled
+        snapshot = worker_result.snapshot
+        if snapshot is not None:
+            # under the request lock, so the deadline cannot settle the
+            # request between this check and the checkpoint's record
+            with state.lock:
+                if state.finalized:
+                    return None
+                self._sign(state, raw, final=False)
+                self._transition(
+                    state, "checkpoint",
+                    checkpoint=state.checkpoints, snapshot_bytes=len(snapshot),
+                )
+            return self._redispatch(state, task, snapshot=snapshot)
+        if not state.claim():
+            return None  # the deadline landed first: drop, unbilled
         tenant = state.tenant
-        trace_id = state.trace_id
-        checkpoint = state.checkpoints + 1
-        if final:
-            request_id, span_name, span_attrs = state.request_id, "gateway.account", {}
-        else:
-            request_id = f"{state.request_id}#cp{checkpoint}"
-            span_name = "gateway.checkpoint"
-            span_attrs = {"checkpoint": checkpoint, "trace_id": trace_id}
         try:
-            with obs_span(
-                span_name, parent=state.span, tenant=tenant.tenant_id, **span_attrs
-            ):
-                # narrow critical section: only the AE signing, the chain
-                # append and the billed baseline are under the tenant lock;
-                # a duplicate id is refused before the AE signs, so its log
-                # never runs ahead of the ledger chain
-                with tenant.lock:
-                    self.ledger.check_unbilled(tenant.tenant_id, request_id)
-                    result = tenant.ae.account_span(
-                        raw,
-                        label=state.label,
-                        baseline=state.billed,
-                        final=final,
-                        trace_id=trace_id,
-                    )
-                    receipt = self.ledger.record(
-                        tenant.tenant_id,
-                        tenant.ae.log.entries[-1],
-                        request_id=request_id,
-                        trace_id=trace_id,
-                    )
-                    for batch in tenant.ae.log.drain_batches():
-                        self.ledger.record_batch(tenant.tenant_id, batch)
-                    if not final:
-                        state.checkpoints = checkpoint
-                        state.billed = raw.billed
+            result, receipt = self._sign(state, raw, final=True)
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            if final:
-                self._fail_finalized(state, exc)
-            else:
-                self._finalize_failure(state, exc)
+            self._fail_finalized(state, exc)
             return None
-        if not final:
-            self._transition(
-                state,
-                "checkpoint",
-                checkpoint=checkpoint,
-                snapshot_bytes=len(worker_result.snapshot),
-            )
-            return self._redispatch(state, task, snapshot=worker_result.snapshot)
         # settle the slot for the request's full consumption: the final
         # receipt's delta plus everything the checkpoint receipts billed
         self.admission.settle(
@@ -718,22 +674,61 @@ class MeteringGateway:
         )
         return None
 
+    def _sign(
+        self, state: _RequestState, raw, final: bool
+    ) -> tuple[WorkloadResult, Receipt]:
+        """The tenant's AE signs one slice's delta past the billed baseline;
+        the ledger records its receipt."""
+        tenant = state.tenant
+        trace_id = state.trace_id
+        checkpoint = state.checkpoints + 1
+        if final:
+            request_id, span_name, span_attrs = state.request_id, "gateway.account", {}
+        else:
+            request_id = f"{state.request_id}#cp{checkpoint}"
+            span_name = "gateway.checkpoint"
+            span_attrs = {"checkpoint": checkpoint, "trace_id": trace_id}
+        with obs_span(span_name, parent=state.span, tenant=tenant.tenant_id, **span_attrs):
+            # narrow critical section: only the AE signing, the chain
+            # append and the billed baseline are under the tenant lock; a
+            # duplicate id is refused before the AE signs, so its log never
+            # runs ahead of the ledger chain
+            with tenant.lock:
+                self.ledger.check_unbilled(tenant.tenant_id, request_id)
+                result = tenant.ae.account_span(
+                    raw,
+                    label=state.label,
+                    baseline=state.billed,
+                    final=final,
+                    trace_id=trace_id,
+                )
+                receipt = self.ledger.record(
+                    tenant.tenant_id,
+                    tenant.ae.log.entries[-1],
+                    request_id=request_id,
+                    trace_id=trace_id,
+                )
+                for batch in tenant.ae.log.drain_batches():
+                    self.ledger.record_batch(tenant.tenant_id, batch)
+                if not final:
+                    state.checkpoints = checkpoint
+                    state.billed = raw.billed
+        return result, receipt
+
     def _deadline_exceeded_now(self, state: _RequestState) -> None:
-        if not state.claim():
-            return
-        self._transition(state, "deadline_exceeded")
-        self._fail_finalized(
-            state,
-            DeadlineExceeded(
-                f"request {state.request_id} exceeded its "
-                f"{self.resilience.deadline_s}s deadline"
-            ),
-        )
+        if state.claim():
+            self._transition(state, "deadline_exceeded")
+            self._fail_finalized(
+                state,
+                DeadlineExceeded(
+                    f"request {state.request_id} exceeded its "
+                    f"{self.resilience.deadline_s}s deadline"
+                ),
+            )
 
     def _finalize_failure(self, state: _RequestState, exc: BaseException) -> None:
-        if not state.claim():
-            return
-        self._fail_finalized(state, exc)
+        if state.claim():
+            self._fail_finalized(state, exc)
 
     def _fail_finalized(self, state: _RequestState, exc: BaseException) -> None:
         """Failure bookkeeping once the state is claimed: settle the slot,
@@ -856,7 +851,7 @@ class MeteringGateway:
 
     def shutdown(self) -> None:
         self.backend.shutdown()
-        self._frontend.shutdown()
+        self._timers.shutdown()
 
     def __enter__(self) -> "MeteringGateway":
         return self

@@ -30,8 +30,10 @@ it starts the next hop the moment it has sent the last result, while the
 gateway is still accounting that one.  Empty slots fill first; a second
 task enters a pipe only when every worker already holds one, and the
 surplus waits in the pool's own backlog.  One pump thread in the gateway
-waits on every pipe and process sentinel, resolves the pool's futures and
-refills slots from the backlog.
+waits on every pipe and process sentinel, refills slots from the backlog
+and resolves the pool's futures outside the pool lock, so it also runs
+their done-callbacks: the gateway's accounting of each result, and the
+submit of a preempted request's next slice.
 
 Workers are assumed to fail.  A worker reads its next task only after it
 has sent the last result in full, so when one dies the pump first takes

@@ -3,7 +3,8 @@
 Covers the resilience layer end to end: deterministic fault plans and
 backoff, worker-result sanity validation, typed deadline / crash / corrupt
 failures through a live gateway, the exactly-once billing invariant under
-retries and races, pool rebuild after a real process crash, and the
+retries and races, a backend or result callback that raises (the request
+still settles), pool rebuild after a real process crash, and the
 fault-free differential (a gateway *with* a resilience policy stays
 byte-identical to the serial baseline).
 """
@@ -13,8 +14,10 @@ from concurrent.futures import wait
 
 import pytest
 
+import repro.service.gateway as gateway_module
 from repro.core.accounting_enclave import RawExecution
 from repro.core.resource_log import ResourceUsageLog, ResourceVector
+from repro.obs.events import EventLog, disable_events, enable_events
 from repro.service import (
     DeadlineExceeded,
     DuplicateReceipt,
@@ -25,6 +28,7 @@ from repro.service import (
     ResultRejected,
     validate_raw,
 )
+from repro.service.backends import WasmBackend
 from repro.service.faults import corrupt_raw
 from repro.service.load import (
     polybench_tenant_mix,
@@ -32,10 +36,15 @@ from repro.service.load import (
     _request_schedule,
 )
 from repro.service.ledger import BillingLedger
+from repro.service.worker import WorkerPool
 from repro.tcrypto.rsa import rsa_generate
 from repro.wasm.memory import PAGE_SIZE
 
 MINIC_SQUARE = "int square(int x) { return x * x; }"
+MINIC_LOOP = (
+    "int f(int n) { int t = 0; "
+    "for (int i = 0; i < n; i = i + 1) t = t + i; return t; }"
+)
 
 
 # -- fault plans ---------------------------------------------------------------
@@ -264,6 +273,89 @@ def test_fault_free_gateway_with_policy_matches_serial_baseline():
         gateway_totals = gw.totals().to_json()
         assert gw.verify_epoch(gw.seal_epoch()).ok
     assert gateway_totals == serial_baseline_totals(mix, schedule).to_json()
+
+
+# -- no callback leaves a response unresolved ----------------------------------
+
+
+class _Refused(GatewayFailure):
+    code = "refused"
+
+
+class RefusingBackend:
+    """A thread-pool backend whose ``submit`` raises on its ``fail_on``-th
+    call (a later call is a preempted slice's re-dispatch, made from the
+    pool thread that resolved the slice before it)."""
+
+    def __init__(self, fail_on: int, exc: Exception):
+        self.inner = WasmBackend(WorkerPool(workers=1, kind="thread"))
+        self.kind = self.inner.kind
+        self.fail_on, self.exc, self.calls = fail_on, exc, 0
+
+    def submit(self, task):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise self.exc
+        return self.inner.submit(task)
+
+    def shutdown(self, wait: bool = True) -> None:
+        self.inner.shutdown(wait=wait)
+
+
+@pytest.mark.parametrize(
+    "fail_on, exc, outcome",
+    [
+        (1, _Refused("backend refused the task"), "refused"),
+        (2, _Refused("backend refused the task"), "refused"),
+        (2, RuntimeError("backend is gone"), "error"),
+    ],
+    ids=["first-hop", "re-dispatch", "untyped"],
+)
+def test_backend_submit_that_raises_settles_the_request(fail_on, exc, outcome):
+    log = enable_events(EventLog())
+    backend = RefusingBackend(fail_on, exc)
+    try:
+        with MeteringGateway(backend=backend, preempt_after=200) as gw:
+            gw.register_tenant("alice", minic=MINIC_LOOP)
+            future = gw.submit("alice", "f", 100)
+            assert future.exception(timeout=10) is exc
+            assert backend.calls == fail_on
+            stats = gw.admission.stats("alice")
+            assert stats["in_flight"] == 0
+            assert stats["settled"] == stats["admitted"] == 1
+            # a refused first hop billed nothing; a refused re-dispatch
+            # keeps the checkpoint receipt of the slice that ran
+            assert len(gw.ledger.receipts("alice")) == fail_on - 1
+            assert gw.verify_epoch(gw.seal_epoch()).ok
+    finally:
+        disable_events()
+    settled = [e.fields["outcome"] for e in log.events() if e.kind == "settled"]
+    assert settled == [outcome]
+
+
+def test_merge_telemetry_that_raises_settles_the_request(monkeypatch):
+    """The result callback merges the worker's telemetry before accounting;
+    if that raises, the request fails unbilled instead of hanging."""
+
+    def broken_merge(*_args, **_kwargs):
+        raise RuntimeError("telemetry merge failed")
+
+    monkeypatch.setattr(gateway_module, "merge_telemetry", broken_merge)
+    log = enable_events(EventLog())  # a sink on: the worker ships telemetry
+    try:
+        with MeteringGateway(workers=1, pool="thread") as gw:
+            gw.register_tenant("alice", minic=MINIC_SQUARE)
+            future = gw.submit("alice", "square", 3)
+            with pytest.raises(RuntimeError, match="telemetry merge failed"):
+                future.result(timeout=10)
+            stats = gw.admission.stats("alice")
+            assert stats["in_flight"] == 0
+            assert stats["settled"] == stats["admitted"] == 1
+            assert gw.ledger.receipts("alice") == []
+    finally:
+        disable_events()
+    settled = [e.fields["outcome"] for e in log.events() if e.kind == "settled"]
+    assert settled == ["error"]
 
 
 # -- admission accounting under concurrent failures ----------------------------

@@ -14,6 +14,7 @@ import multiprocessing
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -307,11 +308,17 @@ def test_shutdown_during_a_crash_respawns_nothing(sum_task):
     assert multiprocessing.active_children() == []
 
 
-@needs_two_cores
-def test_concurrent_submits_lose_no_task(sum_task):
-    """Several workers, submits from several threads at a tiny
-    switch interval: every task is answered once, correctly, and the pool
-    ends with nothing queued or in flight."""
+@pytest.fixture
+def three_cores(monkeypatch):
+    """A process pool of three really runs three worker processes, however
+    many cores this host has: more workers than cores on a small host."""
+    monkeypatch.setattr(worker, "cores_available", lambda: 3)
+
+
+def test_concurrent_submits_lose_no_task(sum_task, three_cores):
+    """Three workers, submits from several threads at a tiny switch
+    interval: every task is answered once, correctly, and the pool ends
+    with nothing queued or in flight."""
     expected = execute_task(sum_task).raw
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -330,8 +337,59 @@ def test_concurrent_submits_lose_no_task(sum_task):
             t.join(timeout=30)
             assert not t.is_alive()
         require_processes(pool)
+        assert pool.workers == len(pool._procs) == 3
         assert len(futures) == 60
         assert all(f.result(timeout=60).raw == expected for f in futures)
+        assert not pool._backlog
+        assert all(not proc.sent for proc in pool._procs)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+def test_resubmits_from_the_pump_thread_lose_no_task(sum_task, three_cores):
+    """Each done-callback submits its chain's next task from the pump thread
+    that resolved it, as the gateway does for every preempted slice, while
+    the test's thread submits more: no deadlock, and every task of every
+    chain is answered exactly once, correctly.  Each chain's fifth hop is
+    too large to wait in a busy worker's pipe, so resubmits also go through
+    the backlog."""
+    expected = execute_task(sum_task).raw
+    large = replace(sum_task, input_data=bytes(2 * worker._WINDOW_BYTES))
+    chains, hops = 12, 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool = WorkerPool(workers=3, kind="process")
+    answered: list = []  # (chain, hop, thread name, raw)
+    lock = threading.Lock()
+    finished = threading.Event()
+
+    def follow(chain: int, hop: int, future) -> None:
+        with lock:
+            answered.append(
+                (chain, hop, threading.current_thread().name, future.result().raw)
+            )
+            if len(answered) == chains * hops:
+                finished.set()
+        if hop + 1 < hops:
+            task = large if (hop + 1) % 4 == 0 else sum_task
+            pool.submit(task).add_done_callback(partial(follow, chain, hop + 1))
+
+    try:
+        # the first hop sleeps, so its callback is attached long before it
+        # resolves, and every later hop is submitted from the pump thread
+        first = replace(sum_task, fault="slow", fault_arg=0.05)
+        for chain in range(chains):
+            pool.submit(first).add_done_callback(partial(follow, chain, 0))
+        require_processes(pool)
+        direct = [pool.submit(sum_task) for _ in range(20)]
+        assert finished.wait(timeout=120), f"only {len(answered)} tasks answered"
+        assert all(f.result(timeout=60).raw == expected for f in direct)
+        assert sorted((c, h) for c, h, _t, _r in answered) == [
+            (c, h) for c in range(chains) for h in range(hops)
+        ]
+        assert all(raw == expected for _c, _h, _t, raw in answered)
+        assert {t for _c, h, t, _r in answered if h > 0} == {"metering-pool-pump"}
         assert not pool._backlog
         assert all(not proc.sent for proc in pool._procs)
     finally:
