@@ -19,11 +19,14 @@ resumed into one pooled live instance reset to the snapshot, as gateway
 workers do.  It also records a resumed slice's cost per instruction
 against the unarmed run's (``resumed_ns_per_instr`` vs
 ``unarmed_ns_per_instr``): on ``compile`` the resumed frame runs in the
-same generated function as a fresh call, entered past the capture.  Each engine captures and resumes on its own frames —
-``compile`` inside compiled code — so the bars are: armed-but-never-reached
-``predecode`` and ``compile`` each stay within **1.3x** of unarmed, and
-preempted ``compile`` is at least **1.5x** faster than preempted
-``predecode`` on every kernel.
+same generated function as a fresh call, entered past the capture.  Per
+pooled hop it records the snapshot ``encode_us`` and ``decode_us`` and
+their ``codec_share`` of the pooled preempted run.  Each engine captures
+and resumes on its own frames — ``compile`` inside compiled code — so the
+bars are: armed-but-never-reached ``predecode`` and ``compile`` each stay
+within **1.3x** of unarmed, preempted ``compile`` is at least **1.5x**
+faster than preempted ``predecode`` on every kernel, and the codec is at
+most **0.2** of a pooled preempted hop on every kernel and engine.
 
 Artefacts (in the repository only with ``REPRO_BENCH_WRITE=1``, see
 :func:`benchmarks.conftest.artifact_path`):
@@ -70,6 +73,7 @@ ARMED_ROUNDS = 7
 PREEMPT_SLICE = 5000
 ARMED_MAX_SLOWDOWN = 1.3
 PREEMPTED_MIN_COMPILE_SPEEDUP = 1.5
+MAX_CODEC_SHARE = 0.2
 
 
 def _instrumented(name: str):
@@ -248,22 +252,34 @@ def _run_s(module, spec, engine: str) -> tuple[float, float, int]:
     return best[None], best[10**12], inst.stats.executed - first
 
 
-def _preempted_once(module, spec, engine: str, module_hash: bytes, pool) -> tuple[float, int]:
+def _preempted_once(
+    module, spec, engine: str, module_hash: bytes, pool
+) -> tuple[float, int, float, float]:
     """Wall time and hop count of the run call preempted every
     ``PREEMPT_SLICE`` instructions, each hop through the wire format and
     resumed into a fresh instance or, given ``pool``, into one pooled live
-    instance reset for it."""
+    instance reset for it; and the time of its encodes and of its decodes."""
     inst = _started(module, spec, engine)
     inst.limits = ExecutionLimits(snapshot_at=inst.stats.executed + PREEMPT_SLICE)
     hops = 0
+    codec = [0.0, 0.0]
+
+    def encode(snapshot) -> bytes:
+        t0 = time.perf_counter()
+        blob = encode_snapshot(snapshot)
+        codec[0] += time.perf_counter() - t0
+        return blob
+
     start = time.perf_counter()
     try:
         inst.invoke(spec.run[0], *spec.run[1])
         blob = None
     except SnapshotCaptured as exc:
-        blob = encode_snapshot(exc.snapshot)
+        blob = encode(exc.snapshot)
     while blob is not None:
+        t0 = time.perf_counter()
         snap = decode_snapshot(blob)
+        codec[1] += time.perf_counter() - t0
         hops += 1
         if pool is not None:
             handle = pool.acquire(
@@ -282,28 +298,34 @@ def _preempted_once(module, spec, engine: str, module_hash: bytes, pool) -> tupl
             resume_invoke(inst, snap)
             blob = None
         except SnapshotCaptured as exc:
-            blob = encode_snapshot(exc.snapshot)
+            blob = encode(exc.snapshot)
         if pool is not None:
             pool.release(handle)
-    return time.perf_counter() - start, hops
+    return time.perf_counter() - start, hops, codec[0], codec[1]
 
 
-def _preempted_s(module, spec, engine: str) -> tuple[float, float, int]:
+def _preempted_s(module, spec, engine: str) -> tuple[float, float, int, float, float]:
     """Best-of wall times of the preempted run call with each hop resumed
     into a fresh instance (the serial AE's path) and into one pooled
     instance (a worker's path; rounds alternate, so host noise hits both
-    alike), and its hop count."""
+    alike), its hop count, and the best-of encode and decode time of the
+    pooled runs."""
     module_hash = _started(module, spec, engine).module_hash
     pool = WarmPool(module=module, module_hash=module_hash, engine=engine, max_size=1)
     pool.release(pool.acquire())  # pay the single build up front, as a worker
     best = [math.inf, math.inf]
+    encode_s = decode_s = math.inf
     for _ in range(ARMED_ROUNDS):
         for i, variant in enumerate((None, pool)):
-            elapsed, hops = _preempted_once(module, spec, engine, module_hash, variant)
+            elapsed, hops, enc, dec = _preempted_once(
+                module, spec, engine, module_hash, variant
+            )
             best[i] = min(best[i], elapsed)
+            if variant is pool:
+                encode_s, decode_s = min(encode_s, enc), min(decode_s, dec)
     assert hops >= 1
     assert pool.stats()["builds"] == 1
-    return best[0], best[1], hops
+    return best[0], best[1], hops, encode_s, decode_s
 
 
 def _ns_per_instr(module, spec, engine: str) -> tuple[float, float]:
@@ -345,7 +367,9 @@ def armed_rows():
         per_engine = {}
         for engine in ENGINES:
             unarmed_s, armed_s, executed = _run_s(module, spec, engine)
-            preempted_s, pooled_s, hops = _preempted_s(module, spec, engine)
+            preempted_s, pooled_s, hops, encode_s, decode_s = _preempted_s(
+                module, spec, engine
+            )
             unarmed_ns, resumed_ns = _ns_per_instr(module, spec, engine)
             cell = {
                 "executed": executed,
@@ -360,6 +384,9 @@ def armed_rows():
                 "unarmed_ns_per_instr": round(unarmed_ns, 1),
                 "resumed_ns_per_instr": round(resumed_ns, 1),
                 "resumed_cost": round(resumed_ns / unarmed_ns, 2),
+                "encode_us": round(encode_s / hops * 1e6, 1),
+                "decode_us": round(decode_s / hops * 1e6, 1),
+                "codec_share": round((encode_s + decode_s) / pooled_s, 3),
             }
             per_engine[engine] = cell
             rows.append(
@@ -373,6 +400,9 @@ def armed_rows():
                     hops,
                     f"{cell['armed_slowdown']:.2f}x",
                     f"{cell['resumed_cost']:.2f}x",
+                    f"{cell['encode_us']:.1f}",
+                    f"{cell['decode_us']:.1f}",
+                    f"{cell['codec_share']:.3f}",
                 ]
             )
         results[name] = per_engine
@@ -392,6 +422,10 @@ def armed_rows():
             for name in ARMED_KERNELS
         ),
     }
+    armed["allowed_codec_share"] = MAX_CODEC_SHARE
+    armed["max_codec_share"] = max(
+        results[name][engine]["codec_share"] for name in ARMED_KERNELS for engine in ENGINES
+    )
     for engine in ENGINES:
         armed[f"max_{engine}_armed_slowdown"] = max(
             results[name][engine]["armed_slowdown"] for name in ARMED_KERNELS
@@ -412,10 +446,12 @@ def test_armed_table(armed_rows, benchmark):
         "snapshot_armed",
         "Run-call speed unarmed, armed but never reached, and preempted every "
         f"{PREEMPT_SLICE} instructions, each hop resumed into a fresh or a "
-        "pooled instance (M instr/s); a resumed slice's ns/instr over unarmed",
+        "pooled instance (M instr/s); a resumed slice's ns/instr over unarmed; "
+        "a pooled hop's snapshot encode and decode, and their share of it",
         [
             "kernel", "engine", "unarmed", "armed", "preempted", "preempted pooled",
             "hops", "armed slowdown", "resumed/unarmed ns",
+            "encode us", "decode us", "codec share",
         ],
         rows,
     )
@@ -438,5 +474,14 @@ def test_preempted_compile_beats_preempted_predecode(armed_rows, benchmark):
     assert armed["min_preempted_compile_speedup"] >= PREEMPTED_MIN_COMPILE_SPEEDUP, (
         f"preempted compile under {PREEMPTED_MIN_COMPILE_SPEEDUP}x preempted "
         f"predecode: {armed}"
+    )
+    record(benchmark)
+
+
+def test_codec_share_of_a_pooled_hop_under_bound(armed_rows, benchmark):
+    """The snapshot codec is a small part of a preempted hop: <= 0.2."""
+    _rows, armed = armed_rows
+    assert armed["max_codec_share"] <= MAX_CODEC_SHARE, (
+        f"encode+decode above {MAX_CODEC_SHARE} of a pooled preempted hop: {armed}"
     )
     record(benchmark)

@@ -11,8 +11,10 @@ seals receipts into Merkle-rooted epochs.
 
 The request path adds no thread of its own: admission and the first
 dispatch run in the submitting thread, and each result is accounted by its
-pool future's done-callback on whichever thread resolved it.  One timer
-thread, started at the first deadline or retry backoff, runs both.
+pool future's done-callback on whichever thread resolved it.  A preempted
+request's next slice is dispatched before its checkpoint is signed, so the
+worker runs it meanwhile.  One timer thread, started at the first deadline
+or retry backoff, runs both.
 
 Each request transition records its telemetry through the table in
 :mod:`repro.service.lifecycle`; the load driver behind ``repro loadtest``,
@@ -141,8 +143,9 @@ class _RequestState:
     billed: tuple = (0, 0, 0)
     #: distributed-trace context for this request (``None`` when no
     #: telemetry sink is on); re-minted to the next hop on every
-    #: checkpoint re-dispatch and retry.  A request has one hop in flight
-    #: at a time, so its callbacks never overlap and need no extra locking
+    #: checkpoint re-dispatch and retry.  A request's next hop gets its
+    #: done-callback only once the last hop's result is accounted, so its
+    #: callbacks never overlap and need no extra locking
     trace: "TraceContext | None" = None
 
     def claim(self) -> bool:
@@ -158,6 +161,9 @@ class _RequestState:
         if self.deadline is None:
             return None
         return self.deadline - time.perf_counter()
+
+    def past_deadline(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
 
     @property
     def trace_id(self) -> str | None:
@@ -516,12 +522,12 @@ class MeteringGateway:
         attempt: int = 0,
         inner: "Future[WorkerResult] | None" = None,
     ) -> None:
-        """Dispatch ``task`` (unless ``inner``, its done pool future, is
-        given) and account its result: settle, dispatch the next slice, arm
-        a retry or finalize.  Runs in :meth:`submit`'s thread, as the pool
-        future's done-callback wherever it resolves (the pool's pump or a
-        pool or backend thread) and on the timer thread after a backoff; a
-        future already done loops here rather than nesting a callback.
+        """Dispatch ``task`` (unless ``inner``, its pool future, is given)
+        and account its result: settle, dispatch the next slice, arm a retry
+        or finalize.  Runs in :meth:`submit`'s thread, as the pool future's
+        done-callback wherever it resolves (the pool's pump or a pool or
+        backend thread) and on the timer thread after a backoff; a future
+        already done loops here rather than nesting a callback.
         Never raises (``concurrent.futures`` would log it and strand the
         response): whatever escapes finalizes the request.
         """
@@ -532,20 +538,13 @@ class MeteringGateway:
                     # and a late result (or failure) is dropped unbilled
                     return
                 if inner is None:
-                    remaining = state.remaining()
-                    if remaining is not None and remaining <= 0:
+                    if state.past_deadline():
                         self._deadline_exceeded_now(state)
                         return
-                    try:
-                        inner = self.backend.submit(task)
-                    except Exception as exc:  # noqa: BLE001 - classified below
-                        inner = Future()
-                        inner.set_exception(exc)
-                    if not inner.done():
-                        inner.add_done_callback(
-                            partial(self._advance, state, task, attempt)
-                        )
-                        return
+                    inner = self._submit(task)
+                if not inner.done():
+                    inner.add_done_callback(partial(self._advance, state, task, attempt))
+                    return
                 failure = inner.exception()
                 if failure is not None:
                     self._task_failed(state, task, attempt, failure)
@@ -558,12 +557,22 @@ class MeteringGateway:
                         gateway=self.gateway_id,
                         request_id=state.request_id,
                     )
-                task = self._sign_and_record(state, task, worker_result)
-                if task is None:
+                step = self._sign_and_record(state, task, worker_result)
+                if step is None:
                     return
-                inner, attempt = None, 0
+                (task, inner), attempt = step, 0
         except BaseException as exc:  # noqa: BLE001 - never strand the future
             self._finalize_failure(state, exc)
+
+    def _submit(self, task: ExecutionTask) -> "Future[WorkerResult]":
+        """Hand ``task`` to the backend; a ``submit`` that raises comes back
+        as a failed future, classified like any worker failure."""
+        try:
+            return self.backend.submit(task)
+        except Exception as exc:  # noqa: BLE001 - classified by the caller
+            inner: "Future[WorkerResult]" = Future()
+            inner.set_exception(exc)
+            return inner
 
     def _task_failed(
         self, state: _RequestState, task: ExecutionTask, attempt: int, exc: BaseException
@@ -605,10 +614,10 @@ class MeteringGateway:
 
     def _sign_and_record(
         self, state: _RequestState, task: ExecutionTask, worker_result: WorkerResult
-    ) -> ExecutionTask | None:
+    ) -> "tuple[ExecutionTask, Future[WorkerResult]] | None":
         """Validate one slice's readings, have the tenant's AE sign them,
         record the receipt, and either settle the request or return the
-        task resuming it.
+        task resuming it with that task's pool future.
 
         A final result (no snapshot) is signed for the delta past the
         checkpoints already billed, under the bare request id, and settles
@@ -617,7 +626,11 @@ class MeteringGateway:
         ``<id>#cpN`` — the ledger's exactly-once layer dedups each
         checkpoint individually, and the sum of a request's receipts equals
         the uninterrupted vector componentwise — and its snapshot is
-        re-dispatched, free to land on any worker.
+        re-dispatched, free to land on any worker.  The next slice is
+        dispatched *before* the checkpoint is signed, so a worker runs it
+        while the AE signs; the caller attaches its done-callback only after
+        this returns, so its result is never accounted before the checkpoint
+        receipt and the billed baseline it follows exist.
         """
         raw = worker_result.raw
         problems = (
@@ -636,17 +649,24 @@ class MeteringGateway:
             return None
         snapshot = worker_result.snapshot
         if snapshot is not None:
+            task = self._redispatch(state, task, snapshot=snapshot)
+            # past the deadline, nothing more is dispatched; the slice that
+            # ran is still billed if the request has not settled yet
+            inner = None if state.past_deadline() else self._submit(task)
             # under the request lock, so the deadline cannot settle the
             # request between this check and the checkpoint's record
             with state.lock:
                 if state.finalized:
-                    return None
+                    return None  # a slice dispatched above is dropped unbilled
                 self._sign(state, raw, final=False)
                 self._transition(
                     state, "checkpoint",
                     checkpoint=state.checkpoints, snapshot_bytes=len(snapshot),
                 )
-            return self._redispatch(state, task, snapshot=snapshot)
+            if inner is None:
+                self._deadline_exceeded_now(state)
+                return None
+            return task, inner
         if not state.claim():
             return None  # the deadline landed first: drop, unbilled
         tenant = state.tenant

@@ -1,4 +1,4 @@
-"""Snapshot format v2: versioned, engine-independent execution state.
+"""Snapshot format v3: versioned, engine-independent execution state.
 
 A :class:`Snapshot` serializes everything a suspended (or freshly
 instantiated) sandbox needs to continue somewhere else: the exact meter
@@ -19,18 +19,38 @@ and both emit the same :class:`CapturedFrame` at the same point
 (``tests/wasm/test_snapshot_differential.py`` compares the encoded bytes),
 so a snapshot taken under either engine restores into the other.
 
-The wire encoding is ``b"RWSN"`` + a little-endian ``u32`` format version +
-a canonical JSON document (sorted keys, floats carried as bit-exact hex of
-their IEEE-754 representation, page contents base64).  The encoding is
-deterministic: encoding the same state twice yields the same bytes, so
-``sha256(encode_snapshot(s))`` is a stable identity usable in checkpoint
-receipts.
+The wire encoding (format version 3) is binary, little-endian, in
+sections whose sizes all follow from a fixed head:
+
+* head: ``b"RWSN"``, ``u32`` version, the 32-byte module hash, a flags
+  byte (memory / table / I/O present), the engine name's length, eleven
+  ``u32`` counts (visits, visit-name bytes, grow events, globals, table
+  elements, frames, control entries, memory pages, delta pages, output
+  bytes, tagged values), then ``u64`` ``executed``, ``loads``,
+  ``stores``, ``bytes_loaded``, ``bytes_stored``, ``calls``,
+  ``host_calls`` and the I/O ``read_pos``, ``bytes_in``, ``bytes_out``,
+  ``calls``;
+* the engine name; the visit names (sorted, joined by newlines) and their
+  ``u64`` counts; the grow history as ``u64`` pairs;
+* one ``(func_index, pc, kind, #stack, #locals, #control)`` record per
+  frame, outermost first, then every frame's control entries as
+  ``(opcode, start, end, height, arity)`` records;
+* the delta page indices (``u32``, ascending), then the raw bytes of
+  those pages, 64 KiB each, then the I/O output bytes;
+* one tag byte per value, then the values: ``cycles``, the globals, the
+  table elements, and each frame's stack and locals, packed as the
+  ``struct`` format the tags spell (``Q``/``q`` 64-bit int, ``d`` IEEE-754
+  double, bit-exact, ``x`` None).
+
+The encoding is deterministic: encoding the same state twice yields the
+same bytes, so ``sha256(encode_snapshot(s))`` is a stable identity usable
+in checkpoint receipts.  Decoding checks every count against the blob's
+length before it sizes a read, and raises :class:`SnapshotError` on any
+malformed blob.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
 from dataclasses import dataclass
 
@@ -38,12 +58,12 @@ from repro.lru import LRUCache
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
 from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
-from repro.wasm.memory import PAGE_SIZE
+from repro.wasm.memory import MAX_PAGES, PAGE_SIZE
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment, IOAccount
 
 MAGIC = b"RWSN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SnapshotError(Exception):
@@ -92,29 +112,6 @@ class Snapshot:
 
     def hash(self) -> bytes:
         return sha256(encode_snapshot(self, _observe=False))
-
-
-# -- value encoding (floats bit-exact) -----------------------------------------
-
-
-def _enc_val(value):
-    if isinstance(value, float):
-        return {"f": struct.pack("<d", value).hex()}
-    return value
-
-
-def _dec_val(value):
-    if isinstance(value, dict):
-        return struct.unpack("<d", bytes.fromhex(value["f"]))[0]
-    return value
-
-
-def _enc_vals(values) -> list:
-    return [_enc_val(v) for v in values]
-
-
-def _dec_vals(values) -> tuple:
-    return tuple(_dec_val(v) for v in values)
 
 
 # -- base memory image ---------------------------------------------------------
@@ -169,21 +166,23 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 def _memory_state(instance: Instance):
+    """Page count and the pages that differ from the base image.
+
+    A clean page costs one ``memcmp`` in place (``startswith`` at the
+    page's offset, against a view of the base image) and a dirty page one
+    copy; pages past the base image compare against zeros.
+    """
     memory = instance.memory
     if memory is None:
         return None, ()
-    base = instance_base_image(instance)
     data = memory._data
     pages = len(data) // PAGE_SIZE
+    base = memoryview(instance_base_image(instance))
     delta = []
-    for i in range(pages):
-        lo = i * PAGE_SIZE
-        page = bytes(data[lo : lo + PAGE_SIZE])
-        ref = base[lo : lo + PAGE_SIZE]
-        if len(ref) < PAGE_SIZE:
-            ref = ref + _ZERO_PAGE[len(ref) :]
-        if page != ref:
-            delta.append((i, page))
+    for lo in range(0, pages * PAGE_SIZE, PAGE_SIZE):
+        if not data.startswith(base[lo : lo + PAGE_SIZE] or _ZERO_PAGE, lo):
+            with memoryview(data) as view:
+                delta.append((lo // PAGE_SIZE, bytes(view[lo : lo + PAGE_SIZE])))
     return pages, tuple(delta)
 
 
@@ -267,125 +266,261 @@ def rewind_io(env: HostEnvironment, input_data: bytes, io: IOState | None) -> No
 
 
 # -- wire encoding -------------------------------------------------------------
+#
+# Few Python-level operations per blob: the head carries every count, so
+# each section's offset follows from it and is checked against the blob
+# before any section is read; the integer sections (visit counts, grow
+# history, frame and control records, delta page indices) are contiguous
+# and packed by one struct call; values of mixed type travel as one tag
+# string, itself a struct format, and one struct body.
+
+#: magic, version, module hash, section flags, engine name length, eleven
+#: counts (visits, visit-name bytes, grow events, globals, table elements,
+#: frames, control entries, memory pages, delta pages, output bytes, tagged
+#: values), seven integer meters and the four I/O position fields
+_HEAD = struct.Struct("<4sI32sBB11I11Q")
+#: per frame: func_index, pc, kind, stack/locals/control entry counts
+_FRAME_FMT = "IIBIII"
+#: per control entry: opcode, start, end, stack height, arity
+_CONTROL_FMT = "BIIII"
+_FRAME_SIZE = struct.calcsize("<" + _FRAME_FMT)
+_CONTROL_SIZE = struct.calcsize("<" + _CONTROL_FMT)
+_HAS_MEMORY, _HAS_TABLE, _HAS_IO = 1, 2, 4
+_KINDS = ("at_current", "at_call")
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_OPS = ("block", "loop", "if")
+_OP_CODES = {op: code for code, op in enumerate(_OPS)}
 
 
-def _frame_to_json(frame: CapturedFrame) -> dict:
-    return {
-        "func_index": frame.func_index,
-        "pc": frame.pc,
-        "stack": _enc_vals(frame.stack),
-        "locals": _enc_vals(frame.locals),
-        "control": [list(entry) for entry in frame.control],
-        "kind": frame.kind,
-    }
+def _ints_format(n_q: int, n_frames: int, n_control: int, n_delta: int) -> str:
+    return f"<{n_q}Q{_FRAME_FMT * n_frames}{_CONTROL_FMT * n_control}{n_delta}I"
 
 
-def _frame_from_json(payload: dict) -> CapturedFrame:
-    return CapturedFrame(
-        func_index=payload["func_index"],
-        pc=payload["pc"],
-        stack=_dec_vals(payload["stack"]),
-        locals=_dec_vals(payload["locals"]),
-        control=tuple(
-            (op, start, end, height, arity)
-            for op, start, end, height, arity in payload["control"]
-        ),
-        kind=payload["kind"],
+def _tags(values: list) -> str:
+    return "".join(
+        [
+            "d" if type(v) is float else "x" if v is None else "Q" if v >= 0 else "q"
+            for v in values
+        ]
     )
 
 
 def encode_snapshot(snapshot: Snapshot, _observe: bool = True) -> bytes:
-    payload = {
-        "module_hash": snapshot.module_hash.hex(),
-        "engine": snapshot.engine,
-        "stats": {
-            key: (
-                {name: count for name, count in sorted(value.items())}
-                if key == "visits"
-                else _enc_val(value)
-                if key == "cycles"
-                else [list(e) for e in value]
-                if key == "grow_history"
-                else value
-            )
-            for key, value in snapshot.stats.items()
-        },
-        "globals": _enc_vals(snapshot.globals),
-        "memory": (
-            None
-            if snapshot.memory_pages is None
-            else {
-                "pages": snapshot.memory_pages,
-                "delta": [
-                    [index, base64.b64encode(page).decode("ascii")]
-                    for index, page in snapshot.memory_delta
-                ],
-            }
-        ),
-        "table": list(snapshot.table) if snapshot.table is not None else None,
-        "frames": [_frame_to_json(f) for f in snapshot.frames],
-        "io": (
-            None
-            if snapshot.io is None
-            else {
-                "read_pos": snapshot.io.read_pos,
-                "output": base64.b64encode(snapshot.io.output).decode("ascii"),
-                "bytes_in": snapshot.io.bytes_in,
-                "bytes_out": snapshot.io.bytes_out,
-                "calls": snapshot.io.calls,
-            }
-        ),
-    }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = MAGIC + struct.pack("<I", snapshot.version) + body
+    try:
+        blob = _encode(snapshot)
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"cannot encode snapshot: {exc!r}") from None
     if _observe:
         SNAPSHOT_BYTES.observe(float(len(blob)))
     return blob
 
 
+def _encode(snapshot: Snapshot) -> bytes:
+    if len(snapshot.module_hash) != 32:
+        raise ValueError("module hash is not 32 bytes")
+    stats = snapshot.stats
+    visits = stats["visits"]
+    names = sorted(visits)
+    names_blob = "\n".join(names).encode("utf-8")
+    if names_blob.count(b"\n") != max(len(names) - 1, 0):
+        raise ValueError("a visit name contains a newline")
+    ints = list(map(visits.__getitem__, names))
+    for event in stats["grow_history"]:
+        ints += event
+    n_q = len(ints)
+    table = snapshot.table or ()
+    values = [stats["cycles"], *snapshot.globals, *table]
+    control: list = []
+    for f in snapshot.frames:
+        values += f.stack
+        values += f.locals
+        ints += (
+            f.func_index, f.pc, _KIND_CODES[f.kind],
+            len(f.stack), len(f.locals), len(f.control),
+        )
+        for op, start, end, height, arity in f.control:
+            control += (_OP_CODES[op], start, end, height, arity)
+    ints += control
+    pages = []
+    for index, page in snapshot.memory_delta:
+        if len(page) != PAGE_SIZE:
+            raise ValueError("a delta page is not one page long")
+        ints.append(index)
+        pages.append(page)
+    tags = _tags(values)
+    if "x" in tags:
+        values = [v for v in values if v is not None]
+    io = snapshot.io
+    engine = snapshot.engine.encode("utf-8")
+    head = _HEAD.pack(
+        MAGIC,
+        snapshot.version,
+        snapshot.module_hash,
+        (snapshot.memory_pages is not None) * _HAS_MEMORY
+        | (snapshot.table is not None) * _HAS_TABLE
+        | (io is not None) * _HAS_IO,
+        len(engine),
+        len(names),
+        len(names_blob),
+        (n_q - len(names)) // 2,
+        len(snapshot.globals),
+        len(table),
+        len(snapshot.frames),
+        len(control) // 5,
+        snapshot.memory_pages or 0,
+        len(pages),
+        len(io.output) if io is not None else 0,
+        len(tags),
+        stats["executed"],
+        stats["loads"],
+        stats["stores"],
+        stats["bytes_loaded"],
+        stats["bytes_stored"],
+        stats["calls"],
+        stats["host_calls"],
+        *((io.read_pos, io.bytes_in, io.bytes_out, io.calls) if io else (0, 0, 0, 0)),
+    )
+    return b"".join(
+        [
+            head,
+            engine,
+            names_blob,
+            struct.pack(
+                _ints_format(n_q, len(snapshot.frames), len(control) // 5, len(pages)),
+                *ints,
+            ),
+            *pages,
+            io.output if io is not None else b"",
+            tags.encode("ascii"),
+            struct.pack("<" + tags, *values),
+        ]
+    )
+
+
 def decode_snapshot(blob: bytes) -> Snapshot:
+    """Decode a snapshot blob; any malformed blob raises :class:`SnapshotError`.
+
+    Blobs cross untrusted hops (worker to gateway to worker), so every
+    count is checked against the blob's length before it sizes a read.
+    """
     if blob[:4] != MAGIC:
         raise SnapshotError("not a snapshot: bad magic")
     if len(blob) < 8:
         raise SnapshotError("not a snapshot: truncated header")
-    (version,) = struct.unpack("<I", blob[4:8])
+    (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot format version {version}")
+    if len(blob) < _HEAD.size:
+        raise SnapshotError("not a snapshot: truncated header")
     try:
-        payload = json.loads(blob[8:].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise SnapshotError(f"corrupt snapshot body: {exc}") from None
-    stats = dict(payload["stats"])
-    stats["visits"] = dict(stats["visits"])
-    stats["cycles"] = _dec_val(stats["cycles"])
-    stats["grow_history"] = [tuple(e) for e in stats["grow_history"]]
-    memory = payload["memory"]
-    io = payload["io"]
+        return _decode(blob)
+    except (struct.error, ValueError, IndexError) as exc:
+        raise SnapshotError(f"corrupt snapshot body: {exc!r}") from None
+
+
+def _decode(blob: bytes) -> Snapshot:
+    (
+        _magic, version, module_hash, flags, engine_len,
+        n_visits, names_len, n_grow, n_globals, n_table, n_frames, n_control,
+        memory_pages, n_delta, output_len, n_values,
+        executed, loads, stores, bytes_loaded, bytes_stored, calls, host_calls,
+        read_pos, io_in, io_out, io_calls,
+    ) = _HEAD.unpack_from(blob)
+    names_at = _HEAD.size + engine_len
+    ints_at = names_at + names_len
+    n_q = n_visits + 2 * n_grow
+    pages_at = (
+        ints_at + 8 * n_q + _FRAME_SIZE * n_frames + _CONTROL_SIZE * n_control + 4 * n_delta
+    )
+    output_at = pages_at + PAGE_SIZE * n_delta
+    tags_at = output_at + output_len
+    values_at = tags_at + n_values
+    if values_at > len(blob):
+        raise ValueError("a section runs past the end of the blob")
+    if (
+        flags & ~(_HAS_MEMORY | _HAS_TABLE | _HAS_IO)
+        or not flags & _HAS_MEMORY and (memory_pages or n_delta)
+        or not flags & _HAS_TABLE and n_table
+        or not flags & _HAS_IO and (read_pos or io_in or io_out or io_calls or output_len)
+        or memory_pages > MAX_PAGES
+    ):
+        raise ValueError("inconsistent section counts")
+
+    names = blob[names_at:ints_at].decode("utf-8").split("\n") if n_visits else []
+    if len(names) != n_visits or not n_visits and names_len:
+        raise ValueError("visit name count does not match")
+    ints = struct.unpack_from(_ints_format(n_q, n_frames, n_control, n_delta), blob, ints_at)
+    control_at = n_q + 6 * n_frames
+    indices = ints[control_at + 5 * n_control :]
+    if indices and (
+        indices[-1] >= memory_pages
+        or n_delta > 1
+        and any(a >= b for a, b in zip(indices, indices[1:]))
+    ):
+        raise ValueError("delta pages out of order or past the memory")
+
+    tags = blob[tags_at:values_at]
+    if tags.translate(None, b"qQdx"):
+        raise ValueError("unknown value tag")
+    fmt = "<" + tags.decode("ascii")
+    if struct.calcsize(fmt) != len(blob) - values_at:
+        raise ValueError("value section length does not match its tags")
+    values = struct.unpack_from(fmt, blob, values_at)
+    if b"x" in tags:
+        it = iter(values)
+        values = tuple([None if tag == 120 else next(it) for tag in tags])  # 120: "x"
+
+    v = 1 + n_globals + n_table
+    c = control_at
+    frames = []
+    for i in range(n_q, control_at, 6):
+        func_index, pc, kind, n_stack, n_locals, n_ctl = ints[i : i + 6]
+        frames.append(
+            CapturedFrame(
+                func_index,
+                pc,
+                values[v : v + n_stack],
+                values[v + n_stack : v + n_stack + n_locals],
+                tuple(
+                    [(_OPS[ints[k]],) + ints[k + 1 : k + 5] for k in range(c, c + 5 * n_ctl, 5)]
+                ),
+                _KINDS[kind],
+            )
+        )
+        v += n_stack + n_locals
+        c += 5 * n_ctl
+    if v != n_values or c != control_at + 5 * n_control:
+        raise ValueError("frame sizes do not match the section counts")
+
+    # read-only views into the blob: a page is copied once, into memory
+    view = memoryview(blob).toreadonly()
+    memory_delta = tuple(
+        zip(indices, [view[lo : lo + PAGE_SIZE] for lo in range(pages_at, output_at, PAGE_SIZE)])
+    )
     return Snapshot(
         version=version,
-        module_hash=bytes.fromhex(payload["module_hash"]),
-        engine=payload["engine"],
-        stats=stats,
-        globals=_dec_vals(payload["globals"]),
-        memory_pages=None if memory is None else memory["pages"],
-        memory_delta=(
-            ()
-            if memory is None
-            else tuple(
-                (index, base64.b64decode(page)) for index, page in memory["delta"]
-            )
-        ),
-        table=None if payload["table"] is None else tuple(payload["table"]),
-        frames=tuple(_frame_from_json(f) for f in payload["frames"]),
+        module_hash=module_hash,
+        engine=blob[_HEAD.size : names_at].decode("utf-8"),
+        stats={
+            "visits": dict(zip(names, ints)),
+            "executed": executed,
+            "cycles": values[0],
+            "loads": loads,
+            "stores": stores,
+            "bytes_loaded": bytes_loaded,
+            "bytes_stored": bytes_stored,
+            "calls": calls,
+            "host_calls": host_calls,
+            "grow_history": list(zip(ints[n_visits:n_q:2], ints[n_visits + 1 : n_q : 2])),
+        },
+        globals=values[1 : 1 + n_globals],
+        memory_pages=memory_pages if flags & _HAS_MEMORY else None,
+        memory_delta=memory_delta,
+        table=values[1 + n_globals : 1 + n_globals + n_table] if flags & _HAS_TABLE else None,
+        frames=tuple(frames),
         io=(
-            None
-            if io is None
-            else IOState(
-                read_pos=io["read_pos"],
-                output=base64.b64decode(io["output"]),
-                bytes_in=io["bytes_in"],
-                bytes_out=io["bytes_out"],
-                calls=io["calls"],
-            )
+            IOState(read_pos, blob[output_at:tags_at], io_in, io_out, io_calls)
+            if flags & _HAS_IO
+            else None
         ),
     )

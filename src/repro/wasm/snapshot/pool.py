@@ -103,12 +103,11 @@ class WarmPool:
         limits = limits or ExecutionLimits()
         with self._lock:
             handle = self._idle.pop() if self._idle else None
+            self.hits += handle is not None
         if handle is None:
             with span("warmpool.build"):
                 handle = self._build(limits)
         else:
-            with self._lock:
-                self.hits += 1
             WARM_POOL_HITS.inc()
         if snapshot is not None:
             require_module(snapshot, self._image.module_hash)

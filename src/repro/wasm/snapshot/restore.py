@@ -28,10 +28,11 @@ from repro.wasm.interpreter import (
     SnapshotCaptured,
     _signed,
 )
-from repro.wasm.memory import PAGE_SIZE
+from repro.wasm.memory import MAX_PAGES, PAGE_SIZE
 from repro.wasm.module import Module
 from repro.wasm.snapshot.format import (
     Snapshot,
+    _ZERO_PAGE,
     SnapshotError,
     instance_base_image,
     snapshot_from_unwind,
@@ -102,14 +103,10 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
     if snapshot.memory_pages is not None:
         if memory is None:
             raise SnapshotError("snapshot has memory but the instance does not")
-        data = memory._data
-        data[:] = instance_base_image(instance)
-        size = snapshot.memory_pages * PAGE_SIZE
-        del data[size:]
-        data.extend(bytes(size - len(data)))
-        for index, page in snapshot.memory_delta:
-            lo = index * PAGE_SIZE
-            data[lo : lo + PAGE_SIZE] = page
+        maximum = memory._maximum if memory._maximum is not None else MAX_PAGES
+        if snapshot.memory_pages > maximum:
+            raise SnapshotError("snapshot has more memory pages than the instance allows")
+        _reset_memory(memory._data, instance_base_image(instance), snapshot)
     if len(snapshot.globals) != len(instance.globals):
         raise SnapshotError("snapshot global count does not match the instance")
     for g, value in zip(instance.globals, snapshot.globals):
@@ -122,7 +119,7 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
     stats = instance.stats
     state = snapshot.stats
     stats.visits.clear()
-    stats.visits.update(state["visits"])
+    dict.update(stats.visits, state["visits"])
     stats.executed = state["executed"]
     stats.cycles = state["cycles"]
     stats.loads = state["loads"]
@@ -132,6 +129,24 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
     stats.calls = state["calls"]
     stats.host_calls = state["host_calls"]
     stats.grow_history[:] = [tuple(e) for e in state["grow_history"]]
+
+
+def _reset_memory(data: bytearray, base: bytes, snapshot: Snapshot) -> None:
+    """Make ``data`` the snapshot's memory: its delta pages over the base
+    image, zeros past it.  A page that already holds its target (a pooled
+    instance resuming the capture it took, or a page the last slice left
+    clean) costs one ``memcmp`` and is not rewritten."""
+    size = snapshot.memory_pages * PAGE_SIZE
+    if len(data) > size:
+        del data[size:]
+    elif len(data) < size:
+        data.extend(bytes(size - len(data)))
+    delta = dict(snapshot.memory_delta)
+    base_view = memoryview(base)
+    for lo in range(0, size, PAGE_SIZE):
+        page = delta.get(lo // PAGE_SIZE) or base_view[lo : lo + PAGE_SIZE] or _ZERO_PAGE
+        if not data.startswith(page, lo):
+            data[lo : lo + PAGE_SIZE] = page
 
 
 def resume_instance(instance: Instance, snapshot: Snapshot) -> list:

@@ -2,22 +2,31 @@
 
 Pins the properties the rest of the stack leans on:
 
-* ``encode -> decode -> encode`` is the identity on bytes (canonical JSON
-  body, so the sha256 of the encoding is a stable snapshot identity);
+* ``encode -> decode -> encode`` is the identity on bytes (a deterministic
+  binary body, so the sha256 of the encoding is a stable snapshot
+  identity);
 * linear memory ships as a page-level delta against the module's base
   image — untouched pages never travel;
 * restoring into the wrong module is refused by hash, truncated or
   alien blobs are refused by magic/version;
+* a hostile blob — truncated, a byte flipped, a count pointing past the
+  end — raises :class:`SnapshotError` and nothing else, and never sizes
+  an allocation past what the blob could hold;
 * a warm image (capture of an idle instance) has no frames and restores
   an instance to its pristine post-instantiation state.
 """
 
 import struct
+import tracemalloc
+from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.wasm.interpreter import ENGINES, ExecutionLimits, Instance
 from repro.wasm.memory import PAGE_SIZE
+from repro.wasm.runtime import HostEnvironment
 from repro.wasm.snapshot import format as snapshot_format
 from repro.wasm.snapshot import (
     FORMAT_VERSION,
@@ -111,6 +120,132 @@ class TestEncoding:
     def test_truncated_blob_rejected(self):
         with pytest.raises(SnapshotError):
             decode_snapshot(MAGIC)
+
+
+    def test_trailing_bytes_rejected(self):
+        blob = encode_snapshot(suspend(fresh(snapshot_at=10), "spin", 1000))
+        with pytest.raises(SnapshotError):
+            decode_snapshot(blob + b"\0")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_section_round_trips(self, engine):
+        snap = every_section(engine)
+        assert snap.io.output == b"DCBA"
+        assert snap.table is not None and None in snap.table
+        assert snap.stats["grow_history"] and len(snap.frames) == 2
+        assert [index for index, _page in snap.memory_delta] == [0, 1]
+        blob = encode_snapshot(snap)
+        assert decode_snapshot(blob) == snap
+        assert encode_snapshot(decode_snapshot(blob)) == blob
+
+    def test_every_section_encodes_identically_under_both_engines(self):
+        blobs = {encode_snapshot(replace(every_section(e), engine="-")) for e in ENGINES}
+        assert len(blobs) == 1
+
+
+# memory that grows, a funcref table with empty slots, an i64 and an f64
+# global, host output, and a capture two frames deep (one suspended in
+# call_indirect): every section of the wire format carries something
+EVERY_SECTION = """
+(module
+  (import "env" "io_write" (func $io_write (param i32 i32) (result i32)))
+  (type $t (func (param i32) (result i32)))
+  (memory 1 4)
+  (table 3 funcref)
+  (elem (i32.const 1) $inner)
+  (global $g (mut f64) (f64.const 2.5))
+  (global $n (mut i64) (i64.const -1))
+  (func $inner (param i32) (result i32)
+    (local i32)
+    (i32.store (i32.const 70000) (local.get 0))
+    (loop $top
+      (local.set 1 (i32.add (local.get 1) (i32.const 1)))
+      (br_if $top (i32.lt_u (local.get 1) (local.get 0))))
+    (local.get 1))
+  (func (export "run") (param i32) (result i32)
+    (drop (memory.grow (i32.const 1)))
+    (i32.store (i32.const 16) (i32.const 0x41424344))
+    (drop (call $io_write (i32.const 16) (i32.const 4)))
+    (global.set $g (f64.add (global.get $g) (f64.const 0.25)))
+    (block (result i32)
+      (call_indirect (type $t) (local.get 0) (i32.const 1)))))
+"""
+
+
+@cache
+def every_section(engine: str):
+    instance = HostEnvironment().instantiate(
+        parse_wat(EVERY_SECTION), limits=ExecutionLimits(snapshot_at=60), engine=engine
+    )
+    return suspend(instance, "run", 500)
+
+
+@cache
+def real_blobs() -> tuple:
+    """Real captures under both engines: one with two pages, host output,
+    a table and two frames; one with no page at all."""
+    blobs = []
+    for engine in ENGINES:
+        blobs.append(encode_snapshot(every_section(engine)))
+        blobs.append(encode_snapshot(suspend(fresh(engine, snapshot_at=50), "spin", 1000)))
+    return tuple(blobs)
+
+
+def _structure(blob: bytes) -> list:
+    """Offsets of the bytes that are not raw page contents."""
+    pages = b"".join(page for _index, page in decode_snapshot(blob).memory_delta)
+    lo = blob.find(pages) if pages else len(blob)
+    return [*range(lo), *range(lo + len(pages), len(blob))]
+
+
+def _decode_bounded(blob: bytes) -> None:
+    """Decode, allowing only :class:`SnapshotError`, and check that the
+    decode allocated no more than a small multiple of the blob."""
+    tracemalloc.start()
+    try:
+        decode_snapshot(blob)
+    except SnapshotError:
+        pass
+    finally:
+        _current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 4 * len(blob) + (1 << 16), peak
+
+
+@st.composite
+def hostile(draw):
+    blob = draw(st.sampled_from(real_blobs()))
+    how = draw(st.sampled_from(("truncate", "flip", "count")))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "flip":
+        at = draw(st.sampled_from(_structure(blob)) | st.integers(0, len(blob) - 1))
+        mask = draw(st.integers(1, 255))
+        return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :]
+    # overwrite a 4- or 8-byte little-endian field in the structural part
+    width = draw(st.sampled_from((4, 8)))
+    at = draw(st.sampled_from(_structure(blob)[: -width or None]))
+    value = draw(
+        st.sampled_from((len(blob), len(blob) // 8 + 1, 2**31, 2**32 - 1))
+        | st.integers(0, 2 ** (8 * width) - 1)
+    )
+    return blob[:at] + value.to_bytes(width, "little") + blob[at + width :]
+
+
+class TestHostileInput:
+    """The blob crosses untrusted hops (worker to gateway to worker)."""
+
+    @seed(36)
+    @settings(max_examples=300, deadline=None)
+    @given(blob=hostile())
+    def test_decode_raises_only_snapshot_error(self, blob):
+        _decode_bounded(blob)
+
+    def test_every_truncation_of_a_small_capture_is_refused(self):
+        blob = real_blobs()[1]
+        for n in range(len(blob)):
+            with pytest.raises(SnapshotError):
+                decode_snapshot(blob[:n])
 
 
 class TestMemoryDelta:
