@@ -47,13 +47,22 @@ function body is translated once into Python **source** —
   read and written through the :class:`Global` objects bound in the
   prologue (``_g{i}``), pending like locals, so a counter increment
   (``global.get; i64.const; i64.add; global.set``) is one statement;
-* memory accesses leave the bounds check to ``struct``: the effective
-  address (a u32 base plus a u32 offset, unmasked) is written to ``_a``
-  inside the prebound ``unpack_from``/``pack_into`` call, which raises
-  ``struct.error`` past the end (addresses are never negative).  The
-  batch's ``except`` turns that into the :class:`MemoryAccessError` text of
-  :class:`~repro.wasm.memory.LinearMemory` (``read of W bytes at A out of
-  bounds (LEN)``) from ``_a`` and a per-position table of kind and width;
+* a full-width access whose address is provably a multiple of its width
+  — an ``i32.shl`` by log2 of the width, plus a memarg offset that is a
+  multiple of it — indexes the memory's typed view for its type
+  (``_vd[(((l3 * 12) + l6) & 0x1fffffff) + 416]``, see
+  :class:`~repro.wasm.memory.LinearMemory`), on a little-endian host and
+  except for f32 stores, whose out-of-range clamp needs ``struct``.  The
+  views are bound at entry and again after every call and ``memory.grow``,
+  since a size change replaces them.  Every other access leaves the bounds
+  check to ``struct``: the effective address (a u32 base plus a u32
+  offset, unmasked) is written to ``_a`` inside the prebound
+  ``unpack_from``/``pack_into`` call, which raises ``struct.error`` past
+  the end (addresses are never negative), as a view raises ``IndexError``.
+  The batch's ``except`` turns either into the :class:`MemoryAccessError`
+  text of :class:`~repro.wasm.memory.LinearMemory` (``read of W bytes at A
+  out of bounds (LEN)``) from ``_a`` (for a view, the byte address computed
+  again from its operands) and a per-position table of kind and width;
 * trap attribution: blocks that may trap run under ``try`` and record the
   trapping position in ``_tp``; the trap path takes the batch back and the
   engine charges the part that ran, so :class:`ExecutionStats` stay
@@ -95,6 +104,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 
 from repro.lru import LRUCache
 from repro.wasm.instructions import SEGMENT_BARRIERS, Instr
@@ -194,6 +204,25 @@ _I_BIN = {"add": "+", "sub": "-", "mul": "*"}
 _I_BIT = {"and": "&", "or": "|", "xor": "^"}
 #: the wrap-around mask per integer width
 _MASK = {32: "0xffffffff", 64: "0xffffffffffffffff"}
+
+#: The typed views of :class:`~repro.wasm.memory.LinearMemory` are native
+#: endian and wasm memory is little endian: only a little-endian host may
+#: index them.  Elsewhere every access keeps ``struct``.
+_NATIVE_LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: the full-width accesses an aligned address may turn into a typed-view
+#: subscript: the view's ``LinearMemory`` attribute, the local generated
+#: code binds it to, and log2 of the width.  An f32 store keeps ``struct``
+#: for its out-of-range clamp to infinity (see ``LinearMemory.store_f32``).
+_VIEW_ACCESS = {
+    "f64.load": ("view_f64", "_vd", 3),
+    "f64.store": ("view_f64", "_vd", 3),
+    "f32.load": ("view_f32", "_vf", 2),
+    "i32.load": ("view_u32", "_vi", 2),
+    "i32.store": ("view_u32", "_vi", 2),
+    "i64.load": ("view_u64", "_vq", 3),
+    "i64.store": ("view_u64", "_vq", 3),
+}
 
 #: re-arms the fast path's threshold ``mi`` at the last count before the
 #: next progress boundary (or at ``mm``, the budget or capture point, if
@@ -318,13 +347,20 @@ class _Translator:
         self.seg: dict | None = None
         self.trail: list[tuple] = []
         # symbolic operand stack for the block under translation: per slot
-        # its expression, the variables it reads, and its raw width (0: the
+        # its expression, the variables it reads, its raw width (0: the
         # value is canonical; 32/64: it is congruent to the value mod
-        # 2**width and still needs the mask)
+        # 2**width and still needs the mask), and its form: how a raw
+        # expression was built, for the consumers that can use that —
+        # ("shl", operand, k) for an i32.shl of operand by the literal k,
+        # ("signed", bits) for a value that is already the signed value at
+        # that width — or None
         self.tctr = 0
         self._sym: list[str] = []
         self._deps: list[set] = []
         self._raw: list[int] = []
+        self._form: list[tuple | None] = []
+        #: the typed views the function's accesses index: local -> attribute
+        self.views: dict[str, str] = {}
 
     # -- emission helpers ----------------------------------------------------
 
@@ -493,12 +529,18 @@ class _Translator:
             self.emit(f"_v{batch} -= 1; _ex -= {len(self.steps[-1])}")
             self.emit(self._settle(zero=False))
             self.emit(f"_E._unwind({self.fidx}, {len(self.segs) - 1}, _tp)")
+            if seg["view"]:
+                # a view index past the end: its operands still hold what
+                # the access read, so its byte address is computed again
+                self.emit("if isinstance(_xc, IndexError):")
+                for pos, (tp, addr) in enumerate(seg["view"].items()):
+                    self.emit(f"    {'el' if pos else ''}if _tp == {tp}: _a = {addr}")
             if seg["oob"]:
-                # struct refused an access past the end: the same text as
-                # LinearMemory.read/write, at the address the access wrote
+                # struct or a view refused an access past the end: the same
+                # text as LinearMemory.read/write, at the access's address
                 oob = self.const(seg["oob"])
                 self.emit(
-                    f"if isinstance(_xc, _SE) and _tp in {oob}: _xc = MemoryAccessError("
+                    f"if isinstance(_xc, _OOB) and _tp in {oob}: _xc = MemoryAccessError("
                     f'f"{{{oob}[_tp]}} {{_a}} out of bounds ({{len(_mb)}})")'
                 )
             self.emit("if isinstance(_xc, MemoryAccessError): raise Trap(str(_xc)) from _xc")
@@ -632,12 +674,15 @@ class _Translator:
         self._sym = [f"s{i}" for i in range(d0)]
         self._deps = [set() for _ in range(d0)]
         self._raw = [0] * d0
+        self._form = [None] * d0
         # memory-op stat totals for the block, plus the prefix table keyed by
         # trap position (what had completed before the op at index j ran)
         self._seg_mem = [0, 0, 0, 0]
         self._seg_mp: dict[int, tuple] = {-1: (0, 0, 0, 0)}
-        # per memory access position, the head of its out-of-bounds message
+        # per memory access position, the head of its out-of-bounds message,
+        # and per typed-view access position, its byte address expression
         self._seg_oob: dict[int, str] = {}
+        self._seg_view: dict[int, str] = {}
         # compare expressions pushed in this block -> (condition, the
         # expression's value when the condition holds)
         self._conds: dict[str, tuple[str, int]] = {}
@@ -664,6 +709,7 @@ class _Translator:
             "mem": tuple(self._seg_mem),
             "mp": dict(self._seg_mp),
             "oob": dict(self._seg_oob),
+            "view": dict(self._seg_view),
             "control": self._control(),
         }
         self.max_d = max(self.max_d, d0, d1)
@@ -681,27 +727,40 @@ class _Translator:
         self.tctr += 1
         return f"t{self.tctr}"
 
-    def _push(self, expr: str, deps: set, out: list[str], raw: int = 0) -> None:
+    def _push(
+        self, expr: str, deps: set, out: list[str], raw: int = 0, form: tuple | None = None
+    ) -> None:
         """Push ``expr``; ``raw`` is its width if it may still need the
-        wrap-around mask (see :meth:`_queue_segment`)."""
+        wrap-around mask, ``form`` how it was built (see :meth:`__init__`)."""
         if len(expr) > 100:  # cap folded-expression size
             t = self._temp()
             out.append(f"{t} = {_masked(expr, raw)}")
-            expr, deps, raw = t, set(), 0
+            expr, deps, raw, form = t, set(), 0, None
         self._sym.append(expr)
         self._deps.append(deps)
         self._raw.append(raw)
+        self._form.append(form)
 
     def _pop_raw(self) -> tuple[str, set, int]:
         """Pop an operand as it stands: expression, deps and raw width."""
         if not self._sym:
             raise CompileError("operand stack underflow")
+        self._form.pop()
         return self._sym.pop(), self._deps.pop(), self._raw.pop()
 
     def _pop(self) -> tuple[str, set]:
         """Pop an operand's canonical value: a raw slot gets its mask here."""
         expr, deps, raw = self._pop_raw()
         return (f"({expr} & {_MASK[raw]})" if raw else expr), deps
+
+    def _pop_signed(self, bits: int) -> tuple[str, set]:
+        """Pop an operand's signed value: a slot that already holds it is
+        taken as it stands, any other is masked and re-signed."""
+        if self._form and self._form[-1] == ("signed", bits):
+            expr, deps, _raw = self._pop_raw()
+            return expr, deps
+        expr, deps = self._pop()
+        return self._signed_expr(expr, bits), deps
 
     def _materialize(self, k: int, out: list[str], force: bool = False) -> None:
         """Pin slot ``k``'s pending expression into a fresh temporary."""
@@ -712,6 +771,7 @@ class _Translator:
         self._sym[k] = t
         self._deps[k] = set()
         self._raw[k] = 0
+        self._form[k] = None
 
     def _barrier(self, var, out: list[str]) -> None:
         """A variable is about to be written: pin every expression reading it.
@@ -817,27 +877,42 @@ class _Translator:
             if suffix.endswith((f"load{marker}_s", f"load{marker}_u", f"store{marker}")):
                 width = w
                 break
+        raw = 0
         if is_store:
             if prefix == "f32":
-                val, _vd = self._pop_simple(out)
+                val, _val_deps = self._pop_simple(out)
             else:
-                val, _vd, raw = self._pop_raw()
+                val, _val_deps, raw = self._pop_raw()
+        index = self._view_index(name, offset)
+        if index is None:
             base, _bd = self._pop()
         else:
-            base, _bd = self._pop()
-        # a u32 base plus a u32 offset is below 2**33: no wrap-around mask.
-        # Struct does the bounds check: unpack_from/pack_into raise
-        # struct.error past the end (addresses are never negative), which
-        # the batch's except turns into LinearMemory.read/write's text,
-        # from the address in _a and the head of the message kept per _tp
-        blit = _as_int(base)
-        if blit is not None:
-            addr = repr(blit + offset)
-        else:
-            addr = f"{base} + {offset}" if offset else base
+            self._pop_raw()
         kind = "write" if is_store else "read"
         self._trap_point(j, out)
         self._seg_oob[j] = f"{kind} of {width} bytes at"
+        if index is not None:
+            # a typed-view subscript: an index past the end raises
+            # IndexError, which the batch's except turns into the same
+            # text, from the byte address recomputed there
+            attr, view, k = _VIEW_ACCESS[name]
+            self.views[view] = attr
+            addr = f"(({index}) << {k})"
+            self._seg_view[j] = addr
+            access = f"{view}[{index}]"
+            cost_addr = addr
+        else:
+            # a u32 base plus a u32 offset is below 2**33: no wrap-around
+            # mask.  Struct does the bounds check: unpack_from/pack_into
+            # raise struct.error past the end (addresses are never
+            # negative), which the batch's except turns into
+            # LinearMemory.read/write's text, from the address in _a
+            blit = _as_int(base)
+            if blit is not None:
+                addr = repr(blit + offset)
+            else:
+                addr = f"{base} + {offset}" if offset else base
+            access, cost_addr = None, "_a"
         if is_store:
             if prefix == "f32":
                 # mirror LinearMemory.store_f32's out-of-range clamp to inf
@@ -846,21 +921,26 @@ class _Translator:
                     f"except OverflowError: "
                     f"_Sf4(_mb, _a, _INF if {val} > 0 else -_INF)"
                 )
-            elif prefix == "f64":
-                out.append(f"_Sf8(_mb, _a := {addr}, {val})")
             else:
                 # the width mask reduces a raw value too; a canonical one
                 # stored at full width needs none
                 if raw or width * 8 < vt_bits:
                     val = f"{val} & {hex((1 << (width * 8)) - 1)}"
-                out.append(f"_S{width}(_mb, _a := {addr}, {val})")
+                if access is not None:
+                    out.append(f"{access} = {val}")
+                elif prefix == "f64":
+                    out.append(f"_Sf8(_mb, _a := {addr}, {val})")
+                else:
+                    out.append(f"_S{width}(_mb, _a := {addr}, {val})")
             self._seg_mem[1] += 1
             self._seg_mem[3] += width
             if self.cost_on:
-                out.append(f"S.cycles += C.memory_access_cycles(_a, {width}, True)")
+                out.append(f"S.cycles += C.memory_access_cycles({cost_addr}, {width}, True)")
         else:
             t = self._temp()
-            if prefix == "f32":
+            if access is not None:
+                out.append(f"{t} = {access}")
+            elif prefix == "f32":
                 out.append(f"{t} = _Lf4(_mb, _a := {addr})[0]")
             elif prefix == "f64":
                 out.append(f"{t} = _Lf8(_mb, _a := {addr})[0]")
@@ -873,8 +953,31 @@ class _Translator:
             self._seg_mem[0] += 1
             self._seg_mem[2] += width
             if self.cost_on:
-                out.append(f"S.cycles += C.memory_access_cycles(_a, {width}, False)")
+                out.append(f"S.cycles += C.memory_access_cycles({cost_addr}, {width}, False)")
             self._push(t, set(), out)
+
+    def _view_index(self, name: str, offset: int) -> str | None:
+        """The element index of an access that provably lands on a
+        multiple of its width, else ``None`` (the access keeps ``struct``).
+
+        Its base (the slot on top of the stack) must be an ``i32.shl`` by
+        log2 of the width, and its offset a multiple of the width; then
+        ``((x << k) & 0xffffffff) + offset`` is ``((x & (0xffffffff >> k))
+        + offset // width) << k``, and the index is that sum.
+        """
+        spec = _VIEW_ACCESS.get(name)
+        if spec is None or not _NATIVE_LITTLE_ENDIAN:
+            return None
+        k = spec[2]
+        form = self._form[-1] if self._form else None
+        if form is None or form[0] != "shl" or form[2] != k or offset % (1 << k):
+            return None
+        operand, off = form[1], offset >> k
+        lit = _as_int(operand)
+        if lit is not None:
+            return repr((lit & (0xFFFFFFFF >> k)) + off)
+        index = f"{operand} & {hex(0xFFFFFFFF >> k)}"
+        return f"({index}) + {off}" if off else index
 
     @staticmethod
     def _biased(expr: str, bits: int) -> str:
@@ -925,7 +1028,10 @@ class _Translator:
             a, ad, _ra = self._pop_raw()
             blit = _as_int(b)
             if blit is not None:
-                self._push(f"({a} << {blit % bits})", ad | bd, out, bits)
+                k = blit % bits
+                # an i32 shift is kept apart: it may be an aligned address
+                form = ("shl", a, k) if bits == 32 else None
+                self._push(f"({a} << {k})", ad | bd, out, bits, form)
             else:
                 self._push(f"(({a} << ({b} % {bits})) & {mask})", ad | bd, out)
             return
@@ -938,11 +1044,10 @@ class _Translator:
             return
         if suffix == "shr_s":
             b, bd, _rb = self._pop_raw()
-            a, ad = self._pop()
+            sa, ad = self._pop_signed(bits)
             blit = _as_int(b)
             shift = repr(blit % bits) if blit is not None else f"({b} % {bits})"
-            sa = self._signed_expr(a, bits)
-            self._push(f"({sa} >> {shift})", ad | bd, out, bits)
+            self._push(f"({sa} >> {shift})", ad | bd, out, bits, ("signed", bits))
             return
         if suffix in ("rotl", "rotr"):
             b, bd, _rb = self._pop_raw()
@@ -1012,20 +1117,20 @@ class _Translator:
                 self._pop()
                 self._emit_divrem_s_by(suffix, c, bits, j, out)
                 return
-            b, _bd = self._pop()
-            a, _ad = self._pop()
+            b, _bd = self._pop_signed(bits)
+            a, _ad = self._pop_signed(bits)
             t = self._temp()
             self._trap_point(j, out)
             if blit is None:
                 tb = self._temp()
-                out.append(f"{tb} = {self._signed_expr(b, bits)}")
+                out.append(f"{tb} = {b}")
                 out.append(f'if {tb} == 0: raise Trap("integer divide by zero")')
                 sb = tb
             else:  # a zero literal
                 out.append('raise Trap("integer divide by zero")')
                 sb = "0"
             ta = self._temp()
-            out.append(f"{ta} = {self._signed_expr(a, bits)}")
+            out.append(f"{ta} = {a}")
             if suffix == "div_s":
                 sign_bit = hex(1 << (bits - 1))
                 out.append(
@@ -1049,8 +1154,8 @@ class _Translator:
             self._push(f"({a} & 0xffffffff)", ad, out)
             return
         if suffix == "extend_i32_s":
-            a, ad = self._pop()
-            self._push(self._signed_expr(a, 32), ad, out, 64)
+            a, ad = self._pop_signed(32)
+            self._push(a, ad, out, 64)
             return
         if suffix == "extend_i32_u":
             if self._raw and self._raw[-1]:
@@ -1071,7 +1176,9 @@ class _Translator:
         """``div_s``/``rem_s`` by the nonzero literal ``c`` (signed value),
         inline: truncating arithmetic on the unsigned operand, with no
         helper call and no zero test.  Only ``div_s`` by -1 can trap.  A
-        negative result is left raw."""
+        negative result is left raw; apart from ``div_s`` by -1, the result
+        is the signed value itself, so a signed consumer takes it as it
+        stands."""
         sign, mod = hex(1 << (bits - 1)), hex(1 << bits)
         m = abs(c)
         if suffix == "rem_s":
@@ -1083,7 +1190,7 @@ class _Translator:
             a, ad = self._pop_simple(out)
             self._push(
                 f"({a} % {m} if {a} < {sign} else -(({mod} - {a}) % {m}))",
-                ad, out, bits,
+                ad, out, bits, ("signed", bits),
             )
             return
         if c == 1:
@@ -1100,7 +1207,7 @@ class _Translator:
             expr = f"({a} // {m} if {a} < {sign} else -{neg})"
         else:
             expr = f"(-({a} // {m}) if {a} < {sign} else {neg})"
-        self._push(expr, ad, out, bits)
+        self._push(expr, ad, out, bits, ("signed", bits))
 
     def _emit_float(self, name, suffix, prefix, out) -> None:
         narrow = prefix == "f32"
@@ -1178,11 +1285,11 @@ class _Translator:
             return
         if suffix.startswith("convert_i"):
             cbits = 32 if "i32" in suffix else 64
-            a, ad = self._pop()
             if suffix.endswith("_s"):
-                self._push(wrap(f"float({self._signed_expr(a, cbits)})"), ad, out)
+                a, ad = self._pop_signed(cbits)
             else:
-                self._push(wrap(f"float({a})"), ad, out)
+                a, ad = self._pop()
+            self._push(wrap(f"float({a})"), ad, out)
             return
         if suffix == "demote_f64":
             a, ad = self._pop()
@@ -1234,7 +1341,11 @@ class _Translator:
             self.emit(f"_g{g} = _G[{g}]")
         if self.has_memory:
             self.emit("M = _M")
-            self.emit("_mb = M._data")  # bytearray grows in place: stays valid
+            # the bytearray keeps its identity when it grows; the typed
+            # views do not survive a size change (LinearMemory releases
+            # them), so they are bound again after every call and grow
+            self.emit("_mb = M._data")
+            self.emit("@VIEWS@")
             if self.cost_on:
                 self.emit("C = _C")
         if self.n_locals:
@@ -1280,6 +1391,7 @@ class _Translator:
         locals_ = ", ".join(f"l{i}" for i in range(self.n_locals))
         self.emit(f"_loc = [{locals_}]")
         self.emit(f"_E._run_batch({self.fidx}, _e, _stk, _loc)")
+        self.emit("@VIEWS@")  # a progress callback may have resized memory
         self.emit("_ex = S.executed")
         self.emit(_REARM)
         self.ind -= 2
@@ -1296,6 +1408,7 @@ class _Translator:
         if nres:
             self.emit(f"s{base} = _r[0]")
         self.emit("S.calls += 1")
+        self.emit("@VIEWS@")
         self.emit("_ex = S.executed")
         self.emit(_REARM)
 
@@ -1533,6 +1646,7 @@ class _Translator:
                     self.emit('raise Trap("no memory")')
                 else:
                     self.emit(f"_r = M.grow(s{d - 1})")
+                    self.emit("@VIEWS@")
                     self.emit(
                         "if _r >= 0: S.grow_history.append((_ex, M.pages))"
                     )
@@ -1555,6 +1669,11 @@ class _Translator:
             if self.max_d else ""
         )
         self.lines = [unpack if ln == "            @STACK@" else ln for ln in self.lines]
+        # bind the typed views the accesses index (none: the lines go)
+        bind = "; ".join(f"{view} = M.{attr}" for view, attr in sorted(self.views.items()))
+        self.lines = [
+            ln.replace("@VIEWS@", bind) for ln in self.lines if bind or ln.strip() != "@VIEWS@"
+        ]
         self.consts[0] = tuple(self.batches)
         counts = [f"_v{k}" for k in range(1, len(self.batches) + 1)]
         source = (
@@ -1656,7 +1775,8 @@ _SHARED_NAMESPACE = {
     "_CU": CaptureUnwind,
     "Trap": Trap,
     "MemoryAccessError": MemoryAccessError,
-    "_SE": struct.error,
+    # what an access past the end raises: struct, or a typed view
+    "_OOB": (struct.error, IndexError),
     # not "_f32": generated functions are named _f{index}
     "_rf32": _f32,
     "_fv": _flush_visits,

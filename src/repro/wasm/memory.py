@@ -20,7 +20,16 @@ class MemoryAccessError(Exception):
 
 
 class LinearMemory:
-    """A WebAssembly linear memory instance."""
+    """A WebAssembly linear memory instance.
+
+    Besides the bytes, it owns one native-endian typed view of them per
+    full-width access type (``view_f64``, ``view_f32``, ``view_u32``,
+    ``view_u64``), which compiled code indexes for aligned accesses.  A
+    bytearray with live views cannot change size, so every size change
+    (:meth:`grow`, :meth:`resize`) releases the views first and builds new
+    ones after: a view taken before a size change is dead after it, and
+    whoever holds one rebinds it from the memory.
+    """
 
     def __init__(self, minimum_pages: int, maximum_pages: int | None = None):
         if minimum_pages > MAX_PAGES:
@@ -29,6 +38,26 @@ class LinearMemory:
             raise ValueError("memory maximum below minimum")
         self._data = bytearray(minimum_pages * PAGE_SIZE)
         self._maximum = maximum_pages
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        base = memoryview(self._data)
+        self._views = (base, base.cast("d"), base.cast("f"), base.cast("I"), base.cast("Q"))
+        _, self.view_f64, self.view_f32, self.view_u32, self.view_u64 = self._views
+
+    def _set_size(self, size: int) -> None:
+        """Resize the bytes (zeros past the old end): the typed views are
+        released before and rebuilt after, since a bytearray with live
+        views refuses to change size."""
+        for view in self._views:
+            view.release()
+        try:
+            if size < len(self._data):
+                del self._data[size:]
+            else:
+                self._data.extend(bytes(size - len(self._data)))
+        finally:
+            self._bind_views()
 
     @property
     def pages(self) -> int:
@@ -53,8 +82,15 @@ class LinearMemory:
             return -1
         if self._maximum is not None and new > self._maximum:
             return -1
-        self._data.extend(bytes(delta_pages * PAGE_SIZE))
+        if delta_pages:
+            self._set_size(new * PAGE_SIZE)
         return old
+
+    def resize(self, pages: int) -> None:
+        """Set the size to ``pages`` (restoring a snapshot may shrink it):
+        pages past the old end are zero."""
+        if pages * PAGE_SIZE != len(self._data):
+            self._set_size(pages * PAGE_SIZE)
 
     # -- raw byte access -------------------------------------------------------
 

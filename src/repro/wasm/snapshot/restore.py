@@ -28,7 +28,7 @@ from repro.wasm.interpreter import (
     SnapshotCaptured,
     _signed,
 )
-from repro.wasm.memory import MAX_PAGES, PAGE_SIZE
+from repro.wasm.memory import MAX_PAGES, PAGE_SIZE, LinearMemory
 from repro.wasm.module import Module
 from repro.wasm.snapshot.format import (
     Snapshot,
@@ -106,7 +106,7 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
         maximum = memory._maximum if memory._maximum is not None else MAX_PAGES
         if snapshot.memory_pages > maximum:
             raise SnapshotError("snapshot has more memory pages than the instance allows")
-        _reset_memory(memory._data, instance_base_image(instance), snapshot)
+        _reset_memory(memory, instance_base_image(instance), snapshot)
     if len(snapshot.globals) != len(instance.globals):
         raise SnapshotError("snapshot global count does not match the instance")
     for g, value in zip(instance.globals, snapshot.globals):
@@ -131,16 +131,14 @@ def apply_state(instance: Instance, snapshot: Snapshot) -> None:
     stats.grow_history[:] = [tuple(e) for e in state["grow_history"]]
 
 
-def _reset_memory(data: bytearray, base: bytes, snapshot: Snapshot) -> None:
-    """Make ``data`` the snapshot's memory: its delta pages over the base
+def _reset_memory(memory: LinearMemory, base: bytes, snapshot: Snapshot) -> None:
+    """Make ``memory`` the snapshot's memory: its delta pages over the base
     image, zeros past it.  A page that already holds its target (a pooled
     instance resuming the capture it took, or a page the last slice left
     clean) costs one ``memcmp`` and is not rewritten."""
-    size = snapshot.memory_pages * PAGE_SIZE
-    if len(data) > size:
-        del data[size:]
-    elif len(data) < size:
-        data.extend(bytes(size - len(data)))
+    memory.resize(snapshot.memory_pages)
+    data = memory._data
+    size = len(data)
     delta = dict(snapshot.memory_delta)
     base_view = memoryview(base)
     for lo in range(0, size, PAGE_SIZE):

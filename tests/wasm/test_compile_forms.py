@@ -3,9 +3,10 @@
 :mod:`repro.wasm.compile_engine` does not translate every instruction the
 one way the predecode reference runs it.  Signed compares flip the sign bit
 instead of converting, ``eqz`` of a compare flips the compare, a literal
-divisor becomes inline arithmetic, a memory access leaves its bounds
-check to ``struct``, and wrapping arithmetic is masked once, where a
-canonical value is needed.  Each case here runs on ``compile`` and on
+divisor becomes inline arithmetic, an aligned access indexes a typed view
+of memory and any other leaves its bounds check to ``struct``, and
+wrapping arithmetic is masked once, where a canonical value is needed.
+Each case here runs on ``compile`` and on
 ``predecode`` and requires the same value, the same :class:`Trap` text and
 byte-identical :class:`ExecutionStats` after every call, at the operand
 values where those forms could go wrong: the sign boundary, ``INT_MIN``
@@ -587,11 +588,16 @@ def _nested_masks(expr: ast.expr) -> list[int]:
     return found
 
 
+#: the struct calls of full-width f64 and i32 accesses
+_FULL_WIDTH_STRUCT = {"_Lf8", "_Sf8", "_L4u", "_S4"}
+
+
 @pytest.mark.parametrize("level", [None, "loop-based"])
 def test_polybench_accesses_mask_each_value_once(level):
-    """No address or stored value masks a value already masked to the same
-    width, and no generated source keeps a per-block profiler call or a
-    list of batch counts."""
+    """No address, view index or stored value masks a value already masked
+    to the same width, no f64 or i32 access keeps the ``struct`` form (each
+    indexes a typed view), and no generated source keeps a per-block
+    profiler call or a list of batch counts."""
     accesses = 0
     for spec in POLYBENCH_KERNELS.values():
         module = spec.compile()
@@ -605,7 +611,38 @@ def test_polybench_accesses_mask_each_value_once(level):
                     isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and re.fullmatch(r"_[LS](\d[su]?|f\d)", node.func.id)
                 ):
+                    assert node.func.id not in _FULL_WIDTH_STRUCT, ast.unparse(node)
                     accesses += 1
                     for expr in _call_args(node):
                         assert not _nested_masks(expr), ast.unparse(expr)
+                elif _is_view(node):
+                    accesses += 1
+                    assert not _nested_masks(node.slice), ast.unparse(node)
+                elif isinstance(node, ast.Assign) and _is_view(node.targets[0]):
+                    assert not _nested_masks(node.value), ast.unparse(node)
     assert accesses > 300
+
+
+def _is_view(node: ast.AST) -> bool:
+    """A typed-view subscript: ``_vd[...]``, ``_vf[...]``, ``_vi[...]`` or
+    ``_vq[...]``."""
+    return (
+        isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id in ("_vd", "_vf", "_vi", "_vq")
+    )
+
+
+@pytest.mark.parametrize("op", ["rem_s", "div_s"])
+def test_signed_result_is_not_resigned(op):
+    """A ``div_s``/``rem_s`` by a literal leaves the signed value itself: a
+    signed consumer (``convert_i32_s``) takes it without a mask and a
+    second sign conversion, and the values still match the reference."""
+    wat = f"""
+    (module
+      (func (export "f") (param i32) (result f64)
+        (f64.convert_i32_s (i32.{op} (local.get 0) (i32.const 16)))))
+    """
+    source = _Translator(parse_wat(wat), 0, None, False).translate()[0]
+    assert "- 0x80000000" not in source and "& 0xffffffff" not in source, source
+    values = [0, 1, 17, 0x7FFFFFFF, 0x80000000, 0x80000011, 0xFFFFFFEF, 0xFFFFFFFF]
+    _differential(wat, [("f", (v,)) for v in values])
