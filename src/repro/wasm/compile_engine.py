@@ -883,15 +883,12 @@ class _Translator:
                 val, _val_deps = self._pop_simple(out)
             else:
                 val, _val_deps, raw = self._pop_raw()
-        index = self._view_index(name, offset)
-        if index is None:
-            base, _bd = self._pop()
-        else:
-            self._pop_raw()
         kind = "write" if is_store else "read"
         self._trap_point(j, out)
         self._seg_oob[j] = f"{kind} of {width} bytes at"
+        index = self._view_index(name, offset)
         if index is not None:
+            self._pop_raw()
             # a typed-view subscript: an index past the end raises
             # IndexError, which the batch's except turns into the same
             # text, from the byte address recomputed there
@@ -907,6 +904,7 @@ class _Translator:
             # raise struct.error past the end (addresses are never
             # negative), which the batch's except turns into
             # LinearMemory.read/write's text, from the address in _a
+            base, _bd = self._pop()
             blit = _as_int(base)
             if blit is not None:
                 addr = repr(blit + offset)
