@@ -1,9 +1,14 @@
 """Linear memory: a growable, bounds-checked byte array in 64 KiB pages.
 
-Linear memory can only grow (the property AccTEE's memory accounting relies
-on, §3.5 of the paper), so :class:`LinearMemory` records its peak size —
-which equals its current size — and exposes the page history for the
-instruction-integral accounting policy.
+A running Wasm program can only grow its linear memory (the property
+AccTEE's memory accounting relies on, §3.5 of the paper).  The one way to
+shrink it is :meth:`LinearMemory.resize`, which restoring a snapshot calls
+to give an instance the captured page count; :attr:`LinearMemory.peak_bytes`
+is therefore the current size, the peak of the run the memory last
+restored to, not a peak over every run it has held.
+
+Compiled code indexes typed views of the bytes; a view is valid only until
+the next size change (see :class:`LinearMemory`).
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ class LinearMemory:
 
     @property
     def peak_bytes(self) -> int:
-        """Peak = current size, because linear memory never shrinks."""
+        """The current size: a program never shrinks its memory, so its
+        current size is its peak (only :meth:`resize`, on a snapshot
+        restore, shrinks it, to the restored run's own size)."""
         return len(self._data)
 
     def grow(self, delta_pages: int) -> int:

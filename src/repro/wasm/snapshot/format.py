@@ -53,6 +53,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from repro.lru import LRUCache
 from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
@@ -269,10 +272,14 @@ def rewind_io(env: HostEnvironment, input_data: bytes, io: IOState | None) -> No
 #
 # Few Python-level operations per blob: the head carries every count, so
 # each section's offset follows from it and is checked against the blob
-# before any section is read; the integer sections (visit counts, grow
-# history, frame and control records, delta page indices) are contiguous
-# and packed by one struct call; values of mixed type travel as one tag
-# string, itself a struct format, and one struct body.
+# before any section is read; the visit counts, grow history and frame
+# records are packed by one struct call, the delta page indices by another;
+# values of mixed type travel as one tag string, itself a struct format, and
+# one struct body.  A job's hops repeat the same visit names, control stacks
+# and value tags, so what is built from those alone (the sorted names, a
+# frame's control records, each section's ``struct.Struct``) is built once
+# and cached.  The caches a decode fills are keyed by sections of a blob
+# that crossed an untrusted hop, so they keep few entries.
 
 #: magic, version, module hash, section flags, engine name length, eleven
 #: counts (visits, visit-name bytes, grow events, globals, table elements,
@@ -282,9 +289,8 @@ _HEAD = struct.Struct("<4sI32sBB11I11Q")
 #: per frame: func_index, pc, kind, stack/locals/control entry counts
 _FRAME_FMT = "IIBIII"
 #: per control entry: opcode, start, end, stack height, arity
-_CONTROL_FMT = "BIIII"
+_CONTROL = struct.Struct("<BIIII")
 _FRAME_SIZE = struct.calcsize("<" + _FRAME_FMT)
-_CONTROL_SIZE = struct.calcsize("<" + _CONTROL_FMT)
 _HAS_MEMORY, _HAS_TABLE, _HAS_IO = 1, 2, 4
 _KINDS = ("at_current", "at_call")
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
@@ -292,17 +298,71 @@ _OPS = ("block", "loop", "if")
 _OP_CODES = {op: code for code, op in enumerate(_OPS)}
 
 
-def _ints_format(n_q: int, n_frames: int, n_control: int, n_delta: int) -> str:
-    return f"<{n_q}Q{_FRAME_FMT * n_frames}{_CONTROL_FMT * n_control}{n_delta}I"
+@lru_cache(maxsize=256)
+def _records_struct(n_q: int, n_frames: int) -> struct.Struct:
+    """``n_q`` visit counts and grow-history ints, then the frame records."""
+    return struct.Struct(f"<{n_q}Q{_FRAME_FMT * n_frames}")
 
 
-def _tags(values: list) -> str:
-    return "".join(
+@lru_cache(maxsize=64)
+def _indices_struct(n_delta: int) -> struct.Struct:
+    return struct.Struct(f"<{n_delta}I")
+
+
+@lru_cache(maxsize=256)
+def _control_records(control: tuple) -> bytes:
+    return b"".join([_CONTROL.pack(_OP_CODES[op], *entry) for op, *entry in control])
+
+
+@lru_cache(maxsize=64)
+def _control_entries(records: bytes) -> tuple:
+    return tuple([(_OPS[op], *entry) for op, *entry in _CONTROL.iter_unpack(records)])
+
+
+@lru_cache(maxsize=64)
+def _values_struct(tags: bytes) -> struct.Struct:
+    """The ``struct`` a tag string spells; an unknown tag is a ``ValueError``."""
+    if tags.translate(None, b"qQdx"):
+        raise ValueError("unknown value tag")
+    return struct.Struct(b"<" + tags)
+
+
+@lru_cache(maxsize=256)
+def _visit_names(keys: tuple) -> tuple[int, bytes, Callable[[dict], tuple]]:
+    """How many visit names ``keys`` holds, their sorted wire form, and a
+    getter of their counts in that order.  One job records the same names
+    in the same order hop after hop (a restore inserts them sorted, new
+    ones follow), so a hop sorts nothing."""
+    names = sorted(keys)
+    blob = "\n".join(names).encode("utf-8")
+    if blob.count(b"\n") != max(len(names) - 1, 0):
+        raise ValueError("a visit name contains a newline")
+    if len(names) > 1:
+        return len(names), blob, itemgetter(*names)
+    return len(names), blob, lambda visits: tuple(visits[name] for name in names)
+
+
+@lru_cache(maxsize=64)
+def _split_names(blob: bytes) -> tuple:
+    return tuple(blob.decode("utf-8").split("\n"))
+
+
+def _tags(values: list) -> bytes:
+    return bytes(
         [
-            "d" if type(v) is float else "x" if v is None else "Q" if v >= 0 else "q"
-            for v in values
+            100 if type(v) is float else 120 if v is None else 81 if v >= 0 else 113
+            for v in values  # d, x, Q, q
         ]
     )
+
+
+def _frozen(cls, **fields):
+    """A frozen dataclass instance built without its generated
+    ``__init__``, whose one ``object.__setattr__`` call per field is most
+    of a decode's object construction; the caller passes every field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def encode_snapshot(snapshot: Snapshot, _observe: bool = True) -> bytes:
@@ -320,17 +380,15 @@ def _encode(snapshot: Snapshot) -> bytes:
         raise ValueError("module hash is not 32 bytes")
     stats = snapshot.stats
     visits = stats["visits"]
-    names = sorted(visits)
-    names_blob = "\n".join(names).encode("utf-8")
-    if names_blob.count(b"\n") != max(len(names) - 1, 0):
-        raise ValueError("a visit name contains a newline")
-    ints = list(map(visits.__getitem__, names))
+    n_visits, names_blob, counts = _visit_names(tuple(visits))
+    ints = list(counts(visits))
     for event in stats["grow_history"]:
         ints += event
     n_q = len(ints)
     table = snapshot.table or ()
     values = [stats["cycles"], *snapshot.globals, *table]
-    control: list = []
+    controls = []
+    n_control = 0
     for f in snapshot.frames:
         values += f.stack
         values += f.locals
@@ -338,17 +396,17 @@ def _encode(snapshot: Snapshot) -> bytes:
             f.func_index, f.pc, _KIND_CODES[f.kind],
             len(f.stack), len(f.locals), len(f.control),
         )
-        for op, start, end, height, arity in f.control:
-            control += (_OP_CODES[op], start, end, height, arity)
-    ints += control
+        controls.append(_control_records(f.control))
+        n_control += len(f.control)
+    indices = []
     pages = []
     for index, page in snapshot.memory_delta:
         if len(page) != PAGE_SIZE:
             raise ValueError("a delta page is not one page long")
-        ints.append(index)
+        indices.append(index)
         pages.append(page)
     tags = _tags(values)
-    if "x" in tags:
+    if b"x" in tags:
         values = [v for v in values if v is not None]
     io = snapshot.io
     engine = snapshot.engine.encode("utf-8")
@@ -360,13 +418,13 @@ def _encode(snapshot: Snapshot) -> bytes:
         | (snapshot.table is not None) * _HAS_TABLE
         | (io is not None) * _HAS_IO,
         len(engine),
-        len(names),
+        n_visits,
         len(names_blob),
-        (n_q - len(names)) // 2,
+        (n_q - n_visits) // 2,
         len(snapshot.globals),
         len(table),
         len(snapshot.frames),
-        len(control) // 5,
+        n_control,
         snapshot.memory_pages or 0,
         len(pages),
         len(io.output) if io is not None else 0,
@@ -385,14 +443,13 @@ def _encode(snapshot: Snapshot) -> bytes:
             head,
             engine,
             names_blob,
-            struct.pack(
-                _ints_format(n_q, len(snapshot.frames), len(control) // 5, len(pages)),
-                *ints,
-            ),
+            _records_struct(n_q, len(snapshot.frames)).pack(*ints),
+            *controls,
+            _indices_struct(len(indices)).pack(*indices),
             *pages,
             io.output if io is not None else b"",
-            tags.encode("ascii"),
-            struct.pack("<" + tags, *values),
+            tags,
+            _values_struct(tags).pack(*values),
         ]
     )
 
@@ -429,9 +486,9 @@ def _decode(blob: bytes) -> Snapshot:
     names_at = _HEAD.size + engine_len
     ints_at = names_at + names_len
     n_q = n_visits + 2 * n_grow
-    pages_at = (
-        ints_at + 8 * n_q + _FRAME_SIZE * n_frames + _CONTROL_SIZE * n_control + 4 * n_delta
-    )
+    control_at = ints_at + 8 * n_q + _FRAME_SIZE * n_frames
+    indices_at = control_at + _CONTROL.size * n_control
+    pages_at = indices_at + 4 * n_delta
     output_at = pages_at + PAGE_SIZE * n_delta
     tags_at = output_at + output_len
     values_at = tags_at + n_values
@@ -446,12 +503,11 @@ def _decode(blob: bytes) -> Snapshot:
     ):
         raise ValueError("inconsistent section counts")
 
-    names = blob[names_at:ints_at].decode("utf-8").split("\n") if n_visits else []
+    names = _split_names(blob[names_at:ints_at]) if n_visits else ()
     if len(names) != n_visits or not n_visits and names_len:
         raise ValueError("visit name count does not match")
-    ints = struct.unpack_from(_ints_format(n_q, n_frames, n_control, n_delta), blob, ints_at)
-    control_at = n_q + 6 * n_frames
-    indices = ints[control_at + 5 * n_control :]
+    ints = _records_struct(n_q, n_frames).unpack_from(blob, ints_at)
+    indices = _indices_struct(n_delta).unpack_from(blob, indices_at)
     if indices and (
         indices[-1] >= memory_pages
         or n_delta > 1
@@ -460,36 +516,36 @@ def _decode(blob: bytes) -> Snapshot:
         raise ValueError("delta pages out of order or past the memory")
 
     tags = blob[tags_at:values_at]
-    if tags.translate(None, b"qQdx"):
-        raise ValueError("unknown value tag")
-    fmt = "<" + tags.decode("ascii")
-    if struct.calcsize(fmt) != len(blob) - values_at:
+    values_struct = _values_struct(tags)
+    if values_struct.size != len(blob) - values_at:
         raise ValueError("value section length does not match its tags")
-    values = struct.unpack_from(fmt, blob, values_at)
+    values = values_struct.unpack_from(blob, values_at)
     if b"x" in tags:
         it = iter(values)
         values = tuple([None if tag == 120 else next(it) for tag in tags])  # 120: "x"
 
     v = 1 + n_globals + n_table
-    c = control_at
+    at = control_at
     frames = []
-    for i in range(n_q, control_at, 6):
+    for i in range(n_q, len(ints), 6):
         func_index, pc, kind, n_stack, n_locals, n_ctl = ints[i : i + 6]
+        end = at + _CONTROL.size * n_ctl
+        if end > indices_at:
+            raise ValueError("frame sizes do not match the section counts")
         frames.append(
-            CapturedFrame(
-                func_index,
-                pc,
-                values[v : v + n_stack],
-                values[v + n_stack : v + n_stack + n_locals],
-                tuple(
-                    [(_OPS[ints[k]],) + ints[k + 1 : k + 5] for k in range(c, c + 5 * n_ctl, 5)]
-                ),
-                _KINDS[kind],
+            _frozen(
+                CapturedFrame,
+                func_index=func_index,
+                pc=pc,
+                stack=values[v : v + n_stack],
+                locals=values[v + n_stack : v + n_stack + n_locals],
+                control=_control_entries(blob[at:end]),
+                kind=_KINDS[kind],
             )
         )
         v += n_stack + n_locals
-        c += 5 * n_ctl
-    if v != n_values or c != control_at + 5 * n_control:
+        at = end
+    if v != n_values or at != indices_at:
         raise ValueError("frame sizes do not match the section counts")
 
     # read-only views into the blob: a page is copied once, into memory
@@ -497,7 +553,8 @@ def _decode(blob: bytes) -> Snapshot:
     memory_delta = tuple(
         zip(indices, [view[lo : lo + PAGE_SIZE] for lo in range(pages_at, output_at, PAGE_SIZE)])
     )
-    return Snapshot(
+    return _frozen(
+        Snapshot,
         version=version,
         module_hash=module_hash,
         engine=blob[_HEAD.size : names_at].decode("utf-8"),

@@ -142,6 +142,28 @@ class TestEncoding:
         blobs = {encode_snapshot(replace(every_section(e), engine="-")) for e in ENGINES}
         assert len(blobs) == 1
 
+    def test_visit_order_does_not_change_the_bytes(self):
+        snap = every_section("compile")
+        visits = snap.stats["visits"]
+        shuffled = replace(
+            snap, stats={**snap.stats, "visits": dict(reversed(list(visits.items())))}
+        )
+        assert list(shuffled.stats["visits"]) != list(visits)
+        assert encode_snapshot(shuffled) == encode_snapshot(snap)
+
+    def test_interleaved_captures_keep_their_own_sections(self):
+        # the codec caches pieces per visit-name set, control stack and tag
+        # string; captures of different shape, taken in turn, stay apart
+        snaps = [
+            every_section("compile"),
+            suspend(fresh("compile", snapshot_at=50), "spin", 1000),
+            every_section("predecode"),
+        ]
+        blobs = [encode_snapshot(s) for s in snaps]
+        for snap, blob in [*zip(snaps, blobs), *zip(snaps, blobs)]:
+            assert encode_snapshot(snap) == blob
+            assert decode_snapshot(blob) == snap
+
 
 # memory that grows, a funcref table with empty slots, an i64 and an f64
 # global, host output, and a capture two frames deep (one suspended in
