@@ -329,7 +329,7 @@ def test_pipeline_overhead_under_gate(pipeline_numbers, benchmark):
     record(benchmark)
 
 
-# -- distributed tracing: context propagation + worker telemetry backhaul ------
+# -- distributed tracing: context propagation + slice records applied ----------
 
 TRACE_ROUNDS = 5
 TRACE_CEILING = 0.05  # the CI gate for tracing + backhaul + stitching
@@ -339,8 +339,8 @@ def _traced_loadtest(trace_out: str | None) -> dict:
     from repro.service.load import run_loadtest
 
     # preemption in both arms: every checkpoint re-dispatch is an extra hop
-    # whose capture must ship home, so the traced arm pays the backhaul at
-    # its worst while the untraced arm pays the same preemption cost
+    # whose record the gateway turns into spans, so the traced arm pays that
+    # at its worst while the untraced arm pays the same preemption cost
     return run_loadtest(
         worker_counts=(2,), requests=12, pool="thread", backend="wasm",
         kernels=("trisolv",), verify_serial=False, quota_probe=False,
@@ -352,10 +352,10 @@ def _traced_loadtest(trace_out: str | None) -> dict:
 def trace_numbers(tmp_path_factory):
     """Paired rounds of a preempting loadtest, untraced vs fully traced.
 
-    The traced arm mints a context per request, activates the worker-side
-    capture on every hop, ships spans/events/metric deltas back inside each
-    ``WorkerResult``, merges them into the gateway tracer and verifies the
-    per-request stitch — the complete distributed-tracing path.
+    The traced arm mints a context per request, rebuilds every hop's
+    worker spans from the slice record inside its ``WorkerResult`` into the
+    gateway tracer and verifies the per-request stitch — the complete
+    distributed-tracing path.
     """
     disable_all()
     trace_out = str(tmp_path_factory.mktemp("trace") / "trace.json")

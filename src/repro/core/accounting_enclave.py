@@ -12,19 +12,16 @@ workload provider who attested the AE can trust every log entry it signs.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
+from time import perf_counter_ns
 
 from repro.core.instrumentation_enclave import InstrumentationEvidence, verify_evidence
 from repro.core.policy import MemoryPolicy, memory_integral
 from repro.core.resource_log import ResourceUsageLog, ResourceVector
+from repro.core.slices import SliceRecord, apply_slice
 from repro.instrument.weights import WeightTable
-from repro.obs.instruments import (
-    CHECKPOINT_RECEIPTS,
-    SANDBOX_INSTRUCTIONS,
-    SANDBOX_IO_BYTES,
-    SANDBOX_PEAK_MEMORY,
-    SANDBOX_RUNS,
-)
 from repro.obs.trace import span
 from repro.sgx.enclave import Enclave
 from repro.tcrypto.hashing import sha256
@@ -118,8 +115,8 @@ def run_slice(
     *,
     snapshot: Snapshot | None = None,
     snapshot_bytes: int = 0,
-) -> tuple[RawExecution, Snapshot | None, str]:
-    """Run one slice of a workload; return ``(raw, capture, exec_engine)``.
+) -> tuple[RawExecution, Snapshot | None, SliceRecord]:
+    """Run one slice of a workload; return ``(raw, capture, record)``.
 
     The one execution path of the AE (:meth:`AccountingEnclave.invoke`,
     :meth:`~AccountingEnclave.resume`) and of gateway workers
@@ -131,41 +128,31 @@ def run_slice(
     slice*: when it is reached, ``capture`` is the snapshot (I/O position
     attached) and ``raw`` the meters as of it; otherwise ``capture`` is
     None (a trap finishes the slice too, recorded in ``raw``).
-    ``exec_engine`` names the engine whose frames ran it.
 
-    Both phases are spans — on the task's telemetry capture in a gateway
-    worker, on the active tracer in the enclave: ``worker.instantiate`` or
-    ``worker.restore`` (with the snapshot's wire size, ``snapshot_bytes``),
-    then ``worker.invoke`` or ``worker.resume_invoke``.
+    The slice records no telemetry.  ``record`` is its
+    :class:`~repro.core.slices.SliceRecord`: stamps where the set-up (and a
+    pool build in it) and the invoke or resume begin and end, the engine
+    that ran (``exec_engine``), the wire size of a resumed snapshot
+    (``snapshot_bytes``) and whether it was preempted or trapped.  The
+    caller applies :data:`~repro.core.slices.SLICE` to it.
     """
-    if snapshot is None:
-        setup = span("worker.instantiate", engine=pool.engine or "")
-    else:
-        setup = span(
-            "worker.restore", snapshot_bytes=snapshot_bytes, engine=pool.engine or ""
-        )
-    with setup:
-        instance, env = handle = pool.acquire(input_data, limits, snapshot)
+    setup_ns = perf_counter_ns()
+    instance, env, built, image = handle = pool.acquire(input_data, limits, snapshot)
+    run_ns = perf_counter_ns()
 
     value: object = None
     trapped, trap_message = False, ""
     captured: Snapshot | None = None
-    with span(
-        "worker.invoke" if snapshot is None else "worker.resume_invoke",
-        export=export,
-        exec_engine=instance.engine,
-    ) as run:
-        try:
-            if snapshot is None:
-                value = instance.invoke(export, *args)
-            else:
-                value = resume_invoke(instance, snapshot)
-        except SnapshotCaptured as exc:
-            captured = exc.snapshot
-            run.set_attribute("preempted", True)
-        except Trap as exc:
-            trapped, trap_message = True, str(exc)
-            run.set_attribute("trapped", True)
+    try:
+        if snapshot is None:
+            value = instance.invoke(export, *args)
+        else:
+            value = resume_invoke(instance, snapshot)
+    except SnapshotCaptured as exc:
+        captured = exc.snapshot
+    except Trap as exc:
+        trapped, trap_message = True, str(exc)
+    ran_ns = perf_counter_ns()
 
     memory, module = instance.memory, pool.module
     raw = RawExecution(
@@ -182,7 +169,24 @@ def run_slice(
         output=bytes(env.channel.output),
     )
     pool.release(handle)
-    return raw, captured, instance.engine
+    build_ns, built_ns = built or (0, 0)
+    record = SliceRecord(
+        setup_ns=setup_ns,
+        build_ns=build_ns,
+        built_ns=built_ns,
+        run_ns=run_ns,
+        ran_ns=ran_ns,
+        engine=pool.engine or "",
+        exec_engine=instance.engine,
+        image=image,
+        resume=snapshot is not None,
+        snapshot_bytes=snapshot_bytes,
+        preempted=captured is not None,
+        trapped=trapped,
+        pid=os.getpid(),
+        thread_id=threading.get_ident(),
+    )
+    return raw, captured, record
 
 
 class AccountingEnclave(Enclave):
@@ -370,42 +374,40 @@ class AccountingEnclave(Enclave):
             delta_instr < 0 or delta_in < 0 or delta_out < 0
         ):
             raise WorkloadRejected("span baseline exceeds measured totals")
-        attrs = {"label": label, "module_hash": self._workload_hash}
-        if trace_id is not None:
-            attrs["trace_id"] = trace_id
-        with span("account", **attrs):
-            if final:
-                integral = memory_integral(
-                    list(raw.grow_history), raw.initial_pages, raw.counter_value
-                )
-                vector = ResourceVector(
-                    weighted_instructions=delta_instr,
-                    peak_memory_bytes=raw.peak_memory_bytes,
-                    memory_integral_page_instructions=(
-                        integral if self.memory_policy is MemoryPolicy.INTEGRAL else 0
-                    ),
-                    io_bytes_in=delta_in,
-                    io_bytes_out=delta_out,
-                    label=label,
-                )
-            else:
-                vector = ResourceVector(
-                    weighted_instructions=delta_instr,
-                    peak_memory_bytes=0,
-                    memory_integral_page_instructions=0,
-                    io_bytes_in=delta_in,
-                    io_bytes_out=delta_out,
-                    label=f"checkpoint:{label}@{raw.counter_value}",
-                )
-            self.log.append(vector, self._workload_hash, self.weight_table.digest())
+        account_ns = perf_counter_ns()
         if final:
-            SANDBOX_RUNS.inc(outcome="trapped" if raw.trapped else "ok")
-            SANDBOX_PEAK_MEMORY.observe(float(raw.peak_memory_bytes))
+            integral = memory_integral(
+                list(raw.grow_history), raw.initial_pages, raw.counter_value
+            )
+            vector = ResourceVector(
+                weighted_instructions=delta_instr,
+                peak_memory_bytes=raw.peak_memory_bytes,
+                memory_integral_page_instructions=(
+                    integral if self.memory_policy is MemoryPolicy.INTEGRAL else 0
+                ),
+                io_bytes_in=delta_in,
+                io_bytes_out=delta_out,
+                label=label,
+            )
         else:
-            CHECKPOINT_RECEIPTS.inc()
-        SANDBOX_INSTRUCTIONS.inc(delta_instr)
-        SANDBOX_IO_BYTES.inc(delta_in, direction="in")
-        SANDBOX_IO_BYTES.inc(delta_out, direction="out")
+            vector = ResourceVector(
+                weighted_instructions=delta_instr,
+                peak_memory_bytes=0,
+                memory_integral_page_instructions=0,
+                io_bytes_in=delta_in,
+                io_bytes_out=delta_out,
+                label=f"checkpoint:{label}@{raw.counter_value}",
+            )
+        self.log.append(vector, self._workload_hash, self.weight_table.digest())
+        apply_slice(
+            SliceRecord(account_ns=account_ns, accounted_ns=perf_counter_ns()),
+            trace_id=trace_id,
+            label=label,
+            module_hash=self._workload_hash,
+            raw=raw,
+            final=final,
+            delta=(delta_instr, delta_in, delta_out),
+        )
         return WorkloadResult(
             value=raw.value,
             trapped=raw.trapped,
@@ -452,8 +454,8 @@ class AccountingEnclave(Enclave):
             module_hash=self._workload_hash,
             engine=self.engine or "default",
         ):
-            with span("execute", export=job.export):
-                raw, captured, _engine = run_slice(
+            with span("execute", export=job.export) as execute:
+                raw, captured, record = run_slice(
                     self._pool,
                     self._counter_global,
                     job.export,
@@ -462,6 +464,7 @@ class AccountingEnclave(Enclave):
                     limits,
                     snapshot=job.snapshot,
                 )
+                apply_slice(record, execute, export=job.export)
             if captured is None:
                 return self.account_span(raw, label=job.label, baseline=job.baseline)
             result = self.account_span(

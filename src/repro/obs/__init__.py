@@ -30,15 +30,7 @@ CLI surface: ``repro trace <workload>``, ``repro metrics``, ``repro top``,
 """
 
 from repro.obs.audit import DriftFinding, DriftReport, audit_billing
-from repro.obs.context import (
-    TelemetryCapture,
-    TraceContext,
-    activate,
-    current_capture,
-    explain_request,
-    merge_telemetry,
-    trace_id_for,
-)
+from repro.obs.context import TraceContext, explain_request, trace_id_for
 from repro.obs.events import (
     Event,
     EventLog,
@@ -97,13 +89,10 @@ __all__ = [
     "Rule",
     "SLOEngine",
     "Span",
-    "TelemetryCapture",
     "TraceContext",
     "Tracer",
-    "activate",
     "active_profiler",
     "audit_billing",
-    "current_capture",
     "disable_events",
     "disable_metrics",
     "disable_profiling",
@@ -119,7 +108,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "load_rules",
-    "merge_telemetry",
     "metrics_enabled",
     "profile",
     "read_jsonl",

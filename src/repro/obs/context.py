@@ -1,75 +1,34 @@
-"""Distributed trace context and the worker telemetry backhaul.
+"""Distributed trace context, and ``repro explain``.
 
-The gateway's observability used to stop at the process boundary: worker
-processes (the stand-ins for the paper's per-request enclave instances,
-§4.3) emitted spans, events and metrics into *their own* process-local
-registries, which evaporated when the result pickled back.  This module
-carries telemetry across that boundary in both directions:
-
-* a :class:`TraceContext` — 128-bit ``trace_id``, parent span id, the
-  worker's sink set and a hop counter — is minted at gateway admission,
-  serialized into the :class:`~repro.service.worker.ExecutionTask` wire
-  format, and re-activated inside ``execute_task``;
-* a :class:`TelemetryCapture` — a bounded :class:`~repro.obs.trace.Tracer`
-  that also keeps structured events and metric deltas — is active
-  (thread-locally) for every task ``execute_task`` runs, and ships home
-  inside :class:`~repro.service.worker.WorkerResult` as :meth:`to_wire
-  <TelemetryCapture.to_wire>` data;
-* :func:`merge_telemetry` folds that data into the gateway's tracer / event
-  log / metrics registry with origin-pid tagging, so one request preempted
-  across three workers still renders as **one stitched Perfetto timeline**,
-  and every worker metric is counted exactly once, in either pool kind.
+A :class:`TraceContext` — 128-bit ``trace_id``, parent span id, the sink
+set and a hop counter — is minted at gateway admission and serialized into
+the :class:`~repro.service.worker.ExecutionTask` wire format.  What a worker
+sends back is not telemetry but one fixed :class:`~repro.core.slices.SliceRecord`
+(boundary stamps and a few facts, the same whichever sinks are on); the
+gateway applies the :data:`~repro.core.slices.SLICE` table to it under the
+request span, tagged with the request's trace id and the worker's pid.  So
+one request preempted across three workers still renders as **one stitched
+Perfetto timeline**, and every worker metric is counted exactly once, in
+either pool kind.
 
 Identity is deterministic: ``trace_id = sha256("trace:<gateway>:<request>")``
 truncated to 128 bits, so offline consumers (the drift auditor, ``repro
 explain``, CI's stitch checker) can recompute the id for any request without
-carrying extra state.  What a worker records is decided once, at
-admission, as the context's sink set (:meth:`TraceContext.mint`): exactly
-the gateway's enabled channels, so nothing ships home that no gateway sink
-keeps and every traced request's worker spans come home.
-
-Worker code has no telemetry API of its own.  It calls the ordinary
-:func:`repro.obs.trace.span`, :func:`repro.obs.events.emit`,
-``Counter.inc`` and ``Histogram.observe``; while a capture is active on the
-calling thread (:func:`activate`, :func:`~repro.obs.trace.current_capture`)
-those record into it and nowhere else, so in the threaded pool two
-concurrent tasks never write into each other's capture (or into the
-gateway's sinks directly), and in a worker process nothing lands in the
-forked copies of the gateway's sinks.  With no capture active (the serial
-sandbox path, the gateway itself) they behave as they always do.
+carrying extra state.  The context's sink set (:meth:`TraceContext.mint`)
+names the gateway's enabled channels at admission; the worker's record does
+not depend on it.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from repro.obs.events import emit, events_enabled
-from repro.obs.instruments import TRACE_BACKHAUL_BYTES, TRACE_SPANS_DROPPED
-from repro.obs.metrics import get_registry, metrics_enabled
-from repro.obs.trace import (
-    _ACTIVE,
-    NULL_SPAN,
-    Span,
-    Tracer,
-    _json_safe,
-    current_capture,
-    get_tracer,
-    tracing_enabled,
-)
+from repro.obs.events import events_enabled
+from repro.obs.metrics import metrics_enabled
+from repro.obs.trace import tracing_enabled
 from repro.tcrypto.hashing import sha256
 
-#: Capture bounds — a preempted slice records a handful of spans and
-#: events, so these are generous; beyond them the capture *counts* drops
-#: (shipped home and surfaced as ``acctee_trace_spans_dropped``) rather
-#: than growing without bound inside a worker.
-MAX_SPANS = 256
-MAX_EVENTS = 256
-
-#: The channels a worker capture can record; a sink set is a subset.
+#: The telemetry channels; a sink set is a subset.
 SPANS, EVENTS, METRICS = "spans", "events", "metrics"
 ALL_SINKS = frozenset((SPANS, EVENTS, METRICS))
 
@@ -83,8 +42,8 @@ class TraceContext:
     worker's spans should hang under.  ``hop`` counts re-dispatches — a
     fresh request is hop 0, each snapshot re-dispatch or retry increments
     it, so a preempted job's worker spans are ordered even when wall clocks
-    disagree.  ``sinks`` is the set of channels the worker's capture
-    records: the gateway's enabled ones, never empty for a minted context.
+    disagree.  ``sinks`` is the set of the gateway's enabled channels,
+    never empty for a minted context.
     """
 
     trace_id: str
@@ -135,154 +94,6 @@ def trace_id_for(gateway_id: str, request_id: int | str) -> str:
     checker, ``repro explain`` — can recompute it offline.
     """
     return sha256(f"trace:{gateway_id}:{request_id}".encode())[:16].hex()
-
-
-# ---------------------------------------------------------------------------
-# Worker-side capture, its activation, and the gateway-side merge
-# ---------------------------------------------------------------------------
-
-
-class TelemetryCapture(Tracer):
-    """One task's worker-side telemetry: a bounded :class:`Tracer` plus the
-    task's structured events and metric deltas.
-
-    While :func:`activate` has made it the calling thread's capture, the
-    ordinary obs calls on that thread record here and nowhere else, each
-    only if its channel is in ``ctx.sinks`` (empty for ``ctx=None``).  Span
-    timestamps are CLOCK_MONOTONIC on Linux, whose epoch is boot time and
-    therefore *shared* across processes on the same host, so worker spans
-    land directly on the gateway's timeline when merged.
-    """
-
-    def __init__(self, ctx: TraceContext | None):
-        super().__init__()
-        self.ctx = ctx
-        self.sinks = ctx.sinks if ctx is not None else frozenset()
-        self.pid = os.getpid()
-        self.events: list[dict] = []
-        self.metrics: list[tuple] = []
-        self.spans_dropped = 0
-        self.events_dropped = 0
-
-    def span(self, name: str, parent: Span | None = None, detached: bool = False,
-             **attributes):
-        if SPANS not in self.sinks:
-            return NULL_SPAN
-        if self._next_id > MAX_SPANS:
-            self.spans_dropped += 1
-            return NULL_SPAN
-        return super().span(name, parent=parent, detached=detached, **attributes)
-
-    def event(self, kind: str, **fields) -> None:
-        if EVENTS not in self.sinks:
-            return
-        if len(self.events) >= MAX_EVENTS:
-            self.events_dropped += 1
-            return
-        self.events.append(
-            {
-                "kind": kind,
-                "ts_s": time.time(),
-                "fields": {k: _json_safe(v) for k, v in fields.items()},
-            }
-        )
-
-    def metric(self, metric, value: float, labels: dict) -> None:
-        """Record one ``Counter.inc``/``Histogram.observe`` as a delta for
-        the gateway to replay (without its exemplar, if any)."""
-        if METRICS in self.sinks:
-            self.metrics.append((metric.name, metric.kind, float(value), labels))
-
-    def to_wire(self) -> dict | None:
-        """The capture as plain data (it pickles across the process
-        boundary), or ``None`` when nothing was recorded.
-
-        Spans come in creation order, so every parent precedes its children
-        as :meth:`Tracer.ingest` needs; one still open (a fault unwound
-        past its exit) is closed now and marked ``truncated``.
-        """
-        if not (self._next_id > 1 or self.events or self.metrics
-                or self.spans_dropped or self.events_dropped):
-            return None
-        with self._lock:
-            spans = sorted([*self._spans, *self._open.values()], key=lambda s: s.span_id)
-        now = time.perf_counter_ns()
-        return {
-            "trace_id": self.ctx.trace_id,
-            "hop": self.ctx.hop,
-            "pid": self.pid,
-            "spans": [
-                {
-                    "name": s.name,
-                    "id": s.span_id,
-                    "parent": s.parent_id,
-                    "start_ns": s.start_ns,
-                    "end_ns": now if s.end_ns is None else s.end_ns,
-                    "thread_id": s.thread_id,
-                    "attrs": (
-                        s.attributes if s.end_ns is not None
-                        else {**s.attributes, "truncated": True}
-                    ),
-                }
-                for s in spans
-            ],
-            "spans_dropped": self.spans_dropped,
-            "events": list(self.events),
-            "events_dropped": self.events_dropped,
-            "metrics": [list(m) for m in self.metrics],
-        }
-
-
-@contextmanager
-def activate(capture: TelemetryCapture):
-    """Make ``capture`` the calling thread's telemetry sink for the block."""
-    previous = _ACTIVE.capture
-    _ACTIVE.capture = capture
-    try:
-        yield capture
-    finally:
-        _ACTIVE.capture = previous
-
-
-def merge_telemetry(telemetry: dict, parent: Span | None = None, **fields) -> None:
-    """Fold one :meth:`TelemetryCapture.to_wire` into this process's
-    tracer, event log and metrics registry.
-
-    Spans keep their origin pid and hang under ``parent`` (one stitched
-    trace per request, however many workers served its hops).  Events
-    re-emit through this process's log (fresh, strictly monotonic ``seq``)
-    stamped with ``fields``, the trace id, and the worker's pid and clock
-    as ``origin_pid``/``worker_ts_s``.  Metric deltas always replay: the
-    capture was the only place the worker recorded them, in a thread pool
-    and a process pool alike.
-    """
-    trace_id = telemetry["trace_id"]
-    origin_pid = telemetry["pid"]
-    if metrics_enabled():  # what the capture costs on a process pool's pipe
-        TRACE_BACKHAUL_BYTES.observe(float(len(pickle.dumps(telemetry))))
-    dropped = telemetry["spans_dropped"] + telemetry["events_dropped"]
-    if dropped:
-        TRACE_SPANS_DROPPED.inc(dropped)
-    tracer = get_tracer()
-    if tracer is not None and telemetry["spans"]:
-        tracer.ingest(
-            telemetry["spans"],
-            parent=parent if isinstance(parent, Span) else None,
-            pid=origin_pid,
-            trace_id=trace_id,
-        )
-    stamp = dict(fields, trace_id=trace_id, origin_pid=origin_pid)
-    for record in telemetry["events"]:
-        emit(record["kind"], **{**record["fields"], **stamp, "worker_ts_s": record["ts_s"]})
-    registry = get_registry()
-    for name, kind, value, labels in telemetry["metrics"]:
-        metric = registry.get(name)
-        if metric is None:
-            continue
-        if kind == "histogram":
-            metric.observe(value, **labels)
-        else:
-            metric.inc(value, **labels)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ registry's windows instead, so they need no event log.
 
 Design constraints, in order:
 
-* **Off by default and nearly free when off** — :func:`emit` is a
-  thread-local read (the worker-side capture, see :mod:`repro.obs.context`),
-  one module global read and two ``None`` checks, like spans and metrics, so
+* **Off by default and nearly free when off** — :func:`emit` is one
+  module global read and a ``None`` check, like spans and metrics, so
   the disabled serving path stays byte-identical and unmeasurably slower.
 * **Bounded memory with honest backpressure** — the in-process buffer holds at
   most ``capacity`` events; beyond that, *new* events are counted as dropped
@@ -36,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs.instruments import EVENTS_DROPPED, EVENTS_EMITTED
-from repro.obs.trace import _ACTIVE, _json_safe
+from repro.obs.trace import _json_safe
 
 #: Bump when a record's reserved keys or an event kind's fields change shape.
 SCHEMA_VERSION = 1
@@ -230,11 +229,7 @@ def get_event_log() -> EventLog | None:
 
 
 def emit(kind: str, **fields) -> None:
-    """Emit one event on the thread's active capture, else on the active
-    log; a no-op when neither is there."""
-    if (capture := _ACTIVE.capture) is not None:
-        capture.event(kind, **fields)
-        return
+    """Emit one event on the active log; a no-op when there is none."""
     log = _LOG
     if log is None:
         return

@@ -186,18 +186,6 @@ CHECKPOINT_RECEIPTS = REGISTRY.counter(
     "Incremental (non-final) checkpoint receipts signed by an AE.",
 )
 
-# -- distributed tracing (context propagation + worker backhaul) ---------------
-
-TRACE_SPANS_DROPPED = REGISTRY.counter(
-    "acctee_trace_spans_dropped",
-    "Worker-side spans/events dropped by the bounded telemetry capture.",
-)
-TRACE_BACKHAUL_BYTES = REGISTRY.histogram(
-    "acctee_trace_backhaul_bytes",
-    "Serialized worker telemetry shipped back per task result.",
-    buckets=BYTES_BUCKETS,
-)
-
 # -- cardinality governance (tenant budgets, spill summaries, quota eviction) --
 
 TENANT_CARDINALITY = REGISTRY.gauge(

@@ -17,11 +17,8 @@ Export formats:
 
 Recording is **off by default**: every mutator checks its registry's flag
 (:func:`enable_metrics` / :func:`disable_metrics` switch the process-wide
-one), so instrumented call sites cost two attribute reads and two branches
-when metrics are disabled.
-The other read is the calling thread's capture (:mod:`repro.obs.context`):
-while one is active, ``Counter.inc`` and ``Histogram.observe`` record a
-delta into it instead; gauges stay process-local.  The
+one), so instrumented call sites cost two attribute reads and a branch
+when metrics are disabled.  The
 instrument *objects* always exist — declaring them is free — which keeps
 the metric-name contract (``metric_names.txt``) checkable without running
 any workload.
@@ -58,7 +55,6 @@ import time
 from bisect import bisect_left
 
 from repro.obs.sketch import OVERFLOW_KEY, TenantSpill
-from repro.obs.trace import _ACTIVE
 
 
 #: Log-scale (powers of 4) latency buckets: 1 µs … ~67 s.
@@ -350,9 +346,6 @@ class Counter(Metric):
         self._values: dict[tuple, float] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if (capture := _ACTIVE.capture) is not None:
-            capture.metric(self, amount, labels)
-            return
         if not self._state.enabled:
             return
         key = _label_key(labels)
@@ -507,9 +500,6 @@ class Histogram(Metric):
         self._exemplars: dict[tuple, dict[int, tuple[str, float]]] = {}
 
     def observe(self, value: float, exemplar: str | None = None, **labels) -> None:
-        if (capture := _ACTIVE.capture) is not None:
-            capture.metric(self, value, labels)
-            return
         if not self._state.enabled:
             return
         key = _label_key(labels)

@@ -39,6 +39,8 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.wasm.interpreter import active_profiler, set_active_profiler  # noqa: F401
+
 
 class Profiler:
     """Accumulates per-function and per-segment attribution for one session."""
@@ -194,26 +196,19 @@ class Profiler:
 
 
 # ---------------------------------------------------------------------------
-# Module-level switch, snapshotted by Instance.invoke
+# The process-wide switch (held by repro.wasm.interpreter), snapshotted by
+# Instance.invoke
 # ---------------------------------------------------------------------------
-
-_active: Profiler | None = None
-
 
 def enable_profiling(profiler: Profiler | None = None) -> Profiler:
     """Install (and return) the process-wide profiler."""
-    global _active
-    _active = profiler or Profiler()
-    return _active
+    profiler = profiler or Profiler()
+    set_active_profiler(profiler)
+    return profiler
 
 
 def disable_profiling() -> None:
-    global _active
-    _active = None
-
-
-def active_profiler() -> Profiler | None:
-    return _active
+    set_active_profiler(None)
 
 
 @contextmanager

@@ -13,14 +13,13 @@ ways:
 
 Tracing is **off by default**: :func:`span` returns a shared no-op span
 unless :func:`enable_tracing` installed a tracer, so instrumented call sites
-cost a thread-local read, one module-global read and a ``None`` check when
-disabled.  Span nesting is tracked per thread; cross-thread children (a
-gateway request settled on a pool callback thread) pass ``parent=``
-explicitly.
+cost one module-global read and a ``None`` check when disabled.  Span
+nesting is tracked per thread; cross-thread children (a gateway request
+settled on a pool callback thread) pass ``parent=`` explicitly.
 
-While a :class:`~repro.obs.context.TelemetryCapture` is active on the
-calling thread (:func:`current_capture`), :func:`span` — like ``emit``,
-``Counter.inc`` and ``Histogram.observe`` — records into it instead.
+A slice's spans are not opened this way: a slice only stamps its
+boundaries, and :meth:`Tracer.record` adds its spans finished, from the
+stamps, wherever its record is applied (:mod:`repro.core.slices`).
 """
 
 from __future__ import annotations
@@ -43,23 +42,6 @@ def _json_safe(value):
     return str(value)
 
 
-class _Active(threading.local):
-    """The calling thread's active telemetry capture.  The class default
-    makes the no-capture read a plain attribute hit, several times cheaper
-    than ``getattr`` with a default on a missing thread-local attribute."""
-
-    capture = None
-
-
-_ACTIVE = _Active()
-
-
-def current_capture():
-    """The :class:`~repro.obs.context.TelemetryCapture` active on this
-    thread, or ``None``."""
-    return _ACTIVE.capture
-
-
 @dataclass
 class Span:
     """One timed operation. Usable as a context manager (ends on exit)."""
@@ -72,9 +54,9 @@ class Span:
     attributes: dict = field(default_factory=dict)
     thread_id: int = 0
     #: The process that recorded the span.  Looked up at creation time (not
-    #: module import — worker processes fork after import), so spans merged
-    #: from a worker keep their origin pid and render on their own Perfetto
-    #: process row instead of collapsing onto the gateway's.
+    #: module import — worker processes fork after import); spans rebuilt
+    #: from a worker's slice record keep its pid, so they render on their own
+    #: Perfetto process row instead of collapsing onto the gateway's.
     pid: int = 0
     detached: bool = False
     _tracer: "Tracer | None" = field(default=None, repr=False)
@@ -242,49 +224,44 @@ class Tracer:
                 flushed.append(span)
         return flushed
 
-    # -- cross-process merge -----------------------------------------------------
-
-    def ingest(
+    def record(
         self,
-        spans: list[dict],
+        name: str,
+        start_ns: int,
+        end_ns: int,
         parent: Span | None = None,
         pid: int = 0,
-        trace_id: str | None = None,
-    ) -> list[Span]:
-        """Merge already-finished foreign spans (a worker's telemetry backhaul).
+        thread_id: int = 0,
+        **attributes,
+    ) -> Span:
+        """Record a span that has already finished, from its two stamps.
 
-        Each wire record carries capture-local ``id``/``parent`` links; ids
-        are remapped into this tracer's id space, intra-capture parent links
-        are preserved, and capture roots are re-parented under ``parent``
-        (the gateway-side request span) so the merged tree renders as one
-        connected trace.  Spans keep their origin ``pid`` and thread id —
-        Perfetto then shows one process row per worker.
+        A slice's spans come this way, rebuilt from its record's boundary
+        stamps (:func:`repro.core.slices.apply_slice`), with the recording
+        worker's ``pid`` and ``thread_id`` (0: this process, this thread)
+        so that Perfetto shows one process row per worker.  ``parent=None``
+        hangs it under the calling thread's innermost open span, as
+        :meth:`span` does.
         """
-        id_map: dict[int, int] = {}
-        merged: list[Span] = []
-        parent_id = parent.span_id if isinstance(parent, Span) else None
+        if parent is None:
+            stack = self._stack()
+            parent = stack[-1] if stack else None
+        s = Span(
+            name=name,
+            span_id=0,
+            parent_id=parent.span_id if isinstance(parent, Span) else None,
+            start_ns=start_ns,
+            end_ns=end_ns,
+            attributes={k: _json_safe(v) for k, v in attributes.items()},
+            thread_id=thread_id or threading.get_ident(),
+            pid=pid or os.getpid(),
+            _tracer=self,
+        )
         with self._lock:
-            for record in spans:
-                attributes = dict(record.get("attrs", ()))
-                if trace_id is not None:
-                    attributes.setdefault("trace_id", trace_id)
-                local_parent = record.get("parent")
-                s = Span(
-                    name=record["name"],
-                    span_id=self._next_id,
-                    parent_id=id_map.get(local_parent, parent_id),
-                    start_ns=int(record["start_ns"]),
-                    end_ns=int(record["end_ns"]),
-                    attributes=attributes,
-                    thread_id=int(record.get("thread_id", 0)),
-                    pid=int(record.get("pid", pid) or pid),
-                    _tracer=self,
-                )
-                id_map[record["id"]] = self._next_id
-                self._next_id += 1
-                self._spans.append(s)
-                merged.append(s)
-        return merged
+            s.span_id = self._next_id
+            self._next_id += 1
+            self._spans.append(s)
+        return s
 
     # -- export ------------------------------------------------------------------
 
@@ -394,9 +371,8 @@ def get_tracer() -> Tracer | None:
 
 
 def span(name: str, parent: Span | None = None, detached: bool = False, **attributes):
-    """Open a span on the thread's active capture, else on the active tracer,
-    else a shared no-op."""
-    t = _ACTIVE.capture or _tracer
+    """Open a span on the active tracer, else a shared no-op."""
+    t = _tracer
     if t is None:
         return NULL_SPAN
     return t.span(name, parent=parent, detached=detached, **attributes)

@@ -31,7 +31,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from repro.obs.events import emit as emit_event
 from repro.tcrypto.hashing import sha256
 from repro.wasm.memory import PAGE_SIZE
 
@@ -282,9 +281,10 @@ def perform_pre_fault(kind: str | None, arg: float) -> None:
     process; a positive ``arg`` delays the crash that long, so the worker
     dies while its task is in flight.  ``hang`` and ``slow`` sleep for the shipped
     duration — distinguished only by whether the gateway's deadline
-    outlasts them.
+    outlasts them.  The task's slice record notes the fault, from which
+    the gateway emits ``fault_performed``
+    (:data:`~repro.core.slices.SLICE`).
     """
-    emit_event("fault_performed", fault=kind, arg=arg)
     if arg > 0:
         time.sleep(arg)
     if kind == "crash":

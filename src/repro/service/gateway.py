@@ -38,7 +38,8 @@ from repro.core.cache import InstrumentationCache
 from repro.core.instrumentation_enclave import InstrumentationEnclave
 from repro.core.resource_log import ResourceVector, totals_of
 from repro.core.sandbox import SandboxConfig
-from repro.obs.context import TraceContext, merge_telemetry
+from repro.core.slices import apply_slice
+from repro.obs.context import TraceContext
 from repro.obs.events import emit as emit_event
 from repro.obs.trace import span as obs_span
 from repro.service.backends import ExecutionBackend, WasmBackend
@@ -550,13 +551,15 @@ class MeteringGateway:
                     self._task_failed(state, task, attempt, failure)
                     return
                 worker_result = inner.result()
-                if worker_result.telemetry is not None:
-                    merge_telemetry(
-                        worker_result.telemetry,
-                        state.span,
-                        gateway=self.gateway_id,
-                        request_id=state.request_id,
-                    )
+                apply_slice(
+                    worker_result.record,
+                    state.span,
+                    trace_id=state.trace_id,
+                    export=task.export,
+                    hop=state.trace.hop if state.trace is not None else 0,
+                    gateway=self.gateway_id,
+                    request_id=state.request_id,
+                )
                 step = self._sign_and_record(state, task, worker_result)
                 if step is None:
                     return

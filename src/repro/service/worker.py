@@ -11,7 +11,10 @@ request — exactly the blast radius the two-way sandbox promises.  The
 execution itself is the accounting enclave's own
 :func:`~repro.core.accounting_enclave.run_slice`; a worker adds only its
 wire concerns — the module cache and its instance pools, snapshot
-encoding and fault act-out.
+encoding and fault act-out.  A worker records no telemetry: each result
+carries one fixed :class:`~repro.core.slices.SliceRecord` (boundary stamps
+and a few facts), from which the gateway rebuilds the task's spans, events
+and metrics through the :data:`~repro.core.slices.SLICE` table.
 
 The default pool runs one long-lived worker process per slot (real
 parallelism for the pure-Python interpreter), each fed over its own duplex
@@ -56,13 +59,13 @@ import time
 import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 
 from repro.core.accounting_enclave import RawExecution, run_slice
+from repro.core.slices import SliceRecord
 from repro.lru import LRUCache
-from repro.obs.context import TelemetryCapture, TraceContext, activate
 from repro.obs.events import emit as emit_event
 from repro.obs.instruments import (
     POOL_EXEC_WALL,
@@ -71,7 +74,6 @@ from repro.obs.instruments import (
     POOL_TASKS_IN_FLIGHT,
     POOL_UTILISATION,
 )
-from repro.obs.trace import span
 from repro.service.faults import WorkerCrashed, corrupt_raw, perform_pre_fault
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import decode_module, encode_module
@@ -154,8 +156,8 @@ class ExecutionTask:
     snapshot: bytes | None = None
     #: distributed-trace context (``TraceContext.to_wire()`` tuple: trace
     #: id, parent span id, sink set, hop), set by the gateway whenever any
-    #: telemetry sink (tracing, events, metrics) is on; the task's capture
-    #: records exactly the channels in its sink set
+    #: telemetry sink (tracing, events, metrics) is on; the worker records
+    #: the same slice record either way
     trace: tuple | None = None
 
 
@@ -166,6 +168,11 @@ class WorkerResult:
     ``snapshot`` set means the task was *preempted*, not completed: ``raw``
     carries the meters as of the capture (for checkpoint billing) and the
     gateway re-dispatches the snapshot to continue the job.
+
+    ``record`` is the task's :class:`~repro.core.slices.SliceRecord`, its
+    boundary stamps and facts, the same fixed fields whichever sinks are
+    on.  The gateway applies :data:`~repro.core.slices.SLICE` to it; it
+    never reaches ``raw`` or anything signed.
     """
 
     raw: RawExecution
@@ -174,14 +181,13 @@ class WorkerResult:
     #: the engine whose frames ran the task (``Instance.engine``);
     #: empty when nothing executed (the modeled backend)
     exec_engine: str = ""
-    #: backhauled worker telemetry (``TelemetryCapture.to_wire()`` dict):
-    #: the spans, events and metric deltas the task recorded, merged by
-    #: the gateway (``merge_telemetry``) with origin-pid tagging; ``None``
-    #: when the task recorded nothing
-    telemetry: dict | None = None
+    #: empty (every stamp 0) when nothing executed (the modeled backend)
+    record: SliceRecord = SliceRecord()
 
 
-def _cached_decoded(task: ExecutionTask) -> _Decoded:
+def _cached_decoded(task: ExecutionTask) -> tuple[_Decoded, str]:
+    """The task's decoded module and the lookup's outcome, ``"hit"`` or
+    ``"decode"``."""
     outcome = "hit"
 
     def decode() -> _Decoded:
@@ -189,9 +195,7 @@ def _cached_decoded(task: ExecutionTask) -> _Decoded:
         outcome = "decode"
         return _Decoded(decode_module(task.module_bytes))
 
-    decoded = MODULE_CACHE.get_or_build(task.module_hash, decode)
-    emit_event("module_cache", outcome=outcome)
-    return decoded
+    return MODULE_CACHE.get_or_build(task.module_hash, decode), outcome
 
 
 def execute_task(task: ExecutionTask) -> WorkerResult:
@@ -207,42 +211,26 @@ def execute_task(task: ExecutionTask) -> WorkerResult:
     decoded snapshot, whose suspended call stack it then continues.  With
     ``task.snapshot_at`` set, either may *preempt* instead of completing:
     the result then carries the encoded snapshot and meters-as-of-capture
-    for checkpoint billing.
+    for checkpoint billing.  A fault the task carries is acted out first.
 
-    The task always runs under a :class:`~repro.obs.context.TelemetryCapture`,
-    activated thread-locally for its duration, so the worker's obs calls
-    record into it and never into this process's (possibly forked) sinks.
-    It records the channels in the sink set of the task's trace context
-    (``task.trace``) and nothing else; with no context the set is empty.
-    What it recorded ships home on the result.
-    A worker that crashes mid-task loses its capture with the process —
-    which is the truthful telemetry for that hop.
+    The task records no telemetry.  Beside the slice's own stamps, its
+    :class:`~repro.core.slices.SliceRecord` holds where the task began and
+    ended and where its module lookup began, the lookup's outcome, the
+    fault acted out, the encoded capture's size and the wall clock at the
+    start; the gateway applies :data:`~repro.core.slices.SLICE` to it.  A
+    worker that crashes mid-task returns no record — which is the truthful
+    telemetry for that hop.
     """
-    started = time.perf_counter()
-    ctx = TraceContext.from_wire(task.trace) if task.trace is not None else None
-    capture = TelemetryCapture(ctx)
-    with activate(capture):
-        with span(
-            "worker.task",
-            hop=ctx.hop if ctx is not None else 0,
-            resume=task.snapshot is not None,
-        ) as root:
-            result = _execute_any(task, started)
-            root.set_attribute("preempted", result.snapshot is not None)
-    telemetry = capture.to_wire()
-    return replace(result, telemetry=telemetry) if telemetry is not None else result
-
-
-def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
-    """Run one task's slice (fault act-out happens first)."""
+    task_ns, wall_s = time.perf_counter_ns(), time.time()
     if task.fault is not None:
         perform_pre_fault(task.fault, task.fault_arg)
-    decoded = _cached_decoded(task)
+    lookup_ns = time.perf_counter_ns()
+    decoded, cache = _cached_decoded(task)
     snapshot = decode_snapshot(task.snapshot) if task.snapshot is not None else None
     limits = ExecutionLimits(
         max_instructions=task.max_instructions, snapshot_at=task.snapshot_at
     )
-    raw, captured, exec_engine = run_slice(
+    raw, captured, record = run_slice(
         decoded.pool(task.engine),
         task.counter_global_index,
         task.export,
@@ -254,11 +242,23 @@ def _execute_any(task: ExecutionTask, started: float) -> WorkerResult:
     )
     if task.fault == "corrupt":
         raw = corrupt_raw(raw)
+    blob = encode_snapshot(captured) if captured is not None else None
+    end_ns = time.perf_counter_ns()
     return WorkerResult(
         raw=raw,
-        exec_wall_s=time.perf_counter() - started,
-        snapshot=encode_snapshot(captured) if captured is not None else None,
-        exec_engine=exec_engine,
+        exec_wall_s=(end_ns - task_ns) / 1e9,
+        snapshot=blob,
+        exec_engine=record.exec_engine,
+        record=record._replace(
+            task_ns=task_ns,
+            lookup_ns=lookup_ns,
+            end_ns=end_ns,
+            cache=cache,
+            fault=task.fault or "",
+            fault_arg=task.fault_arg,
+            suspend_bytes=len(blob) if blob is not None else 0,
+            wall_s=wall_s,
+        ),
     )
 
 

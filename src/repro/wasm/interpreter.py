@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
-from repro.obs.profiler import active_profiler
 from repro.wasm.costmodel import CostModel
 from repro.wasm.engines import (
     ENGINE_NAMES,
@@ -41,6 +40,21 @@ from repro.wasm.instructions import Instr
 from repro.wasm.memory import LinearMemory, MemoryAccessError
 from repro.wasm.module import Module
 from repro.wasm.types import FuncType, GlobalType, ValType
+
+#: The process-wide profiler :meth:`Instance.invoke` snapshots, installed
+#: by :func:`repro.obs.profiler.enable_profiling`; kept here so that the
+#: engines import no observability module.
+_active_profiler = None
+
+
+def active_profiler():
+    """The installed :class:`~repro.obs.profiler.Profiler`, or ``None``."""
+    return _active_profiler
+
+
+def set_active_profiler(profiler) -> None:
+    global _active_profiler
+    _active_profiler = profiler
 
 
 class Trap(Exception):
@@ -501,7 +515,7 @@ class Instance:
 
     def invoke(self, export_name: str, *args):
         """Invoke an exported function with Python ints/floats."""
-        self._profiler = active_profiler()
+        self._profiler = _active_profiler
         if self._profiler is not None and self._func_labels is None:
             self._func_labels = function_labels(self.module)
         func_index = self.module.export_index(export_name, "func")

@@ -58,7 +58,6 @@ from operator import itemgetter
 from typing import Callable
 
 from repro.lru import LRUCache
-from repro.obs.instruments import SNAPSHOT_BYTES, SNAPSHOTS_TAKEN
 from repro.tcrypto.hashing import sha256
 from repro.wasm.interpreter import CapturedFrame, CaptureUnwind, Instance
 from repro.wasm.memory import MAX_PAGES, PAGE_SIZE
@@ -114,7 +113,7 @@ class Snapshot:
         return self.stats["executed"]
 
     def hash(self) -> bytes:
-        return sha256(encode_snapshot(self, _observe=False))
+        return sha256(encode_snapshot(self))
 
 
 # -- base memory image ---------------------------------------------------------
@@ -225,7 +224,6 @@ def capture_instance(
         frames=tuple(frames),
         io=io,
     )
-    SNAPSHOTS_TAKEN.inc(kind="warm" if not frames else "suspend")
     return snapshot
 
 
@@ -366,13 +364,12 @@ def _frozen(cls, **fields):
 
 
 def encode_snapshot(snapshot: Snapshot, _observe: bool = True) -> bytes:
+    # ``_observe`` is accepted and ignored: encoding records no telemetry
+    # (a worker's slice record carries the encoded size)
     try:
-        blob = _encode(snapshot)
+        return _encode(snapshot)
     except (struct.error, KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"cannot encode snapshot: {exc!r}") from None
-    if _observe:
-        SNAPSHOT_BYTES.observe(float(len(blob)))
-    return blob
 
 
 def _encode(snapshot: Snapshot) -> bytes:

@@ -19,11 +19,10 @@ enclave and in gateway workers alike.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from repro.obs.instruments import WARM_POOL_HITS
-from repro.obs.trace import span
 from repro.wasm.interpreter import ExecutionLimits, Instance
 from repro.wasm.module import Module
 from repro.wasm.runtime import HostEnvironment
@@ -32,10 +31,19 @@ from repro.wasm.snapshot.restore import apply_state, require_module, slice_limit
 
 
 class WarmHandle(NamedTuple):
-    """One pooled live instance, leased to exactly one slice at a time."""
+    """One pooled live instance, leased to exactly one slice at a time.
+
+    ``built`` is the ``(start, end)`` ``perf_counter_ns`` stamps of the
+    pool build this lease paid for, ``None`` when it reused an idle
+    instance; ``image`` says that build also captured the pool's warm
+    image.  A slice's record reads both
+    (:func:`~repro.core.accounting_enclave.run_slice`).
+    """
 
     instance: Instance
     env: HostEnvironment
+    built: tuple[int, int] | None = None
+    image: bool = False
 
 
 @dataclass
@@ -70,6 +78,7 @@ class WarmPool:
     # -- building ----------------------------------------------------------------
 
     def _build(self, limits: ExecutionLimits) -> WarmHandle:
+        started = time.perf_counter_ns()
         env = HostEnvironment()
         # the start function runs under the lease's instruction budget,
         # but never captures or reports progress
@@ -83,11 +92,12 @@ class WarmPool:
         )
         with self._lock:
             self.builds += 1
-            if self._image is None:
+            image = self._image is None
+            if image:
                 # the pristine post-instantiation state (start function
                 # included) — every acquire resets a pooled instance to this
                 self._image = capture_instance(instance)
-        return WarmHandle(instance=instance, env=env)
+        return WarmHandle(instance, env, (started, time.perf_counter_ns()), image)
 
     # -- leasing -----------------------------------------------------------------
 
@@ -105,10 +115,7 @@ class WarmPool:
             handle = self._idle.pop() if self._idle else None
             self.hits += handle is not None
         if handle is None:
-            with span("warmpool.build"):
-                handle = self._build(limits)
-        else:
-            WARM_POOL_HITS.inc()
+            handle = self._build(limits)
         if snapshot is not None:
             require_module(snapshot, self._image.module_hash)
             limits = slice_limits(limits, snapshot)
@@ -120,6 +127,8 @@ class WarmPool:
 
     def release(self, handle: WarmHandle) -> None:
         """Return a leased instance; surplus handles beyond ``max_size`` drop."""
+        if handle.built is not None:  # the next lease of it builds nothing
+            handle = WarmHandle(handle.instance, handle.env)
         with self._lock:
             if len(self._idle) < self.max_size:
                 self._idle.append(handle)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.obs.instruments import RESUMES_TOTAL
 from repro.tcrypto.hashing import sha256
 from repro.wasm.binary import encode_module
 from repro.wasm.interpreter import (
@@ -159,7 +158,6 @@ def resume_instance(instance: Instance, snapshot: Snapshot) -> list:
     frames = snapshot.frames
     if not frames:
         raise SnapshotError("snapshot has no suspended frames to resume")
-    RESUMES_TOTAL.inc()
     n_imported = instance.module.num_imported_funcs
     run = instance._engine.exec_function
     saved_depth = instance._call_depth

@@ -1,11 +1,12 @@
-"""Trace context, worker telemetry capture, and the cross-process merge.
+"""Trace context, the worker's slice record, and the gateway-side merge.
 
-Unit coverage for :mod:`repro.obs.context`: deterministic trace identity
-and the sink set minted with it, the bounded worker-side
-capture as the ordinary obs calls reach it (wire format, drop counting, the
-sink set each channel is checked against, thread-local activation), the
-gateway-side merge, the tracer's foreign-span ingest, the per-span pid in
-the Chrome export, histogram exemplars, and the ``explain_request`` event
+Unit coverage for :mod:`repro.obs.context` and the record half of
+:mod:`repro.core.slices`: deterministic trace identity and the sink set
+minted with it, the fixed worker-side record (its size, its plain-data
+wire form, concurrent tasks kept apart), the slice table applied to it
+(span nesting from its stamps, events with provenance, metrics with their
+labels, nothing for a sink that is off), the per-span pid in the Chrome
+export, histogram exemplars, and the ``explain_request`` event
 reconstruction.
 """
 
@@ -14,22 +15,19 @@ import json
 import pickle
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
-from repro.obs import context
+from repro.core import slices
+from repro.core.accounting_enclave import RawExecution
+from repro.core.slices import SliceRecord, apply_slice
 from repro.obs.context import (
     ALL_SINKS,
     EVENTS,
     METRICS,
     SPANS,
-    TelemetryCapture,
     TraceContext,
-    activate,
-    current_capture,
     explain_request,
-    merge_telemetry,
     trace_id_for,
 )
 from repro.obs.events import Event, EventLog, disable_events, emit, enable_events
@@ -41,6 +39,7 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, disable_tracing, enable_tracing, span
+from repro.service.worker import ExecutionTask, execute_task
 
 
 CTX = TraceContext(trace_id=trace_id_for("gw-test", 1))
@@ -113,14 +112,57 @@ class TestTraceContext:
 
 
 # ---------------------------------------------------------------------------
-# TelemetryCapture: recording through the ordinary obs calls, bounds, wire
+# The slice record: fixed fields, plain data, and the spans built from it
 # ---------------------------------------------------------------------------
+
+#: A generous bound on one pickled record (about 210 bytes fully filled).
+RECORD_BYTES = 256
+
+MINIC_SUM = (
+    "int total(int n) { int s; int i; s = 0; "
+    "for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }"
+)
+
+RAW = RawExecution(
+    workload_hash=b"\x00" * 32, counter_value=3, peak_memory_bytes=0,
+    initial_pages=0, grow_history=(), io_bytes_in=0, io_bytes_out=0,
+)
+
+
+def make_record(**changes) -> SliceRecord:
+    """A worker task's record: a fresh call whose lease built the instance
+    and captured the warm image."""
+    return SliceRecord(
+        task_ns=100, lookup_ns=200, setup_ns=300, build_ns=310, built_ns=390,
+        run_ns=400, ran_ns=900, end_ns=1000, engine="compile",
+        exec_engine="compile", image=True, cache="decode", pid=4242, thread_id=7,
+        wall_s=1000.0,
+    )._replace(**changes)
+
+
+_MODULE: list = []
+
+
+def sum_task(**changes) -> ExecutionTask:
+    """A task calling ``total`` of an instrumented MiniC module."""
+    from repro.core.sandbox import SandboxConfig, TwoWaySandbox
+    from repro.tcrypto.hashing import sha256
+    from repro.wasm.binary import encode_module
+
+    if not _MODULE:
+        workload = TwoWaySandbox.deploy(SandboxConfig()).submit_minic(MINIC_SUM)
+        module_bytes = encode_module(workload.module)
+        _MODULE.append(ExecutionTask(
+            module_bytes=module_bytes, module_hash=sha256(module_bytes),
+            counter_global_index=workload.evidence.counter_global_index,
+            export="total", args=(10,),
+        ))
+    return ExecutionTask(**{**_MODULE[0].__dict__, **changes})
 
 
 @pytest.fixture
 def sinks_on():
-    """Every process-wide sink on, so a test can show a capture keeps the
-    obs calls made under it out of them."""
+    """Every process-wide sink on."""
     tracer = enable_tracing(Tracer())
     log = enable_events(EventLog())
     enable_metrics()
@@ -135,160 +177,117 @@ def probe_counter():
 
 
 class TestTelemetryCapture:
-    def test_span_nesting_records_parent_links(self):
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("outer") as outer:
-                outer.set_attribute("k", "v")
-                with span("inner"):
-                    pass
-            with span("sibling"):
-                pass
-        spans = capture.to_wire()["spans"]
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["outer"]["parent"] is None
-        assert by_name["inner"]["parent"] == by_name["outer"]["id"]
-        assert by_name["sibling"]["parent"] is None
-        assert by_name["outer"]["attrs"] == {"k": "v"}
-        for record in spans:
-            assert record["end_ns"] >= record["start_ns"]
+    """A worker's telemetry capture is its slice record: fixed, plain
+    fields, from which the slice table rebuilds the spans."""
 
-    def test_spans_ship_in_creation_order(self):
-        # the tracer keeps finish order (inner first); ingest needs parents
-        # before children
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("outer"):
-                with span("inner"):
-                    pass
-        assert [s["name"] for s in capture.to_wire()["spans"]] == ["outer", "inner"]
+    def test_span_nesting_records_parent_links(self, sinks_on):
+        tracer, _log = sinks_on
+        apply_slice(make_record(), trace_id=CTX.trace_id, export="total", hop=0)
+        by_name = {s.name: s for s in tracer.finished()}
+        task = by_name["worker.task"]
+        assert task.parent_id is None  # no parent given, no span open here
+        assert by_name["worker.instantiate"].parent_id == task.span_id
+        assert by_name["warmpool.build"].parent_id == by_name["worker.instantiate"].span_id
+        assert by_name["worker.invoke"].parent_id == task.span_id
+        # each span runs between its boundary's two stamps
+        assert (task.start_ns, task.end_ns) == (100, 1000)
+        assert (by_name["warmpool.build"].start_ns, by_name["warmpool.build"].end_ns) == (310, 390)
+        assert by_name["worker.invoke"].attributes == {
+            "export": "total", "exec_engine": "compile", "trace_id": CTX.trace_id,
+        }
 
-    def test_span_bound_counts_drops_instead_of_growing(self, monkeypatch):
-        monkeypatch.setattr(context, "MAX_SPANS", 2)
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            for i in range(5):
-                with span(f"s{i}") as s:
-                    s.set_attribute("i", i)  # safe even on a dropped span
-        wire = capture.to_wire()
-        assert [s["name"] for s in wire["spans"]] == ["s0", "s1"]
-        assert wire["spans_dropped"] == 3
-
-    def test_event_bound_counts_drops(self, monkeypatch):
-        monkeypatch.setattr(context, "MAX_EVENTS", 3)
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            for i in range(5):
-                emit("k", i=i)
-        assert len(capture.events) == 3
-        assert capture.events_dropped == 2
-
-    def test_default_bounds(self):
-        assert context.MAX_SPANS == context.MAX_EVENTS == 256
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            for i in range(context.MAX_SPANS + 1):
-                with span(f"s{i}"):
-                    emit("k", i=i)
-        wire = capture.to_wire()
-        assert len(wire["spans"]) == len(wire["events"]) == 256
-        assert wire["spans_dropped"] == wire["events_dropped"] == 1
-
-    def test_attributes_are_wire_safe(self):
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("s", blob=b"\x01\x02", n=3, f=1.5, flag=True, none=None):
-                pass
-            emit("e", blob=b"\xff", obj=object(), seq=(1, b"\x02"))
-        attrs = capture.to_wire()["spans"][0]["attrs"]
-        assert attrs["blob"] == "0102"  # bytes hex-encode
-        assert attrs["n"] == 3 and attrs["f"] == 1.5 and attrs["flag"] is True
-        assert attrs["none"] is None
-        fields = capture.events[0]["fields"]
-        assert fields["blob"] == "ff"
-        assert isinstance(fields["obj"], str)  # arbitrary objects stringify
-        assert fields["seq"] == [1, "02"]  # sequences map element-wise
-
-    def test_metric_deltas_keep_kind_and_labels(self):
-        # a ``kind`` label is a label, not the metric type
-        capture = TelemetryCapture(CTX)
-        histogram = Histogram("ctx_probe_bytes", "h", buckets=(1.0,))
-        with activate(capture):
-            probe_counter().inc(kind="suspend")
-            histogram.observe(512.0, b="2", a="1")
-        assert capture.metrics == [
-            ("ctx_probe", "counter", 1.0, {"kind": "suspend"}),
-            ("ctx_probe_bytes", "histogram", 512.0, {"a": "1", "b": "2"}),
+    def test_spans_ship_in_creation_order(self, sinks_on):
+        # an enclosing boundary's span is recorded before what it encloses
+        tracer, _log = sinks_on
+        apply_slice(make_record(), export="total", hop=0)
+        assert [s.name for s in tracer.finished()] == [
+            "worker.task", "worker.instantiate", "warmpool.build", "worker.invoke",
         ]
 
-    def test_metrics_only_capture_records_no_spans_or_events(self, sinks_on):
-        # metrics alone on: the sink set is {metrics}
-        tracer, log = sinks_on
-        capture = TelemetryCapture(replace(CTX, sinks=frozenset({METRICS})))
-        counter = probe_counter()
-        with activate(capture):
-            with span("s"):
-                emit("e")
-            counter.inc(2)
-        wire = capture.to_wire()
-        assert wire["spans"] == [] and wire["events"] == []
-        assert wire["metrics"] == [["ctx_probe", "counter", 2.0, {}]]
-        # nothing fell through to the process-wide sinks either
-        assert tracer.finished() == [] and log.events() == []
-        assert counter.total() == 0
+    def test_default_bounds(self):
+        # the record's size does not grow with the slice: a long run and a
+        # short one ship the same fields and pickle to the same small size
+        execute_task(sum_task())  # the module cached, its pool built
+        short = execute_task(sum_task(args=(10,))).record
+        long = execute_task(sum_task(args=(5000,))).record
+        assert len(pickle.dumps(short)) == len(pickle.dumps(long)) <= RECORD_BYTES
+        assert SliceRecord._fields == tuple(short._asdict())
 
-    def test_disabled_capture_records_nothing(self, sinks_on):
-        # a task without a context gets the empty sink set
-        tracer, log = sinks_on
-        counter = probe_counter()
-        for ctx in (None, replace(CTX, sinks=frozenset())):
-            capture = TelemetryCapture(ctx)
-            assert capture.sinks == frozenset()
-            with activate(capture):
-                with span("s") as s:
-                    s.set_attribute("k", 1)
-                emit("e")
-                counter.inc()
-            assert capture.to_wire() is None
-        assert tracer.finished() == [] and log.events() == []
-        assert counter.total() == 0
+    def test_attributes_are_wire_safe(self, sinks_on):
+        tracer, _log = sinks_on
+        apply_slice(
+            SliceRecord(account_ns=5, accounted_ns=9),
+            label="total", module_hash=b"\x01\x02", raw=RAW, final=True, delta=(3, 0, 0),
+        )
+        [account] = tracer.finished()
+        assert account.name == "account"
+        assert account.attributes == {"label": "total", "module_hash": "0102"}
+        json.dumps(account.to_json())
 
-    def test_to_wire_closes_open_spans_as_truncated(self):
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            left_open = span("left_open")  # e.g. a fault unwound past the exit
-        wire = capture.to_wire()
-        [record] = wire["spans"]
-        assert record["end_ns"] >= record["start_ns"]
-        assert record["attrs"]["truncated"] is True
-        # the capture itself is untouched — to_wire copies
-        assert left_open.end_ns is None
-        assert "truncated" not in left_open.attributes
+    def test_metric_deltas_keep_kind_and_labels(self, sinks_on):
+        registry = get_registry()
+        names = ("acctee_snapshots_taken", "acctee_resumes_total",
+                 "acctee_warm_pool_hits", "acctee_snapshot_bytes")
+        snapshots, resumes, hits, sizes = (registry.get(n) for n in names)
+        for metric in (snapshots, resumes, hits, sizes):
+            metric.reset()
+        apply_slice(make_record(), export="total", hop=0)  # a build of the warm image
+        apply_slice(make_record(build_ns=0, built_ns=0, image=False, resume=True,
+                                preempted=True, suspend_bytes=700), export="total", hop=1)
+        assert snapshots.value(kind="warm") == snapshots.value(kind="suspend") == 1
+        assert resumes.total() == hits.total() == 1
+        assert (sizes.count(), sizes.sum()) == (1, 700.0)
+        for metric in (snapshots, resumes, hits, sizes):
+            metric.reset()
+
+    def test_metrics_only_capture_records_no_spans_or_events(self):
+        # metrics alone on: the record drives metrics; with tracing and
+        # events on instead, nothing reaches the registry
+        hits = get_registry().get("acctee_warm_pool_hits")
+        hits.reset()
+        record = make_record(build_ns=0, built_ns=0)
+        enable_metrics()
+        try:
+            apply_slice(record, export="total", hop=0)
+        finally:
+            disable_metrics()
+        assert hits.total() == 1
+        tracer, log = enable_tracing(Tracer()), enable_events(EventLog())
+        try:
+            apply_slice(record, export="total", hop=0)
+        finally:
+            disable_tracing()
+            disable_events()
+        assert hits.total() == 1
+        assert tracer.finished() and log.events()
+        hits.reset()
+
+    def test_disabled_capture_records_nothing(self, monkeypatch):
+        # every sink off: apply_slice returns before it reads a single row
+        class Untouchable(dict):
+            def items(self):
+                raise AssertionError("the table was read with every sink off")
+
+        monkeypatch.setattr(slices, "SLICE", Untouchable())
+        apply_slice(make_record(), export="total", hop=0)
+        assert get_registry().get("acctee_warm_pool_hits").total() == 0
 
     def test_to_wire_shape_pickles_as_plain_data(self):
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("s"):
-                emit("e", x=1)
-            probe_counter().inc(2.0)
-        wire = capture.to_wire()
-        assert wire["trace_id"] == CTX.trace_id
-        assert wire["hop"] == CTX.hop
-        assert wire["pid"] == capture.pid
-        assert wire["spans_dropped"] == 0 and wire["events_dropped"] == 0
-        json.dumps(wire)  # nothing exotic survives into the wire format
-        assert pickle.loads(pickle.dumps(wire)) == wire
+        record = execute_task(sum_task(snapshot_at=100)).record
+        assert record.preempted and record.suspend_bytes > 0
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert all(type(value) in (int, float, str, bool) for value in record)
+        json.dumps(list(record))  # nothing exotic crosses the pipe
 
 
 # ---------------------------------------------------------------------------
-# Thread-local activation: the obs calls route to the capture
+# No capture to activate: obs calls reach the process sinks, slices stay apart
 # ---------------------------------------------------------------------------
 
 
 class TestActivation:
     def test_helpers_are_noops_without_a_capture(self):
-        # no capture, no sink: the obs calls behave as they always did
-        assert current_capture() is None
+        # no sink: the obs calls record nowhere
         counter = probe_counter()
         with span("nothing", k=1) as s:
             s.set_attribute("k", 2)
@@ -307,61 +306,24 @@ class TestActivation:
         assert [e.kind for e in log.events()] == ["evt"]
         assert counter.total() == 1
 
-    def test_activate_installs_and_restores(self, sinks_on):
-        tracer, log = sinks_on
-        capture = TelemetryCapture(CTX)
-        counter = probe_counter()
-        with activate(capture):
-            assert current_capture() is capture
-            with span("inside", k="v"):
-                pass
-            emit("evt", a=1)
-            counter.inc(3.0)
-        assert current_capture() is None
-        assert [s["name"] for s in capture.to_wire()["spans"]] == ["inside"]
-        assert [e["kind"] for e in capture.events] == ["evt"]
-        assert capture.metrics == [("ctx_probe", "counter", 3.0, {})]
-        # recorded into the capture and nowhere else
-        assert tracer.finished() == [] and log.events() == []
-        assert counter.total() == 0
-
-    def test_activation_is_thread_local(self, sinks_on):
-        _tracer, log = sinks_on
-        mine = TelemetryCapture(CTX)
-        seen = {}
-
-        def other_thread():
-            seen["capture"] = current_capture()
-            emit("from_other")  # must not leak into `mine`
-
-        with activate(mine):
-            t = threading.Thread(target=other_thread)
-            t.start()
-            t.join()
-        assert seen["capture"] is None
-        assert mine.events == []
-        assert [e.kind for e in log.events()] == ["from_other"]
-
     def test_concurrent_captures_each_keep_only_their_own_calls(self, sinks_on):
-        tracer, log = sinks_on
-        counter = probe_counter()
-        captures = [TelemetryCapture(CTX) for _ in range(8)]
-        barrier = threading.Barrier(len(captures))
+        # thread-pool tasks run side by side; each record holds its own
+        # thread and its own slice's facts, and so do the spans built from it
+        tracer, _log = sinks_on
+        tasks = [sum_task(args=(200 + i,), snapshot_at=100 if i % 2 else None)
+                 for i in range(8)]
+        results, idents = {}, {}
+        barrier = threading.Barrier(len(tasks))
 
-        def run(index, capture):
-            with activate(capture):
-                barrier.wait(timeout=10)
-                for _ in range(200):
-                    with span("s", owner=index):
-                        emit("e", owner=index)
-                    counter.inc(owner=index)
+        def run(index):
+            idents[index] = threading.get_ident()
+            barrier.wait(timeout=10)
+            results[index] = execute_task(tasks[index])
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [
-                threading.Thread(target=run, args=(i, c)) for i, c in enumerate(captures)
-            ]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(tasks))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -369,29 +331,19 @@ class TestActivation:
         finally:
             sys.setswitchinterval(previous)
         assert not any(t.is_alive() for t in threads)
-        for index, capture in enumerate(captures):
-            wire = capture.to_wire()
-            assert len(wire["spans"]) == len(wire["events"]) == len(wire["metrics"]) == 200
-            assert {s["attrs"]["owner"] for s in wire["spans"]} == {index}
-            assert {e["fields"]["owner"] for e in wire["events"]} == {index}
-            assert {m[3]["owner"] for m in wire["metrics"]} == {index}
-        assert tracer.finished() == [] and log.events() == []
-        assert counter.total() == 0
-
-    def test_nested_activation_restores_previous(self):
-        outer = TelemetryCapture(CTX)
-        inner = TelemetryCapture(CTX)
-        with activate(outer):
-            with activate(inner):
-                assert current_capture() is inner
-                emit("to_inner")
-            assert current_capture() is outer
-        assert [e["kind"] for e in inner.events] == ["to_inner"]
-        assert outer.events == []
+        for index, result in results.items():
+            record = result.record
+            assert record.thread_id == idents[index]
+            assert record.preempted == bool(index % 2)
+            if not record.preempted:
+                assert result.raw.value == sum(range(200 + index))
+            apply_slice(record, trace_id=str(index), export="total", hop=0)
+        for s in tracer.finished():
+            assert s.thread_id == idents[int(s.attributes["trace_id"])]
 
 
 # ---------------------------------------------------------------------------
-# merge_telemetry: the gateway-side replay
+# The gateway-side merge: the slice table applied to a worker's record
 # ---------------------------------------------------------------------------
 
 
@@ -402,12 +354,8 @@ class TestMerge:
         resumes = registry.get("acctee_resumes_total")
         snapshots.reset()
         resumes.reset()
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            snapshots.inc(kind="suspend")
-            resumes.inc()
-        assert snapshots.total() == 0  # nothing landed before the merge
-        merge_telemetry(capture.to_wire(), gateway="gw-test", request_id=1)
+        record = make_record(resume=True, preempted=True, image=False)
+        apply_slice(record, export="total", hop=1, gateway="gw-test", request_id=1)
         assert snapshots.value(kind="suspend") == 1
         assert snapshots.total() == 1
         assert resumes.total() == 1
@@ -417,109 +365,82 @@ class TestMerge:
     def test_events_gain_provenance_and_spans_their_parent(self, sinks_on):
         tracer, log = sinks_on
         parent = tracer.span("gateway.request", detached=True)
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("worker.task"):
-                emit("module_cache", outcome="hit", request_id="spoofed")
-        merge_telemetry(capture.to_wire(), parent, gateway="gw-test", request_id=7)
+        record = make_record(fault="slow", fault_arg=0.25)
+        apply_slice(record, parent, trace_id=CTX.trace_id, export="total", hop=0,
+                    gateway="gw-test", request_id=7)
         parent.end()
-        [event] = log.events()
-        assert event.fields == {
-            "outcome": "hit",
-            "gateway": "gw-test",
-            "request_id": 7,  # the gateway's identity wins
-            "trace_id": CTX.trace_id,
-            "origin_pid": capture.pid,
-            "worker_ts_s": capture.events[0]["ts_s"],
-        }
+        fault, cache = log.events()
+        provenance = {"gateway": "gw-test", "request_id": 7,
+                      "trace_id": CTX.trace_id, "origin_pid": 4242}
+        assert fault.kind == "fault_performed"
+        assert fault.fields == {"fault": "slow", "arg": 0.25, **provenance,
+                                "worker_ts_s": 1000.0}
+        assert cache.kind == "module_cache"
+        # the worker's wall clock at the lookup, from the one wall stamp
+        assert cache.fields == {"outcome": "decode", **provenance,
+                                "worker_ts_s": 1000.0 + 100 / 1e9}
         [task] = [s for s in tracer.finished() if s.name == "worker.task"]
         assert task.parent_id == parent.span_id
-
-    def test_backhaul_bytes_observed_only_with_metrics_on(self):
-        histogram = get_registry().get("acctee_trace_backhaul_bytes")
-        histogram.reset()
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            emit("e")
-        wire = capture.to_wire()
-        merge_telemetry(wire)
-        enable_metrics()
-        try:
-            merge_telemetry(wire)
-        finally:
-            disable_metrics()
-        assert histogram.count() == 1
-        histogram.reset()
+        assert task.pid == 4242 and task.thread_id == 7
 
     def test_backhaul_bytes_are_the_pickled_capture(self):
-        # the observed size is what the capture costs on the pipe, not a
-        # re-encoding of it (JSON ran about half again larger)
-        histogram = get_registry().get("acctee_trace_backhaul_bytes")
-        histogram.reset()
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("worker.task", hop=0):
-                emit("module_cache", outcome="hit")
-                get_registry().get("acctee_resumes_total").inc()
-        shipped = pickle.loads(pickle.dumps(capture.to_wire()))
-        enable_metrics()
-        try:
-            merge_telemetry(shipped)
-        finally:
-            disable_metrics()
-        assert histogram.count() == 1
-        assert histogram.sum() == len(pickle.dumps(shipped))
-        assert histogram.sum() < len(json.dumps(shipped, default=str))
-        histogram.reset()
+        # what crosses the pipe is the pickled record: a few fixed fields,
+        # far below the spans, events and metric deltas it stands for
+        result = execute_task(sum_task(snapshot_at=100, trace=CTX.to_wire()))
+        shipped = pickle.loads(pickle.dumps(result))
+        assert shipped.record == result.record
+        assert len(pickle.dumps(result.record)) <= RECORD_BYTES
 
 
 # ---------------------------------------------------------------------------
-# Tracer.ingest: the gateway-side merge
+# Rebuilt spans join the tracer: own ids, worker pids, the given parent
 # ---------------------------------------------------------------------------
 
 
 class TestIngest:
-    def make_wire_spans(self):
-        capture = TelemetryCapture(CTX)
-        with activate(capture):
-            with span("worker.task", hop=0):
-                with span("worker.invoke"):
-                    pass
-        return capture.to_wire()
-
     def test_ids_remapped_and_roots_reparented(self):
-        tracer = Tracer()
-        parent = tracer.span("gateway.request", detached=True)
-        wire = self.make_wire_spans()
-        merged = tracer.ingest(wire["spans"], parent=parent, pid=wire["pid"],
-                               trace_id=CTX.trace_id)
-        parent.end()
-        by_name = {s.name: s for s in merged}
-        task, invoke = by_name["worker.task"], by_name["worker.invoke"]
-        assert task.parent_id == parent.span_id  # capture root hangs under parent
-        assert invoke.parent_id == task.span_id  # intra-capture link preserved
-        assert task.span_id != wire["spans"][0]["id"]  # remapped into tracer space
-        assert task.pid == wire["pid"] and invoke.pid == wire["pid"]
-        assert task.attributes["trace_id"] == CTX.trace_id
-        assert task.attributes["hop"] == 0  # original attrs survive
+        tracer = enable_tracing(Tracer())
+        try:
+            parent = tracer.span("gateway.request", detached=True)
+            for hop in (0, 1):
+                apply_slice(make_record(), parent, trace_id=CTX.trace_id,
+                            export="total", hop=hop)
+            parent.end()
+        finally:
+            disable_tracing()
+        spans = tracer.finished()
+        assert len({s.span_id for s in spans}) == len(spans)  # the tracer's ids
+        tasks = [s for s in spans if s.name == "worker.task"]
+        assert [t.attributes["hop"] for t in tasks] == [0, 1]
+        for task in tasks:
+            assert task.parent_id == parent.span_id
+            children = [s for s in spans if s.parent_id == task.span_id]
+            assert {c.name for c in children} == {"worker.instantiate", "worker.invoke"}
+        for s in spans:
+            if s is not parent:
+                assert s.pid == 4242
+                assert s.attributes["trace_id"] == CTX.trace_id
 
     def test_ingest_without_parent_leaves_roots_detached(self):
-        tracer = Tracer()
-        wire = self.make_wire_spans()
-        merged = tracer.ingest(wire["spans"], pid=wire["pid"])
-        assert merged[0].parent_id is None
+        tracer = enable_tracing(Tracer())
+        try:
+            apply_slice(make_record(), export="total", hop=0)
+        finally:
+            disable_tracing()
+        [task] = [s for s in tracer.finished() if s.name == "worker.task"]
+        assert task.parent_id is None
 
     def test_chrome_trace_renders_per_span_pid_with_process_rows(self):
         import os
 
-        tracer = Tracer()
-        with tracer.span("local"):
-            pass
-        wire = self.make_wire_spans()
-        foreign_pid = os.getpid() + 1000  # simulate a worker process
-        for record in wire["spans"]:
-            record.pop("pid", None)
-        tracer.ingest(wire["spans"], pid=foreign_pid)
+        tracer = enable_tracing(Tracer())
+        try:
+            with tracer.span("local"):
+                pass
+            foreign_pid = os.getpid() + 1000  # simulate a worker process
+            apply_slice(make_record(pid=foreign_pid), export="total", hop=0)
+        finally:
+            disable_tracing()
         doc = tracer.to_chrome_trace()
         x_events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]

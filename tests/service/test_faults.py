@@ -334,14 +334,15 @@ def test_backend_submit_that_raises_settles_the_request(fail_on, exc, outcome):
 
 
 def test_merge_telemetry_that_raises_settles_the_request(monkeypatch):
-    """The result callback merges the worker's telemetry before accounting;
-    if that raises, the request fails unbilled instead of hanging."""
+    """The result callback merges the worker's telemetry (applies the
+    slice table to its record) before accounting; if that raises, the
+    request fails unbilled instead of hanging."""
 
     def broken_merge(*_args, **_kwargs):
         raise RuntimeError("telemetry merge failed")
 
-    monkeypatch.setattr(gateway_module, "merge_telemetry", broken_merge)
-    log = enable_events(EventLog())  # a sink on: the worker ships telemetry
+    monkeypatch.setattr(gateway_module, "apply_slice", broken_merge)
+    log = enable_events(EventLog())  # a sink on, as when a merge has work
     try:
         with MeteringGateway(workers=1, pool="thread") as gw:
             gw.register_tenant("alice", minic=MINIC_SQUARE)

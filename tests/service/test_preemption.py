@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.accounting_enclave import WorkloadCheckpoint
+from repro.core.slices import apply_slice
 from repro.core.policy import MemoryPolicy
 from repro.core.sandbox import SandboxConfig, TwoWaySandbox
 from repro.service import MeteringGateway
@@ -22,6 +23,7 @@ from repro.service.worker import ExecutionTask, execute_task
 from repro.wasm.binary import encode_module
 from repro.wasm.engines import ENGINE_ENV_VAR
 from repro.obs.context import ALL_SINKS, trace_id_for
+from repro.obs.trace import Tracer, disable_tracing, enable_tracing
 from repro.wasm.snapshot import SnapshotError, decode_snapshot
 from repro.wasm.wat_parser import parse_wat
 from repro.tcrypto.hashing import sha256
@@ -222,14 +224,20 @@ class TestWorkerResume:
         results = run_preempted(task)
         if armed:
             assert len(results) > 1
+        # the spans the gateway rebuilds from each hop's slice record
+        tracer = enable_tracing(Tracer())
+        try:
+            for result in results:
+                apply_slice(result.record, trace_id=trace[0], export="total", hop=1)
+        finally:
+            disable_tracing()
         spans = [
             span
-            for result in results
-            for span in result.telemetry["spans"]
-            if span["name"] in ("worker.invoke", "worker.resume_invoke")
+            for span in tracer.finished()
+            if span.name in ("worker.invoke", "worker.resume_invoke")
         ]
         assert len(spans) == len(results)
-        assert {span["attrs"]["exec_engine"] for span in spans} == {expected}
+        assert {span.attributes["exec_engine"] for span in spans} == {expected}
         # always on, tracing or not: every result names the engine
         assert {result.exec_engine for result in results} == {expected}
 

@@ -12,9 +12,9 @@ The acceptance-critical properties from the tracing issue:
 * with tracing off, requests still carry provenance on receipts and
   events, and every worker metric reaches the gateway registry exactly
   once, with its labels, on either pool kind;
-* a worker ships home only what the gateway has a sink for: spans only
-  with tracing on, events only with events on, metric deltas only with
-  metrics on;
+* a worker ships home one fixed slice record whatever the sinks, and the
+  gateway applies it only to the sinks it has: spans only with tracing
+  on, events only with events on, metrics only with metrics on;
 * the whole apparatus is inert when off: signed totals stay byte-identical
   with tracing+events enabled vs disabled, on every engine.
 """
@@ -22,11 +22,14 @@ The acceptance-critical properties from the tracing issue:
 import itertools
 import json
 import os
+import pickle
+from dataclasses import replace
 
 import pytest
 
 import repro.service.gateway as gateway_module
 from repro.core.sandbox import SandboxConfig
+from repro.core.slices import SliceRecord, apply_slice
 from repro.obs.context import ALL_SINKS, trace_id_for
 from repro.obs.events import EventLog, disable_events, enable_events
 from repro.obs.metrics import disable_metrics, enable_metrics, get_registry
@@ -227,6 +230,9 @@ def _final_id(request_id):
 
 
 class TestWorkerTaskGating:
+    """A worker records one fixed slice record whatever the sinks; what
+    becomes telemetry is decided where the record is applied."""
+
     def make_task(self, trace=None):
         from repro.core.sandbox import TwoWaySandbox
         from repro.tcrypto.hashing import sha256
@@ -245,25 +251,51 @@ class TestWorkerTaskGating:
         )
 
     def test_untraced_task_returns_no_telemetry(self):
-        result = execute_task(self.make_task())
-        assert result.telemetry is None
+        # traced or not, with any sink combination on in the worker's
+        # process: the same record, of the same small pickled size
+        task = self.make_task()
+        execute_task(task)  # the module cached, its pool built
+        records = []
+        for tracing, events, metrics in itertools.product((True, False), repeat=3):
+            if tracing:
+                enable_tracing(Tracer())
+            if events:
+                enable_events(EventLog())
+            if metrics:
+                enable_metrics()
+            try:
+                trace = (trace_id_for("gw-t", 1), 7, ALL_SINKS, 2) if tracing else None
+                records.append(execute_task(replace(task, trace=trace)).record)
+            finally:
+                disable_tracing()
+                disable_events()
+                disable_metrics()
+        stamps = [f for f in SliceRecord._fields if f.endswith("_ns")] + ["wall_s"]
+        facts = {r._replace(**dict.fromkeys(stamps, 0)) for r in records}
+        assert len(facts) == 1
+        sizes = {len(pickle.dumps(r)) for r in records}
+        assert len(sizes) == 1 and sizes.pop() <= 256
 
     def test_traced_task_backhauls_capture(self):
         tid = trace_id_for("gw-t", 1)
         result = execute_task(self.make_task(trace=(tid, 7, ALL_SINKS, 2)))
-        telemetry = result.telemetry
-        assert telemetry is not None
-        assert telemetry["trace_id"] == tid
-        assert telemetry["hop"] == 2
-        assert telemetry["pid"] == os.getpid()
-        names = [s["name"] for s in telemetry["spans"]]
+        record = result.record
+        assert record.pid == os.getpid()
+        # the record pickles as plain data (process-pool wire format)
+        json.dumps(list(record))
+        tracer = enable_tracing(Tracer())
+        try:
+            apply_slice(record, trace_id=tid, export="total", hop=2)
+        finally:
+            disable_tracing()
+        spans = tracer.finished()
+        names = [s.name for s in spans]
         assert names[0] == "worker.task"
         assert "worker.instantiate" in names and "worker.invoke" in names
-        root = telemetry["spans"][0]
-        assert root["attrs"]["hop"] == 2
-        assert root["attrs"]["preempted"] is False
-        # the capture pickles as plain data (process-pool wire format)
-        json.dumps(telemetry)
+        root = spans[0]
+        assert root.attributes["hop"] == 2
+        assert root.attributes["preempted"] is False
+        assert all(s.attributes["trace_id"] == tid for s in spans)
 
 
 class TestDifferentialAcrossEngines:
@@ -373,7 +405,8 @@ class TestWorkerMetricsCountedOnce:
 
 
 class TestShipmentPerSink:
-    """Nothing is recorded or shipped for a sink the gateway does not have."""
+    """Every hop ships one fixed record, and nothing reaches a sink that is
+    off."""
 
     @pytest.mark.parametrize("pool", ("thread", "process"))
     @pytest.mark.parametrize(
@@ -389,20 +422,20 @@ class TestShipmentPerSink:
     def test_shipment_holds_only_what_a_sink_keeps(
         self, monkeypatch, pool, tracing, events, metrics
     ):
-        if tracing:
-            enable_tracing(Tracer())
-        if events:
-            enable_events(EventLog())
+        tracer = enable_tracing(Tracer()) if tracing else None
+        log = enable_events(EventLog()) if events else None
         if metrics:
             enable_metrics()
         shipped = []
-        merge = gateway_module.merge_telemetry
+        merge = gateway_module.apply_slice
 
-        def spy(telemetry, *args, **kwargs):
-            shipped.append(telemetry)
-            return merge(telemetry, *args, **kwargs)
+        def spy(record, *args, **kwargs):
+            shipped.append(record)
+            return merge(record, *args, **kwargs)
 
-        monkeypatch.setattr(gateway_module, "merge_telemetry", spy)
+        monkeypatch.setattr(gateway_module, "apply_slice", spy)
+        resumes = get_registry().get("acctee_resumes_total")
+        resumed_before = resumes.total()
         [(tenant, module, (export, args))] = polybench_tenant_mix(("atax",))
         gw = MeteringGateway(workers=1, pool=pool, preempt_after=2000)
         try:
@@ -415,13 +448,16 @@ class TestShipmentPerSink:
         finally:
             gw.shutdown()
         assert hops > 2  # the requests really were preempted
-        assert len(shipped) == hops  # every hop recorded something it keeps
-        for channel, on in (("spans", tracing), ("events", events), ("metrics", metrics)):
-            counts = [len(telemetry[channel]) for telemetry in shipped]
-            if on:
-                assert all(counts), (channel, counts)
-            else:
-                assert not any(counts), (channel, counts)
+        assert len(shipped) == hops  # one record per hop, whatever the sinks
+        assert all(r.task_ns and len(pickle.dumps(r)) <= 256 for r in shipped)
+        if tracing:
+            tasks = [s for s in tracer.finished() if s.name == "worker.task"]
+            assert len(tasks) == hops
+        if events:
+            caches = [e for e in log.events() if e.kind == "module_cache"]
+            assert len(caches) == hops
+        resumed = resumes.total() - resumed_before
+        assert resumed == (hops - 2 if metrics else 0)
 
 
 class TestLoadtestStitchGate:

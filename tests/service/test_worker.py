@@ -66,9 +66,10 @@ def fresh_cache(monkeypatch):
 
 def test_module_cache_hits_skip_decoding(fresh_cache):
     task = make_task(b"a")
-    first = worker._cached_decoded(task)
-    second = worker._cached_decoded(task)
+    first, decoded = worker._cached_decoded(task)
+    second, hit = worker._cached_decoded(task)
     assert first is second
+    assert (decoded, hit) == ("decode", "hit")
     assert len(fresh_cache) == 1
 
 
@@ -87,7 +88,7 @@ def test_module_cache_concurrent_access_is_safe(fresh_cache):
         try:
             for i in range(300):
                 tag = b"m%d" % ((seed + i) % 5)
-                module = worker._cached_decoded(make_task(tag)).module
+                module = worker._cached_decoded(make_task(tag))[0].module
                 assert module == ("decoded", b"module-" + tag)
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)

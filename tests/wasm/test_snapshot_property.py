@@ -54,7 +54,7 @@ def capture(module, engine: str, at: int, args) -> bytes | None:
     try:
         inst.invoke("f", *args)
     except SnapshotCaptured as exc:
-        return encode_snapshot(replace(exc.snapshot, engine="-"), _observe=False)
+        return encode_snapshot(replace(exc.snapshot, engine="-"))
     return None
 
 
